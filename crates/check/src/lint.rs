@@ -560,7 +560,7 @@ pub fn check_unsafe_safety(original: &str, stripped: &str, file: &str) -> Vec<Fi
 /// Receiver names that publish cross-thread state: a `Relaxed` store
 /// or RMW through one of these severs the synchronizes-with edge the
 /// corresponding Acquire load depends on.
-pub const WATCHED_PUBLISH_IDENTS: &[&str] = &["gen", "generation", "head", "tail"];
+pub const WATCHED_PUBLISH_IDENTS: &[&str] = &["gen", "generation", "head", "tail", "packed"];
 
 const WATCHED_METHODS: &[&str] = &[".store(", ".fetch_add(", ".fetch_sub(", ".swap("];
 

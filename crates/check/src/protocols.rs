@@ -12,8 +12,10 @@
 //! can't find a planted bug proves nothing).
 //!
 //! The scenarios encode, as permanent schedules, the two concurrency
-//! bugs previously fixed by hand: the `CachedSnap` gen-before-load
-//! ordering (PR 4) and the striped-lane fold-once torn read (PR 6).
+//! bugs previously fixed by hand — the `CachedSnap` gen-before-load
+//! ordering (PR 4) and the striped-lane fold-once torn read (PR 6) —
+//! and the in-place threshold-cell publish that replaced the
+//! per-report snapshot swap.
 
 use crate::model::sync::{MArc, MAtomicU64, MAtomicUsize, Ordering};
 use crate::model::thread;
@@ -62,6 +64,42 @@ pub fn gen_publish(o: PublishOrders) -> impl Fn() + Send + Sync + 'static {
         w.join();
         assert_eq!(generation.load(Ordering::Relaxed), PUBLISHES);
         assert_eq!(data.load(Ordering::Relaxed), PUBLISHES);
+    }
+}
+
+/// `ThrCell` in-place publish (`sched::snapshot`): a flush overwrites
+/// a row's packed `(fpga_thr, arm_thr)` word, then the report is acked.
+/// A reader that observed ack `k` must load update `k` or a newer one,
+/// and every word it ever loads must be one the writer stored whole.
+/// Update `k` stores the pair `(k, PAIR_GAP + k)`, so a word assembled
+/// from two different updates cannot pass for a stored one.
+pub fn thr_cell(o: PublishOrders) -> impl Fn() + Send + Sync + 'static {
+    const UPDATES: u64 = 3;
+    const READS: usize = 2;
+    const PAIR_GAP: u64 = 100;
+    let pack = |k: u64| k << 32 | (PAIR_GAP + k);
+    move || {
+        let cell = MArc::new(MAtomicU64::named(pack(0), "cell"));
+        let acked = MArc::new(MAtomicU64::named(0, "acked"));
+        let (c2, a2) = (MArc::clone(&cell), MArc::clone(&acked));
+        let w = thread::spawn(move || {
+            for k in 1..=UPDATES {
+                c2.store(pack(k), o.publish);
+                a2.store(k, o.publish);
+            }
+        });
+        for _ in 0..READS {
+            let ack = acked.load(o.observe);
+            let word = cell.load(o.observe);
+            let (fpga, arm) = (word >> 32, word & 0xFFFF_FFFF);
+            assert!(arm == PAIR_GAP + fpga, "torn pair ({fpga}, {arm}): never stored");
+            assert!(
+                fpga >= ack,
+                "observed ack {ack} but thresholds from update {fpga}: stale pair"
+            );
+        }
+        w.join();
+        assert_eq!(cell.load(Ordering::Relaxed), pack(UPDATES));
     }
 }
 

@@ -3,7 +3,9 @@
 //! checker is not vacuously green.
 
 use xar_check::model::{ExploreOpts, Explorer, Trace};
-use xar_check::protocols::{cached_snap, gen_publish, spsc_ring, striped_fold, PublishOrders};
+use xar_check::protocols::{
+    cached_snap, gen_publish, spsc_ring, striped_fold, thr_cell, PublishOrders,
+};
 
 fn explorer(max_schedules: usize) -> Explorer {
     Explorer::new(ExploreOpts { max_schedules, ..ExploreOpts::default() })
@@ -63,6 +65,34 @@ fn exploration_is_deterministic() {
         .explore(gen_publish(PublishOrders::WEAKENED))
         .expect_err("mutation must be detected from any corner of the tree");
     assert!(!c.trace.choices.is_empty());
+}
+
+// ------------------------------------------------ ThrCell in-place publish
+
+#[test]
+fn thr_cell_correct_orderings_hold() {
+    let report = explorer(200_000)
+        .explore(thr_cell(PublishOrders::CORRECT))
+        .unwrap_or_else(|v| panic!("shipped cell orderings violated:\n{v}"));
+    assert!(
+        report.schedules >= 1000,
+        "want >= 1000 schedules for exhaustiveness, explored {}",
+        report.schedules
+    );
+}
+
+#[test]
+fn thr_cell_relaxed_mutation_is_detected() {
+    let v = explorer(200_000)
+        .explore(thr_cell(PublishOrders::WEAKENED))
+        .expect_err("relaxed cell publish must let an acked update go unseen");
+    assert!(v.message.contains("stale pair"), "unexpected failure: {}", v.message);
+    // Even fully relaxed, one word is one word: the mutation loses
+    // freshness, never atomicity.
+    assert!(!v.message.contains("torn pair"));
+    explorer(1)
+        .replay_seed(thr_cell(PublishOrders::WEAKENED), &v.trace.seed())
+        .expect_err("the failing seed must replay to the same violation");
 }
 
 // ------------------------------------------- CachedSnap (PR 4 regression)

@@ -13,6 +13,7 @@ use crate::thresholds::{ScenarioTimes, ThresholdEntry, ThresholdTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
+use xar_sched::snapshot::ThrCell;
 
 /// The paper's heuristic policy with dynamic threshold refinement.
 #[derive(Debug, Clone)]
@@ -21,8 +22,9 @@ pub struct XarTrekPolicy {
     pub table: ThresholdTable,
     /// Recorded per-app scenario times (x86exec/ARMexec/FPGAexec in
     /// Algorithm 1). The x86 entry is updated by observation (line 10).
-    /// Keyed by `Arc<str>` like the threshold table, so shard splits
-    /// and lookups by borrowed wire names never copy key bytes.
+    /// Keyed by the threshold table's own `Arc<str>` wherever this
+    /// crate builds both (see [`ThresholdTable::key`]), so an app name
+    /// is one allocation per shard.
     ref_times: HashMap<Arc<str>, ScenarioTimes>,
     /// Configure the FPGA at application launch (paper §3.1; ablation
     /// knob for the §4.2 "faster than always-FPGA" effect).
@@ -50,7 +52,8 @@ impl XarTrekPolicy {
                 continue;
             }
             table.insert(crate::thresholds::estimate_thresholds(s, cfg));
-            ref_times.insert(s.name.as_str().into(), crate::thresholds::scenario_times(s, cfg));
+            let key = table.key(&s.name).expect("inserted above").clone();
+            ref_times.insert(key, crate::thresholds::scenario_times(s, cfg));
         }
         XarTrekPolicy::new(table, ref_times)
     }
@@ -87,14 +90,14 @@ impl XarTrekPolicy {
         Decision { target: Target::X86, reconfigure: false }
     }
 
-    /// Algorithm 2 against a threshold table: the one decision path
-    /// shared by the live [`Policy`] impl and the daemon's
-    /// [`xar_sched::PolicyCore`] snapshot impl, so the two cannot
-    /// drift.
-    fn decide_against(table: &ThresholdTable, ctx: &DecideCtx<'_>) -> Decision {
-        match table.get(ctx.app) {
-            Some(e) => {
-                Self::algorithm2(ctx.x86_load as u32, e.fpga_thr, e.arm_thr, ctx.kernel_resident)
+    /// Algorithm 2 against an app's thresholds, if it has a row: the
+    /// one decision path shared by the live [`Policy`] impl and the
+    /// daemon's [`xar_sched::PolicyCore`] snapshot impl, so the two
+    /// cannot drift.
+    fn decide_against(thresholds: Option<(u32, u32)>, ctx: &DecideCtx<'_>) -> Decision {
+        match thresholds {
+            Some((fpga_thr, arm_thr)) => {
+                Self::algorithm2(ctx.x86_load as u32, fpga_thr, arm_thr, ctx.kernel_resident)
             }
             None => Decision::to(Target::X86),
         }
@@ -126,7 +129,8 @@ impl XarTrekPolicy {
             let shard = &mut shards[xar_sched::shard_of(&e.app, count)];
             shard.table.insert(e.clone());
             if let Some(times) = self.ref_times.get(e.app.as_str()) {
-                shard.ref_times.insert(e.app.as_str().into(), *times);
+                let key = shard.table.key(&e.app).expect("inserted above").clone();
+                shard.ref_times.insert(key, *times);
             }
         }
         shards
@@ -171,28 +175,62 @@ impl XarTrekPolicy {
     }
 }
 
-/// The immutable decision state `xar-sched` publishes per shard: the
-/// threshold table plus the policy flags Algorithm 2 needs.
-#[derive(Debug, Clone)]
+/// The decision state `xar-sched` publishes per shard: a frozen index
+/// of the shard's apps, each holding its current thresholds in a
+/// [`ThrCell`], plus the policy flags Algorithm 2 needs.
+///
+/// "Frozen" is the key set: it is fixed when the snapshot is built
+/// (boot, state restore). The *values* are live — Algorithm 1 updates
+/// land in place through [`xar_sched::PolicyCore::republish`], so a
+/// reader holding this snapshot always decides on the current
+/// thresholds without ever swapping snapshots. The keys are the
+/// threshold table's own `Arc<str>`s.
+#[derive(Debug)]
 pub struct PolicySnapshot {
-    /// Threshold table at publication time.
-    pub table: ThresholdTable,
-    /// Whether launches early-configure the FPGA (paper §3.1).
-    pub early_config: bool,
+    index: HashMap<Arc<str>, ThrCell>,
+    early_config: bool,
+}
+
+impl PolicySnapshot {
+    /// The thresholds `(fpga_thr, arm_thr)` currently published for
+    /// `app`, if the index holds it.
+    pub fn thresholds(&self, app: &str) -> Option<(u32, u32)> {
+        self.index.get(app).map(ThrCell::load)
+    }
 }
 
 impl xar_sched::PolicyCore for XarTrekPolicy {
     type Snap = PolicySnapshot;
 
     fn snapshot(&self) -> PolicySnapshot {
-        // O(1): the table is copy-on-write, so this shares every row
-        // with the policy until Algorithm 1 touches one. Publishing a
-        // fresh snapshot per flush costs rows-touched, not table-size.
-        PolicySnapshot { table: self.table.clone(), early_config: self.early_config }
+        // O(table): runs at boot and on state restore, never per
+        // report (Algorithm 1 moves thresholds, not the key set).
+        let index = self
+            .table
+            .iter_keyed()
+            .map(|(key, e)| (key.clone(), ThrCell::new(e.fpga_thr, e.arm_thr)))
+            .collect();
+        PolicySnapshot { index, early_config: self.early_config }
+    }
+
+    fn republish(&self, snap: &PolicySnapshot, app: &str) -> bool {
+        match (self.table.get(app), snap.index.get(app)) {
+            (Some(e), Some(cell)) => {
+                cell.store(e.fpga_thr, e.arm_thr);
+                true
+            }
+            // A report for an app without a row changed nothing.
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    fn intern(snap: &PolicySnapshot, app: &str) -> Option<Arc<str>> {
+        snap.index.get_key_value(app).map(|(key, _)| key.clone())
     }
 
     fn decide(snap: &PolicySnapshot, ctx: &DecideCtx<'_>) -> Decision {
-        Self::decide_against(&snap.table, ctx)
+        Self::decide_against(snap.thresholds(ctx.app), ctx)
     }
 
     fn early_config(snap: &PolicySnapshot, ctx: &DecideCtx<'_>) -> bool {
@@ -215,12 +253,10 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
             .collect()
     }
 
-    fn entry(&self, app: &str) -> Option<xar_sched::TableEntry> {
-        // Indexed lookup — the flush sink's per-batch delta query must
-        // not scan the whole table.
-        self.table.get(app).map(|e| xar_sched::TableEntry {
-            app: e.app.clone(),
-            kernel: e.kernel.clone(),
+    fn row(&self, app: &str) -> Option<xar_sched::RowRef<'_>> {
+        self.table.get(app).map(|e| xar_sched::RowRef {
+            app: &e.app,
+            kernel: &e.kernel,
             fpga_thr: e.fpga_thr,
             arm_thr: e.arm_thr,
         })
@@ -238,10 +274,8 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         out.push(self.early_config as u8);
         out.push(self.dynamic_update as u8);
         out.extend_from_slice(&self.thr_step.to_le_bytes());
-        let mut rows: Vec<&ThresholdEntry> = self.table.iter().collect();
-        rows.sort_by(|a, b| a.app.cmp(&b.app));
-        out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-        for e in rows {
+        out.extend_from_slice(&(self.table.len() as u32).to_le_bytes());
+        for e in self.table.iter() {
             put_str(&e.app, &mut out);
             put_str(&e.kernel, &mut out);
             out.extend_from_slice(&e.fpga_thr.to_le_bytes());
@@ -286,7 +320,8 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         }
         let mut ref_times = HashMap::with_capacity(n_times);
         for _ in 0..n_times {
-            let app: Arc<str> = Arc::from(c.str()?);
+            let app = c.str()?;
+            let app = table.key(app).cloned().unwrap_or_else(|| Arc::from(app));
             let x86_ms = f64::from_bits(c.u64()?);
             let fpga_ms = f64::from_bits(c.u64()?);
             let arm_ms = f64::from_bits(c.u64()?);
@@ -343,7 +378,7 @@ impl Policy for XarTrekPolicy {
     }
 
     fn decide(&mut self, ctx: &DecideCtx<'_>) -> Decision {
-        Self::decide_against(&self.table, ctx)
+        Self::decide_against(self.table.get(ctx.app).map(|e| (e.fpga_thr, e.arm_thr)), ctx)
     }
 
     fn on_complete(&mut self, report: &CompletionReport<'_>) {
@@ -493,6 +528,30 @@ mod tests {
     }
 
     #[test]
+    fn an_app_name_is_one_allocation_per_shard() {
+        use xar_sched::PolicyCore;
+        let shared = |p: &XarTrekPolicy| {
+            let snap = p.snapshot();
+            for (key, e) in p.table.iter_keyed() {
+                let (times_key, _) = p.ref_times.get_key_value(e.app.as_str()).unwrap();
+                assert!(Arc::ptr_eq(key, times_key), "{}: ref_times key is a copy", e.app);
+                let interned = XarTrekPolicy::intern(&snap, &e.app).unwrap();
+                assert!(Arc::ptr_eq(key, &interned), "{}: index key is a copy", e.app);
+                // Table, ref_times, index, and the one just handed out.
+                assert_eq!(Arc::strong_count(key), 4, "{}", e.app);
+            }
+        };
+        let p = policy();
+        shared(&p);
+        for shard in p.split_shards(2) {
+            shared(&shard);
+            let mut restored = XarTrekPolicy::new(ThresholdTable::new(), HashMap::new());
+            restored.load_state(&shard.save_state().unwrap()).unwrap();
+            shared(&restored);
+        }
+    }
+
+    #[test]
     fn sharded_engine_matches_sequential_policy() {
         use xar_desim::Target;
         // Drive the same decide/report trace through (a) the plain
@@ -579,10 +638,13 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] = 99;
         assert!(q.load_state(&bad).is_err());
-        // The indexed entry() lookup agrees with the entries() scan.
-        let via_entry = p.entry("Digit2000").unwrap();
-        let via_scan = p.entries().into_iter().find(|e| e.app == "Digit2000").unwrap();
-        assert_eq!(via_entry, via_scan);
+        // The borrowed row() lookup agrees with the entries() scan.
+        let row = p.row("Digit2000").unwrap();
+        let scan = p.entries().into_iter().find(|e| e.app == "Digit2000").unwrap();
+        assert_eq!(
+            (row.app, row.kernel, row.fpga_thr, row.arm_thr),
+            (scan.app.as_str(), scan.kernel.as_str(), scan.fpga_thr, scan.arm_thr)
+        );
     }
 
     #[test]

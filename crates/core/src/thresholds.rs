@@ -29,45 +29,17 @@ pub struct ThresholdEntry {
     pub arm_thr: u32,
 }
 
-/// Hash buckets inside a [`ThresholdTable`]. Mutating a shared table
-/// re-materializes one bucket (≈ rows/64), not the whole map — small
-/// enough that per-flush snapshot publication at 10k rows costs
-/// microseconds, large enough that walking the buckets stays noise
-/// for full-table dumps of the five-app paper table.
-const TABLE_BUCKETS: usize = 64;
-
-/// Stable bucket index for an application name — the daemon's FNV-1a
-/// shard router, reduced to [`TABLE_BUCKETS`] (one hash family for
-/// both layers, so the two cannot drift).
-fn bucket_of(app: &str) -> usize {
-    xar_sched::shard_of(app, TABLE_BUCKETS)
-}
-
-/// One COW hash bucket of a [`ThresholdTable`].
-type Bucket = Arc<BTreeMap<Arc<str>, Arc<ThresholdEntry>>>;
-
-/// The threshold table shared by the scheduler server and clients.
+/// The threshold table shared by the scheduler server and clients:
+/// one ordered map, mutated in place under its owner's lock.
 ///
-/// Copy-on-write: rows are `Arc`-shared inside `Arc`-shared hash
-/// buckets behind one `Arc`-shared spine, so `clone()` is O(1) and two
-/// clones share every row until one of them mutates. The first
-/// mutation after a clone re-materializes the spine (64 pointers) and
-/// the touched row's bucket (≈ rows/64 pointer clones — no string
-/// bytes are copied either way); each [`ThresholdTable::get_mut`]
-/// re-materializes only the one row it touches. This is what makes
-/// publishing a decision snapshot per report batch affordable at 10k+
-/// rows: the per-flush cost is O(rows-touched), not O(table).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The daemon never clones it per update — a shard publishes a frozen
+/// `app → cell` index once and refreshes the touched cells in place
+/// (see [`crate::policy::PolicySnapshot`]). Keys are `Arc<str>` so that
+/// index, the policy's reference times and the engine's queued reports
+/// all share each app name's one allocation ([`ThresholdTable::key`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThresholdTable {
-    buckets: Arc<Vec<Bucket>>,
-}
-
-impl Default for ThresholdTable {
-    fn default() -> Self {
-        ThresholdTable {
-            buckets: Arc::new((0..TABLE_BUCKETS).map(|_| Bucket::default()).collect()),
-        }
-    }
+    rows: BTreeMap<Arc<str>, ThresholdEntry>,
 }
 
 impl ThresholdTable {
@@ -76,50 +48,45 @@ impl ThresholdTable {
         Self::default()
     }
 
-    /// Inserts or replaces an entry.
+    /// Inserts or replaces an entry. Replacing keeps the row's
+    /// existing key allocation (`BTreeMap::insert` never swaps keys).
     pub fn insert(&mut self, e: ThresholdEntry) {
-        let b = bucket_of(&e.app);
-        let buckets = Arc::make_mut(&mut self.buckets);
-        Arc::make_mut(&mut buckets[b]).insert(Arc::from(e.app.as_str()), Arc::new(e));
+        self.rows.insert(Arc::from(e.app.as_str()), e);
     }
 
     /// Looks up an application's entry.
     pub fn get(&self, app: &str) -> Option<&ThresholdEntry> {
-        self.buckets[bucket_of(app)].get(app).map(|e| &**e)
+        self.rows.get(app)
     }
 
     /// Mutable lookup (Algorithm 1 updates thresholds in place).
-    /// Copy-on-write: a row (and, after a clone, its bucket and the
-    /// spine) shared with a snapshot is re-materialized before being
-    /// handed out, so published snapshots stay immutable.
     pub fn get_mut(&mut self, app: &str) -> Option<&mut ThresholdEntry> {
-        let b = bucket_of(app);
-        let buckets = Arc::make_mut(&mut self.buckets);
-        Arc::make_mut(&mut buckets[b]).get_mut(app).map(Arc::make_mut)
+        self.rows.get_mut(app)
     }
 
-    /// Iterates entries in application order. (Rows are stored hashed
-    /// across buckets; this collects and sorts — a cold-path cost paid
-    /// by table dumps, never by decides.)
+    /// The shared allocation of a row's application name.
+    pub fn key(&self, app: &str) -> Option<&Arc<str>> {
+        self.rows.get_key_value(app).map(|(key, _)| key)
+    }
+
+    /// Iterates entries in application order.
     pub fn iter(&self) -> impl Iterator<Item = &ThresholdEntry> {
-        let mut all: Vec<&ThresholdEntry> = Vec::with_capacity(self.len());
-        for bucket in self.buckets.iter() {
-            for e in bucket.values() {
-                all.push(e);
-            }
-        }
-        all.sort_by(|a, b| a.app.cmp(&b.app));
-        all.into_iter()
+        self.rows.values()
+    }
+
+    /// Iterates `(shared name, entry)` in application order.
+    pub fn iter_keyed(&self) -> impl Iterator<Item = (&Arc<str>, &ThresholdEntry)> {
+        self.rows.iter()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+        self.rows.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|b| b.is_empty())
+        self.rows.is_empty()
     }
 
     /// Serializes to the on-disk text format:
@@ -296,52 +263,6 @@ mod tests {
         let back = ThresholdTable::from_text(&text).unwrap();
         assert_eq!(back, table);
         assert_eq!(back.len(), 5);
-    }
-
-    #[test]
-    fn clone_shares_rows_until_mutation() {
-        let mut table = ThresholdTable::new();
-        for i in 0..100 {
-            table.insert(ThresholdEntry {
-                app: format!("app{i:03}"),
-                kernel: format!("k{i}"),
-                fpga_thr: i,
-                arm_thr: i + 1,
-            });
-        }
-        let snapshot = table.clone();
-        // Shared storage: the same row allocations back both tables.
-        assert!(std::ptr::eq(
-            table.get("app007").unwrap() as *const _,
-            snapshot.get("app007").unwrap() as *const _
-        ));
-        // COW: mutating one row re-materializes that row only; the
-        // snapshot keeps the old value, untouched rows stay shared.
-        table.get_mut("app007").unwrap().fpga_thr = 999;
-        assert_eq!(table.get("app007").unwrap().fpga_thr, 999);
-        assert_eq!(snapshot.get("app007").unwrap().fpga_thr, 7, "snapshot is immutable");
-        assert!(
-            std::ptr::eq(
-                table.get("app042").unwrap() as *const _,
-                snapshot.get("app042").unwrap() as *const _
-            ),
-            "untouched rows remain Arc-shared across the mutation"
-        );
-    }
-
-    #[test]
-    fn get_mut_without_sharing_mutates_in_place() {
-        let mut table = ThresholdTable::new();
-        table.insert(ThresholdEntry {
-            app: "a".into(),
-            kernel: "k".into(),
-            fpga_thr: 1,
-            arm_thr: 2,
-        });
-        let before = table.get("a").unwrap() as *const ThresholdEntry;
-        table.get_mut("a").unwrap().arm_thr = 9;
-        assert_eq!(table.get("a").unwrap() as *const ThresholdEntry, before, "no spurious clone");
-        assert_eq!(table.get("a").unwrap().arm_thr, 9);
     }
 
     #[test]

@@ -205,6 +205,18 @@ impl Wal {
     /// configured [`FsyncPolicy`]; rotation happens after the append
     /// that crosses `segment_bytes`.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+        let lsn = self.append_unsynced(payload)?;
+        if matches!(self.cfg.fsync, FsyncPolicy::Always) {
+            self.sync()?;
+        }
+        Ok(lsn)
+    }
+
+    /// [`Wal::append`] for a record no ack depends on: it never waits
+    /// for the disk, even under [`FsyncPolicy::Always`]. The next
+    /// synced append, [`Wal::tick_sync`] or rotation makes it durable
+    /// (all of them sync the whole file).
+    pub fn append_unsynced(&mut self, payload: &[u8]) -> io::Result<u64> {
         self.buf.clear();
         encode_record(payload, &mut self.buf);
         self.file.write_all(&self.buf)?;
@@ -214,9 +226,6 @@ impl Wal {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.dirty = true;
-        if matches!(self.cfg.fsync, FsyncPolicy::Always) {
-            self.sync()?;
-        }
         if self.seg_len >= self.cfg.segment_bytes {
             self.rotate()?;
         }
@@ -234,12 +243,17 @@ impl Wal {
     }
 
     /// The owner's maintenance heartbeat: under `IntervalMs(n)`, syncs
-    /// once `n` ms have passed since the last sync. No-op otherwise.
+    /// once `n` ms have passed since the last sync; under `Always`,
+    /// syncs whatever [`Wal::append_unsynced`] left behind. No-op
+    /// under `Off`.
     pub fn tick_sync(&mut self) -> io::Result<()> {
-        if let FsyncPolicy::IntervalMs(ms) = self.cfg.fsync {
-            if self.dirty && self.last_sync.elapsed().as_millis() as u64 >= ms {
-                self.sync()?;
-            }
+        let due = match self.cfg.fsync {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::IntervalMs(ms) => self.last_sync.elapsed().as_millis() as u64 >= ms,
+            FsyncPolicy::Off => false,
+        };
+        if due {
+            self.sync()?;
         }
         Ok(())
     }
@@ -340,6 +354,27 @@ mod tests {
         assert_eq!(wal.truncations(), 0);
         assert_eq!(collect(&mut wal, 0), vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
         assert_eq!(collect(&mut wal, 1), vec![(2, b"two".to_vec())]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsynced_appends_wait_for_the_next_sync_point() {
+        let dir = tmp("unsynced");
+        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap(); // fsync = always
+        assert_eq!(wal.append_unsynced(b"delta").unwrap(), 1);
+        assert!(wal.dirty, "an unsynced append must not pay the fsync");
+        assert_eq!(wal.append(b"acked").unwrap(), 2);
+        assert!(!wal.dirty, "a synced append covers everything before it");
+        wal.append_unsynced(b"trailing delta").unwrap();
+        wal.tick_sync().unwrap();
+        assert!(!wal.dirty, "the maintenance tick syncs an unsynced tail under `always`");
+        // Same bytes and LSNs on disk as three plain appends.
+        drop(wal);
+        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
+        assert_eq!(
+            collect(&mut wal, 0),
+            vec![(1, b"delta".to_vec()), (2, b"acked".to_vec()), (3, b"trailing delta".to_vec())]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -29,9 +29,15 @@
 //! argument holds for every record that reached the disk; the unsynced
 //! tail is the documented loss window.)
 //!
-//! Lock order: `ingest` → engine shard `state` → `pending` → `wal`.
-//! The WAL mutex is a leaf — the flush sink reaches it while a shard
-//! state lock is held, so it may never wrap an engine call.
+//! Lock order: `ingest` → engine shard `state` → `pending` → `deltas`
+//! → `wal`. The last two are leaves — the flush sink reaches them
+//! while a shard state lock is held, so they may never wrap an engine
+//! call.
+//!
+//! Only the records an ack depends on (`ReportBatch`, `SeqBatch`,
+//! `ReplayNote`) are synced before they are applied under
+//! `fsync = always`. `RowDeltas` are best-effort: appended unsynced,
+//! they ride the next synced append, maintenance tick or rotation.
 //!
 //! # Snapshot payload
 //!
@@ -40,7 +46,7 @@
 //! plus the full session table, as of the manifest's WAL watermark.
 //! Recovery = load newest valid snapshot, replay the WAL suffix.
 
-use crate::engine::{PolicyCore, ReportOwned, ShardedEngine, TableEntry};
+use crate::engine::{PolicyCore, ReportOwned, RowRef, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::wire::{target_from_byte, target_to_byte, WireReport};
 use parking_lot::Mutex;
@@ -132,6 +138,8 @@ pub struct Durability {
     /// Serializes durable ingest (WAL order == per-shard apply order)
     /// and owns the reusable record-encoding buffer.
     ingest: Mutex<Vec<u8>>,
+    /// The flush sink's reusable `RowDeltas` encoding buffer.
+    deltas: Mutex<Vec<u8>>,
     /// The WAL proper. Leaf lock — see the module docs.
     wal: Mutex<Wal>,
     /// Lock-free mirrors for stats reads (the WAL lock can be held
@@ -185,6 +193,7 @@ impl Durability {
         let dur = Durability {
             cfg,
             ingest: Mutex::new(Vec::with_capacity(4096)),
+            deltas: Mutex::new(Vec::new()),
             wal: Mutex::new(wal),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -209,8 +218,17 @@ impl Durability {
         }
     }
 
-    fn append(&self, payload: &[u8]) -> io::Result<u64> {
-        let lsn = self.wal.lock().append(payload)?;
+    /// Appends one record; `synced` records honor `fsync = always`
+    /// before returning, unsynced ones never wait for the disk.
+    fn append(&self, payload: &[u8], synced: bool) -> io::Result<u64> {
+        let lsn = {
+            let mut wal = self.wal.lock();
+            if synced {
+                wal.append(payload)?
+            } else {
+                wal.append_unsynced(payload)?
+            }
+        };
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.wal_bytes
             .fetch_add(payload.len() as u64 + xar_dur::FRAME_HEADER as u64, Ordering::Relaxed);
@@ -230,7 +248,7 @@ impl Durability {
         let mut buf = self.ingest.lock();
         buf.clear();
         encode_report_batch(reports, &mut buf);
-        self.append(&buf)?;
+        self.append(&buf, true)?;
         Ok(engine.report_batch_wire_obs(scratch, reports, obs))
     }
 
@@ -245,7 +263,7 @@ impl Durability {
         let mut buf = self.ingest.lock();
         buf.clear();
         encode_report_batch(std::slice::from_ref(report), &mut buf);
-        self.append(&buf)?;
+        self.append(&buf, true)?;
         engine.ingest_obs(report.app, report.target, report.func_ms, report.x86_load, obs);
         Ok(())
     }
@@ -272,13 +290,13 @@ impl Durability {
             Some(SeqOutcome::Replay) => {
                 buf.clear();
                 encode_replay_note(session, seq, &mut buf);
-                self.append(&buf)?;
+                self.append(&buf, true)?;
                 Ok(DurableSeqOutcome::Replay)
             }
             Some(SeqOutcome::Fresh) => {
                 buf.clear();
                 encode_seq_batch(session, seq, reports, &mut buf);
-                let journaled = self.append(&buf);
+                let journaled = self.append(&buf, true);
                 // The mark already advanced: apply regardless, so a
                 // journal failure degrades durability but never drops
                 // a batch the dedup path will refuse to re-ingest.
@@ -293,13 +311,14 @@ impl Durability {
 
     /// The engine flush sink's target: journals one flush's post-apply
     /// row deltas. Called with a shard state lock held — touches only
-    /// the leaf WAL lock, and is best-effort (a delta journaling error
-    /// must not fail the flush; recovery rebuilds state from report
-    /// records, not deltas).
-    pub fn note_row_deltas(&self, shard: u32, rows: &[TableEntry]) {
-        let mut buf = Vec::with_capacity(64 + rows.len() * 48);
+    /// the leaf locks, and is best-effort (a delta journaling error
+    /// must not fail the flush, and the append is not synced; recovery
+    /// rebuilds state from report records, not deltas).
+    pub fn note_row_deltas(&self, shard: u32, rows: &mut dyn Iterator<Item = RowRef<'_>>) {
+        let mut buf = self.deltas.lock();
+        buf.clear();
         encode_row_deltas(shard, rows, &mut buf);
-        let _ = self.append(&buf);
+        let _ = self.append(&buf, false);
     }
 
     /// Maintenance heartbeat: drives `interval_ms` fsyncs and periodic
@@ -410,16 +429,21 @@ fn encode_replay_note(session: u64, seq: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&seq.to_le_bytes());
 }
 
-fn encode_row_deltas(shard: u32, rows: &[TableEntry], out: &mut Vec<u8>) {
+fn encode_row_deltas(shard: u32, rows: &mut dyn Iterator<Item = RowRef<'_>>, out: &mut Vec<u8>) {
     out.push(REC_ROW_DELTAS);
     out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    // The row count precedes the rows; patched in once they are counted.
+    let count_at = out.len();
+    out.extend_from_slice(&0u32.to_le_bytes());
+    let mut count = 0u32;
     for row in rows {
-        put_str(&row.app, out);
-        put_str(&row.kernel, out);
+        put_str(row.app, out);
+        put_str(row.kernel, out);
         out.extend_from_slice(&row.fpga_thr.to_le_bytes());
         out.extend_from_slice(&row.arm_thr.to_le_bytes());
+        count += 1;
     }
+    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Bounds-checked little-endian reader over a record payload.
@@ -582,7 +606,7 @@ fn restore_snapshot<P: PolicyCore>(
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, TableEntry};
     use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
 
     /// Toy policy: counts per-app report totals (as `fpga_thr`) so
@@ -620,6 +644,11 @@ mod tests {
                     arm_thr: 0,
                 })
                 .collect()
+        }
+
+        fn row(&self, app: &str) -> Option<RowRef<'_>> {
+            let (app, n) = self.counts.get_key_value(app)?;
+            Some(RowRef { app, kernel: "", fpga_thr: *n, arm_thr: 0 })
         }
 
         fn save_state(&self) -> Option<Vec<u8>> {

@@ -2,45 +2,48 @@
 //!
 //! State is partitioned into per-app-group shards (stable FNV-1a hash
 //! of the application name). Each shard owns one policy instance and
-//! publishes an immutable decision snapshot ([`ArcCell`]):
+//! publishes its decision state behind an [`ArcCell`]:
 //!
-//! * **decide** (hot path) — loads the shard snapshot and evaluates the
-//!   pure decision function against it. No policy lock is taken, so
-//!   threshold lookups never contend with Algorithm 1 updates.
+//! * **decide** (hot path) — evaluates the pure decision function
+//!   against the shard's published snapshot. No policy lock is taken,
+//!   so threshold lookups never contend with Algorithm 1 updates.
 //! * **report** (warm path) — appends to the shard's pending queue;
 //!   once `batch` reports accumulate (or on an explicit flush) they are
-//!   applied in arrival order under the shard's state lock and a new
-//!   snapshot is published. With `batch = 1` the engine is
+//!   applied in arrival order under the shard's state lock and the rows
+//!   they touched are published. With `batch = 1` the engine is
 //!   report-for-report identical to the v1 single-mutex server; larger
-//!   batches amortize the lock and the snapshot rebuild across many
-//!   clients.
+//!   batches amortize the lock across many clients.
+//!
+//! **What a publish is.** A flush asks the policy to refresh each
+//! touched row *inside* the already-published snapshot
+//! ([`PolicyCore::republish`] — for Xar-Trek one `Release` store into
+//! the row's [`crate::snapshot::ThrCell`]): O(1), allocation-free, and
+//! the [`ArcCell`] generation does not move, so no [`DecideHandle`]
+//! refreshes on a threshold update. The snapshot is rebuilt
+//! ([`PolicyCore::snapshot`] + [`ArcCell::store`], the one path that
+//! bumps the generation) only at boot, in
+//! [`ShardedEngine::load_states`], and when the hook answers `false`.
 //!
 //! Because Algorithm 1 only ever touches the reporting application's
 //! table row, sharding by app preserves the single-policy semantics
 //! exactly: every report is applied to the same row state, in arrival
 //! order per shard.
 //!
-//! Two decide paths exist. [`ShardedEngine::decide`] is the shared
-//! path: any `&ShardedEngine` can call it, at the cost of a reader
-//! lock plus an `Arc` refcount bump on the shard's snapshot cell —
-//! both RMWs on cache lines shared by every caller. [`DecideHandle`]
-//! is the hot path: a worker-owned handle holding a [`CachedSnap`]
-//! per shard, so a steady-state decide revalidates with one atomic
-//! *load* of the shard's publication generation and evaluates against
-//! its privately held `Arc` — no RMW, no shared refcount line, no
-//! lock. The two are decision-identical by construction (both
-//! evaluate `P::decide` against the same published snapshots).
+//! Two decision-identical decide paths exist (see [`crate::snapshot`]):
+//! [`ShardedEngine::decide`], callable through any `&ShardedEngine` at
+//! the cost of a reader lock plus an `Arc` refcount bump, and the
+//! worker-owned [`DecideHandle`], whose per-shard [`CachedSnap`] makes
+//! a steady-state decide one atomic *load* — no RMW, no lock.
 //!
-//! Ingest is (near) allocation-free: each shard interns app names into
-//! `Arc<str>` under its pending lock, so a report for an
-//! already-known app copies no string bytes — [`ReportOwned`] carries
-//! a refcount bump, not an owned `String`.
+//! Steady-state ingest allocates nothing: a report of a known app
+//! borrows its name from the published snapshot
+//! ([`PolicyCore::intern`]) and the queue and batch buffers swap places
+//! at each flush instead of being reallocated.
 
 use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
 use crate::wire::{WireQuery, WireReport};
 use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -60,10 +63,24 @@ pub struct TableEntry {
     pub arm_thr: u32,
 }
 
+/// A threshold row borrowed from the policy's table — what the flush
+/// sink sees, so journaling a delta clones no strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRef<'a> {
+    /// Application name.
+    pub app: &'a str,
+    /// Hardware kernel name.
+    pub kernel: &'a str,
+    /// FPGA migration threshold.
+    pub fpga_thr: u32,
+    /// ARM migration threshold.
+    pub arm_thr: u32,
+}
+
 /// An owned completion report queued for batched ingestion. The app
 /// name is a shared `Arc<str>` — reports entering through the engine's
-/// ingest paths carry the shard's interned copy, so a report of a
-/// known app owns no string allocation of its own.
+/// borrowed ingest paths carry the published snapshot's copy, so a
+/// report of a known app owns no string allocation of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportOwned {
     /// Application name.
@@ -87,27 +104,38 @@ impl From<&CompletionReport<'_>> for ReportOwned {
     }
 }
 
-impl From<&WireReport<'_>> for ReportOwned {
-    fn from(r: &WireReport<'_>) -> Self {
-        ReportOwned {
-            app: Arc::from(r.app),
-            target: r.target,
-            func_ms: r.func_ms,
-            x86_load: r.x86_load,
-        }
-    }
-}
-
 /// The policy state a shard manages. `xar-core` implements this for
 /// `XarTrekPolicy`; the engine itself is policy-agnostic so it can be
 /// reused (and tested) with toy policies.
 pub trait PolicyCore: Send + 'static {
-    /// The immutable decision state published to the lock-free read
-    /// path (for Xar-Trek: the threshold table plus policy flags).
+    /// The decision state published to the lock-free read path (for
+    /// Xar-Trek: a frozen `app → threshold cell` index plus policy
+    /// flags). Shared by every reader; [`PolicyCore::republish`]
+    /// updates it through `&Snap`.
     type Snap: Send + Sync + 'static;
 
-    /// Builds the current decision snapshot.
+    /// Builds a decision snapshot from scratch — the rebuild path
+    /// (boot, state restore, a row [`PolicyCore::republish`] cannot
+    /// place).
     fn snapshot(&self) -> Self::Snap;
+
+    /// Refreshes `app`'s row inside the published `snap`, in place.
+    /// `true` means `snap` now answers for `app` as a fresh
+    /// [`PolicyCore::snapshot`] would; `false` (the default) makes the
+    /// engine rebuild the whole snapshot. Called under the shard's
+    /// state lock, after [`PolicyCore::apply`].
+    fn republish(&self, snap: &Self::Snap, app: &str) -> bool {
+        let _ = (snap, app);
+        false
+    }
+
+    /// The snapshot's own shared allocation of `app`'s name, if it
+    /// holds one — lets ingest queue a known app's report without
+    /// copying the name. Default: none (the engine copies it).
+    fn intern(snap: &Self::Snap, app: &str) -> Option<Arc<str>> {
+        let _ = (snap, app);
+        None
+    }
 
     /// The pure placement decision against a snapshot (Algorithm 2).
     fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision;
@@ -125,11 +153,12 @@ pub trait PolicyCore: Send + 'static {
     /// The current threshold rows (for TABLE snapshots).
     fn entries(&self) -> Vec<TableEntry>;
 
-    /// The current row for one app, if present — the flush sink's
-    /// per-batch delta lookup. The default scans [`PolicyCore::entries`];
-    /// policies with an indexed table should override it.
-    fn entry(&self, app: &str) -> Option<TableEntry> {
-        self.entries().into_iter().find(|e| e.app == app)
+    /// The current row for one app, borrowed — the flush sink's
+    /// per-batch delta lookup. Default: none, i.e. the policy emits no
+    /// flush deltas.
+    fn row(&self, app: &str) -> Option<RowRef<'_>> {
+        let _ = app;
+        None
     }
 
     /// Serializes this shard's full mutable state (not just the
@@ -150,11 +179,12 @@ pub trait PolicyCore: Send + 'static {
 }
 
 /// Observer of flush-publish row deltas: called with the shard index
-/// and the post-apply rows of every app a flushed batch touched,
-/// while the shard's state lock is held (deltas for one shard are
-/// therefore emitted in apply order). The durability layer registers
-/// one to journal deltas for downstream replication.
-pub type FlushSink = Box<dyn Fn(u32, &[TableEntry]) + Send + Sync>;
+/// and the post-apply rows (sorted by app, one per app, never empty)
+/// of every app a flushed batch touched, while the shard's state lock
+/// is held (deltas for one shard are therefore emitted in apply
+/// order). The durability layer registers one to journal deltas for
+/// downstream replication.
+pub type FlushSink = Box<dyn Fn(u32, &mut dyn Iterator<Item = RowRef<'_>>) + Send + Sync>;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -182,51 +212,19 @@ pub fn shard_of(app: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// Cap on one shard's intern pool. Far above any realistic app-name
-/// population; a flood of distinct names (an abusive client) clears
-/// the pool and starts over instead of growing without bound.
-const INTERN_CAP: usize = 1 << 16;
-
-/// A shard's ingest state: the pending report queue and the app-name
-/// intern pool, both guarded by the one pending lock.
-#[derive(Default)]
-struct Pending {
-    queue: Vec<ReportOwned>,
-    names: HashSet<Arc<str>>,
-}
-
-impl Pending {
-    /// The shard's canonical `Arc<str>` for `app`, allocating only the
-    /// first time a name is seen.
-    fn intern(&mut self, app: &str) -> Arc<str> {
-        if let Some(known) = self.names.get(app) {
-            return known.clone();
-        }
-        self.intern_miss(Arc::from(app))
-    }
-
-    /// Like [`Pending::intern`] but reuses an already-owned allocation
-    /// on a pool miss instead of copying it.
-    fn intern_owned(&mut self, app: Arc<str>) -> Arc<str> {
-        if let Some(known) = self.names.get(&*app) {
-            return known.clone();
-        }
-        self.intern_miss(app)
-    }
-
-    fn intern_miss(&mut self, app: Arc<str>) -> Arc<str> {
-        if self.names.len() >= INTERN_CAP {
-            self.names.clear();
-        }
-        self.names.insert(app.clone());
-        app
-    }
+/// What a shard's state lock guards: the policy, and the buffer the
+/// flush drains the pending queue into (kept so steady-state flushes
+/// swap two buffers instead of allocating one).
+struct State<P> {
+    policy: P,
+    batch: Vec<ReportOwned>,
 }
 
 struct Shard<P: PolicyCore> {
-    state: Mutex<P>,
+    state: Mutex<State<P>>,
     snap: ArcCell<P::Snap>,
-    pending: Mutex<Pending>,
+    /// Reports queued in arrival order, not yet applied.
+    pending: Mutex<Vec<ReportOwned>>,
     /// Whether `pending` may hold unapplied reports — the maintenance
     /// flush's cheap gate, so periodically sweeping an idle engine
     /// costs one relaxed load per shard instead of two lock
@@ -236,6 +234,28 @@ struct Shard<P: PolicyCore> {
     /// queue merely costs one no-op flush.
     dirty: AtomicBool,
     metrics: ShardMetrics,
+}
+
+impl<P: PolicyCore> Shard<P> {
+    /// A queueable report from borrowed parts, its name shared with
+    /// `snap` when the snapshot knows the app.
+    fn owned(snap: &P::Snap, r: &WireReport<'_>) -> ReportOwned {
+        ReportOwned {
+            app: P::intern(snap, r.app).unwrap_or_else(|| Arc::from(r.app)),
+            target: r.target,
+            func_ms: r.func_ms,
+            x86_load: r.x86_load,
+        }
+    }
+
+    /// Queues `reports` in order under one hold of the pending lock;
+    /// returns whether the queue reached `batch`.
+    fn enqueue(&self, reports: impl IntoIterator<Item = ReportOwned>, batch: usize) -> bool {
+        let mut pending = self.pending.lock();
+        pending.extend(reports);
+        self.dirty.store(true, Ordering::Release);
+        pending.len() >= batch
+    }
 }
 
 /// The sharded scheduler state behind the daemon (and the simulator
@@ -259,8 +279,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
             .into_iter()
             .map(|p| Shard {
                 snap: ArcCell::new(p.snapshot()),
-                state: Mutex::new(p),
-                pending: Mutex::new(Pending::default()),
+                state: Mutex::new(State { policy: p, batch: Vec::new() }),
+                pending: Mutex::new(Vec::new()),
                 dirty: AtomicBool::new(false),
                 metrics: ShardMetrics::default(),
             })
@@ -314,7 +334,12 @@ impl<P: PolicyCore> ShardedEngine<P> {
     /// Whether `ctx`'s application launch should early-configure the
     /// FPGA (paper §3.1).
     pub fn early_config(&self, ctx: &DecideCtx<'_>) -> bool {
-        P::early_config(&self.shard(ctx.app).snap.load(), ctx)
+        P::early_config(&self.snapshot_of(ctx.app), ctx)
+    }
+
+    /// The decision snapshot currently published for `app`'s shard.
+    pub fn snapshot_of(&self, app: &str) -> Arc<P::Snap> {
+        self.shard(app).snap.load()
     }
 
     /// A worker-owned decide handle over this engine (per-shard
@@ -332,10 +357,10 @@ impl<P: PolicyCore> ShardedEngine<P> {
     }
 
     /// Queues one completion report from borrowed parts — the
-    /// allocation-free ingest path: the app name is interned in the
-    /// report's shard, so steady-state reports of known apps copy no
-    /// string bytes. Applies the shard's pending batch if it reached
-    /// the configured size.
+    /// allocation-free ingest path: a known app's name is borrowed from
+    /// the published snapshot, so steady-state reports copy no string
+    /// bytes. Applies the shard's pending batch if it reached the
+    /// configured size.
     pub fn ingest(&self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
         self.ingest_obs(app, target, func_ms, x86_load, None);
     }
@@ -353,14 +378,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
     ) {
         let idx = self.shard_idx(app);
         let shard = &self.shards[idx];
-        let ready = {
-            let mut pending = shard.pending.lock();
-            let app = pending.intern(app);
-            pending.queue.push(ReportOwned { app, target, func_ms, x86_load });
-            shard.dirty.store(true, Ordering::Release);
-            pending.queue.len() >= self.batch
-        };
-        if ready {
+        let report =
+            Shard::<P>::owned(&shard.snap.load(), &WireReport { app, target, func_ms, x86_load });
+        if shard.enqueue([report], self.batch) {
             self.flush_shard(idx, shard, obs);
         }
     }
@@ -370,15 +390,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
     pub fn report(&self, report: ReportOwned) {
         let idx = self.shard_idx(&report.app);
         let shard = &self.shards[idx];
-        let ReportOwned { app, target, func_ms, x86_load } = report;
-        let ready = {
-            let mut pending = shard.pending.lock();
-            let app = pending.intern_owned(app);
-            pending.queue.push(ReportOwned { app, target, func_ms, x86_load });
-            shard.dirty.store(true, Ordering::Release);
-            pending.queue.len() >= self.batch
-        };
-        if ready {
+        if shard.enqueue([report], self.batch) {
             self.flush_shard(idx, shard, None);
         }
     }
@@ -409,20 +421,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
             n += 1;
         }
         for (idx, (shard, group)) in self.shards.iter().zip(groups).enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let ready = {
-                let mut pending = shard.pending.lock();
-                for r in group {
-                    let ReportOwned { app, target, func_ms, x86_load } = r;
-                    let app = pending.intern_owned(app);
-                    pending.queue.push(ReportOwned { app, target, func_ms, x86_load });
-                }
-                shard.dirty.store(true, Ordering::Release);
-                pending.queue.len() >= self.batch
-            };
-            if ready {
+            if !group.is_empty() && shard.enqueue(group, self.batch) {
                 self.flush_shard(idx, shard, None);
             }
         }
@@ -431,9 +430,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
 
     /// Batched ingest straight off the wire: groups borrowed reports by
     /// shard through a caller-scoped [`BatchScratch`] (no per-call
-    /// group allocation) and interns names while each shard's pending
-    /// lock is held once. A 1-report batch takes the same single-shard
-    /// path as [`ShardedEngine::ingest`].
+    /// group allocation) and takes each shard's pending lock once. A
+    /// 1-report batch takes the same single-shard path as
+    /// [`ShardedEngine::ingest`].
     pub fn report_batch_wire(
         &self,
         scratch: &mut BatchScratch,
@@ -463,21 +462,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
             if group.is_empty() {
                 continue;
             }
-            let ready = {
-                let mut pending = shard.pending.lock();
-                for &i in group.iter() {
-                    let r = &reports[i as usize];
-                    let app = pending.intern(r.app);
-                    pending.queue.push(ReportOwned {
-                        app,
-                        target: r.target,
-                        func_ms: r.func_ms,
-                        x86_load: r.x86_load,
-                    });
-                }
-                shard.dirty.store(true, Ordering::Release);
-                pending.queue.len() >= self.batch
-            };
+            let snap = shard.snap.load();
+            let owned = group.iter().map(|&i| Shard::<P>::owned(&snap, &reports[i as usize]));
+            let ready = shard.enqueue(owned, self.batch);
             group.clear();
             if ready {
                 self.flush_shard(idx, shard, obs.as_deref_mut());
@@ -495,24 +482,23 @@ impl<P: PolicyCore> ShardedEngine<P> {
         // the O(1) queue swap, not for Algorithm 1. Lock order is
         // state → pending everywhere.
         let mut state = shard.state.lock();
+        let State { policy, batch } = &mut *state;
         // Clear the hint BEFORE draining: an enqueue racing past the
         // drain re-sets it (its report stays pending), while one the
         // drain caught leaves at worst a spurious `true`.
         shard.dirty.store(false, Ordering::Release);
-        let batch = {
-            let mut pending = shard.pending.lock();
-            std::mem::take(&mut pending.queue)
-        };
+        // `batch` was left empty (capacity kept) by the previous flush.
+        std::mem::swap(&mut *shard.pending.lock(), batch);
         if batch.is_empty() {
             return;
         }
         // Flushes run at batch cadence (rare next to decides), so the
-        // apply loop and the snapshot publication are each timed
-        // unconditionally — these are the report_batch / flush_publish
-        // op-class distributions.
+        // apply loop and the publication are each timed unconditionally
+        // — these are the report_batch / flush_publish op-class
+        // distributions.
         let apply_start = Instant::now();
-        for r in &batch {
-            state.apply(&CompletionReport {
+        for r in batch.iter() {
+            policy.apply(&CompletionReport {
                 app: &r.app,
                 target: r.target,
                 func_ms: r.func_ms,
@@ -521,27 +507,34 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
         let apply_ns = apply_start.elapsed().as_nanos() as u64;
         let publish_start = Instant::now();
-        shard.snap.store(state.snapshot());
+        // Rebuilds run under the state lock too, so this is the live
+        // snapshot for as long as we hold it. A row touched twice is
+        // republished twice — the same value, cheaper than deduping.
+        let snap = shard.snap.load();
+        if !batch.iter().all(|r| policy.republish(&snap, &r.app)) {
+            shard.snap.store(policy.snapshot());
+        }
         let publish_ns = publish_start.elapsed().as_nanos() as u64;
-        shard.metrics.record_batch(batch.len());
+        let applied = batch.len();
+        shard.metrics.record_batch(applied);
         shard.metrics.record_flush_ns(apply_ns, publish_ns);
         // Emit post-apply row deltas for the apps this batch touched,
         // still under the state lock so one shard's deltas reach the
-        // sink in apply order. Rare (flush cadence) and skipped
-        // entirely when no sink is registered.
+        // sink in apply order. The batch is applied, so its order no
+        // longer matters: sort and dedup it in place, no scratch list.
         if let Some(sink) = self.sink.get() {
-            let mut apps: Vec<&Arc<str>> = batch.iter().map(|r| &r.app).collect();
-            apps.sort_unstable();
-            apps.dedup();
-            let rows: Vec<TableEntry> = apps.into_iter().filter_map(|a| state.entry(a)).collect();
-            if !rows.is_empty() {
-                sink(idx as u32, &rows);
+            batch.sort_unstable_by(|a, b| a.app.cmp(&b.app));
+            batch.dedup_by(|a, b| a.app == b.app);
+            let mut rows = batch.iter().filter_map(|r| policy.row(&r.app)).peekable();
+            if rows.peek().is_some() {
+                sink(idx as u32, &mut rows);
             }
         }
+        batch.clear();
         if let Some(tr) = obs {
             tr.emit(Event::FlushPublish {
                 shard: idx as u32,
-                rows: batch.len().min(u32::MAX as usize) as u32,
+                rows: applied.min(u32::MAX as usize) as u32,
             });
         }
     }
@@ -578,12 +571,12 @@ impl<P: PolicyCore> ShardedEngine<P> {
     /// [`PolicyCore::save_state`].
     pub fn save_states(&self) -> Option<Vec<Vec<u8>>> {
         self.flush();
-        self.shards.iter().map(|s| s.state.lock().save_state()).collect()
+        self.shards.iter().map(|s| s.state.lock().policy.save_state()).collect()
     }
 
     /// Restores per-shard policy states serialized by
-    /// [`ShardedEngine::save_states`] and republishes every shard's
-    /// decision snapshot. Pending queues must be empty (recovery runs
+    /// [`ShardedEngine::save_states`] and rebuilds every shard's
+    /// decision snapshot (the generation moves). Pending queues must be empty (recovery runs
     /// before traffic); blob count must match the shard count — a
     /// snapshot taken under a different sharding cannot be loaded.
     pub fn load_states(&self, blobs: &[Vec<u8>]) -> Result<(), String> {
@@ -596,8 +589,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
         for (shard, blob) in self.shards.iter().zip(blobs) {
             let mut state = shard.state.lock();
-            state.load_state(blob)?;
-            shard.snap.store(state.snapshot());
+            state.policy.load_state(blob)?;
+            shard.snap.store(state.policy.snapshot());
         }
         Ok(())
     }
@@ -606,7 +599,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
     pub fn table(&self) -> Vec<TableEntry> {
         self.flush();
         let mut entries: Vec<TableEntry> =
-            self.shards.iter().flat_map(|s| s.state.lock().entries()).collect();
+            self.shards.iter().flat_map(|s| s.state.lock().policy.entries()).collect();
         entries.sort();
         entries
     }
@@ -660,10 +653,10 @@ pub struct DecideScratch {
 ///
 /// Holds one [`CachedSnap`] per shard: a steady-state
 /// [`DecideHandle::decide`] revalidates the shard's snapshot with a
-/// single atomic load of its publication generation and evaluates
-/// against the handle's privately held `Arc` — zero atomic RMWs, no
-/// refcount traffic on shared cache lines, no lock. Only an actual
-/// publish (orders of magnitude rarer than decides) touches the
+/// single atomic load of its generation and evaluates against the
+/// handle's privately held `Arc` — zero atomic RMWs, no refcount
+/// traffic on shared cache lines, no lock. Only a snapshot rebuild
+/// (never a threshold update, which lands in place) touches the
 /// snapshot cell's lock. Decisions are identical to
 /// [`ShardedEngine::decide`] by construction.
 ///
@@ -828,6 +821,7 @@ impl<P: PolicyCore> DecideHandle<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::ThrCell;
 
     /// Toy policy: per-app call counters; decides FPGA once an app has
     /// been reported `limit` times.
@@ -864,6 +858,11 @@ mod tests {
                     arm_thr: 0,
                 })
                 .collect()
+        }
+
+        fn row(&self, app: &str) -> Option<RowRef<'_>> {
+            let (app, n) = self.counts.get_key_value(app)?;
+            Some(RowRef { app, kernel: "", fpga_thr: *n, arm_thr: 0 })
         }
     }
 
@@ -1147,20 +1146,175 @@ mod tests {
         assert_eq!(m.decide_batches, 0, "no shard to attribute an empty frame to");
     }
 
+    /// Toy policy with an in-place publish: per-app report counts as
+    /// `fpga_thr` (and twice that as `arm_thr`), published through
+    /// [`ThrCell`]s in a frozen index. A report for an app the index
+    /// does not hold inserts a row — the rebuild path.
+    #[derive(Debug, Clone, Default)]
+    struct CellPolicy {
+        rows: std::collections::BTreeMap<Arc<str>, u32>,
+    }
+
+    impl CellPolicy {
+        fn with_apps(apps: &[&str]) -> CellPolicy {
+            CellPolicy { rows: apps.iter().map(|a| (Arc::from(*a), 0)).collect() }
+        }
+    }
+
+    impl PolicyCore for CellPolicy {
+        type Snap = std::collections::HashMap<Arc<str>, ThrCell>;
+
+        fn snapshot(&self) -> Self::Snap {
+            self.rows.iter().map(|(app, &n)| (app.clone(), ThrCell::new(n, 2 * n))).collect()
+        }
+
+        fn republish(&self, snap: &Self::Snap, app: &str) -> bool {
+            let Some(cell) = snap.get(app) else { return false };
+            let n = self.rows[app];
+            cell.store(n, 2 * n);
+            true
+        }
+
+        fn intern(snap: &Self::Snap, app: &str) -> Option<Arc<str>> {
+            snap.get_key_value(app).map(|(key, _)| key.clone())
+        }
+
+        fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision {
+            let seen = snap.get(ctx.app).map_or(0, |cell| cell.load().0);
+            Decision::to(if seen >= 3 { Target::Fpga } else { Target::X86 })
+        }
+
+        fn apply(&mut self, report: &CompletionReport<'_>) {
+            *self.rows.entry(Arc::from(report.app)).or_default() += 1;
+        }
+
+        fn entries(&self) -> Vec<TableEntry> {
+            self.rows
+                .iter()
+                .map(|(app, &n)| TableEntry {
+                    app: app.to_string(),
+                    kernel: String::new(),
+                    fpga_thr: n,
+                    arm_thr: 2 * n,
+                })
+                .collect()
+        }
+
+        fn save_state(&self) -> Option<Vec<u8>> {
+            Some(
+                self.rows.iter().flat_map(|(app, n)| format!("{app} {n}\n").into_bytes()).collect(),
+            )
+        }
+
+        fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            self.rows = text
+                .lines()
+                .map(|l| l.split_once(' ').map(|(app, n)| (Arc::from(app), n.parse().unwrap())))
+                .collect::<Option<_>>()
+                .ok_or("malformed row")?;
+            Ok(())
+        }
+    }
+
+    fn cell_engine(apps: &[&str]) -> Arc<ShardedEngine<CellPolicy>> {
+        Arc::new(ShardedEngine::from_shards(vec![CellPolicy::with_apps(apps)], 1))
+    }
+
     #[test]
-    fn ingest_interns_app_names_per_shard() {
-        let e = engine(1, 64);
-        e.ingest("same", Target::X86, 1.0, 1);
-        e.ingest("same", Target::Fpga, 2.0, 2);
-        e.report(report("same"));
-        let pending = e.shards[0].pending.lock();
-        assert_eq!(pending.queue.len(), 3);
+    fn threshold_only_flush_keeps_the_generation_and_reaches_cached_handles() {
+        let e = cell_engine(&["app", "other"]);
+        let mut h = e.handle();
+        assert_eq!(h.decide(&ctx("app")).target, Target::X86);
+        let generation = e.shards[0].snap.generation();
+        for _ in 0..3 {
+            e.ingest("app", Target::X86, 1.0, 1);
+        }
+        assert_eq!(e.shards[0].snap.generation(), generation, "in-place publish bumped it");
+        assert_eq!(h.caches[0].generation(), generation, "the handle never refreshed");
+        assert_eq!(h.decide(&ctx("app")).target, Target::Fpga, "handle missed the update");
+        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
+        assert_eq!(h.decide(&ctx("other")).target, Target::X86, "untouched row moved");
+        assert_eq!(e.obs_total().flush_publish.count(), 3, "in-place publishes are still timed");
+    }
+
+    #[test]
+    fn absent_row_and_load_states_take_the_rebuild_path() {
+        let e = cell_engine(&["app"]);
+        let mut h = e.handle();
+        assert_eq!(h.decide(&ctx("new")).target, Target::X86);
+        // "new" is not in the published index: the hook answers false,
+        // the engine rebuilds, and the generation says so.
+        for _ in 0..3 {
+            e.ingest("new", Target::X86, 1.0, 1);
+            assert_eq!(e.shards[0].snap.generation(), 1, "only the first report rebuilds");
+        }
+        assert_eq!(h.decide(&ctx("new")).target, Target::Fpga, "handle refreshed to the new index");
+        assert_eq!(h.caches[0].generation(), 1);
+        // A state restore always rebuilds.
+        let blobs = e.save_states().unwrap();
+        let restored = cell_engine(&["app"]);
+        restored.load_states(&blobs).unwrap();
+        assert_eq!(restored.shards[0].snap.generation(), 1);
+        assert_eq!(restored.decide(&ctx("new")).target, Target::Fpga);
+        assert_eq!(restored.table(), e.table());
+    }
+
+    #[test]
+    fn decide_batch_matches_sequential_decides_across_interleaved_reports() {
+        let apps: Vec<String> = (0..8).map(|i| format!("app{i}")).collect();
+        let names: Vec<&str> = apps.iter().map(String::as_str).collect();
+        let e = cell_engine(&names);
+        let queries: Vec<WireQuery<'_>> = names.iter().map(|a| query(a)).collect();
+        let (mut batched, mut sequential) = (e.handle(), e.handle());
+        let mut scratch = DecideScratch::default();
+        for round in 0..12 {
+            // Same long-lived handles throughout: neither may be left
+            // behind by the in-place updates between rounds.
+            e.ingest(names[round % 3], Target::X86, 1.0, 1);
+            e.ingest(names[(round * 5) % 8], Target::X86, 1.0, 1);
+            let want: Vec<Decision> = queries.iter().map(|q| sequential.decide(&q.ctx())).collect();
+            let got = batched.decide_batch(&queries, &mut scratch);
+            assert_eq!(got, want.as_slice(), "round {round}");
+        }
+        let fpga = queries.iter().filter(|q| e.decide(&q.ctx()).target == Target::Fpga).count();
         assert!(
-            Arc::ptr_eq(&pending.queue[0].app, &pending.queue[1].app)
-                && Arc::ptr_eq(&pending.queue[0].app, &pending.queue[2].app),
-            "all three reports share one interned allocation"
+            (1..8).contains(&fpga),
+            "the trace must cross the limit for some apps only: {fpga}"
         );
-        assert_eq!(pending.names.len(), 1);
+    }
+
+    #[test]
+    fn ingest_borrows_known_names_from_the_published_snapshot() {
+        let e = Arc::new(ShardedEngine::from_shards(vec![CellPolicy::with_apps(&["known"])], 64));
+        e.ingest("known", Target::X86, 1.0, 1);
+        e.ingest("known", Target::Fpga, 2.0, 2);
+        e.ingest("stranger", Target::X86, 1.0, 1);
+        let snap = e.snapshot_of("known");
+        let key = snap.get_key_value("known").unwrap().0;
+        let pending = e.shards[0].pending.lock();
+        assert!(
+            Arc::ptr_eq(&pending[0].app, key) && Arc::ptr_eq(&pending[1].app, key),
+            "a known app's reports share the index's allocation"
+        );
+        assert_eq!(&*pending[2].app, "stranger");
+    }
+
+    #[test]
+    fn flush_sink_sees_each_touched_row_once_sorted() {
+        let e = Arc::new(ShardedEngine::from_shards(vec![CountPolicy::default()], 4));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = seen.clone();
+        e.set_flush_sink(Box::new(move |shard, rows| {
+            let rows: Vec<(String, u32)> = rows.map(|r| (r.app.to_string(), r.fpga_thr)).collect();
+            sink_seen.lock().push((shard, rows));
+        }));
+        for app in ["zeta", "alpha", "zeta", "mid"] {
+            e.report(report(app));
+        }
+        let want = vec![("alpha".to_string(), 1), ("mid".to_string(), 1), ("zeta".to_string(), 2)];
+        assert_eq!(*seen.lock(), vec![(0, want)]);
+        assert_eq!(e.metrics_total().reports, 4, "dedup for the sink must not shrink the count");
     }
 
     fn tracer(threshold_ns: u64) -> (Tracer, xar_obs::TraceReader, Arc<xar_obs::EventCounters>) {

@@ -15,10 +15,11 @@
 //!   each owning a policy instance, with a generation-gated snapshot
 //!   ([`snapshot::ArcCell`] + [`snapshot::CachedSnap`]) giving each
 //!   worker's [`engine::DecideHandle`] a wait-free steady-state decide
-//!   (one atomic load, no RMW, no shared refcount line), interned
-//!   `Arc<str>` app names making REPORT ingestion allocation-free for
-//!   known apps, and batched ingestion amortizing Algorithm 1 updates
-//!   across hundreds of clients.
+//!   (one atomic load, no RMW, no shared refcount line), threshold
+//!   updates published in place ([`snapshot::ThrCell`]: one store per
+//!   touched row, no allocation, no generation bump), and batched
+//!   ingestion amortizing Algorithm 1 updates across hundreds of
+//!   clients.
 //! * [`server`] — the **connection layer**: one readiness-driven
 //!   acceptor plus a fixed worker pool, each worker blocking on its own
 //!   [`xar_reactor::Reactor`] (epoll on Linux, portable `poll(2)`
@@ -76,13 +77,13 @@ pub use client::{ResilientClient, ResilientConfig, V2Client};
 pub use dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, RecoveryStats};
 pub use engine::{
     shard_of, BatchScratch, DecideHandle, DecideScratch, EngineConfig, PolicyCore, ReportOwned,
-    ShardedEngine, TableEntry,
+    RowRef, ShardedEngine, TableEntry,
 };
 pub use metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics, LATENCY_SAMPLE, STRIPES};
 pub use obsd::{FleetSnapshot, Health, MemberView, Obsd, ObsdConfig};
 pub use server::{Server, ServerConfig};
 pub use session::{SeqOutcome, SessionInfo, SessionTable};
-pub use snapshot::{ArcCell, CachedSnap};
+pub use snapshot::{ArcCell, CachedSnap, ThrCell};
 pub use wire::{DaemonStats, HistDump, StatsV2, WireQuery};
 /// The dependency-free observability toolkit (trace rings, mergeable
 /// histograms, the `StatsV2` tag registry, text exposition) the daemon

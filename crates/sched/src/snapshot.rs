@@ -1,23 +1,27 @@
-//! Generation-gated published snapshots.
+//! Published decision state: generation-gated snapshots and in-place
+//! threshold cells.
 //!
 //! The decide path must never contend with Algorithm 1 updates, so each
-//! shard publishes an immutable snapshot of its decision state behind
-//! an [`ArcCell`]. Two read paths exist:
+//! shard publishes its decision state behind an [`ArcCell`]: a *frozen
+//! index* of the rows that exist, whose values are [`ThrCell`]s — one
+//! atomic word per row that a flush overwrites in place. A threshold
+//! update is one `Release` store (no allocation, no [`ArcCell::store`]);
+//! the generation moves only when the index itself is rebuilt (boot,
+//! `load_states`, a row the index does not hold).
 //!
-//! * [`ArcCell::load`] — an `Arc` clone under a reader lock. Simple and
-//!   shared-state-free for the caller, but every call performs two
-//!   atomic RMWs (the lock word and the refcount) on cache lines
-//!   *shared by every reader of the shard*, so it contends at scale.
+//! Two read paths exist:
+//!
+//! * [`ArcCell::load`] — an `Arc` clone under a reader lock. Simple,
+//!   but every call performs two atomic RMWs (the lock word and the
+//!   refcount) on cache lines *shared by every reader of the shard*.
 //! * [`CachedSnap::get`] — the hot path. Each worker owns a
-//!   `CachedSnap` per shard holding a cached `Arc` of the last snapshot
-//!   it saw plus the [`ArcCell`] generation it was read at. A get is
-//!   one relaxed-cost atomic *load* of the generation counter (a
-//!   read-shared cache line — no RMW, no refcount traffic, no lock) and
-//!   a pointer deref; the lock is touched only when a publish actually
-//!   happened. Shard tables change orders of magnitude less often than
-//!   they are read, so steady-state decides are wait-free.
+//!   `CachedSnap` per shard holding the last snapshot `Arc` it saw plus
+//!   the generation it was read at. A get is one atomic *load* of the
+//!   generation counter (a read-shared cache line — no RMW, no lock)
+//!   and a pointer deref; the lock is touched only after a rebuild,
+//!   which threshold updates never cause.
 //!
-//! Publication ([`ArcCell::store`]) swaps the `Arc` and bumps the
+//! A rebuild ([`ArcCell::store`]) swaps the `Arc` and bumps the
 //! generation while holding the write lock, so a reader that observes
 //! the new generation and then takes the read lock is guaranteed the
 //! new (or an even newer) snapshot — never a torn or regressed one.
@@ -46,8 +50,8 @@ impl<T> ArcCell<T> {
         ArcCell { inner: RwLock::new(Arc::new(value)), generation: AtomicU64::new(0) }
     }
 
-    /// The current snapshot. The returned `Arc` stays valid (and
-    /// immutable) regardless of subsequent [`ArcCell::store`]s.
+    /// The current snapshot. The returned `Arc` stays valid regardless
+    /// of subsequent [`ArcCell::store`]s.
     pub fn load(&self) -> Arc<T> {
         self.inner.read().clone()
     }
@@ -112,6 +116,42 @@ impl<T> CachedSnap<T> {
     /// The generation the cached snapshot was read at.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+/// One row's published `(fpga_thr, arm_thr)`, packed into a single
+/// atomic word so the pair is replaced in place and never read torn.
+///
+/// [`ThrCell::store`] is `Release`, [`ThrCell::load`] `Acquire`: one
+/// word needs no edge to stay whole, but a reader that learned of an
+/// update some other way — the report's ack — must then load that
+/// update or a newer one. The `xar-check` `thr_cell` scenario explores
+/// exactly that, and detects the `Relaxed` mutation.
+#[derive(Debug)]
+pub struct ThrCell {
+    packed: AtomicU64,
+}
+
+impl ThrCell {
+    /// A cell holding `(fpga_thr, arm_thr)`.
+    pub fn new(fpga_thr: u32, arm_thr: u32) -> Self {
+        ThrCell { packed: AtomicU64::new(Self::pack(fpga_thr, arm_thr)) }
+    }
+
+    fn pack(fpga_thr: u32, arm_thr: u32) -> u64 {
+        (fpga_thr as u64) << 32 | arm_thr as u64
+    }
+
+    /// The current `(fpga_thr, arm_thr)`.
+    pub fn load(&self) -> (u32, u32) {
+        let packed = self.packed.load(Ordering::Acquire);
+        ((packed >> 32) as u32, packed as u32)
+    }
+
+    /// Replaces the pair in place. Callers serialize stores to one
+    /// cell (the engine holds the shard's state lock).
+    pub fn store(&self, fpga_thr: u32, arm_thr: u32) {
+        self.packed.store(Self::pack(fpga_thr, arm_thr), Ordering::Release);
     }
 }
 
@@ -248,5 +288,13 @@ mod tests {
         cached.snap = Some(cell.load());
         assert_eq!(*cached.get(&cell), 1, "refreshes: recorded gen is behind the cell");
         assert_eq!(cached.generation(), 1);
+    }
+
+    #[test]
+    fn thr_cell_round_trips_extreme_pairs() {
+        let cell = ThrCell::new(0, u32::MAX);
+        assert_eq!(cell.load(), (0, u32::MAX));
+        cell.store(u32::MAX, 7);
+        assert_eq!(cell.load(), (u32::MAX, 7));
     }
 }

@@ -1,17 +1,18 @@
 //! Model-checked interleavings of the *shipping* snapshot publish
-//! protocol and striped metrics.
+//! protocol, in-place threshold cells and striped metrics.
 //!
 //! Only built with `--features model`, which routes
 //! `sync_abstraction` (here and transitively in xar-obs) to the
 //! xar-check shims: the explorer drives the exact `ArcCell` /
-//! `CachedSnap` / `ShardMetrics` code that production builds compile
+//! `CachedSnap` / `ThrCell` / `ShardMetrics` code that production builds compile
 //! against std atomics and parking_lot — not a hand-written model.
 
 use std::sync::Arc;
+use xar_check::model::sync::{MAtomicU64, Ordering};
 use xar_check::model::{thread, ExploreOpts, Explorer};
 use xar_desim::Target;
 use xar_sched::metrics::ShardMetrics;
-use xar_sched::snapshot::{ArcCell, CachedSnap};
+use xar_sched::snapshot::{ArcCell, CachedSnap, ThrCell};
 
 fn explorer(max_schedules: usize) -> Explorer {
     Explorer::new(ExploreOpts { max_schedules, ..ExploreOpts::default() })
@@ -44,6 +45,42 @@ fn real_cached_snap_never_regresses_under_publish_race() {
             assert_eq!(cached.generation(), 2);
         })
         .unwrap_or_else(|v| panic!("shipping CachedSnap violated gen-before-load:\n{v}"));
+    assert!(report.schedules >= 1000, "want >= 1000 schedules, got {}", report.schedules);
+}
+
+/// The in-place publish on the shipping type: a reader that observed a
+/// report's ack loads that report's thresholds or newer ones, every
+/// pair it loads is one the writer stored whole, and a snapshot `Arc`
+/// cached before the updates serves them without being refreshed.
+#[test]
+fn real_thr_cell_serves_acked_updates_whole_through_a_cached_snapshot() {
+    let report = explorer(20_000)
+        .explore(|| {
+            let snap = Arc::new(ArcCell::new(ThrCell::new(0, 100)));
+            let acked = Arc::new(MAtomicU64::new(0));
+            let mut cached = CachedSnap::new();
+            cached.get(&snap);
+            let writer = {
+                let (snap, acked) = (Arc::clone(&snap), Arc::clone(&acked));
+                thread::spawn(move || {
+                    let cell = snap.load();
+                    for k in 1..=3u32 {
+                        cell.store(k, 100 + k);
+                        acked.store(k as u64, Ordering::Release);
+                    }
+                })
+            };
+            for _ in 0..2 {
+                let ack = acked.load(Ordering::Acquire);
+                let (fpga, arm) = cached.get(&snap).load();
+                assert_eq!(arm, 100 + fpga, "torn pair ({fpga}, {arm})");
+                assert!(fpga as u64 >= ack, "acked update {ack} unseen: read update {fpga}");
+            }
+            writer.join();
+            assert_eq!(cached.get(&snap).load(), (3, 103));
+            assert_eq!(cached.generation(), 0, "in-place updates never move the generation");
+        })
+        .unwrap_or_else(|v| panic!("shipping ThrCell violated ack-then-fresh:\n{v}"));
     assert!(report.schedules >= 1000, "want >= 1000 schedules, got {}", report.schedules);
 }
 

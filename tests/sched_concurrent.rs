@@ -208,6 +208,135 @@ fn batch_report_equals_sequential_reports() {
     daemon.shutdown();
 }
 
+/// In-place threshold publish under fire: one writer drives a hot row
+/// up and down a staircase while other
+/// writers storm the remaining rows and readers hammer the hot row —
+/// one through fresh snapshot loads, one through a snapshot it took
+/// *before* the storm. Every `(fpga_thr, arm_thr)` pair a reader sees
+/// must be a pair the sequential reference produced (never half of one
+/// update and half of another), the pre-storm snapshot must end on the
+/// final pair without ever being swapped, and the final table must
+/// equal the reference bit for bit.
+#[test]
+fn hot_row_readers_only_see_reference_pairs_during_a_report_storm() {
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use xar_trek::core::server::sharded_engine;
+
+    const HOT: &str = "FaceDet320";
+    const HOT_REPORTS: usize = 4_000;
+    // Slow offloads climb a staircase one threshold at a time (FPGA
+    // twice as fast as ARM); each sixteenth pair of steps two slow x86
+    // runs pull first one threshold, then the other, down to a load
+    // that differs from cycle to cycle.
+    let hot_report = |i: usize| match i % 16 {
+        14 | 15 => (Target::X86, 1e9, 1 + (i / 16) % 23),
+        k if k % 3 == 0 => (Target::Arm, 1e9, 50),
+        _ => (Target::Fpga, 1e9, 50),
+    };
+    let cold_report = |i: usize| match i % 3 {
+        0 => (Target::Fpga, 1e9, 40),
+        1 => (Target::Arm, 1e9, 40),
+        _ => (Target::X86, 1e9, 2),
+    };
+    let cold_apps: [&[&str]; 2] = [&["Digit2000", "CG-A"], &["Digit500", "FaceDet640"]];
+
+    // The sequential reference, and every pair the hot row passes through.
+    let mut reference = policy();
+    let pair = |p: &XarTrekPolicy| {
+        let e = p.table.get(HOT).unwrap();
+        (e.fpga_thr, e.arm_thr)
+    };
+    let mut legal = HashSet::from([pair(&reference)]);
+    for i in 0..HOT_REPORTS {
+        let (target, func_ms, x86_load) = hot_report(i);
+        reference.on_complete(&CompletionReport { app: HOT, target, func_ms, x86_load });
+        legal.insert(pair(&reference));
+    }
+    for apps in cold_apps {
+        for i in 0..HOT_REPORTS {
+            let (target, func_ms, x86_load) = cold_report(i);
+            let app = apps[i % apps.len()];
+            reference.on_complete(&CompletionReport { app, target, func_ms, x86_load });
+        }
+    }
+    let last = pair(&reference);
+    // The trace must sweep many pairs yet stay far from the full
+    // product, so a pair stitched from two updates is not legal.
+    let fpgas: HashSet<u32> = legal.iter().map(|p| p.0).collect();
+    let arms: HashSet<u32> = legal.iter().map(|p| p.1).collect();
+    assert!(legal.len() > 100, "only {} distinct pairs", legal.len());
+    assert!(legal.len() * 4 < fpgas.len() * arms.len(), "legal pairs cover the product");
+
+    // One shard: every writer contends for the same state lock and the
+    // readers' row shares its published index with the stormed rows.
+    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 1, batch: 1 }));
+    let pre_storm = engine.snapshot_of(HOT);
+    let legal = Arc::new(legal);
+    let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(5));
+    let readers: Vec<_> = [Some(pre_storm.clone()), None]
+        .into_iter()
+        .map(|held| {
+            let (engine, legal, stop, start) =
+                (engine.clone(), legal.clone(), stop.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut seen = 0u64;
+                loop {
+                    // Read the flag first: the pass after the writers
+                    // joined must observe the final pair.
+                    let done = stop.load(Ordering::Acquire);
+                    let snap = held.clone().unwrap_or_else(|| engine.snapshot_of(HOT));
+                    let got = snap.thresholds(HOT).expect("hot row is indexed");
+                    assert!(legal.contains(&got), "pair {got:?} was never produced");
+                    seen += 1;
+                    if done {
+                        return (got, seen);
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut writers = vec![{
+        let (engine, start) = (engine.clone(), start.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            for i in 0..HOT_REPORTS {
+                let (target, func_ms, x86_load) = hot_report(i);
+                engine.ingest(HOT, target, func_ms, x86_load as u32);
+            }
+        })
+    }];
+    for apps in cold_apps {
+        let (engine, start) = (engine.clone(), start.clone());
+        writers.push(std::thread::spawn(move || {
+            start.wait();
+            for i in 0..HOT_REPORTS {
+                let (target, func_ms, x86_load) = cold_report(i);
+                engine.ingest(apps[i % apps.len()], target, func_ms, x86_load as u32);
+            }
+        }));
+    }
+    for w in writers {
+        w.join().unwrap();
+    }
+    stop.store(true, Ordering::Release);
+    for r in readers {
+        let (final_pair, seen) = r.join().unwrap();
+        assert_eq!(final_pair, last, "a reader ended on a stale pair after {seen} reads");
+    }
+    assert!(
+        Arc::ptr_eq(&pre_storm, &engine.snapshot_of(HOT)),
+        "a threshold-only storm swapped the published snapshot"
+    );
+    let want: Vec<_> =
+        reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
+    let got: Vec<_> = engine.table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
+    assert_eq!(got, want);
+}
+
 /// A mixed fleet of batched (`decide_batch`), pipelined
 /// (`submit_decide`/`drain_decisions`), and single-decide clients on
 /// one daemon: every client, whatever its transport shape, must see
