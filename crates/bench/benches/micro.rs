@@ -102,6 +102,27 @@ fn bench_vm(c: &mut Criterion) {
             })
         });
     }
+    // The loop above keeps its state in registers and stack slots; this
+    // row is load-bound (FaceDet320's cascade over a staged integral
+    // image), so it sees `Memory` as well as fetch. The id carries the
+    // retired-instruction count: ns/iter over it is ns per guest
+    // instruction.
+    let fd = compile(&xar_workloads::profiles::facedet_bundle(320, 240).module).unwrap();
+    let img = xar_workloads::facedet::generate_image(320, 240, &[(30, 30), (150, 80)], 42);
+    let ii = xar_workloads::facedet::integral_image(&img);
+    for isa in Isa::ALL {
+        let mut e = Executor::new(&fd, isa);
+        let ptr = e.host_alloc(ii.len() as u64 * 8);
+        for (k, v) in ii.iter().enumerate() {
+            e.memory_mut().write_u64(ptr + k as u64 * 8, *v);
+        }
+        let args = [ptr as i64, img.w as i64, img.h as i64];
+        e.run("main", &args).unwrap();
+        let instret = e.stats().instret[isa];
+        g.bench_function(format!("facedet320-{isa}-{instret}-instr"), |b| {
+            b.iter(|| e.run("main", &args).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -4,8 +4,22 @@
 //! the Popcorn Linux design point that *data* has a common layout across
 //! ISAs — only ISA-specific state (stack frames, registers) needs run-time
 //! transformation.
+//!
+//! # Access paths
+//!
+//! Guest loads and stores land in [`Memory::read_uint`] /
+//! [`Memory::write_uint`]. An access inside one page is one page-map
+//! lookup and one slice copy; only one that crosses a page edge takes the
+//! [`Memory::read_bytes`] / [`Memory::write_bytes`] loop. The map hashes a
+//! page number with a single multiply (`PageHasher`): page numbers come
+//! from the guest's own layout, are well spread and are no attack surface,
+//! so SipHash bought only latency.
+//!
+//! Addresses are modular: an access that runs past `u64::MAX` continues at
+//! address 0, on every path.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page size in bytes. Matches the 4 KiB pages of the paper's Popcorn
 /// Linux kernel and is the granularity of the DSM model in `xar-popcorn`.
@@ -13,14 +27,34 @@ pub const PAGE_SIZE: u64 = 4096;
 
 type Page = Box<[u8; PAGE_SIZE as usize]>;
 
+/// One multiply by 2^64/φ: spreads consecutive page numbers over the high
+/// bits (the map's control bytes) and the low bits (its bucket index).
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Required by the trait; the map's `u64` keys go through `write_u64`.
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+    }
+
+    fn write_u64(&mut self, pno: u64) {
+        self.0 = (self.0 ^ pno).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// A sparse 64-bit address space backed by 4 KiB pages.
 ///
 /// Reads of unmapped addresses return zeroes (pages are zero-filled on
 /// first touch); writes allocate pages on demand. Unaligned and
-/// page-crossing accesses are supported.
+/// page-crossing accesses are supported, and addresses wrap at 2^64.
 #[derive(Debug, Default, Clone)]
 pub struct Memory {
-    pages: HashMap<u64, Page>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
     /// Count of pages allocated over the lifetime of this memory.
     pages_touched: u64,
 }
@@ -55,10 +89,7 @@ impl Memory {
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr / PAGE_SIZE)) {
-            Some(p) => p[(addr % PAGE_SIZE) as usize],
-            None => 0,
-        }
+        self.read_uint(addr, 1) as u8
     }
 
     /// Writes one byte.
@@ -70,7 +101,7 @@ impl Memory {
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
-            let a = addr + done as u64;
+            let a = addr.wrapping_add(done as u64);
             let pno = a / PAGE_SIZE;
             let po = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - po).min(buf.len() - done);
@@ -86,7 +117,7 @@ impl Memory {
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         let mut done = 0usize;
         while done < data.len() {
-            let a = addr + done as u64;
+            let a = addr.wrapping_add(done as u64);
             let pno = a / PAGE_SIZE;
             let po = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - po).min(data.len() - done);
@@ -95,18 +126,43 @@ impl Memory {
         }
     }
 
+    /// Writes `len` zero bytes starting at `addr` (allocating the pages
+    /// they land on, like any write).
+    pub fn zero(&mut self, addr: u64, len: usize) {
+        const ZEROES: [u8; 256] = [0; 256];
+        for done in (0..len).step_by(ZEROES.len()) {
+            let n = ZEROES.len().min(len - done);
+            self.write_bytes(addr.wrapping_add(done as u64), &ZEROES[..n]);
+        }
+    }
+
     /// Reads a little-endian unsigned value of `size` bytes, zero-extended.
+    #[inline]
     pub fn read_uint(&self, addr: u64, size: u64) -> u64 {
         debug_assert!(size <= 8);
+        let (po, n) = ((addr % PAGE_SIZE) as usize, size as usize);
         let mut buf = [0u8; 8];
-        self.read_bytes(addr, &mut buf[..size as usize]);
+        if po + n <= PAGE_SIZE as usize {
+            if let Some(p) = self.pages.get(&(addr / PAGE_SIZE)) {
+                buf[..n].copy_from_slice(&p[po..po + n]);
+            }
+        } else {
+            self.read_bytes(addr, &mut buf[..n]);
+        }
         u64::from_le_bytes(buf)
     }
 
     /// Writes the low `size` bytes of `val`, little-endian.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, val: u64, size: u64) {
         debug_assert!(size <= 8);
-        self.write_bytes(addr, &val.to_le_bytes()[..size as usize]);
+        let (po, n) = ((addr % PAGE_SIZE) as usize, size as usize);
+        let bytes = val.to_le_bytes();
+        if po + n <= PAGE_SIZE as usize {
+            self.page_mut(addr / PAGE_SIZE)[po..po + n].copy_from_slice(&bytes[..n]);
+        } else {
+            self.write_bytes(addr, &bytes[..n]);
+        }
     }
 
     /// Reads a little-endian `u64`.
@@ -187,6 +243,45 @@ mod tests {
         m.write_u64(addr, 0x0102030405060708);
         assert_eq!(m.read_u64(addr), 0x0102030405060708);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn addresses_wrap_at_the_top_of_the_address_space() {
+        // A page-crossing u64 whose low bytes sit in the last page and
+        // whose high bytes sit in page 0: an unchecked `addr + done`
+        // overflows on the second chunk.
+        let mut m = Memory::new();
+        let addr = u64::MAX - 3;
+        m.write_u64(addr, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_uint(0, 4), 0x1122_3344);
+        assert_eq!(m.read_u8(u64::MAX), 0x55);
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.dump(u64::MAX - 1, 4), vec![0x66, 0x55, 0x44, 0x33]);
+    }
+
+    #[test]
+    fn single_page_access_at_the_page_edge_allocates_one_page() {
+        let mut m = Memory::new();
+        m.write_u64(PAGE_SIZE - 8, u64::MAX);
+        assert_eq!((m.resident_pages(), m.pages_touched()), (1, 1));
+        assert_eq!(m.read_u64(PAGE_SIZE - 8), u64::MAX);
+        // Reads never allocate, on either path.
+        assert_eq!(m.read_u64(3 * PAGE_SIZE - 4), 0);
+        assert_eq!(m.read_uint(5 * PAGE_SIZE, 8), 0);
+        assert_eq!(m.resident_pages(), 1);
+    }
+
+    #[test]
+    fn zero_clears_and_allocates_like_a_write() {
+        let mut m = Memory::new();
+        m.write_bytes(PAGE_SIZE - 2, &[0xAA; 600]);
+        m.zero(PAGE_SIZE - 1, 300);
+        assert_eq!(m.read_u8(PAGE_SIZE - 2), 0xAA);
+        assert_eq!(m.dump(PAGE_SIZE - 1, 300), vec![0; 300]);
+        assert_eq!(m.read_u8(PAGE_SIZE + 299), 0xAA);
+        m.zero(8 * PAGE_SIZE, 1);
+        assert_eq!(m.resident_pages(), 3);
     }
 
     #[test]

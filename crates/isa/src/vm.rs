@@ -5,6 +5,17 @@
 //! the ISA's semantics, and accumulates a cycle count from
 //! [`crate::cost::cycles`].
 //!
+//! # Decode table
+//!
+//! Guest code is decoded once: `Vm` keeps a direct-mapped table of decoded
+//! instructions indexed by the low bits of `pc`. A slot is served only
+//! when its tag equals `pc`, so pcs that share a slot evict each other and
+//! never run each other's instruction. A slot also holds the instruction's
+//! [`crate::cost::cycles`], evaluated at decode time; [`Vm::run`] adds the
+//! stored number. The table is allocated by the first fetch (an idle VM
+//! and its clones own no heap) and does not watch [`Memory`]: after
+//! rewriting code that may have executed, call [`Vm::invalidate_code`].
+//!
 //! Control returns to the embedding executor via [`Trap`]s:
 //!
 //! * [`Trap::Hlt`] — the program executed `hlt`;
@@ -30,8 +41,22 @@ use crate::instr::{CvtDir, MInstr};
 use crate::mem::Memory;
 use crate::{Isa, RUNTIME_CALL_BASE, RUNTIME_CALL_END};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
+
+/// Slots in a VM's decode table (a power of two; 128 KiB when allocated).
+const DECODE_SLOTS: usize = 4096;
+
+/// One decoded instruction, tagged with the `pc` it was decoded at;
+/// `len == 0` marks a slot never filled.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    pc: u64,
+    ins: MInstr,
+    len: u32,
+    cost: u32,
+}
+
+const EMPTY: Decoded = Decoded { pc: 0, ins: MInstr::Nop, len: 0, cost: 0 };
 
 /// Comparison flags, set by `cmp`/`fcmp` and consumed by `b.cond`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,7 +163,7 @@ pub struct Vm {
     pub cycles: u64,
     /// Retired instruction count.
     pub instret: u64,
-    decode_cache: HashMap<u64, (MInstr, u32)>,
+    decoded: Vec<Decoded>,
 }
 
 impl Vm {
@@ -155,7 +180,7 @@ impl Vm {
             flags: Flags::None,
             cycles: 0,
             instret: 0,
-            decode_cache: HashMap::new(),
+            decoded: Vec::new(),
         }
     }
 
@@ -164,22 +189,32 @@ impl Vm {
         self.cycles as f64 / self.isa.clock_ghz()
     }
 
-    /// Clears the decode cache (required if code memory is rewritten).
+    /// Empties the decode table (required if code memory is rewritten).
     pub fn invalidate_code(&mut self) {
-        self.decode_cache.clear();
+        self.decoded.clear();
     }
 
-    fn fetch(&mut self, mem: &Memory) -> Result<(MInstr, u32), VmFault> {
-        if let Some(hit) = self.decode_cache.get(&self.pc) {
-            return Ok(*hit);
+    /// The decoded instruction at `pc`, by value from the table (decoding
+    /// into its slot first if the slot holds another pc's or nothing).
+    #[inline]
+    fn fetch(&mut self, mem: &Memory) -> Result<Decoded, VmFault> {
+        let slot = self.pc as usize % DECODE_SLOTS;
+        if !matches!(self.decoded.get(slot), Some(d) if d.pc == self.pc && d.len != 0) {
+            self.decode_into(mem, slot)?;
         }
+        Ok(self.decoded[slot])
+    }
+
+    #[cold]
+    fn decode_into(&mut self, mem: &Memory, slot: usize) -> Result<(), VmFault> {
+        let pc = self.pc;
         let mut buf = [0u8; 16];
-        mem.read_bytes(self.pc, &mut buf);
-        let (ins, len) =
-            decode(self.isa, self.pc, &buf).map_err(|err| VmFault::Decode { pc: self.pc, err })?;
-        let entry = (ins, len as u32);
-        self.decode_cache.insert(self.pc, entry);
-        Ok(entry)
+        mem.read_bytes(pc, &mut buf);
+        let (ins, len) = decode(self.isa, pc, &buf).map_err(|err| VmFault::Decode { pc, err })?;
+        self.decoded.resize(DECODE_SLOTS, EMPTY); // allocates on the first miss only
+        let cost = cost::cycles(self.isa, &ins) as u32;
+        self.decoded[slot] = Decoded { pc, ins, len: len as u32, cost };
+        Ok(())
     }
 
     /// Runs until a trap or fault, executing at most `fuel` instructions.
@@ -191,10 +226,9 @@ impl Vm {
     pub fn run(&mut self, mem: &mut Memory, mut fuel: u64) -> Result<Trap, VmFault> {
         while fuel > 0 {
             fuel -= 1;
-            let (ins, len) = self.fetch(mem)?;
-            let pc = self.pc;
-            let next = pc + len as u64;
-            self.cycles += cost::cycles(self.isa, &ins);
+            let Decoded { pc, ins, len, cost } = self.fetch(mem)?;
+            let next = pc.wrapping_add(len as u64);
+            self.cycles += cost as u64;
             self.instret += 1;
             self.pc = next;
             match ins {
@@ -278,7 +312,7 @@ impl Vm {
                         // Spill the frame record (fp, lr) like AArch64's stp.
                         self.sp = self.sp.wrapping_sub(16);
                         mem.write_u64(self.sp, self.fp);
-                        mem.write_u64(self.sp + 8, self.lr);
+                        mem.write_u64(self.sp.wrapping_add(8), self.lr);
                         self.fp = self.sp;
                         self.sp = self.sp.wrapping_sub(frame as i64 as u64);
                     }
@@ -293,7 +327,7 @@ impl Vm {
                     Isa::Arm64e => {
                         self.sp = self.fp;
                         self.fp = mem.read_u64(self.sp);
-                        self.lr = mem.read_u64(self.sp + 8);
+                        self.lr = mem.read_u64(self.sp.wrapping_add(8));
                         self.sp = self.sp.wrapping_add(16);
                     }
                 },
@@ -511,6 +545,108 @@ mod tests {
         assert_eq!(vm.run(&mut mem, 1).unwrap(), Trap::OutOfFuel);
         assert_eq!(vm.run(&mut mem, 100).unwrap(), Trap::Hlt);
         assert_eq!(vm.regs[0], 8);
+    }
+
+    #[test]
+    fn aliasing_pcs_never_serve_each_others_instruction() {
+        // `jmp` at TEXT and `mov` at TEXT + k * DECODE_SLOTS share slot
+        // TEXT % DECODE_SLOTS; running the pair repeatedly makes each
+        // evict the other, and the tag check must keep them apart.
+        for isa in Isa::ALL {
+            let far = TEXT + 3 * DECODE_SLOTS as u64;
+            let mut mem = Memory::new();
+            mem.load_image(TEXT, &assemble(isa, TEXT, &[MInstr::Jmp { target: far }]).unwrap());
+            let tail = [MInstr::MovImm { dst: Reg(0), imm: 77 }, MInstr::Hlt];
+            mem.load_image(far, &assemble(isa, far, &tail).unwrap());
+            let mut vm = Vm::new(isa);
+            for round in 0..4 {
+                vm.pc = TEXT;
+                vm.regs[0] = 0;
+                assert_eq!(vm.run(&mut mem, 100).unwrap(), Trap::Hlt, "{isa} round {round}");
+                assert_eq!(vm.regs[0], 77, "{isa} round {round}");
+                assert_eq!(vm.instret, 3 * (round + 1));
+            }
+            // Enter at the aliased address directly while the slot holds
+            // the `jmp`: still the `mov`.
+            vm.pc = TEXT;
+            assert_eq!(vm.run(&mut mem, 1).unwrap(), Trap::OutOfFuel);
+            vm.regs[0] = 0;
+            assert_eq!(vm.run(&mut mem, 100).unwrap(), Trap::Hlt);
+            assert_eq!(vm.regs[0], 77, "{isa}");
+        }
+    }
+
+    #[test]
+    fn rewritten_text_runs_the_new_program_after_invalidate() {
+        for isa in Isa::ALL {
+            let mut mem = Memory::new();
+            let prog =
+                |imm| assemble(isa, TEXT, &[MInstr::MovImm { dst: Reg(0), imm }, MInstr::Hlt]);
+            mem.load_image(TEXT, &prog(1).unwrap());
+            let mut vm = Vm::new(isa);
+            vm.pc = TEXT;
+            assert_eq!(vm.run(&mut mem, 10).unwrap(), Trap::Hlt);
+            assert_eq!(vm.regs[0], 1);
+            mem.load_image(TEXT, &prog(2).unwrap());
+            vm.invalidate_code();
+            vm.pc = TEXT;
+            assert_eq!(vm.run(&mut mem, 10).unwrap(), Trap::Hlt);
+            assert_eq!(vm.regs[0], 2, "{isa}: stale decode served after invalidate_code");
+        }
+    }
+
+    #[test]
+    fn idle_vm_and_its_clone_hold_no_heap() {
+        // `stackxform::transform` builds a VM per migration and the
+        // executor one per run: the table must not exist until a fetch.
+        let mut vm = Vm::new(Isa::Xar86);
+        assert_eq!(vm.decoded.capacity(), 0);
+        assert_eq!(vm.clone().decoded.capacity(), 0);
+        let mut mem = Memory::new();
+        mem.load_image(TEXT, &assemble(Isa::Xar86, TEXT, &[MInstr::Hlt]).unwrap());
+        vm.pc = TEXT;
+        vm.run(&mut mem, 1).unwrap();
+        assert_eq!(vm.decoded.len(), DECODE_SLOTS);
+        vm.invalidate_code();
+        assert!(vm.decoded.is_empty());
+    }
+
+    #[test]
+    fn cycles_are_the_cost_model_summed_over_retired_instructions() {
+        // The per-slot cost is computed at decode; the total must be what
+        // re-evaluating the cost model per retired instruction gives.
+        for isa in Isa::ALL {
+            let prog = [
+                MInstr::MovImm { dst: Reg(1), imm: 0x5000_0000 },
+                MInstr::MovImm { dst: Reg(2), imm: 6 },
+                MInstr::Store { src: Reg(2), base: Reg(1), off: 0, size: MemSize::B8 },
+                MInstr::Load { dst: Reg(0), base: Reg(1), off: 0, size: MemSize::B8 },
+                MInstr::Alu { op: AluOp::Mul, dst: Reg(0), lhs: Reg(0), rhs: Reg(2) },
+                MInstr::Hlt,
+            ];
+            let (vm, _) = run_prog(isa, &prog);
+            assert_eq!(vm.regs[0], 36);
+            assert_eq!(vm.cycles, prog.iter().map(|i| cost::cycles(isa, i)).sum::<u64>(), "{isa}");
+        }
+    }
+
+    #[test]
+    fn stack_addresses_wrap_like_every_other_effective_address() {
+        // Arm64e `enter` with sp = 8 spills fp at sp - 16 (wrapped below
+        // zero) and lr at sp - 16 + 8 = 0 (wrapped back); an unchecked
+        // `sp + 8` overflows there.
+        let prog = [MInstr::Enter { frame: 0 }, MInstr::Leave, MInstr::Hlt];
+        let image = assemble(Isa::Arm64e, TEXT, &prog).unwrap();
+        let mut mem = Memory::new();
+        mem.load_image(TEXT, &image);
+        let mut vm = Vm::new(Isa::Arm64e);
+        (vm.pc, vm.sp, vm.fp, vm.lr) = (TEXT, 8, 0x1111, 0x2222);
+        assert_eq!(vm.run(&mut mem, 1).unwrap(), Trap::OutOfFuel);
+        assert_eq!(vm.sp, u64::MAX - 7);
+        assert_eq!((mem.read_u64(u64::MAX - 7), mem.read_u64(0)), (0x1111, 0x2222));
+        (vm.fp, vm.lr) = (vm.sp, 0);
+        assert_eq!(vm.run(&mut mem, 10).unwrap(), Trap::Hlt);
+        assert_eq!((vm.sp, vm.fp, vm.lr), (8, 0x1111, 0x2222));
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub enum ExecError {
     Fault(VmFault),
     /// Cross-ISA transformation failed (metadata corruption).
     Xform(stackxform::XformError),
-    /// The configured instruction budget was exceeded.
+    /// The guest retired exactly the configured instruction budget
+    /// without halting.
     StepLimit(u64),
 }
 
@@ -101,7 +102,7 @@ impl fmt::Display for ExecError {
             ExecError::BadSignature(n) => write!(f, "unsupported signature for `{n}`"),
             ExecError::Fault(e) => write!(f, "guest fault: {e}"),
             ExecError::Xform(e) => write!(f, "state transformation failed: {e}"),
-            ExecError::StepLimit(n) => write!(f, "instruction budget of {n} exceeded"),
+            ExecError::StepLimit(n) => write!(f, "instruction budget of {n} exhausted"),
         }
     }
 }
@@ -222,10 +223,11 @@ impl<'b, H: RtHandler> Executor<'b, H> {
     }
 
     fn load_text(&mut self, isa: Isa) {
-        // Clear up to the longer image so stale bytes never execute.
+        // Zero up to the longer image so stale bytes never execute.
+        let text = &self.bin.text[isa];
         let max_len = Isa::ALL.iter().map(|&i| self.bin.text[i].len()).max().unwrap_or(0);
-        self.mem.write_bytes(TEXT_BASE, &vec![0u8; max_len]);
-        self.mem.load_image(TEXT_BASE, &self.bin.text[isa]);
+        self.mem.load_image(TEXT_BASE, text);
+        self.mem.zero(TEXT_BASE + text.len() as u64, max_len - text.len());
         self.vm.invalidate_code();
     }
 
@@ -289,12 +291,14 @@ impl<'b, H: RtHandler> Executor<'b, H> {
         let mut executed: u64 = 0;
         loop {
             let before = self.vm.instret;
-            let trap = self.vm.run(&mut self.mem, 1 << 20)?;
+            let fuel = (self.max_instructions - executed).min(1 << 20);
+            let trap = self.vm.run(&mut self.mem, fuel)?;
             executed += self.vm.instret - before;
-            if executed > self.max_instructions {
-                return Err(ExecError::StepLimit(self.max_instructions));
-            }
             match trap {
+                Trap::OutOfFuel if executed >= self.max_instructions => {
+                    self.finish_isa_accounting();
+                    return Err(ExecError::StepLimit(self.max_instructions));
+                }
                 Trap::OutOfFuel => continue,
                 Trap::Hlt => {
                     self.finish_isa_accounting();
@@ -521,6 +525,37 @@ mod tests {
         let bin = compile(&loop_module()).unwrap();
         let mut ex = Executor::new(&bin, Isa::Xar86);
         assert!(matches!(ex.run("nope", &[]), Err(ExecError::UnknownFunction(_))));
+    }
+
+    #[test]
+    fn step_limit_is_exact_on_both_isas() {
+        // main(): loop forever.
+        let mut m = Module::new("spin");
+        let mut f = m.function("main", &[], Some(Ty::I64));
+        let body = f.new_block();
+        f.br(body);
+        f.switch_to(body);
+        f.br(body);
+        f.finish();
+        let bin = compile(&m).unwrap();
+        for isa in Isa::ALL {
+            // Below and above the 2^20 instructions the VM is handed at a time.
+            for n in [0, 1, 1000, (1 << 20) + 7] {
+                let mut ex = Executor::new(&bin, isa);
+                ex.max_instructions = n;
+                assert!(matches!(ex.run("main", &[]), Err(ExecError::StepLimit(l)) if l == n));
+                assert_eq!(ex.stats().instret[isa], n, "{isa}: budget {n}");
+            }
+        }
+        // A program that halts on its last permitted instruction succeeds.
+        let bin = compile(&loop_module()).unwrap();
+        let mut ex = Executor::new(&bin, Isa::Xar86);
+        assert_eq!(ex.run("main", &[3]).unwrap(), expected(3));
+        let exact = ex.stats().instret[Isa::Xar86];
+        ex.max_instructions = exact;
+        assert_eq!(ex.run("main", &[3]).unwrap(), expected(3));
+        ex.max_instructions = exact - 1;
+        assert!(matches!(ex.run("main", &[3]), Err(ExecError::StepLimit(_))));
     }
 
     #[test]
