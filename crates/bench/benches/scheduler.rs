@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xar_core::XarTrekPolicy;
-use xar_desim::workload::batch_arrivals;
+use xar_desim::workload::{batch_arrivals, wave_arrivals};
 use xar_desim::{ClusterConfig, ClusterSim, CompletionReport, DecideCtx, Policy, Target};
 
 fn policy() -> XarTrekPolicy {
@@ -60,6 +60,26 @@ fn bench_simulation(c: &mut Criterion) {
                 sim.preload_xclbin(x.clone());
             }
             sim.run(arrivals).mean_exec_ms()
+        })
+    });
+    // Many live jobs: the gating benchmark's `cluster-sim` shape at a
+    // fifth of its length. Most jobs wait on the FPGA queue or the ARM
+    // server at any moment, which is what the small row above never
+    // shows: the cost of an event must not depend on them.
+    let mut many = wave_arrivals(&specs, 20, 50, 30.0);
+    for i in 0..100 {
+        many.push(xar_desim::Arrival {
+            at_ns: 0.0,
+            spec: xar_desim::JobSpec::background(format!("bg{i}"), 2e5),
+        });
+    }
+    g.bench_function(format!("waves-{}-jobs", many.len()), |b| {
+        b.iter(|| {
+            let mut sim = ClusterSim::new(cfg.clone(), policy());
+            for x in &shared {
+                sim.preload_xclbin(x.clone());
+            }
+            sim.run(many.clone()).mean_exec_ms()
         })
     });
     g.finish();

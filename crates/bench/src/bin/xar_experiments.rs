@@ -10,6 +10,10 @@
 //! simulated testbed (calibrated against the paper's Table 1); the
 //! claims to check are the *shapes* — who wins, by what factor, where
 //! the crossovers fall. See `EXPERIMENTS.md`.
+//!
+//! The tables go to stdout; each one's host wall-clock goes to stderr as
+//! a `# <name>: <seconds> s` line, so stdout stays comparable byte for
+//! byte across changes to the simulator's speed.
 
 use xar_core::experiments as exp;
 
@@ -34,7 +38,9 @@ fn main() {
     let mut ran = false;
     let mut run = |name: &str, f: &dyn Fn() -> String| {
         if all || which == name {
+            let start = std::time::Instant::now();
             println!("{}", f());
+            eprintln!("# {name}: {:.3} s", start.elapsed().as_secs_f64());
             ran = true;
         }
     };

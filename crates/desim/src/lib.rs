@@ -36,7 +36,7 @@ pub mod shared;
 pub mod stats;
 pub mod workload;
 
-pub use cluster::{ClusterConfig, ClusterSim, JobRecord};
+pub use cluster::{ClusterConfig, ClusterSim, JobRecord, SimResult};
 pub use machine::PsMachine;
 pub use policy::{
     AlwaysArm, AlwaysFpga, AlwaysX86, CompletionReport, DecideCtx, Decision, Policy, Target,
