@@ -1,31 +1,38 @@
 //! Reactor-backed connection layer vs the old polled worker pool:
 //!
-//! * **decide round-trip p50/p99** — the acceptance metric for the
-//!   reactor rewrite: the default (blocking, zero idle CPU) config
-//!   must match the old `low_latency` busy-yield config. Since the
-//!   rewrite, `low_latency` is a no-op alias for the default, so the
-//!   two labels measure the same server — printed side by side to
-//!   document the equivalence. The portable `poll(2)` backend is
-//!   measured too.
+//! * **decide round-trip p50/p99, per transport** — the same daemon
+//!   and the same frames over its two listeners: `local` is what a
+//!   [`V2Client`] given a loopback address gets (the abstract Unix
+//!   socket), `tcp` is a raw `TcpStream` speaking the public `wire`
+//!   functions (what a remote caller, a proxied one or the gating
+//!   benchmark's staged client pays). Their ratio is the share of a
+//!   same-host decide that was the kernel's TCP stack — the A/B behind
+//!   the `decide-rtt` workload, reproducible outside it. Left to the
+//!   host scheduler every hop is a cross-vCPU wake-up (~35 µs) that
+//!   buries the difference; run under `taskset -c 0` for the placement
+//!   the gating benchmark pins (client beside its worker). The
+//!   portable `poll(2)` backend is measured too.
 //! * **idle-CPU proxy** — process CPU time burned across an idle
-//!   window with 32 connected-but-silent clients. The old default
-//!   config charged a sleep-quantum wakeup per worker per 500 µs; the
-//!   old `low_latency` config burned `workers` full cores
-//!   (busy-yield). The reactor blocks in the kernel: the burn should
-//!   be ~0 regardless of worker count — measured twice, once with the
-//!   maintenance layer disabled and once fully armed (recurring
-//!   per-worker flush timers, a per-connection idle deadline for each
-//!   of the 32 clients, and an admission cap), to show the
-//!   timer-driven maintenance keeps the idle cost at ~0 too.
+//!   window with 32 connected-but-silent clients. The polled worker
+//!   pool charged a sleep-quantum wakeup per worker per 500 µs, or
+//!   `workers` full cores when it busy-yielded instead. The reactor
+//!   blocks in the kernel: the burn should be ~0 regardless of worker
+//!   count — measured twice, once with the maintenance layer disabled
+//!   and once fully armed (recurring per-worker flush timers, a
+//!   per-connection idle deadline for each of the 32 clients, and an
+//!   admission cap), to show the timer-driven maintenance keeps the
+//!   idle cost at ~0 too.
 //!
 //! Custom harness (`harness = false`): percentiles need raw samples,
 //! which the criterion shim's mean-only report cannot provide. With
 //! `--test` (what `cargo test` passes) everything runs once, tiny.
 
+use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 use xar_core::server::{spawn_sharded, BackendKind, EngineConfig, ServerConfig, V2Client};
 use xar_core::XarTrekPolicy;
 use xar_desim::ClusterConfig;
+use xar_sched::wire;
 
 fn policy() -> XarTrekPolicy {
     let specs: Vec<_> = xar_workloads::all_profiles().iter().map(|p| p.job()).collect();
@@ -40,18 +47,17 @@ fn main() {
         (20_000usize, Duration::from_secs(2))
     };
     println!("{:<28} {:>10} {:>10} {:>10}", "decide RTT", "p50", "p99", "mean");
-    let default_p99 = rtt("reactor-default", ServerConfig::default(), iters);
-    let alias_p99 = rtt("low-latency-alias", ServerConfig::low_latency(4), iters);
+    let local_p50 = rtt("local (V2Client)", ServerConfig::default(), iters, Dial::Client);
+    let tcp_p50 = rtt("tcp (raw TcpStream)", ServerConfig::default(), iters, Dial::RawTcp);
     rtt(
         "poll2-fallback-backend",
         ServerConfig { backend: BackendKind::Poll, ..ServerConfig::default() },
         iters,
+        Dial::Client,
     );
-    // The acceptance bar: the blocking default must not regress the
-    // RTT the busy-yield config used to buy with a full core.
     println!(
-        "default-vs-low-latency p99 ratio: {:.2} (≤ 1 means the default matches or beats it)",
-        default_p99 as f64 / alias_p99 as f64
+        "local-vs-tcp p50 ratio: {:.2} (the rest was the kernel's TCP stack)",
+        local_p50 as f64 / tcp_p50 as f64
     );
     idle_cpu(
         idle,
@@ -73,27 +79,83 @@ fn main() {
     );
 }
 
+/// How a round-trip row reaches the daemon.
+enum Dial {
+    /// `V2Client::connect`: the local socket for a loopback daemon.
+    Client,
+    /// A raw `TcpStream` and the `wire` functions: always TCP.
+    RawTcp,
+}
+
+/// One decide round trip per call, over the transport `dial` selects.
+fn decider(addr: std::net::SocketAddr, dial: Dial) -> Box<dyn FnMut()> {
+    match dial {
+        Dial::Client => {
+            let mut client = V2Client::connect(addr).unwrap();
+            Box::new(move || {
+                std::hint::black_box(client.decide("Digit2000", "KNL_HW_DR200", 42, true).unwrap());
+            })
+        }
+        Dial::RawTcp => {
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            s.write_all(&wire::handshake(wire::VERSION)).unwrap();
+            s.read_exact(&mut [0u8; wire::HANDSHAKE_LEN]).unwrap();
+            let mut send = Vec::new();
+            wire::encode_request(
+                &wire::Request::Decide {
+                    app: "Digit2000",
+                    kernel: "KNL_HW_DR200",
+                    x86_load: 42,
+                    arm_load: 0,
+                    kernel_resident: true,
+                    device_ready: true,
+                },
+                &mut send,
+            );
+            let (mut recv, mut scratch) = (Vec::new(), [0u8; 256]);
+            Box::new(move || {
+                s.write_all(&send).unwrap();
+                recv.clear();
+                let range = loop {
+                    if let Some((_, range)) = wire::frame_in(&recv).unwrap() {
+                        break range;
+                    }
+                    let n = s.read(&mut scratch).unwrap();
+                    assert!(n > 0, "daemon closed mid-reply");
+                    recv.extend_from_slice(&scratch[..n]);
+                };
+                assert!(matches!(
+                    wire::decode_response(&recv[range]).unwrap(),
+                    wire::Response::Decide { .. }
+                ));
+            })
+        }
+    }
+}
+
 /// Measures `iters` decide round trips against a fresh daemon; prints
-/// and returns the p99 in nanoseconds.
-fn rtt(label: &str, config: ServerConfig, iters: usize) -> u64 {
+/// p50/p99/mean and returns the p50 in nanoseconds.
+fn rtt(label: &str, config: ServerConfig, iters: usize, dial: Dial) -> u64 {
     let daemon = spawn_sharded(&policy(), EngineConfig::default(), config).unwrap();
-    let mut client = V2Client::connect(daemon.addr()).unwrap();
+    let mut decide = decider(daemon.addr(), dial);
     for _ in 0..iters / 10 {
-        client.decide("Digit2000", "KNL_HW_DR200", 42, true).unwrap();
+        decide();
     }
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let start = Instant::now();
-        client.decide("Digit2000", "KNL_HW_DR200", 42, true).unwrap();
+        decide();
         samples.push(start.elapsed().as_nanos() as u64);
     }
+    drop(decide);
     samples.sort_unstable();
     let pct = |p: f64| samples[((samples.len() - 1) as f64 * p) as usize];
     let mean = samples.iter().sum::<u64>() / samples.len() as u64;
     let (p50, p99) = (pct(0.50), pct(0.99));
     println!("{label:<28} {:>10} {:>10} {:>10}", ns(p50), ns(p99), ns(mean));
     daemon.shutdown();
-    p99
+    p50
 }
 
 /// Process CPU time burned while the daemon idles with 32 connected,
@@ -107,7 +169,7 @@ fn idle_cpu(window: Duration, label: &str, config: ServerConfig) {
     let before = process_cpu();
     std::thread::sleep(window);
     let burned = process_cpu().saturating_sub(before);
-    let busy_yield_baseline = 4 * window; // old low_latency: workers × window, one core each
+    let busy_yield_baseline = 4 * window; // polled pool, busy-yielding: one core per worker
     println!(
         "idle CPU over {:?} with {} silent clients [{label}]: {:?} \
          (old busy-yield baseline ≈ {:?}; old default ≈ one wakeup per worker per 500 µs)",

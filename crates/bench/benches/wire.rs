@@ -34,8 +34,12 @@ fn bench_decide_roundtrip(c: &mut Criterion) {
         });
     }
     {
-        let v2 = spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::low_latency(1))
-            .unwrap();
+        let v2 = spawn_sharded(
+            &policy(),
+            EngineConfig::default(),
+            ServerConfig { workers: 1, ..ServerConfig::default() },
+        )
+        .unwrap();
         let mut client = V2Client::connect(v2.addr()).unwrap();
         g.bench_function("v2-binary", |b| {
             b.iter(|| client.decide("Digit2000", "KNL_HW_DR200", 42, true).unwrap())
@@ -61,7 +65,7 @@ fn bench_report_ingest(c: &mut Criterion) {
         let v2 = spawn_sharded(
             &policy(),
             EngineConfig { shards: 8, batch: 64 },
-            ServerConfig::low_latency(1),
+            ServerConfig { workers: 1, ..ServerConfig::default() },
         )
         .unwrap();
         let mut client = V2Client::connect(v2.addr()).unwrap();

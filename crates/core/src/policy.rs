@@ -51,8 +51,7 @@ impl XarTrekPolicy {
             if !s.has_selected_function() {
                 continue;
             }
-            table.insert(crate::thresholds::estimate_thresholds(s, cfg));
-            let key = table.key(&s.name).expect("inserted above").clone();
+            let key = table.insert(crate::thresholds::estimate_thresholds(s, cfg));
             ref_times.insert(key, crate::thresholds::scenario_times(s, cfg));
         }
         XarTrekPolicy::new(table, ref_times)
@@ -115,21 +114,24 @@ impl XarTrekPolicy {
     /// table rows and reference times of the apps that
     /// [`xar_sched::shard_of`] routes to it, plus this policy's flags.
     pub fn split_shards(&self, n: usize) -> Vec<XarTrekPolicy> {
-        let mut shards: Vec<XarTrekPolicy> = (0..n.max(1))
+        let count = n.max(1);
+        // Sized for an even split plus slack, so a shard's map is built
+        // without rehashing its way up from empty.
+        let per_shard = self.ref_times.len().div_ceil(count) * 5 / 4;
+        let mut shards: Vec<XarTrekPolicy> = (0..count)
             .map(|_| {
-                let mut p = XarTrekPolicy::new(ThresholdTable::new(), HashMap::new());
+                let ref_times = HashMap::with_capacity(per_shard);
+                let mut p = XarTrekPolicy::new(ThresholdTable::new(), ref_times);
                 p.early_config = self.early_config;
                 p.dynamic_update = self.dynamic_update;
                 p.thr_step = self.thr_step;
                 p
             })
             .collect();
-        let count = shards.len();
         for e in self.table.iter() {
             let shard = &mut shards[xar_sched::shard_of(&e.app, count)];
-            shard.table.insert(e.clone());
+            let key = shard.table.insert(e.clone());
             if let Some(times) = self.ref_times.get(e.app.as_str()) {
-                let key = shard.table.key(&e.app).expect("inserted above").clone();
                 shard.ref_times.insert(key, *times);
             }
         }

@@ -11,7 +11,7 @@
 //! name, 2) the hardware kernel, 3) the FPGA threshold, 4) the ARM
 //! threshold — exactly the columns of the paper's Table 2.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
 use xar_desim::{ClusterConfig, JobSpec};
@@ -48,10 +48,22 @@ impl ThresholdTable {
         Self::default()
     }
 
-    /// Inserts or replaces an entry. Replacing keeps the row's
-    /// existing key allocation (`BTreeMap::insert` never swaps keys).
-    pub fn insert(&mut self, e: ThresholdEntry) {
-        self.rows.insert(Arc::from(e.app.as_str()), e);
+    /// Inserts or replaces an entry and hands back the row's shared
+    /// name, so a caller keying something else by it needs no second
+    /// descent through [`ThresholdTable::key`]. Replacing keeps the
+    /// row's existing key allocation.
+    pub fn insert(&mut self, e: ThresholdEntry) -> Arc<str> {
+        match self.rows.entry(Arc::from(e.app.as_str())) {
+            Entry::Occupied(mut row) => {
+                row.insert(e);
+                row.key().clone()
+            }
+            Entry::Vacant(slot) => {
+                let key = slot.key().clone();
+                slot.insert(e);
+                key
+            }
+        }
     }
 
     /// Looks up an application's entry.

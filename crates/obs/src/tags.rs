@@ -97,6 +97,9 @@ pub const SNAPSHOTS_WRITTEN: u16 = 41;
 pub const RECOVERY_REPLAYED_RECORDS: u16 = 42;
 /// Torn WAL tails truncated during recovery.
 pub const TORN_TAIL_TRUNCATIONS: u16 = 43;
+/// The share of `accepted_conns` that arrived over the daemon's local
+/// (abstract Unix-socket) listener rather than TCP.
+pub const ACCEPTED_LOCAL_CONNS: u16 = 44;
 
 /// Every registered tag with its exposition name, ascending by id.
 pub const TAGS: &[(u16, &str)] = &[
@@ -143,6 +146,7 @@ pub const TAGS: &[(u16, &str)] = &[
     (SNAPSHOTS_WRITTEN, "snapshots_written"),
     (RECOVERY_REPLAYED_RECORDS, "recovery_replayed_records"),
     (TORN_TAIL_TRUNCATIONS, "torn_tail_truncations"),
+    (ACCEPTED_LOCAL_CONNS, "accepted_local_conns"),
 ];
 
 /// Exposition name for a tag, or `None` for ids this build predates.

@@ -22,9 +22,10 @@
 
 use crate::backoff::Backoff;
 use crate::engine::{ReportOwned, TableEntry};
+use crate::transport::{self, Stream};
 use crate::wire::{self, DaemonStats, Request, Response, WireQuery, WireReport};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 use xar_desim::{Decision, Target};
 
@@ -49,7 +50,7 @@ pub enum Served<T> {
 /// A scheduler client speaking protocol v2.
 #[derive(Debug)]
 pub struct V2Client {
-    stream: TcpStream,
+    stream: Stream,
     send: Vec<u8>,
     recv: Vec<u8>,
     /// Bytes at the head of `recv` holding the previous roundtrip's
@@ -66,7 +67,11 @@ pub struct V2Client {
 }
 
 impl V2Client {
-    /// Connects and performs the version handshake.
+    /// Connects and performs the version handshake. A *loopback*
+    /// `addr` names a daemon on this host: its local socket
+    /// ([`transport::local_name`]) is dialed first and TCP only if that
+    /// fails, so the same call reaches a proxy, a remote or TCP-only
+    /// daemon exactly as before.
     ///
     /// # Errors
     ///
@@ -77,10 +82,10 @@ impl V2Client {
     }
 
     /// [`V2Client::connect`] with deadlines: a bound on the TCP
-    /// connect, and read/write timeouts left armed on the socket for
-    /// the client's lifetime so a wedged daemon surfaces as a timed-out
-    /// I/O error instead of a hang. `None` keeps the unbounded
-    /// blocking behavior.
+    /// connect (the local dial never blocks, so it needs none), and
+    /// read/write timeouts left armed on the socket for the client's
+    /// lifetime so a wedged daemon surfaces as a timed-out I/O error
+    /// instead of a hang. `None` keeps the unbounded blocking behavior.
     ///
     /// # Errors
     ///
@@ -91,11 +96,7 @@ impl V2Client {
         connect_timeout: Option<Duration>,
         io_timeout: Option<Duration>,
     ) -> std::io::Result<V2Client> {
-        let mut stream = match connect_timeout {
-            Some(t) => TcpStream::connect_timeout(&addr, t)?,
-            None => TcpStream::connect(addr)?,
-        };
-        stream.set_nodelay(true)?;
+        let mut stream = transport::dial(addr, connect_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         stream.write_all(&wire::handshake(wire::VERSION))?;
         // A v1 text server would sit in read_line waiting for a
@@ -934,7 +935,7 @@ impl ResilientClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     /// Reads one complete v2 frame from a blocking stream.
     fn read_frame(s: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<u8> {

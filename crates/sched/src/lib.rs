@@ -35,6 +35,10 @@
 //!   the v2 `Stats`/`StatsV2` commands, the Prometheus-style v1
 //!   `DUMP` exposition, and per-worker `xar-obs` trace rings served
 //!   by v1 `TRACE n`.
+//! * [`transport`] — the **same-host fast path**: beside TCP the
+//!   daemon listens on an abstract Unix socket named after its port,
+//!   and the client dials it transparently for loopback addresses
+//!   (TCP fallback on any failure) — no knob on either side.
 //! * [`client`] — the blocking v2 client for application binaries,
 //!   plus the batched decide pipeline for high-rate callers:
 //!   `decide_batch` (up to 4096 queries per frame, once-per-batch
@@ -69,6 +73,7 @@ pub mod session;
 pub mod signals;
 pub mod snapshot;
 pub mod sync_abstraction;
+pub mod transport;
 pub mod wire;
 
 pub use adapter::ShardedPolicy;
@@ -84,6 +89,7 @@ pub use obsd::{FleetSnapshot, Health, MemberView, Obsd, ObsdConfig};
 pub use server::{Server, ServerConfig};
 pub use session::{SeqOutcome, SessionInfo, SessionTable};
 pub use snapshot::{ArcCell, CachedSnap, ThrCell};
+pub use transport::local_name;
 pub use wire::{DaemonStats, HistDump, StatsV2, WireQuery};
 /// The dependency-free observability toolkit (trace rings, mergeable
 /// histograms, the `StatsV2` tag registry, text exposition) the daemon

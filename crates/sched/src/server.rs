@@ -1,9 +1,12 @@
 //! The scheduler daemon: a fixed worker-thread pool multiplexing
 //! nonblocking connections over [`xar_reactor`] readiness notification.
 //!
-//! One acceptor thread owns a nonblocking listener registered with its
-//! own reactor and hands sockets to workers round-robin (waking the
-//! chosen worker's reactor for the handoff). Each worker owns a
+//! One acceptor thread owns the daemon's two nonblocking listeners — TCP,
+//! and beside it a local (abstract Unix-socket) one for same-host
+//! callers, see [`crate::transport`] — registered with its own reactor,
+//! and hands sockets to workers round-robin (waking the chosen worker's
+//! reactor for the handoff). Past the accept a connection's transport
+//! is invisible: one [`Stream`] type, one pump. Each worker owns a
 //! [`Reactor`]: connections register read interest, re-arm to write
 //! interest while replies are backed up, and the worker blocks in the
 //! kernel until a socket is actually ready — no idle polling, no sleep
@@ -15,9 +18,9 @@
 //! drain progress (the only bound on a peer whose FIN arrived while
 //! the backpressure gate held reads off); optional **idle timeouts**
 //! reap connections silent for a full window. At the
-//! `max_connections` admission cap the acceptor parks the listener's
+//! `max_connections` admission cap the acceptor parks both listeners'
 //! read interest — new peers wait in the kernel backlog instead of
-//! racing toward fd exhaustion — and a reap re-arms it. All of it is
+//! racing toward fd exhaustion — and a reap re-arms them. All of it is
 //! observable through the v2 `Stats` command. This serves thousands
 //! of mostly-idle scheduler clients with a handful of threads at zero
 //! idle CPU, where the paper's thread-per-client model would need one
@@ -30,12 +33,14 @@
 use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, RecoveryStats};
 use crate::engine::{BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
+use crate::transport::{self, Stream};
 use crate::wire::{self, DaemonStats, Request, Response, WireEntry};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -50,10 +55,6 @@ use xar_reactor::{BackendKind, Event, Interest, Reactor, Token, Waker};
 pub struct ServerConfig {
     /// Worker threads multiplexing the connections.
     pub workers: usize,
-    /// Legacy knob from the level-polling connection layer; the
-    /// readiness-driven workers never poll idle, so it is ignored.
-    /// Kept so existing configs keep compiling.
-    pub poll_interval: Duration,
     /// Readiness-notification backend (epoll on Linux by default; the
     /// portable `poll(2)` fallback behind the same trait).
     pub backend: BackendKind,
@@ -89,12 +90,12 @@ pub struct ServerConfig {
     /// draining replies or already half-closed are exempt — their
     /// fate belongs to the write-stall deadline above.
     pub idle_timeout: Option<Duration>,
-    /// Admission cap on concurrently open connections. At the cap the
-    /// acceptor drops the listener's read interest, so new peers wait
-    /// in the kernel accept backlog (TCP backpressure) instead of
-    /// consuming fds toward exhaustion and the accept-failure throttle
-    /// path; a reaped connection re-arms the listener. `usize::MAX`
-    /// (the default) means uncapped.
+    /// Admission cap on concurrently open connections, both transports
+    /// counted together. At the cap the acceptor drops both listeners'
+    /// read interest, so new peers wait in the kernel accept backlogs
+    /// instead of consuming fds toward exhaustion and the
+    /// accept-failure throttle path; a reaped connection re-arms them.
+    /// `usize::MAX` (the default) means uncapped.
     pub max_connections: usize,
     /// Master switch for event tracing. Enabled, each worker records
     /// typed events (accepts, reaps, flush publishes, backpressure
@@ -178,7 +179,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            poll_interval: Duration::from_micros(500),
             backend: BackendKind::default(),
             outbuf_high_water: 256 * 1024,
             close_linger: Duration::from_secs(5),
@@ -200,17 +200,6 @@ impl Default for ServerConfig {
             session_capacity: 1024,
             durability: None,
         }
-    }
-}
-
-impl ServerConfig {
-    /// Historical latency-tuned config: workers used to busy-yield
-    /// instead of sleeping. The reactor made the trade-off obsolete —
-    /// the default config now blocks on readiness and matches the
-    /// busy-yield round-trip latency — so this is a no-op alias kept
-    /// for API compatibility.
-    pub fn low_latency(workers: usize) -> ServerConfig {
-        ServerConfig { workers, ..ServerConfig::default() }
     }
 }
 
@@ -244,11 +233,14 @@ fn idle_token(slot: usize) -> Token {
 
 /// Connection-lifecycle counters shared by the acceptor (admission
 /// control), the workers (reaping), and the v2 `Stats` command. All
-/// three are monotone, so `live` is a difference of counters rather
-/// than a counter that could underflow on a racy decrement.
+/// are monotone, so `live` is a difference of counters rather than a
+/// counter that could underflow on a racy decrement.
 #[derive(Debug, Default)]
 struct ConnCounters {
+    /// Both transports.
     accepted: AtomicU64,
+    /// The share of `accepted` that came in over the local socket.
+    accepted_local: AtomicU64,
     reaped: AtomicU64,
     rejected: AtomicU64,
 }
@@ -478,7 +470,7 @@ impl<P: PolicyCore> WorkerCtx<P> {
 }
 
 struct Conn {
-    stream: TcpStream,
+    stream: Stream,
     proto: Proto,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
@@ -503,8 +495,8 @@ struct Conn {
     idle_mark: u64,
     /// The socket is unusable (write error); reap immediately.
     dead: bool,
-    /// Peer address, for the quarantine ban list (`None` if the
-    /// socket could not name it — such a peer cannot be banned).
+    /// Peer address, for the quarantine ban list (see
+    /// [`Stream::peer_ip`]).
     peer: Option<IpAddr>,
     /// Protocol errors this connection has committed, against
     /// `quarantine_errors`.
@@ -512,8 +504,8 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        let peer = stream.peer_addr().ok().map(|a| a.ip());
+    fn new(stream: Stream) -> Conn {
+        let peer = stream.peer_ip();
         Conn {
             stream,
             peer,
@@ -579,6 +571,66 @@ impl Slab {
     }
 }
 
+/// The acceptor's two listening sockets. `local` is declared (so
+/// dropped) first: the name is never still held once the TCP port it
+/// is derived from is free for someone else to bind.
+struct Listeners {
+    /// `None` only where the platform has no abstract namespace.
+    local: Option<UnixListener>,
+    tcp: TcpListener,
+}
+
+const TCP_TOKEN: Token = Token(0);
+const LOCAL_TOKEN: Token = Token(1);
+
+impl Listeners {
+    /// Binds TCP at `bind`, then the local name derived from the port
+    /// TCP actually got. Either failing fails the pair.
+    fn bind(bind: SocketAddr) -> std::io::Result<(Listeners, SocketAddr)> {
+        let tcp = TcpListener::bind(bind)?;
+        tcp.set_nonblocking(true)?;
+        let addr = tcp.local_addr()?;
+        let local = transport::bind_local(addr.port())?;
+        Ok((Listeners { local, tcp }, addr))
+    }
+
+    /// Arms read interest on both listeners.
+    fn arm(&self, reactor: &mut Reactor) -> std::io::Result<()> {
+        reactor.register(self.tcp.as_raw_fd(), TCP_TOKEN, Interest::READ)?;
+        if let Some(local) = &self.local {
+            reactor.register(local.as_raw_fd(), LOCAL_TOKEN, Interest::READ)?;
+        }
+        Ok(())
+    }
+
+    /// Drops read interest on both: pending peers wait in the kernel
+    /// backlogs.
+    fn park(&self, reactor: &mut Reactor) {
+        let _ = reactor.deregister(self.tcp.as_raw_fd(), TCP_TOKEN);
+        if let Some(local) = &self.local {
+            let _ = reactor.deregister(local.as_raw_fd(), LOCAL_TOKEN);
+        }
+    }
+
+    /// The next pending connection on either listener, `None` once both
+    /// would block.
+    fn accept(&self) -> std::io::Result<Option<Stream>> {
+        match self.tcp.accept() {
+            Ok((stream, _)) => {
+                let _ = stream.set_nodelay(true);
+                return Ok(Some(Stream::Tcp(stream)));
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
+        }
+        match self.local.as_ref().map(UnixListener::accept) {
+            Some(Ok((stream, _))) => Ok(Some(Stream::Local(stream))),
+            Some(Err(e)) if e.kind() != ErrorKind::WouldBlock => Err(e),
+            _ => Ok(None),
+        }
+    }
+}
+
 /// A running scheduler daemon. Dropping it shuts everything down
 /// gracefully (pending report batches are flushed).
 pub struct Server<P: PolicyCore> {
@@ -610,15 +662,14 @@ impl<P: PolicyCore> Server<P> {
     /// # Errors
     ///
     /// Propagates socket and reactor-creation errors (including an
-    /// already-bound address).
+    /// already-bound address — the TCP port's, or the local name's
+    /// derived from it, see [`transport::local_name`]).
     pub fn spawn_at(
         engine: ShardedEngine<P>,
         config: ServerConfig,
         bind: SocketAddr,
     ) -> std::io::Result<Server<P>> {
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let (listeners, addr) = Listeners::bind(bind)?;
         let engine = Arc::new(engine);
         let stop = Arc::new(AtomicBool::new(false));
         let workers = config.workers.max(1);
@@ -630,7 +681,7 @@ impl<P: PolicyCore> Server<P> {
             reactors.push(Reactor::with_backend(config.backend)?);
         }
         let mut acceptor = Reactor::with_backend(config.backend)?;
-        acceptor.register(listener.as_raw_fd(), Token(0), Interest::READ)?;
+        listeners.arm(&mut acceptor)?;
         let counters = Arc::new(ConnCounters::default());
         let obs_counters = Arc::new(EventCounters::default());
         let trace_log = Arc::new(TraceLog::new(config.trace_log_capacity));
@@ -660,7 +711,7 @@ impl<P: PolicyCore> Server<P> {
         let started = Instant::now();
         let mut handles = Vec::with_capacity(workers + 1);
         let mut wakers = Vec::with_capacity(workers + 1);
-        let mut worker_ports: Vec<(Sender<TcpStream>, Waker)> = Vec::with_capacity(workers);
+        let mut worker_ports: Vec<(Sender<Stream>, Waker)> = Vec::with_capacity(workers);
         for (w, reactor) in reactors.into_iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::channel();
             worker_ports.push((tx, reactor.waker()));
@@ -720,7 +771,7 @@ impl<P: PolicyCore> Server<P> {
                 .name("xar-sched-acceptor".into())
                 .spawn(move || {
                     accept_loop(
-                        listener,
+                        listeners,
                         worker_ports,
                         stop2,
                         acceptor,
@@ -833,8 +884,8 @@ impl AcceptorTrace {
 
 #[allow(clippy::too_many_arguments)]
 fn accept_loop(
-    listener: TcpListener,
-    workers: Vec<(Sender<TcpStream>, Waker)>,
+    listeners: Listeners,
+    workers: Vec<(Sender<Stream>, Waker)>,
     stop: Arc<AtomicBool>,
     mut reactor: Reactor,
     counters: Arc<ConnCounters>,
@@ -844,9 +895,9 @@ fn accept_loop(
 ) {
     let (mut events, mut expired) = (Vec::new(), Vec::new());
     let mut next = 0usize;
-    // Admission control: `spawn` armed the listener's read interest;
+    // Admission control: `spawn` armed the listeners' read interest;
     // at the connection cap it is dropped so pending peers wait in the
-    // kernel backlog, and a worker's post-reap wake re-arms it.
+    // kernel backlogs, and a worker's post-reap wake re-arms it.
     let mut armed = true;
     while !stop.load(Ordering::SeqCst) {
         events.clear();
@@ -861,32 +912,34 @@ fn accept_loop(
         // readiness is level-triggered and spurious wakes are allowed.
         loop {
             // Cap check before every accept: hitting the cap mid-drain
-            // must park the listener immediately, or the still-readable
-            // fd would turn every poll into a busy loop.
+            // must park the listeners immediately, or the
+            // still-readable fds would turn every poll into a busy loop.
             if counters.live() >= config.max_connections as u64 {
                 if armed {
-                    let _ = reactor.deregister(listener.as_raw_fd(), Token(0));
+                    listeners.park(&mut reactor);
                     armed = false;
                 }
                 break;
             }
             if !armed {
-                if reactor.register(listener.as_raw_fd(), Token(0), Interest::READ).is_err() {
-                    return; // cannot watch the listener anymore
+                if listeners.arm(&mut reactor).is_err() {
+                    return; // cannot watch the listeners anymore
                 }
                 armed = true;
             }
-            match listener.accept() {
-                Ok((stream, peer)) => {
+            match listeners.accept() {
+                Ok(Some(stream)) => {
                     counters.accepted.fetch_add(1, Ordering::Relaxed);
+                    if stream.is_local() {
+                        counters.accepted_local.fetch_add(1, Ordering::Relaxed);
+                    }
                     // Quarantined peers are refused before spending a
                     // worker handoff on them; the ban self-expires.
-                    if quarantine.is_banned(peer.ip()) {
+                    if stream.peer_ip().is_some_and(|ip| quarantine.is_banned(ip)) {
                         counters.rejected.fetch_add(1, Ordering::Relaxed);
                         trace.reject();
                         continue;
                     }
-                    let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
                         counters.rejected.fetch_add(1, Ordering::Relaxed);
                         trace.reject();
@@ -915,7 +968,7 @@ fn accept_loop(
                         return; // no live workers remain
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Ok(None) => break,
                 Err(_) => {
                     // Persistent accept failures (e.g. fd exhaustion)
                     // leave the listener readable, so the next poll
@@ -934,7 +987,7 @@ fn accept_loop(
 }
 
 fn worker_loop<P: PolicyCore>(
-    rx: Receiver<TcpStream>,
+    rx: Receiver<Stream>,
     mut ctx: WorkerCtx<P>,
     stop: Arc<AtomicBool>,
     mut reactor: Reactor,
@@ -1063,8 +1116,8 @@ fn service<P: PolicyCore>(
         return;
     }
     // Backpressure via interest re-arm: while replies are backed up we
-    // watch for writability only (no reads — TCP pushes back on the
-    // client); once flushed we watch for the next request. Each flip
+    // watch for writability only (no reads — the socket pushes back on
+    // the client); once flushed we watch for the next request. Each flip
     // is a traced pause/resume: the re-arm is exactly the moment reads
     // stop (or restart) for this connection.
     let desired = if conn.flushed() { Interest::READ } else { Interest::WRITE };
@@ -1675,6 +1728,7 @@ fn collect_stats_v2<P: PolicyCore>(ctx: &WorkerCtx<P>) -> Vec<(u16, u64)> {
         (tags::SNAPSHOTS_WRITTEN, s.snapshots_written),
         (tags::RECOVERY_REPLAYED_RECORDS, s.recovery_replayed_records),
         (tags::TORN_TAIL_TRUNCATIONS, s.torn_tail_truncations),
+        (tags::ACCEPTED_LOCAL_CONNS, ctx.counters.accepted_local.load(r)),
     ]);
     pairs
 }

@@ -3,7 +3,9 @@
 //! consistency against the single-threaded reference policy, identical
 //! threshold-table convergence, and graceful shutdown under load —
 //! exercised on both reactor backends (epoll and the portable `poll(2)`
-//! fallback).
+//! fallback) and, where the socket kind matters (connection lifecycle,
+//! admission, quarantine), over both of the daemon's transports: TCP
+//! and the local socket a `V2Client` picks for a loopback address.
 
 use std::sync::Arc;
 use xar_trek::core::server::{
@@ -33,6 +35,87 @@ fn ctx<'a>(app: &'a str, load: usize, resident: bool) -> DecideCtx<'a> {
         device_ready: true,
         now_ns: 0.0,
     }
+}
+
+/// How a raw (client-library-free) peer reaches the daemon.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Transport {
+    Tcp,
+    /// The abstract Unix socket named after the daemon's port.
+    Local,
+}
+
+impl Transport {
+    #[cfg(target_os = "linux")]
+    const ALL: [Transport; 2] = [Transport::Tcp, Transport::Local];
+    #[cfg(not(target_os = "linux"))]
+    const ALL: [Transport; 1] = [Transport::Tcp];
+}
+
+/// A raw connection on either transport: the one dial helper the
+/// per-socket-kind lifecycle tests share.
+enum RawConn {
+    Tcp(std::net::TcpStream),
+    Local(std::os::unix::net::UnixStream),
+}
+
+fn dial(addr: std::net::SocketAddr, transport: Transport) -> RawConn {
+    match transport {
+        Transport::Tcp => RawConn::Tcp(std::net::TcpStream::connect(addr).unwrap()),
+        #[cfg(target_os = "linux")]
+        Transport::Local => {
+            use std::os::linux::net::SocketAddrExt;
+            let name = xar_trek::sched::local_name(addr.port());
+            let name = std::os::unix::net::SocketAddr::from_abstract_name(name).unwrap();
+            RawConn::Local(std::os::unix::net::UnixStream::connect_addr(&name).unwrap())
+        }
+        #[cfg(not(target_os = "linux"))]
+        Transport::Local => unreachable!("no local transport on this platform"),
+    }
+}
+
+impl RawConn {
+    fn set_read_timeout(&self, t: std::time::Duration) {
+        match self {
+            RawConn::Tcp(s) => s.set_read_timeout(Some(t)).unwrap(),
+            RawConn::Local(s) => s.set_read_timeout(Some(t)).unwrap(),
+        }
+    }
+
+    /// Half-close: FIN our side, keep reading.
+    fn shutdown_write(&self) {
+        match self {
+            RawConn::Tcp(s) => s.shutdown(std::net::Shutdown::Write).unwrap(),
+            RawConn::Local(s) => s.shutdown(std::net::Shutdown::Write).unwrap(),
+        }
+    }
+}
+
+impl std::io::Read for RawConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            RawConn::Tcp(s) => s.read(buf),
+            RawConn::Local(s) => s.read(buf),
+        }
+    }
+}
+
+impl std::io::Write for RawConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            RawConn::Tcp(s) => s.write(buf),
+            RawConn::Local(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One `StatsV2` counter, read over `cl`.
+fn stat(cl: &mut V2Client, tag: u16) -> u64 {
+    cl.stats_v2().unwrap().get(tag).unwrap_or_else(|| panic!("tag {tag} not shipped"))
 }
 
 /// One client's slice of the workload: `decides` round trips (protocol
@@ -551,36 +634,41 @@ fn half_close_after_capped_burst_loses_no_replies() {
         ServerConfig { outbuf_high_water: 64, ..ServerConfig::default() },
     )
     .unwrap();
-    let mut s = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
-    const BURST: usize = 64;
-    let mut reqs = Vec::new();
-    for _ in 0..BURST {
-        xar_trek::sched::wire::encode_request(&xar_trek::sched::wire::Request::Table, &mut reqs);
-    }
-    s.write_all(&reqs).unwrap();
-    s.shutdown(std::net::Shutdown::Write).unwrap();
-    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    loop {
-        match s.read(&mut scratch) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-            Err(e) => panic!("read after half-close: {e}"),
+    for transport in Transport::ALL {
+        let mut s = dial(daemon.addr(), transport);
+        s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
+        const BURST: usize = 64;
+        let mut reqs = Vec::new();
+        for _ in 0..BURST {
+            xar_trek::sched::wire::encode_request(
+                &xar_trek::sched::wire::Request::Table,
+                &mut reqs,
+            );
         }
+        s.write_all(&reqs).unwrap();
+        s.shutdown_write();
+        s.set_read_timeout(std::time::Duration::from_secs(10));
+        let mut buf = Vec::new();
+        let mut scratch = [0u8; 4096];
+        loop {
+            match s.read(&mut scratch) {
+                Ok(0) => break,
+                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                Err(e) => panic!("{transport:?}: read after half-close: {e}"),
+            }
+        }
+        buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN);
+        let mut tables = 0usize;
+        while let Some((total, range)) = xar_trek::sched::wire::frame_in(&buf).unwrap() {
+            assert!(matches!(
+                xar_trek::sched::wire::decode_response(&buf[range]).unwrap(),
+                xar_trek::sched::wire::Response::Table(_)
+            ));
+            buf.drain(..total);
+            tables += 1;
+        }
+        assert_eq!(tables, BURST, "{transport:?}: replies dropped at half-close");
     }
-    buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN);
-    let mut tables = 0usize;
-    while let Some((total, range)) = xar_trek::sched::wire::frame_in(&buf).unwrap() {
-        assert!(matches!(
-            xar_trek::sched::wire::decode_response(&buf[range]).unwrap(),
-            xar_trek::sched::wire::Response::Table(_)
-        ));
-        buf.drain(..total);
-        tables += 1;
-    }
-    assert_eq!(tables, BURST, "replies dropped at half-close");
     daemon.shutdown();
 }
 
@@ -818,53 +906,60 @@ fn stats_round_trips_on_both_backends() {
     }
 }
 
-/// Admission control: an at-cap daemon parks its listener (the third
+/// Admission control: an at-cap daemon parks its listeners (the third
 /// peer's handshake goes unanswered — it waits in the kernel backlog,
 /// consuming no daemon fd) and resumes accepting as soon as a reap
-/// frees a slot — on both backends.
+/// frees a slot — on both backends, whichever transport the waiting
+/// peer came in on: one cap counts both, and both are parked and
+/// re-armed together.
 #[test]
 fn at_cap_daemon_stops_accepting_and_resumes_after_reap() {
     use std::io::{Read, Write};
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
-            EngineConfig::default(),
-            ServerConfig { backend, max_connections: 2, ..ServerConfig::default() },
-        )
-        .unwrap();
-        let addr = daemon.addr();
-        let cl1 = V2Client::connect(addr).unwrap();
-        let mut cl2 = V2Client::connect(addr).unwrap();
-        // Third peer: the TCP handshake completes against the kernel
-        // backlog, but the daemon must not accept (and so never
-        // answers the v2 handshake) while at the cap.
-        let mut third = std::net::TcpStream::connect(addr).unwrap();
-        third.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
-        third.set_read_timeout(Some(std::time::Duration::from_millis(600))).unwrap();
-        let mut hs = [0u8; xar_trek::sched::wire::HANDSHAKE_LEN];
-        match third.read(&mut hs) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            other => panic!("{backend:?}: daemon served a peer beyond the cap: {other:?}"),
+        for transport in Transport::ALL {
+            let what = format!("{backend:?}/{transport:?}");
+            let daemon = spawn_sharded(
+                &policy(),
+                EngineConfig::default(),
+                ServerConfig { backend, max_connections: 2, ..ServerConfig::default() },
+            )
+            .unwrap();
+            let addr = daemon.addr();
+            let cl1 = V2Client::connect(addr).unwrap();
+            let mut cl2 = V2Client::connect(addr).unwrap();
+            // Third peer: the connect completes against the kernel
+            // backlog, but the daemon must not accept (and so never
+            // answers the v2 handshake) while at the cap.
+            let mut third = dial(addr, transport);
+            third
+                .write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION))
+                .unwrap();
+            third.set_read_timeout(std::time::Duration::from_millis(600));
+            let mut hs = [0u8; xar_trek::sched::wire::HANDSHAKE_LEN];
+            match third.read(&mut hs) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                other => panic!("{what}: daemon served a peer beyond the cap: {other:?}"),
+            }
+            // A reap frees a slot: the parked listeners re-arm and the
+            // queued peer is admitted and served.
+            drop(cl1);
+            third.set_read_timeout(std::time::Duration::from_secs(10));
+            third
+                .read_exact(&mut hs)
+                .unwrap_or_else(|e| panic!("{what}: listener never resumed after the reap: {e}"));
+            assert_eq!(
+                xar_trek::sched::wire::parse_handshake(&hs).unwrap(),
+                xar_trek::sched::wire::VERSION,
+                "{what}"
+            );
+            // The still-admitted client kept working throughout.
+            assert_eq!(cl2.ping(7).unwrap(), 7, "{what}");
+            daemon.shutdown();
         }
-        // A reap frees a slot: the parked listener re-arms and the
-        // queued peer is admitted and served.
-        drop(cl1);
-        third.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-        third
-            .read_exact(&mut hs)
-            .unwrap_or_else(|e| panic!("{backend:?}: listener never resumed after the reap: {e}"));
-        assert_eq!(
-            xar_trek::sched::wire::parse_handshake(&hs).unwrap(),
-            xar_trek::sched::wire::VERSION,
-            "{backend:?}"
-        );
-        // The still-admitted client kept working throughout.
-        assert_eq!(cl2.ping(7).unwrap(), 7, "{backend:?}");
-        daemon.shutdown();
     }
 }
 
@@ -887,38 +982,52 @@ fn idle_connection_is_reaped_while_an_active_one_slides() {
         .unwrap();
         let addr = daemon.addr();
         let mut active = V2Client::connect(addr).unwrap();
-        // The idle peer: completes the handshake, then never sends
-        // another byte.
-        let mut idle = std::net::TcpStream::connect(addr).unwrap();
-        idle.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
-        let mut hs = [0u8; xar_trek::sched::wire::HANDSHAKE_LEN];
-        idle.read_exact(&mut hs).unwrap();
+        // The idle peers, one per transport: each completes the
+        // handshake, then never sends another byte.
+        let mut idle: Vec<(Transport, RawConn)> = Transport::ALL
+            .into_iter()
+            .map(|transport| {
+                let mut s = dial(addr, transport);
+                s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION))
+                    .unwrap();
+                let mut hs = [0u8; xar_trek::sched::wire::HANDSHAKE_LEN];
+                s.read_exact(&mut hs).unwrap();
+                // Ping on the active connection every 100 ms (well
+                // under the window) while waiting for the peers' EOFs.
+                s.set_read_timeout(std::time::Duration::from_millis(100));
+                (transport, s)
+            })
+            .collect();
         let connected = std::time::Instant::now();
-        // Ping on the active connection every 100 ms (well under the
-        // window) while waiting for the idle peer's EOF.
-        idle.set_read_timeout(Some(std::time::Duration::from_millis(100))).unwrap();
         let mut buf = [0u8; 64];
-        let reaped_after = loop {
+        while !idle.is_empty() {
             assert_eq!(active.ping(1).unwrap(), 1, "{backend:?}: active client reaped");
-            match idle.read(&mut buf) {
-                Ok(0) => break connected.elapsed(),
-                Ok(_) => panic!("{backend:?}: unsolicited bytes on an idle connection"),
+            idle.retain_mut(|(transport, s)| match s.read(&mut buf) {
+                Ok(0) => {
+                    let reaped_after = connected.elapsed();
+                    assert!(
+                        reaped_after >= std::time::Duration::from_millis(300),
+                        "{backend:?}/{transport:?}: reaped after {reaped_after:?}, \
+                         before a full idle window"
+                    );
+                    false
+                }
+                Ok(_) => panic!("{backend:?}/{transport:?}: unsolicited bytes when idle"),
                 Err(e)
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => panic!("{backend:?}: {e}"),
-            }
+                    ) =>
+                {
+                    true
+                }
+                Err(e) => panic!("{backend:?}/{transport:?}: {e}"),
+            });
             assert!(
                 connected.elapsed() < std::time::Duration::from_secs(10),
                 "{backend:?}: idle connection never reaped"
             );
-        };
-        assert!(
-            reaped_after >= std::time::Duration::from_millis(300),
-            "{backend:?}: reaped after {reaped_after:?}, before a full idle window"
-        );
+        }
         // The active client outlived several windows and still works.
         while connected.elapsed() < std::time::Duration::from_millis(1200) {
             assert_eq!(active.ping(2).unwrap(), 2, "{backend:?}");
@@ -999,22 +1108,6 @@ fn v1_lines_pipelined_after_quit_are_discarded() {
     daemon.shutdown();
 }
 
-/// `low_latency` is a no-op alias since the reactor rewrite: it must
-/// behave exactly like the default config (and still serve traffic).
-#[test]
-fn low_latency_alias_still_serves() {
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::low_latency(2)).unwrap();
-    let mut cl = V2Client::connect(daemon.addr()).unwrap();
-    assert_eq!(cl.ping(42).unwrap(), 42);
-    let reference_decision = {
-        let mut reference = policy();
-        reference.decide(&ctx("Digit2000", 2, true))
-    };
-    assert_eq!(cl.decide("Digit2000", "k", 2, true).unwrap(), reference_decision);
-    daemon.shutdown();
-}
-
 /// A pipelined burst of TABLE requests far above the outbuf high-water
 /// cap: every reply must still arrive, in order, while the cap paces
 /// processing against the socket drain (no reply may be dropped when
@@ -1022,6 +1115,7 @@ fn low_latency_alias_still_serves() {
 #[test]
 fn outbuf_cap_preserves_every_reply_under_pipelined_table_burst() {
     use std::io::{Read, Write};
+    use xar_trek::sched::obs;
     let daemon = spawn_sharded(
         &policy(),
         EngineConfig::default(),
@@ -1030,47 +1124,77 @@ fn outbuf_cap_preserves_every_reply_under_pipelined_table_burst() {
         ServerConfig { outbuf_high_water: 64, ..ServerConfig::default() },
     )
     .unwrap();
-    let mut s = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
-    // Big enough that the replies (~200 B each) overflow the kernel
-    // send buffer: the pump must pause at the cap, park on write
-    // interest, and resume processing as this client drains — with
-    // unprocessed frames still buffered after the backlog flushes.
-    const BURST: usize = 16 * 1024;
-    let mut reqs = Vec::new();
-    for _ in 0..BURST {
-        xar_trek::sched::wire::encode_request(&xar_trek::sched::wire::Request::Table, &mut reqs);
-    }
-    s.write_all(&reqs).unwrap();
-    // Read the handshake echo, then exactly BURST table replies.
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    let mut tables = 0usize;
-    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-    let mut hs_done = false;
-    while tables < BURST {
-        let n = s.read(&mut scratch).unwrap();
-        assert!(n > 0, "server hung after {tables} replies");
-        buf.extend_from_slice(&scratch[..n]);
-        if !hs_done {
-            if buf.len() < xar_trek::sched::wire::HANDSHAKE_LEN {
-                continue;
-            }
-            buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN);
-            hs_done = true;
+    let mut control = V2Client::connect(daemon.addr()).unwrap();
+    for transport in Transport::ALL {
+        let pauses_before = stat(&mut control, obs::tags::BACKPRESSURE_PAUSES);
+        let mut s = dial(daemon.addr(), transport);
+        s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
+        // Big enough that the replies (~200 B each) overflow the kernel
+        // send buffer: the pump must pause at the cap, park on write
+        // interest, and resume processing as this client drains — with
+        // unprocessed frames still buffered after the backlog flushes.
+        const BURST: usize = 16 * 1024;
+        let mut reqs = Vec::new();
+        for _ in 0..BURST {
+            xar_trek::sched::wire::encode_request(
+                &xar_trek::sched::wire::Request::Table,
+                &mut reqs,
+            );
         }
-        while let Some((total, range)) = xar_trek::sched::wire::frame_in(&buf).unwrap() {
-            match xar_trek::sched::wire::decode_response(&buf[range]).unwrap() {
-                xar_trek::sched::wire::Response::Table(entries) => {
-                    assert_eq!(entries.len(), 5, "reply {tables}");
+        s.write_all(&reqs).unwrap();
+        // A Unix socket buffers a fraction of what autotuned TCP does,
+        // so there the 3 MB of replies back up for certain: hold off
+        // reading until the daemon has paused, then drain. (Loopback
+        // TCP may swallow the lot; it is the burst's order and count
+        // that are checked there.)
+        if transport == Transport::Local {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while stat(&mut control, obs::tags::BACKPRESSURE_PAUSES) == pauses_before {
+                assert!(std::time::Instant::now() < deadline, "local socket never backed up");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        }
+        // Read the handshake echo, then exactly BURST table replies.
+        let mut buf = Vec::new();
+        let mut scratch = [0u8; 4096];
+        let mut tables = 0usize;
+        s.set_read_timeout(std::time::Duration::from_secs(10));
+        let mut hs_done = false;
+        while tables < BURST {
+            let n = s.read(&mut scratch).unwrap();
+            assert!(n > 0, "{transport:?}: server hung after {tables} replies");
+            buf.extend_from_slice(&scratch[..n]);
+            if !hs_done {
+                if buf.len() < xar_trek::sched::wire::HANDSHAKE_LEN {
+                    continue;
                 }
-                other => panic!("reply {tables}: unexpected {other:?}"),
+                buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN);
+                hs_done = true;
             }
-            buf.drain(..total);
-            tables += 1;
+            while let Some((total, range)) = xar_trek::sched::wire::frame_in(&buf).unwrap() {
+                match xar_trek::sched::wire::decode_response(&buf[range]).unwrap() {
+                    xar_trek::sched::wire::Response::Table(entries) => {
+                        assert_eq!(entries.len(), 5, "{transport:?}: reply {tables}");
+                    }
+                    other => panic!("{transport:?}: reply {tables}: unexpected {other:?}"),
+                }
+                buf.drain(..total);
+                tables += 1;
+            }
+        }
+        assert_eq!(tables, BURST, "{transport:?}");
+        if transport == Transport::Local {
+            // Every pause was released again: the connection ended
+            // flushed, not parked on write interest.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while stat(&mut control, obs::tags::BACKPRESSURE_RESUMES)
+                < stat(&mut control, obs::tags::BACKPRESSURE_PAUSES)
+            {
+                assert!(std::time::Instant::now() < deadline, "a pause was never resumed");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
         }
     }
-    assert_eq!(tables, BURST);
     daemon.shutdown();
 }
 
@@ -1292,4 +1416,348 @@ fn fleet_trace_records_lifecycle_events_in_per_worker_order() {
     assert!(reaps >= CLIENTS as u64, "only {reaps} reaps traced");
     assert!(publishes >= 1, "no flush_publish event traced despite 128 reports");
     daemon.shutdown();
+}
+
+/// A hand-rolled v2 peer over a [`RawConn`]: the public `wire`
+/// functions and nothing else, so it is on TCP for certain (a
+/// `V2Client` given a loopback address is not).
+struct RawV2 {
+    conn: RawConn,
+    send: Vec<u8>,
+    recv: Vec<u8>,
+}
+
+impl RawV2 {
+    fn connect(addr: std::net::SocketAddr, transport: Transport) -> RawV2 {
+        use std::io::{Read, Write};
+        use xar_trek::sched::wire;
+        let mut conn = dial(addr, transport);
+        conn.set_read_timeout(std::time::Duration::from_secs(10));
+        conn.write_all(&wire::handshake(wire::VERSION)).unwrap();
+        let mut hs = [0u8; wire::HANDSHAKE_LEN];
+        conn.read_exact(&mut hs).unwrap();
+        assert_eq!(wire::parse_handshake(&hs).unwrap(), wire::VERSION);
+        RawV2 { conn, send: Vec::new(), recv: Vec::new() }
+    }
+
+    /// One request, one reply frame; the reply's payload is in
+    /// `self.recv[range]`.
+    fn roundtrip(&mut self, req: &xar_trek::sched::wire::Request<'_>) -> std::ops::Range<usize> {
+        use std::io::{Read, Write};
+        use xar_trek::sched::wire;
+        self.send.clear();
+        wire::encode_request(req, &mut self.send);
+        self.conn.write_all(&self.send).unwrap();
+        self.recv.clear();
+        let mut scratch = [0u8; 1024];
+        loop {
+            if let Some((_, range)) = wire::frame_in(&self.recv).unwrap() {
+                return range;
+            }
+            let n = self.conn.read(&mut scratch).unwrap();
+            assert!(n > 0, "daemon closed mid-reply");
+            self.recv.extend_from_slice(&scratch[..n]);
+        }
+    }
+
+    fn decide(&mut self, app: &str, x86_load: u32) -> Decision {
+        use xar_trek::sched::wire::{decode_response, Request, Response};
+        let range = self.roundtrip(&Request::Decide {
+            app,
+            kernel: "k",
+            x86_load,
+            arm_load: 0,
+            kernel_resident: true,
+            device_ready: true,
+        });
+        match decode_response(&self.recv[range]).unwrap() {
+            Response::Decide { target, reconfigure } => Decision { target, reconfigure },
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    fn report(&mut self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
+        use xar_trek::sched::wire::{decode_response, Request, Response, WireReport};
+        let range = self.roundtrip(&Request::Report(WireReport { app, target, func_ms, x86_load }));
+        assert_eq!(decode_response(&self.recv[range]).unwrap(), Response::Ack(1));
+    }
+}
+
+/// A mixed fleet — N `V2Client`s, which a loopback address puts on the
+/// local socket, and N raw TCP peers — runs one decide/report trace
+/// against one daemon: every decision and the final table equal the
+/// sequential reference, and the daemon counted 2N accepts, N of them
+/// local. No switch forces either transport: the caller named the
+/// server, the client picked the socket. On both reactor backends.
+#[test]
+fn mixed_transport_fleet_matches_reference() {
+    use xar_trek::sched::obs;
+    const PER_KIND: usize = 8;
+    const ROUNDS: usize = 10;
+    for backend in [BackendKind::default(), BackendKind::Poll] {
+        let daemon = spawn_sharded(
+            &policy(),
+            EngineConfig { shards: 8, batch: 4 },
+            ServerConfig { workers: 4, backend, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let addr = daemon.addr();
+        let mut reference = policy();
+        let expected: Vec<(Decision, Decision)> = APPS
+            .iter()
+            .map(|app| {
+                (reference.decide(&ctx(app, 2, true)), reference.decide(&ctx(app, 200, true)))
+            })
+            .collect();
+        // Everyone decides against the quiescent table, then (all
+        // decides done) reports; the connections stay open until the
+        // counters were read, so `accepted` is exact.
+        let decided = Arc::new(std::sync::Barrier::new(2 * PER_KIND));
+        let counted = Arc::new(std::sync::Barrier::new(2 * PER_KIND + 1));
+        let handles: Vec<_> = (0..2 * PER_KIND)
+            .map(|c| {
+                let (decided, counted) = (decided.clone(), counted.clone());
+                std::thread::spawn(move || {
+                    let app = APPS[c % APPS.len()];
+                    let mut got = Vec::with_capacity(ROUNDS);
+                    if c < PER_KIND {
+                        let mut cl = V2Client::connect(addr).unwrap();
+                        for _ in 0..ROUNDS {
+                            got.push((
+                                cl.decide(app, "k", 2, true).unwrap(),
+                                cl.decide(app, "k", 200, true).unwrap(),
+                            ));
+                        }
+                        decided.wait();
+                        for _ in 0..ROUNDS {
+                            cl.report(app, Target::Fpga, 1e9, 2).unwrap();
+                        }
+                        counted.wait();
+                    } else {
+                        let mut cl = RawV2::connect(addr, Transport::Tcp);
+                        for _ in 0..ROUNDS {
+                            got.push((cl.decide(app, 2), cl.decide(app, 200)));
+                        }
+                        decided.wait();
+                        for _ in 0..ROUNDS {
+                            cl.report(app, Target::Fpga, 1e9, 2);
+                        }
+                        counted.wait();
+                    }
+                    (c, got)
+                })
+            })
+            .collect();
+        // Reading the counters is itself a connection: a legacy text
+        // one, so TCP.
+        let dump = {
+            // Wait for the fleet to finish its trace before counting.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while daemon.engine().metrics_total().decides < (2 * PER_KIND * ROUNDS * 2) as u64 {
+                assert!(std::time::Instant::now() < deadline, "{backend:?}: fleet stalled");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            v1_query(addr, "DUMP\n")
+        };
+        counted.wait();
+        for h in handles {
+            let (c, got) = h.join().unwrap();
+            for pair in got {
+                assert_eq!(pair, expected[c % APPS.len()], "{backend:?}: client {c}");
+            }
+        }
+        let line = |tag: u16| {
+            let prefix = format!("xar_{} ", obs::tag_name(tag).unwrap());
+            let l = dump.lines().find(|l| l.starts_with(&prefix)).expect("counter in DUMP");
+            l[prefix.len()..].parse::<u64>().unwrap()
+        };
+        let local_kind = if Transport::ALL.contains(&Transport::Local) { PER_KIND } else { 0 };
+        assert_eq!(line(obs::tags::ACCEPTED_CONNS), 2 * PER_KIND as u64 + 1, "{backend:?}");
+        assert_eq!(line(obs::tags::ACCEPTED_LOCAL_CONNS), local_kind as u64, "{backend:?}");
+
+        // The same reports, one after another.
+        for c in 0..2 * PER_KIND {
+            for _ in 0..ROUNDS {
+                reference.on_complete(&CompletionReport {
+                    app: APPS[c % APPS.len()],
+                    target: Target::Fpga,
+                    func_ms: 1e9,
+                    x86_load: 2,
+                });
+            }
+        }
+        daemon.engine().flush();
+        let want: Vec<_> =
+            reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
+        let got: Vec<_> =
+            daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
+        assert_eq!(got, want, "{backend:?}: identical convergence");
+        daemon.shutdown();
+    }
+}
+
+/// Fallback: a loopback port with only a TCP listener behind it — the
+/// `xar-chaos` proxy, or any TCP-only peer — is reached over TCP by the
+/// very same `V2Client::connect`, and `connect_with`'s deadlines still
+/// fire on that path.
+#[test]
+fn loopback_dial_falls_back_to_tcp_without_a_local_listener() {
+    use xar_chaos::{ChaosProxy, FaultPlan};
+    use xar_trek::sched::obs;
+    let daemon =
+        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::default()).unwrap();
+    let proxy = ChaosProxy::spawn(daemon.addr(), FaultPlan::passthrough()).unwrap();
+    let mut via_proxy = V2Client::connect(proxy.addr()).unwrap();
+    assert_eq!(via_proxy.ping(11).unwrap(), 11);
+    assert_eq!(proxy.connections(), 1, "the client bypassed the proxy");
+    // The daemon saw the proxy's upstream TCP connection, nothing local.
+    assert_eq!(stat(&mut via_proxy, obs::tags::ACCEPTED_CONNS), 1);
+    assert_eq!(stat(&mut via_proxy, obs::tags::ACCEPTED_LOCAL_CONNS), 0);
+    drop(via_proxy);
+
+    // A TCP-only peer that accepts and then says nothing: the local
+    // dial fails at once, TCP connects, and the handshake read gives up
+    // at the deadline instead of hanging.
+    let mute = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let started = std::time::Instant::now();
+    let timeout = std::time::Duration::from_millis(200);
+    let err = V2Client::connect_with(mute.local_addr().unwrap(), Some(timeout), Some(timeout))
+        .unwrap_err();
+    assert!(err.to_string().contains("no v2 handshake"), "{err}");
+    assert!(started.elapsed() >= timeout, "gave up before the deadline");
+    assert!(started.elapsed() < std::time::Duration::from_secs(5), "deadline did not fire");
+    assert!(mute.accept().is_ok(), "the fallback never reached the TCP listener");
+    daemon.shutdown();
+}
+
+/// A quarantine earned over the local socket bans the loopback
+/// address: the offender's next connect is refused on the local socket
+/// *and* over TCP, while a connection admitted earlier keeps working.
+#[cfg(target_os = "linux")]
+#[test]
+fn quarantine_earned_on_the_local_socket_refuses_both_transports() {
+    use std::io::{Read, Write};
+    use xar_trek::sched::{obs, wire};
+    let daemon = spawn_sharded(
+        &policy(),
+        EngineConfig::default(),
+        ServerConfig { quarantine_errors: 2, quarantine_secs: 60, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let addr = daemon.addr();
+    let mut innocent = V2Client::connect(addr).unwrap();
+
+    let mut offender = dial(addr, Transport::Local);
+    let mut bad = wire::handshake(wire::VERSION).to_vec();
+    for _ in 0..2 {
+        // An unknown opcode in a well-formed frame.
+        bad.extend_from_slice(&1u32.to_le_bytes());
+        bad.push(0x7F);
+    }
+    offender.write_all(&bad).unwrap();
+    offender.set_read_timeout(std::time::Duration::from_secs(10));
+    let mut scratch = [0u8; 4096];
+    // Cut off: handshake echo, R_ERR frames, then EOF or a reset.
+    loop {
+        match offender.read(&mut scratch) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+    assert_eq!(stat(&mut innocent, obs::tags::QUARANTINES), 1);
+
+    for transport in Transport::ALL {
+        let mut again = dial(addr, transport);
+        // Refused at accept: on the local socket the daemon's close
+        // can already fail this write (EPIPE), which is as good an
+        // answer as the EOF below.
+        let _ = again.write_all(&wire::handshake(wire::VERSION));
+        again.set_read_timeout(std::time::Duration::from_secs(10));
+        match again.read(&mut scratch) {
+            Ok(0) | Err(_) => {}
+            Ok(n) => panic!("{transport:?}: quarantined peer was served {n} bytes"),
+        }
+    }
+    assert!(V2Client::connect(addr).is_err(), "the client library got past the ban");
+    assert_eq!(innocent.ping(3).unwrap(), 3, "established connection killed by the quarantine");
+    assert_eq!(stat(&mut innocent, obs::tags::REJECTED_CONNS), 3, "one per refused connect");
+    daemon.shutdown();
+}
+
+/// The local name is part of the daemon's address: with
+/// `xar-sched:<port>` squatted a spawn on that port fails `AddrInUse`
+/// like a taken TCP port — before any thread exists, leaving the TCP
+/// port free — and a killed daemon's name is free for its successor at
+/// once.
+#[cfg(target_os = "linux")]
+#[test]
+fn squatted_local_name_fails_spawn_and_a_kill_frees_it_at_once() {
+    use std::os::linux::net::SocketAddrExt;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use xar_trek::core::server::spawn_sharded_at;
+    use xar_trek::sched::obs;
+
+    /// Sets its flag when dropped: the engine (hence every thread that
+    /// would hold it) is gone.
+    struct Tracked(Arc<AtomicBool>);
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    impl xar_trek::sched::PolicyCore for Tracked {
+        type Snap = ();
+        fn snapshot(&self) -> Self::Snap {}
+        fn decide(_snap: &Self::Snap, _ctx: &DecideCtx<'_>) -> Decision {
+            Decision::to(Target::X86)
+        }
+        fn apply(&mut self, _report: &CompletionReport<'_>) {}
+        fn entries(&self) -> Vec<xar_trek::sched::TableEntry> {
+            Vec::new()
+        }
+    }
+
+    // A port below the ephemeral range (32768 up, by default): while
+    // its name is squatted no concurrently running test's daemon can be
+    // dealt it by a `bind(0)`.
+    let addr = (20_000 + std::process::id() as u16 % 8_000..28_000)
+        .map(|port| std::net::SocketAddr::from(([127, 0, 0, 1], port)))
+        .find(|addr| std::net::TcpListener::bind(addr).is_ok())
+        .expect("a free port below the ephemeral range");
+    let name = xar_trek::sched::local_name(addr.port());
+    let squatter = std::os::unix::net::UnixListener::bind_addr(
+        &std::os::unix::net::SocketAddr::from_abstract_name(&name).unwrap(),
+    )
+    .unwrap();
+
+    let dropped = Arc::new(AtomicBool::new(false));
+    let engine = xar_trek::sched::ShardedEngine::from_shards(vec![Tracked(dropped.clone())], 1);
+    let err = match xar_trek::sched::Server::spawn_at(engine, ServerConfig::default(), addr) {
+        Err(e) => e,
+        Ok(_) => panic!("spawned over a squatted local name"),
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    assert!(dropped.load(Ordering::SeqCst), "a thread outlived the failed spawn");
+    let err = spawn_sharded_at(&policy(), EngineConfig::default(), ServerConfig::default(), addr)
+        .err()
+        .expect("spawned over a squatted local name");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    // The failed spawns left the TCP port free.
+    drop(std::net::TcpListener::bind(addr).expect("TCP port leaked by the failed spawn"));
+
+    // Name released: the spawn goes through, and a kill (no drain, no
+    // snapshot) hands both the port and the name to the next daemon.
+    drop(squatter);
+    let first = spawn_sharded_at(&policy(), EngineConfig::default(), ServerConfig::default(), addr)
+        .unwrap();
+    let mut cl = V2Client::connect(addr).unwrap();
+    assert_eq!(stat(&mut cl, obs::tags::ACCEPTED_LOCAL_CONNS), 1);
+    drop(cl);
+    first.kill();
+    let second =
+        spawn_sharded_at(&policy(), EngineConfig::default(), ServerConfig::default(), addr)
+            .expect("a killed daemon's port or name was still held");
+    let mut cl = V2Client::connect(addr).unwrap();
+    assert_eq!(stat(&mut cl, obs::tags::ACCEPTED_LOCAL_CONNS), 1, "reconnected over TCP");
+    second.shutdown();
 }
