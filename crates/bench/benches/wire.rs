@@ -2,8 +2,9 @@
 //! against each other over real localhost TCP:
 //!
 //! * **decide round trip** — the hot path every instrumented call
-//!   takes: v1 text line against the thread-per-client server vs v2
-//!   binary frame against the sharded worker-pool daemon;
+//!   takes: v1 text line against the one-shard `SchedulerServer` vs
+//!   v2 binary frame against the sharded daemon (one server, two
+//!   protocols and configurations);
 //! * **report ingestion** — Algorithm 1 telemetry: v1's one-RTT-per-
 //!   REPORT vs v2's BatchReport frame carrying 256 reports at once;
 //! * **framing only** — encode+decode cost of one decide
@@ -138,7 +139,8 @@ fn bench_framing_only(c: &mut Criterion) {
 /// Prints the decide-path engine metrics after a burst, as a smoke
 /// check that telemetry is wired through the daemon.
 fn bench_engine_decide(c: &mut Criterion) {
-    let engine = sharded_engine(&policy(), EngineConfig::default());
+    let engine = std::sync::Arc::new(sharded_engine(&policy(), EngineConfig::default()));
+    let mut handle = engine.handle();
     let ctx = xar_desim::DecideCtx {
         app: "Digit2000",
         kernel: "KNL_HW_DR200",
@@ -149,7 +151,7 @@ fn bench_engine_decide(c: &mut Criterion) {
         now_ns: 0.0,
     };
     c.bench_function("engine-decide-lock-free", |b| {
-        b.iter(|| engine.decide(std::hint::black_box(&ctx)))
+        b.iter(|| handle.decide(std::hint::black_box(&ctx)))
     });
     println!("engine telemetry: {}", engine.metrics_total());
 }

@@ -9,7 +9,7 @@
 //! With no argument, runs `all`. Absolute numbers come from the
 //! simulated testbed (calibrated against the paper's Table 1); the
 //! claims to check are the *shapes* — who wins, by what factor, where
-//! the crossovers fall. See `EXPERIMENTS.md`.
+//! the crossovers fall (`tests/experiment_shapes.rs` pins them).
 //!
 //! The tables go to stdout; each one's host wall-clock goes to stderr as
 //! a `# <name>: <seconds> s` line, so stdout stays comparable byte for

@@ -1,6 +1,6 @@
 //! Experiment drivers: one function per table/figure of the paper's
 //! evaluation (§4). The `xar-experiments` binary in `xar-bench` prints
-//! their output; `EXPERIMENTS.md` records paper-vs-measured.
+//! their output.
 
 use crate::policy::XarTrekPolicy;
 use rand::prelude::*;
@@ -589,7 +589,7 @@ mod tests {
         // non-compute-intensive applications grows. (Our ARM path does
         // not charge per-access DSM overheads during CG's execution, so
         // unlike the paper's last point Xar-Trek does not fall *below*
-        // vanilla; see EXPERIMENTS.md.)
+        // vanilla.)
         let gain100 = val(&e, "vanilla-x86", "100%") / val(&e, "xar-trek", "100%");
         assert!(gain100 < gain0, "gain must shrink: 0% → {gain0}, 100% → {gain100}");
     }

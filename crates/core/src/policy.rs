@@ -561,7 +561,8 @@ mod tests {
         // sharded engine with batch=1; tables must converge
         // identically and every decision must match.
         let mut seq = policy();
-        let engine = xar_sched::ShardedEngine::from_shards(policy().split_shards(4), 1);
+        let engine = Arc::new(xar_sched::ShardedEngine::from_shards(policy().split_shards(4), 1));
+        let mut handle = engine.handle();
         let apps = ["Digit2000", "CG-A", "FaceDet320", "Digit500", "FaceDet640"];
         for round in 0..50usize {
             let app = apps[round % apps.len()];
@@ -575,7 +576,7 @@ mod tests {
                 device_ready: true,
                 now_ns: 0.0,
             };
-            assert_eq!(engine.decide(&ctx), seq.decide(&ctx), "round {round}");
+            assert_eq!(handle.decide(&ctx), seq.decide(&ctx), "round {round}");
             let report = CompletionReport {
                 app,
                 target: if round % 2 == 0 { Target::Fpga } else { Target::X86 },
@@ -583,7 +584,7 @@ mod tests {
                 x86_load: load,
             };
             seq.on_complete(&report);
-            engine.report(xar_sched::ReportOwned::from(&report));
+            engine.ingest(report.app, report.target, report.func_ms, report.x86_load as u32);
         }
         let seq_rows: Vec<_> =
             seq.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();

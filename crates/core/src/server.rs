@@ -18,22 +18,19 @@
 //! S→C: <n> lines of the threshold table, then END
 //! ```
 //!
-//! This module keeps the paper-faithful v1 server (thread-per-client,
-//! one policy mutex) and delegates the production path to
-//! [`xar_sched`]: [`spawn_sharded`] serves the same policy as a
-//! sharded, worker-pooled daemon speaking the binary v2 protocol
-//! (with v1 text fallback on the same port). The `xar_sched` client,
-//! server, and engine types are re-exported here.
+//! There is one server: [`xar_sched`]'s sharded, worker-pooled daemon,
+//! which speaks the binary v2 protocol and the text protocol above on
+//! the same port. [`SchedulerServer`] is that daemon at one shard and
+//! report batch 1 — the paper's single-policy server, report for
+//! report — and [`spawn_sharded`] the production configuration. The
+//! `xar_sched` client, server, and engine types are re-exported here.
 
 use crate::policy::XarTrekPolicy;
-use parking_lot::Mutex;
+use crate::thresholds::{ThresholdEntry, ThresholdTable};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
-use xar_sched::wire::{self, parse_target, target_str};
+use std::net::{SocketAddr, TcpStream};
+use xar_desim::{Decision, Target};
+use xar_sched::wire::{parse_target, target_str};
 
 pub use xar_sched::{
     BackendKind, DaemonStats, EngineConfig, MetricsSnapshot, ObsSnapshot, ResilientClient,
@@ -83,13 +80,11 @@ pub fn spawn_sharded_at(
     xar_sched::Server::spawn_at(sharded_engine(policy, engine_config), server_config, bind)
 }
 
-/// A running scheduler server. Dropping it shuts the server down.
-pub struct SchedulerServer {
-    addr: SocketAddr,
-    policy: Arc<Mutex<XarTrekPolicy>>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
+/// The paper's scheduler server (§3.2): the daemon over a single policy
+/// shard applying every report as it arrives. Being the daemon, it also
+/// answers `DUMP`/`TRACE`/`SERIES`/`RATE` and protocol v2. Dropping it
+/// shuts the server down.
+pub struct SchedulerServer(ShardedSchedulerServer);
 
 impl SchedulerServer {
     /// Spawns the server on an ephemeral localhost port.
@@ -98,138 +93,27 @@ impl SchedulerServer {
     ///
     /// Propagates socket errors.
     pub fn spawn(policy: XarTrekPolicy) -> std::io::Result<SchedulerServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        // Nonblocking accept: the loop observes the stop flag within
-        // one poll interval even if no client ever connects again
-        // (a blocking accept would park `Drop` until the next
-        // connection arrived).
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let policy = Arc::new(Mutex::new(policy));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (p2, s2) = (policy.clone(), stop.clone());
-        let handle = std::thread::spawn(move || {
-            while !s2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let p3 = p2.clone();
-                        // One thread per client, like one scheduler-client
-                        // instance per application binary.
-                        std::thread::spawn(move || serve_client(stream, p3));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_micros(500));
-                    }
-                    Err(_) => std::thread::sleep(std::time::Duration::from_micros(500)),
-                }
-            }
-        });
-        Ok(SchedulerServer { addr, policy, stop, handle: Some(handle) })
+        spawn_sharded(&policy, EngineConfig { shards: 1, batch: 1 }, ServerConfig::default())
+            .map(SchedulerServer)
     }
 
     /// The server's socket address (for clients).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Snapshot of the (dynamically updated) threshold table.
-    pub fn table(&self) -> crate::thresholds::ThresholdTable {
-        self.policy.lock().table.clone()
+    pub fn table(&self) -> ThresholdTable {
+        let mut table = ThresholdTable::new();
+        for TableEntry { app, kernel, fpga_thr, arm_thr } in self.0.engine().table() {
+            table.insert(ThresholdEntry { app, kernel, fpga_thr, arm_thr });
+        }
+        table
     }
 
-    /// Requests shutdown and joins the accept thread.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SchedulerServer {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_inner();
-        }
-    }
-}
-
-fn serve_client(stream: TcpStream, policy: Arc<Mutex<XarTrekPolicy>>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut line = String::new();
-    // Reused across requests: replies are written into this buffer via
-    // the shared `wire` into-buffer formatters, so the steady state
-    // allocates no per-reply String.
-    let mut reply: Vec<u8> = Vec::with_capacity(256);
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        reply.clear();
-        // Shared v1 grammar: the daemon's fallback in `xar-sched` uses
-        // the same parser, so the two servers cannot drift.
-        match wire::parse_v1_line(line.trim_end_matches(['\r', '\n'])) {
-            Some(wire::V1Request::Decide { app, kernel, x86_load, kernel_resident }) => {
-                let ctx = DecideCtx {
-                    app,
-                    kernel,
-                    x86_load: x86_load as usize,
-                    arm_load: 0,
-                    kernel_resident,
-                    device_ready: true,
-                    now_ns: 0.0,
-                };
-                let d = policy.lock().decide(&ctx);
-                wire::v1_decide_reply_into(&d, &mut reply);
-            }
-            Some(wire::V1Request::Report { app, target, func_ms, x86_load }) => {
-                policy.lock().on_complete(&CompletionReport {
-                    app,
-                    target,
-                    func_ms,
-                    // Saturate exactly like the daemon's v1 fallback so
-                    // absurd loads cannot make the two servers diverge
-                    // (algorithm1 truncates to u32 internally).
-                    x86_load: x86_load.min(u32::MAX as u64) as usize,
-                });
-                reply.extend_from_slice(b"OK\n");
-            }
-            Some(wire::V1Request::Table) => {
-                let t = policy.lock().table.clone();
-                for e in t.iter() {
-                    wire::v1_table_row_into(&e.app, &e.kernel, e.fpga_thr, e.arm_thr, &mut reply);
-                }
-                reply.extend_from_slice(b"END\n");
-            }
-            Some(wire::V1Request::Quit) => return,
-            // Observability commands belong to the daemon (`xar-sched`
-            // carries the trace rings and exposition); the paper's
-            // thread-per-client server answers ERR like any other
-            // unknown command, keeping the shared grammar total.
-            Some(
-                wire::V1Request::Dump
-                | wire::V1Request::Trace { .. }
-                | wire::V1Request::Series { .. }
-                | wire::V1Request::Rate { .. },
-            ) => {
-                reply.extend_from_slice(b"ERR\n");
-            }
-            None => reply.extend_from_slice(b"ERR\n"),
-        }
-        if writer.write_all(&reply).is_err() {
-            return;
-        }
+    /// Requests shutdown and joins the daemon's threads.
+    pub fn shutdown(self) {
+        self.0.shutdown();
     }
 }
 
@@ -313,9 +197,9 @@ impl SchedulerClient {
     /// # Errors
     ///
     /// Propagates socket/protocol errors.
-    pub fn fetch_table(&mut self) -> std::io::Result<crate::thresholds::ThresholdTable> {
+    pub fn fetch_table(&mut self) -> std::io::Result<ThresholdTable> {
         self.writer.write_all(b"TABLE\n")?;
-        let mut table = crate::thresholds::ThresholdTable::new();
+        let mut table = ThresholdTable::new();
         loop {
             let mut line = String::new();
             if self.reader.read_line(&mut line)? == 0 {
@@ -330,7 +214,7 @@ impl SchedulerClient {
                 let (Ok(f), Ok(a)) = (f.parse(), a.parse()) else {
                     return Err(std::io::Error::other("bad table line"));
                 };
-                table.insert(crate::thresholds::ThresholdEntry {
+                table.insert(ThresholdEntry {
                     app: app.to_string(),
                     kernel: kernel.to_string(),
                     fpga_thr: f,
@@ -410,15 +294,18 @@ mod tests {
         let started = std::time::Instant::now();
         let server = spawn_server();
         drop(server);
-        // The old accept loop blocked until the *next* connection; the
-        // nonblocking loop must exit within a few poll intervals.
+        // Shutdown wakes the acceptor and workers; it must not wait for
+        // a next connection to arrive.
         assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }
 
     #[test]
     fn sharded_daemon_v2_matches_v1_decisions() {
+        use xar_desim::{DecideCtx, Policy};
         let specs: Vec<_> = all_profiles().iter().map(|p| p.job()).collect();
-        let policy = XarTrekPolicy::from_specs(&specs, &ClusterConfig::default());
+        // The in-process policy is the reference for both protocols
+        // (and both shardings: one shard behind v1, eight behind v2).
+        let mut policy = XarTrekPolicy::from_specs(&specs, &ClusterConfig::default());
         let v1 = SchedulerServer::spawn(policy.clone()).unwrap();
         let v2 = spawn_sharded(&policy, EngineConfig::default(), ServerConfig::default()).unwrap();
         let mut c1 = SchedulerClient::connect(v1.addr()).unwrap();
@@ -426,9 +313,19 @@ mod tests {
         for load in [0u32, 1, 5, 20, 40, 80, 120] {
             for resident in [false, true] {
                 for app in ["Digit2000", "CG-A", "FaceDet320", "nope"] {
+                    let want = policy.decide(&DecideCtx {
+                        app,
+                        kernel: "k",
+                        x86_load: load as usize,
+                        arm_load: 0,
+                        kernel_resident: resident,
+                        device_ready: true,
+                        now_ns: 0.0,
+                    });
                     let d1 = c1.decide(app, "k", load as usize, resident).unwrap();
                     let d2 = c2.decide(app, "k", load, resident).unwrap();
-                    assert_eq!(d1, d2, "{app} load={load} resident={resident}");
+                    assert_eq!(d1, want, "v1 {app} load={load} resident={resident}");
+                    assert_eq!(d2, want, "v2 {app} load={load} resident={resident}");
                 }
             }
         }

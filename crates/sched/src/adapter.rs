@@ -12,9 +12,8 @@ use xar_desim::{CompletionReport, DecideCtx, Decision, Policy};
 /// A `Policy` that routes every simulator callback through a shared
 /// sharded engine. Clone handles freely — all of them hit the same
 /// engine, like many scheduler clients hitting one daemon. Each clone
-/// owns its own [`DecideHandle`] (the daemon's per-worker hot path),
-/// so the simulator exercises the cached wait-free decide path, not
-/// the locked fallback.
+/// owns its own [`DecideHandle`] — the daemon's per-worker hot path,
+/// and the engine's only decide path.
 pub struct ShardedPolicy<P: PolicyCore> {
     handle: DecideHandle<P>,
     /// Reusable grouping/decision scratch for the batch door.
@@ -59,8 +58,8 @@ impl<P: PolicyCore> Policy for ShardedPolicy<P> {
     }
 
     fn on_complete(&mut self, report: &CompletionReport<'_>) {
-        // The borrowed ingest path: the engine interns the app name, so
-        // a steady simulation allocates no per-report strings.
+        // The engine interns the app name, so a steady simulation
+        // allocates no per-report strings.
         self.handle.engine().ingest(
             report.app,
             report.target,

@@ -44,16 +44,18 @@
 //! `version, opened, replayed, sessions[(id, hwm, replayed_hwm)],
 //! shard-state blobs` — policy state via [`PolicyCore::save_state`]
 //! plus the full session table, as of the manifest's WAL watermark.
-//! Recovery = load newest valid snapshot, replay the WAL suffix.
+//! Recovery = load newest valid snapshot, replay the WAL suffix — each
+//! report record re-enters the engine through
+//! [`ShardedEngine::report_batch_wire`], the door live traffic uses, as
+//! reports borrowed from the record payload.
 
-use crate::engine::{PolicyCore, ReportOwned, RowRef, ShardedEngine};
+use crate::engine::{BatchScratch, PolicyCore, RowRef, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::wire::{target_from_byte, target_to_byte, WireReport};
 use parking_lot::Mutex;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use xar_obs::Tracer;
 
 pub use xar_dur::FsyncPolicy;
@@ -158,10 +160,10 @@ impl Durability {
     /// Opens the durability dir and runs startup recovery against the
     /// (not-yet-serving) engine and session table: load the newest
     /// valid snapshot, then replay the WAL suffix above its watermark.
-    /// Replayed report records flow through the engine's normal ingest
-    /// paths, so `REPORTS`/`REPORT_BATCHES` stay continuous across the
-    /// restart — the recovered daemon's counters describe everything
-    /// it has ever durably ingested.
+    /// Replayed report records re-enter through the engine's one
+    /// ingest path, so `REPORTS`/`REPORT_BATCHES` stay continuous
+    /// across the restart — the recovered daemon's counters describe
+    /// everything it has ever durably ingested.
     ///
     /// # Errors
     ///
@@ -184,8 +186,9 @@ impl Durability {
             segment_bytes: cfg.segment_bytes,
         })?;
         stats.torn_truncations = wal.truncations();
+        let mut scratch = BatchScratch::default();
         stats.replayed_records = wal.replay_after(stats.snapshot_watermark, |_lsn, payload| {
-            replay_record(payload, engine, sessions);
+            replay_record(payload, engine, sessions, &mut scratch);
         })?;
         // Apply below-batch-size remainders now: recovery must leave
         // the published decision snapshots equal to the full log.
@@ -236,12 +239,14 @@ impl Durability {
         Ok(lsn)
     }
 
-    /// Durable unsessioned batch ingest: journal, then apply. The ack
-    /// the caller sends is backed by the log (under `fsync = always`).
+    /// Durable unsessioned ingest (v2 `Report`/`BatchReport`, the v1
+    /// text `REPORT` line as a one-report batch): journal, then apply.
+    /// The ack the caller sends is backed by the log (under
+    /// `fsync = always`).
     pub fn ingest_batch<P: PolicyCore>(
         &self,
         engine: &ShardedEngine<P>,
-        scratch: &mut crate::engine::BatchScratch,
+        scratch: &mut BatchScratch,
         reports: &[WireReport<'_>],
         obs: Option<&mut Tracer>,
     ) -> io::Result<usize> {
@@ -250,22 +255,6 @@ impl Durability {
         encode_report_batch(reports, &mut buf);
         self.append(&buf, true)?;
         Ok(engine.report_batch_wire_obs(scratch, reports, obs))
-    }
-
-    /// Durable single-report ingest (the v2 `Report` op and the v1
-    /// text `REPORT` line): journaled as a one-report batch.
-    pub fn ingest_report<P: PolicyCore>(
-        &self,
-        engine: &ShardedEngine<P>,
-        report: &WireReport<'_>,
-        obs: Option<&mut Tracer>,
-    ) -> io::Result<()> {
-        let mut buf = self.ingest.lock();
-        buf.clear();
-        encode_report_batch(std::slice::from_ref(report), &mut buf);
-        self.append(&buf, true)?;
-        engine.ingest_obs(report.app, report.target, report.func_ms, report.x86_load, obs);
-        Ok(())
     }
 
     /// Durable seq-stamped batch ingest — the restart-safe
@@ -280,7 +269,7 @@ impl Durability {
         sessions: &SessionTable,
         session: u64,
         seq: u64,
-        scratch: &mut crate::engine::BatchScratch,
+        scratch: &mut BatchScratch,
         reports: &[WireReport<'_>],
         obs: Option<&mut Tracer>,
     ) -> io::Result<DurableSeqOutcome> {
@@ -480,7 +469,7 @@ impl<'a> Cur<'a> {
         std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
     }
 
-    fn reports(&mut self) -> Result<Vec<ReportOwned>, String> {
+    fn reports(&mut self) -> Result<Vec<WireReport<'a>>, String> {
         let n = self.u32()? as usize;
         // A corrupt count cannot pre-allocate unbounded memory: the
         // payload must actually hold that many minimum-size reports.
@@ -489,11 +478,11 @@ impl<'a> Cur<'a> {
         }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let app: Arc<str> = Arc::from(self.str()?);
+            let app = self.str()?;
             let target = target_from_byte(self.u8()?).map_err(|e| e.to_string())?;
             let func_ms = f64::from_bits(self.u64()?);
             let x86_load = self.u32()?;
-            out.push(ReportOwned { app, target, func_ms, x86_load });
+            out.push(WireReport { app, target, func_ms, x86_load });
         }
         Ok(out)
     }
@@ -505,13 +494,14 @@ fn replay_record<P: PolicyCore>(
     payload: &[u8],
     engine: &ShardedEngine<P>,
     sessions: &SessionTable,
+    scratch: &mut BatchScratch,
 ) {
     let mut c = Cur { b: payload, at: 0 };
     let Ok(tag) = c.u8() else { return };
     match tag {
         REC_REPORT_BATCH => {
             if let Ok(reports) = c.reports() {
-                engine.report_batch(reports);
+                engine.report_batch_wire(scratch, &reports);
             }
         }
         REC_SEQ_BATCH => {
@@ -521,7 +511,7 @@ fn replay_record<P: PolicyCore>(
             // re-ingests, so replaying a WAL that overlaps the
             // snapshot (or replaying twice) cannot double-apply.
             if sessions.advance(session, seq) == Some(SeqOutcome::Fresh) {
-                engine.report_batch(reports);
+                engine.report_batch_wire(scratch, &reports);
             }
         }
         REC_REPLAY_NOTE => {
@@ -607,6 +597,7 @@ fn restore_snapshot<P: PolicyCore>(
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, TableEntry};
+    use std::sync::Arc;
     use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
 
     /// Toy policy: counts per-app report totals (as `fpga_thr`) so
@@ -723,7 +714,7 @@ mod tests {
                 DurableSeqOutcome::Replay
             );
             d.ingest_batch(&e, &mut scratch, &[wire("gamma")], None).unwrap();
-            d.ingest_report(&e, &wire("alpha"), None).unwrap();
+            d.ingest_batch(&e, &mut scratch, &[wire("alpha")], None).unwrap();
         }
         // "Crash": nothing flushed or snapshotted; reopen on the dir.
         let e = engine();
@@ -740,6 +731,37 @@ mod tests {
         // a late retry, and the journaled dedup was re-counted.
         assert_eq!(sessions.advance(9, 1), Some(SeqOutcome::Replay));
         assert_eq!(sessions.replayed_total(), 1, "the note's dedup, counted once");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_counts_and_applies_exactly_like_live_ingest() {
+        let dir = tmp("live-path");
+        let mut scratch = Default::default();
+        let live = engine();
+        let sessions = SessionTable::new(8);
+        let (d, _) = Durability::open(cfg(&dir), &live, &sessions).unwrap();
+        // A one-report batch, a cross-shard batch and a seq batch. The
+        // engine batches by 2, so odd remainders strand in the shard
+        // queues until the final flush — live and after replay alike.
+        let cross = ["alpha", "beta", "gamma", "delta", "beta", "alpha", "epsilon"].map(wire);
+        let shards: std::collections::BTreeSet<_> =
+            cross.iter().map(|r| crate::engine::shard_of(r.app, live.shard_count())).collect();
+        assert!(shards.len() > 1, "the batch must span shards");
+        d.ingest_batch(&live, &mut scratch, &[wire("alpha")], None).unwrap();
+        d.ingest_batch(&live, &mut scratch, &cross, None).unwrap();
+        let seq = [wire("beta"), wire("zeta"), wire("beta")];
+        d.ingest_seq_batch(&live, &sessions, 5, 1, &mut scratch, &seq, None).unwrap();
+        drop(d);
+        live.flush();
+
+        let recovered = engine();
+        let (_d, rec) = Durability::open(cfg(&dir), &recovered, &SessionTable::new(8)).unwrap();
+        assert_eq!(rec.replayed_records, 3);
+        let (want, got) = (live.metrics_total(), recovered.metrics_total());
+        assert_eq!(got.reports, 11);
+        assert_eq!((got.reports, got.batches), (want.reports, want.batches));
+        assert_eq!(recovered.table(), live.table());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,8 +11,9 @@
 //!   once `batch` reports accumulate (or on an explicit flush) they are
 //!   applied in arrival order under the shard's state lock and the rows
 //!   they touched are published. With `batch = 1` the engine is
-//!   report-for-report identical to the v1 single-mutex server; larger
-//!   batches amortize the lock across many clients.
+//!   report-for-report identical to one sequential policy (the
+//!   paper's server); larger batches amortize the lock across many
+//!   clients.
 //!
 //! **What a publish is.** A flush asks the policy to refresh each
 //! touched row *inside* the already-published snapshot
@@ -29,11 +30,14 @@
 //! exactly: every report is applied to the same row state, in arrival
 //! order per shard.
 //!
-//! Two decision-identical decide paths exist (see [`crate::snapshot`]):
-//! [`ShardedEngine::decide`], callable through any `&ShardedEngine` at
-//! the cost of a reader lock plus an `Arc` refcount bump, and the
-//! worker-owned [`DecideHandle`], whose per-shard [`CachedSnap`] makes
-//! a steady-state decide one atomic *load* — no RMW, no lock.
+//! **One path per job.** Every decide goes through a worker-owned
+//! [`DecideHandle`] (body: [`DecideHandle::decide_obs`]), whose
+//! per-shard [`CachedSnap`] makes a steady-state decide one atomic
+//! *load* — no RMW, no lock. Every report — a v2 frame, a v1 `REPORT`
+//! line, a record replayed from the WAL — enters through
+//! [`ShardedEngine::report_batch_wire_obs`]. The untraced names
+//! (`decide`, `decide_batch`, `ingest`, `report_batch_wire`) are one
+//! line each over those bodies with no tracer.
 //!
 //! Steady-state ingest allocates nothing: a report of a known app
 //! borrows its name from the published snapshot
@@ -78,9 +82,9 @@ pub struct RowRef<'a> {
 }
 
 /// An owned completion report queued for batched ingestion. The app
-/// name is a shared `Arc<str>` — reports entering through the engine's
-/// borrowed ingest paths carry the published snapshot's copy, so a
-/// report of a known app owns no string allocation of its own.
+/// name is a shared `Arc<str>` — a queued report carries the published
+/// snapshot's copy, so a report of a known app owns no string
+/// allocation of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportOwned {
     /// Application name.
@@ -91,17 +95,6 @@ pub struct ReportOwned {
     pub func_ms: f64,
     /// x86 load at completion.
     pub x86_load: u32,
-}
-
-impl From<&CompletionReport<'_>> for ReportOwned {
-    fn from(r: &CompletionReport<'_>) -> Self {
-        ReportOwned {
-            app: Arc::from(r.app),
-            target: r.target,
-            func_ms: r.func_ms,
-            x86_load: r.x86_load as u32,
-        }
-    }
 }
 
 /// The policy state a shard manages. `xar-core` implements this for
@@ -192,7 +185,7 @@ pub struct EngineConfig {
     /// Number of policy shards (app-name hash groups).
     pub shards: usize,
     /// Reports to accumulate per shard before applying them. `1`
-    /// reproduces the v1 server's report-for-report behavior.
+    /// applies every report as it arrives, like one sequential policy.
     pub batch: usize,
 }
 
@@ -272,7 +265,7 @@ pub struct ShardedEngine<P: PolicyCore> {
 impl<P: PolicyCore> ShardedEngine<P> {
     /// Builds an engine from pre-split shard states. `states[i]` must
     /// hold exactly the rows whose app names map to shard `i` under
-    /// [`shard_of`] — [`ShardedEngine::decide`] routes by that hash.
+    /// [`shard_of`] — decides and reports route by that hash.
     pub fn from_shards(states: Vec<P>, batch: usize) -> Self {
         assert!(!states.is_empty(), "at least one shard");
         let shards = states
@@ -308,38 +301,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
         shard_of(app, self.shards.len())
     }
 
-    fn shard(&self, app: &str) -> &Shard<P> {
-        &self.shards[self.shard_idx(app)]
-    }
-
-    /// Placement decision — the *shared* read path: a reader lock plus
-    /// an `Arc` refcount bump per call. Workers on the request hot path
-    /// should hold a [`DecideHandle`] instead, whose per-shard caches
-    /// make steady-state decides wait-free.
-    pub fn decide(&self, ctx: &DecideCtx<'_>) -> Decision {
-        let shard = self.shard(ctx.app);
-        let sampled = shard.metrics.note_decide(0);
-        let start = if sampled { Some(Instant::now()) } else { None };
-        let snap = shard.snap.load();
-        let d = P::decide(&snap, ctx);
-        shard.metrics.note_outcome(
-            0,
-            d.target,
-            d.reconfigure,
-            start.map(|s| s.elapsed().as_nanos() as u64),
-        );
-        d
-    }
-
-    /// Whether `ctx`'s application launch should early-configure the
-    /// FPGA (paper §3.1).
-    pub fn early_config(&self, ctx: &DecideCtx<'_>) -> bool {
-        P::early_config(&self.snapshot_of(ctx.app), ctx)
-    }
-
     /// The decision snapshot currently published for `app`'s shard.
     pub fn snapshot_of(&self, app: &str) -> Arc<P::Snap> {
-        self.shard(app).snap.load()
+        self.shards[self.shard_idx(app)].snap.load()
     }
 
     /// A worker-owned decide handle over this engine (per-shard
@@ -356,76 +320,21 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
     }
 
-    /// Queues one completion report from borrowed parts — the
-    /// allocation-free ingest path: a known app's name is borrowed from
-    /// the published snapshot, so steady-state reports copy no string
-    /// bytes. Applies the shard's pending batch if it reached the
-    /// configured size.
+    /// Queues one completion report from borrowed parts. A known app's
+    /// name is borrowed from the published snapshot, so steady-state
+    /// reports copy no string bytes. Applies the shard's pending batch
+    /// if it reached the configured size.
     pub fn ingest(&self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
-        self.ingest_obs(app, target, func_ms, x86_load, None);
+        self.ingest_obs(&WireReport { app, target, func_ms, x86_load }, None);
     }
 
-    /// [`ShardedEngine::ingest`] with an optional tracer: a flush this
-    /// report triggers emits its `FlushPublish` event to the caller's
-    /// ring. The daemon's workers thread their per-worker tracer here.
-    pub fn ingest_obs(
-        &self,
-        app: &str,
-        target: Target,
-        func_ms: f64,
-        x86_load: u32,
-        obs: Option<&mut Tracer>,
-    ) {
-        let idx = self.shard_idx(app);
+    fn ingest_obs(&self, r: &WireReport<'_>, obs: Option<&mut Tracer>) {
+        let idx = self.shard_idx(r.app);
         let shard = &self.shards[idx];
-        let report =
-            Shard::<P>::owned(&shard.snap.load(), &WireReport { app, target, func_ms, x86_load });
+        let report = Shard::<P>::owned(&shard.snap.load(), r);
         if shard.enqueue([report], self.batch) {
             self.flush_shard(idx, shard, obs);
         }
-    }
-
-    /// Queues one owned completion report (see [`ShardedEngine::ingest`]
-    /// for the borrowed path the daemon uses).
-    pub fn report(&self, report: ReportOwned) {
-        let idx = self.shard_idx(&report.app);
-        let shard = &self.shards[idx];
-        if shard.enqueue([report], self.batch) {
-            self.flush_shard(idx, shard, None);
-        }
-    }
-
-    /// Queues many reports at once (BATCH_REPORT ingestion), preserving
-    /// arrival order per shard, and flushes every shard that reached
-    /// the batch size. Reports are grouped by shard first so each
-    /// shard's pending lock is taken once per call, not once per
-    /// report — the lock amortization this ingestion path exists for.
-    /// A 0/1-report batch skips the grouping entirely and takes the
-    /// same single-shard path as [`ShardedEngine::report`]. Callers
-    /// with a reusable scratch (the daemon) should prefer
-    /// [`ShardedEngine::report_batch_wire`], which allocates nothing
-    /// per call.
-    pub fn report_batch(&self, reports: impl IntoIterator<Item = ReportOwned>) -> usize {
-        let mut it = reports.into_iter();
-        let Some(first) = it.next() else {
-            return 0;
-        };
-        let Some(second) = it.next() else {
-            self.report(first);
-            return 1;
-        };
-        let mut groups: Vec<Vec<ReportOwned>> = vec![Vec::new(); self.shards.len()];
-        let mut n = 0;
-        for r in [first, second].into_iter().chain(it) {
-            groups[shard_of(&r.app, self.shards.len())].push(r);
-            n += 1;
-        }
-        for (idx, (shard, group)) in self.shards.iter().zip(groups).enumerate() {
-            if !group.is_empty() && shard.enqueue(group, self.batch) {
-                self.flush_shard(idx, shard, None);
-            }
-        }
-        n
     }
 
     /// Batched ingest straight off the wire: groups borrowed reports by
@@ -442,7 +351,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
     }
 
     /// [`ShardedEngine::report_batch_wire`] with an optional tracer for
-    /// the `FlushPublish` events of any flushes the batch triggers.
+    /// the `FlushPublish` events of any flushes the batch triggers —
+    /// the one ingest body: the daemon's workers thread their
+    /// per-worker tracer here, WAL recovery replays through it.
     pub fn report_batch_wire_obs(
         &self,
         scratch: &mut BatchScratch,
@@ -450,7 +361,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
         mut obs: Option<&mut Tracer>,
     ) -> usize {
         if let [r] = reports {
-            self.ingest_obs(r.app, r.target, r.func_ms, r.x86_load, obs);
+            self.ingest_obs(r, obs);
             return 1;
         }
         let shards = self.shards.len();
@@ -549,15 +460,10 @@ impl<P: PolicyCore> ShardedEngine<P> {
     /// Applies pending reports on the shards that have any — the
     /// periodic-maintenance entry point: on an idle engine every shard
     /// is clean and the sweep costs one atomic load each, no locks.
-    pub fn flush_dirty(&self) {
-        self.flush_dirty_obs(None);
-    }
-
-    /// [`ShardedEngine::flush_dirty`] with an optional tracer: each
-    /// shard flushed emits a `FlushPublish` event carrying its applied
-    /// row count. The daemon's maintenance tick threads its per-worker
-    /// tracer here.
-    pub fn flush_dirty_obs(&self, mut obs: Option<&mut Tracer>) {
+    /// Each shard flushed emits a `FlushPublish` event carrying its
+    /// applied row count to `obs`, if given (the daemon's maintenance
+    /// tick threads its per-worker tracer here).
+    pub fn flush_dirty(&self, mut obs: Option<&mut Tracer>) {
         for (idx, shard) in self.shards.iter().enumerate() {
             if shard.dirty.load(Ordering::Acquire) {
                 self.flush_shard(idx, shard, obs.as_deref_mut());
@@ -657,8 +563,7 @@ pub struct DecideScratch {
 /// handle's privately held `Arc` — zero atomic RMWs, no refcount
 /// traffic on shared cache lines, no lock. Only a snapshot rebuild
 /// (never a threshold update, which lands in place) touches the
-/// snapshot cell's lock. Decisions are identical to
-/// [`ShardedEngine::decide`] by construction.
+/// snapshot cell's lock.
 ///
 /// One handle per thread; cloning an adapter or spawning a worker
 /// creates a fresh handle via [`ShardedEngine::handle`].
@@ -677,33 +582,15 @@ impl<P: PolicyCore> DecideHandle<P> {
 
     /// Placement decision (wait-free steady state + sampled latency
     /// metric).
-    ///
-    /// Deliberately NOT routed through [`DecideHandle::decide_obs`]:
-    /// this body is the tracing-free compile-time baseline the
-    /// tracing-overhead benchmark measures the obs path against, so it
-    /// must stay byte-for-byte the pre-observability hot path.
     pub fn decide(&mut self, ctx: &DecideCtx<'_>) -> Decision {
-        let idx = shard_of(ctx.app, self.engine.shards.len());
-        let shard = &self.engine.shards[idx];
-        let sampled = shard.metrics.note_decide(self.stripe);
-        let start = if sampled { Some(Instant::now()) } else { None };
-        let snap = self.caches[idx].get(&shard.snap);
-        let d = P::decide(snap, ctx);
-        shard.metrics.note_outcome(
-            self.stripe,
-            d.target,
-            d.reconfigure,
-            start.map(|s| s.elapsed().as_nanos() as u64),
-        );
-        d
+        self.decide_obs(ctx, None)
     }
 
-    /// [`DecideHandle::decide`] with an optional tracer: a sampled
-    /// decide whose latency crosses the tracer's slow-decide threshold
-    /// emits a `SlowDecide` event. Metric counting is identical to the
-    /// plain path (same election cadence, same counters) — tracing
-    /// observes, it never changes what is counted. Unelected decides
-    /// pay one branch on the `Option` and nothing else.
+    /// [`DecideHandle::decide`] with an optional tracer — the one
+    /// decide body: a sampled decide whose latency crosses the
+    /// tracer's slow-decide threshold emits a `SlowDecide` event.
+    /// Tracing observes, it never changes what is counted; unelected
+    /// decides pay one branch on the `Option` and nothing else.
     pub fn decide_obs(&mut self, ctx: &DecideCtx<'_>, obs: Option<&mut Tracer>) -> Decision {
         let idx = shard_of(ctx.app, self.engine.shards.len());
         let shard = &self.engine.shards[idx];
@@ -878,12 +765,24 @@ mod tests {
         }
     }
 
-    fn engine(shards: usize, batch: usize) -> ShardedEngine<CountPolicy> {
-        ShardedEngine::from_shards(vec![CountPolicy::default(); shards], batch)
+    fn engine(shards: usize, batch: usize) -> Arc<ShardedEngine<CountPolicy>> {
+        Arc::new(ShardedEngine::from_shards(vec![CountPolicy::default(); shards], batch))
     }
 
-    fn report(app: &str) -> ReportOwned {
-        ReportOwned { app: app.into(), target: Target::X86, func_ms: 1.0, x86_load: 1 }
+    fn report(app: &str) -> WireReport<'_> {
+        WireReport { app, target: Target::X86, func_ms: 1.0, x86_load: 1 }
+    }
+
+    /// One report through the one ingest door.
+    fn ingest<P: PolicyCore>(e: &ShardedEngine<P>, app: &str) {
+        e.ingest(app, Target::X86, 1.0, 1);
+    }
+
+    /// `n` reports `app0..app{n-1}` as one wire batch.
+    fn ingest_apps<P: PolicyCore>(e: &ShardedEngine<P>, n: usize) -> usize {
+        let apps: Vec<String> = (0..n).map(|i| format!("app{i}")).collect();
+        let reports: Vec<WireReport<'_>> = apps.iter().map(|a| report(a)).collect();
+        e.report_batch_wire(&mut BatchScratch::default(), &reports)
     }
 
     #[test]
@@ -900,10 +799,10 @@ mod tests {
     fn batch_one_applies_immediately() {
         let e = engine(4, 1);
         for _ in 0..3 {
-            e.report(report("app"));
+            ingest(&e, "app");
         }
         // No explicit flush: snapshot already reflects all three.
-        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
+        assert_eq!(e.handle().decide(&ctx("app")).target, Target::Fpga);
         let m = e.metrics_total();
         assert_eq!(m.reports, 3);
         assert_eq!(m.batches, 3, "batch=1: one batch per report");
@@ -913,12 +812,13 @@ mod tests {
     fn larger_batches_defer_then_amortize() {
         let e = engine(2, 64);
         for _ in 0..3 {
-            e.report(report("app"));
+            ingest(&e, "app");
         }
         // Deferred: the snapshot is stale until a flush.
-        assert_eq!(e.decide(&ctx("app")).target, Target::X86);
+        let mut h = e.handle();
+        assert_eq!(h.decide(&ctx("app")).target, Target::X86);
         e.flush();
-        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
+        assert_eq!(h.decide(&ctx("app")).target, Target::Fpga);
         let m = e.metrics_total();
         assert_eq!(m.reports, 3);
         assert_eq!(m.batches, 1, "one amortized application");
@@ -928,35 +828,35 @@ mod tests {
     fn flush_dirty_applies_stranded_below_batch_reports() {
         let e = engine(4, 64);
         for _ in 0..3 {
-            e.report(report("app"));
+            ingest(&e, "app");
         }
         // Below the batch size: the snapshot is stale — the stranded
         // state the maintenance flush exists to clear.
-        assert_eq!(e.decide(&ctx("app")).target, Target::X86, "stranded below batch");
-        e.flush_dirty();
-        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
+        let mut h = e.handle();
+        assert_eq!(h.decide(&ctx("app")).target, Target::X86, "stranded below batch");
+        e.flush_dirty(None);
+        assert_eq!(h.decide(&ctx("app")).target, Target::Fpga);
         let m = e.metrics_total();
         assert_eq!(m.reports, 3);
         assert_eq!(m.batches, 1, "one maintenance batch");
         // Everything is clean now: another sweep applies nothing.
-        e.flush_dirty();
+        e.flush_dirty(None);
         assert_eq!(e.metrics_total().batches, 1, "clean shards were re-flushed");
     }
 
     #[test]
     fn report_batch_marks_its_shards_dirty() {
         let e = engine(4, 64);
-        e.report_batch((0..6).map(|i| report(&format!("app{i}"))));
+        ingest_apps(&e, 6);
         assert_eq!(e.metrics_total().reports, 0, "below batch: deferred");
-        e.flush_dirty();
+        e.flush_dirty(None);
         assert_eq!(e.metrics_total().reports, 6, "dirty sweep missed a shard");
     }
 
     #[test]
     fn report_batch_groups_by_shard_and_counts() {
         let e = engine(4, 2);
-        let n = e.report_batch((0..10).map(|i| report(&format!("app{i}"))));
-        assert_eq!(n, 10);
+        assert_eq!(ingest_apps(&e, 10), 10);
         e.flush();
         assert_eq!(e.metrics_total().reports, 10);
         assert_eq!(e.table().len(), 10);
@@ -966,7 +866,7 @@ mod tests {
     fn table_merges_sorted_across_shards() {
         let e = engine(4, 1);
         for app in ["zeta", "alpha", "mid"] {
-            e.report(report(app));
+            ingest(&e, app);
         }
         let t = e.table();
         let apps: Vec<&str> = t.iter().map(|e| e.app.as_str()).collect();
@@ -976,8 +876,9 @@ mod tests {
     #[test]
     fn decide_counts_and_latency_metrics_land_in_app_shard() {
         let e = engine(4, 1);
+        let mut h = e.handle();
         for _ in 0..5 {
-            e.decide(&ctx("solo"));
+            h.decide(&ctx("solo"));
         }
         let per_shard = e.metrics();
         let idx = shard_of("solo", 4);
@@ -992,8 +893,9 @@ mod tests {
     fn latency_sampling_pins_metric_counts() {
         use crate::metrics::LATENCY_SAMPLE;
         let e = engine(1, 1);
+        let mut h = e.handle();
         for _ in 0..(2 * LATENCY_SAMPLE + 1) {
-            e.decide(&ctx("app"));
+            h.decide(&ctx("app"));
         }
         let m = e.metrics_total();
         assert_eq!(m.decides, 2 * LATENCY_SAMPLE + 1, "decide count stays exact under sampling");
@@ -1003,49 +905,43 @@ mod tests {
 
     #[test]
     fn one_report_batch_takes_the_report_path() {
-        use crate::wire::WireReport;
-        // Three engines fed the same single report through the three
-        // ingest doors must end bit-identical: same table, same metric
+        // Two engines fed the same single report through the two
+        // ingest names must end bit-identical: same table, same metric
         // counts (one batch, one report), same deferred/dirty behavior.
         let single = engine(4, 1);
-        single.report(report("app"));
-        let via_batch = engine(4, 1);
-        assert_eq!(via_batch.report_batch([report("app")]), 1);
+        ingest(&single, "app");
         let via_wire = engine(4, 1);
         let mut scratch = BatchScratch::default();
-        let wire = [WireReport { app: "app", target: Target::X86, func_ms: 1.0, x86_load: 1 }];
-        assert_eq!(via_wire.report_batch_wire(&mut scratch, &wire), 1);
+        assert_eq!(via_wire.report_batch_wire(&mut scratch, &[report("app")]), 1);
         assert!(scratch.groups.is_empty(), "1-report fast path never built groups");
-        for e in [&via_batch, &via_wire] {
-            assert_eq!(e.metrics_total().reports, single.metrics_total().reports);
-            assert_eq!(e.metrics_total().batches, single.metrics_total().batches);
-            assert_eq!(e.table(), single.table());
-        }
+        assert_eq!(via_wire.metrics_total().reports, single.metrics_total().reports);
+        assert_eq!(via_wire.metrics_total().batches, single.metrics_total().batches);
+        assert_eq!(via_wire.table(), single.table());
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let e = engine(4, 1);
-        assert_eq!(e.report_batch(std::iter::empty()), 0);
         let mut scratch = BatchScratch::default();
         assert_eq!(e.report_batch_wire(&mut scratch, &[]), 0);
         assert_eq!(e.metrics_total().reports, 0);
+        assert_eq!(e.metrics_total().batches, 0);
     }
 
     #[test]
-    fn decide_handle_matches_engine_and_observes_publishes() {
-        let e = std::sync::Arc::new(engine(4, 1));
+    fn decide_handle_observes_publishes_and_counts_in_the_shared_metrics() {
+        let e = engine(4, 1);
         let mut h = e.handle();
         assert_eq!(h.decide(&ctx("app")).target, Target::X86);
         for _ in 0..3 {
-            e.report(report("app"));
+            ingest(&e, "app");
         }
         // batch = 1: the third report published a new snapshot; the
         // cached handle must observe it on its next decide.
         assert_eq!(h.decide(&ctx("app")).target, Target::Fpga, "handle missed the publish");
-        assert_eq!(h.decide(&ctx("app")), e.decide(&ctx("app")));
+        assert_eq!(h.decide(&ctx("app")), e.handle().decide(&ctx("app")), "a fresh handle agrees");
         let m = e.metrics_total();
-        assert_eq!(m.decides, 4, "handle decides count in the shared shard metrics");
+        assert_eq!(m.decides, 4, "every handle's decides count in the shared shard metrics");
     }
 
     fn query(app: &str) -> WireQuery<'_> {
@@ -1061,13 +957,13 @@ mod tests {
 
     #[test]
     fn decide_batch_is_bit_identical_to_sequential_decides() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = engine(4, 1);
         // Push some apps over the toy policy's FPGA limit so the batch
         // spans a mixed decision set across several shards.
         for i in 0..8 {
             if i % 2 == 0 {
                 for _ in 0..3 {
-                    e.report(report(&format!("app{i}")));
+                    ingest(&e, &format!("app{i}"));
                 }
             }
         }
@@ -1083,13 +979,13 @@ mod tests {
 
     #[test]
     fn decide_batch_observes_publishes_between_batches() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = engine(4, 1);
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         let queries = [query("app"), query("other")];
         assert_eq!(h.decide_batch(&queries, &mut scratch)[0].target, Target::X86);
         for _ in 0..3 {
-            e.report(report("app"));
+            ingest(&e, "app");
         }
         // batch = 1: the third report published; the next batch's
         // once-per-batch revalidation must observe it.
@@ -1102,14 +998,14 @@ mod tests {
 
     #[test]
     fn decide_batch_metrics_match_single_decides_plus_frame_count() {
-        let e1 = std::sync::Arc::new(engine(4, 1));
+        let e1 = engine(4, 1);
         let mut h1 = e1.handle();
         let queries: Vec<String> = (0..10).map(|i| format!("app{i}")).collect();
         let wire: Vec<WireQuery<'_>> = queries.iter().map(|a| query(a)).collect();
         for q in &wire {
             h1.decide(&q.ctx());
         }
-        let e2 = std::sync::Arc::new(engine(4, 1));
+        let e2 = engine(4, 1);
         let mut h2 = e2.handle();
         let mut scratch = DecideScratch::default();
         h2.decide_batch(&wire, &mut scratch);
@@ -1123,7 +1019,7 @@ mod tests {
 
     #[test]
     fn one_query_batch_takes_the_single_decide_path() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = engine(4, 1);
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         let ds = h.decide_batch(&[query("app")], &mut scratch);
@@ -1137,7 +1033,7 @@ mod tests {
 
     #[test]
     fn empty_decide_batch_is_a_no_op() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = engine(4, 1);
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         assert!(h.decide_batch(&[], &mut scratch).is_empty());
@@ -1233,7 +1129,7 @@ mod tests {
         assert_eq!(e.shards[0].snap.generation(), generation, "in-place publish bumped it");
         assert_eq!(h.caches[0].generation(), generation, "the handle never refreshed");
         assert_eq!(h.decide(&ctx("app")).target, Target::Fpga, "handle missed the update");
-        assert_eq!(e.decide(&ctx("app")).target, Target::Fpga);
+        assert_eq!(e.handle().decide(&ctx("app")).target, Target::Fpga, "a fresh handle agrees");
         assert_eq!(h.decide(&ctx("other")).target, Target::X86, "untouched row moved");
         assert_eq!(e.obs_total().flush_publish.count(), 3, "in-place publishes are still timed");
     }
@@ -1256,7 +1152,7 @@ mod tests {
         let restored = cell_engine(&["app"]);
         restored.load_states(&blobs).unwrap();
         assert_eq!(restored.shards[0].snap.generation(), 1);
-        assert_eq!(restored.decide(&ctx("new")).target, Target::Fpga);
+        assert_eq!(restored.handle().decide(&ctx("new")).target, Target::Fpga);
         assert_eq!(restored.table(), e.table());
     }
 
@@ -1277,7 +1173,8 @@ mod tests {
             let got = batched.decide_batch(&queries, &mut scratch);
             assert_eq!(got, want.as_slice(), "round {round}");
         }
-        let fpga = queries.iter().filter(|q| e.decide(&q.ctx()).target == Target::Fpga).count();
+        let fpga =
+            queries.iter().filter(|q| sequential.decide(&q.ctx()).target == Target::Fpga).count();
         assert!(
             (1..8).contains(&fpga),
             "the trace must cross the limit for some apps only: {fpga}"
@@ -1310,7 +1207,7 @@ mod tests {
             sink_seen.lock().push((shard, rows));
         }));
         for app in ["zeta", "alpha", "zeta", "mid"] {
-            e.report(report(app));
+            ingest(&e, app);
         }
         let want = vec![("alpha".to_string(), 1), ("mid".to_string(), 1), ("zeta".to_string(), 2)];
         assert_eq!(*seen.lock(), vec![(0, want)]);
@@ -1328,9 +1225,9 @@ mod tests {
         let e = engine(4, 64);
         let (mut tr, mut reader, counters) = tracer(u64::MAX);
         for i in 0..6 {
-            e.ingest_obs(&format!("app{i}"), Target::X86, 1.0, 1, Some(&mut tr));
+            e.ingest_obs(&report(&format!("app{i}")), Some(&mut tr));
         }
-        e.flush_dirty_obs(Some(&mut tr));
+        e.flush_dirty(Some(&mut tr));
         let (mut publishes, mut rows) = (0u64, 0u64);
         let mut shards_seen = std::collections::BTreeSet::new();
         while let Some(ev) = reader.pop() {
@@ -1349,13 +1246,13 @@ mod tests {
         assert_eq!(o.report_batch.count(), publishes);
         assert_eq!(o.flush_publish.count(), publishes);
         // An untraced engine counts histograms but emits no events.
-        e.flush_dirty_obs(Some(&mut tr));
+        e.flush_dirty(Some(&mut tr));
         assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), publishes, "clean: no-op");
     }
 
     #[test]
     fn slow_sampled_decides_emit_events() {
-        let e = std::sync::Arc::new(engine(1, 1));
+        let e = engine(1, 1);
         let mut h = e.handle();
         // Threshold 0: every *sampled* decide is "slow". The first
         // decide of an idle stripe is always elected.
@@ -1382,8 +1279,8 @@ mod tests {
 
     #[test]
     fn decide_obs_counts_exactly_like_decide() {
-        let traced = std::sync::Arc::new(engine(4, 1));
-        let plain = std::sync::Arc::new(engine(4, 1));
+        let traced = engine(4, 1);
+        let plain = engine(4, 1);
         let mut ht = traced.handle();
         let mut hp = plain.handle();
         let (mut tr, _reader, _counters) = tracer(u64::MAX);
@@ -1401,13 +1298,13 @@ mod tests {
 
     #[test]
     fn traced_decide_batch_records_frame_latency_when_elected() {
-        let e = std::sync::Arc::new(engine(4, 1));
+        let e = engine(4, 1);
         let mut h = e.handle();
         let mut scratch = DecideScratch::default();
         let apps: Vec<String> = (0..10).map(|i| format!("app{i}")).collect();
         let queries: Vec<WireQuery<'_>> = apps.iter().map(|a| query(a)).collect();
         let (mut tr, _reader, _counters) = tracer(u64::MAX);
-        let plain = std::sync::Arc::new(engine(4, 1));
+        let plain = engine(4, 1);
         let mut hp = plain.handle();
         let mut pscratch = DecideScratch::default();
         let want = hp.decide_batch(&queries, &mut pscratch).to_vec();
@@ -1433,13 +1330,13 @@ mod tests {
 
     #[test]
     fn concurrent_reports_all_land() {
-        let e = std::sync::Arc::new(engine(4, 8));
+        let e = engine(4, 8);
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let e = e.clone();
                 std::thread::spawn(move || {
                     for i in 0..100 {
-                        e.report(report(&format!("app{}", (t + i) % 5)));
+                        ingest(&e, &format!("app{}", (t + i) % 5));
                     }
                 })
             })

@@ -1,10 +1,10 @@
 //! # xar-sched — the production scheduler daemon
 //!
-//! The paper's userspace scheduler (§3.2) is a thread-per-client TCP
-//! server speaking a line-oriented text protocol behind one global
-//! policy mutex — faithful to the paper, and reproduced as such in
-//! `xar-core`'s `server` module. This crate is the same scheduler
-//! grown up for datacenter service:
+//! The paper's userspace scheduler (§3.2) is a TCP server speaking a
+//! line-oriented text protocol in front of one scheduling policy.
+//! This crate is that scheduler grown up for datacenter service — and
+//! the only server in the workspace: `xar-core`'s `SchedulerServer` is
+//! this daemon at one shard and report batch 1.
 //!
 //! * [`wire`] — **binary wire protocol v2**: length-prefixed frames
 //!   (`Decide` / `Report` / `BatchReport` / `TableSnapshot` / `Ping` /

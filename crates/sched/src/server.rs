@@ -393,13 +393,52 @@ struct WorkerCtx<P: PolicyCore> {
     /// Shared ban list for repeat protocol-error offenders.
     quarantine: Arc<Quarantine>,
     /// The durability engine (`None` when the daemon is in-memory).
-    /// Cloned out of the ctx before use — the `Arc` dodges the borrow
-    /// conflict with the mutable scratch/tracer fields.
     dur: Option<Arc<Durability>>,
     config: ServerConfig,
 }
 
 impl<P: PolicyCore> WorkerCtx<P> {
+    /// Ingests unsessioned reports, whatever carried them (v2 `Report`
+    /// / `BatchReport`, a v1 `REPORT` line): journal-then-apply when
+    /// durability is armed — the ack is backed by the log, durability
+    /// is per-daemon, not per-protocol — straight into the engine
+    /// otherwise. An error means the journal refused the write and
+    /// nothing was applied.
+    fn ingest(&mut self, reports: &[wire::WireReport<'_>]) -> std::io::Result<usize> {
+        let obs = Some(&mut self.tracer);
+        match &self.dur {
+            Some(d) => d.ingest_batch(&self.engine, &mut self.scratch, reports, obs),
+            None => Ok(self.engine.report_batch_wire_obs(&mut self.scratch, reports, obs)),
+        }
+    }
+
+    /// Ingests one seq-stamped batch exactly once. The durable path
+    /// stamps and journals under one ingest lock: a fresh batch's
+    /// reports and high-water advance land in one atomic WAL record
+    /// before the ack, so the batch counts once even across a crash at
+    /// any point.
+    fn ingest_seq(
+        &mut self,
+        session: u64,
+        seq: u64,
+        reports: &[wire::WireReport<'_>],
+    ) -> std::io::Result<DurableSeqOutcome> {
+        let obs = Some(&mut self.tracer);
+        let (engine, scratch) = (&self.engine, &mut self.scratch);
+        match &self.dur {
+            Some(d) => {
+                d.ingest_seq_batch(engine, &self.sessions, session, seq, scratch, reports, obs)
+            }
+            None => Ok(match self.sessions.advance(session, seq) {
+                Some(SeqOutcome::Fresh) => {
+                    DurableSeqOutcome::Fresh(engine.report_batch_wire_obs(scratch, reports, obs))
+                }
+                Some(SeqOutcome::Replay) => DurableSeqOutcome::Replay,
+                None => DurableSeqOutcome::Rejected,
+            }),
+        }
+    }
+
     /// Drains this worker's trace ring into the shared log.
     fn drain_trace(&mut self) {
         self.trace_log.drain_from(&mut self.trace_reader);
@@ -1046,7 +1085,7 @@ fn worker_loop<P: PolicyCore>(
             // publish emits a flush_publish trace event), then drain
             // this worker's trace ring into the shared log.
             if *t == MAINT_TOKEN {
-                ctx.engine.flush_dirty_obs(Some(&mut ctx.tracer));
+                ctx.engine.flush_dirty(Some(&mut ctx.tracer));
                 ctx.drain_trace();
                 // Advance the per-tick time-series once the counters
                 // above are settled for this tick, then re-judge the
@@ -1056,7 +1095,7 @@ fn worker_loop<P: PolicyCore>(
                 // Durability heartbeat: interval fsyncs and periodic
                 // snapshots ride the same tick (single-flight across
                 // workers).
-                if let Some(d) = ctx.dur.clone() {
+                if let Some(d) = &ctx.dur {
                     d.tick(ctx.engine.as_ref(), &ctx.sessions);
                 }
                 continue;
@@ -1489,6 +1528,14 @@ fn process_v2<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
 /// writes, which the operator must see.
 const DUR_ERR: &str = "durability journal write failed";
 
+/// The v2 reply to an ingest: the applied count, or [`DUR_ERR`].
+fn encode_ack(ingested: std::io::Result<usize>, out: &mut Vec<u8>) {
+    match ingested {
+        Ok(n) => wire::encode_response(&Response::Ack(n as u32), out),
+        Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
+    }
+}
+
 fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut Vec<u8>) {
     match req {
         Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready } => {
@@ -1521,37 +1568,8 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
             }
             w.finish();
         }
-        Request::Report(r) => {
-            if let Some(d) = ctx.dur.clone() {
-                // Journal-then-apply: the ack is backed by the log.
-                match d.ingest_report(&ctx.engine, r, Some(&mut ctx.tracer)) {
-                    Ok(()) => wire::encode_response(&Response::Ack(1), out),
-                    Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
-                }
-            } else {
-                // Borrowed ingest: the engine interns the app name.
-                ctx.engine.ingest_obs(
-                    r.app,
-                    r.target,
-                    r.func_ms,
-                    r.x86_load,
-                    Some(&mut ctx.tracer),
-                );
-                wire::encode_response(&Response::Ack(1), out);
-            }
-        }
-        Request::BatchReport(rs) => {
-            if let Some(d) = ctx.dur.clone() {
-                match d.ingest_batch(&ctx.engine, &mut ctx.scratch, rs, Some(&mut ctx.tracer)) {
-                    Ok(n) => wire::encode_response(&Response::Ack(n as u32), out),
-                    Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
-                }
-            } else {
-                let n =
-                    ctx.engine.report_batch_wire_obs(&mut ctx.scratch, rs, Some(&mut ctx.tracer));
-                wire::encode_response(&Response::Ack(n as u32), out);
-            }
-        }
+        Request::Report(r) => encode_ack(ctx.ingest(std::slice::from_ref(r)), out),
+        Request::BatchReport(rs) => encode_ack(ctx.ingest(rs), out),
         Request::HelloSession { session } => match ctx.sessions.hello(*session) {
             Some(info) => {
                 wire::encode_response(&Response::Session { last_seq: info.last_seq }, out);
@@ -1561,56 +1579,18 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
             }
         },
         Request::BatchReportSeq { session, seq, reports } => {
-            if let Some(d) = ctx.dur.clone() {
-                // The durable path stamps and journals under one
-                // ingest lock: a fresh batch's reports and high-water
-                // advance land in one atomic WAL record before the
-                // ack, so the batch counts exactly once even across a
-                // crash at any point.
-                let outcome = d.ingest_seq_batch(
-                    &ctx.engine,
-                    &ctx.sessions,
-                    *session,
-                    *seq,
-                    &mut ctx.scratch,
-                    reports,
-                    Some(&mut ctx.tracer),
-                );
-                match outcome {
-                    Ok(DurableSeqOutcome::Fresh(n)) => {
-                        wire::encode_response(&Response::Ack(n as u32), out);
-                    }
-                    Ok(DurableSeqOutcome::Replay) => {
-                        wire::encode_response(&Response::Ack(0), out);
-                    }
-                    Ok(DurableSeqOutcome::Rejected) => {
-                        wire::encode_response(
-                            &Response::Err("session rejected (id 0 or table full)"),
-                            out,
-                        );
-                    }
-                    Err(_) => wire::encode_response(&Response::Err(DUR_ERR), out),
+            let reply = match ctx.ingest_seq(*session, *seq, reports) {
+                Ok(DurableSeqOutcome::Fresh(n)) => Response::Ack(n as u32),
+                // A batch the daemon already ingested: ack without
+                // re-ingesting. `Ack(0)` is how the client tells a
+                // dedup from a fresh ingest.
+                Ok(DurableSeqOutcome::Replay) => Response::Ack(0),
+                Ok(DurableSeqOutcome::Rejected) => {
+                    Response::Err("session rejected (id 0 or table full)")
                 }
-            } else {
-                match ctx.sessions.advance(*session, *seq) {
-                    Some(SeqOutcome::Fresh) => {
-                        let n = ctx.engine.report_batch_wire_obs(
-                            &mut ctx.scratch,
-                            reports,
-                            Some(&mut ctx.tracer),
-                        );
-                        wire::encode_response(&Response::Ack(n as u32), out);
-                    }
-                    // A batch the daemon already ingested: ack without
-                    // re-ingesting. `Ack(0)` is how the client tells a
-                    // dedup from a fresh ingest.
-                    Some(SeqOutcome::Replay) => wire::encode_response(&Response::Ack(0), out),
-                    None => wire::encode_response(
-                        &Response::Err("session rejected (id 0 or table full)"),
-                        out,
-                    ),
-                }
-            }
+                Err(_) => Response::Err(DUR_ERR),
+            };
+            wire::encode_response(&reply, out);
         }
         Request::Table => {
             let entries = ctx.engine.table();
@@ -1750,8 +1730,7 @@ fn parse_quantile_series(name: &str) -> Option<(usize, f64)> {
 fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usize) {
     let cap = ctx.config.outbuf_high_water;
     // Offset-tracked like process_v2: one drain at the end, no
-    // per-line allocation or memmove. The grammar is parsed by
-    // `wire::parse_v1_line`, shared with `xar-core`'s v1 server.
+    // per-line allocation or memmove.
     let mut at = 0;
     let mut capped = false;
     while let Some(nl) = conn.inbuf[at..].iter().position(|&b| b == b'\n') {
@@ -1790,20 +1769,10 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
                 wire::v1_decide_reply_into(&d, &mut conn.outbuf);
             }
             wire::V1Request::Report { app, target, func_ms, x86_load } => {
-                let x86 = x86_load.min(u32::MAX as u64) as u32;
-                if let Some(d) = ctx.dur.clone() {
-                    // Legacy reports get the same journal-then-apply
-                    // contract as v2 — durability is per-daemon, not
-                    // per-protocol.
-                    let r = wire::WireReport { app, target, func_ms, x86_load: x86 };
-                    match d.ingest_report(&ctx.engine, &r, Some(&mut ctx.tracer)) {
-                        Ok(()) => conn.outbuf.extend_from_slice(b"OK\n"),
-                        Err(_) => conn.outbuf.extend_from_slice(b"ERR\n"),
-                    }
-                } else {
-                    ctx.engine.ingest_obs(app, target, func_ms, x86, Some(&mut ctx.tracer));
-                    conn.outbuf.extend_from_slice(b"OK\n");
-                }
+                let x86_load = x86_load.min(u32::MAX as u64) as u32;
+                let r = wire::WireReport { app, target, func_ms, x86_load };
+                let reply: &[u8] = if ctx.ingest(&[r]).is_ok() { b"OK\n" } else { b"ERR\n" };
+                conn.outbuf.extend_from_slice(reply);
             }
             wire::V1Request::Table => {
                 for e in ctx.engine.table() {

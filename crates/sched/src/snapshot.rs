@@ -14,6 +14,8 @@
 //! * [`ArcCell::load`] — an `Arc` clone under a reader lock. Simple,
 //!   but every call performs two atomic RMWs (the lock word and the
 //!   refcount) on cache lines *shared by every reader of the shard*.
+//!   The engine uses it where a report is queued or flushed, never to
+//!   decide.
 //! * [`CachedSnap::get`] — the hot path. Each worker owns a
 //!   `CachedSnap` per shard holding the last snapshot `Arc` it saw plus
 //!   the generation it was read at. A get is one atomic *load* of the

@@ -502,8 +502,7 @@ pub fn parse_target(s: &str) -> Option<Target> {
 pub const MAX_V1_LINE: usize = 64 * 1024;
 
 /// A parsed v1 text-protocol request line. The grammar lives here —
-/// and only here — so the paper-faithful server in `xar-core` and the
-/// daemon's v1 fallback cannot drift apart.
+/// and only here; the daemon's v1 path is its one server-side user.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum V1Request<'a> {
     /// `DECIDE <app> <kernel> <x86_load> <resident:0|1>`
@@ -532,11 +531,9 @@ pub enum V1Request<'a> {
     Table,
     /// `DUMP` — Prometheus-style text exposition of every counter,
     /// histogram bucket, and per-shard gauge, terminated by `END`.
-    /// Answered by the daemon's v1 fallback; the paper-faithful
-    /// `xar-core` server (no observability registry) answers `ERR`.
     Dump,
     /// `TRACE <n>` — the last `n` ring-buffer trace events, oldest
-    /// first, terminated by `END`. Same server split as `DUMP`. `n = 0`
+    /// first, terminated by `END`. `n = 0`
     /// answers just `END`; an `n` past the log capacity (including
     /// literals too large for `usize`) clamps to it instead of erroring
     /// — asking for "everything" must not be a protocol error.
@@ -547,8 +544,7 @@ pub enum V1Request<'a> {
     /// `SERIES <name> <secs>` — per-slot time-series values of one
     /// tracked counter (deltas) or windowed quantile (`<class>_p50_ns`
     /// / `<class>_p99_ns`) over the last `secs` seconds, one
-    /// `<tick> <value>` line per slot, terminated by `END`. Same server
-    /// split as `DUMP`.
+    /// `<tick> <value>` line per slot, terminated by `END`.
     Series {
         /// Series name (counter or `<class>_p50_ns`/`<class>_p99_ns`).
         name: &'a str,
@@ -556,8 +552,7 @@ pub enum V1Request<'a> {
         secs: u64,
     },
     /// `RATE <name>` — sliding-window per-second rate of one tracked
-    /// counter, answered as `xar_rate_<name> <value>` + `END`. Same
-    /// server split as `DUMP`.
+    /// counter, answered as `xar_rate_<name> <value>` + `END`.
     Rate {
         /// Counter name.
         name: &'a str,

@@ -12,7 +12,8 @@
 //! * [`workloads`] — the paper's five benchmarks (golden Rust, IR, HLS
 //!   kernels, calibrated profiles);
 //! * [`core`] — Xar-Trek proper: compiler steps A–G, Algorithms 1–2,
-//!   the TCP scheduler server/client, and the experiment drivers;
+//!   the text scheduler client, the daemon's policy, and the
+//!   experiment drivers;
 //! * [`sched`] — the production scheduler daemon: binary wire protocol
 //!   v2 (with v1 text fallback), sharded policy engine with a
 //!   lock-free decide path, reactor-backed worker-pool connection
@@ -21,9 +22,9 @@
 //!   daemon: epoll on Linux with a portable `poll(2)` fallback,
 //!   cross-thread waker, coarse timer wheel.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the architecture and the
-//! paper-to-module map, and `EXPERIMENTS.md` for paper-vs-measured
-//! results. Runnable walkthroughs live in `examples/`.
+//! See `README.md` for a tour of the architecture; `xar_experiments`
+//! (in `crates/bench`) regenerates the paper's tables and figures.
+//! Runnable walkthroughs live in `examples/`.
 
 pub use xar_core as core;
 pub use xar_desim as desim;

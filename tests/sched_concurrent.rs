@@ -715,7 +715,7 @@ fn set_rcvbuf(s: &std::net::TcpStream, bytes: i32) {
 /// always-armed EPOLLRDHUP).
 #[test]
 fn write_stalled_half_closed_client_is_reaped() {
-    use std::io::{Read, Write};
+    use std::io::Write;
     for backend in [BackendKind::default(), BackendKind::Poll] {
         let daemon = spawn_sharded(
             &policy(),
@@ -752,42 +752,25 @@ fn write_stalled_half_closed_client_is_reaped() {
         }
         s.write_all(&reqs).unwrap();
         // Let the pump hit the write-block, then FIN without ever
-        // having read a byte, and sit through several stall windows
-        // still without draining.
+        // having read a byte. We drain nothing, so a reap can only be
+        // the write-stall deadline: watch for it from a second
+        // connection (the one live connection left once it fires).
         std::thread::sleep(std::time::Duration::from_millis(400));
         s.shutdown(std::net::Shutdown::Write).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(1500));
-        // The reap closed the server's socket: what remains for us is
-        // the kernel-buffered prefix of the reply stream, then EOF (or
-        // a reset) — never the full burst.
-        // Reopen the window wide so the kernel-buffered remainder
-        // arrives promptly instead of behind persist-probe backoff.
-        set_rcvbuf(&s, 8 << 20);
-        s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-        let mut buf = Vec::new();
-        let mut scratch = [0u8; 4096];
+        let mut watcher = V2Client::connect(daemon.addr()).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
-            match s.read(&mut scratch) {
-                Ok(0) => break,
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
-                    ) =>
-                {
-                    break
-                }
-                Err(e) => panic!("{backend:?}: reply stream neither ended nor reset: {e}"),
+            let stats = watcher.stats().unwrap();
+            if stats.reaped_conns == 1 && stats.live_conns == 1 {
+                break;
             }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{backend:?}: stalled half-closed peer was never reaped ({stats:?})"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN.min(buf.len()));
-        let (mut tables, mut at) = (0usize, 0usize);
-        while let Ok(Some((total, _))) = xar_trek::sched::wire::frame_in(&buf[at..]) {
-            at += total;
-            tables += 1;
-        }
-        assert!(tables < BURST, "{backend:?}: stalled half-closed peer was never reaped");
+        drop(s);
         daemon.shutdown();
     }
 }
