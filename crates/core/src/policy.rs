@@ -9,23 +9,32 @@
 //!   refines the statically estimated thresholds from observed
 //!   execution times after every call.
 
-use crate::thresholds::{ScenarioTimes, ThresholdEntry, ThresholdTable};
+use crate::thresholds::{NameIndex, ScenarioTimes, ThresholdEntry, ThresholdTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
 use xar_sched::snapshot::ThrCell;
 
 /// The paper's heuristic policy with dynamic threshold refinement.
+///
+/// One row per application, as in the paper's server: the threshold
+/// table is a row slab with one name index, and everything else kept
+/// per application — the reference times here, the threshold cells of
+/// a published [`PolicySnapshot`] — is a slab parallel to it, reached
+/// by the row id a single index probe yields.
 #[derive(Debug, Clone)]
 pub struct XarTrekPolicy {
-    /// The (mutable) threshold table.
+    /// The (mutable) threshold table. Insert into it and update its
+    /// rows freely; assigning a *different* table would leave `times`
+    /// addressed by the old table's row ids — build a new policy with
+    /// [`XarTrekPolicy::new`] instead.
     pub table: ThresholdTable,
     /// Recorded per-app scenario times (x86exec/ARMexec/FPGAexec in
-    /// Algorithm 1). The x86 entry is updated by observation (line 10).
-    /// Keyed by the threshold table's own `Arc<str>` wherever this
-    /// crate builds both (see [`ThresholdTable::key`]), so an app name
-    /// is one allocation per shard.
-    ref_times: HashMap<Arc<str>, ScenarioTimes>,
+    /// Algorithm 1), by the table's row id. The x86 entry is updated by
+    /// observation (line 10). A row the table gained after the policy
+    /// was built lies past the end: like a `None` slot it has no
+    /// recorded times, and Algorithm 1 leaves it alone.
+    times: Vec<Option<ScenarioTimes>>,
     /// Configure the FPGA at application launch (paper §3.1; ablation
     /// knob for the §4.2 "faster than always-FPGA" effect).
     pub early_config: bool,
@@ -37,9 +46,17 @@ pub struct XarTrekPolicy {
 
 impl XarTrekPolicy {
     /// A policy over an estimated threshold table and the isolated
-    /// scenario times recorded at estimation time.
+    /// scenario times recorded at estimation time. Times are folded
+    /// into the table's rows; times for an application without a row
+    /// could never be read (Algorithm 1 needs both) and are dropped.
     pub fn new(table: ThresholdTable, ref_times: HashMap<Arc<str>, ScenarioTimes>) -> Self {
-        XarTrekPolicy { table, ref_times, early_config: true, dynamic_update: true, thr_step: 1 }
+        let mut times = vec![None; table.len()];
+        for (app, t) in ref_times {
+            if let Some(id) = table.row_id(&app) {
+                times[id] = Some(t);
+            }
+        }
+        XarTrekPolicy { table, times, early_config: true, dynamic_update: true, thr_step: 1 }
     }
 
     /// Builds the policy from job specs by running the step-G estimator
@@ -115,25 +132,23 @@ impl XarTrekPolicy {
     /// [`xar_sched::shard_of`] routes to it, plus this policy's flags.
     pub fn split_shards(&self, n: usize) -> Vec<XarTrekPolicy> {
         let count = n.max(1);
-        // Sized for an even split plus slack, so a shard's map is built
-        // without rehashing its way up from empty.
-        let per_shard = self.ref_times.len().div_ceil(count) * 5 / 4;
+        // Sized for an even split plus slack, so a shard's slabs and
+        // index are built without growing their way up from empty.
+        let per_shard = self.table.len().div_ceil(count) * 5 / 4;
         let mut shards: Vec<XarTrekPolicy> = (0..count)
-            .map(|_| {
-                let ref_times = HashMap::with_capacity(per_shard);
-                let mut p = XarTrekPolicy::new(ThresholdTable::new(), ref_times);
-                p.early_config = self.early_config;
-                p.dynamic_update = self.dynamic_update;
-                p.thr_step = self.thr_step;
-                p
+            .map(|_| XarTrekPolicy {
+                table: ThresholdTable::with_capacity(per_shard),
+                times: Vec::with_capacity(per_shard),
+                early_config: self.early_config,
+                dynamic_update: self.dynamic_update,
+                thr_step: self.thr_step,
             })
             .collect();
-        for e in self.table.iter() {
-            let shard = &mut shards[xar_sched::shard_of(&e.app, count)];
-            let key = shard.table.insert(e.clone());
-            if let Some(times) = self.ref_times.get(e.app.as_str()) {
-                shard.ref_times.insert(key, *times);
-            }
+        for (id, (key, e)) in self.table.rows().enumerate() {
+            let shard = &mut shards[xar_sched::shard_of(key, count)];
+            // The shard's row shares this table's allocation of the name.
+            shard.table.push(key.clone(), e.clone());
+            shard.times.push(self.times.get(id).copied().flatten());
         }
         shards
     }
@@ -141,12 +156,13 @@ impl XarTrekPolicy {
     /// Algorithm 1: the scheduler client's threshold update after a
     /// call returns.
     pub fn algorithm1(&mut self, report: &CompletionReport<'_>) {
-        let Some(entry) = self.table.get_mut(report.app) else {
+        let Some(id) = self.table.row_id(report.app) else {
             return;
         };
-        let Some(times) = self.ref_times.get_mut(report.app) else {
+        let Some(times) = self.times.get_mut(id).and_then(Option::as_mut) else {
             return;
         };
+        let entry = self.table.row_mut(id);
         let load = report.x86_load as u32;
         match report.target {
             Target::X86 => {
@@ -177,19 +193,23 @@ impl XarTrekPolicy {
     }
 }
 
-/// The decision state `xar-sched` publishes per shard: a frozen index
-/// of the shard's apps, each holding its current thresholds in a
-/// [`ThrCell`], plus the policy flags Algorithm 2 needs.
+/// The decision state `xar-sched` publishes per shard: the table's own
+/// name index (the same `Arc`, not a copy) plus one [`ThrCell`] per row
+/// id holding that row's current thresholds, and the policy flag
+/// Algorithm 2 needs.
 ///
-/// "Frozen" is the key set: it is fixed when the snapshot is built
-/// (boot, state restore). The *values* are live — Algorithm 1 updates
-/// land in place through [`xar_sched::PolicyCore::republish`], so a
+/// The key set is frozen: the index is copy-on-write, so a table that
+/// gains a row leaves this snapshot's map untouched and parts ways
+/// with it ([`xar_sched::PolicyCore::republish`] then answers `false`
+/// and the engine publishes a rebuilt snapshot). The *values* are live
+/// — Algorithm 1 updates land in place through `republish`, so a
 /// reader holding this snapshot always decides on the current
-/// thresholds without ever swapping snapshots. The keys are the
-/// threshold table's own `Arc<str>`s.
+/// thresholds without ever swapping snapshots.
 #[derive(Debug)]
 pub struct PolicySnapshot {
-    index: HashMap<Arc<str>, ThrCell>,
+    index: Arc<NameIndex>,
+    /// By row id; every id in `index` is in range.
+    cells: Box<[ThrCell]>,
     early_config: bool,
 }
 
@@ -197,7 +217,7 @@ impl PolicySnapshot {
     /// The thresholds `(fpga_thr, arm_thr)` currently published for
     /// `app`, if the index holds it.
     pub fn thresholds(&self, app: &str) -> Option<(u32, u32)> {
-        self.index.get(app).map(ThrCell::load)
+        self.index.get(app).map(|&id| self.cells[id as usize].load())
     }
 }
 
@@ -205,26 +225,26 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
     type Snap = PolicySnapshot;
 
     fn snapshot(&self) -> PolicySnapshot {
-        // O(table): runs at boot and on state restore, never per
-        // report (Algorithm 1 moves thresholds, not the key set).
-        let index = self
-            .table
-            .iter_keyed()
-            .map(|(key, e)| (key.clone(), ThrCell::new(e.fpga_thr, e.arm_thr)))
-            .collect();
-        PolicySnapshot { index, early_config: self.early_config }
+        // An `Arc` clone and one cell per row, no hashing. Runs at boot
+        // and on state restore, never per report (Algorithm 1 moves
+        // thresholds, not the key set).
+        let cells = self.table.rows().map(|(_, e)| ThrCell::new(e.fpga_thr, e.arm_thr)).collect();
+        PolicySnapshot { index: self.table.index().clone(), cells, early_config: self.early_config }
     }
 
     fn republish(&self, snap: &PolicySnapshot, app: &str) -> bool {
-        match (self.table.get(app), snap.index.get(app)) {
-            (Some(e), Some(cell)) => {
-                cell.store(e.fpga_thr, e.arm_thr);
-                true
-            }
-            // A report for an app without a row changed nothing.
-            (None, None) => true,
-            _ => false,
+        // Sharing the index means sharing the key set and the row ids;
+        // a table whose index has moved on (it gained a row, or a state
+        // restore replaced it) needs a rebuilt snapshot.
+        if !Arc::ptr_eq(&snap.index, self.table.index()) {
+            return false;
         }
+        // A report for an app without a row changed nothing.
+        if let Some(&id) = snap.index.get(app) {
+            let e = self.table.row(id as usize);
+            snap.cells[id as usize].store(e.fpga_thr, e.arm_thr);
+        }
+        true
     }
 
     fn intern(snap: &PolicySnapshot, app: &str) -> Option<Arc<str>> {
@@ -271,23 +291,25 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         // policy flags. Rows and times are emitted sorted by app so
         // equal states serialize to equal bytes (bit-identity checks
         // compare these blobs across daemon generations).
-        let mut out = Vec::with_capacity(64 + self.table.len() * 48);
+        let ids = self.table.sorted_ids();
+        let mut out = Vec::with_capacity(64 + ids.len() * 80);
         out.push(STATE_VERSION);
         out.push(self.early_config as u8);
         out.push(self.dynamic_update as u8);
         out.extend_from_slice(&self.thr_step.to_le_bytes());
-        out.extend_from_slice(&(self.table.len() as u32).to_le_bytes());
-        for e in self.table.iter() {
+        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for &id in &ids {
+            let e = self.table.row(id);
             put_str(&e.app, &mut out);
             put_str(&e.kernel, &mut out);
             out.extend_from_slice(&e.fpga_thr.to_le_bytes());
             out.extend_from_slice(&e.arm_thr.to_le_bytes());
         }
-        let mut times: Vec<(&Arc<str>, &ScenarioTimes)> = self.ref_times.iter().collect();
-        times.sort_by(|a, b| a.0.cmp(b.0));
+        let times: Vec<(usize, &ScenarioTimes)> =
+            ids.iter().filter_map(|&id| Some((id, self.times.get(id)?.as_ref()?))).collect();
         out.extend_from_slice(&(times.len() as u32).to_le_bytes());
-        for (app, t) in times {
-            put_str(app, &mut out);
+        for (id, t) in times {
+            put_str(&self.table.row(id).app, &mut out);
             out.extend_from_slice(&t.x86_ms.to_bits().to_le_bytes());
             out.extend_from_slice(&t.fpga_ms.to_bits().to_le_bytes());
             out.extend_from_slice(&t.arm_ms.to_bits().to_le_bytes());
@@ -308,28 +330,29 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         if n_rows > bytes.len() / 12 {
             return Err("row count exceeds payload".into());
         }
-        let mut table = ThresholdTable::new();
+        // One pre-sized rebuild straight from the borrowed blob, built
+        // aside: a blob that fails to parse leaves the policy as it was.
+        let mut table = ThresholdTable::with_capacity(n_rows);
         for _ in 0..n_rows {
-            let app = c.str()?.to_string();
-            let kernel = c.str()?.to_string();
-            let fpga_thr = c.u32()?;
-            let arm_thr = c.u32()?;
+            let (app, kernel) = (c.str()?.to_string(), c.str()?.to_string());
+            let (fpga_thr, arm_thr) = (c.u32()?, c.u32()?);
             table.insert(ThresholdEntry { app, kernel, fpga_thr, arm_thr });
         }
         let n_times = c.u32()? as usize;
         if n_times > bytes.len() / 26 {
             return Err("ref-time count exceeds payload".into());
         }
-        let mut ref_times = HashMap::with_capacity(n_times);
+        let mut times = vec![None; table.len()];
         for _ in 0..n_times {
             let app = c.str()?;
-            let app = table.key(app).cloned().unwrap_or_else(|| Arc::from(app));
             let x86_ms = f64::from_bits(c.u64()?);
             let fpga_ms = f64::from_bits(c.u64()?);
             let arm_ms = f64::from_bits(c.u64()?);
-            ref_times.insert(app, ScenarioTimes { x86_ms, fpga_ms, arm_ms });
+            if let Some(id) = table.row_id(app) {
+                times[id] = Some(ScenarioTimes { x86_ms, fpga_ms, arm_ms });
+            }
         }
-        *self = XarTrekPolicy { table, ref_times, early_config, dynamic_update, thr_step };
+        *self = XarTrekPolicy { table, times, early_config, dynamic_update, thr_step };
         Ok(())
     }
 }
@@ -403,6 +426,11 @@ mod tests {
     fn policy() -> XarTrekPolicy {
         let specs: Vec<_> = all_profiles().iter().map(|p| p.job()).collect();
         XarTrekPolicy::from_specs(&specs, &ClusterConfig::default())
+    }
+
+    /// The reference times recorded in `app`'s row slot, if any.
+    fn times_of(p: &XarTrekPolicy, app: &str) -> Option<ScenarioTimes> {
+        p.times.get(p.table.row_id(app)?).copied().flatten()
     }
 
     #[test]
@@ -509,7 +537,7 @@ mod tests {
             func_ms: 1.0, // fast: no threshold movement
             x86_load: 2,
         });
-        assert!((p.ref_times["FaceDet320"].x86_ms - 1.0).abs() < 1e-9);
+        assert!((times_of(&p, "FaceDet320").unwrap().x86_ms - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -522,7 +550,7 @@ mod tests {
         for (i, shard) in shards.iter().enumerate() {
             for e in shard.table.iter() {
                 assert_eq!(xar_sched::shard_of(&e.app, 4), i, "{} routed to {i}", e.app);
-                assert!(shard.ref_times.contains_key(e.app.as_str()));
+                assert!(times_of(shard, &e.app).is_some());
             }
             assert_eq!(shard.early_config, p.early_config);
             assert_eq!(shard.thr_step, p.thr_step);
@@ -532,25 +560,70 @@ mod tests {
     #[test]
     fn an_app_name_is_one_allocation_per_shard() {
         use xar_sched::PolicyCore;
-        let shared = |p: &XarTrekPolicy| {
+        let shared = |p: &XarTrekPolicy, holders: usize| {
             let snap = p.snapshot();
-            for (key, e) in p.table.iter_keyed() {
-                let (times_key, _) = p.ref_times.get_key_value(e.app.as_str()).unwrap();
-                assert!(Arc::ptr_eq(key, times_key), "{}: ref_times key is a copy", e.app);
+            assert!(Arc::ptr_eq(&snap.index, p.table.index()), "the snapshot copied the index");
+            for (id, (key, e)) in p.table.rows().enumerate() {
+                let index_key = p.table.key(&e.app).unwrap();
+                assert!(Arc::ptr_eq(key, index_key), "{}: index key is a copy", e.app);
+                // The times slot has no key of its own: it is the row's id.
+                assert_eq!(p.table.row_id(&e.app), Some(id));
+                assert!(p.times[id].is_some(), "{}: no times in its row's slot", e.app);
                 let interned = XarTrekPolicy::intern(&snap, &e.app).unwrap();
-                assert!(Arc::ptr_eq(key, &interned), "{}: index key is a copy", e.app);
-                // Table, ref_times, index, and the one just handed out.
-                assert_eq!(Arc::strong_count(key), 4, "{}", e.app);
+                assert!(Arc::ptr_eq(key, &interned), "{}: interned name is a copy", e.app);
+                assert_eq!(Arc::strong_count(key), holders, "{}", e.app);
             }
         };
+        // The row, the index — one map, which table and snapshot share,
+        // so the snapshot adds no holder — and the one just handed out.
         let p = policy();
-        shared(&p);
+        shared(&p, 3);
         for shard in p.split_shards(2) {
-            shared(&shard);
+            // A split shard borrows the source's names: the source's
+            // row and index hold them too.
+            shared(&shard, 5);
             let mut restored = XarTrekPolicy::new(ThresholdTable::new(), HashMap::new());
             restored.load_state(&shard.save_state().unwrap()).unwrap();
-            shared(&restored);
+            shared(&restored, 3);
         }
+    }
+
+    #[test]
+    fn a_row_gained_after_a_publish_forces_a_rebuild_that_sees_it() {
+        use xar_sched::PolicyCore;
+        let mut p = policy();
+        let published = p.snapshot();
+        assert!(p.republish(&published, "CG-A"), "same key set: in-place publish");
+        p.table.insert(ThresholdEntry {
+            app: "latecomer".into(),
+            kernel: "KNL_LATE".into(),
+            fpga_thr: 3,
+            arm_thr: 9,
+        });
+        // The index is copy-on-write: the insert built a new map aside,
+        // the published snapshot still holds the old one, whole.
+        assert!(!Arc::ptr_eq(&published.index, p.table.index()));
+        assert_eq!(published.index.len(), p.table.len() - 1);
+        assert_eq!(published.thresholds("latecomer"), None);
+        assert!(XarTrekPolicy::intern(&published, "latecomer").is_none());
+        let cg = p.table.get("CG-A").map(|e| (e.fpga_thr, e.arm_thr));
+        assert_eq!(published.thresholds("CG-A"), cg, "old rows still answer");
+        // Every republish now asks for a rebuild, for old and new rows
+        // alike, and the rebuilt snapshot sees the row.
+        assert!(!p.republish(&published, "latecomer"));
+        assert!(!p.republish(&published, "CG-A"));
+        let rebuilt = p.snapshot();
+        assert_eq!(rebuilt.thresholds("latecomer"), Some((3, 9)));
+        assert!(p.republish(&rebuilt, "latecomer"));
+        // Replacing a row moves no key: the snapshot stays current.
+        p.table.insert(ThresholdEntry {
+            app: "latecomer".into(),
+            kernel: "KNL_LATE".into(),
+            fpga_thr: 4,
+            arm_thr: 9,
+        });
+        assert!(p.republish(&rebuilt, "latecomer"));
+        assert_eq!(rebuilt.thresholds("latecomer"), Some((4, 9)));
     }
 
     #[test]
@@ -630,8 +703,8 @@ mod tests {
         };
         assert_eq!(rows(&q), rows(&p));
         assert_eq!(
-            q.ref_times["FaceDet320"].x86_ms.to_bits(),
-            p.ref_times["FaceDet320"].x86_ms.to_bits(),
+            times_of(&q, "FaceDet320").unwrap().x86_ms.to_bits(),
+            times_of(&p, "FaceDet320").unwrap().x86_ms.to_bits(),
             "observed x86 time survives bit-exactly"
         );
         // Deterministic serialization: equal states, equal bytes.
@@ -648,6 +721,40 @@ mod tests {
             (row.app, row.kernel, row.fpga_thr, row.arm_thr),
             (scan.app.as_str(), scan.kernel.as_str(), scan.fpga_thr, scan.arm_thr)
         );
+    }
+
+    #[test]
+    fn load_state_ends_as_exactly_the_blobs_state_whatever_rows_it_had() {
+        use xar_sched::PolicyCore;
+        let mut p = policy();
+        p.thr_step = 2;
+        for (app, target) in [("Digit2000", Target::Fpga), ("CG-A", Target::Arm)] {
+            p.algorithm1(&CompletionReport { app, target, func_ms: 1e9, x86_load: 50 });
+        }
+        p.table.get_mut("Digit500").unwrap().kernel = "KNL_RENAMED".into();
+        let blob = p.save_state().unwrap();
+
+        // The same rows, a row the blob does not hold, and a row only
+        // the blob holds: all end as exactly the blob's state.
+        let mut extra = policy();
+        extra.table.insert(ThresholdEntry {
+            app: "stale".into(),
+            kernel: "K".into(),
+            fpga_thr: 1,
+            arm_thr: 1,
+        });
+        let specs: Vec<_> = all_profiles().iter().skip(1).map(|p| p.job()).collect();
+        let missing = XarTrekPolicy::from_specs(&specs, &ClusterConfig::default());
+        assert_eq!(missing.table.len(), p.table.len() - 1);
+        for mut other in [policy(), extra, missing] {
+            other.load_state(&blob).unwrap();
+            assert!(other.table.get("stale").is_none());
+            assert_eq!(other.table, p.table);
+            assert_eq!(other.save_state().unwrap(), blob);
+            // A blob that does not parse changes nothing.
+            assert!(other.load_state(&blob[..blob.len() - 3]).is_err());
+            assert_eq!(other.save_state().unwrap(), blob);
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! name, 2) the hardware kernel, 3) the FPGA threshold, 4) the ARM
 //! threshold — exactly the columns of the paper's Table 2.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use xar_desim::{ClusterConfig, JobSpec};
+use xar_sched::NameHashBuilder;
 
 /// One row of the threshold table (Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,18 +30,49 @@ pub struct ThresholdEntry {
     pub arm_thr: u32,
 }
 
-/// The threshold table shared by the scheduler server and clients:
-/// one ordered map, mutated in place under its owner's lock.
-///
-/// The daemon never clones it per update — a shard publishes a frozen
-/// `app → cell` index once and refreshes the touched cells in place
-/// (see [`crate::policy::PolicySnapshot`]). Keys are `Arc<str>` so that
-/// index, the policy's reference times and the engine's queued reports
-/// all share each app name's one allocation ([`ThresholdTable::key`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ThresholdTable {
-    rows: BTreeMap<Arc<str>, ThresholdEntry>,
+/// Application name → row id: the one name-keyed map of a table, shared
+/// (behind an `Arc`) with every decision snapshot published from it.
+pub(crate) type NameIndex = HashMap<Arc<str>, u32, NameHashBuilder>;
+
+/// A slab slot: the row and the shared allocation of its name.
+#[derive(Debug, Clone)]
+struct Row {
+    key: Arc<str>,
+    entry: ThresholdEntry,
 }
+
+/// The threshold table shared by the scheduler server and clients: a
+/// slab of rows in insertion order plus one name → row-id index,
+/// mutated in place under its owner's lock.
+///
+/// A row id is stable for the table's life (rows are never removed), so
+/// anything kept *per row* — the policy's reference times, a published
+/// snapshot's threshold cells — is a parallel slab addressed by the id
+/// one index probe yields, not a second map keyed by name. Application
+/// order (`iter`, `to_text`) is produced by sorting row ids when it is
+/// asked for; inserting maintains no order.
+///
+/// The index is copy-on-write: a decision snapshot
+/// ([`crate::policy::PolicySnapshot`]) holds the same `Arc`, and a
+/// table that gains a row while one is published builds its new index
+/// aside, so a reader never sees a half-built map. Keys are `Arc<str>`
+/// so the index and the engine's queued reports all share each app
+/// name's one allocation ([`ThresholdTable::key`]).
+#[derive(Debug, Clone, Default)]
+pub struct ThresholdTable {
+    rows: Vec<Row>,
+    index: Arc<NameIndex>,
+}
+
+/// Equal tables hold equal rows; the order they were inserted in is not
+/// part of a table's value.
+impl PartialEq for ThresholdTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.rows.iter().all(|r| other.get(&r.key) == Some(&r.entry))
+    }
+}
+
+impl Eq for ThresholdTable {}
 
 impl ThresholdTable {
     /// An empty table.
@@ -48,47 +80,94 @@ impl ThresholdTable {
         Self::default()
     }
 
+    /// An empty table with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        ThresholdTable {
+            rows: Vec::with_capacity(rows),
+            index: Arc::new(NameIndex::with_capacity_and_hasher(rows, NameHashBuilder)),
+        }
+    }
+
     /// Inserts or replaces an entry and hands back the row's shared
-    /// name, so a caller keying something else by it needs no second
-    /// descent through [`ThresholdTable::key`]. Replacing keeps the
-    /// row's existing key allocation.
+    /// name. Replacing keeps the row's id and its key allocation.
     pub fn insert(&mut self, e: ThresholdEntry) -> Arc<str> {
-        match self.rows.entry(Arc::from(e.app.as_str())) {
-            Entry::Occupied(mut row) => {
-                row.insert(e);
-                row.key().clone()
+        match self.row_id(&e.app) {
+            Some(id) => {
+                let row = &mut self.rows[id];
+                row.entry = e;
+                row.key.clone()
             }
-            Entry::Vacant(slot) => {
-                let key = slot.key().clone();
-                slot.insert(e);
+            None => {
+                let key: Arc<str> = Arc::from(e.app.as_str());
+                self.push(key.clone(), e);
                 key
             }
         }
     }
 
-    /// Looks up an application's entry.
-    pub fn get(&self, app: &str) -> Option<&ThresholdEntry> {
-        self.rows.get(app)
+    /// Appends a row known to be new under an existing allocation of
+    /// its name — how [`crate::policy::XarTrekPolicy::split_shards`]
+    /// lets a shard share the source table's names.
+    pub(crate) fn push(&mut self, key: Arc<str>, e: ThresholdEntry) {
+        debug_assert!(*key == *e.app && !self.index.contains_key(&*key));
+        let id = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
+        Arc::make_mut(&mut self.index).insert(key.clone(), id);
+        self.rows.push(Row { key, entry: e });
     }
 
-    /// Mutable lookup (Algorithm 1 updates thresholds in place).
+    /// The name index, for a snapshot to share.
+    pub(crate) fn index(&self) -> &Arc<NameIndex> {
+        &self.index
+    }
+
+    /// An application's row id: its position in insertion order.
+    pub(crate) fn row_id(&self, app: &str) -> Option<usize> {
+        self.index.get(app).map(|&id| id as usize)
+    }
+
+    /// The row with id `id` (see [`ThresholdTable::row_id`]); panics if
+    /// this table has no such row.
+    pub(crate) fn row(&self, id: usize) -> &ThresholdEntry {
+        &self.rows[id].entry
+    }
+
+    /// Mutable [`ThresholdTable::row`] (Algorithm 1 updates thresholds
+    /// in place).
+    pub(crate) fn row_mut(&mut self, id: usize) -> &mut ThresholdEntry {
+        &mut self.rows[id].entry
+    }
+
+    /// Looks up an application's entry.
+    pub fn get(&self, app: &str) -> Option<&ThresholdEntry> {
+        self.row_id(app).map(|id| self.row(id))
+    }
+
+    /// Mutable lookup.
     pub fn get_mut(&mut self, app: &str) -> Option<&mut ThresholdEntry> {
-        self.rows.get_mut(app)
+        self.row_id(app).map(|id| self.row_mut(id))
     }
 
     /// The shared allocation of a row's application name.
     pub fn key(&self, app: &str) -> Option<&Arc<str>> {
-        self.rows.get_key_value(app).map(|(key, _)| key)
+        self.index.get_key_value(app).map(|(key, _)| key)
+    }
+
+    /// Iterates `(shared name, entry)` in row-id (insertion) order.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = (&Arc<str>, &ThresholdEntry)> {
+        self.rows.iter().map(|r| (&r.key, &r.entry))
+    }
+
+    /// Row ids in application order: one sort per call (linear when the
+    /// rows were inserted in order, as table files and estimators do).
+    pub(crate) fn sorted_ids(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..self.rows.len()).collect();
+        ids.sort_unstable_by(|&a, &b| self.rows[a].key.cmp(&self.rows[b].key));
+        ids
     }
 
     /// Iterates entries in application order.
     pub fn iter(&self) -> impl Iterator<Item = &ThresholdEntry> {
-        self.rows.values()
-    }
-
-    /// Iterates `(shared name, entry)` in application order.
-    pub fn iter_keyed(&self) -> impl Iterator<Item = (&Arc<str>, &ThresholdEntry)> {
-        self.rows.iter()
+        self.sorted_ids().into_iter().map(move |id| self.row(id))
     }
 
     /// Number of entries.

@@ -4,11 +4,13 @@
 //!
 //! - [`record`]: the on-disk framing shared by WAL segments and
 //!   snapshots — `[u32 len][u32 crc32][payload]`, little-endian, with
-//!   a table-driven CRC-32 ([`crc`]) that detects any single-bit flip.
+//!   a table-driven (slicing-by-8) CRC-32 ([`crc`]) that detects any
+//!   single-bit flip.
 //! - [`wal`]: an append-only log of framed records across rotating
 //!   segment files, a configurable fsync policy, and open-time
 //!   torn-tail recovery that truncates at the first invalid record
-//!   instead of refusing to start.
+//!   instead of refusing to start — and replays, in that same pass,
+//!   whatever the caller asks for ([`Wal::open_replaying`]).
 //! - [`snapshot`]: whole-state checkpoints written tmp-then-rename
 //!   with a `MANIFEST` naming the active (snapshot, WAL-watermark)
 //!   pair, so recovery is "load newest valid snapshot, replay the WAL

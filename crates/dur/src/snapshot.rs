@@ -21,7 +21,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::record::{decode_record, encode_record};
+use crate::record::{decode_record, encode_record, FRAME_HEADER};
 use crate::wal::fsync_dir;
 
 const MANIFEST: &str = "MANIFEST";
@@ -86,14 +86,17 @@ fn manifest_pointer(dir: &Path) -> Option<(PathBuf, u64)> {
 
 /// Validates and unwraps one snapshot file's payload.
 fn read_snapshot(path: &Path) -> Option<Vec<u8>> {
-    let bytes = fs::read(path).ok()?;
-    let (payload, n) = decode_record(&bytes).ok()?;
+    let mut bytes = fs::read(path).ok()?;
+    let (_, n) = decode_record(&bytes).ok()?;
     // Trailing garbage after the frame means the file is not one we
     // wrote whole — treat it as invalid.
     if n != bytes.len() {
         return None;
     }
-    Some(payload.to_vec())
+    // The payload is the file minus its frame header: shift it down in
+    // the buffer already read rather than copy it into a second one.
+    bytes.drain(..FRAME_HEADER);
+    Some(bytes)
 }
 
 /// Loads the newest *valid* snapshot: the manifest's pointee when it

@@ -6,12 +6,19 @@
 //! segment is named by the LSN of its first record, so the segment
 //! chain alone reconstructs every record's LSN without an index.
 //!
-//! Crash behavior is the whole point: [`Wal::open`] walks the chain,
+//! Crash behavior is the whole point: opening walks the chain,
 //! validates every record, and on the first invalid one (torn tail,
 //! bit flip, or a length gone absurd) truncates the file there and
 //! discards any later segments — the longest valid prefix wins, the
 //! daemon starts, and the truncation is counted for the
 //! `TORN_TAIL_TRUNCATIONS` stat rather than hidden.
+//!
+//! Recovery is that same walk: [`Wal::open_replaying`] hands each
+//! record above the caller's watermark to a sink the moment its own
+//! checksum has passed, so a restart reads and checks every segment
+//! once. Delivery therefore stops exactly where the truncation lands;
+//! nothing beyond a tear — in that segment or a later one — is ever
+//! delivered. [`Wal::open`] is the walk with nothing to deliver.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -79,7 +86,7 @@ pub struct Wal {
     buf: Vec<u8>,
     appended_records: u64,
     appended_bytes: u64,
-    /// Torn-tail truncation events performed by [`Wal::open`].
+    /// Torn-tail truncation events performed while opening.
     truncations: u64,
 }
 
@@ -97,6 +104,41 @@ pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// What [`walk_segment`] found in one segment.
+struct Walked {
+    /// Length of the valid record prefix.
+    valid: usize,
+    /// Whether the walk stopped at an invalid record rather than at
+    /// the end of the bytes.
+    torn: bool,
+    /// Records handed to the sink.
+    delivered: u64,
+}
+
+/// Walks the framed records at the head of one segment's `bytes`, the
+/// first of which is record `*lsn`: each record whose checksum passes
+/// advances `*lsn`, and is handed to `f` first if it lies above
+/// `after`.
+fn walk_segment(bytes: &[u8], lsn: &mut u64, after: u64, f: &mut impl FnMut(u64, &[u8])) -> Walked {
+    let (mut at, mut delivered) = (0usize, 0u64);
+    loop {
+        match decode_record(&bytes[at..]) {
+            Ok((payload, n)) => {
+                if *lsn > after {
+                    f(*lsn, payload);
+                    delivered += 1;
+                }
+                at += n;
+                *lsn += 1;
+            }
+            Err(e) => {
+                let clean_end = e == RecordError::Truncated && at == bytes.len();
+                return Walked { valid: at, torn: !clean_end, delivered };
+            }
+        }
+    }
+}
+
 impl Wal {
     /// Opens (or initializes) the WAL under `cfg.dir`, repairing any
     /// torn tail: the first invalid record — wherever it is in the
@@ -104,6 +146,20 @@ impl Wal {
     /// there, and later segments are discarded. Never panics on
     /// corrupt input; unreadable directories surface as `Err`.
     pub fn open(cfg: WalConfig) -> io::Result<Wal> {
+        Wal::open_replaying(cfg, u64::MAX, |_, _| {}).map(|(wal, _)| wal)
+    }
+
+    /// [`Wal::open`] that also replays, in the same pass over the
+    /// files: every record with LSN strictly greater than `after` is
+    /// handed to `f(lsn, payload)` in LSN order as soon as its own
+    /// checksum has validated. Returns the open log and the number of
+    /// records delivered — exactly the valid prefix the repaired log
+    /// holds above `after`.
+    pub fn open_replaying(
+        cfg: WalConfig,
+        after: u64,
+        mut f: impl FnMut(u64, &[u8]),
+    ) -> io::Result<(Wal, u64)> {
         fs::create_dir_all(&cfg.dir)?;
         let mut segments: Vec<Segment> = fs::read_dir(&cfg.dir)?
             .filter_map(|e| {
@@ -115,7 +171,7 @@ impl Wal {
             .collect();
         segments.sort_by_key(|s| s.start_lsn);
 
-        let mut truncations = 0u64;
+        let (mut truncations, mut delivered) = (0u64, 0u64);
         // Pruning may have removed head segments, so the chain starts
         // wherever the oldest surviving segment says it does — only
         // contiguity from there on is required.
@@ -131,25 +187,15 @@ impl Wal {
                 fs::remove_file(&seg.path)?;
                 continue;
             }
-            let bytes = fs::read(&seg.path)?;
-            let mut at = 0usize;
-            loop {
-                match decode_record(&bytes[at..]) {
-                    Ok((_, n)) => {
-                        at += n;
-                        next_lsn += 1;
-                    }
-                    Err(RecordError::Truncated) if at == bytes.len() => break,
-                    Err(_) => {
-                        // Torn or corrupt tail: keep the valid prefix.
-                        truncations += 1;
-                        chain_broken = true;
-                        let f = OpenOptions::new().write(true).open(&seg.path)?;
-                        f.set_len(at as u64)?;
-                        f.sync_all()?;
-                        break;
-                    }
-                }
+            let walked = walk_segment(&fs::read(&seg.path)?, &mut next_lsn, after, &mut f);
+            delivered += walked.delivered;
+            if walked.torn {
+                // Torn or corrupt tail: keep the valid prefix.
+                truncations += 1;
+                chain_broken = true;
+                let file = OpenOptions::new().write(true).open(&seg.path)?;
+                file.set_len(walked.valid as u64)?;
+                file.sync_all()?;
             }
             keep.push(seg);
         }
@@ -165,7 +211,7 @@ impl Wal {
         let last = keep.last().expect("at least one segment");
         let file = OpenOptions::new().append(true).open(&last.path)?;
         let seg_len = file.metadata()?.len();
-        Ok(Wal {
+        let wal = Wal {
             file,
             seg_len,
             next_lsn,
@@ -177,7 +223,8 @@ impl Wal {
             appended_records: 0,
             appended_bytes: 0,
             truncations,
-        })
+        };
+        Ok((wal, delivered))
     }
 
     /// LSN the next append will receive.
@@ -196,7 +243,7 @@ impl Wal {
         self.appended_bytes
     }
 
-    /// Torn-tail truncation events [`Wal::open`] performed.
+    /// Torn-tail truncation events opening performed.
     pub fn truncations(&self) -> u64 {
         self.truncations
     }
@@ -275,27 +322,20 @@ impl Wal {
         Ok(())
     }
 
-    /// Replays every record with LSN strictly greater than `after`,
-    /// in LSN order, to `f(lsn, payload)`. Returns the number of
-    /// records delivered. Unsynced appends are flushed first so the
-    /// caller observes everything this handle wrote.
+    /// Re-reads a live handle's log: every record with LSN strictly
+    /// greater than `after`, in LSN order, to `f(lsn, payload)`.
+    /// Returns the number of records delivered. Unsynced appends are
+    /// flushed first so the caller observes everything this handle
+    /// wrote. (A restart replays through [`Wal::open_replaying`]
+    /// instead, without this second read.)
     pub fn replay_after(&mut self, after: u64, mut f: impl FnMut(u64, &[u8])) -> io::Result<u64> {
         self.sync()?;
         let mut delivered = 0u64;
         for seg in &self.segments {
-            // Skip whole segments below the watermark: the next
-            // segment's start bounds this one's last LSN.
+            // Every segment is read and validated, whatever the
+            // watermark; only delivery is filtered by it.
             let mut lsn = seg.start_lsn;
-            let bytes = fs::read(&seg.path)?;
-            let mut at = 0usize;
-            while let Ok((payload, n)) = decode_record(&bytes[at..]) {
-                if lsn > after {
-                    f(lsn, payload);
-                    delivered += 1;
-                }
-                at += n;
-                lsn += 1;
-            }
+            delivered += walk_segment(&fs::read(&seg.path)?, &mut lsn, after, &mut f).delivered;
         }
         Ok(delivered)
     }
@@ -342,6 +382,18 @@ mod tests {
         got
     }
 
+    /// Reopens through the single-pass constructor. What it delivered
+    /// while validating must be what re-reading the repaired log
+    /// delivers afterwards.
+    fn reopen(cfg: WalConfig, after: u64) -> (Wal, Vec<(u64, Vec<u8>)>) {
+        let mut got = Vec::new();
+        let (mut wal, n) =
+            Wal::open_replaying(cfg, after, |lsn, p| got.push((lsn, p.to_vec()))).unwrap();
+        assert_eq!(n as usize, got.len());
+        assert_eq!(collect(&mut wal, after), got, "single pass and re-read disagree");
+        (wal, got)
+    }
+
     #[test]
     fn append_replay_roundtrip_across_reopen() {
         let dir = tmp("roundtrip");
@@ -349,11 +401,14 @@ mod tests {
         assert_eq!(wal.append(b"one").unwrap(), 1);
         assert_eq!(wal.append(b"two").unwrap(), 2);
         drop(wal);
-        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
+        let (wal, all) = reopen(WalConfig::at(&dir), 0);
         assert_eq!(wal.next_lsn(), 3);
         assert_eq!(wal.truncations(), 0);
-        assert_eq!(collect(&mut wal, 0), vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
-        assert_eq!(collect(&mut wal, 1), vec![(2, b"two".to_vec())]);
+        assert_eq!(all, vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
+        drop(wal);
+        assert_eq!(reopen(WalConfig::at(&dir), 1).1, vec![(2, b"two".to_vec())]);
+        // A plain open delivers nothing and leaves the same log.
+        assert_eq!(collect(&mut Wal::open(WalConfig::at(&dir)).unwrap(), 0), all);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -370,9 +425,8 @@ mod tests {
         assert!(!wal.dirty, "the maintenance tick syncs an unsynced tail under `always`");
         // Same bytes and LSNs on disk as three plain appends.
         drop(wal);
-        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
         assert_eq!(
-            collect(&mut wal, 0),
+            reopen(WalConfig::at(&dir), 0).1,
             vec![(1, b"delta".to_vec()), (2, b"acked".to_vec()), (3, b"trailing delta".to_vec())]
         );
         let _ = fs::remove_dir_all(&dir);
@@ -402,9 +456,9 @@ mod tests {
         assert!(tail.first().unwrap().0 > 1, "fully-covered head segment pruned");
         // Reopen agrees with the pruned chain.
         drop(wal);
-        let mut wal = Wal::open(cfg).unwrap();
+        let (wal, reopened) = reopen(cfg, 0);
         assert_eq!(wal.next_lsn(), 21);
-        assert_eq!(collect(&mut wal, 0), tail);
+        assert_eq!(reopened, tail);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -422,10 +476,10 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&seg).unwrap();
         f.set_len(bytes.len() as u64 - 3).unwrap();
         drop(f);
-        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
+        let (mut wal, got) = reopen(WalConfig::at(&dir), 0);
         assert_eq!(wal.truncations(), 1);
         assert_eq!(wal.next_lsn(), 3, "valid prefix survives, torn record gone");
-        assert_eq!(collect(&mut wal, 0), vec![(1, b"keep-1".to_vec()), (2, b"keep-2".to_vec())]);
+        assert_eq!(got, vec![(1, b"keep-1".to_vec()), (2, b"keep-2".to_vec())]);
         // And the log accepts appends again at the repaired LSN.
         assert_eq!(wal.append(b"after-repair").unwrap(), 3);
         let _ = fs::remove_dir_all(&dir);
@@ -444,9 +498,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         fs::write(&seg, &bytes).unwrap();
-        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
+        let (wal, got) = reopen(WalConfig::at(&dir), 0);
         assert_eq!(wal.truncations(), 1);
-        let got = collect(&mut wal, 0);
         assert!(got.len() < 5, "the flipped record and everything after it is gone");
         for (i, (lsn, p)) in got.iter().enumerate() {
             assert_eq!(*lsn, i as u64 + 1);
@@ -466,9 +519,9 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0xFF; 20]);
         fs::write(&seg, &bytes).unwrap();
-        let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
+        let (wal, got) = reopen(WalConfig::at(&dir), 0);
         assert_eq!(wal.truncations(), 1);
-        assert_eq!(collect(&mut wal, 0), vec![(1, b"good".to_vec())]);
+        assert_eq!(got, vec![(1, b"good".to_vec())]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -485,13 +538,46 @@ mod tests {
         let victim = wal.segments[1].path.clone();
         drop(wal);
         fs::remove_file(victim).unwrap();
-        let mut wal = Wal::open(cfg).unwrap();
+        let (wal, got) = reopen(cfg, 0);
         assert!(wal.truncations() >= 1);
-        let got = collect(&mut wal, 0);
         // Only the contiguous prefix before the hole survives.
         assert!(!got.is_empty());
         assert_eq!(got.last().unwrap().0, got.len() as u64);
         assert_eq!(wal.next_lsn(), got.len() as u64 + 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tear_in_a_middle_segment_delivers_nothing_beyond_it() {
+        let dir = tmp("mid-tear");
+        let mut cfg = WalConfig::at(&dir);
+        cfg.segment_bytes = 48; // three 16-byte records per segment
+        let mut wal = Wal::open(cfg.clone()).unwrap();
+        for i in 1..=12u64 {
+            wal.append(&i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(wal.segments.len(), 5, "four full segments and the empty active one");
+        let (victim, victim_start) = (wal.segments[1].path.clone(), wal.segments[1].start_lsn);
+        assert_eq!(victim_start, 4);
+        drop(wal);
+        // Flip a payload bit of the victim's second record (LSN 5): its
+        // first record and the whole first segment stay valid; LSN 5,
+        // the rest of the segment and both later segments — every one
+        // of them intact on disk — must not be delivered.
+        let mut bytes = fs::read(&victim).unwrap();
+        bytes[16 + crate::FRAME_HEADER] ^= 0x01;
+        fs::write(&victim, &bytes).unwrap();
+        let (wal, got) = reopen(cfg.clone(), 2);
+        assert_eq!(got, vec![(3, 3u64.to_le_bytes().to_vec()), (4, 4u64.to_le_bytes().to_vec())]);
+        assert_eq!(wal.next_lsn(), 5);
+        assert_eq!(wal.truncations(), 4, "one tear, three segments discarded after it");
+        assert_eq!(wal.segments.len(), 2);
+        assert_eq!(fs::metadata(&victim).unwrap().len(), 16, "truncated at the flipped record");
+        drop(wal);
+        // The repair is durable: a second open finds a clean log.
+        let (wal, again) = reopen(cfg, 0);
+        assert_eq!(wal.truncations(), 0);
+        assert_eq!(again.len(), 4);
         let _ = fs::remove_dir_all(&dir);
     }
 }

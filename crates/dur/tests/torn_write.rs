@@ -7,7 +7,9 @@
 //!    flipped record is ever delivered as valid.
 //! 3. A WAL whose final segment is truncated at *every possible byte
 //!    offset* opens without panicking and always replays a valid
-//!    prefix of what was appended (and nothing else).
+//!    prefix of what was appended (and nothing else) — through the
+//!    single-pass constructor recovery uses, which must deliver exactly
+//!    what re-reading the repaired log then yields.
 
 use proptest::prelude::*;
 use std::fs::{self, OpenOptions};
@@ -117,9 +119,13 @@ proptest! {
         let full = fs::read(&seg[0]).unwrap();
         for cut in 0..=full.len() {
             fs::write(&seg[0], &full[..cut]).unwrap();
-            let mut wal = Wal::open(WalConfig::at(&dir)).unwrap();
             let mut got = Vec::new();
-            wal.replay_after(0, |_, p| got.push(p.to_vec())).unwrap();
+            let (mut wal, delivered) =
+                Wal::open_replaying(WalConfig::at(&dir), 0, |_, p| got.push(p.to_vec())).unwrap();
+            prop_assert_eq!(delivered as usize, got.len());
+            let mut reread = Vec::new();
+            wal.replay_after(0, |_, p| reread.push(p.to_vec())).unwrap();
+            prop_assert_eq!(&reread, &got, "single pass and re-read disagree at cut {}", cut);
             prop_assert!(got.len() <= ps.len());
             prop_assert_eq!(&got[..], &ps[..got.len()], "replay is not a prefix at cut {}", cut);
             // A mid-record cut must have been counted and repaired.

@@ -44,8 +44,11 @@
 //! `version, opened, replayed, sessions[(id, hwm, replayed_hwm)],
 //! shard-state blobs` — policy state via [`PolicyCore::save_state`]
 //! plus the full session table, as of the manifest's WAL watermark.
-//! Recovery = load newest valid snapshot, replay the WAL suffix — each
-//! report record re-enters the engine through
+//! Recovery = load newest valid snapshot (shard blobs borrowed from its
+//! payload), then one pass over the WAL: [`Wal::open_replaying`]
+//! validates the log and hands each record above the snapshot's
+//! watermark to [`replay_record`] as its checksum passes — no segment
+//! is read twice. Each report record re-enters the engine through
 //! [`ShardedEngine::report_batch_wire`], the door live traffic uses, as
 //! reports borrowed from the record payload.
 
@@ -159,8 +162,9 @@ pub struct Durability {
 impl Durability {
     /// Opens the durability dir and runs startup recovery against the
     /// (not-yet-serving) engine and session table: load the newest
-    /// valid snapshot, then replay the WAL suffix above its watermark.
-    /// Replayed report records re-enter through the engine's one
+    /// valid snapshot, then open the WAL, which replays the suffix
+    /// above the snapshot's watermark in the same pass that validates
+    /// the log. Replayed report records re-enter through the engine's one
     /// ingest path, so `REPORTS`/`REPORT_BATCHES` stay continuous
     /// across the restart — the recovered daemon's counters describe
     /// everything it has ever durably ingested.
@@ -180,16 +184,15 @@ impl Durability {
             restore_snapshot(&payload, engine, sessions).map_err(invalid_data)?;
             stats.snapshot_watermark = watermark;
         }
-        let mut wal = Wal::open(WalConfig {
-            dir: cfg.dir.clone(),
-            fsync: cfg.fsync,
-            segment_bytes: cfg.segment_bytes,
-        })?;
-        stats.torn_truncations = wal.truncations();
+        let wal_cfg =
+            WalConfig { dir: cfg.dir.clone(), fsync: cfg.fsync, segment_bytes: cfg.segment_bytes };
         let mut scratch = BatchScratch::default();
-        stats.replayed_records = wal.replay_after(stats.snapshot_watermark, |_lsn, payload| {
-            replay_record(payload, engine, sessions, &mut scratch);
-        })?;
+        let (wal, replayed) =
+            Wal::open_replaying(wal_cfg, stats.snapshot_watermark, |_, payload| {
+                replay_record(payload, engine, sessions, &mut scratch);
+            })?;
+        stats.replayed_records = replayed;
+        stats.torn_truncations = wal.truncations();
         // Apply below-batch-size remainders now: recovery must leave
         // the published decision snapshots equal to the full log.
         engine.flush();
@@ -469,6 +472,7 @@ impl<'a> Cur<'a> {
         std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
     }
 
+    /// Decodes a report list, borrowing the names from the payload.
     fn reports(&mut self) -> Result<Vec<WireReport<'a>>, String> {
         let n = self.u32()? as usize;
         // A corrupt count cannot pre-allocate unbounded memory: the
@@ -500,9 +504,8 @@ fn replay_record<P: PolicyCore>(
     let Ok(tag) = c.u8() else { return };
     match tag {
         REC_REPORT_BATCH => {
-            if let Ok(reports) = c.reports() {
-                engine.report_batch_wire(scratch, &reports);
-            }
+            let Ok(reports) = c.reports() else { return };
+            engine.report_batch_wire(scratch, &reports);
         }
         REC_SEQ_BATCH => {
             let (Ok(session), Ok(seq)) = (c.u64(), c.u64()) else { return };
@@ -580,10 +583,11 @@ fn restore_snapshot<P: PolicyCore>(
     if n_blobs > payload.len() / 4 {
         return Err("shard count exceeds payload".into());
     }
+    // Borrowed from the payload: each shard parses its blob in place.
     let mut blobs = Vec::with_capacity(n_blobs);
     for _ in 0..n_blobs {
         let len = c.u32()? as usize;
-        blobs.push(c.take(len)?.to_vec());
+        blobs.push(c.take(len)?);
     }
     engine.load_states(&blobs)?;
     sessions.restore_counters(opened, replayed);

@@ -1,8 +1,8 @@
 //! The sharded policy engine.
 //!
 //! State is partitioned into per-app-group shards (stable FNV-1a hash
-//! of the application name). Each shard owns one policy instance and
-//! publishes its decision state behind an [`ArcCell`]:
+//! of the application name, [`name_hash`]). Each shard owns one policy
+//! instance and publishes its decision state behind an [`ArcCell`]:
 //!
 //! * **decide** (hot path) — evaluates the pure decision function
 //!   against the shard's published snapshot. No policy lock is taken,
@@ -23,7 +23,16 @@
 //! refreshes on a threshold update. The snapshot is rebuilt
 //! ([`PolicyCore::snapshot`] + [`ArcCell::store`], the one path that
 //! bumps the generation) only at boot, in
-//! [`ShardedEngine::load_states`], and when the hook answers `false`.
+//! [`ShardedEngine::load_states`] (a state restore hands every shard
+//! its blob, borrowed, and publishes what it rebuilt), and when the
+//! hook answers `false`.
+//!
+//! **One hash.** An application name is hashed one way everywhere on
+//! this path: [`name_hash`] picks the shard ([`shard_of`]), and
+//! [`NameHashBuilder`] — the same FNV-1a pass, finalised so that names
+//! which agree modulo the shard count do not pile into the same
+//! buckets — keys the policy's name → row index. A report or a decide
+//! pays a few nanoseconds per probe instead of a SipHash pass.
 //!
 //! Because Algorithm 1 only ever touches the reporting application's
 //! table row, sharding by app preserves the single-policy semantics
@@ -195,14 +204,68 @@ impl Default for EngineConfig {
     }
 }
 
-/// Stable shard index for an application name (FNV-1a).
-pub fn shard_of(app: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in app.as_bytes() {
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x100_0000_01B3);
     }
-    (h % shards.max(1) as u64) as usize
+    h
+}
+
+/// The one hash of an application name (FNV-1a, 64-bit): what routes
+/// it to a shard and, through [`NameHashBuilder`], what every
+/// name-keyed map on the report/decide path buckets it by.
+pub fn name_hash(app: &str) -> u64 {
+    fnv1a(FNV_OFFSET, app.as_bytes())
+}
+
+/// Stable shard index for an application name: [`name_hash`] modulo
+/// the shard count. Durability snapshots are per shard, so this is a
+/// format — pinned by `tests/format_goldens.rs`.
+pub fn shard_of(app: &str, shards: usize) -> usize {
+    (name_hash(app) % shards.max(1) as u64) as usize
+}
+
+/// [`std::hash::BuildHasher`] for maps keyed by application name: the
+/// FNV-1a pass of [`name_hash`], finalised. A few nanoseconds for a
+/// ten-byte name where SipHash costs ~20.
+///
+/// The keys of such a map are the operator's threshold-table rows
+/// (table file, estimator, durability snapshot) — never names a
+/// network peer chooses, which are only ever *looked up* — so SipHash's
+/// protection against crafted collisions guards nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NameHashBuilder;
+
+/// The hasher [`NameHashBuilder`] builds.
+#[derive(Debug, Clone, Copy)]
+pub struct NameHasher(u64);
+
+impl std::hash::BuildHasher for NameHashBuilder {
+    type Hasher = NameHasher;
+
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher(FNV_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        // The raw FNV value must not reach the table: every name in a
+        // shard agrees modulo the shard count, so at 8 shards the low
+        // three bits — the table's bucket bits — are one constant and
+        // the rows pile eight to a bucket. One odd multiply carries the
+        // low bits up, the fold brings the well-mixed high half back
+        // down to where buckets are chosen.
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
 }
 
 /// What a shard's state lock guards: the policy, and the buffer the
@@ -416,7 +479,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
                 x86_load: r.x86_load as usize,
             });
         }
-        let apply_ns = apply_start.elapsed().as_nanos() as u64;
+        // One clock read ends the apply phase and starts the publish.
         let publish_start = Instant::now();
         // Rebuilds run under the state lock too, so this is the live
         // snapshot for as long as we hold it. A row touched twice is
@@ -425,6 +488,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
         if !batch.iter().all(|r| policy.republish(&snap, &r.app)) {
             shard.snap.store(policy.snapshot());
         }
+        let apply_ns = (publish_start - apply_start).as_nanos() as u64;
         let publish_ns = publish_start.elapsed().as_nanos() as u64;
         let applied = batch.len();
         shard.metrics.record_batch(applied);
@@ -481,11 +545,13 @@ impl<P: PolicyCore> ShardedEngine<P> {
     }
 
     /// Restores per-shard policy states serialized by
-    /// [`ShardedEngine::save_states`] and rebuilds every shard's
-    /// decision snapshot (the generation moves). Pending queues must be empty (recovery runs
-    /// before traffic); blob count must match the shard count — a
-    /// snapshot taken under a different sharding cannot be loaded.
-    pub fn load_states(&self, blobs: &[Vec<u8>]) -> Result<(), String> {
+    /// [`ShardedEngine::save_states`] — the blobs may be borrowed, e.g.
+    /// slices of a durability snapshot's payload — and publishes a
+    /// fresh decision snapshot per shard (the generation moves).
+    /// Pending queues must be empty (recovery runs before traffic);
+    /// blob count must match the shard count — a snapshot taken under a
+    /// different sharding cannot be loaded.
+    pub fn load_states<B: AsRef<[u8]>>(&self, blobs: &[B]) -> Result<(), String> {
         if blobs.len() != self.shards.len() {
             return Err(format!(
                 "snapshot has {} shard states, engine has {} shards",
@@ -495,7 +561,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
         for (shard, blob) in self.shards.iter().zip(blobs) {
             let mut state = shard.state.lock();
-            state.policy.load_state(blob)?;
+            state.policy.load_state(blob.as_ref())?;
             shard.snap.store(state.policy.snapshot());
         }
         Ok(())
@@ -793,6 +859,33 @@ mod tests {
             assert_eq!(s, shard_of(app, 8), "stable");
         }
         assert_eq!(shard_of("anything", 1), 0);
+    }
+
+    #[test]
+    fn name_map_hashes_do_not_cluster_within_a_shard() {
+        use std::hash::BuildHasher;
+        // Every name of a shard agrees modulo the shard count, so at 8
+        // shards the raw FNV value's low three bits are one constant
+        // per shard. Sum of squared bucket loads over the low 10 bits
+        // (what a table of ~1 250 rows buckets on) against its
+        // expectation for uniform hashes, n + n(n-1)/m.
+        let names: Vec<String> = (0..10_000).map(|i| format!("app-{i:06}")).collect();
+        let spread = |hash: &dyn Fn(&str) -> u64, shard: usize| {
+            let mut buckets = [0u64; 1024];
+            for name in names.iter().filter(|n| shard_of(n, 8) == shard) {
+                buckets[(hash(name) & 1023) as usize] += 1;
+            }
+            let n = buckets.iter().sum::<u64>() as f64;
+            let sum_sq: u64 = buckets.iter().map(|c| c * c).sum();
+            sum_sq as f64 / (n + n * (n - 1.0) / 1024.0)
+        };
+        for shard in 0..8 {
+            let mixed = spread(&|n| NameHashBuilder.hash_one(n), shard);
+            assert!(mixed <= 2.0, "shard {shard}: {mixed:.2}x the uniform collision load");
+            // The bar has teeth: the unmixed value fails it.
+            let raw = spread(&name_hash, shard);
+            assert!(raw > 2.0, "shard {shard}: raw FNV spreads {raw:.2}x — test lost its bite");
+        }
     }
 
     #[test]

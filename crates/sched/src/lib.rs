@@ -81,8 +81,8 @@ pub use backoff::Backoff;
 pub use client::{ResilientClient, ResilientConfig, V2Client};
 pub use dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, RecoveryStats};
 pub use engine::{
-    shard_of, BatchScratch, DecideHandle, DecideScratch, EngineConfig, PolicyCore, ReportOwned,
-    RowRef, ShardedEngine, TableEntry,
+    name_hash, shard_of, BatchScratch, DecideHandle, DecideScratch, EngineConfig, NameHashBuilder,
+    PolicyCore, ReportOwned, RowRef, ShardedEngine, TableEntry,
 };
 pub use metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics, LATENCY_SAMPLE, STRIPES};
 pub use obsd::{FleetSnapshot, Health, MemberView, Obsd, ObsdConfig};

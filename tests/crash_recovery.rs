@@ -535,6 +535,90 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A tear in a *middle* segment, through the full daemon: recovery
+/// validates and delivers in one pass over the log, so it must stop
+/// delivering at the flipped record — the rest of that segment and
+/// every later segment, all intact on disk, are discarded unreplayed,
+/// exactly as if the log had been validated whole before any replay.
+#[test]
+fn tear_in_a_middle_segment_recovers_nothing_beyond_it() {
+    const BATCHES: u64 = 24;
+    let dir = dur_dir("mid-tear");
+    let small_segments = |dir: &Path| {
+        let mut cfg = durable(dir, u64::MAX / 2);
+        cfg.durability.as_mut().unwrap().segment_bytes = 256;
+        cfg
+    };
+    let daemon = spawn_sharded(&policy(), EngineConfig::default(), small_segments(&dir)).unwrap();
+    let mut raw = V2Client::connect(daemon.addr()).unwrap();
+    raw.hello_session(9).unwrap();
+    let wire_report =
+        wire::WireReport { app: "Digit500", target: Target::Fpga, func_ms: 1e9, x86_load: 2 };
+    for seq in 1..=BATCHES {
+        match raw.report_batch_seq(9, seq, std::slice::from_ref(&wire_report)).unwrap() {
+            Served::Done(1) => {}
+            other => panic!("batch {seq} not ingested: {other:?}"),
+        }
+    }
+    daemon.kill();
+    let base = policy().table.get("Digit500").expect("Digit500 in the seed table").fpga_thr;
+
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect();
+    segments.sort();
+    assert!(segments.len() >= 4, "the trace must span several segments\n{}", dir_layout(&dir));
+    // Seq-batch records (tag 2) per segment, and within the victim the
+    // frame the flip lands in.
+    let victim = segments.len() / 2;
+    let mut want = 0u64;
+    for (i, path) in segments.iter().enumerate().take(victim + 1) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let flip_at = if i == victim { bytes.len() / 2 } else { usize::MAX };
+        let mut off = 0usize;
+        while off + 8 <= bytes.len() {
+            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            if flip_at < off + 8 + len {
+                break; // this frame takes the flip: nothing from here on
+            }
+            want += u64::from(bytes[off + 8] == 2);
+            off += 8 + len;
+        }
+        if i == victim {
+            bytes[flip_at] ^= 0x40;
+            std::fs::write(path, &bytes).unwrap();
+        }
+    }
+    assert!(want > 0 && want < BATCHES, "the tear must fall strictly inside the trace: {want}");
+
+    let daemon = spawn_sharded(&policy(), EngineConfig::default(), small_segments(&dir))
+        .unwrap_or_else(|e| panic!("recovery failed: {e}\n{}", dir_layout(&dir)));
+    let later = (segments.len() - victim - 1) as u64;
+    assert_eq!(
+        daemon.recovery().torn_truncations,
+        1 + later,
+        "one tear plus every later segment discarded\n{}",
+        dir_layout(&dir)
+    );
+    for gone in &segments[victim + 1..] {
+        assert!(!gone.exists(), "{} survived the tear before it", gone.display());
+    }
+    let got = daemon.engine().table().into_iter().find(|e| e.app == "Digit500").unwrap().fpga_thr;
+    assert_eq!(
+        got,
+        base + want as u32,
+        "records beyond the tear were applied\n{}",
+        dir_layout(&dir)
+    );
+    let mut raw = V2Client::connect(daemon.addr()).unwrap();
+    assert_eq!(raw.hello_session(9).unwrap(), want, "session mark ran past the tear");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `respawn_at` with a short retry: the killed daemon's listener is
 /// closed by join, but the kernel may briefly hold the port.
 fn respawn_at(dir: &Path, addr: SocketAddr) -> ShardedSchedulerServer {
