@@ -7,17 +7,40 @@
 //!
 //! # Access paths
 //!
+//! Pages live in a **slab**: a `Vec` of boxed 4 KiB pages in allocation
+//! order. A page's position is its id; pages are never freed and a boxed
+//! page does not move when the `Vec` grows, so an id stays good for the
+//! [`Memory`]'s life. A hash map (`PageHasher`, one multiply: page numbers
+//! come from the guest's own layout, are well spread and are no attack
+//! surface, so SipHash bought only latency) takes a page number to its id.
+//!
+//! The popcorn code generator keeps every value in a stack slot, so some
+//! 70 % of retired guest instructions are loads and stores (see
+//! [`crate::vm`]) and a hash probe per access was most of what a guest
+//! instruction cost. Every access path therefore asks a small
+//! direct-mapped **software TLB** first — `TLB_SLOTS` `(page number,
+//! id)` pairs indexed by the low page-number bits — and reaches the map
+//! from two places only: `miss`, on a TLB miss, and `alloc`, when a write
+//! lands on a page that does not exist yet. Both fill the TLB.
+//!
+//! The TLB holds **present pages only**. A page that is not mapped is
+//! never remembered as absent: a read of it keeps returning zeroes
+//! without allocating (and keeps going to the map), and the next write
+//! allocates it. Since ids never change meaning, an entry never goes
+//! stale — there is no invalidation, eviction is overwriting the slot —
+//! and a clone, which copies slab, map and TLB together, starts as warm
+//! as its original.
+//!
 //! Guest loads and stores land in [`Memory::read_uint`] /
-//! [`Memory::write_uint`]. An access inside one page is one page-map
-//! lookup and one slice copy; only one that crosses a page edge takes the
-//! [`Memory::read_bytes`] / [`Memory::write_bytes`] loop. The map hashes a
-//! page number with a single multiply (`PageHasher`): page numbers come
-//! from the guest's own layout, are well spread and are no attack surface,
-//! so SipHash bought only latency.
+//! [`Memory::write_uint`]: an access inside one page is one TLB compare
+//! and a copy (of a fixed eight bytes for the common width); only one
+//! that crosses a page edge takes the [`Memory::read_bytes`] /
+//! [`Memory::write_bytes`] loop, which asks the TLB once per page.
 //!
 //! Addresses are modular: an access that runs past `u64::MAX` continues at
 //! address 0, on every path.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -47,16 +70,56 @@ impl Hasher for PageHasher {
     }
 }
 
+/// Slots in the software TLB (a power of two). Measured, not tuned: on
+/// FaceDet320 (155 pages: the hot stack page, and a 150-page integral
+/// image read a window of ~15 pages at a time) 8 to 1024 slots run within
+/// 3 % of one another, 64 ahead by a hair. 64 keeps a 256 KiB window
+/// conflict-free and a clone's copy of the table at 1 KiB.
+pub(crate) const TLB_SLOTS: usize = 64;
+
+/// A cached `page number → slab id` pair.
+#[derive(Debug, Clone, Copy)]
+struct TlbEntry {
+    pno: u64,
+    id: u32,
+}
+
+/// The direct-mapped TLB. `&self` reads fill it, hence the `Cell`s.
+#[derive(Debug, Clone)]
+struct Tlb([Cell<TlbEntry>; TLB_SLOTS]);
+
+impl Default for Tlb {
+    fn default() -> Self {
+        // An id no slab reaches marks a slot empty: a hit checks the id
+        // against the slab's length anyway, and that rejects it.
+        Tlb([const { Cell::new(TlbEntry { pno: 0, id: u32::MAX }) }; TLB_SLOTS])
+    }
+}
+
+impl Tlb {
+    #[inline]
+    fn slot(&self, pno: u64) -> &Cell<TlbEntry> {
+        &self.0[pno as usize % TLB_SLOTS]
+    }
+}
+
 /// A sparse 64-bit address space backed by 4 KiB pages.
 ///
 /// Reads of unmapped addresses return zeroes (pages are zero-filled on
 /// first touch); writes allocate pages on demand. Unaligned and
 /// page-crossing accesses are supported, and addresses wrap at 2^64.
+///
+/// A `Memory` is `Send` and has one owner, the executor running the
+/// guest. It is deliberately not `Sync`: reads through `&self` update the
+/// software TLB (see the module docs), so a `&Memory` must not be shared
+/// between threads. Move it or clone it instead.
 #[derive(Debug, Default, Clone)]
 pub struct Memory {
-    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
-    /// Count of pages allocated over the lifetime of this memory.
-    pages_touched: u64,
+    /// Every page ever allocated, in allocation order.
+    slab: Vec<Page>,
+    /// Page number → position in `slab`.
+    index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    tlb: Tlb,
 }
 
 impl Memory {
@@ -67,24 +130,60 @@ impl Memory {
 
     /// Number of distinct pages that have been written to.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.slab.len()
     }
 
-    /// Total pages allocated over the memory's lifetime.
+    /// Total pages allocated over the memory's lifetime (pages are never
+    /// freed, so this is [`Memory::resident_pages`]).
     pub fn pages_touched(&self) -> u64 {
-        self.pages_touched
+        self.slab.len() as u64
     }
 
     /// Returns the page numbers of all resident pages, unordered.
     pub fn resident_page_numbers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pages.keys().copied()
+        self.index.keys().copied()
     }
 
+    /// Where page `pno` sits in the slab, if a write has created it.
+    #[inline]
+    fn lookup(&self, pno: u64) -> Option<usize> {
+        let hit = self.tlb.slot(pno).get();
+        if hit.pno == pno && (hit.id as usize) < self.slab.len() {
+            Some(hit.id as usize)
+        } else {
+            self.miss(pno)
+        }
+    }
+
+    /// The page numbered `pno`, if a write has created it.
+    #[inline]
+    fn page(&self, pno: u64) -> Option<&Page> {
+        self.lookup(pno).map(|id| &self.slab[id])
+    }
+
+    /// The page numbered `pno`, created zero-filled if it does not exist.
+    #[inline]
     fn page_mut(&mut self, pno: u64) -> &mut Page {
-        self.pages.entry(pno).or_insert_with(|| {
-            self.pages_touched += 1;
-            Box::new([0u8; PAGE_SIZE as usize])
-        })
+        let id = self.lookup(pno).unwrap_or_else(|| self.alloc(pno));
+        &mut self.slab[id]
+    }
+
+    /// TLB miss: asks the map, and caches the page if there is one.
+    #[cold]
+    fn miss(&self, pno: u64) -> Option<usize> {
+        let id = *self.index.get(&pno)?;
+        self.tlb.slot(pno).set(TlbEntry { pno, id });
+        Some(id as usize)
+    }
+
+    /// First write to page `pno`: a zeroed page at the end of the slab.
+    #[cold]
+    fn alloc(&mut self, pno: u64) -> usize {
+        let id = u32::try_from(self.slab.len()).expect("fewer than 2^32 resident pages");
+        self.slab.push(Box::new([0u8; PAGE_SIZE as usize]));
+        self.index.insert(pno, id);
+        self.tlb.slot(pno).set(TlbEntry { pno, id });
+        id as usize
     }
 
     /// Reads one byte.
@@ -105,7 +204,7 @@ impl Memory {
             let pno = a / PAGE_SIZE;
             let po = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - po).min(buf.len() - done);
-            match self.pages.get(&pno) {
+            match self.page(pno) {
                 Some(p) => buf[done..done + n].copy_from_slice(&p[po..po + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -143,8 +242,12 @@ impl Memory {
         let (po, n) = ((addr % PAGE_SIZE) as usize, size as usize);
         let mut buf = [0u8; 8];
         if po + n <= PAGE_SIZE as usize {
-            if let Some(p) = self.pages.get(&(addr / PAGE_SIZE)) {
-                buf[..n].copy_from_slice(&p[po..po + n]);
+            if let Some(p) = self.page(addr / PAGE_SIZE) {
+                let src = &p[po..po + n];
+                match src.try_into() {
+                    Ok(word) => buf = word, // eight bytes: one load, no `memcpy`
+                    Err(_) => buf[..n].copy_from_slice(src),
+                }
             }
         } else {
             self.read_bytes(addr, &mut buf[..n]);
@@ -159,7 +262,11 @@ impl Memory {
         let (po, n) = ((addr % PAGE_SIZE) as usize, size as usize);
         let bytes = val.to_le_bytes();
         if po + n <= PAGE_SIZE as usize {
-            self.page_mut(addr / PAGE_SIZE)[po..po + n].copy_from_slice(&bytes[..n]);
+            let dst = &mut self.page_mut(addr / PAGE_SIZE)[po..po + n];
+            match <&mut [u8; 8]>::try_from(&mut *dst) {
+                Ok(word) => *word = bytes, // eight bytes: one store, no `memcpy`
+                Err(_) => dst.copy_from_slice(&bytes[..n]),
+            }
         } else {
             self.write_bytes(addr, &bytes[..n]);
         }
@@ -300,5 +407,66 @@ mod tests {
         m.write_u64(0, u64::MAX);
         m.write_uint(0, 0, 1);
         assert_eq!(m.read_u64(0), u64::MAX << 8);
+    }
+
+    #[test]
+    fn a_page_made_by_one_access_path_is_seen_by_the_others_at_once() {
+        // Pages that share a TLB slot, each created by a different path
+        // right after a read found it absent (absence must not stick).
+        let stride = TLB_SLOTS as u64 * PAGE_SIZE;
+        let bases = [0x10_0000, 0x10_0000 + stride, 0x10_0000 + 2 * stride];
+        let mut m = Memory::new();
+        for (k, base) in bases.into_iter().enumerate() {
+            assert_eq!((m.read_uint(base + 5, 8), m.resident_pages()), (0, k));
+            match k {
+                0 => m.write_u8(base + 5, 0xA5),
+                1 => m.write_bytes(base + 5, &[0xA5]),
+                _ => m.write_uint(base + 5, 0xA5, 1),
+            }
+            assert_eq!(m.read_uint(base + 5, 8), 0xA5);
+            assert_eq!(m.read_u8(base + 5), 0xA5);
+            assert_eq!(m.dump(base + 4, 3), vec![0, 0xA5, 0]);
+        }
+        // And back: all three are still what they were once the slot has
+        // been taken over twice.
+        for base in bases {
+            assert_eq!(m.read_uint(base, 8), 0xA5 << 40);
+        }
+        assert_eq!((m.resident_pages(), m.pages_touched()), (3, 3));
+    }
+
+    #[test]
+    fn every_width_at_and_across_a_page_edge_agrees_with_dump() {
+        for size in 1..=8u64 {
+            for back in 0..=8u64 {
+                let mut m = Memory::new();
+                m.write_bytes(2 * PAGE_SIZE - 16, &[0xEE; 32]);
+                let addr = 2 * PAGE_SIZE - back;
+                let val = 0x8877_6655_4433_2211u64;
+                m.write_uint(addr, val, size);
+                let mut want = [0xEE; 32];
+                let at = (16 - back) as usize;
+                want[at..at + size as usize].copy_from_slice(&val.to_le_bytes()[..size as usize]);
+                assert_eq!(m.dump(2 * PAGE_SIZE - 16, 32), want, "size {size} at edge - {back}");
+                let mut le = [0u8; 8];
+                le[..size as usize].copy_from_slice(&want[at..at + size as usize]);
+                assert_eq!(m.read_uint(addr, size), u64::from_le_bytes(le));
+                assert_eq!(m.resident_pages(), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_taken_warm_diverges_from_its_original() {
+        let mut a = Memory::new();
+        a.write_u64(0x3000, 1);
+        assert_eq!(a.read_u64(0x3000), 1); // TLB warm on page 3
+        let mut b = a.clone();
+        b.write_u64(0x3000, 2);
+        a.write_u64(0x3008, 3);
+        b.write_u64(0x9000, 4); // a page only the clone has
+        assert_eq!((a.read_u64(0x3000), a.read_u64(0x3008), a.read_u64(0x9000)), (1, 3, 0));
+        assert_eq!((b.read_u64(0x3000), b.read_u64(0x3008), b.read_u64(0x9000)), (2, 0, 4));
+        assert_eq!((a.resident_pages(), b.resident_pages()), (1, 2));
     }
 }

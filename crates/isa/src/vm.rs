@@ -12,9 +12,26 @@
 //! when its tag equals `pc`, so pcs that share a slot evict each other and
 //! never run each other's instruction. A slot also holds the instruction's
 //! [`crate::cost::cycles`], evaluated at decode time; [`Vm::run`] adds the
-//! stored number. The table is allocated by the first fetch (an idle VM
-//! and its clones own no heap) and does not watch [`Memory`]: after
-//! rewriting code that may have executed, call [`Vm::invalidate_code`].
+//! stored number. A hit is one table access: the slot whose tag was just
+//! checked is the one copied out; only a miss decodes (out of line) and
+//! indexes the table again. The table is allocated by the first fetch (an
+//! idle VM and its clones own no heap) and does not watch [`Memory`]:
+//! after rewriting code that may have executed, call
+//! [`Vm::invalidate_code`].
+//!
+//! # What a guest instruction is
+//!
+//! Mostly a memory access. The popcorn code generator keeps every value
+//! in a stack slot, so FaceDet320 (the `vm/facedet320-*` bench row;
+//! 696 624 instructions retired on either ISA) runs `LoadSp` 39.3 %,
+//! `StoreSp` 28.2 %, `Load` 2.5 % — 70 % loads and stores — then `Alu`
+//! 14.1 %, `MovImm` 6.7 %, compare/branch 6.6 %, call/ret/enter/leave
+//! 2.5 %. The per-instruction cost is therefore [`Memory`]'s access path
+//! (see [`crate::mem`], "Access paths") plus fetch and the dispatch
+//! `match`; the first two are one tag compare each, dispatch is what is
+//! left.
+//!
+//! # Traps
 //!
 //! Control returns to the embedding executor via [`Trap`]s:
 //!
@@ -194,15 +211,18 @@ impl Vm {
         self.decoded.clear();
     }
 
-    /// The decoded instruction at `pc`, by value from the table (decoding
-    /// into its slot first if the slot holds another pc's or nothing).
+    /// The decoded instruction at `pc`: the slot's, when its tag says it
+    /// is this pc's, else decoded into the slot first.
     #[inline]
     fn fetch(&mut self, mem: &Memory) -> Result<Decoded, VmFault> {
         let slot = self.pc as usize % DECODE_SLOTS;
-        if !matches!(self.decoded.get(slot), Some(d) if d.pc == self.pc && d.len != 0) {
-            self.decode_into(mem, slot)?;
+        match self.decoded.get(slot) {
+            Some(d) if d.pc == self.pc && d.len != 0 => Ok(*d),
+            _ => {
+                self.decode_into(mem, slot)?;
+                Ok(self.decoded[slot])
+            }
         }
-        Ok(self.decoded[slot])
     }
 
     #[cold]
@@ -221,8 +241,10 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns [`VmFault`] if the guest decodes or divides invalidly; the
-    /// VM state is left at the faulting instruction.
+    /// Returns [`VmFault`] if the guest decodes or divides invalidly. The
+    /// faulting instruction does not retire: `pc` is its address, and
+    /// `cycles`, `instret` and the registers are what it found, so `run`
+    /// can be called again once the cause is repaired.
     pub fn run(&mut self, mem: &mut Memory, mut fuel: u64) -> Result<Trap, VmFault> {
         while fuel > 0 {
             fuel -= 1;
@@ -239,12 +261,15 @@ impl Vm {
                 MInstr::Alu { op, dst, lhs, rhs } => {
                     let l = self.regs[lhs.0 as usize];
                     let r = self.regs[rhs.0 as usize];
-                    self.regs[dst.0 as usize] = op.eval(l, r).ok_or(VmFault::DivFault { pc })?;
+                    let Some(val) = op.eval(l, r) else { return Err(self.div_fault(pc, cost)) };
+                    self.regs[dst.0 as usize] = val;
                 }
                 MInstr::AluImm { op, dst, lhs, imm } => {
                     let l = self.regs[lhs.0 as usize];
-                    self.regs[dst.0 as usize] =
-                        op.eval(l, imm as i64).ok_or(VmFault::DivFault { pc })?;
+                    let Some(val) = op.eval(l, imm as i64) else {
+                        return Err(self.div_fault(pc, cost));
+                    };
+                    self.regs[dst.0 as usize] = val;
                 }
                 MInstr::FAlu { op, dst, lhs, rhs } => {
                     let l = self.fregs[lhs.0 as usize];
@@ -384,6 +409,17 @@ impl Vm {
         Ok(Trap::OutOfFuel)
     }
 
+    /// A division at `pc` faulted: it does not retire, so what `run`
+    /// advanced before dispatching it (`pc`, `cycles`, `instret`) goes
+    /// back to where the instruction found it.
+    #[cold]
+    fn div_fault(&mut self, pc: u64, cost: u32) -> VmFault {
+        self.pc = pc;
+        self.cycles -= cost as u64;
+        self.instret -= 1;
+        VmFault::DivFault { pc }
+    }
+
     fn do_call(&mut self, mem: &mut Memory, target: u64, ret_to: u64) {
         match self.isa {
             Isa::Xar86 => {
@@ -400,7 +436,7 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::instr::{AluOp, Cond, MemSize};
-    use crate::{assemble, Reg};
+    use crate::{assemble, Reg, PAGE_SIZE};
 
     const TEXT: u64 = 0x40_0000;
     const STACK: u64 = 0x7000_0000;
@@ -650,22 +686,87 @@ mod tests {
     }
 
     #[test]
-    fn div_by_zero_faults() {
-        let prog = vec![
-            MInstr::MovImm { dst: Reg(0), imm: 1 },
-            MInstr::MovImm { dst: Reg(1), imm: 0 },
+    fn faulting_division_does_not_retire() {
+        // Both division forms: after the fault the VM is where the two
+        // `mov`s left it, and with the divisor repaired the same `run`
+        // call carries on through the division.
+        let forms = [
             MInstr::Alu { op: AluOp::Div, dst: Reg(0), lhs: Reg(0), rhs: Reg(1) },
-            MInstr::Hlt,
+            MInstr::AluImm { op: AluOp::Rem, dst: Reg(0), lhs: Reg(0), imm: 0 },
         ];
-        let image = assemble(Isa::Xar86, TEXT, &prog).unwrap();
-        let mut mem = Memory::new();
-        mem.load_image(TEXT, &image);
-        let mut vm = Vm::new(Isa::Xar86);
-        vm.pc = TEXT;
-        vm.sp = STACK;
-        match vm.run(&mut mem, 100) {
-            Err(VmFault::DivFault { .. }) => {}
-            other => panic!("expected div fault, got {other:?}"),
+        for (isa, div) in Isa::ALL.into_iter().flat_map(|isa| forms.map(|div| (isa, div))) {
+            let movs =
+                [MInstr::MovImm { dst: Reg(0), imm: 7 }, MInstr::MovImm { dst: Reg(1), imm: 0 }];
+            let div_pc =
+                TEXT + movs.iter().map(|m| crate::encode::encoded_size(isa, m) as u64).sum::<u64>();
+            let mut mem = Memory::new();
+            mem.load_image(
+                TEXT,
+                &assemble(isa, TEXT, &[movs[0], movs[1], div, MInstr::Hlt]).unwrap(),
+            );
+            let mut vm = Vm::new(isa);
+            (vm.pc, vm.sp) = (TEXT, STACK);
+            assert_eq!(vm.run(&mut mem, 100), Err(VmFault::DivFault { pc: div_pc }), "{isa}");
+            let mov_cycles = movs.iter().map(|m| cost::cycles(isa, m)).sum::<u64>();
+            assert_eq!((vm.pc, vm.instret, vm.cycles), (div_pc, 2, mov_cycles), "{isa} {div}");
+            assert_eq!(vm.regs[0], 7, "{isa}: destination written by a faulting {div}");
+            // Faults again, from the same state, as often as it is retried.
+            assert_eq!(vm.run(&mut mem, 100), Err(VmFault::DivFault { pc: div_pc }), "{isa}");
+            assert_eq!((vm.pc, vm.instret, vm.cycles), (div_pc, 2, mov_cycles), "{isa} {div}");
+            match div {
+                MInstr::Alu { .. } => vm.regs[1] = 2,
+                _ => {
+                    let fixed = MInstr::AluImm { op: AluOp::Rem, dst: Reg(0), lhs: Reg(0), imm: 4 };
+                    mem.load_image(div_pc, &assemble(isa, div_pc, &[fixed, MInstr::Hlt]).unwrap());
+                    vm.invalidate_code();
+                }
+            }
+            assert_eq!(vm.run(&mut mem, 100), Ok(Trap::Hlt), "{isa} {div}");
+            assert_eq!((vm.regs[0], vm.instret), (3, 4), "{isa} {div}");
+        }
+    }
+
+    #[test]
+    fn guest_loop_over_more_pages_than_the_memory_caches_reads_back_its_stores() {
+        // One store per page over three times as many pages as `Memory`
+        // has TLB slots, then one load per page: every slot is evicted
+        // and refilled, and each load must see that page's own store.
+        const PAGES: i64 = 3 * crate::mem::TLB_SLOTS as i64;
+        const HEAP: i64 = 0x5000_0000;
+        for isa in Isa::ALL {
+            let (ptr, i, sum, tmp) = (Reg(1), Reg(2), Reg(0), Reg(3));
+            let head = [
+                MInstr::MovImm { dst: ptr, imm: HEAP },
+                MInstr::MovImm { dst: i, imm: 0 },
+                MInstr::MovImm { dst: sum, imm: 0 },
+            ];
+            let size = |p: &[MInstr]| {
+                p.iter().map(|m| crate::encode::encoded_size(isa, m) as u64).sum::<u64>()
+            };
+            let step = [
+                MInstr::AluImm { op: AluOp::Add, dst: ptr, lhs: ptr, imm: PAGE_SIZE as i32 },
+                MInstr::AluImm { op: AluOp::Add, dst: i, lhs: i, imm: 1 },
+                MInstr::CmpImm { lhs: i, imm: PAGES as i32 },
+            ];
+            let store_loop = TEXT + size(&head);
+            let mut prog = head.to_vec();
+            prog.push(MInstr::Store { src: i, base: ptr, off: 8, size: MemSize::B8 });
+            prog.extend(step);
+            prog.push(MInstr::JCond { cond: Cond::Lt, target: store_loop });
+            prog.push(MInstr::MovImm { dst: ptr, imm: HEAP });
+            prog.push(MInstr::MovImm { dst: i, imm: 0 });
+            let load_loop = TEXT + size(&prog);
+            prog.push(MInstr::Load { dst: tmp, base: ptr, off: 8, size: MemSize::B8 });
+            prog.push(MInstr::Alu { op: AluOp::Xor, dst: tmp, lhs: tmp, rhs: i });
+            prog.push(MInstr::Alu { op: AluOp::Or, dst: sum, lhs: sum, rhs: tmp });
+            prog.extend(step);
+            prog.extend([MInstr::JCond { cond: Cond::Lt, target: load_loop }, MInstr::Hlt]);
+            let (vm, mem) = run_prog(isa, &prog);
+            assert_eq!(vm.regs[0], 0, "{isa}: a load returned another page's store");
+            assert_eq!(mem.resident_pages(), PAGES as usize + 1, "{isa}: data pages + text");
+            for page in 0..PAGES {
+                assert_eq!(mem.read_i64((HEAP + page * PAGE_SIZE as i64 + 8) as u64), page);
+            }
         }
     }
 

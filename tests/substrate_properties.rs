@@ -184,8 +184,10 @@ proptest! {
     }
 }
 
+/// The executor's pieces move between threads; none is shared by
+/// reference (`Memory` is deliberately not `Sync`, see its docs).
 #[test]
-fn vm_send_sync() {
+fn vm_memory_and_binary_are_send() {
     fn assert_send<T: Send>() {}
     assert_send::<xar_trek::isa::Vm>();
     assert_send::<xar_trek::isa::Memory>();
