@@ -62,7 +62,13 @@ fn main() {
     idle_cpu(
         idle,
         "no maintenance timers",
-        ServerConfig { flush_interval: Duration::ZERO, ..ServerConfig::default() },
+        // Nothing left to ride the tick, so none is armed.
+        ServerConfig {
+            flush_interval: Duration::ZERO,
+            trace: false,
+            series_tick: Duration::ZERO,
+            ..ServerConfig::default()
+        },
     );
     // Fully armed maintenance: the recurring flush tick per worker,
     // one idle deadline per connection (long enough that nothing is

@@ -5,7 +5,7 @@
 //! * [`model`] — a loom-style deterministic interleaving explorer.
 //!   The workspace's hand-rolled lock-free primitives (`ArcCell`
 //!   generation publishing, SPSC trace rings, striped counter lanes)
-//!   route their atomics through per-crate `sync_abstraction` modules;
+//!   route their atomics through `xar_obs::sync_abstraction`;
 //!   under the `model` feature those resolve to the shims here, and
 //!   test scenarios exhaustively explore schedules — including
 //!   relaxed-memory stale loads — with seed-replayable failure traces.

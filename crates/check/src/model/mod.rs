@@ -4,7 +4,7 @@
 //!
 //! * [`sync`] — `MAtomicU64`/`MAtomicUsize`/`MAtomicBool`/`MRwLock`/
 //!   `MArc`, drop-in stand-ins the workspace's lock-free primitives
-//!   route through (via each crate's `sync_abstraction` module);
+//!   route through (via `xar_obs::sync_abstraction`);
 //!   passthrough to `std` outside a model execution.
 //! * [`thread`] — cooperative model threads for building scenarios.
 //! * the explorer ([`Explorer`]) — runs a scenario body under every

@@ -438,7 +438,7 @@ impl std::fmt::Debug for MAtomicBool {
 // ------------------------------------------------------------------ MRwLock
 
 /// Model-checkable reader-writer lock with the workspace's
-/// `parking_lot`-shim API (non-poisoning, guards straight from
+/// non-poisoning lock API (guards straight from
 /// `read`/`write`). Unlock-to-lock edges carry a release clock, so
 /// lock-protected state is correctly ordered in the model.
 pub struct MRwLock<T> {

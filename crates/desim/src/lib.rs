@@ -32,7 +32,6 @@
 pub mod cluster;
 pub mod machine;
 pub mod policy;
-pub mod shared;
 pub mod stats;
 pub mod workload;
 
@@ -41,7 +40,6 @@ pub use machine::PsMachine;
 pub use policy::{
     AlwaysArm, AlwaysFpga, AlwaysX86, CompletionReport, DecideCtx, Decision, Policy, Target,
 };
-pub use shared::SharedPolicy;
 pub use workload::{Arrival, JobSpec};
 
 /// Milliseconds → nanoseconds.

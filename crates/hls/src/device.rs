@@ -55,13 +55,6 @@ pub struct KernelRun {
     pub d2h_ns: f64,
 }
 
-impl KernelRun {
-    /// Total host-observed time.
-    pub fn total_ns(&self) -> f64 {
-        self.end_ns - self.submit_ns
-    }
-}
-
 /// Device statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceStats {
@@ -170,12 +163,6 @@ impl FpgaDevice {
     pub fn preload(&mut self, xclbin: Xclbin) {
         self.loaded = Some(xclbin);
         self.stats.reconfigurations += 1;
-    }
-
-    /// Reconfiguration time for `xclbin` without performing it (used by
-    /// planners).
-    pub fn reconfigure_time_ns(&self, xclbin: &Xclbin) -> f64 {
-        self.config_setup_ns + xclbin.size_bytes as f64 / self.config_bytes_per_ns
     }
 
     /// Invokes `kernel` at `now_ns`: queues behind any in-flight work,

@@ -260,11 +260,6 @@ impl Tracer {
         Tracer::new(writer, u16::MAX, false, u64::MAX, Arc::new(EventCounters::default()))
     }
 
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub fn counters(&self) -> &Arc<EventCounters> {
         &self.counters
     }

@@ -103,11 +103,6 @@ impl Dsm {
         self.stats
     }
 
-    /// Translates a byte address to its page number.
-    pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.page_size
-    }
-
     /// Performs one access by `node` to `page`, updating directory
     /// state and returning the traffic it generated.
     ///

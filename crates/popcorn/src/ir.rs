@@ -367,11 +367,6 @@ pub struct Function {
 }
 
 impl Function {
-    /// Number of locals.
-    pub fn local_count(&self) -> usize {
-        self.locals.len()
-    }
-
     /// Type of a local.
     pub fn local_ty(&self, l: LocalId) -> Ty {
         self.locals[l.0 as usize]
@@ -601,11 +596,6 @@ impl<'m> FunctionBuilder<'m> {
     /// Repositions the builder at the end of `bb`.
     pub fn switch_to(&mut self, bb: BlockId) {
         self.cur = bb;
-    }
-
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
     }
 
     fn push(&mut self, inst: Inst) {

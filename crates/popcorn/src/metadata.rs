@@ -163,11 +163,6 @@ impl BinaryMeta {
     pub fn func(&self, id: FuncId) -> &FuncMeta {
         &self.funcs[id.0 as usize]
     }
-
-    /// Finds the function whose code contains `addr` on `isa`.
-    pub fn func_by_addr(&self, isa: Isa, addr: u64) -> Option<&FuncMeta> {
-        self.funcs.iter().find(|f| addr >= f.start && addr < f.code_end[isa])
-    }
 }
 
 #[cfg(test)]

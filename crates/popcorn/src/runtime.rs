@@ -217,11 +217,6 @@ impl<'b, H: RtHandler> Executor<'b, H> {
         &self.handler
     }
 
-    /// Mutable access to the runtime handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     fn load_text(&mut self, isa: Isa) {
         // Zero up to the longer image so stale bytes never execute.
         let text = &self.bin.text[isa];

@@ -55,10 +55,10 @@
 use crate::engine::{BatchScratch, PolicyCore, RowRef, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::wire::{target_from_byte, target_to_byte, WireReport};
-use parking_lot::Mutex;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use xar_obs::sync_abstraction::Mutex;
 use xar_obs::Tracer;
 
 pub use xar_dur::FsyncPolicy;

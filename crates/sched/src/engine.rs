@@ -56,11 +56,11 @@
 use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
 use crate::wire::{WireQuery, WireReport};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
+use xar_obs::sync_abstraction::Mutex;
 use xar_obs::{Event, Tracer};
 
 /// A threshold-table row as the engine and wire protocol see it.
@@ -353,11 +353,6 @@ impl<P: PolicyCore> ShardedEngine<P> {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Configured report batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch
     }
 
     fn shard_idx(&self, app: &str) -> usize {

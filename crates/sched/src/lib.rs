@@ -72,7 +72,6 @@ pub mod server;
 pub mod session;
 pub mod signals;
 pub mod snapshot;
-pub mod sync_abstraction;
 pub mod transport;
 pub mod wire;
 

@@ -18,8 +18,8 @@
 //! decides (always including a shard's first) for timing;
 //! decide/migration/reconfig counters stay exact.
 
-use crate::sync_abstraction::{AtomicU64, Ordering};
 use xar_desim::Target;
+use xar_obs::sync_abstraction::{AtomicU64, Ordering};
 use xar_obs::{HistSnapshot, Histogram};
 
 /// One decide in `LATENCY_SAMPLE` is latency-timed (each stripe's

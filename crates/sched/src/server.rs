@@ -30,7 +30,7 @@
 //! handshake magic, or anything else for the legacy v1 text protocol
 //! (see [`crate::wire`] for both).
 
-use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, RecoveryStats};
+use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, RecoveryStats};
 use crate::engine::{BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::transport::{self, Stream};
@@ -80,8 +80,10 @@ pub struct ServerConfig {
     /// shards when it fires, so a report stranded below the batch
     /// size (e.g. a quiescent app's last executions) is applied
     /// within one interval instead of waiting for an unrelated
-    /// client to fill the batch. Zero disables the timer (with
-    /// `batch = 1` every report applies inline anyway).
+    /// client to fill the batch. Zero disables the sweep (with
+    /// `batch = 1` every report applies inline anyway) and nothing
+    /// else: whatever also rides the tick keeps it, see
+    /// [`maint_period`].
     pub flush_interval: Duration,
     /// Per-connection idle timeout, off by default. A connection that
     /// delivers no inbound bytes for a full window is reaped; any
@@ -104,51 +106,28 @@ pub struct ServerConfig {
     /// bump and one ring store per event; disabled, every trace point
     /// in the hot path is a single predictable branch.
     pub trace: bool,
-    /// Capacity (events) of each worker's trace ring, rounded up to a
-    /// power of two. The worker's maintenance tick drains the ring
-    /// into the shared trace log, so it only needs to hold about one
-    /// flush interval's worth of events; overflow drops (and counts)
-    /// rather than blocks — tracing never backpressures the data path
-    /// it observes.
-    pub trace_capacity: usize,
     /// Capacity (events) of the shared bounded log behind the v1
     /// `TRACE n` command; oldest entries are evicted beyond it.
     pub trace_log_capacity: usize,
-    /// Slow-decide threshold in nanoseconds: a *sampled* decide (the
-    /// engine clocks 1 in 64) at or above it emits a `slow_decide`
-    /// trace event. `u64::MAX` silences the events without touching
-    /// the rest of tracing.
-    pub slow_decide_ns: u64,
     /// Operator-assigned identity of this daemon, stamped into every
     /// trace event (the `daemon=` dimension next to `worker=`) and
     /// shipped as the `daemon_id` StatsV2 tag, so fleet aggregators
     /// and interleaved trace logs can tell members apart. 0 (the
     /// default) is an ordinary id for standalone daemons.
     pub daemon_id: u16,
-    /// Capacity (samples) of the in-daemon time-series rings behind
-    /// `SERIES`/`RATE` and the windowed `DUMP` section. 0 disables
-    /// the series layer entirely.
-    pub series_slots: usize,
     /// Period of one time-series slot. Samples are recorded from the
     /// workers' maintenance ticks and opportunistically when a series
     /// query arrives, so effective resolution is additionally bounded
     /// by `flush_interval` on an idle daemon. Zero disables the
     /// series layer.
     pub series_tick: Duration,
-    /// Overload shedding on per-connection backlog: a connection whose
-    /// pending replies exceed this many bytes gets `R_BUSY` for
-    /// workload requests (decides and reports) until it drains.
-    /// Distinct from `outbuf_high_water`, which pauses *processing* —
-    /// this answers instead of queueing, so a resilient client backs
-    /// off rather than timing out. 0 (the default) disables it.
+    /// Overload shedding: a connection whose pending replies exceed
+    /// this many bytes gets `R_BUSY` for workload requests (decides
+    /// and reports) until it drains. Distinct from
+    /// `outbuf_high_water`, which pauses *processing* — this answers
+    /// instead of queueing, so a resilient client backs off rather
+    /// than timing out. 0 (the default) disables it.
     pub shed_outbuf_bytes: usize,
-    /// Overload shedding on the latency SLO: when the windowed decide
-    /// p99 (over the last [`RATE_WINDOW_SECS`] of the time series)
-    /// crosses this many nanoseconds, workload requests daemon-wide
-    /// are answered `R_BUSY` until the window recovers. Re-evaluated
-    /// on each worker's maintenance tick; needs the series layer
-    /// enabled. 0 (the default) disables it.
-    pub shed_decide_p99_ns: u64,
     /// The retry hint shipped inside every `R_BUSY` reply, in
     /// milliseconds. Clients should wait at least this long (with
     /// jitter) before retrying the shed request.
@@ -161,10 +140,6 @@ pub struct ServerConfig {
     pub quarantine_errors: u32,
     /// How long a quarantined peer address stays banned.
     pub quarantine_secs: u64,
-    /// Capacity of the exactly-once report-session table (concurrent
-    /// session ids). Sessions past it are refused (`R_ERR`), which a
-    /// client surfaces rather than silently losing dedup.
-    pub session_capacity: usize,
     /// Durable state: `Some` arms the WAL + snapshot engine under the
     /// given directory. Startup then recovers the threshold table and
     /// session high-water marks before serving; every report ingest is
@@ -182,22 +157,17 @@ impl Default for ServerConfig {
             backend: BackendKind::default(),
             outbuf_high_water: 256 * 1024,
             close_linger: Duration::from_secs(5),
-            flush_interval: Duration::from_millis(100),
+            flush_interval: MAINT_PERIOD,
             idle_timeout: None,
             max_connections: usize::MAX,
             trace: true,
-            trace_capacity: 1024,
             trace_log_capacity: 4096,
-            slow_decide_ns: 1_000_000,
             daemon_id: 0,
-            series_slots: xar_obs::DEFAULT_SLOTS,
             series_tick: Duration::from_secs(1),
             shed_outbuf_bytes: 0,
-            shed_decide_p99_ns: 0,
             shed_retry_after_ms: 50,
             quarantine_errors: 0,
             quarantine_secs: 60,
-            session_capacity: 1024,
             durability: None,
         }
     }
@@ -215,6 +185,29 @@ enum Proto {
 /// Belt-and-braces cap on one kernel wait, so a lost wakeup can only
 /// delay (never hang) shutdown or a connection handoff.
 const MAX_WAIT: Duration = Duration::from_millis(250);
+
+/// The default maintenance-tick period.
+const MAINT_PERIOD: Duration = Duration::from_millis(100);
+
+/// Period of a worker's maintenance tick; `None` when nothing rides it.
+/// `flush_interval` sets it. Zero takes only the dirty-shard sweep off
+/// the tick: the trace-ring drain, the time series and the durability
+/// heartbeat (the sole fsync under [`FsyncPolicy::IntervalMs`], and
+/// `snapshot_every`) keep it at the default period. An `IntervalMs`
+/// shorter than the period bounds it, or the policy's loss window
+/// would silently be the tick's.
+fn maint_period(config: &ServerConfig) -> Option<Duration> {
+    let riders = config.trace || !config.series_tick.is_zero() || config.durability.is_some();
+    let period = match config.flush_interval {
+        Duration::ZERO if riders => MAINT_PERIOD,
+        Duration::ZERO => return None,
+        interval => interval,
+    };
+    Some(match config.durability.as_ref().map(|d| d.fsync) {
+        Some(FsyncPolicy::IntervalMs(ms)) => period.min(Duration::from_millis(ms.max(1))),
+        _ => period,
+    })
+}
 
 /// Timer token for a worker's recurring maintenance (dirty-shard
 /// flush) timer; far above any slab slot, distinct from the reactor's
@@ -308,6 +301,23 @@ const SERIES_HISTS: &[&str] = &["decide", "decide_batch", "report_batch", "flush
 /// Window of the `RATE <name>` command, in seconds.
 const RATE_WINDOW_SECS: u64 = 10;
 
+/// Capacity (events) of each worker's trace ring. The worker's
+/// maintenance tick drains the ring into the shared trace log, so it
+/// only needs to hold about one tick's worth of events; overflow drops
+/// (and counts) rather than blocks — tracing never backpressures the
+/// data path it observes.
+const TRACE_CAPACITY: usize = 1024;
+
+/// Slow-decide threshold in nanoseconds: a *sampled* decide (the
+/// engine clocks 1 in 64) at or above it emits a `slow_decide` trace
+/// event.
+const SLOW_DECIDE_NS: u64 = 1_000_000;
+
+/// Capacity of the exactly-once report-session table (concurrent
+/// session ids). Sessions past it are refused (`R_ERR`), which a
+/// client surfaces rather than silently losing dedup.
+const SESSION_CAPACITY: usize = 1024;
+
 /// Window of the `DUMP` windowed section, in seconds.
 const DUMP_WINDOW_SECS: u64 = 60;
 
@@ -326,7 +336,7 @@ struct SeriesState {
 
 impl SeriesState {
     fn new(config: &ServerConfig) -> Option<Arc<SeriesState>> {
-        if config.series_slots == 0 || config.series_tick.is_zero() {
+        if config.series_tick.is_zero() {
             return None;
         }
         Some(Arc::new(SeriesState {
@@ -334,7 +344,7 @@ impl SeriesState {
             tick: config.series_tick,
             last: AtomicU64::new(0),
             ring: Mutex::new(SeriesRing::new(
-                config.series_slots,
+                xar_obs::DEFAULT_SLOTS,
                 SERIES_COUNTERS.len(),
                 SERIES_HISTS.len(),
             )),
@@ -386,10 +396,6 @@ struct WorkerCtx<P: PolicyCore> {
     /// `BATCH_REPORT_SEQ`), shared so a client's reconnect may land on
     /// any worker and still dedup against the same high-water marks.
     sessions: Arc<SessionTable>,
-    /// Daemon-wide overload flag driven by the windowed decide p99
-    /// (see `update_shed`); workload requests answer `R_BUSY` while
-    /// set.
-    shed: Arc<AtomicBool>,
     /// Shared ban list for repeat protocol-error offenders.
     quarantine: Arc<Quarantine>,
     /// The durability engine (`None` when the daemon is in-memory).
@@ -475,26 +481,6 @@ impl<P: PolicyCore> WorkerCtx<P> {
         ];
         let hists = [o.decide, o.decide_batch, o.report_batch, o.flush_publish];
         s.ring.lock().unwrap().record(tick, &counters, &hists);
-    }
-
-    /// Re-evaluates the SLO half of overload shedding from the
-    /// windowed decide p99. Called from the maintenance tick, so the
-    /// flag tracks the SLO within one `flush_interval`; any worker's
-    /// verdict stands for the daemon (they all read the same shared
-    /// ring). A disabled series layer leaves the flag off — only the
-    /// per-connection backlog check applies then.
-    fn update_shed(&self) {
-        if self.config.shed_decide_p99_ns == 0 {
-            return;
-        }
-        let Some(s) = &self.series else { return };
-        let over = s
-            .ring
-            .lock()
-            .unwrap()
-            .windowed_hist(0, s.ticks_for_secs(RATE_WINDOW_SECS))
-            .is_some_and(|h| h.percentile(0.99) > self.config.shed_decide_p99_ns);
-        self.shed.store(over, Ordering::Relaxed);
     }
 
     /// Records one reaped connection and, when an admission cap is
@@ -725,7 +711,7 @@ impl<P: PolicyCore> Server<P> {
         let obs_counters = Arc::new(EventCounters::default());
         let trace_log = Arc::new(TraceLog::new(config.trace_log_capacity));
         let series = SeriesState::new(&config);
-        let sessions = Arc::new(SessionTable::new(config.session_capacity));
+        let sessions = Arc::new(SessionTable::new(SESSION_CAPACITY));
         // Startup recovery runs to completion before any worker (or the
         // acceptor) exists: early connections wait in the kernel
         // backlog and are first served against fully recovered state.
@@ -745,7 +731,6 @@ impl<P: PolicyCore> Server<P> {
             }
             None => None,
         };
-        let shed = Arc::new(AtomicBool::new(false));
         let quarantine = Arc::new(Quarantine::default());
         let started = Instant::now();
         let mut handles = Vec::with_capacity(workers + 1);
@@ -755,12 +740,12 @@ impl<P: PolicyCore> Server<P> {
             let (tx, rx) = std::sync::mpsc::channel();
             worker_ports.push((tx, reactor.waker()));
             wakers.push(reactor.waker());
-            let (trace_writer, trace_reader) = xar_obs::ring(config.trace_capacity);
+            let (trace_writer, trace_reader) = xar_obs::ring(TRACE_CAPACITY);
             let mut tracer = Tracer::new(
                 trace_writer,
                 w as u16,
                 config.trace,
-                config.slow_decide_ns,
+                SLOW_DECIDE_NS,
                 obs_counters.clone(),
             );
             tracer.set_daemon(config.daemon_id);
@@ -777,7 +762,6 @@ impl<P: PolicyCore> Server<P> {
                 started,
                 series: series.clone(),
                 sessions: sessions.clone(),
-                shed: shed.clone(),
                 quarantine: quarantine.clone(),
                 dur: dur.clone(),
                 config: config.clone(),
@@ -795,14 +779,9 @@ impl<P: PolicyCore> Server<P> {
         let counters2 = counters.clone();
         // The acceptor gets its own ring (worker id = `workers`) so
         // rejection events never contend with a worker's producer side.
-        let (a_writer, a_reader) = xar_obs::ring(config.trace_capacity);
-        let mut a_tracer = Tracer::new(
-            a_writer,
-            workers as u16,
-            config.trace,
-            config.slow_decide_ns,
-            obs_counters,
-        );
+        let (a_writer, a_reader) = xar_obs::ring(TRACE_CAPACITY);
+        let mut a_tracer =
+            Tracer::new(a_writer, workers as u16, config.trace, SLOW_DECIDE_NS, obs_counters);
         a_tracer.set_daemon(config.daemon_id);
         let acceptor_trace = AcceptorTrace { tracer: a_tracer, reader: a_reader, log: trace_log };
         handles.push(
@@ -1035,8 +1014,8 @@ fn worker_loop<P: PolicyCore>(
     let (mut events, mut expired) = (Vec::<Event>::new(), Vec::<Token>::new());
     // The maintenance tick: a recurring timer, so an idle worker still
     // applies stranded below-batch reports within one interval.
-    if !ctx.config.flush_interval.is_zero() {
-        reactor.set_recurring_timer(MAINT_TOKEN, ctx.config.flush_interval);
+    if let Some(period) = maint_period(&ctx.config) {
+        reactor.set_recurring_timer(MAINT_TOKEN, period);
     }
     while !stop.load(Ordering::SeqCst) {
         events.clear();
@@ -1085,13 +1064,13 @@ fn worker_loop<P: PolicyCore>(
             // publish emits a flush_publish trace event), then drain
             // this worker's trace ring into the shared log.
             if *t == MAINT_TOKEN {
-                ctx.engine.flush_dirty(Some(&mut ctx.tracer));
+                if !ctx.config.flush_interval.is_zero() {
+                    ctx.engine.flush_dirty(Some(&mut ctx.tracer));
+                }
                 ctx.drain_trace();
                 // Advance the per-tick time-series once the counters
-                // above are settled for this tick, then re-judge the
-                // overload SLO against the fresh window.
+                // above are settled for this tick.
                 ctx.advance_series();
-                ctx.update_shed();
                 // Durability heartbeat: interval fsyncs and periodic
                 // snapshots ride the same tick (single-flight across
                 // workers).
@@ -1464,12 +1443,10 @@ fn sheddable(req: &Request<'_>) -> bool {
 }
 
 /// Whether this connection's workload requests should be answered
-/// `R_BUSY` right now: its own reply backlog crossed the shed line, or
-/// the daemon-wide latency SLO flag is up.
+/// `R_BUSY` right now: its own reply backlog crossed the shed line.
 fn shedding<P: PolicyCore>(conn: &Conn, ctx: &WorkerCtx<P>) -> bool {
-    let cfg = &ctx.config;
-    (cfg.shed_outbuf_bytes > 0 && conn.out_pending() > cfg.shed_outbuf_bytes)
-        || (cfg.shed_decide_p99_ns > 0 && ctx.shed.load(Ordering::Relaxed))
+    let cap = ctx.config.shed_outbuf_bytes;
+    cap > 0 && conn.out_pending() > cap
 }
 
 /// Handles buffered complete v2 frames, pausing at the outbuf
@@ -1943,6 +1920,29 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `flush_interval = 0` must not take the durability heartbeat,
+    /// the trace drain or the series down with the sweep, and an
+    /// `interval:MS` fsync shorter than the tick bounds it.
+    #[test]
+    fn maintenance_tick_outlives_a_zero_flush_interval() {
+        let ms = Duration::from_millis;
+        let dur = |fsync| Some(DurabilityConfig { fsync, ..DurabilityConfig::at("unused") });
+        let cfg = |flush_interval, durability| ServerConfig {
+            flush_interval,
+            durability,
+            ..ServerConfig::default()
+        };
+        assert_eq!(maint_period(&cfg(ms(40), None)), Some(ms(40)));
+        assert_eq!(maint_period(&cfg(Duration::ZERO, None)), Some(MAINT_PERIOD));
+        let bare = ServerConfig { trace: false, series_tick: Duration::ZERO, ..cfg(ms(0), None) };
+        assert_eq!(maint_period(&bare), None, "nothing rides the tick");
+        let journaling = ServerConfig { durability: dur(FsyncPolicy::Always), ..bare };
+        assert_eq!(maint_period(&journaling), Some(MAINT_PERIOD));
+        assert_eq!(maint_period(&cfg(ms(40), dur(FsyncPolicy::IntervalMs(5)))), Some(ms(5)));
+        assert_eq!(maint_period(&cfg(ms(0), dur(FsyncPolicy::IntervalMs(5)))), Some(ms(5)));
+        assert_eq!(maint_period(&cfg(ms(40), dur(FsyncPolicy::IntervalMs(500)))), Some(ms(40)));
+    }
 
     /// A reader that serves its data in the largest chunks the caller's
     /// buffer allows, then a scripted tail condition — deterministic

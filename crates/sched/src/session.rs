@@ -15,11 +15,11 @@
 //! `fetch_max` on the slot's mark: the returned previous value decides
 //! fresh-vs-replay, so two workers racing the same retried batch agree
 //! — exactly one observes the advance. Atomics route through
-//! [`crate::sync_abstraction`], and `tests/model_session.rs` explores
+//! [`xar_obs::sync_abstraction`], and `tests/model_session.rs` explores
 //! the claim/advance interleavings under the xar-check model checker
 //! (the PR 8 gate for new lock-free protocol state).
 
-use crate::sync_abstraction::{AtomicU64, Ordering};
+use xar_obs::sync_abstraction::{AtomicU64, Ordering};
 
 /// Outcome of stamping one `(session, seq)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

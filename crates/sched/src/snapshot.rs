@@ -33,8 +33,8 @@
 //! seqlock/hazard-pointer scheme is not worth the unsafe surface when
 //! the slow path is this rare.
 
-use crate::sync_abstraction::{AtomicU64, Ordering, RwLock};
 use std::sync::Arc;
+use xar_obs::sync_abstraction::{AtomicU64, Ordering, RwLock};
 
 /// A cell holding an `Arc<T>` that can be atomically replaced while
 /// readers keep older snapshots alive, with a monotonic generation

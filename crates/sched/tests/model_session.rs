@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 use xar_check::model::{thread, ExploreOpts, Explorer};
+use xar_sched::obs::sync_abstraction::{AtomicU64, Ordering};
 use xar_sched::session::{SeqOutcome, SessionTable};
-use xar_sched::sync_abstraction::{AtomicU64, Ordering};
 
 fn explorer(max_schedules: usize) -> Explorer {
     Explorer::new(ExploreOpts { max_schedules, ..ExploreOpts::default() })

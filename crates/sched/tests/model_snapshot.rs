@@ -5,7 +5,7 @@
 //! `sync_abstraction` (here and transitively in xar-obs) to the
 //! xar-check shims: the explorer drives the exact `ArcCell` /
 //! `CachedSnap` / `ThrCell` / `ShardMetrics` code that production builds compile
-//! against std atomics and parking_lot — not a hand-written model.
+//! against std atomics and locks — not a hand-written model.
 
 use std::sync::Arc;
 use xar_check::model::sync::{MAtomicU64, Ordering};

@@ -22,45 +22,28 @@
 //! assertions print the durability directory layout — the exact
 //! on-disk state recovery had to work with.
 
+mod common;
+
+use common::{
+    assert_conserved, paper_policy, reference_reporters, reporter_fleet, resilient, scratch_dir,
+    slow_fpga, spawn, stat, wait_until, Reference, Tally,
+};
 use std::io::Read;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use xar_chaos::{ChaosProxy, FaultPlan};
 use xar_trek::core::server::{
-    spawn_sharded, spawn_sharded_at, EngineConfig, ResilientClient, ResilientConfig, ServerConfig,
-    ShardedSchedulerServer, V2Client,
+    spawn_sharded, spawn_sharded_at, EngineConfig, ServerConfig, ShardedSchedulerServer, V2Client,
 };
-use xar_trek::core::XarTrekPolicy;
-use xar_trek::desim::{ClusterConfig, CompletionReport, Policy, Target};
+use xar_trek::desim::Target;
 use xar_trek::sched::client::Served;
-use xar_trek::sched::{obs, wire, DurabilityConfig, FsyncPolicy, ReportOwned};
+use xar_trek::sched::{obs, wire, FsyncPolicy};
 
 const CLIENTS: usize = 32;
 /// Reports per client before the kill / after the restart.
 const PHASE1: usize = 4;
 const PHASE2: usize = 4;
-const APPS: [&str; 5] = ["Digit2000", "Digit500", "FaceDet320", "FaceDet640", "CG-A"];
-
-fn policy() -> XarTrekPolicy {
-    let specs: Vec<_> = xar_trek::workloads::all_profiles().iter().map(|p| p.job()).collect();
-    XarTrekPolicy::from_specs(&specs, &ClusterConfig::default())
-}
-
-/// A fresh durability directory under the system tmpdir, unique per
-/// call so parallel tests never share a WAL.
-fn dur_dir(tag: &str) -> PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "xar-crash-{}-{tag}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The on-disk layout for failure messages: what recovery actually
 /// had to work with (segment and snapshot names + sizes).
@@ -86,49 +69,7 @@ fn dir_layout(dir: &Path) -> String {
 /// A durable server config: WAL fsync on every append (the crash tests
 /// assert that every *acked* report survives, which needs `Always`).
 fn durable(dir: &Path, snapshot_every: u64) -> ServerConfig {
-    ServerConfig {
-        durability: Some(DurabilityConfig {
-            fsync: FsyncPolicy::Always,
-            snapshot_every,
-            ..DurabilityConfig::at(dir)
-        }),
-        ..ServerConfig::default()
-    }
-}
-
-fn resilient(addr: SocketAddr, session: u64, seed: u64) -> ResilientClient {
-    ResilientClient::new(
-        addr,
-        ResilientConfig {
-            session,
-            connect_timeout: Duration::from_secs(2),
-            io_timeout: Duration::from_millis(500),
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
-            backoff_seed: seed,
-            max_retries: 400,
-        },
-    )
-}
-
-/// The commutative report every fleet client ships: a slow FPGA run,
-/// so Algorithm 1 bumps the app's `fpga_thr` by +1 whatever the
-/// interleaving — and whatever side of the crash it lands on.
-fn slow_fpga(app: &str) -> ReportOwned {
-    ReportOwned { app: app.into(), target: Target::Fpga, func_ms: 1e9, x86_load: 2 }
-}
-
-/// The plans to run: `XCHAOS_SEED` (a failure's replay token, or a
-/// bare seed) pins one plan; otherwise two fixed seeds keep the gate
-/// deterministic while the nightly kill-loop job sweeps fresh ones.
-fn plans() -> Vec<FaultPlan> {
-    match std::env::var("XCHAOS_SEED") {
-        Ok(tok) => {
-            vec![FaultPlan::parse(&tok)
-                .unwrap_or_else(|| panic!("XCHAOS_SEED {tok:?} is not a seed or xchaos1: token"))]
-        }
-        Err(_) => vec![FaultPlan::from_seed(0x00A1_57C3), FaultPlan::from_seed(0x00DD_BA11)],
-    }
+    common::durable(dir, FsyncPolicy::Always, snapshot_every)
 }
 
 /// The tentpole invariant: a chaos-battered fleet whose daemon is
@@ -137,25 +78,26 @@ fn plans() -> Vec<FaultPlan> {
 /// zero double-ingest and the replay ledger still balanced.
 #[test]
 fn chaos_fleet_survives_abrupt_kill_bit_identically() {
-    for plan in plans() {
+    for plan in common::chaos_plans() {
         kill_run(plan);
     }
 }
 
 fn kill_run(plan: FaultPlan) {
     let tok = plan.token();
-    let dir = dur_dir("fleet");
+    let dir = scratch_dir("fleet");
     // snapshot_every well below the phase-1 record count, so a
     // maintenance tick usually checkpoints mid-campaign and recovery
     // exercises snapshot + WAL-suffix (not just cold replay).
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         EngineConfig { shards: 8, batch: 4 },
         ServerConfig { workers: 4, ..durable(&dir, 48) },
-    )
-    .unwrap();
+    );
+    // Sessions are keyed by client index, so a phase-2 client resumes
+    // the session its phase-1 predecessor opened (hello fast-forwards
+    // its seq past the recovered high-water mark).
     let proxy = ChaosProxy::spawn(daemon.addr(), plan).unwrap();
-    let phase1 = fleet_phase(proxy.addr(), &tok, 0, PHASE1, 1);
+    let phase1 = reporter_fleet(proxy.addr(), &tok, CLIENTS, PHASE1, 1);
     drop(proxy);
 
     // Abrupt kill: no flush, no final snapshot. The disk holds only
@@ -165,7 +107,7 @@ fn kill_run(plan: FaultPlan) {
     // Restart from a *fresh* policy on the same directory: every
     // threshold row and session mark must come back from disk.
     let daemon = spawn_sharded(
-        &policy(),
+        &paper_policy(),
         EngineConfig { shards: 8, batch: 4 },
         ServerConfig { workers: 4, ..durable(&dir, 48) },
     )
@@ -184,49 +126,50 @@ fn kill_run(plan: FaultPlan) {
         dir_layout(&dir)
     );
     let proxy = ChaosProxy::spawn(daemon.addr(), plan).unwrap();
-    let phase2 = fleet_phase(proxy.addr(), &tok, PHASE1, PHASE2, 101);
+    let phase2 = reporter_fleet(proxy.addr(), &tok, CLIENTS, PHASE2, 101);
     drop(proxy);
 
     // Bit-identity against the never-crashed reference: the same
     // reports applied sequentially to one policy instance.
-    let mut reference = policy();
-    for c in 0..CLIENTS {
-        for _ in 0..PHASE1 + PHASE2 {
-            reference.on_complete(&CompletionReport {
-                app: APPS[c % APPS.len()],
-                target: Target::Fpga,
-                func_ms: 1e9,
-                x86_load: 2,
-            });
-        }
-    }
+    let mut reference = Reference::new();
+    reference_reporters(&mut reference, CLIENTS, PHASE1 + PHASE2);
     daemon.engine().flush();
-    let want: Vec<_> =
-        reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
-    let got: Vec<_> =
-        daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
-    assert_eq!(
-        got,
-        want,
-        "[replay {tok}] recovered table diverged from the never-crashed reference \
-         (recovery: snapshot@{} +{} records, {} torn repairs)\n{}",
-        rec.snapshot_watermark,
-        rec.replayed_records,
-        rec.torn_truncations,
-        dir_layout(&dir)
+    reference.assert_table_eq(
+        daemon.engine().table(),
+        format_args!(
+            "[replay {tok}] recovered table diverged from the never-crashed reference \
+             (recovery: snapshot@{} +{} records, {} torn repairs)\n{}",
+            rec.snapshot_watermark,
+            rec.replayed_records,
+            rec.torn_truncations,
+            dir_layout(&dir)
+        ),
     );
 
     // Exactly-once across the crash. Phase-1 exactness is the
     // bit-identity above (each report is a commutative +1: a loss or
     // a double-ingest would miss the reference). Phase 2 must have
     // ingested exactly its own reports on top of the recovered state —
-    // chaos-driven retry replays deduped, nothing counted twice.
-    let m = daemon.engine().metrics_total();
-    assert_eq!(
-        m.reports,
-        recovered_reports + (CLIENTS * PHASE2) as u64,
-        "[replay {tok}] double-ingest across the restart (recovered {recovered_reports})\n{}",
-        dir_layout(&dir)
+    // chaos-driven retry replays deduped, nothing counted twice. And
+    // conservation across the boundary: the daemon's replay counter
+    // (recovered from the snapshot + ReplayNote records, then advanced
+    // live) still equals the fleet's client-side dedup count.
+    let tally = Tally {
+        decides: 0,
+        reports: recovered_reports + phase2.reports,
+        deduped_batches: phase1.deduped_batches + phase2.deduped_batches,
+        reconnects: phase1.reconnects + phase2.reconnects,
+    };
+    assert_conserved(
+        &daemon,
+        tally,
+        &format!(
+            "[replay {tok}] across the restart (recovered {recovered_reports}, \
+             phase1 dedups {} + phase2 dedups {})\n{}",
+            phase1.deduped_batches,
+            phase2.deduped_batches,
+            dir_layout(&dir)
+        ),
     );
     // And every session's high-water mark advanced by exactly its
     // batch count: no stamp lost, none burned twice.
@@ -240,69 +183,9 @@ fn kill_run(plan: FaultPlan) {
             dir_layout(&dir)
         );
     }
-
-    // Conservation across the boundary: the daemon's replay counter
-    // (recovered from the snapshot + ReplayNote records, then advanced
-    // live) still equals the fleet's client-side dedup count.
-    let mut direct = V2Client::connect(daemon.addr()).unwrap();
-    let stats = direct.stats_v2().unwrap();
-    assert_eq!(
-        stats.get(obs::tags::REPLAYED_BATCHES),
-        Some(phase1.deduped + phase2.deduped),
-        "[replay {tok}] replay ledger unbalanced across restart \
-         (phase1 dedups {} + phase2 dedups {})\n{}",
-        phase1.deduped,
-        phase2.deduped,
-        dir_layout(&dir)
-    );
-    assert!(
-        phase1.reconnects + phase2.reconnects > 0,
-        "[replay {tok}] no chaos engaged across {CLIENTS} clients"
-    );
+    assert!(tally.reconnects > 0, "[replay {tok}] no chaos engaged across {CLIENTS} clients");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-struct PhaseTally {
-    deduped: u64,
-    reconnects: u64,
-}
-
-/// One fleet campaign: `CLIENTS` resilient reporters, each shipping
-/// `count` single-report batches through the chaos proxy at `addr`.
-/// Sessions are keyed by client index, so a phase-2 client resumes the
-/// session its phase-1 predecessor opened (hello fast-forwards its
-/// seq past the recovered high-water mark).
-fn fleet_phase(addr: SocketAddr, tok: &str, base: usize, count: usize, seed0: u64) -> PhaseTally {
-    let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let (barrier, tok) = (Arc::clone(&barrier), tok.to_string());
-            std::thread::spawn(move || {
-                barrier.wait();
-                let mut cl = resilient(addr, c as u64 + 1, c as u64 + seed0);
-                let app = APPS[c % APPS.len()];
-                let mut accepted = 0u32;
-                for i in base..base + count {
-                    accepted += cl
-                        .report_batch(std::slice::from_ref(&slow_fpga(app)))
-                        .unwrap_or_else(|e| panic!("[replay {tok}] client {c} report {i}: {e}"));
-                }
-                (c, accepted, cl.deduped_batches(), cl.reconnects())
-            })
-        })
-        .collect();
-    let mut tally = PhaseTally { deduped: 0, reconnects: 0 };
-    for h in handles {
-        let (c, accepted, deduped, reconnects) = h.join().unwrap();
-        assert_eq!(
-            accepted, count as u32,
-            "[replay {tok}] client {c}: reports lost despite retries"
-        );
-        tally.deduped += deduped;
-        tally.reconnects += reconnects;
-    }
-    tally
 }
 
 /// Restart-safe exactly-once, distilled: a seq-stamped batch whose ack
@@ -316,8 +199,8 @@ fn fleet_phase(addr: SocketAddr, tok: &str, base: usize, count: usize, seed0: u6
 /// stamp against it is (correctly) ingested fresh.
 #[test]
 fn replayed_seq_batch_across_restart_counts_once() {
-    let dir = dur_dir("replay");
-    let daemon = spawn_sharded(&policy(), EngineConfig::default(), durable(&dir, 4096)).unwrap();
+    let dir = scratch_dir("replay");
+    let daemon = spawn(EngineConfig::default(), durable(&dir, 4096));
     let addr = daemon.addr();
 
     // A resilient reporter ships seq 1 and gets its ack.
@@ -353,15 +236,13 @@ fn replayed_seq_batch_across_restart_counts_once() {
 
     // Exactly once, end to end: seq 1 was ingested by recovery replay,
     // seq 2 live; the cross-restart retry added nothing.
-    daemon.engine().flush();
-    assert_eq!(daemon.engine().metrics_total().reports, 2, "{}", dir_layout(&dir));
-    let stats = V2Client::connect(addr).unwrap().stats_v2().unwrap();
-    assert_eq!(stats.get(obs::tags::REPLAYED_BATCHES), Some(1));
+    let tally = Tally { reports: 2, deduped_batches: 1, ..Tally::default() };
+    assert_conserved(&daemon, tally, &dir_layout(&dir));
 
     // Fresh-dir session reset: same address, new directory — the
     // session universe starts over and the old stamp is fresh again.
     daemon.kill();
-    let fresh = dur_dir("replay-fresh");
+    let fresh = scratch_dir("replay-fresh");
     let daemon = respawn_at(&fresh, addr);
     let mut raw = V2Client::connect(addr).unwrap();
     assert_eq!(raw.hello_session(7).unwrap(), 0, "fresh dir must reset session marks");
@@ -380,16 +261,17 @@ fn replayed_seq_batch_across_restart_counts_once() {
 /// still open against the old daemon reads EOF (drained, not wedged).
 #[test]
 fn clean_shutdown_snapshot_leaves_nothing_to_replay() {
-    let dir = dur_dir("drain");
-    let daemon = spawn_sharded(&policy(), EngineConfig::default(), durable(&dir, 4096)).unwrap();
+    let dir = scratch_dir("drain");
+    let daemon = spawn(EngineConfig::default(), durable(&dir, 4096));
 
     let mut rc = resilient(daemon.addr(), 3, 3);
     for _ in 0..8 {
         assert_eq!(rc.report_batch(std::slice::from_ref(&slow_fpga("FaceDet320"))).unwrap(), 1);
     }
     daemon.engine().flush();
-    let want: Vec<_> =
-        daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
+    let mut reference = Reference::new();
+    reference.report_n(8, "FaceDet320", Target::Fpga, 1e9, 2);
+    reference.assert_table_eq(daemon.engine().table(), "before the drain");
 
     // A connection left open across the drain: the daemon must close
     // it out (EOF/reset), not leave it hanging on a dead socket.
@@ -404,7 +286,7 @@ fn clean_shutdown_snapshot_leaves_nothing_to_replay() {
         }
     }
 
-    let daemon = spawn_sharded(&policy(), EngineConfig::default(), durable(&dir, 4096)).unwrap();
+    let daemon = spawn(EngineConfig::default(), durable(&dir, 4096));
     let rec = daemon.recovery();
     assert_eq!(
         rec.replayed_records,
@@ -413,13 +295,65 @@ fn clean_shutdown_snapshot_leaves_nothing_to_replay() {
         dir_layout(&dir)
     );
     assert!(rec.snapshot_watermark > 0, "no final snapshot written\n{}", dir_layout(&dir));
-    let got: Vec<_> =
-        daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
-    assert_eq!(got, want, "snapshot-recovered table differs\n{}", dir_layout(&dir));
+    reference.assert_table_eq(
+        daemon.engine().table(),
+        format_args!("snapshot-recovered table differs\n{}", dir_layout(&dir)),
+    );
     let mut raw = V2Client::connect(daemon.addr()).unwrap();
     assert_eq!(raw.hello_session(3).unwrap(), 8, "session mark lost across clean shutdown");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `flush_interval = 0` takes the stranded-report sweep off the
+/// maintenance tick and nothing else: the durability heartbeat — the
+/// only fsync under `FsyncPolicy::IntervalMs`, and `snapshot_every` —
+/// keeps ticking. (It used to disarm the timer, silently turning both
+/// off.)
+#[test]
+fn zero_flush_interval_keeps_the_durability_heartbeat() {
+    let dir = scratch_dir("heartbeat");
+    let config = ServerConfig {
+        flush_interval: Duration::ZERO,
+        ..common::durable(&dir, FsyncPolicy::IntervalMs(5), 1)
+    };
+    let daemon = spawn(EngineConfig::default(), config);
+    let mut cl = V2Client::connect(daemon.addr()).unwrap();
+    cl.hello_session(5).unwrap();
+    let report =
+        wire::WireReport { app: "Digit500", target: Target::Fpga, func_ms: 1e9, x86_load: 2 };
+    assert_eq!(cl.report_batch_seq(5, 1, &[report]).unwrap(), Served::Done(1));
+    assert!(stat(&mut cl, obs::tags::WAL_APPENDS) >= 1, "the acked batch was not journaled");
+    // One record is past `snapshot_every`, and no further report will
+    // come: only the tick can write the snapshot.
+    wait_until("the maintenance tick to write the due snapshot", || {
+        stat(&mut cl, obs::tags::SNAPSHOTS_WRITTEN) >= 1
+    });
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The torn-log tests' trace: session 9 ships `batches` seq-stamped
+/// one-report batches (a slow FPGA run of Digit500 each).
+fn seq_trace(daemon: &ShardedSchedulerServer, batches: u64) {
+    let mut raw = V2Client::connect(daemon.addr()).unwrap();
+    raw.hello_session(9).unwrap();
+    let wire_report =
+        wire::WireReport { app: "Digit500", target: Target::Fpga, func_ms: 1e9, x86_load: 2 };
+    for seq in 1..=batches {
+        match raw.report_batch_seq(9, seq, std::slice::from_ref(&wire_report)).unwrap() {
+            Served::Done(1) => {}
+            other => panic!("batch {seq} not ingested: {other:?}"),
+        }
+    }
+}
+
+/// What a log holding the first `batches` records of [`seq_trace`]
+/// must recover to.
+fn seq_reference(batches: u64) -> Reference {
+    let mut reference = Reference::new();
+    reference.report_n(batches as usize, "Digit500", Target::Fpga, 1e9, 2);
+    reference
 }
 
 /// Torn-tail recovery against the full daemon: the WAL of a killed
@@ -431,28 +365,11 @@ fn clean_shutdown_snapshot_leaves_nothing_to_replay() {
 #[test]
 fn torn_wal_tail_recovers_longest_valid_prefix() {
     const BATCHES: u64 = 6;
-    let dir = dur_dir("torn");
+    let dir = scratch_dir("torn");
     // Huge snapshot_every: recovery must come from the WAL alone.
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), durable(&dir, u64::MAX / 2)).unwrap();
-    let mut raw = V2Client::connect(daemon.addr()).unwrap();
-    raw.hello_session(9).unwrap();
-    let wire_report =
-        wire::WireReport { app: "Digit500", target: Target::Fpga, func_ms: 1e9, x86_load: 2 };
-    for seq in 1..=BATCHES {
-        match raw.report_batch_seq(9, seq, std::slice::from_ref(&wire_report)).unwrap() {
-            Served::Done(1) => {}
-            other => panic!("batch {seq} not ingested: {other:?}"),
-        }
-    }
+    let daemon = spawn(EngineConfig::default(), durable(&dir, u64::MAX / 2));
+    seq_trace(&daemon, BATCHES);
     daemon.kill();
-
-    let base = policy()
-        .table
-        .iter()
-        .find(|e| e.app == "Digit500")
-        .map(|e| e.fpga_thr)
-        .expect("Digit500 in the seed table");
 
     // The single WAL segment, parsed into frame boundaries so each cut
     // knows how many *complete* seq-batch records precede it (engine
@@ -497,28 +414,22 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
     let mut last_recovered = 0u64;
     for cut in cuts {
         let want: u64 = frames.iter().filter(|&&(end, seq)| seq && end <= cut).count() as u64;
-        let dir2 = dur_dir("torn-cut");
+        let dir2 = scratch_dir("torn-cut");
         std::fs::create_dir_all(&dir2).unwrap();
         std::fs::write(dir2.join(&wal_name), &wal[..cut]).unwrap();
         let daemon =
-            spawn_sharded(&policy(), EngineConfig::default(), durable(&dir2, u64::MAX / 2))
+            spawn_sharded(&paper_policy(), EngineConfig::default(), durable(&dir2, u64::MAX / 2))
                 .unwrap_or_else(|e| {
                     panic!("cut at byte {cut}: recovery failed: {e}\n{}", dir_layout(&dir2))
                 });
         daemon.engine().flush();
-        let got = daemon
-            .engine()
-            .table()
-            .into_iter()
-            .find(|e| e.app == "Digit500")
-            .map(|e| e.fpga_thr)
-            .unwrap_or(base);
-        assert_eq!(
-            got,
-            base + want as u32,
-            "cut at byte {cut} of {}: wrong prefix recovered\n{}",
-            wal.len(),
-            dir_layout(&dir2)
+        seq_reference(want).assert_table_eq(
+            daemon.engine().table(),
+            format_args!(
+                "cut at byte {cut} of {}: wrong prefix recovered\n{}",
+                wal.len(),
+                dir_layout(&dir2)
+            ),
         );
         let mut raw = V2Client::connect(daemon.addr()).unwrap();
         assert_eq!(
@@ -543,25 +454,15 @@ fn torn_wal_tail_recovers_longest_valid_prefix() {
 #[test]
 fn tear_in_a_middle_segment_recovers_nothing_beyond_it() {
     const BATCHES: u64 = 24;
-    let dir = dur_dir("mid-tear");
+    let dir = scratch_dir("mid-tear");
     let small_segments = |dir: &Path| {
         let mut cfg = durable(dir, u64::MAX / 2);
         cfg.durability.as_mut().unwrap().segment_bytes = 256;
         cfg
     };
-    let daemon = spawn_sharded(&policy(), EngineConfig::default(), small_segments(&dir)).unwrap();
-    let mut raw = V2Client::connect(daemon.addr()).unwrap();
-    raw.hello_session(9).unwrap();
-    let wire_report =
-        wire::WireReport { app: "Digit500", target: Target::Fpga, func_ms: 1e9, x86_load: 2 };
-    for seq in 1..=BATCHES {
-        match raw.report_batch_seq(9, seq, std::slice::from_ref(&wire_report)).unwrap() {
-            Served::Done(1) => {}
-            other => panic!("batch {seq} not ingested: {other:?}"),
-        }
-    }
+    let daemon = spawn(EngineConfig::default(), small_segments(&dir));
+    seq_trace(&daemon, BATCHES);
     daemon.kill();
-    let base = policy().table.get("Digit500").expect("Digit500 in the seed table").fpga_thr;
 
     let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -594,7 +495,7 @@ fn tear_in_a_middle_segment_recovers_nothing_beyond_it() {
     }
     assert!(want > 0 && want < BATCHES, "the tear must fall strictly inside the trace: {want}");
 
-    let daemon = spawn_sharded(&policy(), EngineConfig::default(), small_segments(&dir))
+    let daemon = spawn_sharded(&paper_policy(), EngineConfig::default(), small_segments(&dir))
         .unwrap_or_else(|e| panic!("recovery failed: {e}\n{}", dir_layout(&dir)));
     let later = (segments.len() - victim - 1) as u64;
     assert_eq!(
@@ -606,12 +507,9 @@ fn tear_in_a_middle_segment_recovers_nothing_beyond_it() {
     for gone in &segments[victim + 1..] {
         assert!(!gone.exists(), "{} survived the tear before it", gone.display());
     }
-    let got = daemon.engine().table().into_iter().find(|e| e.app == "Digit500").unwrap().fpga_thr;
-    assert_eq!(
-        got,
-        base + want as u32,
-        "records beyond the tear were applied\n{}",
-        dir_layout(&dir)
+    seq_reference(want).assert_table_eq(
+        daemon.engine().table(),
+        format_args!("records beyond the tear were applied\n{}", dir_layout(&dir)),
     );
     let mut raw = V2Client::connect(daemon.addr()).unwrap();
     assert_eq!(raw.hello_session(9).unwrap(), want, "session mark ran past the tear");
@@ -624,7 +522,7 @@ fn tear_in_a_middle_segment_recovers_nothing_beyond_it() {
 fn respawn_at(dir: &Path, addr: SocketAddr) -> ShardedSchedulerServer {
     let mut last = None;
     for _ in 0..50 {
-        match spawn_sharded_at(&policy(), EngineConfig::default(), durable(dir, 4096), addr) {
+        match spawn_sharded_at(&paper_policy(), EngineConfig::default(), durable(dir, 4096), addr) {
             Ok(s) => return s,
             Err(e) => {
                 last = Some(e);

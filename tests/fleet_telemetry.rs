@@ -5,52 +5,18 @@
 //! per-daemon `HistDump`s bucket-for-bucket, and the fold surviving a
 //! member's death and restart without corruption.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
-use xar_trek::core::server::{
-    spawn_sharded, spawn_sharded_at, EngineConfig, ServerConfig, V2Client,
-};
-use xar_trek::core::XarTrekPolicy;
-use xar_trek::desim::{ClusterConfig, Target};
+mod common;
+
+use common::{paper_policy, spawn, text_query, wait_until};
+use std::net::{SocketAddr, TcpListener};
+use std::time::Duration;
+use xar_trek::core::server::{spawn_sharded_at, EngineConfig, ServerConfig, V2Client};
+use xar_trek::desim::Target;
 use xar_trek::sched::obsd::{Obsd, ObsdConfig};
 use xar_trek::sched::wire::{hist_class, HistDump};
 
-fn policy() -> XarTrekPolicy {
-    let specs: Vec<_> = xar_trek::workloads::all_profiles().iter().map(|p| p.job()).collect();
-    XarTrekPolicy::from_specs(&specs, &ClusterConfig::default())
-}
-
 fn engine_config() -> EngineConfig {
     EngineConfig { shards: 4, batch: 4 }
-}
-
-/// One text-port query (daemon v1 or obsd): send `cmd`, read until the
-/// reply terminator. Both surfaces end every reply with `END\n` or
-/// `ERR\n`.
-fn text_query(addr: SocketAddr, cmd: &str) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(cmd.as_bytes()).unwrap();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let n = s.read(&mut chunk).unwrap();
-        assert!(n > 0, "server closed before END/ERR replying to {cmd:?}");
-        buf.extend_from_slice(&chunk[..n]);
-        let text = String::from_utf8(buf.clone()).unwrap();
-        if text.ends_with("END\n") || text.ends_with("ERR\n") {
-            return text;
-        }
-    }
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(15));
-    }
 }
 
 /// The reference fold: scrape every daemon directly and sum the raw
@@ -80,8 +46,7 @@ fn direct_fold(addrs: &[SocketAddr]) -> HistDump {
 /// get `ERR` — all after real traffic on a fast series tick.
 #[test]
 fn series_and_rate_answer_over_the_v1_port() {
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         engine_config(),
         ServerConfig {
             workers: 2,
@@ -89,8 +54,7 @@ fn series_and_rate_answer_over_the_v1_port() {
             series_tick: Duration::from_millis(20),
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
     let mut cl = V2Client::connect(addr).unwrap();
     // Drive decides until the ring has enough samples that both the
@@ -136,8 +100,7 @@ fn series_and_rate_answer_over_the_v1_port() {
 /// erroring, and non-numeric arguments still get `ERR`.
 #[test]
 fn trace_edge_cases_over_a_real_socket() {
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         engine_config(),
         ServerConfig {
             workers: 2,
@@ -145,8 +108,7 @@ fn trace_edge_cases_over_a_real_socket() {
             trace_log_capacity: 1 << 12,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
     let mut cl = V2Client::connect(addr).unwrap();
     for _ in 0..8 {
@@ -167,15 +129,15 @@ fn trace_edge_cases_over_a_real_socket() {
 /// one member flips its `up` gauge and never corrupts the fold.
 #[test]
 fn obsd_folds_three_daemons_exactly_and_survives_member_restart() {
-    let pol = policy();
+    let pol = paper_policy();
     let server_config = |daemon_id: u16| ServerConfig {
         workers: 2,
         daemon_id,
         flush_interval: Duration::from_millis(5),
         ..ServerConfig::default()
     };
-    let d1 = spawn_sharded(&pol, engine_config(), server_config(1)).unwrap();
-    let d2 = spawn_sharded(&pol, engine_config(), server_config(2)).unwrap();
+    let d1 = spawn(engine_config(), server_config(1));
+    let d2 = spawn(engine_config(), server_config(2));
     // The third daemon lives on a fixed port so it can come back at
     // the address the aggregator keeps scraping.
     let fixed = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
@@ -287,12 +249,10 @@ fn obsd_folds_three_daemons_exactly_and_survives_member_restart() {
 /// disabled stays ok on the identical traffic.
 #[test]
 fn health_flips_degraded_on_decide_p99_slo_breach() {
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         engine_config(),
         ServerConfig { workers: 2, flush_interval: Duration::from_millis(5), ..Default::default() },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
     let member_config = || ObsdConfig {
         targets: vec![addr],

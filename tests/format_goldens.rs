@@ -21,16 +21,18 @@
 //!   (final snapshot), restarted, fed a second trace and killed —
 //!   snapshot + manifest + WAL suffix, recovered and rewritten alike.
 
+mod common;
+
+use common::{paper_policy, scratch_dir, spawn};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xar_trek::core::server::{
-    sharded_engine, spawn_sharded, EngineConfig, SchedulerClient, ServerConfig, V2Client,
+    sharded_engine, EngineConfig, SchedulerClient, ServerConfig, V2Client,
 };
 use xar_trek::core::thresholds::{ScenarioTimes, ThresholdEntry, ThresholdTable};
 use xar_trek::core::XarTrekPolicy;
-use xar_trek::desim::{ClusterConfig, CompletionReport, Target};
+use xar_trek::desim::{CompletionReport, Target};
 use xar_trek::sched::client::Served;
 use xar_trek::sched::wire::WireReport;
 use xar_trek::sched::{
@@ -47,24 +49,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3))
 }
 
-fn paper_policy() -> XarTrekPolicy {
-    let specs: Vec<_> = xar_trek::workloads::all_profiles().iter().map(|p| p.job()).collect();
-    XarTrekPolicy::from_specs(&specs, &ClusterConfig::default())
-}
-
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sched/tests/fixtures")
-}
-
-fn tmp(tag: &str) -> PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "xar-goldens-{}-{tag}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Every file of a durability directory, by name.
@@ -215,15 +201,9 @@ fn save_state_blobs_are_byte_identical_to_the_parent() {
 // (c) the durability directories
 
 fn durable(dir: &Path, fsync: FsyncPolicy) -> ServerConfig {
-    ServerConfig {
-        durability: Some(DurabilityConfig {
-            fsync,
-            segment_bytes: 1024, // several segments from a small trace
-            snapshot_every: 0,
-            ..DurabilityConfig::at(dir)
-        }),
-        ..ServerConfig::default()
-    }
+    let mut config = common::durable(dir, fsync, 0);
+    config.durability.as_mut().unwrap().segment_bytes = 1024; // several segments from a small trace
+    config
 }
 
 /// One deterministic report: app, target, time and load all drawn from
@@ -280,7 +260,7 @@ fn phase2(addr: std::net::SocketAddr) {
 
 /// `wal-trace`: phase 1, then an abrupt kill.
 fn write_wal_trace(dir: &Path, fsync: FsyncPolicy) {
-    let daemon = spawn_sharded(&paper_policy(), ENGINE, durable(dir, fsync)).unwrap();
+    let daemon = spawn(ENGINE, durable(dir, fsync));
     phase1(daemon.addr());
     daemon.kill();
 }
@@ -288,10 +268,10 @@ fn write_wal_trace(dir: &Path, fsync: FsyncPolicy) {
 /// `snapshot-boot`: phase 1, a clean shutdown (final snapshot, WAL
 /// pruned), a restart on the directory, phase 2, an abrupt kill.
 fn write_snapshot_boot(dir: &Path, fsync: FsyncPolicy) {
-    let daemon = spawn_sharded(&paper_policy(), ENGINE, durable(dir, fsync)).unwrap();
+    let daemon = spawn(ENGINE, durable(dir, fsync));
     phase1(daemon.addr());
     daemon.shutdown();
-    let daemon = spawn_sharded(&paper_policy(), ENGINE, durable(dir, fsync)).unwrap();
+    let daemon = spawn(ENGINE, durable(dir, fsync));
     phase2(daemon.addr());
     daemon.kill();
 }
@@ -303,7 +283,7 @@ type Recovered = ((u64, u64, u64), Vec<(u64, u64)>, Vec<TableEntry>);
 
 fn recover(fixture: &Path) -> Recovered {
     // Opening a directory may repair or append to it: work on a copy.
-    let dir = tmp("recover");
+    let dir = scratch_dir("recover");
     copy_dir(fixture, &dir);
     let engine = sharded_engine(&paper_policy(), ENGINE);
     let sessions = SessionTable::new(64);
@@ -377,7 +357,7 @@ fn fixed_traces_write_the_parent_s_bytes() {
     for (name, write) in cases {
         let want = read_dir_bytes(&fixtures().join(name));
         for fsync in [FsyncPolicy::Off, FsyncPolicy::Always] {
-            let dir = tmp(name);
+            let dir = scratch_dir(name);
             write(&dir, fsync);
             let got = read_dir_bytes(&dir);
             assert_eq!(

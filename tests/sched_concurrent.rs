@@ -7,35 +7,22 @@
 //! admission, quarantine), over both of the daemon's transports: TCP
 //! and the local socket a `V2Client` picks for a loopback address.
 
+mod common;
+
+use common::{
+    assert_conserved, assert_refused, fleet, offend, paper_policy, read_replies, spawn, stat,
+    table_requests, text_query, wait_until, Reference, Tally, APPS,
+};
+use std::io::{Read, Write};
 use std::sync::Arc;
 use xar_trek::core::server::{
-    spawn_sharded, BackendKind, EngineConfig, SchedulerClient, ServerConfig, ShardedPolicy,
-    V2Client,
+    BackendKind, EngineConfig, SchedulerClient, ServerConfig, ShardedPolicy, V2Client,
 };
-use xar_trek::core::XarTrekPolicy;
-use xar_trek::desim::{ClusterConfig, CompletionReport, DecideCtx, Decision, Policy, Target};
-use xar_trek::sched::ReportOwned;
+use xar_trek::desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
+use xar_trek::sched::{obs, wire, ReportOwned};
 
 const CLIENTS: usize = 32;
 const OPS_PER_CLIENT: usize = 20;
-const APPS: [&str; 5] = ["Digit2000", "Digit500", "FaceDet320", "FaceDet640", "CG-A"];
-
-fn policy() -> XarTrekPolicy {
-    let specs: Vec<_> = xar_trek::workloads::all_profiles().iter().map(|p| p.job()).collect();
-    XarTrekPolicy::from_specs(&specs, &ClusterConfig::default())
-}
-
-fn ctx<'a>(app: &'a str, load: usize, resident: bool) -> DecideCtx<'a> {
-    DecideCtx {
-        app,
-        kernel: "k",
-        x86_load: load,
-        arm_load: 0,
-        kernel_resident: resident,
-        device_ready: true,
-        now_ns: 0.0,
-    }
-}
 
 /// How a raw (client-library-free) peer reaches the daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,11 +100,6 @@ impl std::io::Write for RawConn {
     }
 }
 
-/// One `StatsV2` counter, read over `cl`.
-fn stat(cl: &mut V2Client, tag: u16) -> u64 {
-    cl.stats_v2().unwrap().get(tag).unwrap_or_else(|| panic!("tag {tag} not shipped"))
-}
-
 /// One client's slice of the workload: `decides` round trips (protocol
 /// chosen by client index parity), then `reports` slow-FPGA reports.
 fn run_client(
@@ -161,18 +143,8 @@ fn spawn_fleet(
     addr: std::net::SocketAddr,
     decides: usize,
     reports: usize,
-) -> Vec<(usize, Vec<(Decision, Decision)>)> {
-    let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                (c, run_client(c, addr, decides, reports))
-            })
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
+) -> Vec<Vec<(Decision, Decision)>> {
+    fleet(CLIENTS, |c| run_client(c, addr, decides, reports))
 }
 
 /// 32 concurrent clients decide against a quiescent table (identical
@@ -192,22 +164,18 @@ fn thirty_two_concurrent_clients_match_on_poll_backend() {
 }
 
 fn fleet_matches_single_threaded_path(backend: BackendKind) {
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         EngineConfig { shards: 8, batch: 4 },
         ServerConfig { workers: 4, backend, ..ServerConfig::default() },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
-    let mut reference = policy();
+    let mut reference = Reference::new();
 
     // Phase 1 — decide-only storm: no state changes, so every client
     // must see exactly the sequential policy's decisions.
-    let expected: Vec<(Decision, Decision)> = APPS
-        .iter()
-        .map(|app| (reference.decide(&ctx(app, 2, true)), reference.decide(&ctx(app, 200, true))))
-        .collect();
-    for (c, decisions) in spawn_fleet(addr, OPS_PER_CLIENT, 0) {
+    let expected =
+        APPS.map(|app| (reference.decide(app, 2, true), reference.decide(app, 200, true)));
+    for (c, decisions) in spawn_fleet(addr, OPS_PER_CLIENT, 0).into_iter().enumerate() {
         let want = expected[c % APPS.len()];
         for got in decisions {
             assert_eq!(got, want, "client {c} ({})", APPS[c % APPS.len()]);
@@ -223,20 +191,9 @@ fn fleet_matches_single_threaded_path(backend: BackendKind) {
 
     // Sequential reference: the same reports, one after another.
     for (app, &clients) in APPS.iter().zip(&clients_per_app) {
-        for _ in 0..clients * OPS_PER_CLIENT {
-            reference.on_complete(&CompletionReport {
-                app,
-                target: Target::Fpga,
-                func_ms: 1e9,
-                x86_load: 2,
-            });
-        }
+        reference.report_n(clients * OPS_PER_CLIENT, app, Target::Fpga, 1e9, 2);
     }
-    let reference_rows: Vec<_> =
-        reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
-    let daemon_rows: Vec<_> =
-        daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
-    assert_eq!(daemon_rows, reference_rows, "identical convergence");
+    reference.assert_table_eq(daemon.engine().table(), "identical convergence");
 
     // Phase 3 — decisions on the converged table agree again.
     let mut cl = V2Client::connect(addr).unwrap();
@@ -244,15 +201,19 @@ fn fleet_matches_single_threaded_path(backend: BackendKind) {
         for load in [2usize, 50, 200] {
             assert_eq!(
                 cl.decide(app, "k", load as u32, true).unwrap(),
-                reference.decide(&ctx(app, load, true)),
+                reference.decide(app, load, true),
                 "{app} at load {load} after convergence"
             );
         }
     }
 
+    let tally = Tally {
+        decides: (CLIENTS * OPS_PER_CLIENT * 2 + APPS.len() * 3) as u64,
+        reports: (CLIENTS * OPS_PER_CLIENT) as u64,
+        ..Tally::default()
+    };
+    assert_conserved(&daemon, tally, &format!("{backend:?}"));
     let m = daemon.engine().metrics_total();
-    assert_eq!(m.decides, (CLIENTS * OPS_PER_CLIENT * 2 + APPS.len() * 3) as u64);
-    assert_eq!(m.reports, (CLIENTS * OPS_PER_CLIENT) as u64);
     assert!(m.batches < m.reports, "batching amortized at least some applies");
     daemon.shutdown();
 }
@@ -261,8 +222,7 @@ fn fleet_matches_single_threaded_path(backend: BackendKind) {
 /// one by one.
 #[test]
 fn batch_report_equals_sequential_reports() {
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::default()).unwrap();
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
     let mut cl = V2Client::connect(daemon.addr()).unwrap();
     let reports: Vec<ReportOwned> = (0..100)
         .map(|i| ReportOwned {
@@ -274,20 +234,11 @@ fn batch_report_equals_sequential_reports() {
         .collect();
     assert_eq!(cl.report_batch(&reports).unwrap(), 100);
 
-    let mut reference = policy();
+    let mut reference = Reference::new();
     for r in &reports {
-        reference.on_complete(&CompletionReport {
-            app: &r.app,
-            target: r.target,
-            func_ms: r.func_ms,
-            x86_load: r.x86_load as usize,
-        });
+        reference.report(&r.app, r.target, r.func_ms, r.x86_load as usize);
     }
-    let got = cl.fetch_table().unwrap();
-    let want: Vec<_> =
-        reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
-    let got: Vec<_> = got.into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
-    assert_eq!(got, want);
+    reference.assert_table_eq(cl.fetch_table().unwrap(), "one BatchReport frame");
     daemon.shutdown();
 }
 
@@ -303,8 +254,7 @@ fn batch_report_equals_sequential_reports() {
 #[test]
 fn hot_row_readers_only_see_reference_pairs_during_a_report_storm() {
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Barrier;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use xar_trek::core::server::sharded_engine;
 
     const HOT: &str = "FaceDet320";
@@ -326,25 +276,20 @@ fn hot_row_readers_only_see_reference_pairs_during_a_report_storm() {
     let cold_apps: [&[&str]; 2] = [&["Digit2000", "CG-A"], &["Digit500", "FaceDet640"]];
 
     // The sequential reference, and every pair the hot row passes through.
-    let mut reference = policy();
-    let pair = |p: &XarTrekPolicy| {
-        let e = p.table.get(HOT).unwrap();
-        (e.fpga_thr, e.arm_thr)
-    };
-    let mut legal = HashSet::from([pair(&reference)]);
+    let mut reference = Reference::new();
+    let mut legal = HashSet::from([reference.thresholds(HOT)]);
     for i in 0..HOT_REPORTS {
         let (target, func_ms, x86_load) = hot_report(i);
-        reference.on_complete(&CompletionReport { app: HOT, target, func_ms, x86_load });
-        legal.insert(pair(&reference));
+        reference.report(HOT, target, func_ms, x86_load);
+        legal.insert(reference.thresholds(HOT));
     }
     for apps in cold_apps {
         for i in 0..HOT_REPORTS {
             let (target, func_ms, x86_load) = cold_report(i);
-            let app = apps[i % apps.len()];
-            reference.on_complete(&CompletionReport { app, target, func_ms, x86_load });
+            reference.report(apps[i % apps.len()], target, func_ms, x86_load);
         }
     }
-    let last = pair(&reference);
+    let last = reference.thresholds(HOT);
     // The trace must sweep many pairs yet stay far from the full
     // product, so a pair stitched from two updates is not legal.
     let fpgas: HashSet<u32> = legal.iter().map(|p| p.0).collect();
@@ -354,70 +299,55 @@ fn hot_row_readers_only_see_reference_pairs_during_a_report_storm() {
 
     // One shard: every writer contends for the same state lock and the
     // readers' row shares its published index with the stormed rows.
-    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 1, batch: 1 }));
+    let engine = Arc::new(sharded_engine(&paper_policy(), EngineConfig { shards: 1, batch: 1 }));
     let pre_storm = engine.snapshot_of(HOT);
-    let legal = Arc::new(legal);
-    let stop = Arc::new(AtomicBool::new(false));
-    let start = Arc::new(Barrier::new(5));
-    let readers: Vec<_> = [Some(pre_storm.clone()), None]
-        .into_iter()
-        .map(|held| {
-            let (engine, legal, stop, start) =
-                (engine.clone(), legal.clone(), stop.clone(), start.clone());
-            std::thread::spawn(move || {
-                start.wait();
-                let mut seen = 0u64;
-                loop {
-                    // Read the flag first: the pass after the writers
-                    // joined must observe the final pair.
-                    let done = stop.load(Ordering::Acquire);
-                    let snap = held.clone().unwrap_or_else(|| engine.snapshot_of(HOT));
-                    let got = snap.thresholds(HOT).expect("hot row is indexed");
-                    assert!(legal.contains(&got), "pair {got:?} was never produced");
-                    seen += 1;
-                    if done {
-                        return (got, seen);
-                    }
-                }
-            })
-        })
-        .collect();
-    let mut writers = vec![{
-        let (engine, start) = (engine.clone(), start.clone());
-        std::thread::spawn(move || {
-            start.wait();
-            for i in 0..HOT_REPORTS {
-                let (target, func_ms, x86_load) = hot_report(i);
-                engine.ingest(HOT, target, func_ms, x86_load as u32);
-            }
-        })
-    }];
-    for apps in cold_apps {
-        let (engine, start) = (engine.clone(), start.clone());
-        writers.push(std::thread::spawn(move || {
-            start.wait();
-            for i in 0..HOT_REPORTS {
-                let (target, func_ms, x86_load) = cold_report(i);
-                engine.ingest(apps[i % apps.len()], target, func_ms, x86_load as u32);
-            }
-        }));
+    // Clients 0 and 1 read (0 through the pre-storm snapshot, 1 through
+    // fresh loads); 2 writes the hot row, 3 and 4 storm the cold ones.
+    let writing = AtomicUsize::new(3);
+    /// Counts its writer out, even one that panics: the readers wait
+    /// on the count.
+    struct Done<'a>(&'a AtomicUsize);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Release);
+        }
     }
-    for w in writers {
-        w.join().unwrap();
-    }
-    stop.store(true, Ordering::Release);
-    for r in readers {
-        let (final_pair, seen) = r.join().unwrap();
+    let finals = fleet(5, |c| {
+        if c >= 2 {
+            let _done = Done(&writing);
+            let cold = cold_apps.get(c.wrapping_sub(3));
+            for i in 0..HOT_REPORTS {
+                let (app, (target, func_ms, x86_load)) = match cold {
+                    None => (HOT, hot_report(i)),
+                    Some(apps) => (apps[i % apps.len()], cold_report(i)),
+                };
+                engine.ingest(app, target, func_ms, x86_load as u32);
+            }
+            return None;
+        }
+        let held = (c == 0).then(|| pre_storm.clone());
+        let mut seen = 0u64;
+        loop {
+            // Read the count first: the pass after the last writer
+            // finished must observe the final pair.
+            let done = writing.load(Ordering::Acquire) == 0;
+            let snap = held.clone().unwrap_or_else(|| engine.snapshot_of(HOT));
+            let got = snap.thresholds(HOT).expect("hot row is indexed");
+            assert!(legal.contains(&got), "pair {got:?} was never produced");
+            seen += 1;
+            if done {
+                return Some((got, seen));
+            }
+        }
+    });
+    for (final_pair, seen) in finals.into_iter().flatten() {
         assert_eq!(final_pair, last, "a reader ended on a stale pair after {seen} reads");
     }
     assert!(
         Arc::ptr_eq(&pre_storm, &engine.snapshot_of(HOT)),
         "a threshold-only storm swapped the published snapshot"
     );
-    let want: Vec<_> =
-        reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
-    let got: Vec<_> = engine.table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
-    assert_eq!(got, want);
+    reference.assert_table_eq(engine.table(), "after the storm");
 }
 
 /// A mixed fleet of batched (`decide_batch`), pipelined
@@ -427,75 +357,61 @@ fn hot_row_readers_only_see_reference_pairs_during_a_report_storm() {
 /// both reactor backends.
 #[test]
 fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
-    use xar_trek::sched::wire::WireQuery;
     const LOADS: [u32; 4] = [2, 20, 50, 200];
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
+        let daemon = spawn(
             EngineConfig { shards: 8, batch: 4 },
             ServerConfig { workers: 4, backend, ..ServerConfig::default() },
-        )
-        .unwrap();
+        );
         let addr = daemon.addr();
-        let mut reference = policy();
+        let mut reference = Reference::new();
         let expected: Vec<Decision> = APPS
             .iter()
-            .flat_map(|app| LOADS.map(|load| reference.decide(&ctx(app, load as usize, true))))
+            .flat_map(|app| LOADS.map(|load| reference.decide(app, load as usize, true)))
             .collect();
-        let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let barrier = barrier.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let mut cl = V2Client::connect(addr).unwrap();
-                    let mut got: Vec<Decision> = Vec::new();
-                    match c % 3 {
-                        0 => {
-                            // Single decides, one round trip each.
-                            for app in APPS {
-                                for load in LOADS {
-                                    got.push(cl.decide(app, "k", load, true).unwrap());
-                                }
-                            }
-                        }
-                        1 => {
-                            // One DecideBatch frame for the whole set.
-                            let queries: Vec<WireQuery<'_>> = APPS
-                                .iter()
-                                .flat_map(|app| {
-                                    LOADS.map(|load| WireQuery {
-                                        app,
-                                        kernel: "k",
-                                        x86_load: load,
-                                        arm_load: 0,
-                                        kernel_resident: true,
-                                        device_ready: true,
-                                    })
-                                })
-                                .collect();
-                            got = cl.decide_batch(&queries).unwrap();
-                        }
-                        _ => {
-                            // Pipelined: all frames in flight, then one
-                            // in-order drain.
-                            for app in APPS {
-                                for load in LOADS {
-                                    cl.submit_decide(app, "k", load, 0, true, true);
-                                }
-                            }
-                            assert_eq!(
-                                cl.drain_decisions(&mut got).unwrap(),
-                                APPS.len() * LOADS.len()
-                            );
+        let decisions = fleet(CLIENTS, |c| {
+            let mut cl = V2Client::connect(addr).unwrap();
+            let mut got: Vec<Decision> = Vec::new();
+            match c % 3 {
+                0 => {
+                    // Single decides, one round trip each.
+                    for app in APPS {
+                        for load in LOADS {
+                            got.push(cl.decide(app, "k", load, true).unwrap());
                         }
                     }
-                    (c, got)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (c, got) = h.join().unwrap();
+                }
+                1 => {
+                    // One DecideBatch frame for the whole set.
+                    let queries: Vec<wire::WireQuery<'_>> = APPS
+                        .iter()
+                        .flat_map(|app| {
+                            LOADS.map(|load| wire::WireQuery {
+                                app,
+                                kernel: "k",
+                                x86_load: load,
+                                arm_load: 0,
+                                kernel_resident: true,
+                                device_ready: true,
+                            })
+                        })
+                        .collect();
+                    got = cl.decide_batch(&queries).unwrap();
+                }
+                _ => {
+                    // Pipelined: all frames in flight, then one
+                    // in-order drain.
+                    for app in APPS {
+                        for load in LOADS {
+                            cl.submit_decide(app, "k", load, 0, true, true);
+                        }
+                    }
+                    assert_eq!(cl.drain_decisions(&mut got).unwrap(), APPS.len() * LOADS.len());
+                }
+            }
+            got
+        });
+        for (c, got) in decisions.into_iter().enumerate() {
             assert_eq!(
                 got,
                 expected,
@@ -505,10 +421,15 @@ fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
         }
         // Every mode's decides landed in the shared metrics, and the
         // batch frames were counted separately.
-        let m = daemon.engine().metrics_total();
-        assert_eq!(m.decides, (CLIENTS * APPS.len() * LOADS.len()) as u64);
+        let tally =
+            Tally { decides: (CLIENTS * APPS.len() * LOADS.len()) as u64, ..Tally::default() };
+        let stats = assert_conserved(&daemon, tally, &format!("{backend:?}"));
         let batch_clients = (0..CLIENTS).filter(|c| c % 3 == 1).count() as u64;
-        assert_eq!(m.decide_batches, batch_clients, "{backend:?}: one frame per batch client");
+        assert_eq!(
+            stats.get(obs::tags::DECIDE_BATCH_FRAMES),
+            Some(batch_clients),
+            "{backend:?}: one frame per batch client"
+        );
         daemon.shutdown();
     }
 }
@@ -519,10 +440,7 @@ fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
 /// serves well-formed traffic afterwards.
 #[test]
 fn oversized_decide_batch_is_refused_before_processing_anything() {
-    use std::io::{Read, Write};
-    use xar_trek::sched::wire;
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::default()).unwrap();
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
     let mut s = std::net::TcpStream::connect(daemon.addr()).unwrap();
     s.write_all(&wire::handshake(wire::VERSION)).unwrap();
     // Hand-crafted frame (the client-side encoder asserts the cap, so
@@ -540,30 +458,12 @@ fn oversized_decide_batch_is_refused_before_processing_anything() {
     wire::encode_request(&wire::Request::Ping(9), &mut frame);
     s.write_all(&frame).unwrap();
     s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 1024];
     let mut replies = Vec::new();
-    let mut hs_done = false;
-    while replies.len() < 2 {
-        let n = s.read(&mut scratch).unwrap();
-        assert!(n > 0, "server closed after the refusal");
-        buf.extend_from_slice(&scratch[..n]);
-        if !hs_done {
-            if buf.len() < wire::HANDSHAKE_LEN {
-                continue;
-            }
-            buf.drain(..wire::HANDSHAKE_LEN);
-            hs_done = true;
-        }
-        while let Some((total, range)) = wire::frame_in(&buf).unwrap() {
-            match wire::decode_response(&buf[range]).unwrap() {
-                wire::Response::Err(msg) => replies.push(format!("ERR {msg}")),
-                wire::Response::Pong(n) => replies.push(format!("PONG {n}")),
-                other => panic!("unexpected reply {other:?}"),
-            }
-            buf.drain(..total);
-        }
-    }
+    read_replies(&mut s, 2, |_, reply| match reply {
+        wire::Response::Err(msg) => replies.push(format!("ERR {msg}")),
+        wire::Response::Pong(n) => replies.push(format!("PONG {n}")),
+        other => panic!("unexpected reply {other:?}"),
+    });
     assert!(
         replies[0].starts_with("ERR") && replies[0].contains("MAX_DECIDE_BATCH"),
         "{replies:?}"
@@ -580,8 +480,7 @@ fn oversized_decide_batch_is_refused_before_processing_anything() {
 /// restores the one-shot surface.
 #[test]
 fn pipelined_client_guards_the_one_shot_surface() {
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::default()).unwrap();
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
     let mut cl = V2Client::connect(daemon.addr()).unwrap();
     cl.submit_decide("Digit2000", "k", 2, 0, true, true);
     assert_eq!(cl.inflight(), 1);
@@ -601,12 +500,8 @@ fn pipelined_client_guards_the_one_shot_surface() {
 #[test]
 fn graceful_shutdown_with_connected_clients() {
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
-            EngineConfig::default(),
-            ServerConfig { backend, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let daemon =
+            spawn(EngineConfig::default(), ServerConfig { backend, ..ServerConfig::default() });
         let addr = daemon.addr();
         let _idle: Vec<V2Client> = (0..8).map(|_| V2Client::connect(addr).unwrap()).collect();
         let started = std::time::Instant::now();
@@ -627,47 +522,26 @@ fn graceful_shutdown_with_connected_clients() {
 /// complete buffered requests.
 #[test]
 fn half_close_after_capped_burst_loses_no_replies() {
-    use std::io::{Read, Write};
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         EngineConfig::default(),
         ServerConfig { outbuf_high_water: 64, ..ServerConfig::default() },
-    )
-    .unwrap();
+    );
     for transport in Transport::ALL {
         let mut s = dial(daemon.addr(), transport);
-        s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
+        s.write_all(&wire::handshake(wire::VERSION)).unwrap();
         const BURST: usize = 64;
-        let mut reqs = Vec::new();
-        for _ in 0..BURST {
-            xar_trek::sched::wire::encode_request(
-                &xar_trek::sched::wire::Request::Table,
-                &mut reqs,
-            );
-        }
-        s.write_all(&reqs).unwrap();
+        s.write_all(&table_requests(BURST)).unwrap();
         s.shutdown_write();
         s.set_read_timeout(std::time::Duration::from_secs(10));
-        let mut buf = Vec::new();
-        let mut scratch = [0u8; 4096];
-        loop {
-            match s.read(&mut scratch) {
-                Ok(0) => break,
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(e) => panic!("{transport:?}: read after half-close: {e}"),
-            }
+        // Every reply (a close before the last one is "replies dropped
+        // at half-close"), then the EOF.
+        read_replies(&mut s, BURST, |i, reply| {
+            assert!(matches!(reply, wire::Response::Table(_)), "{transport:?}: reply {i}");
+        });
+        match s.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            other => panic!("{transport:?}: read after the half-closed burst: {other:?}"),
         }
-        buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN);
-        let mut tables = 0usize;
-        while let Some((total, range)) = xar_trek::sched::wire::frame_in(&buf).unwrap() {
-            assert!(matches!(
-                xar_trek::sched::wire::decode_response(&buf[range]).unwrap(),
-                xar_trek::sched::wire::Response::Table(_)
-            ));
-            buf.drain(..total);
-            tables += 1;
-        }
-        assert_eq!(tables, BURST, "{transport:?}: replies dropped at half-close");
     }
     daemon.shutdown();
 }
@@ -715,10 +589,8 @@ fn set_rcvbuf(s: &std::net::TcpStream, bytes: i32) {
 /// always-armed EPOLLRDHUP).
 #[test]
 fn write_stalled_half_closed_client_is_reaped() {
-    use std::io::Write;
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
+        let daemon = spawn(
             EngineConfig::default(),
             ServerConfig {
                 backend,
@@ -726,8 +598,7 @@ fn write_stalled_half_closed_client_is_reaped() {
                 close_linger: std::time::Duration::from_millis(300),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut s = std::net::TcpStream::connect(daemon.addr()).unwrap();
         // Shrink our receive buffer to its floor so the reply stream
         // overflows the kernel buffering deterministically (receive
@@ -736,21 +607,13 @@ fn write_stalled_half_closed_client_is_reaped() {
         // anything.
         set_rcvbuf(&s, 4096);
         s.set_write_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-        s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
+        s.write_all(&wire::handshake(wire::VERSION)).unwrap();
         // ~20× reply amplification, sized so the replies (~8 MB)
         // overflow even a fully autotuned server send buffer
         // (tcp_wmem caps at 4 MB) on top of our shrunken receive
         // buffer: the server must ingest the whole burst but
         // write-block mid-flush.
-        const BURST: usize = 64 * 1024;
-        let mut reqs = Vec::new();
-        for _ in 0..BURST {
-            xar_trek::sched::wire::encode_request(
-                &xar_trek::sched::wire::Request::Table,
-                &mut reqs,
-            );
-        }
-        s.write_all(&reqs).unwrap();
+        s.write_all(&table_requests(64 * 1024)).unwrap();
         // Let the pump hit the write-block, then FIN without ever
         // having read a byte. We drain nothing, so a reap can only be
         // the write-stall deadline: watch for it from a second
@@ -758,18 +621,10 @@ fn write_stalled_half_closed_client_is_reaped() {
         std::thread::sleep(std::time::Duration::from_millis(400));
         s.shutdown(std::net::Shutdown::Write).unwrap();
         let mut watcher = V2Client::connect(daemon.addr()).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
+        wait_until(&format!("{backend:?}: the stalled half-closed peer to be reaped"), || {
             let stats = watcher.stats().unwrap();
-            if stats.reaped_conns == 1 && stats.live_conns == 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{backend:?}: stalled half-closed peer was never reaped ({stats:?})"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
+            stats.reaped_conns == 1 && stats.live_conns == 1
+        });
         drop(s);
         daemon.shutdown();
     }
@@ -787,47 +642,28 @@ fn write_stalled_half_closed_client_is_reaped() {
 fn below_batch_report_is_applied_within_one_flush_interval() {
     let wait_for_reports =
         |daemon: &xar_trek::core::server::ShardedSchedulerServer, want: u64, what: &str| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            loop {
-                let m = daemon.engine().metrics_total();
-                if m.reports == want {
-                    assert!(m.batches >= 1, "{what}: applied without a batch?");
-                    return;
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "{what}: report stranded below batch size ({} applied, want {want})",
-                    m.reports
-                );
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
+            wait_until(&format!("{what}: report {want}, stranded below batch size"), || {
+                daemon.engine().metrics_total().reports == want
+            });
+            assert!(daemon.engine().metrics_total().batches >= 1, "{what}: applied, no batch?");
         };
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
+        let daemon = spawn(
             EngineConfig { shards: 8, batch: 64 },
             ServerConfig {
                 backend,
                 flush_interval: std::time::Duration::from_millis(50),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut cl = V2Client::connect(daemon.addr()).unwrap();
         cl.report("Digit2000", Target::Fpga, 1e9, 2).unwrap();
         wait_for_reports(&daemon, 1, &format!("{backend:?}"));
         // And the published decision snapshot reflects it: the row's
         // fpga_thr was bumped by Algorithm 1.
-        let mut reference = policy();
-        reference.on_complete(&CompletionReport {
-            app: "Digit2000",
-            target: Target::Fpga,
-            func_ms: 1e9,
-            x86_load: 2,
-        });
-        let row = reference.table.iter().find(|e| e.app == "Digit2000").unwrap();
-        let got = daemon.engine().table().into_iter().find(|e| e.app == "Digit2000").unwrap();
-        assert_eq!((got.fpga_thr, got.arm_thr), (row.fpga_thr, row.arm_thr), "{backend:?}");
+        let mut reference = Reference::new();
+        reference.report("Digit2000", Target::Fpga, 1e9, 2);
+        reference.assert_table_eq(daemon.engine().table(), format_args!("{backend:?}"));
 
         // The simulator adapter rides the same maintenance timer: a
         // report entering through `Policy::on_complete` is applied
@@ -850,12 +686,8 @@ fn below_batch_report_is_applied_within_one_flush_interval() {
 #[test]
 fn stats_round_trips_on_both_backends() {
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
-            EngineConfig::default(),
-            ServerConfig { backend, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let daemon =
+            spawn(EngineConfig::default(), ServerConfig { backend, ..ServerConfig::default() });
         let mut cl = V2Client::connect(daemon.addr()).unwrap();
         for _ in 0..3 {
             cl.decide("Digit2000", "k", 2, true).unwrap();
@@ -875,16 +707,10 @@ fn stats_round_trips_on_both_backends() {
         // across workers, so any connection observes it.
         let mut cl2 = V2Client::connect(daemon.addr()).unwrap();
         drop(cl);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let s = cl2.stats().unwrap();
-            if s.reaped_conns == 1 {
-                assert_eq!(s.live_conns, 1, "{backend:?}");
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "{backend:?}: reap never counted");
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        wait_until(&format!("{backend:?}: the reap to be counted"), || {
+            cl2.stats().unwrap().reaped_conns == 1
+        });
+        assert_eq!(cl2.stats().unwrap().live_conns, 1, "{backend:?}");
         daemon.shutdown();
     }
 }
@@ -897,16 +723,13 @@ fn stats_round_trips_on_both_backends() {
 /// re-armed together.
 #[test]
 fn at_cap_daemon_stops_accepting_and_resumes_after_reap() {
-    use std::io::{Read, Write};
     for backend in [BackendKind::default(), BackendKind::Poll] {
         for transport in Transport::ALL {
             let what = format!("{backend:?}/{transport:?}");
-            let daemon = spawn_sharded(
-                &policy(),
+            let daemon = spawn(
                 EngineConfig::default(),
                 ServerConfig { backend, max_connections: 2, ..ServerConfig::default() },
-            )
-            .unwrap();
+            );
             let addr = daemon.addr();
             let cl1 = V2Client::connect(addr).unwrap();
             let mut cl2 = V2Client::connect(addr).unwrap();
@@ -914,11 +737,9 @@ fn at_cap_daemon_stops_accepting_and_resumes_after_reap() {
             // backlog, but the daemon must not accept (and so never
             // answers the v2 handshake) while at the cap.
             let mut third = dial(addr, transport);
-            third
-                .write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION))
-                .unwrap();
+            third.write_all(&wire::handshake(wire::VERSION)).unwrap();
             third.set_read_timeout(std::time::Duration::from_millis(600));
-            let mut hs = [0u8; xar_trek::sched::wire::HANDSHAKE_LEN];
+            let mut hs = [0u8; wire::HANDSHAKE_LEN];
             match third.read(&mut hs) {
                 Err(e)
                     if matches!(
@@ -934,11 +755,7 @@ fn at_cap_daemon_stops_accepting_and_resumes_after_reap() {
             third
                 .read_exact(&mut hs)
                 .unwrap_or_else(|e| panic!("{what}: listener never resumed after the reap: {e}"));
-            assert_eq!(
-                xar_trek::sched::wire::parse_handshake(&hs).unwrap(),
-                xar_trek::sched::wire::VERSION,
-                "{what}"
-            );
+            assert_eq!(wire::parse_handshake(&hs).unwrap(), wire::VERSION, "{what}");
             // The still-admitted client kept working throughout.
             assert_eq!(cl2.ping(7).unwrap(), 7, "{what}");
             daemon.shutdown();
@@ -951,18 +768,15 @@ fn at_cap_daemon_stops_accepting_and_resumes_after_reap() {
 /// traffic slides its deadline indefinitely — on both backends.
 #[test]
 fn idle_connection_is_reaped_while_an_active_one_slides() {
-    use std::io::{Read, Write};
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
+        let daemon = spawn(
             EngineConfig::default(),
             ServerConfig {
                 backend,
                 idle_timeout: Some(std::time::Duration::from_millis(300)),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let addr = daemon.addr();
         let mut active = V2Client::connect(addr).unwrap();
         // The idle peers, one per transport: each completes the
@@ -971,9 +785,8 @@ fn idle_connection_is_reaped_while_an_active_one_slides() {
             .into_iter()
             .map(|transport| {
                 let mut s = dial(addr, transport);
-                s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION))
-                    .unwrap();
-                let mut hs = [0u8; xar_trek::sched::wire::HANDSHAKE_LEN];
+                s.write_all(&wire::handshake(wire::VERSION)).unwrap();
+                let mut hs = [0u8; wire::HANDSHAKE_LEN];
                 s.read_exact(&mut hs).unwrap();
                 // Ping on the active connection every 100 ms (well
                 // under the window) while waiting for the peers' EOFs.
@@ -1071,9 +884,7 @@ fn decide_with_carries_device_context_end_to_end() {
 /// seed server dropped them too).
 #[test]
 fn v1_lines_pipelined_after_quit_are_discarded() {
-    use std::io::{Read, Write};
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::default()).unwrap();
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
     let mut s = std::net::TcpStream::connect(daemon.addr()).unwrap();
     s.write_all(b"QUIT\nREPORT Digit2000 fpga 1000000000 2\nTABLE\n").unwrap();
     s.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
@@ -1097,85 +908,48 @@ fn v1_lines_pipelined_after_quit_are_discarded() {
 /// processing pauses and resumes).
 #[test]
 fn outbuf_cap_preserves_every_reply_under_pipelined_table_burst() {
-    use std::io::{Read, Write};
-    use xar_trek::sched::obs;
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         EngineConfig::default(),
         // Tiny cap: a single TABLE reply (5 rows) overshoots it, so
         // the burst exercises pause/resume on every frame.
         ServerConfig { outbuf_high_water: 64, ..ServerConfig::default() },
-    )
-    .unwrap();
+    );
     let mut control = V2Client::connect(daemon.addr()).unwrap();
     for transport in Transport::ALL {
         let pauses_before = stat(&mut control, obs::tags::BACKPRESSURE_PAUSES);
         let mut s = dial(daemon.addr(), transport);
-        s.write_all(&xar_trek::sched::wire::handshake(xar_trek::sched::wire::VERSION)).unwrap();
+        s.write_all(&wire::handshake(wire::VERSION)).unwrap();
         // Big enough that the replies (~200 B each) overflow the kernel
         // send buffer: the pump must pause at the cap, park on write
         // interest, and resume processing as this client drains — with
         // unprocessed frames still buffered after the backlog flushes.
         const BURST: usize = 16 * 1024;
-        let mut reqs = Vec::new();
-        for _ in 0..BURST {
-            xar_trek::sched::wire::encode_request(
-                &xar_trek::sched::wire::Request::Table,
-                &mut reqs,
-            );
-        }
-        s.write_all(&reqs).unwrap();
+        s.write_all(&table_requests(BURST)).unwrap();
         // A Unix socket buffers a fraction of what autotuned TCP does,
         // so there the 3 MB of replies back up for certain: hold off
         // reading until the daemon has paused, then drain. (Loopback
         // TCP may swallow the lot; it is the burst's order and count
         // that are checked there.)
         if transport == Transport::Local {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while stat(&mut control, obs::tags::BACKPRESSURE_PAUSES) == pauses_before {
-                assert!(std::time::Instant::now() < deadline, "local socket never backed up");
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
+            wait_until("the local socket to back up", || {
+                stat(&mut control, obs::tags::BACKPRESSURE_PAUSES) != pauses_before
+            });
         }
         // Read the handshake echo, then exactly BURST table replies.
-        let mut buf = Vec::new();
-        let mut scratch = [0u8; 4096];
-        let mut tables = 0usize;
         s.set_read_timeout(std::time::Duration::from_secs(10));
-        let mut hs_done = false;
-        while tables < BURST {
-            let n = s.read(&mut scratch).unwrap();
-            assert!(n > 0, "{transport:?}: server hung after {tables} replies");
-            buf.extend_from_slice(&scratch[..n]);
-            if !hs_done {
-                if buf.len() < xar_trek::sched::wire::HANDSHAKE_LEN {
-                    continue;
-                }
-                buf.drain(..xar_trek::sched::wire::HANDSHAKE_LEN);
-                hs_done = true;
+        read_replies(&mut s, BURST, |i, reply| match reply {
+            wire::Response::Table(entries) => {
+                assert_eq!(entries.len(), 5, "{transport:?}: reply {i}");
             }
-            while let Some((total, range)) = xar_trek::sched::wire::frame_in(&buf).unwrap() {
-                match xar_trek::sched::wire::decode_response(&buf[range]).unwrap() {
-                    xar_trek::sched::wire::Response::Table(entries) => {
-                        assert_eq!(entries.len(), 5, "{transport:?}: reply {tables}");
-                    }
-                    other => panic!("{transport:?}: reply {tables}: unexpected {other:?}"),
-                }
-                buf.drain(..total);
-                tables += 1;
-            }
-        }
-        assert_eq!(tables, BURST, "{transport:?}");
+            other => panic!("{transport:?}: reply {i}: unexpected {other:?}"),
+        });
         if transport == Transport::Local {
             // Every pause was released again: the connection ended
             // flushed, not parked on write interest.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while stat(&mut control, obs::tags::BACKPRESSURE_RESUMES)
-                < stat(&mut control, obs::tags::BACKPRESSURE_PAUSES)
-            {
-                assert!(std::time::Instant::now() < deadline, "a pause was never resumed");
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
+            wait_until("every pause to be resumed", || {
+                stat(&mut control, obs::tags::BACKPRESSURE_RESUMES)
+                    >= stat(&mut control, obs::tags::BACKPRESSURE_PAUSES)
+            });
         }
     }
     daemon.shutdown();
@@ -1191,12 +965,10 @@ fn outbuf_cap_preserves_every_reply_under_pipelined_table_burst() {
 #[test]
 fn oversized_frame_straddles_read_chunk_boundary_on_both_backends() {
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
+        let daemon = spawn(
             EngineConfig { shards: 4, batch: 1 },
             ServerConfig { backend, ..ServerConfig::default() },
-        )
-        .unwrap();
+        );
         let mut cl = V2Client::connect(daemon.addr()).unwrap();
         // ~40-byte encoded reports; 4000 of them make one ~160 KiB
         // BatchReport frame — dozens of read chunks even after the
@@ -1223,25 +995,6 @@ fn oversized_frame_straddles_read_chunk_boundary_on_both_backends() {
     }
 }
 
-/// Sends one v1 text command on a raw socket and reads until the
-/// daemon's `END` terminator — the observability commands (`DUMP`,
-/// `TRACE n`) are deliberately nc-friendly, so the test speaks exactly
-/// what a human with netcat would.
-fn v1_query(addr: std::net::SocketAddr, cmd: &str) -> String {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).unwrap();
-    s.write_all(cmd.as_bytes()).unwrap();
-    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    while !buf.ends_with(b"END\n") {
-        let n = s.read(&mut scratch).unwrap();
-        assert!(n > 0, "server closed before END");
-        buf.extend_from_slice(&scratch[..n]);
-    }
-    String::from_utf8(buf).unwrap()
-}
-
 /// `DUMP` must expose every counter `StatsV2` ships (the counter lines
 /// are rendered from the same tagged pairs, so this pins the
 /// by-construction guarantee end to end over real sockets), all
@@ -1249,15 +1002,12 @@ fn v1_query(addr: std::net::SocketAddr, cmd: &str) -> String {
 /// gauge per shard.
 #[test]
 fn dump_covers_every_stats_v2_counter_and_all_histogram_buckets() {
-    use xar_trek::sched::obs;
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         // batch = 1: the report below applies inline, so its counter
         // is already visible to the immediately following queries.
         EngineConfig { shards: 4, batch: 1 },
         ServerConfig::default(),
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
     let mut cl = V2Client::connect(addr).unwrap();
     for _ in 0..100 {
@@ -1266,7 +1016,7 @@ fn dump_covers_every_stats_v2_counter_and_all_histogram_buckets() {
     cl.report("Digit2000", Target::Fpga, 1e9, 2).unwrap();
     let stats = cl.stats_v2().unwrap();
     assert_eq!(stats.pairs.len(), obs::TAGS.len(), "every registered tag is shipped");
-    let dump = v1_query(addr, "DUMP\n");
+    let dump = text_query(addr, "DUMP\n");
     for &(tag, _) in &stats.pairs {
         let name = obs::tag_name(tag).expect("server shipped a tag the registry does not know");
         let prefix = format!("xar_{name} ");
@@ -1321,9 +1071,7 @@ fn dump_covers_every_stats_v2_counter_and_all_histogram_buckets() {
 #[test]
 fn fleet_trace_records_lifecycle_events_in_per_worker_order() {
     use std::collections::HashMap;
-    use xar_trek::sched::obs;
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         EngineConfig { shards: 8, batch: 4 },
         ServerConfig {
             workers: 4,
@@ -1331,8 +1079,7 @@ fn fleet_trace_records_lifecycle_events_in_per_worker_order() {
             trace_log_capacity: 1 << 16,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
     spawn_fleet(addr, 4, 4);
     // Every fleet connection is dropped once spawn_fleet returns; wait
@@ -1340,21 +1087,15 @@ fn fleet_trace_records_lifecycle_events_in_per_worker_order() {
     // maintenance ticks (5 ms) a beat to drain their rings into the
     // shared log.
     let mut cl = V2Client::connect(addr).unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let s = cl.stats_v2().unwrap();
-        if s.get(obs::tags::REAPED_CONNS) == Some(CLIENTS as u64) {
-            assert!(
-                s.get(obs::tags::TRACE_EVENTS).unwrap() >= 2 * CLIENTS as u64,
-                "at least one accept and one reap per fleet client was emitted"
-            );
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "fleet reaps never completed");
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    wait_until("the fleet's reaps to complete", || {
+        stat(&mut cl, obs::tags::REAPED_CONNS) == CLIENTS as u64
+    });
+    assert!(
+        stat(&mut cl, obs::tags::TRACE_EVENTS) >= 2 * CLIENTS as u64,
+        "at least one accept and one reap per fleet client was emitted"
+    );
     std::thread::sleep(std::time::Duration::from_millis(100));
-    let text = v1_query(addr, "TRACE 100000\n");
+    let text = text_query(addr, "TRACE 100000\n");
     let mut last_seq: HashMap<u64, u64> = HashMap::new();
     let mut open_slots: HashMap<(u64, u64), bool> = HashMap::new();
     let (mut accepts, mut reaps, mut publishes) = (0u64, 0u64, 0u64);
@@ -1412,8 +1153,6 @@ struct RawV2 {
 
 impl RawV2 {
     fn connect(addr: std::net::SocketAddr, transport: Transport) -> RawV2 {
-        use std::io::{Read, Write};
-        use xar_trek::sched::wire;
         let mut conn = dial(addr, transport);
         conn.set_read_timeout(std::time::Duration::from_secs(10));
         conn.write_all(&wire::handshake(wire::VERSION)).unwrap();
@@ -1425,9 +1164,7 @@ impl RawV2 {
 
     /// One request, one reply frame; the reply's payload is in
     /// `self.recv[range]`.
-    fn roundtrip(&mut self, req: &xar_trek::sched::wire::Request<'_>) -> std::ops::Range<usize> {
-        use std::io::{Read, Write};
-        use xar_trek::sched::wire;
+    fn roundtrip(&mut self, req: &wire::Request<'_>) -> std::ops::Range<usize> {
         self.send.clear();
         wire::encode_request(req, &mut self.send);
         self.conn.write_all(&self.send).unwrap();
@@ -1444,8 +1181,7 @@ impl RawV2 {
     }
 
     fn decide(&mut self, app: &str, x86_load: u32) -> Decision {
-        use xar_trek::sched::wire::{decode_response, Request, Response};
-        let range = self.roundtrip(&Request::Decide {
+        let range = self.roundtrip(&wire::Request::Decide {
             app,
             kernel: "k",
             x86_load,
@@ -1453,16 +1189,16 @@ impl RawV2 {
             kernel_resident: true,
             device_ready: true,
         });
-        match decode_response(&self.recv[range]).unwrap() {
-            Response::Decide { target, reconfigure } => Decision { target, reconfigure },
+        match wire::decode_response(&self.recv[range]).unwrap() {
+            wire::Response::Decide { target, reconfigure } => Decision { target, reconfigure },
             other => panic!("unexpected reply {other:?}"),
         }
     }
 
     fn report(&mut self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
-        use xar_trek::sched::wire::{decode_response, Request, Response, WireReport};
-        let range = self.roundtrip(&Request::Report(WireReport { app, target, func_ms, x86_load }));
-        assert_eq!(decode_response(&self.recv[range]).unwrap(), Response::Ack(1));
+        let report = wire::WireReport { app, target, func_ms, x86_load };
+        let range = self.roundtrip(&wire::Request::Report(report));
+        assert_eq!(wire::decode_response(&self.recv[range]).unwrap(), wire::Response::Ack(1));
     }
 }
 
@@ -1474,77 +1210,64 @@ impl RawV2 {
 /// server, the client picked the socket. On both reactor backends.
 #[test]
 fn mixed_transport_fleet_matches_reference() {
-    use xar_trek::sched::obs;
     const PER_KIND: usize = 8;
     const ROUNDS: usize = 10;
     for backend in [BackendKind::default(), BackendKind::Poll] {
-        let daemon = spawn_sharded(
-            &policy(),
+        let daemon = spawn(
             EngineConfig { shards: 8, batch: 4 },
             ServerConfig { workers: 4, backend, ..ServerConfig::default() },
-        )
-        .unwrap();
+        );
         let addr = daemon.addr();
-        let mut reference = policy();
-        let expected: Vec<(Decision, Decision)> = APPS
-            .iter()
-            .map(|app| {
-                (reference.decide(&ctx(app, 2, true)), reference.decide(&ctx(app, 200, true)))
-            })
-            .collect();
+        let engine = daemon.engine().clone();
+        let mut reference = Reference::new();
+        let expected =
+            APPS.map(|app| (reference.decide(app, 2, true), reference.decide(app, 200, true)));
         // Everyone decides against the quiescent table, then (all
         // decides done) reports; the connections stay open until the
-        // counters were read, so `accepted` is exact.
-        let decided = Arc::new(std::sync::Barrier::new(2 * PER_KIND));
-        let counted = Arc::new(std::sync::Barrier::new(2 * PER_KIND + 1));
-        let handles: Vec<_> = (0..2 * PER_KIND)
-            .map(|c| {
-                let (decided, counted) = (decided.clone(), counted.clone());
-                std::thread::spawn(move || {
-                    let app = APPS[c % APPS.len()];
-                    let mut got = Vec::with_capacity(ROUNDS);
-                    if c < PER_KIND {
-                        let mut cl = V2Client::connect(addr).unwrap();
-                        for _ in 0..ROUNDS {
-                            got.push((
-                                cl.decide(app, "k", 2, true).unwrap(),
-                                cl.decide(app, "k", 200, true).unwrap(),
-                            ));
-                        }
-                        decided.wait();
-                        for _ in 0..ROUNDS {
-                            cl.report(app, Target::Fpga, 1e9, 2).unwrap();
-                        }
-                        counted.wait();
-                    } else {
-                        let mut cl = RawV2::connect(addr, Transport::Tcp);
-                        for _ in 0..ROUNDS {
-                            got.push((cl.decide(app, 2), cl.decide(app, 200)));
-                        }
-                        decided.wait();
-                        for _ in 0..ROUNDS {
-                            cl.report(app, Target::Fpga, 1e9, 2);
-                        }
-                        counted.wait();
-                    }
-                    (c, got)
-                })
-            })
-            .collect();
-        // Reading the counters is itself a connection: a legacy text
-        // one, so TCP.
-        let dump = {
-            // Wait for the fleet to finish its trace before counting.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            while daemon.engine().metrics_total().decides < (2 * PER_KIND * ROUNDS * 2) as u64 {
-                assert!(std::time::Instant::now() < deadline, "{backend:?}: fleet stalled");
-                std::thread::sleep(std::time::Duration::from_millis(5));
+        // counters were read, so `accepted` is exact. Reading them is
+        // the last client's job, and itself a connection: a legacy
+        // text one, so TCP.
+        let decided = std::sync::Barrier::new(2 * PER_KIND);
+        let counted = std::sync::Barrier::new(2 * PER_KIND + 1);
+        let mut results = fleet(2 * PER_KIND + 1, |c| {
+            if c == 2 * PER_KIND {
+                wait_until(&format!("{backend:?}: the fleet to finish its decides"), || {
+                    engine.metrics_total().decides >= (2 * PER_KIND * ROUNDS * 2) as u64
+                });
+                let dump = text_query(addr, "DUMP\n");
+                counted.wait();
+                return (Vec::new(), dump);
             }
-            v1_query(addr, "DUMP\n")
-        };
-        counted.wait();
-        for h in handles {
-            let (c, got) = h.join().unwrap();
+            let app = APPS[c % APPS.len()];
+            let mut got = Vec::with_capacity(ROUNDS);
+            if c < PER_KIND {
+                let mut cl = V2Client::connect(addr).unwrap();
+                for _ in 0..ROUNDS {
+                    got.push((
+                        cl.decide(app, "k", 2, true).unwrap(),
+                        cl.decide(app, "k", 200, true).unwrap(),
+                    ));
+                }
+                decided.wait();
+                for _ in 0..ROUNDS {
+                    cl.report(app, Target::Fpga, 1e9, 2).unwrap();
+                }
+                counted.wait();
+            } else {
+                let mut cl = RawV2::connect(addr, Transport::Tcp);
+                for _ in 0..ROUNDS {
+                    got.push((cl.decide(app, 2), cl.decide(app, 200)));
+                }
+                decided.wait();
+                for _ in 0..ROUNDS {
+                    cl.report(app, Target::Fpga, 1e9, 2);
+                }
+                counted.wait();
+            }
+            (got, String::new())
+        });
+        let (_, dump) = results.pop().unwrap();
+        for (c, (got, _)) in results.into_iter().enumerate() {
             for pair in got {
                 assert_eq!(pair, expected[c % APPS.len()], "{backend:?}: client {c}");
             }
@@ -1560,21 +1283,13 @@ fn mixed_transport_fleet_matches_reference() {
 
         // The same reports, one after another.
         for c in 0..2 * PER_KIND {
-            for _ in 0..ROUNDS {
-                reference.on_complete(&CompletionReport {
-                    app: APPS[c % APPS.len()],
-                    target: Target::Fpga,
-                    func_ms: 1e9,
-                    x86_load: 2,
-                });
-            }
+            reference.report_n(ROUNDS, APPS[c % APPS.len()], Target::Fpga, 1e9, 2);
         }
         daemon.engine().flush();
-        let want: Vec<_> =
-            reference.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
-        let got: Vec<_> =
-            daemon.engine().table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
-        assert_eq!(got, want, "{backend:?}: identical convergence");
+        reference.assert_table_eq(
+            daemon.engine().table(),
+            format_args!("{backend:?}: identical convergence"),
+        );
         daemon.shutdown();
     }
 }
@@ -1586,9 +1301,7 @@ fn mixed_transport_fleet_matches_reference() {
 #[test]
 fn loopback_dial_falls_back_to_tcp_without_a_local_listener() {
     use xar_chaos::{ChaosProxy, FaultPlan};
-    use xar_trek::sched::obs;
-    let daemon =
-        spawn_sharded(&policy(), EngineConfig::default(), ServerConfig::default()).unwrap();
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
     let proxy = ChaosProxy::spawn(daemon.addr(), FaultPlan::passthrough()).unwrap();
     let mut via_proxy = V2Client::connect(proxy.addr()).unwrap();
     assert_eq!(via_proxy.ping(11).unwrap(), 11);
@@ -1619,47 +1332,22 @@ fn loopback_dial_falls_back_to_tcp_without_a_local_listener() {
 #[cfg(target_os = "linux")]
 #[test]
 fn quarantine_earned_on_the_local_socket_refuses_both_transports() {
-    use std::io::{Read, Write};
-    use xar_trek::sched::{obs, wire};
-    let daemon = spawn_sharded(
-        &policy(),
+    let daemon = spawn(
         EngineConfig::default(),
         ServerConfig { quarantine_errors: 2, quarantine_secs: 60, ..ServerConfig::default() },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
     let mut innocent = V2Client::connect(addr).unwrap();
 
     let mut offender = dial(addr, Transport::Local);
-    let mut bad = wire::handshake(wire::VERSION).to_vec();
-    for _ in 0..2 {
-        // An unknown opcode in a well-formed frame.
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        bad.push(0x7F);
-    }
-    offender.write_all(&bad).unwrap();
     offender.set_read_timeout(std::time::Duration::from_secs(10));
-    let mut scratch = [0u8; 4096];
-    // Cut off: handshake echo, R_ERR frames, then EOF or a reset.
-    loop {
-        match offender.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
+    offend(&mut offender, 2);
     assert_eq!(stat(&mut innocent, obs::tags::QUARANTINES), 1);
 
     for transport in Transport::ALL {
         let mut again = dial(addr, transport);
-        // Refused at accept: on the local socket the daemon's close
-        // can already fail this write (EPIPE), which is as good an
-        // answer as the EOF below.
-        let _ = again.write_all(&wire::handshake(wire::VERSION));
         again.set_read_timeout(std::time::Duration::from_secs(10));
-        match again.read(&mut scratch) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("{transport:?}: quarantined peer was served {n} bytes"),
-        }
+        assert_refused(&mut again, transport);
     }
     assert!(V2Client::connect(addr).is_err(), "the client library got past the ban");
     assert_eq!(innocent.ping(3).unwrap(), 3, "established connection killed by the quarantine");
@@ -1678,7 +1366,6 @@ fn squatted_local_name_fails_spawn_and_a_kill_frees_it_at_once() {
     use std::os::linux::net::SocketAddrExt;
     use std::sync::atomic::{AtomicBool, Ordering};
     use xar_trek::core::server::spawn_sharded_at;
-    use xar_trek::sched::obs;
 
     /// Sets its flag when dropped: the engine (hence every thread that
     /// would hold it) is gone.
@@ -1721,9 +1408,10 @@ fn squatted_local_name_fails_spawn_and_a_kill_frees_it_at_once() {
     };
     assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
     assert!(dropped.load(Ordering::SeqCst), "a thread outlived the failed spawn");
-    let err = spawn_sharded_at(&policy(), EngineConfig::default(), ServerConfig::default(), addr)
-        .err()
-        .expect("spawned over a squatted local name");
+    let err =
+        spawn_sharded_at(&paper_policy(), EngineConfig::default(), ServerConfig::default(), addr)
+            .err()
+            .expect("spawned over a squatted local name");
     assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
     // The failed spawns left the TCP port free.
     drop(std::net::TcpListener::bind(addr).expect("TCP port leaked by the failed spawn"));
@@ -1731,14 +1419,15 @@ fn squatted_local_name_fails_spawn_and_a_kill_frees_it_at_once() {
     // Name released: the spawn goes through, and a kill (no drain, no
     // snapshot) hands both the port and the name to the next daemon.
     drop(squatter);
-    let first = spawn_sharded_at(&policy(), EngineConfig::default(), ServerConfig::default(), addr)
-        .unwrap();
+    let first =
+        spawn_sharded_at(&paper_policy(), EngineConfig::default(), ServerConfig::default(), addr)
+            .unwrap();
     let mut cl = V2Client::connect(addr).unwrap();
     assert_eq!(stat(&mut cl, obs::tags::ACCEPTED_LOCAL_CONNS), 1);
     drop(cl);
     first.kill();
     let second =
-        spawn_sharded_at(&policy(), EngineConfig::default(), ServerConfig::default(), addr)
+        spawn_sharded_at(&paper_policy(), EngineConfig::default(), ServerConfig::default(), addr)
             .expect("a killed daemon's port or name was still held");
     let mut cl = V2Client::connect(addr).unwrap();
     assert_eq!(stat(&mut cl, obs::tags::ACCEPTED_LOCAL_CONNS), 1, "reconnected over TCP");

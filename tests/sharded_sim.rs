@@ -3,17 +3,15 @@
 //! simulation bit-for-bit (batch = 1), at 1000+ concurrent apps, while
 //! the engine's telemetry observes every decision the simulator made.
 
+mod common;
+
+use common::paper_policy;
 use std::sync::Arc;
 use xar_trek::core::server::sharded_engine;
 use xar_trek::core::XarTrekPolicy;
 use xar_trek::desim::workload::batch_arrivals;
-use xar_trek::desim::{ClusterConfig, ClusterSim, JobSpec, SharedPolicy};
+use xar_trek::desim::{ClusterConfig, ClusterSim, JobSpec};
 use xar_trek::sched::{EngineConfig, ShardedPolicy};
-
-fn policy() -> XarTrekPolicy {
-    let specs: Vec<_> = xar_trek::workloads::all_profiles().iter().map(|p| p.job()).collect();
-    XarTrekPolicy::from_specs(&specs, &ClusterConfig::default())
-}
 
 /// 1000+ apps: the five profiled benchmarks replicated, plus
 /// background load.
@@ -40,10 +38,11 @@ fn sharded_sim_equals_plain_policy_sim_at_1k_apps() {
 
     let run = |use_sharded: bool| {
         let mut sim = if use_sharded {
-            let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 8, batch: 1 }));
+            let engine =
+                Arc::new(sharded_engine(&paper_policy(), EngineConfig { shards: 8, batch: 1 }));
             ClusterSim::new(cfg.clone(), PolicyKind::Sharded(ShardedPolicy::new(engine)))
         } else {
-            ClusterSim::new(cfg.clone(), PolicyKind::Plain(policy()))
+            ClusterSim::new(cfg.clone(), PolicyKind::Plain(paper_policy()))
         };
         for x in &shared {
             sim.preload_xclbin(x.clone());
@@ -105,7 +104,7 @@ impl xar_trek::desim::Policy for PolicyKind {
 fn sharded_sim_telemetry_counts_simulator_traffic() {
     let cfg = ClusterConfig::default();
     let (_, shared) = xar_trek::core::pipeline::build_all(&cfg).unwrap();
-    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 4, batch: 32 }));
+    let engine = Arc::new(sharded_engine(&paper_policy(), EngineConfig { shards: 4, batch: 32 }));
     let mut sim = ClusterSim::new(cfg, ShardedPolicy::new(engine.clone()));
     for x in &shared {
         sim.preload_xclbin(x.clone());
@@ -131,7 +130,7 @@ fn sharded_sim_telemetry_counts_simulator_traffic() {
 fn adapter_batch_door_matches_per_call_decides() {
     use xar_trek::desim::Policy as _;
     use xar_trek::sched::WireQuery;
-    let engine = Arc::new(sharded_engine(&policy(), EngineConfig { shards: 8, batch: 1 }));
+    let engine = Arc::new(sharded_engine(&paper_policy(), EngineConfig { shards: 8, batch: 1 }));
     let mut adapter = ShardedPolicy::new(engine.clone());
     let profiles = xar_trek::workloads::all_profiles();
     let queries: Vec<WireQuery<'_>> = profiles
@@ -164,40 +163,16 @@ fn adapter_batch_door_matches_per_call_decides() {
     assert_eq!(adapter.decide_batch(&queries), per_call, "doors diverged after a publish");
 }
 
-/// `SharedPolicy` handles let many sims share one policy state: the
-/// second simulation must start from (and keep mutating) the table the
-/// first one left behind, like consecutive client sessions against one
-/// daemon.
+/// Cloned `ShardedPolicy` handles let many sims share one policy
+/// state: the second simulation must start from (and keep mutating)
+/// the table the first one left behind, like consecutive client
+/// sessions against one daemon.
 #[test]
 fn shared_policy_accumulates_across_sims() {
-    #[derive(Debug, Default)]
-    struct CountingXar {
-        inner: Option<XarTrekPolicy>,
-        decides: u64,
-    }
-
-    impl xar_trek::desim::Policy for CountingXar {
-        fn on_launch(&mut self, ctx: &xar_trek::desim::DecideCtx<'_>) -> bool {
-            self.inner.as_mut().unwrap().on_launch(ctx)
-        }
-
-        fn decide(&mut self, ctx: &xar_trek::desim::DecideCtx<'_>) -> xar_trek::desim::Decision {
-            self.decides += 1;
-            self.inner.as_mut().unwrap().decide(ctx)
-        }
-
-        fn on_complete(&mut self, report: &xar_trek::desim::CompletionReport<'_>) {
-            self.inner.as_mut().unwrap().on_complete(report);
-        }
-
-        fn name(&self) -> &str {
-            "counting-xar"
-        }
-    }
-
     let cfg = ClusterConfig::default();
     let (_, xclbins) = xar_trek::core::pipeline::build_all(&cfg).unwrap();
-    let shared = SharedPolicy::new(CountingXar { inner: Some(policy()), decides: 0 });
+    let engine = Arc::new(sharded_engine(&paper_policy(), EngineConfig { shards: 8, batch: 1 }));
+    let shared = ShardedPolicy::new(engine.clone());
     let mut per_sim = Vec::new();
     for _ in 0..2 {
         let mut sim = ClusterSim::new(cfg.clone(), shared.clone());
@@ -205,7 +180,7 @@ fn shared_policy_accumulates_across_sims() {
             sim.preload_xclbin(x.clone());
         }
         sim.run(big_arrivals());
-        per_sim.push(shared.with(|p| p.decides));
+        per_sim.push(engine.metrics_total().decides);
     }
     assert!(per_sim[0] > 0, "first sim drove the shared policy");
     assert!(per_sim[1] > per_sim[0], "second sim accumulated onto the same instance: {per_sim:?}");
