@@ -9,8 +9,6 @@
 //!   [`xar_sched::DecideHandle`] while a flusher keeps publishing
 //!   threshold updates (batch = 1 reports), so decides race in-place
 //!   cell stores, not an idle table.
-//! * **pipelined decides** — the submit/drain path at depth 1/8 against
-//!   a live daemon, as amortized ns/decide and decides/sec.
 //! * **scrape cost** — decide p50 with a periodic `StatsV2` + `HistDump`
 //!   scraper (what `xar-obsd` is) attached vs detached. `--quick`
 //!   asserts the attached scraper perturbs decide p50 by ≤ 5%.
@@ -55,11 +53,6 @@ fn main() {
     for threads in [1usize, 4, 8] {
         let rate = contended_rate(&engine, &hot, threads, window);
         println!("{:<34} {:>12}", format!("{threads} thread(s)"), rate);
-    }
-
-    println!("\n{:<34} {:>14} {:>14}", "pipelined decide (e2e daemon)", "ns/decide", "decides/sec");
-    for (depth, ns_per, rate) in pipelined_decides(&policy, samples) {
-        println!("{:<34} {:>14} {:>14}", format!("pipeline depth = {depth}"), ns(ns_per), rate);
     }
 
     // Full mode runs the aggregator's nominal 1 Hz cadence; --quick
@@ -190,34 +183,6 @@ fn spawn_daemon(
         ServerConfig { durability, ..ServerConfig::default() },
     )
     .unwrap()
-}
-
-/// The pipelined submit/drain path against a live daemon: rows of
-/// `(depth, amortized_ns_per_decide, decides_per_sec)`.
-fn pipelined_decides(policy: &XarTrekPolicy, samples: usize) -> Vec<(usize, u64, u64)> {
-    let daemon = spawn_daemon(policy, None);
-    let mut client = V2Client::connect(daemon.addr()).unwrap();
-    // Queries spread across the whole table (all shards), cycling loads.
-    let apps: Vec<String> = (0..512).map(|i| format!("app-{:06}", (i * 37) % APPS)).collect();
-    let mut rows = Vec::new();
-    for depth in [1usize, 8] {
-        let mut out = Vec::with_capacity(depth);
-        let rounds = (samples / depth).max(10);
-        let start = Instant::now();
-        for r in 0..rounds {
-            for i in r * depth..(r + 1) * depth {
-                client.submit_decide(&apps[i % apps.len()], "k", (i % 80) as u32, 0, true, true);
-            }
-            out.clear();
-            assert_eq!(client.drain_decisions(&mut out).unwrap(), depth);
-            std::hint::black_box(&out);
-        }
-        let total = start.elapsed().as_nanos() as u64;
-        let decides = (rounds * depth) as u64;
-        rows.push((depth, total / decides, (decides as f64 / (total as f64 / 1e9)) as u64));
-    }
-    daemon.shutdown();
-    rows
 }
 
 /// Decide RTT p50 on `client`, best of `rounds` rounds (squeezes out

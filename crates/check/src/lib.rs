@@ -11,7 +11,7 @@
 //!   relaxed-memory stale loads — with seed-replayable failure traces.
 //! * [`lint`] — the `xar-lint` token-scanner enforcing repo invariants
 //!   that previously lived only in prose: append-only tag/op-id
-//!   registries, the frozen thirteen-u64 legacy `Stats` reply,
+//!   registries (a retired wire op keeps its id, never reused),
 //!   `// SAFETY:` comments on `unsafe` blocks, and no `Relaxed`
 //!   stores to publish/generation atomics outside an audited
 //!   allowlist.

@@ -1,13 +1,12 @@
 //! The `xar-lint` engine: token-scanning enforcement of workspace
 //! invariants that previously lived only in README prose.
 //!
-//! Five rules:
+//! Four rules:
 //!
 //! | rule             | invariant                                                        |
 //! |------------------|------------------------------------------------------------------|
 //! | `tags-registry`  | `xar_obs::tags` is append-only vs the committed `tags.lock`      |
 //! | `ops-registry`   | v2 wire op ids unique + append-only vs the committed `ops.lock`  |
-//! | `stats-frozen`   | the legacy `Stats` reply stays exactly thirteen `u64`s           |
 //! | `unsafe-safety`  | every `unsafe` is preceded by a `// SAFETY:` justification       |
 //! | `relaxed-publish`| no `Relaxed` store/RMW on publish/generation atomics off-list    |
 //!
@@ -471,50 +470,6 @@ pub fn check_ops_unique(ops: &[OpEntry], file: &str) -> Vec<Finding> {
     findings
 }
 
-// -------------------------------------------------------- stats-frozen
-
-/// The legacy `Stats` reply is frozen at exactly thirteen `u64`s; both
-/// the encoder arm and the decoder arm must agree forever. New
-/// telemetry goes through the self-describing `StatsV2` instead.
-pub const STATS_FROZEN_U64S: usize = 13;
-
-pub fn check_stats_frozen(stripped: &str, file: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut check = |anchor: &str, needle: &str, what: &str| {
-        let Some(at) = stripped.find(anchor) else {
-            findings.push(Finding {
-                rule: "stats-frozen",
-                file: file.into(),
-                line: 1,
-                message: format!("anchor {anchor:?} not found; cannot audit the frozen {what}"),
-            });
-            return;
-        };
-        let Some(open_rel) = stripped[at..].find('{') else {
-            return;
-        };
-        let open = at + open_rel;
-        let Some(end) = balanced_end(stripped, open, '{', '}') else {
-            return;
-        };
-        let n = stripped[open..end].matches(needle).count();
-        if n != STATS_FROZEN_U64S {
-            findings.push(Finding {
-                rule: "stats-frozen",
-                file: file.into(),
-                line: line_of(stripped, at),
-                message: format!(
-                    "legacy Stats {what} carries {n} u64s, frozen at {STATS_FROZEN_U64S}; \
-                     add new telemetry to StatsV2 tags instead"
-                ),
-            });
-        }
-    };
-    check("Response::Stats(s) => {", "w.u64(", "encoder");
-    check("op::R_STATS => Ok(Response::Stats(", "r.u64()?", "decoder");
-    findings
-}
-
 // ------------------------------------------------------- unsafe-safety
 
 /// How many lines above an `unsafe` token a `// SAFETY:` comment may
@@ -753,7 +708,6 @@ pub fn run_workspace(root: &Path, update: bool) -> io::Result<Vec<Finding>> {
         }
         if file == WIRE_SOURCE {
             wire_seen = true;
-            findings.extend(check_stats_frozen(&stripped, &file));
             match parse_ops(&stripped) {
                 Ok(ops) => {
                     findings.extend(check_ops_unique(&ops, &file));
@@ -962,32 +916,6 @@ pub mod op {
             format!("{:#04x}", o.value)
         });
         assert_eq!(f.len(), 1);
-    }
-
-    fn stats_fixture(encode_n: usize, decode_n: usize) -> String {
-        let mut s = String::from("fn enc() {\n    match r {\n        Response::Stats(s) => {\n");
-        for _ in 0..encode_n {
-            s.push_str("            w.u64(x);\n");
-        }
-        s.push_str("            w.finish();\n        }\n    }\n}\nfn dec() {\n    match o {\n        op::R_STATS => Ok(Response::Stats(DaemonStats {\n");
-        for _ in 0..decode_n {
-            s.push_str("            f: r.u64()?,\n");
-        }
-        s.push_str("        })),\n    }\n}\n");
-        s
-    }
-
-    #[test]
-    fn stats_frozen_thirteen_exactly() {
-        let ok = stats_fixture(13, 13);
-        assert!(check_stats_frozen(&strip_code(&ok), "w.rs").is_empty());
-        // One extra field on either side fires; one missing fires too.
-        for (e, d) in [(14, 13), (13, 14), (12, 13), (13, 12)] {
-            let bad = stats_fixture(e, d);
-            let f = check_stats_frozen(&strip_code(&bad), "w.rs");
-            assert_eq!(f.len(), 1, "encode={e} decode={d}: {f:?}");
-            assert!(f[0].message.contains("frozen at 13"), "{}", f[0].message);
-        }
     }
 
     #[test]

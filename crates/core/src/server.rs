@@ -33,8 +33,8 @@ use xar_desim::{Decision, Target};
 use xar_sched::wire::{parse_target, target_str};
 
 pub use xar_sched::{
-    BackendKind, DaemonStats, EngineConfig, MetricsSnapshot, ObsSnapshot, ResilientClient,
-    ResilientConfig, ServerConfig, ShardedEngine, ShardedPolicy, StatsV2, TableEntry, V2Client,
+    BackendKind, EngineConfig, MetricsSnapshot, ObsSnapshot, ResilientClient, ResilientConfig,
+    ServerConfig, ShardedEngine, ShardedPolicy, StatsV2, TableEntry, V2Client,
 };
 
 /// The production scheduler daemon serving a sharded [`XarTrekPolicy`].

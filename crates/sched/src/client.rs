@@ -1,15 +1,9 @@
-//! The v2 scheduler client. The default surface is blocking with one
-//! request in flight at a time — exactly what the instrumentation shim
-//! linked into each application binary needs. Two batched surfaces
-//! amortize the per-call protocol overhead for high-rate callers:
-//!
-//! * [`V2Client::decide_batch`] — up to [`wire::MAX_DECIDE_BATCH`]
-//!   placement queries per frame, one write and one read per chunk.
-//! * [`V2Client::submit_decide`] / [`V2Client::flush`] /
-//!   [`V2Client::drain_decisions`] — explicit pipelining: queue K
-//!   single-decide frames locally, ship them in one write, and read
-//!   the K replies back in order, so a caller can keep frames in
-//!   flight on one connection without batching its queries.
+//! The v2 scheduler client. It is blocking with one request in flight
+//! at a time — exactly what the instrumentation shim linked into each
+//! application binary needs. High-rate callers amortize the per-call
+//! protocol overhead with [`V2Client::decide_batch`]: up to
+//! [`wire::MAX_DECIDE_BATCH`] placement queries per frame, one write
+//! and one read per chunk.
 //!
 //! [`ResilientClient`] wraps the blocking client for callers that must
 //! survive daemon restarts and flaky networks: connect/read/write
@@ -23,7 +17,7 @@
 use crate::backoff::Backoff;
 use crate::engine::{ReportOwned, TableEntry};
 use crate::transport::{self, Stream};
-use crate::wire::{self, DaemonStats, Request, Response, WireQuery, WireReport};
+use crate::wire::{self, Request, Response, WireQuery, WireReport};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -31,6 +25,46 @@ use xar_desim::{Decision, Target};
 
 fn proto_err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::other(msg.into())
+}
+
+/// The error for a reply that is not the answer the caller asked for:
+/// a daemon refusal (`R_ERR`), an overload shed (`R_BUSY`, whichever
+/// door it answers), or a protocol violation.
+fn refused(reply: Response<'_>) -> std::io::Error {
+    match reply {
+        Response::Busy { retry_after_ms } => {
+            proto_err(format!("daemon shedding load (retry after {retry_after_ms}ms)"))
+        }
+        Response::Err(msg) => proto_err(msg),
+        other => proto_err(format!("unexpected reply {other:?}")),
+    }
+}
+
+/// How many leading `items` ride one frame: at most `max`, and at most
+/// half of [`wire::MAX_FRAME`] of elements encoded at `len` bytes each,
+/// so pathological name lengths cannot push a frame past the protocol
+/// cap. Never zero for a non-empty input: an item over the budget goes
+/// alone (an element is at most two u16-length strings plus a few
+/// bytes, far below `MAX_FRAME`).
+fn fit<T>(items: &[T], max: usize, len: impl Fn(&T) -> usize) -> usize {
+    const FRAME_BUDGET: usize = wire::MAX_FRAME / 2;
+    let (mut n, mut bytes) = (0, 0);
+    for item in items.iter().take(max) {
+        bytes += len(item);
+        if n > 0 && bytes > FRAME_BUDGET {
+            break;
+        }
+        n += 1;
+    }
+    n
+}
+
+fn report_len(r: &ReportOwned) -> usize {
+    wire::encoded_report_len(r.app.len())
+}
+
+fn wire_report(r: &ReportOwned) -> WireReport<'_> {
+    WireReport { app: &r.app, target: r.target, func_ms: r.func_ms, x86_load: r.x86_load }
 }
 
 /// A workload request's typed outcome against a daemon that may shed
@@ -58,12 +92,6 @@ pub struct V2Client {
     /// tail beyond it (bytes that arrived coalesced with the reply)
     /// is preserved, not discarded.
     consumed: usize,
-    /// Locally queued pipelined frames not yet written to the socket
-    /// (see [`V2Client::submit_decide`]).
-    pipe: Vec<u8>,
-    /// Replies the server still owes for submitted pipelined decides
-    /// (submitted and not yet drained — flushed or not).
-    inflight: usize,
 }
 
 impl V2Client {
@@ -121,45 +149,25 @@ impl V2Client {
             send: Vec::with_capacity(256),
             recv: Vec::with_capacity(256),
             consumed: 0,
-            pipe: Vec::new(),
-            inflight: 0,
         })
     }
 
-    /// Sends `req` and reads one response frame into the receive
-    /// buffer, returning the payload range. Both buffers are reused
-    /// across calls; bytes that arrived coalesced beyond the previous
-    /// reply (a fast server's next frame, or its prefix) stay buffered
-    /// and are consumed here before touching the socket.
-    fn roundtrip(&mut self, req: &Request<'_>) -> std::io::Result<std::ops::Range<usize>> {
-        if self.inflight > 0 {
-            // Interleaving a roundtrip with undrained pipelined decides
-            // would mis-pair its reply with theirs.
-            return Err(proto_err(format!(
-                "{} pipelined decide(s) in flight; drain_decisions first",
-                self.inflight
-            )));
-        }
+    /// Writes the request frame `encode` appends to the send buffer and
+    /// decodes one reply frame out of the receive buffer. Both buffers
+    /// are reused across calls; bytes that arrived coalesced beyond the
+    /// previous reply (a fast server's next frame, or its prefix) stay
+    /// buffered and are consumed here before touching the socket.
+    fn exchange(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<Response<'_>> {
         self.send.clear();
-        wire::encode_request(req, &mut self.send);
+        encode(&mut self.send);
         self.stream.write_all(&self.send)?;
-        self.read_reply()
-    }
-
-    /// Reads one response frame into the receive buffer, returning the
-    /// payload range. Bytes that arrived coalesced beyond the previous
-    /// reply (a fast server's next frame, or its prefix) stay buffered
-    /// and are consumed here before touching the socket.
-    fn read_reply(&mut self) -> std::io::Result<std::ops::Range<usize>> {
         self.recv.drain(..self.consumed);
         self.consumed = 0;
         let mut scratch = [0u8; 4096];
-        loop {
-            if let Some((total, range)) =
-                wire::frame_in(&self.recv).map_err(std::io::Error::from)?
-            {
+        let range = loop {
+            if let Some((total, range)) = wire::frame_in(&self.recv)? {
                 self.consumed = total;
-                return Ok(range);
+                break range;
             }
             match self.stream.read(&mut scratch) {
                 Ok(0) => {
@@ -172,7 +180,13 @@ impl V2Client {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
-        }
+        };
+        Ok(wire::decode_response(&self.recv[range])?)
+    }
+
+    /// [`V2Client::exchange`] for a request the generic encoder writes.
+    fn call(&mut self, req: &Request<'_>) -> std::io::Result<Response<'_>> {
+        self.exchange(|out| wire::encode_request(req, out))
     }
 
     /// Asks where the next selected-function call should run, with the
@@ -213,9 +227,7 @@ impl V2Client {
     ) -> std::io::Result<Decision> {
         match self.decide_or_busy(app, kernel, x86_load, arm_load, kernel_resident, device_ready)? {
             Served::Done(d) => Ok(d),
-            Served::Busy { retry_after_ms } => {
-                Err(proto_err(format!("daemon shedding load (retry after {retry_after_ms}ms)")))
-            }
+            Served::Busy { retry_after_ms } => Err(refused(Response::Busy { retry_after_ms })),
         }
     }
 
@@ -236,21 +248,14 @@ impl V2Client {
         kernel_resident: bool,
         device_ready: bool,
     ) -> std::io::Result<Served<Decision>> {
-        let range = self.roundtrip(&Request::Decide {
-            app,
-            kernel,
-            x86_load,
-            arm_load,
-            kernel_resident,
-            device_ready,
-        })?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        let req =
+            Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready };
+        match self.call(&req)? {
             Response::Decide { target, reconfigure } => {
                 Ok(Served::Done(Decision { target, reconfigure }))
             }
             Response::Busy { retry_after_ms } => Ok(Served::Busy { retry_after_ms }),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
@@ -266,11 +271,9 @@ impl V2Client {
     /// Socket/protocol errors, or a daemon refusal (id 0, or its
     /// session table is full).
     pub fn hello_session(&mut self, session: u64) -> std::io::Result<u64> {
-        let range = self.roundtrip(&Request::HelloSession { session })?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        match self.call(&Request::HelloSession { session })? {
             Response::Session { last_seq } => Ok(last_seq),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
@@ -292,21 +295,10 @@ impl V2Client {
         seq: u64,
         reports: &[WireReport<'_>],
     ) -> std::io::Result<Served<u32>> {
-        if self.inflight > 0 {
-            return Err(proto_err(format!(
-                "{} pipelined decide(s) in flight; drain_decisions first",
-                self.inflight
-            )));
-        }
-        self.send.clear();
-        wire::encode_batch_report_seq(session, seq, reports, &mut self.send);
-        self.stream.write_all(&self.send)?;
-        let range = self.read_reply()?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        match self.exchange(|out| wire::encode_batch_report_seq(session, seq, reports, out))? {
             Response::Ack(n) => Ok(Served::Done(n)),
             Response::Busy { retry_after_ms } => Ok(Served::Busy { retry_after_ms }),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
@@ -324,36 +316,17 @@ impl V2Client {
     /// Socket/protocol errors, including a reply whose decision count
     /// disagrees with the chunk sent.
     pub fn decide_batch(&mut self, queries: &[WireQuery<'_>]) -> std::io::Result<Vec<Decision>> {
-        const FRAME_BUDGET: usize = wire::MAX_FRAME / 2;
-        if self.inflight > 0 {
-            return Err(proto_err(format!(
-                "{} pipelined decide(s) in flight; drain_decisions first",
-                self.inflight
-            )));
-        }
         let mut out = Vec::with_capacity(queries.len());
         let mut rest = queries;
         while !rest.is_empty() {
-            let mut take = 0usize;
-            let mut bytes = 0usize;
-            while take < rest.len() && take < wire::MAX_DECIDE_BATCH {
-                let q = &rest[take];
-                let len = wire::encoded_query_len(q.app.len(), q.kernel.len());
-                if take > 0 && bytes + len > FRAME_BUDGET {
-                    break;
-                }
-                bytes += len;
-                take += 1;
-            }
-            let (chunk, tail) = rest.split_at(take);
+            let n = fit(rest, wire::MAX_DECIDE_BATCH, |q| {
+                wire::encoded_query_len(q.app.len(), q.kernel.len())
+            });
+            let (chunk, tail) = rest.split_at(n);
             rest = tail;
             // Encoded straight from the borrowed slice: no owned
             // per-chunk Vec<WireQuery> on the amortized path.
-            self.send.clear();
-            wire::encode_decide_batch(chunk, &mut self.send);
-            self.stream.write_all(&self.send)?;
-            let range = self.read_reply()?;
-            match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+            match self.exchange(|buf| wire::encode_decide_batch(chunk, buf))? {
                 Response::DecideBatch(ds) if ds.len() == chunk.len() => out.extend(ds),
                 Response::DecideBatch(ds) => {
                     return Err(proto_err(format!(
@@ -362,94 +335,14 @@ impl V2Client {
                         chunk.len()
                     )))
                 }
-                Response::Err(msg) => return Err(proto_err(msg)),
-                other => return Err(proto_err(format!("unexpected reply {other:?}"))),
+                other => return Err(refused(other)),
             }
         }
         Ok(out)
     }
 
-    /// Queues one full-context decide frame locally — nothing touches
-    /// the socket until [`V2Client::flush`] or
-    /// [`V2Client::drain_decisions`]. Submitting K frames and then
-    /// draining keeps K requests in flight on this one connection
-    /// (pipelining), amortizing the write and read syscalls across the
-    /// burst while the server overlaps its processing with the
-    /// client's.
-    ///
-    /// While submitted decides are undrained, the one-shot request
-    /// methods ([`V2Client::decide`], [`V2Client::ping`], …) refuse to
-    /// run — their replies would mis-pair with the pipelined ones.
-    pub fn submit_decide(
-        &mut self,
-        app: &str,
-        kernel: &str,
-        x86_load: u32,
-        arm_load: u32,
-        kernel_resident: bool,
-        device_ready: bool,
-    ) {
-        wire::encode_request(
-            &Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready },
-            &mut self.pipe,
-        );
-        self.inflight += 1;
-    }
-
-    /// Writes every locally queued pipelined frame in one syscall.
-    /// Idempotent when nothing is queued.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors. On error the queued frames are *discarded*, not
-    /// left for a retry: a partial write may already have delivered
-    /// some of them, so resending the buffer would have the server
-    /// decide those twice and mis-pair every later reply. The
-    /// connection's reply stream is indeterminate — drop the client.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        if !self.pipe.is_empty() {
-            let written = self.stream.write_all(&self.pipe);
-            self.pipe.clear();
-            written?;
-        }
-        Ok(())
-    }
-
-    /// Flushes any queued frames, then reads one decision per
-    /// submitted decide (in submission order) into `out`. Returns the
-    /// number of decisions appended.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol errors. On error the connection's reply stream
-    /// is indeterminate (like any mid-reply failure); drop the client.
-    pub fn drain_decisions(&mut self, out: &mut Vec<Decision>) -> std::io::Result<usize> {
-        self.flush()?;
-        let mut drained = 0usize;
-        while self.inflight > 0 {
-            let range = self.read_reply()?;
-            // Consumed either way: an error reply still answers one
-            // submitted frame.
-            self.inflight -= 1;
-            match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
-                Response::Decide { target, reconfigure } => {
-                    out.push(Decision { target, reconfigure });
-                    drained += 1;
-                }
-                Response::Err(msg) => return Err(proto_err(msg)),
-                other => return Err(proto_err(format!("unexpected reply {other:?}"))),
-            }
-        }
-        Ok(drained)
-    }
-
-    /// Undrained pipelined decides (submitted via
-    /// [`V2Client::submit_decide`] and not yet collected).
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
-    /// Reports one observed execution.
+    /// Reports one observed execution: a convenience over a one-report
+    /// `BatchReport` frame.
     ///
     /// # Errors
     ///
@@ -461,12 +354,10 @@ impl V2Client {
         func_ms: f64,
         x86_load: u32,
     ) -> std::io::Result<()> {
-        let range =
-            self.roundtrip(&Request::Report(WireReport { app, target, func_ms, x86_load }))?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        let report = WireReport { app, target, func_ms, x86_load };
+        match self.call(&Request::BatchReport(vec![report]))? {
             Response::Ack(1) => Ok(()),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
@@ -478,47 +369,14 @@ impl V2Client {
     ///
     /// Socket/protocol errors.
     pub fn report_batch(&mut self, reports: &[ReportOwned]) -> std::io::Result<u32> {
-        // Conservative per-frame byte budget so even pathological app
-        // names cannot push an encoded frame past MAX_FRAME.
-        const FRAME_BUDGET: usize = wire::MAX_FRAME / 2;
-        let encoded_len = |r: &ReportOwned| wire::encoded_report_len(r.app.len());
         let mut accepted = 0u32;
-        let mut chunk: Vec<WireReport<'_>> = Vec::new();
-        let mut chunk_bytes = 0usize;
-        let mut it = reports.iter().peekable();
-        while it.peek().is_some() || !chunk.is_empty() {
-            while let Some(r) = it.peek() {
-                if chunk.len() >= wire::MAX_BATCH || chunk_bytes + encoded_len(r) > FRAME_BUDGET {
-                    break;
-                }
-                chunk_bytes += encoded_len(r);
-                chunk.push(WireReport {
-                    app: &r.app,
-                    target: r.target,
-                    func_ms: r.func_ms,
-                    x86_load: r.x86_load,
-                });
-                it.next();
-            }
-            if chunk.is_empty() {
-                // A single report larger than the budget: send it
-                // alone (still far below MAX_FRAME, since a report
-                // maxes out at one u16-length string plus 15 bytes).
-                if let Some(r) = it.next() {
-                    chunk.push(WireReport {
-                        app: &r.app,
-                        target: r.target,
-                        func_ms: r.func_ms,
-                        x86_load: r.x86_load,
-                    });
-                }
-            }
-            let range = self.roundtrip(&Request::BatchReport(std::mem::take(&mut chunk)))?;
-            chunk_bytes = 0;
-            match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        let mut rest = reports;
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(fit(rest, wire::MAX_BATCH, report_len));
+            rest = tail;
+            match self.call(&Request::BatchReport(chunk.iter().map(wire_report).collect()))? {
                 Response::Ack(n) => accepted += n,
-                Response::Err(msg) => return Err(proto_err(msg)),
-                other => return Err(proto_err(format!("unexpected reply {other:?}"))),
+                other => return Err(refused(other)),
             }
         }
         Ok(accepted)
@@ -530,8 +388,7 @@ impl V2Client {
     ///
     /// Socket/protocol errors.
     pub fn fetch_table(&mut self) -> std::io::Result<Vec<TableEntry>> {
-        let range = self.roundtrip(&Request::Table)?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        match self.call(&Request::Table)? {
             Response::Table(entries) => Ok(entries
                 .into_iter()
                 .map(|e| TableEntry {
@@ -541,8 +398,7 @@ impl V2Client {
                     arm_thr: e.arm_thr,
                 })
                 .collect()),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
@@ -552,44 +408,25 @@ impl V2Client {
     ///
     /// Socket/protocol errors.
     pub fn ping(&mut self, nonce: u64) -> std::io::Result<u64> {
-        let range = self.roundtrip(&Request::Ping(nonce))?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        match self.call(&Request::Ping(nonce))? {
             Response::Pong(echo) => Ok(echo),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
-    /// Fetches daemon-wide statistics: engine metric totals plus
-    /// live/reaped/rejected connection counts.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol errors.
-    pub fn stats(&mut self) -> std::io::Result<DaemonStats> {
-        let range = self.roundtrip(&Request::Stats)?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
-            Response::Stats(s) => Ok(s),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// Fetches the self-describing statistics set: tagged
-    /// `(id, value)` pairs (see `xar_obs::tags` for the registry).
-    /// Unlike the frozen [`Self::stats`] reply, servers extend this
-    /// one freely — tags this client build does not know are preserved
-    /// in the returned pairs rather than rejected.
+    /// Fetches the daemon's statistics: tagged `(id, value)` pairs
+    /// (see `xar_obs::tags` for the registry) covering the engine
+    /// metric totals, the connection lifecycle and everything since.
+    /// Servers extend the set freely — tags this client build does not
+    /// know are preserved in the returned pairs rather than rejected.
     ///
     /// # Errors
     ///
     /// Socket/protocol errors.
     pub fn stats_v2(&mut self) -> std::io::Result<wire::StatsV2> {
-        let range = self.roundtrip(&Request::StatsV2)?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        match self.call(&Request::StatsV2)? {
             Response::StatsV2(s) => Ok(s),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 
@@ -604,11 +441,9 @@ impl V2Client {
     ///
     /// Socket/protocol errors.
     pub fn hist_dump(&mut self) -> std::io::Result<wire::HistDump> {
-        let range = self.roundtrip(&Request::HistDump)?;
-        match wire::decode_response(&self.recv[range]).map_err(std::io::Error::from)? {
+        match self.call(&Request::HistDump)? {
             Response::HistDump(h) => Ok(h),
-            Response::Err(msg) => Err(proto_err(msg)),
-            other => Err(proto_err(format!("unexpected reply {other:?}"))),
+            other => Err(refused(other)),
         }
     }
 }
@@ -826,12 +661,10 @@ impl ResilientClient {
     /// spent. Chunks acked before such a failure stay acked — the
     /// daemon's marks make a later retry of the failed chunk safe.
     pub fn report_batch(&mut self, reports: &[ReportOwned]) -> std::io::Result<u32> {
-        const FRAME_BUDGET: usize = wire::MAX_FRAME / 2;
         let session = self.config.session;
         if session == 0 {
             return Err(proto_err("exactly-once reporting needs a nonzero config.session"));
         }
-        let encoded_len = |r: &ReportOwned| wire::encoded_report_len(r.app.len());
         // Stamps must be drawn *after* the session resync a connect
         // performs: a fresh client resuming a durable session learns
         // the daemon's high-water mark inside `ensure_connected`, and
@@ -844,26 +677,11 @@ impl ResilientClient {
         // for which the replay answer is the correct dedup.
         self.with_retries(&mut |_| Ok(Served::Done(())))?;
         let mut accepted = 0u32;
-        let mut it = reports.iter().peekable();
-        while it.peek().is_some() {
-            let mut chunk: Vec<WireReport<'_>> = Vec::new();
-            let mut chunk_bytes = 0usize;
-            while let Some(r) = it.peek() {
-                if !chunk.is_empty()
-                    && (chunk.len() >= wire::MAX_BATCH
-                        || chunk_bytes + encoded_len(r) > FRAME_BUDGET)
-                {
-                    break;
-                }
-                chunk_bytes += encoded_len(r);
-                chunk.push(WireReport {
-                    app: &r.app,
-                    target: r.target,
-                    func_ms: r.func_ms,
-                    x86_load: r.x86_load,
-                });
-                it.next();
-            }
+        let mut rest = reports;
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(fit(rest, wire::MAX_BATCH, report_len));
+            rest = tail;
+            let chunk: Vec<WireReport<'_>> = chunk.iter().map(wire_report).collect();
             let seq = self.next_seq;
             let n = self.with_retries(&mut |c| c.report_batch_seq(session, seq, &chunk))?;
             // Acked fresh or replayed — either way the daemon's mark
@@ -1108,5 +926,60 @@ mod tests {
         assert_eq!(c.reconnects(), 0, "Busy must not cost a reconnect");
         drop(c);
         server.join().unwrap();
+    }
+
+    /// Every sheddable door that surfaces `R_BUSY` as an error reads it
+    /// as load shedding, in `decide_with`'s words — not as a protocol
+    /// violation.
+    #[test]
+    fn busy_answers_read_as_shedding_on_every_door() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            serve_handshake(&mut s);
+            let mut buf = Vec::new();
+            use wire::op;
+            for want in [op::DECIDE_BATCH, op::BATCH_REPORT, op::BATCH_REPORT, op::DECIDE] {
+                let frame = read_frame(&mut s, &mut buf);
+                assert_eq!(frame[4], want, "opcode of the next request");
+                reply(&mut s, &Response::Busy { retry_after_ms: 7 });
+            }
+            let _ = s.read(&mut [0u8; 8]);
+        });
+        let mut c = V2Client::connect(addr).unwrap();
+        let q = WireQuery {
+            app: "app",
+            kernel: "k",
+            x86_load: 1,
+            arm_load: 0,
+            kernel_resident: true,
+            device_ready: true,
+        };
+        let r = ReportOwned { app: "app".into(), target: Target::Arm, func_ms: 1.0, x86_load: 1 };
+        let errors = [
+            c.decide_batch(&[q]).unwrap_err(),
+            c.report("app", Target::Arm, 1.0, 1).unwrap_err(),
+            c.report_batch(&[r]).unwrap_err(),
+            c.decide("app", "k", 1, true).unwrap_err(),
+        ];
+        for e in errors {
+            assert_eq!(e.to_string(), "daemon shedding load (retry after 7ms)");
+        }
+        drop(c);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn fit_bounds_a_frame_by_count_and_bytes() {
+        let small = |_: &u8| 1;
+        assert_eq!(fit(&[], wire::MAX_BATCH, small), 0, "empty input");
+        let items = vec![0u8; wire::MAX_BATCH + 1];
+        assert_eq!(fit(&items[..wire::MAX_BATCH], wire::MAX_BATCH, small), wire::MAX_BATCH);
+        assert_eq!(fit(&items, wire::MAX_BATCH, small), wire::MAX_BATCH, "one over the cap");
+        // Half a frame of bytes: two quarter-frame items fit, a third
+        // does not; an item over the whole budget still goes alone.
+        assert_eq!(fit(&[0u8; 3], 10, |_| wire::MAX_FRAME / 4), 2);
+        assert_eq!(fit(&[0u8; 3], 10, |_| wire::MAX_FRAME), 1);
     }
 }

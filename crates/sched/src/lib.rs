@@ -7,10 +7,11 @@
 //! this daemon at one shard and report batch 1.
 //!
 //! * [`wire`] — **binary wire protocol v2**: length-prefixed frames
-//!   (`Decide` / `Report` / `BatchReport` / `TableSnapshot` / `Ping` /
-//!   `Stats` / `DecideBatch` / `StatsV2`), a zero-copy decoder, and a
-//!   versioned handshake. Legacy v1 text clients are detected from
-//!   their first bytes and served on the same port.
+//!   (`Decide` / `DecideBatch` / `BatchReport` / `BatchReportSeq` /
+//!   `HelloSession` / `TableSnapshot` / `Ping` / `StatsV2` /
+//!   `HistDump`), a zero-copy decoder, and a versioned handshake.
+//!   Legacy v1 text clients are detected from their first bytes and
+//!   served on the same port.
 //! * [`engine`] — the **sharded policy engine**: per-app-group shards,
 //!   each owning a policy instance, with a generation-gated snapshot
 //!   ([`snapshot::ArcCell`] + [`snapshot::CachedSnap`]) giving each
@@ -32,7 +33,7 @@
 //!   timeouts and write-stall deadlines reap dead peers, and
 //!   `max_connections` admission control parks the listener at the
 //!   cap instead of running into fd exhaustion — all observable via
-//!   the v2 `Stats`/`StatsV2` commands, the Prometheus-style v1
+//!   the v2 `StatsV2` command, the Prometheus-style v1
 //!   `DUMP` exposition, and per-worker `xar-obs` trace rings served
 //!   by v1 `TRACE n`.
 //! * [`transport`] — the **same-host fast path**: beside TCP the
@@ -40,14 +41,12 @@
 //!   and the client dials it transparently for loopback addresses
 //!   (TCP fallback on any failure) — no knob on either side.
 //! * [`client`] — the blocking v2 client for application binaries,
-//!   plus the batched decide pipeline for high-rate callers:
-//!   `decide_batch` (up to 4096 queries per frame, once-per-batch
-//!   snapshot revalidation server-side) and explicit pipelining
-//!   (`submit_decide`/`flush`/`drain_decisions`) amortize the
-//!   per-call frame/syscall/round-trip overhead that dominates a
-//!   remote decide. [`client::ResilientClient`] wraps it with
-//!   deadlines, seeded-backoff reconnect, and exactly-once report
-//!   replay over the [`session`] layer.
+//!   one door per job: high-rate callers amortize the per-call
+//!   frame/syscall/round-trip overhead that dominates a remote decide
+//!   with `decide_batch` (up to 4096 queries per frame, once-per-batch
+//!   snapshot revalidation server-side). [`client::ResilientClient`]
+//!   wraps it with deadlines, seeded-backoff reconnect, and
+//!   exactly-once report replay over the [`session`] layer.
 //! * [`adapter`] — a [`xar_desim::Policy`] adapter so cluster
 //!   simulations of 1000+ apps exercise the daemon's exact code path.
 //! * [`obsd`] — the **fleet scrape aggregator** behind the `xar-obsd`
@@ -89,7 +88,7 @@ pub use server::{Server, ServerConfig};
 pub use session::{SeqOutcome, SessionInfo, SessionTable};
 pub use snapshot::{ArcCell, CachedSnap, ThrCell};
 pub use transport::local_name;
-pub use wire::{DaemonStats, HistDump, StatsV2, WireQuery};
+pub use wire::{HistDump, StatsV2, WireQuery};
 /// The dependency-free observability toolkit (trace rings, mergeable
 /// histograms, the `StatsV2` tag registry, text exposition) the daemon
 /// is instrumented with, re-exported for clients and tools.

@@ -6,8 +6,8 @@
 //! Latency distributions are [`xar_obs::Histogram`]s, one per op class
 //! (decide, decide-batch frame, report-batch apply, flush-publish):
 //! full mergeable log₂-bucketed distributions, not just a p50/p99 pair.
-//! The legacy [`MetricsSnapshot`] view (which the frozen `Stats` wire
-//! reply carries) is derived from the decide histogram; the full
+//! The compact [`MetricsSnapshot`] view (engine totals plus a decide
+//! p50/p99 pair) is derived from the decide histogram; the full
 //! distributions surface through [`ObsSnapshot`] into `StatsV2` and
 //! the v1 `DUMP` exposition.
 //!

@@ -21,7 +21,7 @@
 //! `max_connections` admission cap the acceptor parks both listeners'
 //! read interest — new peers wait in the kernel backlog instead of
 //! racing toward fd exhaustion — and a reap re-arms them. All of it is
-//! observable through the v2 `Stats` command. This serves thousands
+//! observable through the v2 `StatsV2` command. This serves thousands
 //! of mostly-idle scheduler clients with a handful of threads at zero
 //! idle CPU, where the paper's thread-per-client model would need one
 //! thread each.
@@ -34,7 +34,7 @@ use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, R
 use crate::engine::{BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::transport::{self, Stream};
-use crate::wire::{self, DaemonStats, Request, Response, WireEntry};
+use crate::wire::{self, Request, Response, WireEntry};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
@@ -225,7 +225,7 @@ fn idle_token(slot: usize) -> Token {
 }
 
 /// Connection-lifecycle counters shared by the acceptor (admission
-/// control), the workers (reaping), and the v2 `Stats` command. All
+/// control), the workers (reaping), and the v2 `StatsV2` command. All
 /// are monotone, so `live` is a difference of counters rather than a
 /// counter that could underflow on a racy decrement.
 #[derive(Debug, Default)]
@@ -404,8 +404,8 @@ struct WorkerCtx<P: PolicyCore> {
 }
 
 impl<P: PolicyCore> WorkerCtx<P> {
-    /// Ingests unsessioned reports, whatever carried them (v2 `Report`
-    /// / `BatchReport`, a v1 `REPORT` line): journal-then-apply when
+    /// Ingests unsessioned reports, whatever carried them (a v2
+    /// `BatchReport`, a v1 `REPORT` line): journal-then-apply when
     /// durability is armed — the ack is backed by the log, durability
     /// is per-daemon, not per-protocol — straight into the engine
     /// otherwise. An error means the journal refused the write and
@@ -1436,7 +1436,6 @@ fn sheddable(req: &Request<'_>) -> bool {
         req,
         Request::Decide { .. }
             | Request::DecideBatch(_)
-            | Request::Report(_)
             | Request::BatchReport(_)
             | Request::BatchReportSeq { .. }
     )
@@ -1545,7 +1544,6 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
             }
             w.finish();
         }
-        Request::Report(r) => encode_ack(ctx.ingest(std::slice::from_ref(r)), out),
         Request::BatchReport(rs) => encode_ack(ctx.ingest(rs), out),
         Request::HelloSession { session } => match ctx.sessions.hello(*session) {
             Some(info) => {
@@ -1584,17 +1582,6 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
         }
         Request::Ping(nonce) => {
             wire::encode_response(&Response::Pong(*nonce), out);
-        }
-        Request::Stats => {
-            wire::encode_response(
-                &Response::Stats(DaemonStats {
-                    metrics: ctx.engine.metrics_total(),
-                    live_conns: ctx.counters.live(),
-                    reaped_conns: ctx.counters.reaped.load(Ordering::Relaxed),
-                    rejected_conns: ctx.counters.rejected.load(Ordering::Relaxed),
-                }),
-                out,
-            );
         }
         Request::StatsV2 => {
             let pairs = collect_stats_v2(ctx);

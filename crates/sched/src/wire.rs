@@ -40,8 +40,8 @@ use xar_desim::Target;
 pub const MAGIC: [u8; 4] = *b"XARS";
 /// Current protocol revision carried in the handshake's version byte.
 /// Bumped whenever a frame layout changes — revision 4 added the
-/// `DecideBatch`/`R_DECIDE_BATCH` pair and widened the `Stats` reply
-/// from twelve to thirteen `u64`s (`decide_batches`) — so a peer from
+/// `DecideBatch`/`R_DECIDE_BATCH` pair and widened the since-retired
+/// `Stats` reply from twelve to thirteen `u64`s — so a peer from
 /// an older build is refused at the handshake instead of silently
 /// mis-decoding shifted fields. ("v2" stays the family name of the
 /// binary protocol vs the v1 text protocol.)
@@ -90,7 +90,8 @@ pub fn parse_handshake(bytes: &[u8; HANDSHAKE_LEN]) -> Result<u8, WireError> {
 pub mod op {
     /// `Decide` — ask for a placement.
     pub const DECIDE: u8 = 0x01;
-    /// `Report` — one completion report.
+    /// Retired: the daemon answers `R_ERR`; never reuse. (Was `Report`,
+    /// a one-report `BATCH_REPORT`.)
     pub const REPORT: u8 = 0x02;
     /// `BatchReport` — many completion reports in one frame.
     pub const BATCH_REPORT: u8 = 0x03;
@@ -98,7 +99,8 @@ pub mod op {
     pub const TABLE: u8 = 0x04;
     /// `Ping` — liveness/latency probe.
     pub const PING: u8 = 0x05;
-    /// `Stats` — fetch daemon-wide statistics.
+    /// Retired: the daemon answers `R_ERR`; never reuse. (Was `Stats`,
+    /// a fixed subset of `STATS_V2`.)
     pub const STATS: u8 = 0x06;
     /// `DecideBatch` — many placement queries in one frame.
     pub const DECIDE_BATCH: u8 = 0x07;
@@ -119,7 +121,8 @@ pub mod op {
     pub const R_TABLE: u8 = 0x84;
     /// Reply to `PING`.
     pub const R_PONG: u8 = 0x85;
-    /// Reply to `STATS`.
+    /// Retired: the daemon answers `R_ERR`; never reuse. (Was the
+    /// `STATS` reply.)
     pub const R_STATS: u8 = 0x86;
     /// Reply to `DECIDE_BATCH`: N decisions in query order.
     pub const R_DECIDE_BATCH: u8 = 0x87;
@@ -200,31 +203,12 @@ pub struct WireEntry<'a> {
     pub arm_thr: u32,
 }
 
-/// Daemon-wide statistics carried by the v2 `Stats` reply: the merged
-/// engine metric totals plus the server's connection-lifecycle
-/// counters. Fixed-width on the wire (thirteen `u64`s), so a
-/// monitoring poller's cost is one small frame each way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DaemonStats {
-    /// Whole-engine metric totals (every shard merged).
-    pub metrics: crate::metrics::MetricsSnapshot,
-    /// Currently connected clients (both protocol generations).
-    pub live_conns: u64,
-    /// Connections reaped over the daemon's lifetime: peer close,
-    /// write-stall deadline, or idle timeout.
-    pub reaped_conns: u64,
-    /// Connections dropped at admission (no live worker to adopt
-    /// them, or a socket that could not be made nonblocking).
-    pub rejected_conns: u64,
-}
-
 /// Self-describing daemon statistics carried by the `StatsV2` reply:
 /// a sequence of `(tag, value)` pairs where the tag ids come from the
 /// append-only `xar_obs::tags` registry. Unknown tags are ordinary
 /// data — a client built before a tag existed still decodes the frame
 /// and simply does not recognize the id — so adding a counter never
-/// bumps the wire version. The legacy fixed-width [`DaemonStats`]
-/// reply is frozen at thirteen `u64`s; everything new ships here.
+/// bumps the wire version.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsV2 {
     /// `(tag, value)` pairs in daemon-chosen order.
@@ -306,16 +290,12 @@ pub enum Request<'a> {
         /// Whether the device is past any in-flight reconfiguration.
         device_ready: bool,
     },
-    /// One completion report.
-    Report(WireReport<'a>),
     /// Batched completion reports.
     BatchReport(Vec<WireReport<'a>>),
     /// Threshold-table snapshot request.
     Table,
     /// Liveness probe; the nonce is echoed back.
     Ping(u64),
-    /// Daemon-wide statistics request.
-    Stats,
     /// Batched placement queries (≤ [`MAX_DECIDE_BATCH`]); answered by
     /// one `R_DECIDE_BATCH` frame carrying the decisions in order.
     DecideBatch(Vec<WireQuery<'a>>),
@@ -362,8 +342,6 @@ pub enum Response<'a> {
     Table(Vec<WireEntry<'a>>),
     /// Ping echo.
     Pong(u64),
-    /// Daemon-wide statistics.
-    Stats(DaemonStats),
     /// Batched placement decisions, in the query order of the
     /// `DecideBatch` frame they answer.
     DecideBatch(Vec<xar_desim::Decision>),
@@ -437,8 +415,8 @@ impl From<WireError> for std::io::Error {
     }
 }
 
-/// Encoded size in bytes of one report element inside a `Report` /
-/// `BatchReport` payload for an application name of `app_len` bytes:
+/// Encoded size in bytes of one report element inside a `BatchReport`
+/// / `BatchReportSeq` payload for an application name of `app_len` bytes:
 /// the u16 string length prefix, the name, the target byte, the f64
 /// time, and the u32 load. `V2Client::report_batch` budgets frames
 /// with this, and a unit test pins it to the real encoder so the
@@ -688,11 +666,6 @@ pub fn encode_request(req: &Request<'_>, out: &mut Vec<u8>) {
             w.u8(u8::from(*kernel_resident) | (u8::from(*device_ready) << 1));
             w.finish();
         }
-        Request::Report(r) => {
-            let mut w = FrameWriter::begin(out, op::REPORT);
-            w.report(r);
-            w.finish();
-        }
         Request::BatchReport(rs) => {
             assert!(rs.len() <= MAX_BATCH, "BatchReport of {} exceeds u16 count", rs.len());
             let mut w = FrameWriter::begin(out, op::BATCH_REPORT);
@@ -708,7 +681,6 @@ pub fn encode_request(req: &Request<'_>, out: &mut Vec<u8>) {
             w.u64(*nonce);
             w.finish();
         }
-        Request::Stats => FrameWriter::begin(out, op::STATS).finish(),
         Request::DecideBatch(qs) => encode_decide_batch(qs, out),
         Request::StatsV2 => FrameWriter::begin(out, op::STATS_V2).finish(),
         Request::HistDump => FrameWriter::begin(out, op::HIST_DUMP).finish(),
@@ -837,23 +809,6 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
             for d in ds {
                 w.push(d);
             }
-            w.finish();
-        }
-        Response::Stats(s) => {
-            let mut w = FrameWriter::begin(out, op::R_STATS);
-            w.u64(s.metrics.decides);
-            w.u64(s.metrics.reports);
-            w.u64(s.metrics.batches);
-            w.u64(s.metrics.decide_batches);
-            w.u64(s.metrics.to_arm);
-            w.u64(s.metrics.to_fpga);
-            w.u64(s.metrics.reconfigs);
-            w.u64(s.metrics.lat_samples);
-            w.u64(s.metrics.p50_ns);
-            w.u64(s.metrics.p99_ns);
-            w.u64(s.live_conns);
-            w.u64(s.reaped_conns);
-            w.u64(s.rejected_conns);
             w.finish();
         }
         Response::StatsV2(s) => {
@@ -1004,7 +959,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
                 device_ready: flags & 2 != 0,
             })
         }
-        op::REPORT => Ok(Request::Report(r.report()?)),
         op::BATCH_REPORT => {
             let n = r.u16()? as usize;
             let mut rs = Vec::with_capacity(n);
@@ -1015,7 +969,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
         }
         op::TABLE => Ok(Request::Table),
         op::PING => Ok(Request::Ping(r.u64()?)),
-        op::STATS => Ok(Request::Stats),
         op::STATS_V2 => Ok(Request::StatsV2),
         op::HIST_DUMP => Ok(Request::HistDump),
         op::DECIDE_BATCH => {
@@ -1088,23 +1041,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response<'_>, WireError> {
             }
             Ok(Response::DecideBatch(ds))
         }
-        op::R_STATS => Ok(Response::Stats(DaemonStats {
-            metrics: crate::metrics::MetricsSnapshot {
-                decides: r.u64()?,
-                reports: r.u64()?,
-                batches: r.u64()?,
-                decide_batches: r.u64()?,
-                to_arm: r.u64()?,
-                to_fpga: r.u64()?,
-                reconfigs: r.u64()?,
-                lat_samples: r.u64()?,
-                p50_ns: r.u64()?,
-                p99_ns: r.u64()?,
-            },
-            live_conns: r.u64()?,
-            reaped_conns: r.u64()?,
-            rejected_conns: r.u64()?,
-        })),
         op::R_STATS_V2 => {
             let n = r.u16()? as usize;
             let mut pairs = Vec::with_capacity(n);
@@ -1194,19 +1130,12 @@ mod tests {
             kernel_resident: true,
             device_ready: false,
         });
-        roundtrip_req(Request::Report(WireReport {
-            app: "CG-A",
-            target: Target::Arm,
-            func_ms: 1234.5,
-            x86_load: 9,
-        }));
         roundtrip_req(Request::BatchReport(vec![
             WireReport { app: "a", target: Target::X86, func_ms: 1.0, x86_load: 1 },
             WireReport { app: "b", target: Target::Fpga, func_ms: 2.0, x86_load: 2 },
         ]));
         roundtrip_req(Request::Table);
         roundtrip_req(Request::Ping(0xDEAD_BEEF));
-        roundtrip_req(Request::Stats);
         roundtrip_req(Request::DecideBatch(vec![
             WireQuery {
                 app: "FaceDet320",
@@ -1256,23 +1185,6 @@ mod tests {
             xar_desim::Decision { target: Target::Arm, reconfigure: false },
         ]));
         roundtrip_resp(Response::DecideBatch(Vec::new()));
-        roundtrip_resp(Response::Stats(DaemonStats {
-            metrics: crate::metrics::MetricsSnapshot {
-                decides: 5,
-                reports: 4,
-                batches: 2,
-                decide_batches: 3,
-                to_arm: 1,
-                to_fpga: 2,
-                reconfigs: 1,
-                lat_samples: 5,
-                p50_ns: 512,
-                p99_ns: u64::MAX, // the open-ended-bucket sentinel survives the wire
-            },
-            live_conns: 3,
-            reaped_conns: 9,
-            rejected_conns: 1,
-        }));
         roundtrip_resp(Response::Err("nope"));
         roundtrip_resp(Response::Session { last_seq: 0 });
         roundtrip_resp(Response::Session { last_seq: u64::MAX });
@@ -1356,48 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_frames_are_fixed_width() {
-        let mut buf = Vec::new();
-        encode_request(&Request::Stats, &mut buf);
-        assert_eq!(buf.len(), 4 + 1, "request: header + opcode only");
-        let mut buf = Vec::new();
-        encode_response(&Response::Stats(DaemonStats::default()), &mut buf);
-        assert_eq!(buf.len(), 4 + 1 + 13 * 8, "reply: thirteen u64 counters");
-    }
-
-    /// The legacy `Stats` reply is FROZEN: thirteen little-endian
-    /// `u64`s in exactly this order, forever. New counters ship via
-    /// `StatsV2` / `DUMP` only. This test pins every byte; if it fails,
-    /// the fix is to revert the layout change, not the test.
-    #[test]
-    fn legacy_stats_layout_is_frozen() {
-        let s = DaemonStats {
-            metrics: crate::metrics::MetricsSnapshot {
-                decides: 1,
-                reports: 2,
-                batches: 3,
-                decide_batches: 4,
-                to_arm: 5,
-                to_fpga: 6,
-                reconfigs: 7,
-                lat_samples: 8,
-                p50_ns: 9,
-                p99_ns: 10,
-            },
-            live_conns: 11,
-            reaped_conns: 12,
-            rejected_conns: 13,
-        };
-        let mut buf = Vec::new();
-        encode_response(&Response::Stats(s), &mut buf);
-        let mut expect = vec![13 * 8 + 1, 0, 0, 0, op::R_STATS];
-        for v in 1u64..=13 {
-            expect.extend_from_slice(&v.to_le_bytes());
-        }
-        assert_eq!(buf, expect, "frozen wire layout of the legacy Stats reply");
-    }
-
-    #[test]
     fn handshake_roundtrips_and_rejects_bad_magic() {
         let h = handshake(VERSION);
         assert_eq!(parse_handshake(&h).unwrap(), VERSION);
@@ -1422,19 +1292,18 @@ mod tests {
         assert!(matches!(frame_in(&huge), Err(WireError::Oversized(_))));
         assert_eq!(decode_request(&[0x42]), Err(WireError::BadOpcode(0x42)));
         assert_eq!(decode_request(&[]), Err(WireError::Truncated));
-        // Report with a bad target byte.
+        // Retired ids decode like any unknown opcode.
+        for retired in [op::REPORT, op::STATS] {
+            assert_eq!(decode_request(&[retired]), Err(WireError::BadOpcode(retired)));
+        }
+        assert_eq!(decode_response(&[op::R_STATS]), Err(WireError::BadOpcode(op::R_STATS)));
+        // A report with a bad target byte.
         let mut buf = Vec::new();
-        encode_request(
-            &Request::Report(WireReport {
-                app: "x",
-                target: Target::X86,
-                func_ms: 0.0,
-                x86_load: 0,
-            }),
-            &mut buf,
-        );
-        // app is "x": 4-byte len header, opcode, u16 strlen, 'x', then target.
-        let target_at = 4 + 1 + 2 + 1;
+        let report = WireReport { app: "x", target: Target::X86, func_ms: 0.0, x86_load: 0 };
+        encode_request(&Request::BatchReport(vec![report]), &mut buf);
+        // app is "x": 4-byte len header, opcode, u16 count, u16 strlen,
+        // 'x', then target.
+        let target_at = 4 + 1 + 2 + 2 + 1;
         buf[target_at] = 9;
         let (_, range) = frame_in(&buf).unwrap().unwrap();
         assert_eq!(decode_request(&buf[range]), Err(WireError::BadTarget(9)));
@@ -1522,10 +1391,6 @@ mod tests {
                 "app_len {}",
                 app.len()
             );
-            // And a bare Report frame: header + opcode + element.
-            let mut buf = Vec::new();
-            encode_request(&Request::Report(report), &mut buf);
-            assert_eq!(buf.len(), 4 + 1 + encoded_report_len(app.len()), "app_len {}", app.len());
         }
     }
 

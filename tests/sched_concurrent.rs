@@ -350,11 +350,11 @@ fn hot_row_readers_only_see_reference_pairs_during_a_report_storm() {
     reference.assert_table_eq(engine.table(), "after the storm");
 }
 
-/// A mixed fleet of batched (`decide_batch`), pipelined
-/// (`submit_decide`/`drain_decisions`), and single-decide clients on
-/// one daemon: every client, whatever its transport shape, must see
-/// decisions bit-identical to the sequential reference policy — on
-/// both reactor backends.
+/// A mixed fleet of batched (`decide_batch`), pipelined (every decide
+/// frame in one write on a raw connection, replies read back in
+/// order), and single-decide clients on one daemon: every client,
+/// whatever its transport shape, must see decisions bit-identical to
+/// the sequential reference policy — on both reactor backends.
 #[test]
 fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
     const LOADS: [u32; 4] = [2, 20, 50, 200];
@@ -370,11 +370,11 @@ fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
             .flat_map(|app| LOADS.map(|load| reference.decide(app, load as usize, true)))
             .collect();
         let decisions = fleet(CLIENTS, |c| {
-            let mut cl = V2Client::connect(addr).unwrap();
             let mut got: Vec<Decision> = Vec::new();
             match c % 3 {
                 0 => {
                     // Single decides, one round trip each.
+                    let mut cl = V2Client::connect(addr).unwrap();
                     for app in APPS {
                         for load in LOADS {
                             got.push(cl.decide(app, "k", load, true).unwrap());
@@ -396,17 +396,35 @@ fn mixed_batched_pipelined_and_single_fleet_matches_reference() {
                             })
                         })
                         .collect();
-                    got = cl.decide_batch(&queries).unwrap();
+                    got = V2Client::connect(addr).unwrap().decide_batch(&queries).unwrap();
                 }
                 _ => {
-                    // Pipelined: all frames in flight, then one
-                    // in-order drain.
+                    // Pipelined: every frame in flight in one write,
+                    // so the daemon decodes several frames per read;
+                    // the replies come back in order.
+                    let mut frames = wire::handshake(wire::VERSION).to_vec();
                     for app in APPS {
-                        for load in LOADS {
-                            cl.submit_decide(app, "k", load, 0, true, true);
+                        for x86_load in LOADS {
+                            let req = wire::Request::Decide {
+                                app,
+                                kernel: "k",
+                                x86_load,
+                                arm_load: 0,
+                                kernel_resident: true,
+                                device_ready: true,
+                            };
+                            wire::encode_request(&req, &mut frames);
                         }
                     }
-                    assert_eq!(cl.drain_decisions(&mut got).unwrap(), APPS.len() * LOADS.len());
+                    let mut s = dial(addr, Transport::Tcp);
+                    s.set_read_timeout(std::time::Duration::from_secs(10));
+                    s.write_all(&frames).unwrap();
+                    read_replies(&mut s, APPS.len() * LOADS.len(), |i, reply| match reply {
+                        wire::Response::Decide { target, reconfigure } => {
+                            got.push(Decision { target, reconfigure })
+                        }
+                        other => panic!("client {c}: reply {i}: {other:?}"),
+                    });
                 }
             }
             got
@@ -475,21 +493,39 @@ fn oversized_decide_batch_is_refused_before_processing_anything() {
     daemon.shutdown();
 }
 
-/// Interleaving a one-shot request with undrained pipelined decides
-/// would mis-pair replies; the client must refuse it, and draining
-/// restores the one-shot surface.
+/// The retired v2 ops — `REPORT` (0x02, a one-report `BATCH_REPORT`)
+/// and `STATS` (0x06, a subset of `STATS_V2`) — are unknown opcodes
+/// now: each well-formed frame an older client would send gets
+/// `R_ERR` and counts as a protocol error, nothing is ingested or
+/// decided, and the connection serves the `PING` written behind it.
 #[test]
-fn pipelined_client_guards_the_one_shot_surface() {
+fn retired_report_and_stats_ops_get_err_and_the_connection_survives() {
     let daemon = spawn(EngineConfig::default(), ServerConfig::default());
+    let mut s = dial(daemon.addr(), Transport::Tcp);
+    s.set_read_timeout(std::time::Duration::from_secs(10));
+    // The retired REPORT body: app, target byte, f64 ms, u32 load.
+    let mut report = vec![wire::op::REPORT];
+    report.extend_from_slice(&9u16.to_le_bytes());
+    report.extend_from_slice(b"Digit2000");
+    report.push(wire::target_to_byte(Target::Fpga));
+    report.extend_from_slice(&1e9f64.to_bits().to_le_bytes());
+    report.extend_from_slice(&2u32.to_le_bytes());
+    let mut out = wire::handshake(wire::VERSION).to_vec();
+    for (nonce, payload) in [report, vec![wire::op::STATS]].into_iter().enumerate() {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&payload);
+        wire::encode_request(&wire::Request::Ping(nonce as u64), &mut out);
+    }
+    s.write_all(&out).unwrap();
+    read_replies(&mut s, 4, |i, reply| match (i % 2, reply) {
+        (0, wire::Response::Err(msg)) => assert!(msg.contains("unknown opcode"), "{msg}"),
+        (1, wire::Response::Pong(nonce)) => assert_eq!(nonce, i as u64 / 2),
+        (_, other) => panic!("reply {i}: {other:?}"),
+    });
     let mut cl = V2Client::connect(daemon.addr()).unwrap();
-    cl.submit_decide("Digit2000", "k", 2, 0, true, true);
-    assert_eq!(cl.inflight(), 1);
-    let err = cl.ping(1).unwrap_err();
-    assert!(err.to_string().contains("in flight"), "{err}");
-    let mut out = Vec::new();
-    assert_eq!(cl.drain_decisions(&mut out).unwrap(), 1);
-    assert_eq!(cl.inflight(), 0);
-    assert_eq!(cl.ping(2).unwrap(), 2, "one-shot surface restored after the drain");
+    assert_eq!(stat(&mut cl, obs::tags::PROTOCOL_ERRORS), 2);
+    assert_eq!(stat(&mut cl, obs::tags::REPORTS), 0, "a retired REPORT was ingested");
+    assert_eq!(stat(&mut cl, obs::tags::DECIDES), 0);
     daemon.shutdown();
 }
 
@@ -622,8 +658,9 @@ fn write_stalled_half_closed_client_is_reaped() {
         s.shutdown(std::net::Shutdown::Write).unwrap();
         let mut watcher = V2Client::connect(daemon.addr()).unwrap();
         wait_until(&format!("{backend:?}: the stalled half-closed peer to be reaped"), || {
-            let stats = watcher.stats().unwrap();
-            stats.reaped_conns == 1 && stats.live_conns == 1
+            let stats = watcher.stats_v2().unwrap();
+            stats.get(obs::tags::REAPED_CONNS) == Some(1)
+                && stats.get(obs::tags::LIVE_CONNS) == Some(1)
         });
         drop(s);
         daemon.shutdown();
@@ -680,11 +717,12 @@ fn below_batch_report_is_applied_within_one_flush_interval() {
     }
 }
 
-/// The v2 `Stats` command round-trips on both backends and carries
-/// live telemetry: engine metric totals plus connection-lifecycle
+/// The daemon's statistics (`StatsV2`) round-trip on both backends and
+/// carry live telemetry: engine metric totals plus connection-lifecycle
 /// counters that track a peer's reap.
 #[test]
 fn stats_round_trips_on_both_backends() {
+    use obs::tags;
     for backend in [BackendKind::default(), BackendKind::Poll] {
         let daemon =
             spawn(EngineConfig::default(), ServerConfig { backend, ..ServerConfig::default() });
@@ -695,22 +733,24 @@ fn stats_round_trips_on_both_backends() {
         for _ in 0..2 {
             cl.report("Digit2000", Target::Fpga, 1e9, 2).unwrap();
         }
-        let s = cl.stats().unwrap();
-        assert_eq!(s.metrics.decides, 3, "{backend:?}");
-        assert_eq!(s.metrics.reports, 2, "{backend:?}");
-        assert_eq!(s.live_conns, 1, "{backend:?}");
-        assert_eq!(s.reaped_conns, 0, "{backend:?}");
-        assert_eq!(s.rejected_conns, 0, "{backend:?}");
-        assert!(s.metrics.p50_ns > 0, "{backend:?}: decide latency histogram empty");
+        assert_eq!(stat(&mut cl, tags::DECIDES), 3, "{backend:?}");
+        assert_eq!(stat(&mut cl, tags::REPORTS), 2, "{backend:?}");
+        assert_eq!(stat(&mut cl, tags::LIVE_CONNS), 1, "{backend:?}");
+        assert_eq!(stat(&mut cl, tags::REAPED_CONNS), 0, "{backend:?}");
+        assert_eq!(stat(&mut cl, tags::REJECTED_CONNS), 0, "{backend:?}");
+        assert!(
+            stat(&mut cl, tags::DECIDE_P50_NS) > 0,
+            "{backend:?}: decide latency histogram empty"
+        );
 
         // A dropped peer shows up as reaped; the counters are shared
         // across workers, so any connection observes it.
         let mut cl2 = V2Client::connect(daemon.addr()).unwrap();
         drop(cl);
         wait_until(&format!("{backend:?}: the reap to be counted"), || {
-            cl2.stats().unwrap().reaped_conns == 1
+            stat(&mut cl2, tags::REAPED_CONNS) == 1
         });
-        assert_eq!(cl2.stats().unwrap().live_conns, 1, "{backend:?}");
+        assert_eq!(stat(&mut cl2, tags::LIVE_CONNS), 1, "{backend:?}");
         daemon.shutdown();
     }
 }
@@ -1197,7 +1237,7 @@ impl RawV2 {
 
     fn report(&mut self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
         let report = wire::WireReport { app, target, func_ms, x86_load };
-        let range = self.roundtrip(&wire::Request::Report(report));
+        let range = self.roundtrip(&wire::Request::BatchReport(vec![report]));
         assert_eq!(wire::decode_response(&self.recv[range]).unwrap(), wire::Response::Ack(1));
     }
 }

@@ -7,10 +7,9 @@
 use proptest::prelude::*;
 use xar_trek::desim::{Decision, Target};
 use xar_trek::sched::wire::{
-    decode_request, decode_response, encode_request, encode_response, frame_in, DaemonStats,
-    Request, Response, StatsV2, WireEntry, WireQuery, WireReport, MAX_FRAME,
+    decode_request, decode_response, encode_request, encode_response, frame_in, Request, Response,
+    StatsV2, WireEntry, WireQuery, WireReport, MAX_FRAME,
 };
-use xar_trek::sched::MetricsSnapshot;
 
 fn target_from(i: u8) -> Target {
     match i % 3 {
@@ -90,7 +89,6 @@ proptest! {
     #[test]
     fn requests_roundtrip(
         q in query_spec(),
-        r in report_spec(),
         batch in proptest::collection::vec(report_spec(), 0..24),
         queries in proptest::collection::vec(query_spec(), 0..24),
         nonce in any::<u64>(),
@@ -104,11 +102,9 @@ proptest! {
             kernel_resident: wq.kernel_resident,
             device_ready: wq.device_ready,
         })?;
-        roundtrip_req(&Request::Report(report(&r)))?;
         roundtrip_req(&Request::BatchReport(batch.iter().map(report).collect()))?;
         roundtrip_req(&Request::Table)?;
         roundtrip_req(&Request::Ping(nonce))?;
-        roundtrip_req(&Request::Stats)?;
         roundtrip_req(&Request::DecideBatch(queries.iter().map(query).collect()))?;
         roundtrip_req(&Request::StatsV2)?;
     }
@@ -184,7 +180,6 @@ proptest! {
             ((name(), name()), (any::<u32>(), any::<u32>())), 0..16),
         nonce in any::<u64>(),
         decisions in proptest::collection::vec((any::<u8>(), any::<bool>()), 0..48),
-        counters in proptest::collection::vec(any::<u64>(), 13..14),
         msg in name(),
     ) {
         roundtrip_resp(&Response::Decide { target: target_from(target_b), reconfigure })?;
@@ -208,24 +203,6 @@ proptest! {
                 .map(|&(t, reconfigure)| Decision { target: target_from(t), reconfigure })
                 .collect(),
         ))?;
-        let c = &counters;
-        roundtrip_resp(&Response::Stats(DaemonStats {
-            metrics: MetricsSnapshot {
-                decides: c[0],
-                reports: c[1],
-                batches: c[2],
-                decide_batches: c[3],
-                to_arm: c[4],
-                to_fpga: c[5],
-                reconfigs: c[6],
-                lat_samples: c[7],
-                p50_ns: c[8],
-                p99_ns: c[9],
-            },
-            live_conns: c[10],
-            reaped_conns: c[11],
-            rejected_conns: c[12],
-        }))?;
         roundtrip_resp(&Response::Err(&msg))?;
     }
 
