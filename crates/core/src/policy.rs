@@ -9,7 +9,7 @@
 //!   refines the statically estimated thresholds from observed
 //!   execution times after every call.
 
-use crate::thresholds::{NameIndex, ScenarioTimes, ThresholdEntry, ThresholdTable};
+use crate::thresholds::{NameIndex, ScenarioTimes, ThresholdTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
@@ -144,10 +144,10 @@ impl XarTrekPolicy {
                 thr_step: self.thr_step,
             })
             .collect();
-        for (id, (key, e)) in self.table.rows().enumerate() {
-            let shard = &mut shards[xar_sched::shard_of(key, count)];
-            // The shard's row shares this table's allocation of the name.
-            shard.table.push(key.clone(), e.clone());
+        for (id, row) in self.table.rows().enumerate() {
+            let shard = &mut shards[xar_sched::shard_of(&row.app, count)];
+            // The shard's row shares this table's allocations of the names.
+            shard.table.push(row.clone());
             shard.times.push(self.times.get(id).copied().flatten());
         }
         shards
@@ -162,16 +162,16 @@ impl XarTrekPolicy {
         let Some(times) = self.times.get_mut(id).and_then(Option::as_mut) else {
             return;
         };
-        let entry = self.table.row_mut(id);
+        let (fpga_thr, arm_thr) = self.table.row_mut(id);
         let load = report.x86_load as u32;
         match report.target {
             Target::X86 => {
-                if report.func_ms > times.fpga_ms && load < entry.fpga_thr {
+                if report.func_ms > times.fpga_ms && load < *fpga_thr {
                     // Lines 4–5.
-                    entry.fpga_thr = load;
-                } else if report.func_ms > times.arm_ms && load < entry.arm_thr {
+                    *fpga_thr = load;
+                } else if report.func_ms > times.arm_ms && load < *arm_thr {
                     // Lines 7–8.
-                    entry.arm_thr = load;
+                    *arm_thr = load;
                 } else {
                     // Line 10: record the fresh x86 execution time.
                     times.x86_ms = report.func_ms;
@@ -180,13 +180,13 @@ impl XarTrekPolicy {
             Target::Arm => {
                 // Lines 14–17.
                 if report.func_ms > times.x86_ms {
-                    entry.arm_thr += self.thr_step;
+                    *arm_thr += self.thr_step;
                 }
             }
             Target::Fpga => {
                 // Lines 19–23.
                 if report.func_ms > times.x86_ms {
-                    entry.fpga_thr += self.thr_step;
+                    *fpga_thr += self.thr_step;
                 }
             }
         }
@@ -228,7 +228,7 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         // An `Arc` clone and one cell per row, no hashing. Runs at boot
         // and on state restore, never per report (Algorithm 1 moves
         // thresholds, not the key set).
-        let cells = self.table.rows().map(|(_, e)| ThrCell::new(e.fpga_thr, e.arm_thr)).collect();
+        let cells = self.table.rows().map(|r| ThrCell::new(r.fpga_thr, r.arm_thr)).collect();
         PolicySnapshot { index: self.table.index().clone(), cells, early_config: self.early_config }
     }
 
@@ -266,22 +266,17 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
     fn entries(&self) -> Vec<xar_sched::TableEntry> {
         self.table
             .iter()
-            .map(|e| xar_sched::TableEntry {
-                app: e.app.clone(),
-                kernel: e.kernel.clone(),
-                fpga_thr: e.fpga_thr,
-                arm_thr: e.arm_thr,
+            .map(|r| xar_sched::TableEntry {
+                app: r.app.to_string(),
+                kernel: r.kernel.to_string(),
+                fpga_thr: r.fpga_thr,
+                arm_thr: r.arm_thr,
             })
             .collect()
     }
 
     fn row(&self, app: &str) -> Option<xar_sched::RowRef<'_>> {
-        self.table.get(app).map(|e| xar_sched::RowRef {
-            app: &e.app,
-            kernel: &e.kernel,
-            fpga_thr: e.fpga_thr,
-            arm_thr: e.arm_thr,
-        })
+        self.table.get(app)
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
@@ -299,17 +294,17 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         out.extend_from_slice(&self.thr_step.to_le_bytes());
         out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
         for &id in &ids {
-            let e = self.table.row(id);
-            put_str(&e.app, &mut out);
-            put_str(&e.kernel, &mut out);
-            out.extend_from_slice(&e.fpga_thr.to_le_bytes());
-            out.extend_from_slice(&e.arm_thr.to_le_bytes());
+            let r = self.table.row(id);
+            put_str(r.app, &mut out);
+            put_str(r.kernel, &mut out);
+            out.extend_from_slice(&r.fpga_thr.to_le_bytes());
+            out.extend_from_slice(&r.arm_thr.to_le_bytes());
         }
         let times: Vec<(usize, &ScenarioTimes)> =
             ids.iter().filter_map(|&id| Some((id, self.times.get(id)?.as_ref()?))).collect();
         out.extend_from_slice(&(times.len() as u32).to_le_bytes());
         for (id, t) in times {
-            put_str(&self.table.row(id).app, &mut out);
+            put_str(self.table.row(id).app, &mut out);
             out.extend_from_slice(&t.x86_ms.to_bits().to_le_bytes());
             out.extend_from_slice(&t.fpga_ms.to_bits().to_le_bytes());
             out.extend_from_slice(&t.arm_ms.to_bits().to_le_bytes());
@@ -332,11 +327,12 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         }
         // One pre-sized rebuild straight from the borrowed blob, built
         // aside: a blob that fails to parse leaves the policy as it was.
+        // Each restored name is allocated once, as its `Arc<str>`.
         let mut table = ThresholdTable::with_capacity(n_rows);
         for _ in 0..n_rows {
-            let (app, kernel) = (c.str()?.to_string(), c.str()?.to_string());
+            let (app, kernel) = (c.str()?, c.str()?);
             let (fpga_thr, arm_thr) = (c.u32()?, c.u32()?);
-            table.insert(ThresholdEntry { app, kernel, fpga_thr, arm_thr });
+            table.insert_str(app, kernel, fpga_thr, arm_thr);
         }
         let n_times = c.u32()? as usize;
         if n_times > bytes.len() / 26 {
@@ -420,6 +416,7 @@ impl Policy for XarTrekPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thresholds::ThresholdEntry;
     use xar_desim::ClusterConfig;
     use xar_workloads::all_profiles;
 
@@ -548,9 +545,9 @@ mod tests {
         let total: usize = shards.iter().map(|s| s.table.len()).sum();
         assert_eq!(total, p.table.len(), "every row in exactly one shard");
         for (i, shard) in shards.iter().enumerate() {
-            for e in shard.table.iter() {
-                assert_eq!(xar_sched::shard_of(&e.app, 4), i, "{} routed to {i}", e.app);
-                assert!(times_of(shard, &e.app).is_some());
+            for r in shard.table.iter() {
+                assert_eq!(xar_sched::shard_of(r.app, 4), i, "{} routed to {i}", r.app);
+                assert!(times_of(shard, r.app).is_some());
             }
             assert_eq!(shard.early_config, p.early_config);
             assert_eq!(shard.thr_step, p.thr_step);
@@ -563,15 +560,18 @@ mod tests {
         let shared = |p: &XarTrekPolicy, holders: usize| {
             let snap = p.snapshot();
             assert!(Arc::ptr_eq(&snap.index, p.table.index()), "the snapshot copied the index");
-            for (id, (key, e)) in p.table.rows().enumerate() {
-                let index_key = p.table.key(&e.app).unwrap();
-                assert!(Arc::ptr_eq(key, index_key), "{}: index key is a copy", e.app);
+            for (id, row) in p.table.rows().enumerate() {
+                let (key, app) = (&row.app, &*row.app);
+                let index_key = p.table.key(app).unwrap();
+                assert!(Arc::ptr_eq(key, index_key), "{app}: index key is a copy");
+                // The borrowed view's name is the index key, not a copy.
+                assert_eq!(p.table.get(app).unwrap().app.as_ptr(), index_key.as_ptr(), "{app}");
                 // The times slot has no key of its own: it is the row's id.
-                assert_eq!(p.table.row_id(&e.app), Some(id));
-                assert!(p.times[id].is_some(), "{}: no times in its row's slot", e.app);
-                let interned = XarTrekPolicy::intern(&snap, &e.app).unwrap();
-                assert!(Arc::ptr_eq(key, &interned), "{}: interned name is a copy", e.app);
-                assert_eq!(Arc::strong_count(key), holders, "{}", e.app);
+                assert_eq!(p.table.row_id(app), Some(id));
+                assert!(p.times[id].is_some(), "{app}: no times in its row's slot");
+                let interned = XarTrekPolicy::intern(&snap, app).unwrap();
+                assert!(Arc::ptr_eq(key, &interned), "{app}: interned name is a copy");
+                assert_eq!(Arc::strong_count(key), holders, "{app}");
             }
         };
         // The row, the index — one map, which table and snapshot share,
@@ -582,6 +582,10 @@ mod tests {
             // A split shard borrows the source's names: the source's
             // row and index hold them too.
             shared(&shard, 5);
+            for row in shard.table.rows() {
+                let seed = p.table.rows().nth(p.table.row_id(&row.app).unwrap()).unwrap();
+                assert!(Arc::ptr_eq(&row.kernel, &seed.kernel), "{}: kernel is a copy", row.app);
+            }
             let mut restored = XarTrekPolicy::new(ThresholdTable::new(), HashMap::new());
             restored.load_state(&shard.save_state().unwrap()).unwrap();
             shared(&restored, 3);
@@ -660,7 +664,7 @@ mod tests {
             engine.ingest(report.app, report.target, report.func_ms, report.x86_load as u32);
         }
         let seq_rows: Vec<_> =
-            seq.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect();
+            seq.table.iter().map(|r| (r.app.to_string(), r.fpga_thr, r.arm_thr)).collect();
         let eng_rows: Vec<_> =
             engine.table().into_iter().map(|e| (e.app, e.fpga_thr, e.arm_thr)).collect();
         assert_eq!(seq_rows, eng_rows);
@@ -696,7 +700,7 @@ mod tests {
             let mut v: Vec<_> = x
                 .table
                 .iter()
-                .map(|e| (e.app.clone(), e.kernel.clone(), e.fpga_thr, e.arm_thr))
+                .map(|r| (r.app.to_string(), r.kernel.to_string(), r.fpga_thr, r.arm_thr))
                 .collect();
             v.sort();
             v
@@ -731,7 +735,14 @@ mod tests {
         for (app, target) in [("Digit2000", Target::Fpga), ("CG-A", Target::Arm)] {
             p.algorithm1(&CompletionReport { app, target, func_ms: 1e9, x86_load: 50 });
         }
-        p.table.get_mut("Digit500").unwrap().kernel = "KNL_RENAMED".into();
+        let r = p.table.get("Digit500").unwrap();
+        let renamed = ThresholdEntry {
+            app: r.app.into(),
+            kernel: "KNL_RENAMED".into(),
+            fpga_thr: r.fpga_thr,
+            arm_thr: r.arm_thr,
+        };
+        p.table.insert(renamed);
         let blob = p.save_state().unwrap();
 
         // The same rows, a row the blob does not hold, and a row only

@@ -15,9 +15,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use xar_desim::{ClusterConfig, JobSpec};
-use xar_sched::NameHashBuilder;
+use xar_sched::{NameHashBuilder, RowRef};
 
-/// One row of the threshold table (Table 2).
+/// One row of the threshold table (Table 2), as built by the estimator,
+/// a table file or a caller — what [`ThresholdTable::insert`] takes.
+/// The table hands rows back as borrowed [`RowRef`] views.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThresholdEntry {
     /// Application name.
@@ -34,11 +36,26 @@ pub struct ThresholdEntry {
 /// (behind an `Arc`) with every decision snapshot published from it.
 pub(crate) type NameIndex = HashMap<Arc<str>, u32, NameHashBuilder>;
 
-/// A slab slot: the row and the shared allocation of its name.
+/// A slab slot. `app` is the index key's allocation, so a row holds each
+/// name once, and cloning a row — how a shard split copies one — bumps
+/// two refcounts and allocates nothing.
 #[derive(Debug, Clone)]
-struct Row {
-    key: Arc<str>,
-    entry: ThresholdEntry,
+pub(crate) struct Row {
+    pub(crate) app: Arc<str>,
+    pub(crate) kernel: Arc<str>,
+    pub(crate) fpga_thr: u32,
+    pub(crate) arm_thr: u32,
+}
+
+impl Row {
+    fn view(&self) -> RowRef<'_> {
+        RowRef {
+            app: &self.app,
+            kernel: &self.kernel,
+            fpga_thr: self.fpga_thr,
+            arm_thr: self.arm_thr,
+        }
+    }
 }
 
 /// The threshold table shared by the scheduler server and clients: a
@@ -64,11 +81,12 @@ pub struct ThresholdTable {
     index: Arc<NameIndex>,
 }
 
-/// Equal tables hold equal rows; the order they were inserted in is not
-/// part of a table's value.
+/// Equal tables hold rows with equal contents; the order they were
+/// inserted in, and which allocations hold their names, are not part of
+/// a table's value.
 impl PartialEq for ThresholdTable {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.rows.iter().all(|r| other.get(&r.key) == Some(&r.entry))
+        self.len() == other.len() && self.rows.iter().all(|r| other.get(&r.app) == Some(r.view()))
     }
 }
 
@@ -91,28 +109,40 @@ impl ThresholdTable {
     /// Inserts or replaces an entry and hands back the row's shared
     /// name. Replacing keeps the row's id and its key allocation.
     pub fn insert(&mut self, e: ThresholdEntry) -> Arc<str> {
-        match self.row_id(&e.app) {
+        self.insert_str(&e.app, &e.kernel, e.fpga_thr, e.arm_thr)
+    }
+
+    /// [`ThresholdTable::insert`] from borrowed names: each name a row
+    /// takes is allocated once, straight into its `Arc<str>`.
+    pub(crate) fn insert_str(
+        &mut self,
+        app: &str,
+        kernel: &str,
+        fpga_thr: u32,
+        arm_thr: u32,
+    ) -> Arc<str> {
+        match self.row_id(app) {
             Some(id) => {
                 let row = &mut self.rows[id];
-                row.entry = e;
-                row.key.clone()
+                (row.kernel, row.fpga_thr, row.arm_thr) = (Arc::from(kernel), fpga_thr, arm_thr);
+                row.app.clone()
             }
             None => {
-                let key: Arc<str> = Arc::from(e.app.as_str());
-                self.push(key.clone(), e);
-                key
+                let app: Arc<str> = Arc::from(app);
+                self.push(Row { app: app.clone(), kernel: Arc::from(kernel), fpga_thr, arm_thr });
+                app
             }
         }
     }
 
-    /// Appends a row known to be new under an existing allocation of
-    /// its name — how [`crate::policy::XarTrekPolicy::split_shards`]
-    /// lets a shard share the source table's names.
-    pub(crate) fn push(&mut self, key: Arc<str>, e: ThresholdEntry) {
-        debug_assert!(*key == *e.app && !self.index.contains_key(&*key));
+    /// Appends a row known to be new, keeping its names' allocations —
+    /// how [`crate::policy::XarTrekPolicy::split_shards`] lets a shard
+    /// share the source table's names.
+    pub(crate) fn push(&mut self, row: Row) {
+        debug_assert!(!self.index.contains_key(&*row.app));
         let id = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
-        Arc::make_mut(&mut self.index).insert(key.clone(), id);
-        self.rows.push(Row { key, entry: e });
+        Arc::make_mut(&mut self.index).insert(row.app.clone(), id);
+        self.rows.push(row);
     }
 
     /// The name index, for a snapshot to share.
@@ -127,24 +157,20 @@ impl ThresholdTable {
 
     /// The row with id `id` (see [`ThresholdTable::row_id`]); panics if
     /// this table has no such row.
-    pub(crate) fn row(&self, id: usize) -> &ThresholdEntry {
-        &self.rows[id].entry
+    pub(crate) fn row(&self, id: usize) -> RowRef<'_> {
+        self.rows[id].view()
     }
 
-    /// Mutable [`ThresholdTable::row`] (Algorithm 1 updates thresholds
-    /// in place).
-    pub(crate) fn row_mut(&mut self, id: usize) -> &mut ThresholdEntry {
-        &mut self.rows[id].entry
+    /// Row `id`'s `(fpga_thr, arm_thr)`, in place (Algorithm 1 updates
+    /// thresholds, never names).
+    pub(crate) fn row_mut(&mut self, id: usize) -> (&mut u32, &mut u32) {
+        let row = &mut self.rows[id];
+        (&mut row.fpga_thr, &mut row.arm_thr)
     }
 
-    /// Looks up an application's entry.
-    pub fn get(&self, app: &str) -> Option<&ThresholdEntry> {
+    /// Looks up an application's row. Its `app` borrows the index key.
+    pub fn get(&self, app: &str) -> Option<RowRef<'_>> {
         self.row_id(app).map(|id| self.row(id))
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, app: &str) -> Option<&mut ThresholdEntry> {
-        self.row_id(app).map(|id| self.row_mut(id))
     }
 
     /// The shared allocation of a row's application name.
@@ -152,21 +178,21 @@ impl ThresholdTable {
         self.index.get_key_value(app).map(|(key, _)| key)
     }
 
-    /// Iterates `(shared name, entry)` in row-id (insertion) order.
-    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = (&Arc<str>, &ThresholdEntry)> {
-        self.rows.iter().map(|r| (&r.key, &r.entry))
+    /// The rows in row-id (insertion) order.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = &Row> {
+        self.rows.iter()
     }
 
     /// Row ids in application order: one sort per call (linear when the
     /// rows were inserted in order, as table files and estimators do).
     pub(crate) fn sorted_ids(&self) -> Vec<usize> {
         let mut ids: Vec<usize> = (0..self.rows.len()).collect();
-        ids.sort_unstable_by(|&a, &b| self.rows[a].key.cmp(&self.rows[b].key));
+        ids.sort_unstable_by(|&a, &b| self.rows[a].app.cmp(&self.rows[b].app));
         ids
     }
 
-    /// Iterates entries in application order.
-    pub fn iter(&self) -> impl Iterator<Item = &ThresholdEntry> {
+    /// Iterates rows in application order.
+    pub fn iter(&self) -> impl Iterator<Item = RowRef<'_>> {
         self.sorted_ids().into_iter().map(move |id| self.row(id))
     }
 
@@ -208,14 +234,14 @@ impl ThresholdTable {
             }
             let mut parts = line.split_whitespace();
             let bad = || ParseError { line: lineno + 1 };
-            let app = parts.next().ok_or_else(bad)?.to_string();
-            let kernel = parts.next().ok_or_else(bad)?.to_string();
+            let app = parts.next().ok_or_else(bad)?;
+            let kernel = parts.next().ok_or_else(bad)?;
             let fpga_thr = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
             let arm_thr = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
             if parts.next().is_some() {
                 return Err(bad());
             }
-            table.insert(ThresholdEntry { app, kernel, fpga_thr, arm_thr });
+            table.insert_str(app, kernel, fpga_thr, arm_thr);
         }
         Ok(table)
     }

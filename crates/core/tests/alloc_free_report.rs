@@ -1,7 +1,9 @@
 //! A steady-state report allocates nothing: interning against the
 //! published index, the queue/batch buffer swap, Algorithm 1 and the
 //! in-place threshold publish together perform zero heap allocations
-//! once the shard's buffers are warm (no flush sink registered).
+//! once the shard's buffers are warm (no flush sink registered). And
+//! splitting a policy into shards shares the table's names: its
+//! allocation count does not grow with the row count.
 //!
 //! Its own test binary because it installs a counting global
 //! allocator; the count is per thread, so the harness's other threads
@@ -52,16 +54,14 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-#[test]
-fn steady_state_reports_and_decides_allocate_nothing() {
-    const APPS: usize = 64;
-    let names: Vec<String> = (0..APPS).map(|i| format!("app-{i:03}")).collect();
+/// A policy over `apps` with reference times for every row.
+fn policy_of(apps: &[String]) -> XarTrekPolicy {
     let mut table = ThresholdTable::new();
     let mut ref_times = HashMap::new();
-    for (i, app) in names.iter().enumerate() {
+    for (i, app) in apps.iter().enumerate() {
         table.insert(ThresholdEntry {
             app: app.clone(),
-            kernel: format!("KNL_{i:03}"),
+            kernel: format!("KNL_{i:06}"),
             fpga_thr: 20 + i as u32,
             arm_thr: 30 + i as u32,
         });
@@ -70,7 +70,27 @@ fn steady_state_reports_and_decides_allocate_nothing() {
             ScenarioTimes { x86_ms: 100.0, fpga_ms: 20.0, arm_ms: 60.0 },
         );
     }
-    let policy = XarTrekPolicy::new(table, ref_times);
+    XarTrekPolicy::new(table, ref_times)
+}
+
+#[test]
+fn splitting_a_table_allocates_no_names() {
+    let split = |rows: usize| {
+        let policy = policy_of(&(0..rows).map(|i| format!("app-{i:06}")).collect::<Vec<_>>());
+        let before = allocs();
+        let _engine = sharded_engine(&policy, EngineConfig { shards: 8, batch: 1 });
+        allocs() - before
+    };
+    // Each shard's slabs, index and snapshot are sized up front: the
+    // count is per shard, never per row.
+    assert_eq!(split(1_000), split(4_000), "a shard split allocated per row");
+}
+
+#[test]
+fn steady_state_reports_and_decides_allocate_nothing() {
+    const APPS: usize = 64;
+    let names: Vec<String> = (0..APPS).map(|i| format!("app-{i:03}")).collect();
+    let policy = policy_of(&names);
     let engine = Arc::new(sharded_engine(&policy, EngineConfig { shards: 4, batch: 1 }));
     let mut handle = engine.handle();
     // Every Algorithm 1 branch: thresholds pulled down, pushed up, and

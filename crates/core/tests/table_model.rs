@@ -1,18 +1,32 @@
 //! The slab [`ThresholdTable`] against the table it replaced.
 //!
-//! `BTreeTable` below is the previous implementation, verbatim: one
-//! ordered map keyed by the app name's `Arc<str>`. Random runs of
-//! insert / replace / `get` / `get_mut` / `iter` / `len` / `==` /
-//! `clone` are applied to both; every observable must agree — the
-//! entries, the application order of `iter` and `to_text`, equality
+//! `BTreeTable` below is the slab's predecessor: one ordered map keyed
+//! by the app name's `Arc<str>`, holding owned entries. Random runs of
+//! insert / replace / thresholds-only replace / `get` / `iter` / `len`
+//! / `==` / `clone` are applied to both; every observable must agree —
+//! the rows, the application order of `iter` and `to_text`, equality
 //! between two tables (whatever order their rows arrived in), clones
 //! that go their own way, and that replacing a row keeps the `Arc<str>`
-//! allocation its name was first given.
+//! allocation its name was first given. Rows are compared as
+//! `(app, kernel, fpga_thr, arm_thr)` tuples: the slab hands out
+//! borrowed views, the model owned entries.
 
 use proptest::prelude::*;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use xar_core::thresholds::{ThresholdEntry, ThresholdTable};
+use xar_sched::RowRef;
+
+/// A row's observable contents.
+type View<'a> = (&'a str, &'a str, u32, u32);
+
+fn of_row(r: RowRef<'_>) -> View<'_> {
+    (r.app, r.kernel, r.fpga_thr, r.arm_thr)
+}
+
+fn of_entry(e: &ThresholdEntry) -> View<'_> {
+    (&e.app, &e.kernel, e.fpga_thr, e.arm_thr)
+}
 
 /// The parent commit's `ThresholdTable`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,8 +106,8 @@ impl Pair {
         prop_assert_eq!(self.slab.len(), self.model.len());
         prop_assert_eq!(self.slab.is_empty(), self.model.is_empty());
         let (got, want): (Vec<_>, Vec<_>) =
-            (self.slab.iter().collect(), self.model.iter().collect());
-        prop_assert_eq!(got, want, "iter: entries or application order");
+            (self.slab.iter().map(of_row).collect(), self.model.iter().map(of_entry).collect());
+        prop_assert_eq!(got, want, "iter: rows or application order");
         prop_assert_eq!(self.slab.to_text(), self.model.to_text());
         Ok(())
     }
@@ -119,14 +133,32 @@ impl Pair {
                     prop_assert!(Arc::ptr_eq(&want, &model_key));
                 }
             }
-            2 => prop_assert_eq!(self.slab.get(&app), self.model.get(&app)),
+            2 => {
+                prop_assert_eq!(self.slab.get(&app).map(of_row), self.model.get(&app).map(of_entry))
+            }
+            // Thresholds-only replace: the slab through `insert` (which
+            // keeps the row's id and names), the model in place.
             _ => {
-                let (got, want) = (self.slab.get_mut(&app), self.model.get_mut(&app));
+                let got = self.slab.get(&app).map(|r| (r.kernel.to_string(), r.arm_thr));
+                let want = self.model.get_mut(&app);
                 prop_assert_eq!(got.is_some(), want.is_some());
-                if let (Some(got), Some(want)) = (got, want) {
-                    prop_assert_eq!(&*got, &*want);
-                    (got.fpga_thr, want.fpga_thr) = (val, val);
-                    got.arm_thr += 1;
+                if let (Some((kernel, arm_thr)), Some(want)) = (got, want) {
+                    prop_assert_eq!(
+                        (kernel.as_str(), arm_thr),
+                        (want.kernel.as_str(), want.arm_thr)
+                    );
+                    let key = self.slab.key(&app).cloned().unwrap();
+                    let e = ThresholdEntry {
+                        app: app.clone(),
+                        kernel,
+                        fpga_thr: val,
+                        arm_thr: arm_thr + 1,
+                    };
+                    prop_assert!(
+                        Arc::ptr_eq(&self.slab.insert(e), &key),
+                        "replace reallocated {app}"
+                    );
+                    want.fpga_thr = val;
                     want.arm_thr += 1;
                 }
             }
@@ -166,7 +198,16 @@ proptest! {
         // Equality is about the rows, not the order they arrived in:
         // the same rows inserted back to front make an equal table.
         let mut reversed = ThresholdTable::new();
-        let rows: Vec<ThresholdEntry> = a.slab.iter().cloned().collect();
+        let rows: Vec<ThresholdEntry> = a
+            .slab
+            .iter()
+            .map(|r| ThresholdEntry {
+                app: r.app.to_string(),
+                kernel: r.kernel.to_string(),
+                fpga_thr: r.fpga_thr,
+                arm_thr: r.arm_thr,
+            })
+            .collect();
         for e in rows.into_iter().rev() {
             reversed.insert(e);
         }

@@ -76,8 +76,9 @@ pub struct TableEntry {
     pub arm_thr: u32,
 }
 
-/// A threshold row borrowed from the policy's table — what the flush
-/// sink sees, so journaling a delta clones no strings.
+/// A threshold row borrowed from the policy's table — the view
+/// `xar-core`'s `ThresholdTable` lookups hand out, and what the flush
+/// sink sees, so neither a lookup nor a journaled delta clones a string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowRef<'a> {
     /// Application name.

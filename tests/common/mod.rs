@@ -95,7 +95,7 @@ impl Reference {
     }
 
     pub fn rows(&self) -> Vec<Row> {
-        self.0.table.iter().map(|e| (e.app.clone(), e.fpga_thr, e.arm_thr)).collect()
+        self.0.table.iter().map(|r| (r.app.to_string(), r.fpga_thr, r.arm_thr)).collect()
     }
 
     /// Bit-identity: `table` (an engine's, or one fetched over the

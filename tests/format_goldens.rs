@@ -138,7 +138,7 @@ fn to_text_of_out_of_order_inserts_is_sorted_by_app() {
                 mid KNL_M 7 7\n\
                 zeta KNL_Z2 30 40\n";
     assert_eq!(table.to_text(), want);
-    let apps: Vec<&str> = table.iter().map(|e| e.app.as_str()).collect();
+    let apps: Vec<&str> = table.iter().map(|r| r.app).collect();
     assert_eq!(apps, ["Alpha", "alpha", "app-10", "app-9", "mid", "zeta"]);
 }
 
