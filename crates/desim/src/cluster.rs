@@ -19,9 +19,11 @@
 //!   arrival — no hashing, and no spec or name is cloned per arrival,
 //!   decision or call (a finished job's name is copied once, into its
 //!   [`JobRecord`]).
-//! * **Machine completions** ask the machine:
-//!   [`PsMachine::finished`] yields the done jobs out of the machine's
-//!   own runnable set. That set *is* the phase filter: a job is added to
+//! * **Machine completions** ask the machine, which keeps its runnable
+//!   set ordered by remaining work: [`PsMachine::finished`] copies the
+//!   done end of that set into the `done` scratch, sorted by id, and
+//!   [`PsMachine::next_completion`] reads the same end, so neither scans
+//!   the machine's load. That set *is* the phase filter: a job is added to
 //!   a machine right after its phase is set to one that runs there
 //!   (`PreX86`/`PerCallPre`/`FuncX86`/`PostX86` on x86, `ArmRun` on ARM)
 //!   and removed before the phase changes, so membership ⇔ phase, and
@@ -479,8 +481,7 @@ impl<P: Policy> ClusterSim<P> {
         mach.advance(now);
         // The set is fixed before any of it is processed: a job that
         // re-enters the machine with no work left is a new event.
-        done.clear();
-        done.extend(mach.finished());
+        mach.finished(&mut done);
         if done.is_empty() {
             // Numerical slack: the event is scheduled again below —
             // unless its time cannot be waited for (the slack guard,

@@ -9,19 +9,35 @@
 //!
 //! # Representation and cost
 //!
-//! The runnable set is two parallel vectors sorted by [`JobId`]: `ids`
-//! and the remaining `work` of each. [`PsMachine::advance`] — run on
-//! every event that touches the machine — is one straight pass of
-//! `w = (w - p).max(0.0)` over `work`; `add`, `remove` and `remaining`
-//! are a binary search (plus a shift of the tail on a membership
-//! change); [`PsMachine::next_completion`] and [`PsMachine::finished`]
-//! are one pass each. Nothing allocates once the vectors have grown to
-//! the machine's peak load.
+//! The runnable set is two parallel vectors ordered by remaining work,
+//! largest first: `ids` and the `work` of each. The next job to finish
+//! and the finished ones therefore sit at the tail.
 //!
-//! The machine, not its caller, says which jobs are done:
-//! [`PsMachine::finished`] yields the jobs within [`DONE_EPS_MS`] of
-//! zero in ascending id order, so a completion event costs the
-//! machine's own load, however many jobs the simulation holds elsewhere.
+//! * [`PsMachine::advance`] — run on every event that touches the
+//!   machine — is one straight pass of `w = (w - p).max(0.0)` over
+//!   `work`. That map is monotone (IEEE subtraction rounds
+//!   monotonically, and so does `max`), so it never reorders the set; it
+//!   can only make neighbours equal.
+//! * [`PsMachine::next_completion`] reads the tail and scans only the
+//!   run of equal work there, for its lowest id. The run is one job wide
+//!   unless jobs tie exactly (a bed of identical background jobs does).
+//! * [`PsMachine::finished`] copies the tail run within [`DONE_EPS_MS`]
+//!   of zero into the caller's buffer and sorts it by id.
+//! * `add` is a binary search on work. Its duplicate-id check reads a
+//!   bitset of the ids present, one bit per id up to the largest added
+//!   (the simulator hands ids out 0, 1, 2, …), rather than a pass over
+//!   `ids`, which at a hundred-odd runnable jobs cost a tenth of a
+//!   simulation's host time.
+//! * `remove` and `remaining` search `ids` from the tail, where finished
+//!   jobs are, so removing one moves nothing; an absent id is answered
+//!   by the bitset.
+//!
+//! Nothing allocates once the vectors (and the caller's buffer) have
+//! grown to the machine's peak load and the bitset to the largest id.
+//!
+//! The machine, not its caller, says which jobs are done, so a
+//! completion event costs the machine's own load, however many jobs the
+//! simulation holds elsewhere.
 //!
 //! # The arithmetic is pinned
 //!
@@ -30,12 +46,15 @@
 //! `last + w / rate * 1e6`) is what the simulated results are made of:
 //! `tests/sim_golden.rs` pins digests of whole simulations, and
 //! `tests/ps_machine_model.rs` checks this type bit for bit against the
-//! `BTreeMap` implementation it replaced. `next_completion` divides once,
-//! on the smallest remaining work, rather than once per job: `w / rate *
-//! 1e6` then `last + _` are monotone in `w`, so the smallest work gives
-//! the smallest time and the same bits.
+//! `BTreeMap` implementation and the id-ordered vectors it replaced,
+//! including the id `next_completion` names (the lowest among the
+//! smallest work). `next_completion` divides once, on the smallest
+//! remaining work, rather than once per job: `w / rate * 1e6` then
+//! `last + _` are monotone in `w`, so the smallest work gives the
+//! smallest time and the same bits.
 
-/// Identifies a job in the simulation.
+/// Identifies a job in the simulation. A machine keeps one bit per id
+/// up to the largest it has held, so ids are small integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
@@ -53,10 +72,12 @@ pub struct PsMachine {
     /// Human-readable name ("x86", "arm").
     pub name: &'static str,
     cores: f64,
-    /// Runnable jobs, ascending.
+    /// Runnable jobs, in `work` order; ties in no particular order.
     ids: Vec<JobId>,
-    /// `work[i]` is the remaining work of `ids[i]`.
+    /// `work[i]` is the remaining work of `ids[i]`; non-increasing.
     work: Vec<f64>,
+    /// Bit `id % 64` of word `id / 64` is set while `id` is in `ids`.
+    present: Vec<u64>,
     last_ns: f64,
     generation: u64,
 }
@@ -74,6 +95,7 @@ impl PsMachine {
             cores: cores as f64,
             ids: Vec::new(),
             work: Vec::new(),
+            present: Vec::new(),
             last_ns: 0.0,
             generation: 0,
         }
@@ -125,21 +147,37 @@ impl PsMachine {
     /// Panics if the job is already present.
     pub fn add(&mut self, id: JobId, work_ms: f64, now_ns: f64) {
         self.advance(now_ns);
-        match self.ids.binary_search(&id) {
-            Ok(_) => panic!("job {id:?} already on {}", self.name),
-            Err(at) => {
-                self.ids.insert(at, id);
-                self.work.insert(at, work_ms.max(0.0));
-            }
+        let (word, bit) = bit_of(id);
+        if word >= self.present.len() {
+            self.present.resize(word + 1, 0);
         }
+        assert!(self.present[word] & bit == 0, "job {id:?} already on {}", self.name);
+        self.present[word] |= bit;
+        let work = work_ms.max(0.0);
+        // After any equal work: a bed of ties is appended to, not shifted.
+        let at = self.work.partition_point(|&w| w >= work);
+        self.ids.insert(at, id);
+        self.work.insert(at, work);
         self.generation += 1;
+    }
+
+    /// Position of `id`, searched from the tail, where the jobs about to
+    /// be removed are.
+    fn position(&self, id: JobId) -> Option<usize> {
+        let (word, bit) = bit_of(id);
+        if self.present.get(word).is_none_or(|w| w & bit == 0) {
+            return None;
+        }
+        self.ids.iter().rposition(|&j| j == id)
     }
 
     /// Removes `id` (e.g. on completion or blocking), returning its
     /// remaining work.
     pub fn remove(&mut self, id: JobId, now_ns: f64) -> Option<f64> {
         self.advance(now_ns);
-        let at = self.ids.binary_search(&id).ok()?;
+        let at = self.position(id)?;
+        let (word, bit) = bit_of(id);
+        self.present[word] &= !bit;
         self.ids.remove(at);
         self.generation += 1;
         Some(self.work.remove(at))
@@ -147,13 +185,21 @@ impl PsMachine {
 
     /// Remaining dedicated-core work of `id`, if present.
     pub fn remaining(&self, id: JobId) -> Option<f64> {
-        self.ids.binary_search(&id).ok().map(|at| self.work[at])
+        self.position(id).map(|at| self.work[at])
     }
 
-    /// The jobs with at most [`DONE_EPS_MS`] of work left, in ascending
-    /// id order.
-    pub fn finished(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.ids.iter().zip(&self.work).filter(|(_, w)| **w <= DONE_EPS_MS).map(|(id, _)| *id)
+    /// Where the tail run of work satisfying `pred` starts (a suffix, as
+    /// `work` is non-increasing and `pred` holds at and below some bound).
+    fn tail_start(&self, pred: impl Fn(f64) -> bool) -> usize {
+        self.work.len() - self.work.iter().rev().take_while(|&&w| pred(w)).count()
+    }
+
+    /// Replaces the contents of `done` with the jobs with at most
+    /// [`DONE_EPS_MS`] of work left, in ascending id order.
+    pub fn finished(&self, done: &mut Vec<JobId>) {
+        done.clear();
+        done.extend_from_slice(&self.ids[self.tail_start(|w| w <= DONE_EPS_MS)..]);
+        done.sort_unstable();
     }
 
     /// The next job to finish and its absolute completion time, given
@@ -161,17 +207,16 @@ impl PsMachine {
     /// remaining work the lowest id is named.
     pub fn next_completion(&self) -> Option<(JobId, f64)> {
         let rate = self.rate();
-        if rate == 0.0 {
-            return None;
-        }
-        let mut first = 0;
-        for (i, w) in self.work.iter().enumerate() {
-            if *w < self.work[first] {
-                first = i;
-            }
-        }
-        Some((self.ids[first], self.last_ns + self.work[first] / rate * 1e6))
+        let &least = self.work.last()?;
+        let id = self.ids[self.tail_start(|w| w == least)..].iter().min()?;
+        Some((*id, self.last_ns + least / rate * 1e6))
     }
+}
+
+/// The word of `PsMachine::present` holding `id`'s bit, and the bit.
+fn bit_of(id: JobId) -> (usize, u64) {
+    let word = usize::try_from(id.0 / 64).expect("job ids are small integers");
+    (word, 1 << (id.0 % 64))
 }
 
 #[cfg(test)]
@@ -243,10 +288,43 @@ mod tests {
         m.add(JobId(3), 10.0, 0.0);
         m.add(JobId(5), 20.0, 0.0);
         m.add(JobId(1), 10.0 + 0.5e-9, 0.0);
-        assert_eq!(m.finished().count(), 0);
+        let mut done = Vec::new();
+        m.finished(&mut done);
+        assert!(done.is_empty());
         m.advance(10e6);
-        assert_eq!(m.finished().collect::<Vec<_>>(), [JobId(1), JobId(3), JobId(9)]);
+        m.finished(&mut done);
+        assert_eq!(done, [JobId(1), JobId(3), JobId(9)]);
         assert_eq!(m.next_completion().unwrap().0, JobId(3), "lowest id among equal work");
+    }
+
+    /// `advance` keeps the work order but can tie jobs it held apart;
+    /// the tail is then not the lowest id, and the lowest id is named.
+    #[test]
+    fn ties_made_by_advance_still_name_the_lowest_id() {
+        let mut m = PsMachine::new("x86", 1);
+        m.add(JobId(2), 2.0, 0.0);
+        m.add(JobId(8), 1.0, 0.0);
+        m.add(JobId(5), 9.0, 0.0);
+        assert_eq!(m.next_completion().unwrap().0, JobId(8));
+        // Rate 1/3: 9 ms of wall time is 3 ms of work, past both.
+        m.advance(9e6);
+        assert_eq!(m.remaining(JobId(2)), Some(0.0));
+        assert_eq!(m.remaining(JobId(8)), Some(0.0));
+        assert_eq!(m.next_completion().unwrap().0, JobId(2));
+        let mut done = Vec::new();
+        m.finished(&mut done);
+        assert_eq!(done, [JobId(2), JobId(8)]);
+        assert_eq!(m.remove(JobId(8), 9e6), Some(0.0));
+        assert_eq!(m.next_completion().unwrap().0, JobId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "already on x86")]
+    fn adding_a_present_job_panics() {
+        let mut m = PsMachine::new("x86", 1);
+        m.add(JobId(1), 5.0, 0.0);
+        m.add(JobId(2), 1.0, 0.0);
+        m.add(JobId(1), 3.0, 0.0);
     }
 
     /// What `cluster`'s slack guard exists for: late enough, a residue
@@ -260,7 +338,9 @@ mod tests {
         assert_eq!(t, 2e13);
         m.advance(t);
         assert_eq!(m.remaining(JobId(0)), Some(1.5e-9));
-        assert_eq!(m.finished().count(), 0);
+        let mut done = vec![JobId(7)];
+        m.finished(&mut done);
+        assert!(done.is_empty(), "the buffer is replaced, not appended to");
         // Early in the run the same residue is a representable wait.
         let mut early = PsMachine::new("x86", 1);
         early.add(JobId(0), 1.5e-9, 1e9);

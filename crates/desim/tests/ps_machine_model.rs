@@ -1,12 +1,18 @@
-//! `PsMachine` against the implementation it replaced: the `BTreeMap`
-//! machine below is the previous `machine.rs`, method bodies verbatim
-//! (renamed, doc comments and the `cores` getter dropped), and under any
-//! interleaving of `add` / `remove` / `advance` the dense one must agree
-//! with it **bit for bit** — the simulated results are made of these
-//! numbers. `next_completion`'s job id is deliberately not
-//! compared: the dense machine picks the lowest id among the *smallest
-//! work*, the reference among the *earliest time*, and two different
-//! works can round to one time; nothing in the simulator reads the id.
+//! `PsMachine` against the implementations it replaced, under any
+//! interleaving of `add` / `remove` / `advance`, **bit for bit** — the
+//! simulated results are made of these numbers:
+//!
+//! * the `BTreeMap` machine (`RefMachine`), method bodies verbatim from
+//!   the first `machine.rs` (renamed, doc comments and the `cores` getter
+//!   dropped): every remaining work, rate, generation and completion
+//!   time. Its `next_completion` names the lowest id among the *earliest
+//!   time*, and two different works can round to one time, so its id is
+//!   not compared;
+//! * the id-ordered dense machine (`IdOrderedMachine`), method bodies
+//!   verbatim from the second `machine.rs` (renamed, doc comments and
+//!   the getters not compared dropped): the id `next_completion` names,
+//!   which `cluster`'s slack guard completes — the lowest id among the
+//!   *smallest work* — and `finished` in ascending id order.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -89,6 +95,89 @@ impl RefMachine {
 }
 
 #[derive(Debug, Clone)]
+struct IdOrderedMachine {
+    name: &'static str,
+    cores: f64,
+    ids: Vec<JobId>,
+    work: Vec<f64>,
+    last_ns: f64,
+    generation: u64,
+}
+
+impl IdOrderedMachine {
+    fn new(name: &'static str, cores: u32) -> IdOrderedMachine {
+        assert!(cores > 0);
+        IdOrderedMachine {
+            name,
+            cores: cores as f64,
+            ids: Vec::new(),
+            work: Vec::new(),
+            last_ns: 0.0,
+            generation: 0,
+        }
+    }
+
+    fn rate(&self) -> f64 {
+        if self.ids.is_empty() {
+            0.0
+        } else {
+            (self.cores / self.ids.len() as f64).min(1.0)
+        }
+    }
+
+    fn advance(&mut self, now_ns: f64) {
+        if now_ns <= self.last_ns {
+            return;
+        }
+        let progressed_ms = (now_ns - self.last_ns) / 1e6 * self.rate();
+        if progressed_ms > 0.0 {
+            for w in &mut self.work {
+                *w = (*w - progressed_ms).max(0.0);
+            }
+        }
+        self.last_ns = now_ns;
+    }
+
+    fn add(&mut self, id: JobId, work_ms: f64, now_ns: f64) {
+        self.advance(now_ns);
+        match self.ids.binary_search(&id) {
+            Ok(_) => panic!("job {id:?} already on {}", self.name),
+            Err(at) => {
+                self.ids.insert(at, id);
+                self.work.insert(at, work_ms.max(0.0));
+            }
+        }
+        self.generation += 1;
+    }
+
+    fn remove(&mut self, id: JobId, now_ns: f64) -> Option<f64> {
+        self.advance(now_ns);
+        let at = self.ids.binary_search(&id).ok()?;
+        self.ids.remove(at);
+        self.generation += 1;
+        Some(self.work.remove(at))
+    }
+
+    fn finished(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.ids.iter().zip(&self.work).filter(|(_, w)| **w <= DONE_EPS_MS).map(|(id, _)| *id)
+    }
+
+    fn next_completion(&self) -> Option<(JobId, f64)> {
+        let rate = self.rate();
+        if rate == 0.0 {
+            return None;
+        }
+        let mut first = 0;
+        for (i, w) in self.work.iter().enumerate() {
+            if *w < self.work[first] {
+                first = i;
+            }
+        }
+        Some((self.ids[first], self.last_ns + self.work[first] / rate * 1e6))
+    }
+}
+
+#[derive(Debug, Clone)]
 enum Op {
     /// Add `id` unless it is present (a second add panics in both).
     Add {
@@ -134,26 +223,89 @@ fn arb_op(ids: u64) -> impl Strategy<Value = (Op, f64)> {
     (op, arb_dt())
 }
 
-fn check_same(dense: &PsMachine, reference: &RefMachine, ids: u64) -> Result<(), TestCaseError> {
-    prop_assert_eq!(dense.load(), reference.load());
-    prop_assert_eq!(dense.rate().to_bits(), reference.rate().to_bits());
-    prop_assert_eq!(dense.generation(), reference.generation());
-    for id in (0..ids).map(JobId) {
-        prop_assert_eq!(
-            dense.remaining(id).map(f64::to_bits),
-            reference.remaining(id).map(f64::to_bits),
-            "remaining({id:?})"
-        );
+/// The machine under test and both references, driven in lockstep.
+struct Machines {
+    dense: PsMachine,
+    reference: RefMachine,
+    id_ordered: IdOrderedMachine,
+    /// `dense.finished`'s buffer, reused like the simulator's.
+    done: Vec<JobId>,
+}
+
+impl Machines {
+    fn new(cores: u32) -> Machines {
+        Machines {
+            dense: PsMachine::new("dense", cores),
+            reference: RefMachine::new("reference", cores),
+            id_ordered: IdOrderedMachine::new("id-ordered", cores),
+            done: Vec::new(),
+        }
     }
-    prop_assert_eq!(
-        dense.next_completion().map(|c| c.1.to_bits()),
-        reference.next_completion().map(|c| c.1.to_bits())
-    );
-    let done: Vec<JobId> = dense.finished().collect();
-    let want: Vec<JobId> =
-        reference.jobs.iter().filter(|(_, w)| **w <= DONE_EPS_MS).map(|(id, _)| *id).collect();
-    prop_assert_eq!(done, want);
-    Ok(())
+
+    fn add(&mut self, id: JobId, work: f64, now: f64) {
+        self.dense.add(id, work, now);
+        self.reference.add(id, work, now);
+        self.id_ordered.add(id, work, now);
+    }
+
+    fn remove(&mut self, id: JobId, now: f64) -> Result<(), TestCaseError> {
+        let got = self.dense.remove(id, now).map(f64::to_bits);
+        prop_assert_eq!(got, self.reference.remove(id, now).map(f64::to_bits));
+        prop_assert_eq!(got, self.id_ordered.remove(id, now).map(f64::to_bits));
+        Ok(())
+    }
+
+    fn advance(&mut self, now: f64) {
+        self.dense.advance(now);
+        self.reference.advance(now);
+        self.id_ordered.advance(now);
+    }
+
+    fn check_same(&mut self, ids: u64) -> Result<(), TestCaseError> {
+        let (dense, reference) = (&self.dense, &self.reference);
+        prop_assert_eq!(dense.load(), reference.load());
+        prop_assert_eq!(dense.rate().to_bits(), reference.rate().to_bits());
+        prop_assert_eq!(dense.generation(), reference.generation());
+        prop_assert_eq!(dense.generation(), self.id_ordered.generation);
+        for id in (0..ids).map(JobId) {
+            prop_assert_eq!(
+                dense.remaining(id).map(f64::to_bits),
+                reference.remaining(id).map(f64::to_bits),
+                "remaining({:?})",
+                id
+            );
+        }
+        let next = dense.next_completion().map(|(id, t)| (id, t.to_bits()));
+        prop_assert_eq!(next.map(|c| c.1), reference.next_completion().map(|c| c.1.to_bits()));
+        prop_assert_eq!(
+            next,
+            self.id_ordered.next_completion().map(|(id, t)| (id, t.to_bits())),
+            "the lowest id among the smallest work"
+        );
+        dense.finished(&mut self.done);
+        let want: Vec<JobId> = self.id_ordered.finished().collect();
+        prop_assert_eq!(&self.done, &want, "finished, in ascending id order");
+        let by_map: Vec<JobId> =
+            reference.jobs.iter().filter(|(_, w)| **w <= DONE_EPS_MS).map(|(id, _)| *id).collect();
+        prop_assert_eq!(&self.done, &by_map);
+        Ok(())
+    }
+}
+
+/// Initial works: independent draws, or a bed of one work (like a
+/// simulation's identical background jobs) scattered among them, so
+/// exact ties are wide and their ids interleave with other jobs'
+/// (`None` is a bed job, two draws in three).
+fn arb_initial() -> impl Strategy<Value = Vec<f64>> {
+    let bed_or_own = prop_oneof![Just(None), Just(None), arb_work().prop_map(Some)];
+    prop_oneof![
+        proptest::collection::vec(arb_work(), 1..201),
+        (
+            prop_oneof![Just(10.0), Just(2e5), arb_work()],
+            proptest::collection::vec(bed_or_own, 1..201)
+        )
+            .prop_map(|(bed, works)| works.into_iter().map(|w| w.unwrap_or(bed)).collect()),
+    ]
 }
 
 proptest! {
@@ -166,44 +318,34 @@ proptest! {
         // 2^44 ns, where a residue's completion time rounds to the
         // current one.
         start in prop_oneof![Just(0.0), Just(2e13)],
-        initial in proptest::collection::vec(arb_work(), 1..201),
+        initial in arb_initial(),
         ops in proptest::collection::vec(arb_op(220), 1..80),
     ) {
         let ids = 220;
-        let mut dense = PsMachine::new("dense", cores);
-        let mut reference = RefMachine::new("reference", cores);
+        let mut m = Machines::new(cores);
         for (i, w) in initial.iter().enumerate() {
-            dense.add(JobId(i as u64), *w, start);
-            reference.add(JobId(i as u64), *w, start);
+            m.add(JobId(i as u64), *w, start);
         }
-        check_same(&dense, &reference, ids)?;
+        m.check_same(ids)?;
         let mut now: f64 = start;
         for (op, dt) in ops {
             now += dt;
             match op {
                 Op::Add { id, work } => {
-                    if reference.remaining(JobId(id)).is_none() {
-                        dense.add(JobId(id), work, now);
-                        reference.add(JobId(id), work, now);
+                    if m.reference.remaining(JobId(id)).is_none() {
+                        m.add(JobId(id), work, now);
                     }
                 }
-                Op::Remove { id } => {
-                    let got = dense.remove(JobId(id), now).map(f64::to_bits);
-                    prop_assert_eq!(got, reference.remove(JobId(id), now).map(f64::to_bits));
-                }
-                Op::Advance => {
-                    dense.advance(now);
-                    reference.advance(now);
-                }
+                Op::Remove { id } => m.remove(JobId(id), now)?,
+                Op::Advance => m.advance(now),
                 Op::AdvanceToNext => {
-                    if let Some((_, t)) = reference.next_completion() {
+                    if let Some((_, t)) = m.reference.next_completion() {
                         now = now.max(t);
                     }
-                    dense.advance(now);
-                    reference.advance(now);
+                    m.advance(now);
                 }
             }
-            check_same(&dense, &reference, ids)?;
+            m.check_same(ids)?;
         }
     }
 }

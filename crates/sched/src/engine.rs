@@ -462,11 +462,14 @@ impl<P: PolicyCore> ShardedEngine<P> {
         if batch.is_empty() {
             return;
         }
-        // Flushes run at batch cadence (rare next to decides), so the
-        // apply loop and the publication are each timed unconditionally
-        // — these are the report_batch / flush_publish op-class
-        // distributions.
-        let apply_start = Instant::now();
+        // The counts are exact, and bumped before the apply because the
+        // bump elects; the timing is sampled like decides' (at batch = 1
+        // every report is a flush). An elected flush times the
+        // apply loop and the publication — the report_batch /
+        // flush_publish op-class distributions — an unelected one reads
+        // no clock.
+        let applied = batch.len();
+        let apply_start = shard.metrics.record_batch(applied).then(Instant::now);
         for r in batch.iter() {
             policy.apply(&CompletionReport {
                 app: &r.app,
@@ -476,7 +479,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
             });
         }
         // One clock read ends the apply phase and starts the publish.
-        let publish_start = Instant::now();
+        let phases = apply_start.map(|apply_start| (apply_start, Instant::now()));
         // Rebuilds run under the state lock too, so this is the live
         // snapshot for as long as we hold it. A row touched twice is
         // republished twice — the same value, cheaper than deduping.
@@ -484,11 +487,11 @@ impl<P: PolicyCore> ShardedEngine<P> {
         if !batch.iter().all(|r| policy.republish(&snap, &r.app)) {
             shard.snap.store(policy.snapshot());
         }
-        let apply_ns = (publish_start - apply_start).as_nanos() as u64;
-        let publish_ns = publish_start.elapsed().as_nanos() as u64;
-        let applied = batch.len();
-        shard.metrics.record_batch(applied);
-        shard.metrics.record_flush_ns(apply_ns, publish_ns);
+        if let Some((apply_start, publish_start)) = phases {
+            let apply_ns = (publish_start - apply_start).as_nanos() as u64;
+            let publish_ns = publish_start.elapsed().as_nanos() as u64;
+            shard.metrics.record_flush_ns(apply_ns, publish_ns);
+        }
         // Emit post-apply row deltas for the apps this batch touched,
         // still under the state lock so one shard's deltas reach the
         // sink in apply order. The batch is applied, so its order no
@@ -1220,7 +1223,8 @@ mod tests {
         assert_eq!(h.decide(&ctx("app")).target, Target::Fpga, "handle missed the update");
         assert_eq!(e.handle().decide(&ctx("app")).target, Target::Fpga, "a fresh handle agrees");
         assert_eq!(h.decide(&ctx("other")).target, Target::X86, "untouched row moved");
-        assert_eq!(e.obs_total().flush_publish.count(), 3, "in-place publishes are still timed");
+        // Three flushes, of which the shard's first is timed.
+        assert_eq!(e.obs_total().flush_publish.count(), 1, "in-place publishes are still timed");
     }
 
     #[test]
@@ -1330,13 +1334,37 @@ mod tests {
         assert!((1..=4).contains(&publishes), "one publish per dirty shard: {publishes}");
         assert_eq!(publishes, shards_seen.len() as u64, "one publish event per shard");
         assert_eq!(counters.flush_rows.load(Ordering::Relaxed), 6);
-        // Each flush timed both phases into the op-class histograms.
+        // Each shard flushed once, and a shard's first flush is always
+        // elected: both phases are in the op-class histograms.
         let o = e.obs_total();
         assert_eq!(o.report_batch.count(), publishes);
         assert_eq!(o.flush_publish.count(), publishes);
         // An untraced engine counts histograms but emits no events.
         e.flush_dirty(Some(&mut tr));
         assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), publishes, "clean: no-op");
+    }
+
+    #[test]
+    fn flush_timing_is_sampled_and_counts_stay_exact() {
+        use crate::metrics::LATENCY_SAMPLE;
+        let e = engine(1, 1);
+        let (mut tr, mut reader, counters) = tracer(u64::MAX);
+        let n = 2 * LATENCY_SAMPLE + 2;
+        for _ in 0..n {
+            e.ingest_obs(&report("app"), Some(&mut tr));
+        }
+        let m = e.metrics_total();
+        assert_eq!((m.reports, m.batches), (n, n), "batch = 1: one exact batch per report");
+        let mut events = 0;
+        while let Some(ev) = reader.pop() {
+            events += u64::from(matches!(ev.event, Event::FlushPublish { rows: 1, .. }));
+        }
+        assert_eq!(events, n, "every flush emits its publish event");
+        assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), n);
+        assert_eq!(counters.flush_rows.load(Ordering::Relaxed), n);
+        let o = e.obs_total();
+        assert_eq!(o.report_batch.count(), 3, "flushes 0, 64 and 128 were timed");
+        assert_eq!(o.flush_publish.count(), 3, "flushes 0, 64 and 128 were timed");
     }
 
     #[test]

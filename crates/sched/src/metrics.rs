@@ -16,7 +16,11 @@
 //! real tax on the path the histogram is supposed to observe.
 //! [`ShardMetrics::note_decide`] elects 1 in [`LATENCY_SAMPLE`]
 //! decides (always including a shard's first) for timing;
-//! decide/migration/reconfig counters stay exact.
+//! decide/migration/reconfig counters stay exact. Flushes are sampled
+//! the same way: at the default `batch = 1` every report is a flush, so
+//! [`ShardMetrics::record_batch`] elects 1 in [`LATENCY_SAMPLE`] flushes
+//! (always a shard's first) for the report-batch and flush-publish
+//! histograms, and the report and batch counters stay exact.
 
 use xar_desim::Target;
 use xar_obs::sync_abstraction::{AtomicU64, Ordering};
@@ -58,10 +62,10 @@ pub struct ShardMetrics {
     /// Whole-frame `DecideBatch` latency, recorded when a frame's
     /// election count is nonzero (same sampling economy as decides).
     decide_batch_hist: Histogram,
-    /// Report-batch apply-loop latency (every flush — flushes are rare
-    /// enough to time unconditionally).
+    /// Report-batch apply-loop latency (sampled flushes, 1 in
+    /// [`LATENCY_SAMPLE`]).
     report_batch_hist: Histogram,
-    /// Snapshot publication latency (every flush).
+    /// Snapshot publication latency (the same sampled flushes).
     flush_publish_hist: Histogram,
 }
 
@@ -131,10 +135,13 @@ impl ShardMetrics {
         self.note_outcome(0, target, reconfigure, Some(nanos));
     }
 
-    /// Records `n` ingested completion reports forming one batch.
-    pub fn record_batch(&self, n: usize) {
+    /// Records `n` ingested completion reports forming one batch;
+    /// returns whether this flush was elected for timing (1 in
+    /// [`LATENCY_SAMPLE`], always including a shard's first). Callers
+    /// read no clock for an unelected flush.
+    pub fn record_batch(&self, n: usize) -> bool {
         self.reports.fetch_add(n as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batches.fetch_add(1, Ordering::Relaxed).is_multiple_of(LATENCY_SAMPLE)
     }
 
     /// Counts one `DecideBatch` frame. Frame-level (the batched
@@ -200,10 +207,11 @@ impl ShardMetrics {
         self.decide_batch_hist.record(stripe, nanos);
     }
 
-    /// Records one shard flush: the apply-loop time over the drained
-    /// batch and the snapshot publication time. Flushes happen at batch
-    /// cadence (hundreds of reports each), so both are timed
-    /// unconditionally.
+    /// Records one elected shard flush (see
+    /// [`ShardMetrics::record_batch`]): the apply-loop time over the
+    /// drained batch and the snapshot publication time. At `batch = 1`
+    /// every report is a flush, and timing each would cost three clock
+    /// reads per report, so only sampled flushes get here.
     pub fn record_flush_ns(&self, apply_ns: u64, publish_ns: u64) {
         self.report_batch_hist.record(0, apply_ns);
         self.flush_publish_hist.record(0, publish_ns);
@@ -252,9 +260,9 @@ pub struct ObsSnapshot {
     pub decide: HistSnapshot,
     /// Whole-frame `DecideBatch` handling latency (sampled frames).
     pub decide_batch: HistSnapshot,
-    /// Report-batch apply-loop latency per flush.
+    /// Report-batch apply-loop latency (sampled flushes).
     pub report_batch: HistSnapshot,
-    /// Snapshot publication latency per flush.
+    /// Snapshot publication latency (sampled flushes).
     pub flush_publish: HistSnapshot,
 }
 
