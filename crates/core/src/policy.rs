@@ -9,7 +9,7 @@
 //!   refines the statically estimated thresholds from observed
 //!   execution times after every call.
 
-use crate::thresholds::{NameIndex, ScenarioTimes, ThresholdTable};
+use crate::thresholds::{Keys, ScenarioTimes, ThresholdTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
@@ -62,16 +62,16 @@ impl XarTrekPolicy {
     /// Builds the policy from job specs by running the step-G estimator
     /// on each.
     pub fn from_specs(specs: &[xar_desim::JobSpec], cfg: &xar_desim::ClusterConfig) -> Self {
-        let mut table = ThresholdTable::new();
-        let mut ref_times = HashMap::new();
+        let mut policy = XarTrekPolicy::new(ThresholdTable::new(), HashMap::new());
         for s in specs {
             if !s.has_selected_function() {
                 continue;
             }
-            let key = table.insert(crate::thresholds::estimate_thresholds(s, cfg));
-            ref_times.insert(key, crate::thresholds::scenario_times(s, cfg));
+            let id = policy.table.insert(crate::thresholds::estimate_thresholds(s, cfg));
+            policy.times.resize(policy.table.len(), None);
+            policy.times[id] = Some(crate::thresholds::scenario_times(s, cfg));
         }
-        XarTrekPolicy::new(table, ref_times)
+        policy
     }
 
     /// Algorithm 2, as a pure decision function.
@@ -132,22 +132,22 @@ impl XarTrekPolicy {
     /// [`xar_sched::shard_of`] routes to it, plus this policy's flags.
     pub fn split_shards(&self, n: usize) -> Vec<XarTrekPolicy> {
         let count = n.max(1);
-        // Sized for an even split plus slack, so a shard's slabs and
-        // index are built without growing their way up from empty.
-        let per_shard = self.table.len().div_ceil(count) * 5 / 4;
-        let mut shards: Vec<XarTrekPolicy> = (0..count)
-            .map(|_| XarTrekPolicy {
-                table: ThresholdTable::with_capacity(per_shard),
-                times: Vec::with_capacity(per_shard),
+        let mut shards: Vec<XarTrekPolicy> = self
+            .table
+            .split(count)
+            .into_iter()
+            .map(|table| XarTrekPolicy {
+                times: Vec::with_capacity(table.len()),
+                table,
                 early_config: self.early_config,
                 dynamic_update: self.dynamic_update,
                 thr_step: self.thr_step,
             })
             .collect();
-        for (id, row) in self.table.rows().enumerate() {
-            let shard = &mut shards[xar_sched::shard_of(&row.app, count)];
-            // The shard's row shares this table's allocations of the names.
-            shard.table.push(row.clone());
+        // A shard's table took its rows in id order; its times follow.
+        let keys = self.table.keys();
+        for id in 0..self.table.len() {
+            let shard = &mut shards[xar_sched::shard_of_hash(keys.hash(id), count)];
             shard.times.push(self.times.get(id).copied().flatten());
         }
         shards
@@ -194,12 +194,12 @@ impl XarTrekPolicy {
 }
 
 /// The decision state `xar-sched` publishes per shard: the table's own
-/// name index (the same `Arc`, not a copy) plus one [`ThrCell`] per row
-/// id holding that row's current thresholds, and the policy flag
-/// Algorithm 2 needs.
+/// name index (the same `Arc<Keys>`, not a copy) plus one [`ThrCell`]
+/// per row id holding that row's current thresholds, and the policy
+/// flag Algorithm 2 needs.
 ///
 /// The key set is frozen: the index is copy-on-write, so a table that
-/// gains a row leaves this snapshot's map untouched and parts ways
+/// gains a row leaves this snapshot's index untouched and parts ways
 /// with it ([`xar_sched::PolicyCore::republish`] then answers `false`
 /// and the engine publishes a rebuilt snapshot). The *values* are live
 /// — Algorithm 1 updates land in place through `republish`, so a
@@ -207,8 +207,8 @@ impl XarTrekPolicy {
 /// thresholds without ever swapping snapshots.
 #[derive(Debug)]
 pub struct PolicySnapshot {
-    index: Arc<NameIndex>,
-    /// By row id; every id in `index` is in range.
+    keys: Arc<Keys>,
+    /// By row id; every id in `keys` is in range.
     cells: Box<[ThrCell]>,
     early_config: bool,
 }
@@ -217,7 +217,7 @@ impl PolicySnapshot {
     /// The thresholds `(fpga_thr, arm_thr)` currently published for
     /// `app`, if the index holds it.
     pub fn thresholds(&self, app: &str) -> Option<(u32, u32)> {
-        self.index.get(app).map(|&id| self.cells[id as usize].load())
+        self.keys.find(app).map(|id| self.cells[id].load())
     }
 }
 
@@ -228,27 +228,26 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         // An `Arc` clone and one cell per row, no hashing. Runs at boot
         // and on state restore, never per report (Algorithm 1 moves
         // thresholds, not the key set).
-        let cells = self.table.rows().map(|r| ThrCell::new(r.fpga_thr, r.arm_thr)).collect();
-        PolicySnapshot { index: self.table.index().clone(), cells, early_config: self.early_config }
+        let cells = (0..self.table.len())
+            .map(|id| self.table.thresholds(id))
+            .map(|(fpga_thr, arm_thr)| ThrCell::new(fpga_thr, arm_thr))
+            .collect();
+        PolicySnapshot { keys: self.table.keys().clone(), cells, early_config: self.early_config }
     }
 
     fn republish(&self, snap: &PolicySnapshot, app: &str) -> bool {
         // Sharing the index means sharing the key set and the row ids;
         // a table whose index has moved on (it gained a row, or a state
         // restore replaced it) needs a rebuilt snapshot.
-        if !Arc::ptr_eq(&snap.index, self.table.index()) {
+        if !Arc::ptr_eq(&snap.keys, self.table.keys()) {
             return false;
         }
         // A report for an app without a row changed nothing.
-        if let Some(&id) = snap.index.get(app) {
-            let e = self.table.row(id as usize);
-            snap.cells[id as usize].store(e.fpga_thr, e.arm_thr);
+        if let Some(id) = snap.keys.find(app) {
+            let (fpga_thr, arm_thr) = self.table.thresholds(id);
+            snap.cells[id].store(fpga_thr, arm_thr);
         }
         true
-    }
-
-    fn intern(snap: &PolicySnapshot, app: &str) -> Option<Arc<str>> {
-        snap.index.get_key_value(app).map(|(key, _)| key.clone())
     }
 
     fn decide(snap: &PolicySnapshot, ctx: &DecideCtx<'_>) -> Decision {
@@ -325,10 +324,17 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         if n_rows > bytes.len() / 12 {
             return Err("row count exceeds payload".into());
         }
-        // One pre-sized rebuild straight from the borrowed blob, built
-        // aside: a blob that fails to parse leaves the policy as it was.
-        // Each restored name is allocated once, as its `Arc<str>`.
-        let mut table = ThresholdTable::with_capacity(n_rows);
+        // One rebuild straight from the borrowed blob, built aside: a
+        // blob that fails to parse leaves the policy as it was. A first
+        // pass sums the row section's name bytes, so every buffer is
+        // allocated once, at its final size.
+        let (mut scan, mut name_bytes, mut kernel_bytes) = (c, 0, 0);
+        for _ in 0..n_rows {
+            name_bytes += scan.str_bytes()?.len();
+            kernel_bytes += scan.str_bytes()?.len();
+            scan.take(8)?;
+        }
+        let mut table = ThresholdTable::with_capacity(n_rows, name_bytes, kernel_bytes);
         for _ in 0..n_rows {
             let (app, kernel) = (c.str()?, c.str()?);
             let (fpga_thr, arm_thr) = (c.u32()?, c.u32()?);
@@ -363,6 +369,7 @@ fn put_str(s: &str, out: &mut Vec<u8>) {
 }
 
 /// Bounds-checked little-endian reader for [`XarTrekPolicy::load_state`].
+#[derive(Clone, Copy)]
 struct Reader<'a> {
     b: &'a [u8],
     at: usize,
@@ -387,9 +394,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<&'a str, String> {
+    fn str_bytes(&mut self) -> Result<&'a [u8], String> {
         let n = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
+        self.take(n)
+    }
+
+    fn str(&mut self) -> Result<&'a str, String> {
+        std::str::from_utf8(self.str_bytes()?).map_err(|e| e.to_string())
     }
 }
 
@@ -555,40 +566,35 @@ mod tests {
     }
 
     #[test]
-    fn an_app_name_is_one_allocation_per_shard() {
+    fn the_snapshot_shares_the_tables_keys() {
         use xar_sched::PolicyCore;
-        let shared = |p: &XarTrekPolicy, holders: usize| {
+        let shared = |p: &XarTrekPolicy| {
             let snap = p.snapshot();
-            assert!(Arc::ptr_eq(&snap.index, p.table.index()), "the snapshot copied the index");
+            assert!(Arc::ptr_eq(&snap.keys, p.table.keys()), "the snapshot copied the index");
             for (id, row) in p.table.rows().enumerate() {
-                let (key, app) = (&row.app, &*row.app);
-                let index_key = p.table.key(app).unwrap();
-                assert!(Arc::ptr_eq(key, index_key), "{app}: index key is a copy");
-                // The borrowed view's name is the index key, not a copy.
-                assert_eq!(p.table.get(app).unwrap().app.as_ptr(), index_key.as_ptr(), "{app}");
+                // The borrowed view's name is the index's bytes, not a copy.
+                assert_eq!(row.app.as_ptr(), p.table.keys().name(id).as_ptr(), "{}", row.app);
                 // The times slot has no key of its own: it is the row's id.
-                assert_eq!(p.table.row_id(app), Some(id));
-                assert!(p.times[id].is_some(), "{app}: no times in its row's slot");
-                let interned = XarTrekPolicy::intern(&snap, app).unwrap();
-                assert!(Arc::ptr_eq(key, &interned), "{app}: interned name is a copy");
-                assert_eq!(Arc::strong_count(key), holders, "{app}");
+                assert_eq!(p.table.row_id(row.app), Some(id));
+                assert_eq!(snap.keys.find(row.app), Some(id));
+                assert!(p.times[id].is_some(), "{}: no times in its row's slot", row.app);
             }
         };
-        // The row, the index — one map, which table and snapshot share,
-        // so the snapshot adds no holder — and the one just handed out.
         let p = policy();
-        shared(&p, 3);
+        shared(&p);
         for shard in p.split_shards(2) {
-            // A split shard borrows the source's names: the source's
-            // row and index hold them too.
-            shared(&shard, 5);
-            for row in shard.table.rows() {
-                let seed = p.table.rows().nth(p.table.row_id(&row.app).unwrap()).unwrap();
-                assert!(Arc::ptr_eq(&row.kernel, &seed.kernel), "{}: kernel is a copy", row.app);
+            shared(&shard);
+            // A split shard's rows are the seed's, under the seed's
+            // cached hashes.
+            let keys = shard.table.keys();
+            for (id, row) in shard.table.rows().enumerate() {
+                let seed = p.table.row_id(row.app).unwrap();
+                assert_eq!(keys.hash(id), p.table.keys().hash(seed), "{}", row.app);
+                assert_eq!(row, p.table.row(seed));
             }
             let mut restored = XarTrekPolicy::new(ThresholdTable::new(), HashMap::new());
             restored.load_state(&shard.save_state().unwrap()).unwrap();
-            shared(&restored, 3);
+            shared(&restored);
         }
     }
 
@@ -604,12 +610,11 @@ mod tests {
             fpga_thr: 3,
             arm_thr: 9,
         });
-        // The index is copy-on-write: the insert built a new map aside,
+        // The index is copy-on-write: the insert built a new one aside,
         // the published snapshot still holds the old one, whole.
-        assert!(!Arc::ptr_eq(&published.index, p.table.index()));
-        assert_eq!(published.index.len(), p.table.len() - 1);
+        assert!(!Arc::ptr_eq(&published.keys, p.table.keys()));
+        assert_eq!(published.keys.len(), p.table.len() - 1);
         assert_eq!(published.thresholds("latecomer"), None);
-        assert!(XarTrekPolicy::intern(&published, "latecomer").is_none());
         let cg = p.table.get("CG-A").map(|e| (e.fpga_thr, e.arm_thr));
         assert_eq!(published.thresholds("CG-A"), cg, "old rows still answer");
         // Every republish now asks for a rebuild, for old and new rows

@@ -11,11 +11,10 @@
 //! name, 2) the hardware kernel, 3) the FPGA threshold, 4) the ARM
 //! threshold — exactly the columns of the paper's Table 2.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use xar_desim::{ClusterConfig, JobSpec};
-use xar_sched::{NameHashBuilder, RowRef};
+use xar_sched::{name_hash, shard_of_hash, RowRef};
 
 /// One row of the threshold table (Table 2), as built by the estimator,
 /// a table file or a caller — what [`ThresholdTable::insert`] takes.
@@ -32,35 +31,160 @@ pub struct ThresholdEntry {
     pub arm_thr: u32,
 }
 
-/// Application name → row id: the one name-keyed map of a table, shared
-/// (behind an `Arc`) with every decision snapshot published from it.
-pub(crate) type NameIndex = HashMap<Arc<str>, u32, NameHashBuilder>;
+/// A string's `(offset, len)` in one of a table's byte buffers.
+type Span = (u32, u32);
 
-/// A slab slot. `app` is the index key's allocation, so a row holds each
-/// name once, and cloning a row — how a shard split copies one — bumps
-/// two refcounts and allocates nothing.
-#[derive(Debug, Clone)]
-pub(crate) struct Row {
-    pub(crate) app: Arc<str>,
-    pub(crate) kernel: Arc<str>,
-    pub(crate) fpga_thr: u32,
-    pub(crate) arm_thr: u32,
+/// Appends `s` to `buf` and returns where it landed.
+fn append(buf: &mut String, s: &str) -> Span {
+    let at = buf.len();
+    u32::try_from(at + s.len()).expect("a table's names fit in 4 GiB");
+    buf.push_str(s);
+    (at as u32, s.len() as u32)
 }
 
-impl Row {
-    fn view(&self) -> RowRef<'_> {
-        RowRef {
-            app: &self.app,
-            kernel: &self.kernel,
-            fpga_thr: self.fpga_thr,
-            arm_thr: self.arm_thr,
-        }
+/// The string `span` covers in `buf`.
+fn slice(buf: &str, (at, len): Span) -> &str {
+    &buf[at as usize..][..len as usize]
+}
+
+/// A slot's tag bits: the high half of the name's [`name_hash`]. The
+/// low half holds `row id + 1`, so an empty slot is 0.
+const TAG: u64 = 0xFFFF_FFFF_0000_0000;
+
+/// Where a name's probe starts (before masking): its [`name_hash`],
+/// finalised. The raw FNV value must not pick the slot: every name in a
+/// shard agrees modulo the shard count, so at 8 shards its low three
+/// bits — the slot bits — are one constant and the rows would pile eight
+/// to a run. One odd multiply carries the low bits up, the fold brings
+/// the well-mixed high half back down to where slots are chosen.
+fn bucket(hash: u64) -> u64 {
+    let h = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 32)
+}
+
+/// The slot count that holds `rows` rows at load ≤ ½.
+fn slots_for(rows: usize) -> usize {
+    if rows == 0 {
+        0
+    } else {
+        (2 * rows).next_power_of_two()
     }
 }
 
+/// Indexes row `id` under `hash` in the first free slot of its run.
+fn place(slots: &mut [u64], hash: u64, id: usize) {
+    let mask = slots.len() - 1;
+    let mut at = bucket(hash) as usize & mask;
+    while slots[at] != 0 {
+        at = (at + 1) & mask;
+    }
+    slots[at] = (hash & TAG) | (id as u64 + 1);
+}
+
+/// Application names as bytes behind a row-id index: the one name-keyed
+/// structure of a table, shared (behind an `Arc`) with every decision
+/// snapshot published from it.
+///
+/// Names are appended to one buffer in row-id order; a row's name is a
+/// span of it, its [`name_hash`] cached beside it, so re-indexing and
+/// shard splits never hash a name again. The index is an open-addressing
+/// slot array, probed linearly at load ≤ ½ with no tombstones (rows are
+/// never removed). A slot is one `u64` — the name hash's high 32 bits
+/// above `row id + 1`, 0 when empty — so a probe compares name bytes
+/// only once a tag matches. These are the operator's table rows (table
+/// file, estimator, durability snapshot), never names a network peer
+/// chooses, which are only ever looked up: a crafted collision could
+/// only lengthen the operator's own probe runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Keys {
+    bytes: String,
+    spans: Vec<Span>,
+    hashes: Vec<u64>,
+    slots: Vec<u64>,
+}
+
+impl Keys {
+    fn with_capacity(rows: usize, bytes: usize) -> Keys {
+        Keys {
+            bytes: String::with_capacity(bytes),
+            spans: Vec::with_capacity(rows),
+            hashes: Vec::with_capacity(rows),
+            slots: vec![0; slots_for(rows)],
+        }
+    }
+
+    /// Number of names (= rows).
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Row `id`'s name.
+    pub(crate) fn name(&self, id: usize) -> &str {
+        slice(&self.bytes, self.spans[id])
+    }
+
+    /// Row `id`'s cached [`name_hash`].
+    pub(crate) fn hash(&self, id: usize) -> u64 {
+        self.hashes[id]
+    }
+
+    /// `app`'s row id, if it has a row.
+    pub(crate) fn find(&self, app: &str) -> Option<usize> {
+        self.find_hashed(app, name_hash(app))
+    }
+
+    fn find_hashed(&self, app: &str, hash: u64) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let tag = hash & TAG;
+        let mut at = bucket(hash) as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return None;
+            }
+            if slot & TAG == tag {
+                let id = (slot as u32 - 1) as usize;
+                let (offset, len) = self.spans[id];
+                if self.bytes.as_bytes()[offset as usize..][..len as usize] == *app.as_bytes() {
+                    return Some(id);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Appends a name known to be absent under its [`name_hash`] and
+    /// indexes it; returns its row id. Outgrowing the slot array
+    /// re-places every row from its cached hash.
+    fn push(&mut self, app: &str, hash: u64) -> usize {
+        debug_assert!(self.find_hashed(app, hash).is_none(), "{app} already has a row");
+        let id = self.len();
+        assert!(id < u32::MAX as usize, "fewer than 2^32 - 1 rows");
+        if slots_for(id + 1) > self.slots.len() {
+            self.slots = vec![0; slots_for(id + 1)];
+            for (id, &hash) in self.hashes.iter().enumerate() {
+                place(&mut self.slots, hash, id);
+            }
+        }
+        self.spans.push(append(&mut self.bytes, app));
+        self.hashes.push(hash);
+        place(&mut self.slots, hash, id);
+        id
+    }
+}
+
+/// A slab slot: the kernel name's span in the table's kernel buffer and
+/// the two thresholds. The app name is the row's entry in [`Keys`].
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    kernel: Span,
+    fpga_thr: u32,
+    arm_thr: u32,
+}
+
 /// The threshold table shared by the scheduler server and clients: a
-/// slab of rows in insertion order plus one name → row-id index,
-/// mutated in place under its owner's lock.
+/// slab of rows in insertion order plus one name → row-id index
+/// ([`Keys`]), mutated in place under its owner's lock.
 ///
 /// A row id is stable for the table's life (rows are never removed), so
 /// anything kept *per row* — the policy's reference times, a published
@@ -69,24 +193,25 @@ impl Row {
 /// order (`iter`, `to_text`) is produced by sorting row ids when it is
 /// asked for; inserting maintains no order.
 ///
-/// The index is copy-on-write: a decision snapshot
-/// ([`crate::policy::PolicySnapshot`]) holds the same `Arc`, and a
-/// table that gains a row while one is published builds its new index
-/// aside, so a reader never sees a half-built map. Keys are `Arc<str>`
-/// so the index and the engine's queued reports all share each app
-/// name's one allocation ([`ThresholdTable::key`]).
+/// Names are bytes, not heap objects: app names live in the index's one
+/// buffer, kernel names in a table-private one, and `get`/`iter` hand
+/// out [`RowRef`] views borrowing them. The index is copy-on-write: a
+/// decision snapshot ([`crate::policy::PolicySnapshot`]) holds the same
+/// `Arc`, and a table that gains a row while one is published builds
+/// its new index aside, so a reader never sees a half-built one.
 #[derive(Debug, Clone, Default)]
 pub struct ThresholdTable {
+    keys: Arc<Keys>,
+    kernels: String,
     rows: Vec<Row>,
-    index: Arc<NameIndex>,
 }
 
 /// Equal tables hold rows with equal contents; the order they were
-/// inserted in, and which allocations hold their names, are not part of
-/// a table's value.
+/// inserted in, and where their bytes sit, are not part of a table's
+/// value.
 impl PartialEq for ThresholdTable {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.rows.iter().all(|r| other.get(&r.app) == Some(r.view()))
+        self.len() == other.len() && self.rows().all(|r| other.get(r.app) == Some(r))
     }
 }
 
@@ -98,67 +223,112 @@ impl ThresholdTable {
         Self::default()
     }
 
-    /// An empty table with room for `rows` rows.
-    pub(crate) fn with_capacity(rows: usize) -> Self {
+    /// An empty table with room for `rows` rows whose app and kernel
+    /// names total `name_bytes` and `kernel_bytes`: filling it to that
+    /// allocates nothing.
+    pub(crate) fn with_capacity(rows: usize, name_bytes: usize, kernel_bytes: usize) -> Self {
         ThresholdTable {
+            keys: Arc::new(Keys::with_capacity(rows, name_bytes)),
+            kernels: String::with_capacity(kernel_bytes),
             rows: Vec::with_capacity(rows),
-            index: Arc::new(NameIndex::with_capacity_and_hasher(rows, NameHashBuilder)),
         }
     }
 
-    /// Inserts or replaces an entry and hands back the row's shared
-    /// name. Replacing keeps the row's id and its key allocation.
-    pub fn insert(&mut self, e: ThresholdEntry) -> Arc<str> {
+    /// Inserts or replaces an entry and hands back its row id.
+    /// Replacing keeps the row's id.
+    pub fn insert(&mut self, e: ThresholdEntry) -> usize {
         self.insert_str(&e.app, &e.kernel, e.fpga_thr, e.arm_thr)
     }
 
-    /// [`ThresholdTable::insert`] from borrowed names: each name a row
-    /// takes is allocated once, straight into its `Arc<str>`.
+    /// [`ThresholdTable::insert`] from borrowed names, copied into the
+    /// table's byte buffers.
     pub(crate) fn insert_str(
         &mut self,
         app: &str,
         kernel: &str,
         fpga_thr: u32,
         arm_thr: u32,
-    ) -> Arc<str> {
-        match self.row_id(app) {
+    ) -> usize {
+        let hash = name_hash(app);
+        match self.keys.find_hashed(app, hash) {
             Some(id) => {
                 let row = &mut self.rows[id];
-                (row.kernel, row.fpga_thr, row.arm_thr) = (Arc::from(kernel), fpga_thr, arm_thr);
-                row.app.clone()
+                // A changed kernel name is appended; the old bytes stay
+                // behind until the table is rebuilt (a split, a restore).
+                if slice(&self.kernels, row.kernel) != kernel {
+                    row.kernel = append(&mut self.kernels, kernel);
+                }
+                (row.fpga_thr, row.arm_thr) = (fpga_thr, arm_thr);
+                id
             }
             None => {
-                let app: Arc<str> = Arc::from(app);
-                self.push(Row { app: app.clone(), kernel: Arc::from(kernel), fpga_thr, arm_thr });
-                app
+                let id = Arc::make_mut(&mut self.keys).push(app, hash);
+                let kernel = append(&mut self.kernels, kernel);
+                self.rows.push(Row { kernel, fpga_thr, arm_thr });
+                id
             }
         }
     }
 
-    /// Appends a row known to be new, keeping its names' allocations —
-    /// how [`crate::policy::XarTrekPolicy::split_shards`] lets a shard
-    /// share the source table's names.
-    pub(crate) fn push(&mut self, row: Row) {
-        debug_assert!(!self.index.contains_key(&*row.app));
-        let id = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
-        Arc::make_mut(&mut self.index).insert(row.app.clone(), id);
-        self.rows.push(row);
+    /// Splits the rows into `count` tables by [`shard_of_hash`] of their
+    /// cached name hashes, each keeping its rows in id order. A first
+    /// pass counts each table's rows and name bytes, so every buffer is
+    /// allocated once, at its final size; the second copies bytes and
+    /// indexes each row under its cached hash — no name is hashed again.
+    pub(crate) fn split(&self, count: usize) -> Vec<ThresholdTable> {
+        let shard_of = |id: usize| shard_of_hash(self.keys.hashes[id], count);
+        let mut sizes = vec![(0, 0, 0); count];
+        for (id, row) in self.rows.iter().enumerate() {
+            let (rows, names, kernels) = &mut sizes[shard_of(id)];
+            *rows += 1;
+            *names += self.keys.spans[id].1 as usize;
+            *kernels += row.kernel.1 as usize;
+        }
+        let mut tables: Vec<ThresholdTable> = sizes
+            .into_iter()
+            .map(|(rows, names, kernels)| ThresholdTable::with_capacity(rows, names, kernels))
+            .collect();
+        let mut parts: Vec<_> = tables
+            .iter_mut()
+            .map(|t| {
+                let keys = Arc::get_mut(&mut t.keys).expect("a new table owns its keys");
+                (keys, &mut t.kernels, &mut t.rows)
+            })
+            .collect();
+        for (id, &row) in self.rows.iter().enumerate() {
+            let (keys, kernels, rows) = &mut parts[shard_of(id)];
+            keys.push(self.keys.name(id), self.keys.hashes[id]);
+            rows.push(Row { kernel: append(kernels, slice(&self.kernels, row.kernel)), ..row });
+        }
+        tables
     }
 
     /// The name index, for a snapshot to share.
-    pub(crate) fn index(&self) -> &Arc<NameIndex> {
-        &self.index
+    pub(crate) fn keys(&self) -> &Arc<Keys> {
+        &self.keys
     }
 
     /// An application's row id: its position in insertion order.
     pub(crate) fn row_id(&self, app: &str) -> Option<usize> {
-        self.index.get(app).map(|&id| id as usize)
+        self.keys.find(app)
     }
 
     /// The row with id `id` (see [`ThresholdTable::row_id`]); panics if
     /// this table has no such row.
     pub(crate) fn row(&self, id: usize) -> RowRef<'_> {
-        self.rows[id].view()
+        let row = self.rows[id];
+        RowRef {
+            app: self.keys.name(id),
+            kernel: slice(&self.kernels, row.kernel),
+            fpga_thr: row.fpga_thr,
+            arm_thr: row.arm_thr,
+        }
+    }
+
+    /// Row `id`'s `(fpga_thr, arm_thr)`.
+    pub(crate) fn thresholds(&self, id: usize) -> (u32, u32) {
+        let row = &self.rows[id];
+        (row.fpga_thr, row.arm_thr)
     }
 
     /// Row `id`'s `(fpga_thr, arm_thr)`, in place (Algorithm 1 updates
@@ -168,26 +338,21 @@ impl ThresholdTable {
         (&mut row.fpga_thr, &mut row.arm_thr)
     }
 
-    /// Looks up an application's row. Its `app` borrows the index key.
+    /// Looks up an application's row.
     pub fn get(&self, app: &str) -> Option<RowRef<'_>> {
         self.row_id(app).map(|id| self.row(id))
     }
 
-    /// The shared allocation of a row's application name.
-    pub fn key(&self, app: &str) -> Option<&Arc<str>> {
-        self.index.get_key_value(app).map(|(key, _)| key)
-    }
-
     /// The rows in row-id (insertion) order.
-    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = &Row> {
-        self.rows.iter()
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> {
+        (0..self.rows.len()).map(|id| self.row(id))
     }
 
     /// Row ids in application order: one sort per call (linear when the
     /// rows were inserted in order, as table files and estimators do).
     pub(crate) fn sorted_ids(&self) -> Vec<usize> {
         let mut ids: Vec<usize> = (0..self.rows.len()).collect();
-        ids.sort_unstable_by(|&a, &b| self.rows[a].app.cmp(&self.rows[b].app));
+        ids.sort_unstable_by(|&a, &b| self.keys.name(a).cmp(self.keys.name(b)));
         ids
     }
 
@@ -390,6 +555,60 @@ mod tests {
         // Comments and blanks are fine.
         let t = ThresholdTable::from_text("# hi\n\nx k 1 2\n").unwrap();
         assert_eq!(t.get("x").unwrap().fpga_thr, 1);
+    }
+
+    #[test]
+    fn name_map_hashes_do_not_cluster_within_a_shard() {
+        use xar_sched::shard_of;
+        // Every name of a shard agrees modulo the shard count, so at 8
+        // shards the raw FNV value's low three bits are one constant
+        // per shard. Sum of squared bucket loads over the low 10 bits
+        // (what a shard of ~1 250 rows probes on) against its
+        // expectation for uniform hashes, n + n(n-1)/m.
+        let names: Vec<String> = (0..10_000).map(|i| format!("app-{i:06}")).collect();
+        let spread = |hash: &dyn Fn(&str) -> u64, shard: usize| {
+            let mut buckets = [0u64; 1024];
+            for name in names.iter().filter(|n| shard_of(n, 8) == shard) {
+                buckets[(hash(name) & 1023) as usize] += 1;
+            }
+            let n = buckets.iter().sum::<u64>() as f64;
+            let sum_sq: u64 = buckets.iter().map(|c| c * c).sum();
+            sum_sq as f64 / (n + n * (n - 1.0) / 1024.0)
+        };
+        for shard in 0..8 {
+            let mixed = spread(&|n| bucket(name_hash(n)), shard);
+            assert!(mixed <= 2.0, "shard {shard}: {mixed:.2}x the uniform collision load");
+            // The bar has teeth: the unmixed value fails it.
+            let raw = spread(&name_hash, shard);
+            assert!(raw > 2.0, "shard {shard}: raw FNV spreads {raw:.2}x — test lost its bite");
+        }
+    }
+
+    #[test]
+    fn a_tag_match_still_compares_the_name_bytes() {
+        // Three names under one hash: same tag, same first slot, so every
+        // probe walks the one run and only the bytes tell the rows apart.
+        let hash = 0xDEAD_BEEF_0000_0001;
+        let mut keys = Keys::default();
+        assert_eq!(keys.find_hashed("a", hash), None, "an empty index misses");
+        assert_eq!(keys.push("a", hash), 0);
+        assert_eq!(keys.find_hashed("b", hash), None, "a tag match is not a hit");
+        assert_eq!(keys.push("b", hash), 1);
+        assert_eq!(keys.push("ab", hash), 2);
+        for (id, name) in ["a", "b", "ab"].into_iter().enumerate() {
+            assert_eq!(keys.find_hashed(name, hash), Some(id), "{name}");
+            assert_eq!((keys.name(id), keys.hash(id)), (name, hash));
+        }
+        assert_eq!(keys.find_hashed("ba", hash), None);
+        // Growth re-places the run from the cached hashes.
+        for i in 0..100 {
+            let name = format!("row-{i}");
+            keys.push(&name, name_hash(&name));
+        }
+        assert!(keys.slots.len() >= 2 * keys.len(), "load above one half");
+        assert_eq!(keys.find_hashed("ab", hash), Some(2));
+        assert_eq!(keys.find("row-42"), Some(45));
+        assert_eq!(keys.find("row-100"), None);
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! The slab [`ThresholdTable`] against the table it replaced.
 //!
 //! `BTreeTable` below is the slab's predecessor: one ordered map keyed
-//! by the app name's `Arc<str>`, holding owned entries. Random runs of
+//! by app name, holding owned entries. Random runs of
 //! insert / replace / thresholds-only replace / `get` / `iter` / `len`
 //! / `==` / `clone` are applied to both; every observable must agree —
 //! the rows, the application order of `iter` and `to_text`, equality
 //! between two tables (whatever order their rows arrived in), clones
-//! that go their own way, and that replacing a row keeps the `Arc<str>`
-//! allocation its name was first given. Rows are compared as
-//! `(app, kernel, fpga_thr, arm_thr)` tuples: the slab hands out
-//! borrowed views, the model owned entries.
+//! that go their own way, and the row id `insert` hands back: a new
+//! row's is its insertion position, and replacing a row keeps it. Rows
+//! are compared as `(app, kernel, fpga_thr, arm_thr)` tuples: the slab
+//! hands out borrowed views, the model owned entries.
+//!
+//! Below the model, names whose hashes share the tag a slot stores must
+//! still resolve to their own rows.
 
 use proptest::prelude::*;
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::sync::Arc;
 use xar_core::thresholds::{ThresholdEntry, ThresholdTable};
-use xar_sched::RowRef;
+use xar_sched::{name_hash, RowRef};
 
 /// A row's observable contents.
 type View<'a> = (&'a str, &'a str, u32, u32);
@@ -28,41 +30,43 @@ fn of_entry(e: &ThresholdEntry) -> View<'_> {
     (&e.app, &e.kernel, e.fpga_thr, e.arm_thr)
 }
 
-/// The parent commit's `ThresholdTable`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The slab's predecessor, its entries each beside the row id the slab
+/// must have given them.
+#[derive(Debug, Clone, Default)]
 struct BTreeTable {
-    rows: BTreeMap<Arc<str>, ThresholdEntry>,
+    rows: BTreeMap<String, (usize, ThresholdEntry)>,
+}
+
+/// Row ids are not part of a table's value.
+impl PartialEq for BTreeTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
 }
 
 impl BTreeTable {
-    fn insert(&mut self, e: ThresholdEntry) -> Arc<str> {
-        match self.rows.entry(Arc::from(e.app.as_str())) {
+    fn insert(&mut self, e: ThresholdEntry) -> usize {
+        let next = self.rows.len();
+        match self.rows.entry(e.app.clone()) {
             Entry::Occupied(mut row) => {
-                row.insert(e);
-                row.key().clone()
+                row.get_mut().1 = e;
+                row.get().0
             }
-            Entry::Vacant(slot) => {
-                let key = slot.key().clone();
-                slot.insert(e);
-                key
-            }
+            Entry::Vacant(slot) => slot.insert((next, e)).0,
         }
     }
 
     fn get(&self, app: &str) -> Option<&ThresholdEntry> {
-        self.rows.get(app)
+        self.rows.get(app).map(|(_, e)| e)
     }
 
-    fn get_mut(&mut self, app: &str) -> Option<&mut ThresholdEntry> {
+    /// A row and its id.
+    fn get_mut(&mut self, app: &str) -> Option<&mut (usize, ThresholdEntry)> {
         self.rows.get_mut(app)
     }
 
-    fn key(&self, app: &str) -> Option<&Arc<str>> {
-        self.rows.get_key_value(app).map(|(key, _)| key)
-    }
-
     fn iter(&self) -> impl Iterator<Item = &ThresholdEntry> {
-        self.rows.values()
+        self.rows.values().map(|(_, e)| e)
     }
 
     fn len(&self) -> usize {
@@ -115,8 +119,8 @@ impl Pair {
     fn apply(&mut self, op: u8, who: u8, val: u32) -> Result<(), TestCaseError> {
         let app = name(who);
         match op % 4 {
-            // Insert or replace. The name's allocation, once given, is
-            // the one every later insert hands back.
+            // Insert or replace. The row id, once given, is the one
+            // every later insert of the name hands back.
             0 | 1 => {
                 let e = ThresholdEntry {
                     app: app.clone(),
@@ -124,14 +128,8 @@ impl Pair {
                     fpga_thr: val % 50,
                     arm_thr: val % 70,
                 };
-                let before = (self.slab.key(&app).cloned(), self.model.key(&app).cloned());
                 let (got, want) = (self.slab.insert(e.clone()), self.model.insert(e));
-                prop_assert_eq!(&*got, &*want);
-                prop_assert!(Arc::ptr_eq(&got, self.slab.key(&app).unwrap()), "handed out a copy");
-                if let (Some(slab_key), Some(model_key)) = before {
-                    prop_assert!(Arc::ptr_eq(&got, &slab_key), "replace reallocated {app}");
-                    prop_assert!(Arc::ptr_eq(&want, &model_key));
-                }
+                prop_assert_eq!(got, want, "row id of {}", app);
             }
             2 => {
                 prop_assert_eq!(self.slab.get(&app).map(of_row), self.model.get(&app).map(of_entry))
@@ -142,22 +140,18 @@ impl Pair {
                 let got = self.slab.get(&app).map(|r| (r.kernel.to_string(), r.arm_thr));
                 let want = self.model.get_mut(&app);
                 prop_assert_eq!(got.is_some(), want.is_some());
-                if let (Some((kernel, arm_thr)), Some(want)) = (got, want) {
+                if let (Some((kernel, arm_thr)), Some((id, want))) = (got, want) {
                     prop_assert_eq!(
                         (kernel.as_str(), arm_thr),
                         (want.kernel.as_str(), want.arm_thr)
                     );
-                    let key = self.slab.key(&app).cloned().unwrap();
                     let e = ThresholdEntry {
                         app: app.clone(),
                         kernel,
                         fpga_thr: val,
                         arm_thr: arm_thr + 1,
                     };
-                    prop_assert!(
-                        Arc::ptr_eq(&self.slab.insert(e), &key),
-                        "replace reallocated {app}"
-                    );
+                    prop_assert_eq!(self.slab.insert(e), *id, "replace moved {}'s row", app);
                     want.fpga_thr = val;
                     want.arm_thr += 1;
                 }
@@ -214,4 +208,56 @@ proptest! {
         prop_assert!(reversed == a.slab);
         prop_assert_eq!(reversed.to_text(), a.model.to_text());
     }
+}
+
+/// Pairs of `app-%06d` names whose [`name_hash`]es share their high 32
+/// bits: the tag a slot stores beside its row id. FNV-1a spreads these
+/// names' high bits more evenly than chance (the first 200 000 hold no
+/// pair), so the search covers all million.
+fn tag_twins() -> Vec<(String, String)> {
+    let app = |i: u32| format!("app-{i:06}");
+    let mut tags: Vec<(u32, u32)> =
+        (0..1_000_000).map(|i| ((name_hash(&app(i)) >> 32) as u32, i)).collect();
+    tags.sort_unstable();
+    tags.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (app(w[0].1), app(w[1].1))).collect()
+}
+
+#[test]
+fn names_sharing_a_slot_tag_resolve_to_their_own_rows() {
+    let twins = tag_twins();
+    assert!(twins.len() >= 10, "{} tag-sharing pairs: the case lost its bite", twins.len());
+    let entry = |app: &str, thr: usize| ThresholdEntry {
+        app: app.into(),
+        kernel: format!("KNL_{app}"),
+        fpga_thr: thr as u32,
+        arm_thr: thr as u32 + 1,
+    };
+    let fpga_thr = |t: &ThresholdTable, app: &str| t.get(app).map(|r| r.fpga_thr as usize);
+    for (first, second) in &twins {
+        // Two rows in four slots: a probe for one twin often meets the
+        // other's tag.
+        let mut pair = ThresholdTable::new();
+        assert_eq!(pair.insert(entry(first, 1)), 0);
+        assert_eq!(fpga_thr(&pair, second), None, "{second} hit {first}'s row");
+        assert_eq!(pair.insert(entry(second, 2)), 1);
+        assert_eq!((fpga_thr(&pair, first), fpga_thr(&pair, second)), (Some(1), Some(2)));
+    }
+    // Every first twin, then every second one, in one table.
+    let n = twins.len();
+    let mut all = ThresholdTable::new();
+    for (i, (first, _)) in twins.iter().enumerate() {
+        assert_eq!(all.insert(entry(first, i)), i);
+    }
+    for (_, second) in &twins {
+        assert_eq!(fpga_thr(&all, second), None, "{second} hit its twin's row");
+    }
+    for (i, (_, second)) in twins.iter().enumerate() {
+        assert_eq!(all.insert(entry(second, n + i)), n + i);
+    }
+    for (i, (first, second)) in twins.iter().enumerate() {
+        assert_eq!(fpga_thr(&all, first), Some(i), "{first}");
+        assert_eq!(fpga_thr(&all, second), Some(n + i), "{second}");
+        assert_eq!(all.get(second).unwrap().kernel, format!("KNL_{second}"));
+    }
+    assert_eq!(fpga_thr(&all, "app-200000"), None);
 }

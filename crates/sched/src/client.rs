@@ -15,13 +15,31 @@
 //! ack was lost is acknowledged without being counted twice.
 
 use crate::backoff::Backoff;
-use crate::engine::{ReportOwned, TableEntry};
+use crate::engine::TableEntry;
 use crate::transport::{self, Stream};
 use crate::wire::{self, Request, Response, WireQuery, WireReport};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 use xar_desim::{Decision, Target};
+
+/// An owned completion report: what [`V2Client::report_batch`] and
+/// [`ResilientClient::report_batch`] take slices of, so a caller builds
+/// a batch once and a resilient client can resend a chunk of it after a
+/// reconnect. The app name is an `Arc<str>` so a caller reporting the
+/// same apps again and again can share one allocation per name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportOwned {
+    /// Application name.
+    pub app: Arc<str>,
+    /// Where the call ran.
+    pub target: Target,
+    /// Observed function time (ms).
+    pub func_ms: f64,
+    /// x86 load at completion.
+    pub x86_load: u32,
+}
 
 fn proto_err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::other(msg.into())

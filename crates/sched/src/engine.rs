@@ -28,11 +28,13 @@
 //! hook answers `false`.
 //!
 //! **One hash.** An application name is hashed one way everywhere on
-//! this path: [`name_hash`] picks the shard ([`shard_of`]), and
-//! [`NameHashBuilder`] — the same FNV-1a pass, finalised so that names
-//! which agree modulo the shard count do not pile into the same
-//! buckets — keys the policy's name → row index. A report or a decide
-//! pays a few nanoseconds per probe instead of a SipHash pass.
+//! this path: [`name_hash`] picks the shard ([`shard_of`]), and the same
+//! FNV-1a value, cached per row, is what `xar-core`'s name → row index
+//! tags and buckets a name by (finalised there so that names which
+//! agree modulo the shard count do not pile into the same slots). A
+//! report or a decide pays a few nanoseconds per probe instead of a
+//! SipHash pass, and a shard split or an index rebuild hashes no name
+//! again ([`shard_of_hash`]).
 //!
 //! Because Algorithm 1 only ever touches the reporting application's
 //! table row, sharding by app preserves the single-policy semantics
@@ -48,10 +50,11 @@
 //! (`decide`, `decide_batch`, `ingest`, `report_batch_wire`) are one
 //! line each over those bodies with no tracer.
 //!
-//! Steady-state ingest allocates nothing: a report of a known app
-//! borrows its name from the published snapshot
-//! ([`PolicyCore::intern`]) and the queue and batch buffers swap places
-//! at each flush instead of being reallocated.
+//! Steady-state ingest allocates nothing: a shard's pending queue keeps
+//! each report's name as bytes in one buffer beside fixed-size records,
+//! and the queue and the flush's batch buffer swap places at each flush,
+//! both keeping their capacity. Ingest reads no snapshot and touches no
+//! refcount.
 
 use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
@@ -91,22 +94,6 @@ pub struct RowRef<'a> {
     pub arm_thr: u32,
 }
 
-/// An owned completion report queued for batched ingestion. The app
-/// name is a shared `Arc<str>` — a queued report carries the published
-/// snapshot's copy, so a report of a known app owns no string
-/// allocation of its own.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportOwned {
-    /// Application name.
-    pub app: Arc<str>,
-    /// Where the call ran.
-    pub target: Target,
-    /// Observed function time (ms).
-    pub func_ms: f64,
-    /// x86 load at completion.
-    pub x86_load: u32,
-}
-
 /// The policy state a shard manages. `xar-core` implements this for
 /// `XarTrekPolicy`; the engine itself is policy-agnostic so it can be
 /// reused (and tested) with toy policies.
@@ -130,14 +117,6 @@ pub trait PolicyCore: Send + 'static {
     fn republish(&self, snap: &Self::Snap, app: &str) -> bool {
         let _ = (snap, app);
         false
-    }
-
-    /// The snapshot's own shared allocation of `app`'s name, if it
-    /// holds one — lets ingest queue a known app's report without
-    /// copying the name. Default: none (the engine copies it).
-    fn intern(snap: &Self::Snap, app: &str) -> Option<Arc<str>> {
-        let _ = (snap, app);
-        None
     }
 
     /// The pure placement decision against a snapshot (Algorithm 2).
@@ -216,8 +195,8 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The one hash of an application name (FNV-1a, 64-bit): what routes
-/// it to a shard and, through [`NameHashBuilder`], what every
-/// name-keyed map on the report/decide path buckets it by.
+/// it to a shard and what the policy's name index tags and buckets it
+/// by.
 pub fn name_hash(app: &str) -> u64 {
     fnv1a(FNV_OFFSET, app.as_bytes())
 }
@@ -226,46 +205,57 @@ pub fn name_hash(app: &str) -> u64 {
 /// the shard count. Durability snapshots are per shard, so this is a
 /// format — pinned by `tests/format_goldens.rs`.
 pub fn shard_of(app: &str, shards: usize) -> usize {
-    (name_hash(app) % shards.max(1) as u64) as usize
+    shard_of_hash(name_hash(app), shards)
 }
 
-/// [`std::hash::BuildHasher`] for maps keyed by application name: the
-/// FNV-1a pass of [`name_hash`], finalised. A few nanoseconds for a
-/// ten-byte name where SipHash costs ~20.
-///
-/// The keys of such a map are the operator's threshold-table rows
-/// (table file, estimator, durability snapshot) — never names a
-/// network peer chooses, which are only ever *looked up* — so SipHash's
-/// protection against crafted collisions guards nothing here.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NameHashBuilder;
+/// [`shard_of`] from a name's already computed [`name_hash`].
+pub fn shard_of_hash(hash: u64, shards: usize) -> usize {
+    (hash % shards.max(1) as u64) as usize
+}
 
-/// The hasher [`NameHashBuilder`] builds.
+/// A queued report: its app name's `(offset, len)` in the queue's name
+/// bytes, and what Algorithm 1 reads.
 #[derive(Debug, Clone, Copy)]
-pub struct NameHasher(u64);
+struct Queued {
+    app: (u32, u32),
+    target: Target,
+    func_ms: f64,
+    x86_load: u32,
+}
 
-impl std::hash::BuildHasher for NameHashBuilder {
-    type Hasher = NameHasher;
-
-    fn build_hasher(&self) -> NameHasher {
-        NameHasher(FNV_OFFSET)
+impl Queued {
+    /// The app name, in the bytes of the queue this report sits in.
+    fn app<'a>(&self, names: &'a str) -> &'a str {
+        &names[self.app.0 as usize..][..self.app.1 as usize]
     }
 }
 
-impl std::hash::Hasher for NameHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a(self.0, bytes);
+/// Reports in arrival order, their names as bytes in one buffer:
+/// queueing a report copies its name, and allocates only while the
+/// buffers are still growing to the shard's usual batch.
+#[derive(Debug, Default)]
+struct Queue {
+    names: String,
+    reports: Vec<Queued>,
+}
+
+impl Queue {
+    fn push(&mut self, r: &WireReport<'_>) {
+        let at = self.names.len();
+        u32::try_from(at + r.app.len()).expect("a queue's names fit in 4 GiB");
+        self.names.push_str(r.app);
+        let app = (at as u32, r.app.len() as u32);
+        self.reports.push(Queued {
+            app,
+            target: r.target,
+            func_ms: r.func_ms,
+            x86_load: r.x86_load,
+        });
     }
 
-    fn finish(&self) -> u64 {
-        // The raw FNV value must not reach the table: every name in a
-        // shard agrees modulo the shard count, so at 8 shards the low
-        // three bits — the table's bucket bits — are one constant and
-        // the rows pile eight to a bucket. One odd multiply carries the
-        // low bits up, the fold brings the well-mixed high half back
-        // down to where buckets are chosen.
-        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^ (h >> 32)
+    fn clear(&mut self) {
+        self.names.clear();
+        self.reports.clear();
     }
 }
 
@@ -274,14 +264,14 @@ impl std::hash::Hasher for NameHasher {
 /// swap two buffers instead of allocating one).
 struct State<P> {
     policy: P,
-    batch: Vec<ReportOwned>,
+    batch: Queue,
 }
 
 struct Shard<P: PolicyCore> {
     state: Mutex<State<P>>,
     snap: ArcCell<P::Snap>,
     /// Reports queued in arrival order, not yet applied.
-    pending: Mutex<Vec<ReportOwned>>,
+    pending: Mutex<Queue>,
     /// Whether `pending` may hold unapplied reports — the maintenance
     /// flush's cheap gate, so periodically sweeping an idle engine
     /// costs one relaxed load per shard instead of two lock
@@ -294,24 +284,19 @@ struct Shard<P: PolicyCore> {
 }
 
 impl<P: PolicyCore> Shard<P> {
-    /// A queueable report from borrowed parts, its name shared with
-    /// `snap` when the snapshot knows the app.
-    fn owned(snap: &P::Snap, r: &WireReport<'_>) -> ReportOwned {
-        ReportOwned {
-            app: P::intern(snap, r.app).unwrap_or_else(|| Arc::from(r.app)),
-            target: r.target,
-            func_ms: r.func_ms,
-            x86_load: r.x86_load,
-        }
-    }
-
     /// Queues `reports` in order under one hold of the pending lock;
     /// returns whether the queue reached `batch`.
-    fn enqueue(&self, reports: impl IntoIterator<Item = ReportOwned>, batch: usize) -> bool {
+    fn enqueue<'r, 'a: 'r>(
+        &self,
+        reports: impl IntoIterator<Item = &'r WireReport<'a>>,
+        batch: usize,
+    ) -> bool {
         let mut pending = self.pending.lock();
-        pending.extend(reports);
+        for r in reports {
+            pending.push(r);
+        }
         self.dirty.store(true, Ordering::Release);
-        pending.len() >= batch
+        pending.reports.len() >= batch
     }
 }
 
@@ -336,8 +321,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
             .into_iter()
             .map(|p| Shard {
                 snap: ArcCell::new(p.snapshot()),
-                state: Mutex::new(State { policy: p, batch: Vec::new() }),
-                pending: Mutex::new(Vec::new()),
+                state: Mutex::new(State { policy: p, batch: Queue::default() }),
+                pending: Mutex::new(Queue::default()),
                 dirty: AtomicBool::new(false),
                 metrics: ShardMetrics::default(),
             })
@@ -379,10 +364,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
     }
 
-    /// Queues one completion report from borrowed parts. A known app's
-    /// name is borrowed from the published snapshot, so steady-state
-    /// reports copy no string bytes. Applies the shard's pending batch
-    /// if it reached the configured size.
+    /// Queues one completion report from borrowed parts, its name
+    /// copied into the shard queue's bytes. Applies the shard's pending
+    /// batch if it reached the configured size.
     pub fn ingest(&self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
         self.ingest_obs(&WireReport { app, target, func_ms, x86_load }, None);
     }
@@ -390,8 +374,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
     fn ingest_obs(&self, r: &WireReport<'_>, obs: Option<&mut Tracer>) {
         let idx = self.shard_idx(r.app);
         let shard = &self.shards[idx];
-        let report = Shard::<P>::owned(&shard.snap.load(), r);
-        if shard.enqueue([report], self.batch) {
+        if shard.enqueue([r], self.batch) {
             self.flush_shard(idx, shard, obs);
         }
     }
@@ -432,9 +415,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
             if group.is_empty() {
                 continue;
             }
-            let snap = shard.snap.load();
-            let owned = group.iter().map(|&i| Shard::<P>::owned(&snap, &reports[i as usize]));
-            let ready = shard.enqueue(owned, self.batch);
+            let ready = shard.enqueue(group.iter().map(|&i| &reports[i as usize]), self.batch);
             group.clear();
             if ready {
                 self.flush_shard(idx, shard, obs.as_deref_mut());
@@ -459,7 +440,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
         shard.dirty.store(false, Ordering::Release);
         // `batch` was left empty (capacity kept) by the previous flush.
         std::mem::swap(&mut *shard.pending.lock(), batch);
-        if batch.is_empty() {
+        let (names, reports) = (batch.names.as_str(), &mut batch.reports);
+        if reports.is_empty() {
             return;
         }
         // The counts are exact, and bumped before the apply because the
@@ -468,11 +450,11 @@ impl<P: PolicyCore> ShardedEngine<P> {
         // apply loop and the publication — the report_batch /
         // flush_publish op-class distributions — an unelected one reads
         // no clock.
-        let applied = batch.len();
+        let applied = reports.len();
         let apply_start = shard.metrics.record_batch(applied).then(Instant::now);
-        for r in batch.iter() {
+        for r in reports.iter() {
             policy.apply(&CompletionReport {
-                app: &r.app,
+                app: r.app(names),
                 target: r.target,
                 func_ms: r.func_ms,
                 x86_load: r.x86_load as usize,
@@ -484,7 +466,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
         // snapshot for as long as we hold it. A row touched twice is
         // republished twice — the same value, cheaper than deduping.
         let snap = shard.snap.load();
-        if !batch.iter().all(|r| policy.republish(&snap, &r.app)) {
+        if !reports.iter().all(|r| policy.republish(&snap, r.app(names))) {
             shard.snap.store(policy.snapshot());
         }
         if let Some((apply_start, publish_start)) = phases {
@@ -495,11 +477,12 @@ impl<P: PolicyCore> ShardedEngine<P> {
         // Emit post-apply row deltas for the apps this batch touched,
         // still under the state lock so one shard's deltas reach the
         // sink in apply order. The batch is applied, so its order no
-        // longer matters: sort and dedup it in place, no scratch list.
+        // longer matters: sort and dedup its records in place, no
+        // scratch list.
         if let Some(sink) = self.sink.get() {
-            batch.sort_unstable_by(|a, b| a.app.cmp(&b.app));
-            batch.dedup_by(|a, b| a.app == b.app);
-            let mut rows = batch.iter().filter_map(|r| policy.row(&r.app)).peekable();
+            reports.sort_unstable_by(|a, b| a.app(names).cmp(b.app(names)));
+            reports.dedup_by(|a, b| a.app(names) == b.app(names));
+            let mut rows = reports.iter().filter_map(|r| policy.row(r.app(names))).peekable();
             if rows.peek().is_some() {
                 sink(idx as u32, &mut rows);
             }
@@ -861,33 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn name_map_hashes_do_not_cluster_within_a_shard() {
-        use std::hash::BuildHasher;
-        // Every name of a shard agrees modulo the shard count, so at 8
-        // shards the raw FNV value's low three bits are one constant
-        // per shard. Sum of squared bucket loads over the low 10 bits
-        // (what a table of ~1 250 rows buckets on) against its
-        // expectation for uniform hashes, n + n(n-1)/m.
-        let names: Vec<String> = (0..10_000).map(|i| format!("app-{i:06}")).collect();
-        let spread = |hash: &dyn Fn(&str) -> u64, shard: usize| {
-            let mut buckets = [0u64; 1024];
-            for name in names.iter().filter(|n| shard_of(n, 8) == shard) {
-                buckets[(hash(name) & 1023) as usize] += 1;
-            }
-            let n = buckets.iter().sum::<u64>() as f64;
-            let sum_sq: u64 = buckets.iter().map(|c| c * c).sum();
-            sum_sq as f64 / (n + n * (n - 1.0) / 1024.0)
-        };
-        for shard in 0..8 {
-            let mixed = spread(&|n| NameHashBuilder.hash_one(n), shard);
-            assert!(mixed <= 2.0, "shard {shard}: {mixed:.2}x the uniform collision load");
-            // The bar has teeth: the unmixed value fails it.
-            let raw = spread(&name_hash, shard);
-            assert!(raw > 2.0, "shard {shard}: raw FNV spreads {raw:.2}x — test lost its bite");
-        }
-    }
-
-    #[test]
     fn batch_one_applies_immediately() {
         let e = engine(4, 1);
         for _ in 0..3 {
@@ -1140,17 +1096,17 @@ mod tests {
     /// does not hold inserts a row — the rebuild path.
     #[derive(Debug, Clone, Default)]
     struct CellPolicy {
-        rows: std::collections::BTreeMap<Arc<str>, u32>,
+        rows: std::collections::BTreeMap<String, u32>,
     }
 
     impl CellPolicy {
         fn with_apps(apps: &[&str]) -> CellPolicy {
-            CellPolicy { rows: apps.iter().map(|a| (Arc::from(*a), 0)).collect() }
+            CellPolicy { rows: apps.iter().map(|a| (a.to_string(), 0)).collect() }
         }
     }
 
     impl PolicyCore for CellPolicy {
-        type Snap = std::collections::HashMap<Arc<str>, ThrCell>;
+        type Snap = std::collections::HashMap<String, ThrCell>;
 
         fn snapshot(&self) -> Self::Snap {
             self.rows.iter().map(|(app, &n)| (app.clone(), ThrCell::new(n, 2 * n))).collect()
@@ -1163,24 +1119,20 @@ mod tests {
             true
         }
 
-        fn intern(snap: &Self::Snap, app: &str) -> Option<Arc<str>> {
-            snap.get_key_value(app).map(|(key, _)| key.clone())
-        }
-
         fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision {
             let seen = snap.get(ctx.app).map_or(0, |cell| cell.load().0);
             Decision::to(if seen >= 3 { Target::Fpga } else { Target::X86 })
         }
 
         fn apply(&mut self, report: &CompletionReport<'_>) {
-            *self.rows.entry(Arc::from(report.app)).or_default() += 1;
+            *self.rows.entry(report.app.to_string()).or_default() += 1;
         }
 
         fn entries(&self) -> Vec<TableEntry> {
             self.rows
                 .iter()
                 .map(|(app, &n)| TableEntry {
-                    app: app.to_string(),
+                    app: app.clone(),
                     kernel: String::new(),
                     fpga_thr: n,
                     arm_thr: 2 * n,
@@ -1198,7 +1150,7 @@ mod tests {
             let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
             self.rows = text
                 .lines()
-                .map(|l| l.split_once(' ').map(|(app, n)| (Arc::from(app), n.parse().unwrap())))
+                .map(|l| l.split_once(' ').map(|(app, n)| (app.to_string(), n.parse().unwrap())))
                 .collect::<Option<_>>()
                 .ok_or("malformed row")?;
             Ok(())
@@ -1275,19 +1227,36 @@ mod tests {
     }
 
     #[test]
-    fn ingest_borrows_known_names_from_the_published_snapshot() {
+    fn queued_reports_carry_their_names_as_bytes() {
         let e = Arc::new(ShardedEngine::from_shards(vec![CellPolicy::with_apps(&["known"])], 64));
-        e.ingest("known", Target::X86, 1.0, 1);
-        e.ingest("known", Target::Fpga, 2.0, 2);
-        e.ingest("stranger", Target::X86, 1.0, 1);
-        let snap = e.snapshot_of("known");
-        let key = snap.get_key_value("known").unwrap().0;
-        let pending = e.shards[0].pending.lock();
-        assert!(
-            Arc::ptr_eq(&pending[0].app, key) && Arc::ptr_eq(&pending[1].app, key),
-            "a known app's reports share the index's allocation"
-        );
-        assert_eq!(&*pending[2].app, "stranger");
+        let reports = [
+            report("known"),
+            WireReport { app: "known", target: Target::Fpga, func_ms: 2.0, x86_load: 2 },
+            report("stranger"),
+        ];
+        e.ingest_obs(&reports[0], None);
+        e.report_batch_wire(&mut BatchScratch::default(), &reports[1..]);
+        fn queued(q: &Queue) -> Vec<WireReport<'_>> {
+            let to_wire = |r: &Queued| WireReport {
+                app: r.app(&q.names),
+                target: r.target,
+                func_ms: r.func_ms,
+                x86_load: r.x86_load,
+            };
+            q.reports.iter().map(to_wire).collect()
+        }
+        {
+            let pending = e.shards[0].pending.lock();
+            assert_eq!(pending.names, "knownknownstranger", "one copy of each report's name");
+            assert_eq!(queued(&pending), reports, "arrival order, every field");
+        }
+        // The flush drains the queue into the batch buffer, applies it,
+        // and leaves both empty with their capacity kept.
+        e.flush();
+        let (pending, state) = (e.shards[0].pending.lock(), e.shards[0].state.lock());
+        assert!(pending.reports.is_empty() && pending.names.is_empty());
+        assert!(state.batch.reports.is_empty() && state.batch.names.capacity() >= 18);
+        assert_eq!(state.policy.rows.get("known"), Some(&2));
     }
 
     #[test]

@@ -76,11 +76,11 @@ pub mod wire;
 
 pub use adapter::ShardedPolicy;
 pub use backoff::Backoff;
-pub use client::{ResilientClient, ResilientConfig, V2Client};
+pub use client::{ReportOwned, ResilientClient, ResilientConfig, V2Client};
 pub use dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, RecoveryStats};
 pub use engine::{
-    name_hash, shard_of, BatchScratch, DecideHandle, DecideScratch, EngineConfig, NameHashBuilder,
-    PolicyCore, ReportOwned, RowRef, ShardedEngine, TableEntry,
+    name_hash, shard_of, shard_of_hash, BatchScratch, DecideHandle, DecideScratch, EngineConfig,
+    PolicyCore, RowRef, ShardedEngine, TableEntry,
 };
 pub use metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics, LATENCY_SAMPLE, STRIPES};
 pub use obsd::{FleetSnapshot, Health, MemberView, Obsd, ObsdConfig};
