@@ -104,9 +104,10 @@ fn bench_vm(c: &mut Criterion) {
     }
     // The loop above keeps its state in registers and stack slots; this
     // row is load-bound (FaceDet320's cascade over a staged integral
-    // image), so it sees `Memory` as well as fetch. The id carries the
-    // retired-instruction count: ns/iter over it is ns per guest
-    // instruction.
+    // image), so it sees `Memory` as well as dispatch; the block-table
+    // lookup is paid once per ~16 retired instructions (42 k blocks per
+    // run). The id carries the retired-instruction count: ns/iter over it
+    // is ns per guest instruction.
     let fd = compile(&xar_workloads::profiles::facedet_bundle(320, 240).module).unwrap();
     let img = xar_workloads::facedet::generate_image(320, 240, &[(30, 30), (150, 80)], 42);
     let ii = xar_workloads::facedet::integral_image(&img);

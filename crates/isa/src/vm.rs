@@ -1,23 +1,35 @@
 //! Cycle-counting virtual machines for the two ISAs.
 //!
-//! A [`Vm`] fetch-decodes instructions from a [`Memory`] image produced by
-//! the `xar-popcorn` linker (or by [`crate::assemble`]), executes them with
-//! the ISA's semantics, and accumulates a cycle count from
-//! [`crate::cost::cycles`].
+//! A [`Vm`] decodes instructions from a [`Memory`] image produced by the
+//! `xar-popcorn` linker (or by [`crate::assemble`]) a basic block at a
+//! time, executes them with the ISA's semantics, and accumulates a cycle
+//! count from [`crate::cost::cycles`].
 //!
-//! # Decode table
+//! # Block table
 //!
-//! Guest code is decoded once: `Vm` keeps a direct-mapped table of decoded
-//! instructions indexed by the low bits of `pc`. A slot is served only
-//! when its tag equals `pc`, so pcs that share a slot evict each other and
-//! never run each other's instruction. A slot also holds the instruction's
-//! [`crate::cost::cycles`], evaluated at decode time; [`Vm::run`] adds the
-//! stored number. A hit is one table access: the slot whose tag was just
-//! checked is the one copied out; only a miss decodes (out of line) and
-//! indexes the table again. The table is allocated by the first fetch (an
-//! idle VM and its clones own no heap) and does not watch [`Memory`]:
-//! after rewriting code that may have executed, call
-//! [`Vm::invalidate_code`].
+//! Guest code is translated once per basic block: `Vm` keeps a
+//! direct-mapped table of blocks indexed by the low bits of their start
+//! `pc`. A block is the decoded straight line from that `pc` up to and
+//! including the first control transfer (`jmp`, `b.cond`, `call`, `ret`,
+//! `hlt`), at most `BLOCK_CAP` (64) instructions, and cut short before an
+//! instruction that does not decode (which faults only when it is
+//! reached). It holds each instruction with its `pc` and its
+//! [`crate::cost::cycles`], evaluated at translation, plus the sum of
+//! those costs and the fall-through `pc`. A slot is served only when its
+//! tag equals the `pc` being entered, so pcs that share a slot evict
+//! each other and never run each other's block, and a jump into the
+//! middle of a block translates a block of its own. [`Vm::run`] pays one
+//! tag check per block, runs the block's instructions from a slice, and
+//! retires them together: `instret` by their number, `cycles` by the
+//! precomputed sum. A `hlt` or a runtime call ends its block, so its trap
+//! returns with the block retired (the executor reads
+//! [`Vm::elapsed_ns`] while servicing it). Only a block cut short — by
+//! the fuel or by a faulting division — retires its prefix instruction by
+//! instruction. The table is allocated by the first translation (an idle
+//! VM and its clones own no heap); an evicted block's instructions stay
+//! behind until the table holds `OPS_LIMIT` of them and starts over. It
+//! does not watch [`Memory`]: after rewriting code that may have
+//! executed, call [`Vm::invalidate_code`].
 //!
 //! # What a guest instruction is
 //!
@@ -26,10 +38,11 @@
 //! 696 624 instructions retired on either ISA) runs `LoadSp` 39.3 %,
 //! `StoreSp` 28.2 %, `Load` 2.5 % — 70 % loads and stores — then `Alu`
 //! 14.1 %, `MovImm` 6.7 %, compare/branch 6.6 %, call/ret/enter/leave
-//! 2.5 %. The per-instruction cost is therefore [`Memory`]'s access path
-//! (see [`crate::mem`], "Access paths") plus fetch and the dispatch
-//! `match`; the first two are one tag compare each, dispatch is what is
-//! left.
+//! 2.5 %. One run enters 42 326 blocks, ~16.5 instructions each, from 40
+//! translated blocks of 385 instructions. Per instruction what is left is
+//! [`Memory`]'s access path (see [`crate::mem`], "Access paths") and the
+//! dispatch `match`; the tag check, the `pc` update and the cycle and
+//! instruction counts are paid once per block.
 //!
 //! # Traps
 //!
@@ -60,20 +73,105 @@ use crate::{Isa, RUNTIME_CALL_BASE, RUNTIME_CALL_END};
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Slots in a VM's decode table (a power of two; 128 KiB when allocated).
-const DECODE_SLOTS: usize = 4096;
+/// Slots in a VM's block table (a power of two; 128 KiB when allocated).
+const BLOCK_SLOTS: usize = 4096;
 
-/// One decoded instruction, tagged with the `pc` it was decoded at;
-/// `len == 0` marks a slot never filled.
+/// The most instructions one block holds.
+const BLOCK_CAP: usize = 64;
+
+/// Translated instructions the table keeps before it starts over: an
+/// evicted block's instructions stay behind until then (512 KiB).
+const OPS_LIMIT: usize = 16 * 1024;
+
+/// One translated instruction, with its address and its cost.
 #[derive(Debug, Clone, Copy)]
-struct Decoded {
-    pc: u64,
+struct Op {
     ins: MInstr,
-    len: u32,
+    pc: u64,
     cost: u32,
 }
 
-const EMPTY: Decoded = Decoded { pc: 0, ins: MInstr::Nop, len: 0, cost: 0 };
+/// A translated block: `n` instructions from `start` in the table's
+/// `ops`, tagged with the `pc` it was translated at; `n == 0` marks a
+/// slot never filled.
+#[derive(Debug, Clone, Copy, Default)]
+struct Block {
+    pc: u64,
+    start: u32,
+    n: u32,
+    /// The summed cost of the block's instructions.
+    cycles: u64,
+    /// The fall-through `pc`, just past the block's last instruction.
+    next: u64,
+}
+
+/// The blocks a VM has translated, and their instructions.
+#[derive(Debug, Clone, Default)]
+struct BlockTable {
+    slots: Vec<Block>,
+    ops: Vec<Op>,
+}
+
+impl BlockTable {
+    /// The block starting at `pc`: the slot's, when its tag says it is
+    /// this pc's, else translated into the slot first.
+    #[inline]
+    fn get(&mut self, isa: Isa, mem: &Memory, pc: u64) -> Result<Block, VmFault> {
+        let slot = pc as usize % BLOCK_SLOTS;
+        match self.slots.get(slot) {
+            Some(b) if b.pc == pc && b.n != 0 => Ok(*b),
+            _ => self.translate(isa, mem, pc, slot),
+        }
+    }
+
+    #[cold]
+    fn translate(
+        &mut self,
+        isa: Isa,
+        mem: &Memory,
+        pc: u64,
+        slot: usize,
+    ) -> Result<Block, VmFault> {
+        if self.ops.len() + BLOCK_CAP > OPS_LIMIT {
+            self.clear();
+        }
+        self.slots.resize(BLOCK_SLOTS, Block::default()); // allocates on the first translation only
+        let start = self.ops.len();
+        let (mut at, mut cycles) = (pc, 0);
+        while self.ops.len() - start < BLOCK_CAP {
+            let mut buf = [0u8; 16];
+            mem.read_bytes(at, &mut buf);
+            let (ins, len) = match decode(isa, at, &buf) {
+                Ok(d) => d,
+                Err(err) if at == pc => return Err(VmFault::Decode { pc, err }),
+                Err(_) => break, // faults when it is reached
+            };
+            let cost = cost::cycles(isa, &ins);
+            self.ops.push(Op { ins, pc: at, cost: cost as u32 });
+            cycles += cost;
+            at = at.wrapping_add(len as u64);
+            if matches!(
+                ins,
+                MInstr::Jmp { .. }
+                    | MInstr::JCond { .. }
+                    | MInstr::Call { .. }
+                    | MInstr::CallReg { .. }
+                    | MInstr::Ret
+                    | MInstr::Hlt
+            ) {
+                break;
+            }
+        }
+        let n = (self.ops.len() - start) as u32;
+        self.slots[slot] = Block { pc, start: start as u32, n, cycles, next: at };
+        Ok(self.slots[slot])
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.ops.clear();
+    }
+}
 
 /// Comparison flags, set by `cmp`/`fcmp` and consumed by `b.cond`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,7 +278,7 @@ pub struct Vm {
     pub cycles: u64,
     /// Retired instruction count.
     pub instret: u64,
-    decoded: Vec<Decoded>,
+    blocks: BlockTable,
 }
 
 impl Vm {
@@ -197,7 +295,7 @@ impl Vm {
             flags: Flags::None,
             cycles: 0,
             instret: 0,
-            decoded: Vec::new(),
+            blocks: BlockTable::default(),
         }
     }
 
@@ -206,35 +304,9 @@ impl Vm {
         self.cycles as f64 / self.isa.clock_ghz()
     }
 
-    /// Empties the decode table (required if code memory is rewritten).
+    /// Empties the block table (required if code memory is rewritten).
     pub fn invalidate_code(&mut self) {
-        self.decoded.clear();
-    }
-
-    /// The decoded instruction at `pc`: the slot's, when its tag says it
-    /// is this pc's, else decoded into the slot first.
-    #[inline]
-    fn fetch(&mut self, mem: &Memory) -> Result<Decoded, VmFault> {
-        let slot = self.pc as usize % DECODE_SLOTS;
-        match self.decoded.get(slot) {
-            Some(d) if d.pc == self.pc && d.len != 0 => Ok(*d),
-            _ => {
-                self.decode_into(mem, slot)?;
-                Ok(self.decoded[slot])
-            }
-        }
-    }
-
-    #[cold]
-    fn decode_into(&mut self, mem: &Memory, slot: usize) -> Result<(), VmFault> {
-        let pc = self.pc;
-        let mut buf = [0u8; 16];
-        mem.read_bytes(pc, &mut buf);
-        let (ins, len) = decode(self.isa, pc, &buf).map_err(|err| VmFault::Decode { pc, err })?;
-        self.decoded.resize(DECODE_SLOTS, EMPTY); // allocates on the first miss only
-        let cost = cost::cycles(self.isa, &ins) as u32;
-        self.decoded[slot] = Decoded { pc, ins, len: len as u32, cost };
-        Ok(())
+        self.blocks.clear();
     }
 
     /// Runs until a trap or fault, executing at most `fuel` instructions.
@@ -245,190 +317,210 @@ impl Vm {
     /// faulting instruction does not retire: `pc` is its address, and
     /// `cycles`, `instret` and the registers are what it found, so `run`
     /// can be called again once the cause is repaired.
-    pub fn run(&mut self, mem: &mut Memory, mut fuel: u64) -> Result<Trap, VmFault> {
-        while fuel > 0 {
-            fuel -= 1;
-            let Decoded { pc, ins, len, cost } = self.fetch(mem)?;
-            let next = pc.wrapping_add(len as u64);
-            self.cycles += cost as u64;
-            self.instret += 1;
-            self.pc = next;
-            match ins {
-                MInstr::MovImm { dst, imm } => self.regs[dst.0 as usize] = imm,
-                MInstr::MovReg { dst, src } => {
-                    self.regs[dst.0 as usize] = self.regs[src.0 as usize]
-                }
-                MInstr::Alu { op, dst, lhs, rhs } => {
-                    let l = self.regs[lhs.0 as usize];
-                    let r = self.regs[rhs.0 as usize];
-                    let Some(val) = op.eval(l, r) else { return Err(self.div_fault(pc, cost)) };
-                    self.regs[dst.0 as usize] = val;
-                }
-                MInstr::AluImm { op, dst, lhs, imm } => {
-                    let l = self.regs[lhs.0 as usize];
-                    let Some(val) = op.eval(l, imm as i64) else {
-                        return Err(self.div_fault(pc, cost));
-                    };
-                    self.regs[dst.0 as usize] = val;
-                }
-                MInstr::FAlu { op, dst, lhs, rhs } => {
-                    let l = self.fregs[lhs.0 as usize];
-                    let r = self.fregs[rhs.0 as usize];
-                    self.fregs[dst.0 as usize] = op.eval(l, r);
-                }
-                MInstr::FMovImm { dst, imm } => self.fregs[dst.0 as usize] = imm,
-                MInstr::FMovReg { dst, src } => {
-                    self.fregs[dst.0 as usize] = self.fregs[src.0 as usize]
-                }
-                MInstr::Cvt { dir: CvtDir::I2F, gp, fp } => {
-                    self.fregs[fp.0 as usize] = self.regs[gp.0 as usize] as f64
-                }
-                MInstr::Cvt { dir: CvtDir::F2I, gp, fp } => {
-                    self.regs[gp.0 as usize] = self.fregs[fp.0 as usize] as i64
-                }
-                MInstr::Load { dst, base, off, size } => {
-                    let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                    self.regs[dst.0 as usize] = mem.read_uint(addr, size.bytes()) as i64;
-                }
-                MInstr::Store { src, base, off, size } => {
-                    let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                    mem.write_uint(addr, self.regs[src.0 as usize] as u64, size.bytes());
-                }
-                MInstr::FLoad { dst, base, off } => {
-                    let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                    self.fregs[dst.0 as usize] = mem.read_f64(addr);
-                }
-                MInstr::FStore { src, base, off } => {
-                    let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                    mem.write_f64(addr, self.fregs[src.0 as usize]);
-                }
-                MInstr::LoadSp { dst, off } => {
-                    self.regs[dst.0 as usize] =
-                        mem.read_i64(self.sp.wrapping_add(off as i64 as u64));
-                }
-                MInstr::StoreSp { src, off } => {
-                    mem.write_i64(
-                        self.sp.wrapping_add(off as i64 as u64),
-                        self.regs[src.0 as usize],
-                    );
-                }
-                MInstr::FLoadSp { dst, off } => {
-                    self.fregs[dst.0 as usize] =
-                        mem.read_f64(self.sp.wrapping_add(off as i64 as u64));
-                }
-                MInstr::FStoreSp { src, off } => {
-                    mem.write_f64(
-                        self.sp.wrapping_add(off as i64 as u64),
-                        self.fregs[src.0 as usize],
-                    );
-                }
-                MInstr::MovFromFp { dst } => self.regs[dst.0 as usize] = self.fp as i64,
-                MInstr::MovFromSp { dst } => self.regs[dst.0 as usize] = self.sp as i64,
-                MInstr::AddSp { imm } => self.sp = self.sp.wrapping_add(imm as i64 as u64),
-                MInstr::Enter { frame } => match self.isa {
-                    Isa::Xar86 => {
-                        // Return address was pushed by `call`; push caller fp.
+    pub fn run(&mut self, mem: &mut Memory, fuel: u64) -> Result<Trap, VmFault> {
+        let mut left = fuel;
+        while left > 0 {
+            let b = self.blocks.get(self.isa, mem, self.pc)?;
+            let k = left.min(b.n as u64) as usize;
+            // Set by the block's last instruction when it transfers control.
+            let (mut next, mut link) = (b.next, false);
+            for (i, &Op { ins, .. }) in self.blocks.ops[b.start as usize..][..k].iter().enumerate()
+            {
+                match ins {
+                    MInstr::MovImm { dst, imm } => self.regs[dst.0 as usize] = imm,
+                    MInstr::MovReg { dst, src } => {
+                        self.regs[dst.0 as usize] = self.regs[src.0 as usize]
+                    }
+                    MInstr::Alu { op, dst, lhs, rhs } => {
+                        let l = self.regs[lhs.0 as usize];
+                        let r = self.regs[rhs.0 as usize];
+                        let Some(val) = op.eval(l, r) else {
+                            return Err(VmFault::DivFault { pc: self.retire_prefix(&b, i) });
+                        };
+                        self.regs[dst.0 as usize] = val;
+                    }
+                    MInstr::AluImm { op, dst, lhs, imm } => {
+                        let l = self.regs[lhs.0 as usize];
+                        let Some(val) = op.eval(l, imm as i64) else {
+                            return Err(VmFault::DivFault { pc: self.retire_prefix(&b, i) });
+                        };
+                        self.regs[dst.0 as usize] = val;
+                    }
+                    MInstr::FAlu { op, dst, lhs, rhs } => {
+                        let l = self.fregs[lhs.0 as usize];
+                        let r = self.fregs[rhs.0 as usize];
+                        self.fregs[dst.0 as usize] = op.eval(l, r);
+                    }
+                    MInstr::FMovImm { dst, imm } => self.fregs[dst.0 as usize] = imm,
+                    MInstr::FMovReg { dst, src } => {
+                        self.fregs[dst.0 as usize] = self.fregs[src.0 as usize]
+                    }
+                    MInstr::Cvt { dir: CvtDir::I2F, gp, fp } => {
+                        self.fregs[fp.0 as usize] = self.regs[gp.0 as usize] as f64
+                    }
+                    MInstr::Cvt { dir: CvtDir::F2I, gp, fp } => {
+                        self.regs[gp.0 as usize] = self.fregs[fp.0 as usize] as i64
+                    }
+                    MInstr::Load { dst, base, off, size } => {
+                        let addr =
+                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                        self.regs[dst.0 as usize] = mem.read_uint(addr, size.bytes()) as i64;
+                    }
+                    MInstr::Store { src, base, off, size } => {
+                        let addr =
+                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                        mem.write_uint(addr, self.regs[src.0 as usize] as u64, size.bytes());
+                    }
+                    MInstr::FLoad { dst, base, off } => {
+                        let addr =
+                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                        self.fregs[dst.0 as usize] = mem.read_f64(addr);
+                    }
+                    MInstr::FStore { src, base, off } => {
+                        let addr =
+                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                        mem.write_f64(addr, self.fregs[src.0 as usize]);
+                    }
+                    MInstr::LoadSp { dst, off } => {
+                        self.regs[dst.0 as usize] =
+                            mem.read_i64(self.sp.wrapping_add(off as i64 as u64));
+                    }
+                    MInstr::StoreSp { src, off } => {
+                        mem.write_i64(
+                            self.sp.wrapping_add(off as i64 as u64),
+                            self.regs[src.0 as usize],
+                        );
+                    }
+                    MInstr::FLoadSp { dst, off } => {
+                        self.fregs[dst.0 as usize] =
+                            mem.read_f64(self.sp.wrapping_add(off as i64 as u64));
+                    }
+                    MInstr::FStoreSp { src, off } => {
+                        mem.write_f64(
+                            self.sp.wrapping_add(off as i64 as u64),
+                            self.fregs[src.0 as usize],
+                        );
+                    }
+                    MInstr::MovFromFp { dst } => self.regs[dst.0 as usize] = self.fp as i64,
+                    MInstr::MovFromSp { dst } => self.regs[dst.0 as usize] = self.sp as i64,
+                    MInstr::AddSp { imm } => self.sp = self.sp.wrapping_add(imm as i64 as u64),
+                    MInstr::Enter { frame } => match self.isa {
+                        Isa::Xar86 => {
+                            // Return address was pushed by `call`; push caller fp.
+                            self.sp = self.sp.wrapping_sub(8);
+                            mem.write_u64(self.sp, self.fp);
+                            self.fp = self.sp;
+                            self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+                        }
+                        Isa::Arm64e => {
+                            // Spill the frame record (fp, lr) like AArch64's stp.
+                            self.sp = self.sp.wrapping_sub(16);
+                            mem.write_u64(self.sp, self.fp);
+                            mem.write_u64(self.sp.wrapping_add(8), self.lr);
+                            self.fp = self.sp;
+                            self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+                        }
+                    },
+                    MInstr::Leave => match self.isa {
+                        Isa::Xar86 => {
+                            self.sp = self.fp;
+                            self.fp = mem.read_u64(self.sp);
+                            self.sp = self.sp.wrapping_add(8);
+                            // Return address now at [sp]; `ret` pops it.
+                        }
+                        Isa::Arm64e => {
+                            self.sp = self.fp;
+                            self.fp = mem.read_u64(self.sp);
+                            self.lr = mem.read_u64(self.sp.wrapping_add(8));
+                            self.sp = self.sp.wrapping_add(16);
+                        }
+                    },
+                    MInstr::Cmp { lhs, rhs } => {
+                        self.flags =
+                            Flags::Int(self.regs[lhs.0 as usize].cmp(&self.regs[rhs.0 as usize]));
+                    }
+                    MInstr::CmpImm { lhs, imm } => {
+                        self.flags = Flags::Int(self.regs[lhs.0 as usize].cmp(&(imm as i64)));
+                    }
+                    MInstr::FCmp { lhs, rhs } => {
+                        self.flags = Flags::Float(
+                            self.fregs[lhs.0 as usize].partial_cmp(&self.fregs[rhs.0 as usize]),
+                        );
+                    }
+                    MInstr::Jmp { target } => next = target,
+                    MInstr::JCond { cond, target } => {
+                        if self.flags.eval(cond) {
+                            next = target;
+                        }
+                    }
+                    MInstr::Call { target } => (next, link) = (target, true),
+                    MInstr::CallReg { target } => {
+                        (next, link) = (self.regs[target.0 as usize] as u64, true)
+                    }
+                    MInstr::Ret => match self.isa {
+                        Isa::Xar86 => {
+                            next = mem.read_u64(self.sp);
+                            self.sp = self.sp.wrapping_add(8);
+                        }
+                        Isa::Arm64e => next = self.lr,
+                    },
+                    MInstr::Push { src } => {
                         self.sp = self.sp.wrapping_sub(8);
-                        mem.write_u64(self.sp, self.fp);
-                        self.fp = self.sp;
-                        self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+                        mem.write_i64(self.sp, self.regs[src.0 as usize]);
                     }
-                    Isa::Arm64e => {
-                        // Spill the frame record (fp, lr) like AArch64's stp.
-                        self.sp = self.sp.wrapping_sub(16);
-                        mem.write_u64(self.sp, self.fp);
-                        mem.write_u64(self.sp.wrapping_add(8), self.lr);
-                        self.fp = self.sp;
-                        self.sp = self.sp.wrapping_sub(frame as i64 as u64);
-                    }
-                },
-                MInstr::Leave => match self.isa {
-                    Isa::Xar86 => {
-                        self.sp = self.fp;
-                        self.fp = mem.read_u64(self.sp);
-                        self.sp = self.sp.wrapping_add(8);
-                        // Return address now at [sp]; `ret` pops it.
-                    }
-                    Isa::Arm64e => {
-                        self.sp = self.fp;
-                        self.fp = mem.read_u64(self.sp);
-                        self.lr = mem.read_u64(self.sp.wrapping_add(8));
-                        self.sp = self.sp.wrapping_add(16);
-                    }
-                },
-                MInstr::Cmp { lhs, rhs } => {
-                    self.flags =
-                        Flags::Int(self.regs[lhs.0 as usize].cmp(&self.regs[rhs.0 as usize]));
-                }
-                MInstr::CmpImm { lhs, imm } => {
-                    self.flags = Flags::Int(self.regs[lhs.0 as usize].cmp(&(imm as i64)));
-                }
-                MInstr::FCmp { lhs, rhs } => {
-                    self.flags = Flags::Float(
-                        self.fregs[lhs.0 as usize].partial_cmp(&self.fregs[rhs.0 as usize]),
-                    );
-                }
-                MInstr::Jmp { target } => self.pc = target,
-                MInstr::JCond { cond, target } => {
-                    if self.flags.eval(cond) {
-                        self.pc = target;
-                    }
-                }
-                MInstr::Call { target } => {
-                    if (RUNTIME_CALL_BASE..RUNTIME_CALL_END).contains(&target) {
-                        return Ok(Trap::RuntimeCall { addr: target, ret_to: next });
-                    }
-                    self.do_call(mem, target, next);
-                }
-                MInstr::CallReg { target } => {
-                    let target = self.regs[target.0 as usize] as u64;
-                    if (RUNTIME_CALL_BASE..RUNTIME_CALL_END).contains(&target) {
-                        return Ok(Trap::RuntimeCall { addr: target, ret_to: next });
-                    }
-                    self.do_call(mem, target, next);
-                }
-                MInstr::Ret => match self.isa {
-                    Isa::Xar86 => {
-                        self.pc = mem.read_u64(self.sp);
+                    MInstr::Pop { dst } => {
+                        self.regs[dst.0 as usize] = mem.read_i64(self.sp);
                         self.sp = self.sp.wrapping_add(8);
                     }
-                    Isa::Arm64e => self.pc = self.lr,
-                },
-                MInstr::Push { src } => {
-                    self.sp = self.sp.wrapping_sub(8);
-                    mem.write_i64(self.sp, self.regs[src.0 as usize]);
+                    MInstr::Nop => {}
+                    MInstr::Hlt => {
+                        self.retire(&b, b.next);
+                        return Ok(Trap::Hlt);
+                    }
                 }
-                MInstr::Pop { dst } => {
-                    self.regs[dst.0 as usize] = mem.read_i64(self.sp);
-                    self.sp = self.sp.wrapping_add(8);
-                }
-                MInstr::Nop => {}
-                MInstr::Hlt => return Ok(Trap::Hlt),
             }
+            if k < b.n as usize {
+                self.retire_prefix(&b, k);
+                return Ok(Trap::OutOfFuel);
+            }
+            left -= b.n as u64;
+            if link {
+                let ret_to = b.next;
+                if (RUNTIME_CALL_BASE..RUNTIME_CALL_END).contains(&next) {
+                    self.retire(&b, ret_to);
+                    return Ok(Trap::RuntimeCall { addr: next, ret_to });
+                }
+                match self.isa {
+                    Isa::Xar86 => {
+                        self.sp = self.sp.wrapping_sub(8);
+                        mem.write_u64(self.sp, ret_to);
+                    }
+                    Isa::Arm64e => self.lr = ret_to,
+                }
+            }
+            self.retire(&b, next);
         }
         Ok(Trap::OutOfFuel)
     }
 
-    /// A division at `pc` faulted: it does not retire, so what `run`
-    /// advanced before dispatching it (`pc`, `cycles`, `instret`) goes
-    /// back to where the instruction found it.
-    #[cold]
-    fn div_fault(&mut self, pc: u64, cost: u32) -> VmFault {
-        self.pc = pc;
-        self.cycles -= cost as u64;
-        self.instret -= 1;
-        VmFault::DivFault { pc }
+    /// Retires all of `b` and continues at `next`.
+    #[inline]
+    fn retire(&mut self, b: &Block, next: u64) {
+        self.instret += b.n as u64;
+        self.cycles += b.cycles;
+        self.pc = next;
     }
 
-    fn do_call(&mut self, mem: &mut Memory, target: u64, ret_to: u64) {
-        match self.isa {
-            Isa::Xar86 => {
-                self.sp = self.sp.wrapping_sub(8);
-                mem.write_u64(self.sp, ret_to);
-            }
-            Isa::Arm64e => self.lr = ret_to,
-        }
-        self.pc = target;
+    /// Retires the first `k` instructions of `b` only and stops at the
+    /// next one, which the fuel did not reach or which faulted; returns
+    /// its `pc`.
+    #[cold]
+    fn retire_prefix(&mut self, b: &Block, k: usize) -> u64 {
+        let ops = &self.blocks.ops[b.start as usize..][..=k];
+        self.instret += k as u64;
+        self.cycles += ops[..k].iter().map(|op| op.cost as u64).sum::<u64>();
+        self.pc = ops[k].pc;
+        self.pc
     }
 }
 
@@ -585,11 +677,11 @@ mod tests {
 
     #[test]
     fn aliasing_pcs_never_serve_each_others_instruction() {
-        // `jmp` at TEXT and `mov` at TEXT + k * DECODE_SLOTS share slot
-        // TEXT % DECODE_SLOTS; running the pair repeatedly makes each
+        // `jmp` at TEXT and `mov` at TEXT + k * BLOCK_SLOTS share slot
+        // TEXT % BLOCK_SLOTS; running the pair repeatedly makes each
         // evict the other, and the tag check must keep them apart.
         for isa in Isa::ALL {
-            let far = TEXT + 3 * DECODE_SLOTS as u64;
+            let far = TEXT + 3 * BLOCK_SLOTS as u64;
             let mut mem = Memory::new();
             mem.load_image(TEXT, &assemble(isa, TEXT, &[MInstr::Jmp { target: far }]).unwrap());
             let tail = [MInstr::MovImm { dst: Reg(0), imm: 77 }, MInstr::Hlt];
@@ -634,17 +726,18 @@ mod tests {
     #[test]
     fn idle_vm_and_its_clone_hold_no_heap() {
         // `stackxform::transform` builds a VM per migration and the
-        // executor one per run: the table must not exist until a fetch.
+        // executor one per run: the table must not exist until a block is
+        // translated.
         let mut vm = Vm::new(Isa::Xar86);
-        assert_eq!(vm.decoded.capacity(), 0);
-        assert_eq!(vm.clone().decoded.capacity(), 0);
+        assert_eq!(vm.blocks.slots.capacity(), 0);
+        assert_eq!(vm.clone().blocks.slots.capacity(), 0);
         let mut mem = Memory::new();
         mem.load_image(TEXT, &assemble(Isa::Xar86, TEXT, &[MInstr::Hlt]).unwrap());
         vm.pc = TEXT;
         vm.run(&mut mem, 1).unwrap();
-        assert_eq!(vm.decoded.len(), DECODE_SLOTS);
+        assert_eq!(vm.blocks.slots.len(), BLOCK_SLOTS);
         vm.invalidate_code();
-        assert!(vm.decoded.is_empty());
+        assert!(vm.blocks.slots.is_empty());
     }
 
     #[test]
@@ -807,5 +900,325 @@ mod tests {
         let (va, _) = run_prog(Isa::Arm64e, &mk(Isa::Arm64e));
         assert_eq!(vx.regs[0], va.regs[0]);
         assert_ne!(vx.cycles, va.cycles);
+    }
+
+    /// Bytes `prog` takes on `isa`.
+    fn size(isa: Isa, prog: &[MInstr]) -> u64 {
+        prog.iter().map(|m| crate::encode::encoded_size(isa, m) as u64).sum()
+    }
+
+    /// The cost model summed over `trace`.
+    fn cost_of(isa: Isa, trace: &[MInstr]) -> u64 {
+        trace.iter().map(|m| cost::cycles(isa, m)).sum()
+    }
+
+    /// A VM at `TEXT` with `prog` loaded and the stack at `STACK`.
+    fn load(isa: Isa, prog: &[MInstr]) -> (Vm, Memory) {
+        let mut mem = Memory::new();
+        mem.load_image(TEXT, &assemble(isa, TEXT, prog).expect("assemble"));
+        let mut vm = Vm::new(isa);
+        (vm.pc, vm.sp) = (TEXT, STACK);
+        (vm, mem)
+    }
+
+    /// A page edge the seeded programs load and store across.
+    const EDGE: u64 = 0x5000_1000;
+
+    /// More fuel than any seeded program retires: one `run` call.
+    const ENOUGH: u64 = 1 << 20;
+
+    /// A seeded program: a counted loop whose body mixes ALU ops,
+    /// divisions, loads and stores across `EDGE`, stack slots and calls
+    /// to a function with a frame, sometimes longer than a block. Odd
+    /// seeds end in a division by zero instead of at `hlt`.
+    fn seeded_program(isa: Isa, seed: u64) -> Vec<MInstr> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rnd = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (base, count, divisor, zero) = (Reg(1), Reg(2), Reg(9), Reg(10));
+        let work = |r: u64| Reg(3 + r as u8);
+        let sizes = [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8];
+        let mut prog = vec![
+            MInstr::MovImm { dst: base, imm: EDGE as i64 - 4 },
+            MInstr::MovImm { dst: count, imm: 2 + rnd(4) as i64 },
+            MInstr::MovImm { dst: divisor, imm: [3, 7, -5][rnd(3) as usize] },
+            MInstr::MovImm { dst: zero, imm: 0 },
+        ];
+        for r in 0..6 {
+            prog.push(MInstr::MovImm { dst: work(r), imm: rnd(1000) as i64 - 500 });
+        }
+        let loop_start = TEXT + size(isa, &prog);
+        for _ in 0..1 + rnd(2 * BLOCK_CAP as u64) {
+            let (w, v) = (work(rnd(6)), work(rnd(6)));
+            let ops = [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::Xor];
+            let off = rnd(13) as i32 - 8;
+            prog.push(match rnd(8) {
+                0 => MInstr::AluImm {
+                    op: ops[rnd(4) as usize],
+                    dst: w,
+                    lhs: w,
+                    imm: rnd(100) as i32 - 50,
+                },
+                1 => MInstr::Alu { op: ops[rnd(4) as usize], dst: w, lhs: w, rhs: v },
+                2 => MInstr::Alu {
+                    op: [AluOp::Div, AluOp::Rem][rnd(2) as usize],
+                    dst: w,
+                    lhs: w,
+                    rhs: divisor,
+                },
+                3 => MInstr::Store { src: w, base, off, size: sizes[rnd(4) as usize] },
+                4 => MInstr::Load { dst: w, base, off, size: sizes[rnd(4) as usize] },
+                5 => MInstr::StoreSp { src: w, off: 8 * rnd(8) as i32 },
+                6 => MInstr::LoadSp { dst: w, off: 8 * rnd(8) as i32 },
+                _ => MInstr::Call { target: 0 }, // patched to `f` below
+            });
+        }
+        prog.extend([
+            MInstr::AluImm { op: AluOp::Sub, dst: count, lhs: count, imm: 1 },
+            MInstr::CmpImm { lhs: count, imm: 0 },
+            MInstr::JCond { cond: Cond::Gt, target: loop_start },
+        ]);
+        if seed % 2 == 1 {
+            prog.push(MInstr::Alu { op: AluOp::Div, dst: work(0), lhs: work(0), rhs: zero });
+        }
+        prog.push(MInstr::Hlt);
+        let f = TEXT + size(isa, &prog);
+        for ins in &mut prog {
+            if let MInstr::Call { target } = ins {
+                *target = f;
+            }
+        }
+        prog.extend([
+            MInstr::Enter { frame: 16 },
+            MInstr::StoreSp { src: work(0), off: 0 },
+            MInstr::AluImm { op: AluOp::Add, dst: work(1), lhs: work(1), imm: 5 },
+            MInstr::LoadSp { dst: work(2), off: 0 },
+            MInstr::Leave,
+            MInstr::Ret,
+        ]);
+        prog
+    }
+
+    /// Everything a run leaves behind that a guest or the executor reads.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        end: Result<Trap, VmFault>,
+        regs: [i64; 32],
+        flags: Flags,
+        pc_sp_fp_lr: [u64; 4],
+        instret: u64,
+        cycles: u64,
+        edge: Vec<u8>,
+        stack: Vec<u8>,
+    }
+
+    /// Runs `prog` to its end, `fuel` instructions per `run` call. With
+    /// `fuel == 1`, also checks each step's cycles against the cost
+    /// model of the instruction at the step's `pc`.
+    fn run_sliced(isa: Isa, prog: &[MInstr], fuel: u64) -> Outcome {
+        let (mut vm, mut mem) = load(isa, prog);
+        let end = loop {
+            assert!(vm.instret < ENOUGH, "{isa}: the guest runs away");
+            let (pc, cycles) = (vm.pc, vm.cycles);
+            match vm.run(&mut mem, fuel) {
+                Ok(Trap::OutOfFuel) => {}
+                end => break end,
+            }
+            if fuel == 1 {
+                let (ins, _) = decode(isa, pc, &mem.dump(pc, 16)).unwrap();
+                assert_eq!(vm.cycles - cycles, cost::cycles(isa, &ins), "{isa} at {pc:#x}");
+            }
+        };
+        Outcome {
+            end,
+            regs: vm.regs,
+            flags: vm.flags,
+            pc_sp_fp_lr: [vm.pc, vm.sp, vm.fp, vm.lr],
+            instret: vm.instret,
+            cycles: vm.cycles,
+            edge: mem.dump(EDGE - 16, 32),
+            stack: mem.dump(STACK - 256, 320),
+        }
+    }
+
+    #[test]
+    fn fuel_slicing_never_changes_a_run() {
+        // Blocks cut by fuel at every offset, resumed mid-block, and runs
+        // that end in a fault must all match the unsliced run.
+        for (isa, seed) in Isa::ALL.into_iter().flat_map(|isa| (0..12).map(move |s| (isa, s))) {
+            let prog = seeded_program(isa, seed);
+            let whole = run_sliced(isa, &prog, ENOUGH);
+            match whole.end {
+                Ok(Trap::Hlt) => assert_eq!(seed % 2, 0, "{isa} seed {seed}"),
+                Err(VmFault::DivFault { .. }) => assert_eq!(seed % 2, 1, "{isa} seed {seed}"),
+                ref other => panic!("{isa} seed {seed}: {other:?}"),
+            }
+            for fuel in [1, 2, 3, 7, BLOCK_CAP as u64] {
+                assert_eq!(run_sliced(isa, &prog, fuel), whole, "{isa} seed {seed} fuel {fuel}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_jump_into_a_translated_block_gets_a_block_of_its_own() {
+        // The block at TEXT runs through the loop body; the back edge
+        // enters it at `body`, two instructions in.
+        for isa in Isa::ALL {
+            let head =
+                [MInstr::MovImm { dst: Reg(0), imm: 0 }, MInstr::MovImm { dst: Reg(1), imm: 3 }];
+            let body = TEXT + size(isa, &head);
+            let looped = [
+                MInstr::AluImm { op: AluOp::Add, dst: Reg(0), lhs: Reg(0), imm: 10 },
+                MInstr::AluImm { op: AluOp::Sub, dst: Reg(1), lhs: Reg(1), imm: 1 },
+                MInstr::CmpImm { lhs: Reg(1), imm: 0 },
+                MInstr::JCond { cond: Cond::Gt, target: body },
+            ];
+            let prog = [&head[..], &looped, &[MInstr::Hlt]].concat();
+            let (mut vm, mut mem) = load(isa, &prog);
+            let trace = [&head[..], &looped, &looped, &looped, &[MInstr::Hlt]].concat();
+            for round in 1..=2 {
+                assert_eq!(vm.run(&mut mem, 1000), Ok(Trap::Hlt), "{isa}");
+                assert_eq!(vm.regs[..2], [30, 0], "{isa} round {round}");
+                assert_eq!(vm.pc, TEXT + size(isa, &prog), "{isa} round {round}");
+                assert_eq!(vm.instret, round * trace.len() as u64, "{isa} round {round}");
+                assert_eq!(vm.cycles, round * cost_of(isa, &trace), "{isa} round {round}");
+                vm.pc = TEXT;
+            }
+            // Entering at the interior pc first, and at the start next,
+            // serves each entry its own block.
+            let (mut vm, mut mem) = load(isa, &prog);
+            (vm.pc, vm.regs[1]) = (body, 1);
+            assert_eq!(vm.run(&mut mem, 1000), Ok(Trap::Hlt));
+            assert_eq!((vm.regs[0], vm.instret), (10, looped.len() as u64 + 1), "{isa}");
+            vm.pc = TEXT;
+            assert_eq!(vm.run(&mut mem, 1000), Ok(Trap::Hlt));
+            assert_eq!(vm.regs[..2], [30, 0], "{isa}");
+            assert_eq!(vm.instret, looped.len() as u64 + 1 + trace.len() as u64, "{isa}");
+        }
+    }
+
+    #[test]
+    fn a_straight_line_longer_than_a_block_runs_as_several() {
+        for isa in Isa::ALL {
+            let add = MInstr::AluImm { op: AluOp::Add, dst: Reg(0), lhs: Reg(0), imm: 1 };
+            let n = 2 * BLOCK_CAP + 5;
+            let prog = [vec![add; n], vec![MInstr::Hlt]].concat();
+            let (mut vm, mut mem) = load(isa, &prog);
+            assert_eq!(vm.run(&mut mem, 1000), Ok(Trap::Hlt), "{isa}");
+            assert_eq!(vm.regs[0], n as i64, "{isa}");
+            assert_eq!((vm.instret, vm.cycles), (n as u64 + 1, cost_of(isa, &prog)), "{isa}");
+            assert_eq!(vm.pc, TEXT + size(isa, &prog), "{isa}");
+            // Fuel that ends one instruction past the first block's cap.
+            let (mut vm, mut mem) = load(isa, &prog);
+            let k = BLOCK_CAP + 1;
+            assert_eq!(vm.run(&mut mem, k as u64), Ok(Trap::OutOfFuel), "{isa}");
+            assert_eq!(vm.regs[0], k as i64, "{isa}");
+            assert_eq!((vm.instret, vm.cycles), (k as u64, cost_of(isa, &prog[..k])), "{isa}");
+            assert_eq!(vm.pc, TEXT + size(isa, &prog[..k]), "{isa}");
+            assert_eq!(vm.run(&mut mem, 1000), Ok(Trap::Hlt), "{isa}");
+            assert_eq!((vm.instret, vm.cycles), (n as u64 + 1, cost_of(isa, &prog)), "{isa}");
+        }
+    }
+
+    #[test]
+    fn a_decode_fault_after_a_valid_prefix_retires_exactly_the_prefix() {
+        for isa in Isa::ALL {
+            let prefix = [
+                MInstr::MovImm { dst: Reg(0), imm: 4 },
+                MInstr::AluImm { op: AluOp::Mul, dst: Reg(0), lhs: Reg(0), imm: 3 },
+                MInstr::MovImm { dst: Reg(1), imm: 9 },
+                MInstr::AluImm { op: AluOp::Add, dst: Reg(0), lhs: Reg(0), imm: 1 },
+                MInstr::MovImm { dst: Reg(2), imm: -1 },
+            ];
+            let (k, bad) = (prefix.len() as u64, TEXT + size(isa, &prefix));
+            let (mut vm, mut mem) = load(isa, &prefix);
+            mem.load_image(bad, &[0xFF; 4]);
+            let fault = Err(VmFault::Decode { pc: bad, err: DecodeError::BadOpcode(0xFF) });
+            assert_eq!(vm.run(&mut mem, 100), fault, "{isa}");
+            assert_eq!((vm.pc, vm.instret, vm.cycles), (bad, k, cost_of(isa, &prefix)), "{isa}");
+            assert_eq!(vm.regs[..3], [13, 9, -1], "{isa}");
+            // At the bad pc, and again through the translated prefix.
+            assert_eq!(vm.run(&mut mem, 100), fault, "{isa}");
+            assert_eq!((vm.pc, vm.instret), (bad, k), "{isa}");
+            vm.pc = TEXT;
+            assert_eq!(vm.run(&mut mem, 100), fault, "{isa}");
+            assert_eq!((vm.pc, vm.instret, vm.regs[0]), (bad, 2 * k, 13), "{isa}");
+            mem.load_image(bad, &assemble(isa, bad, &[MInstr::Hlt]).unwrap());
+            vm.invalidate_code();
+            vm.pc = TEXT;
+            assert_eq!(vm.run(&mut mem, 100), Ok(Trap::Hlt), "{isa}");
+            assert_eq!(vm.instret, 3 * k + 1, "{isa}");
+            let cycles = 3 * cost_of(isa, &prefix) + cost::cycles(isa, &MInstr::Hlt);
+            assert_eq!(vm.cycles, cycles, "{isa}");
+        }
+    }
+
+    #[test]
+    fn a_runtime_call_trap_is_fully_accounted_when_it_returns() {
+        // The call sits mid-block, so the trap ends a block; the executor
+        // reads `elapsed_ns` at the trap, and resuming at `ret_to` must
+        // neither drop nor count anything twice.
+        for isa in Isa::ALL {
+            let before = [
+                MInstr::MovImm { dst: Reg(0), imm: 1 },
+                MInstr::AluImm { op: AluOp::Add, dst: Reg(0), lhs: Reg(0), imm: 2 },
+                MInstr::MovImm { dst: Reg(1), imm: RUNTIME_CALL_BASE as i64 + 8 },
+            ];
+            let calls =
+                [MInstr::Call { target: RUNTIME_CALL_BASE }, MInstr::CallReg { target: Reg(1) }];
+            let after =
+                [MInstr::AluImm { op: AluOp::Mul, dst: Reg(0), lhs: Reg(0), imm: 5 }, MInstr::Hlt];
+            let prog = [&before[..], &calls[..1], &after[..1], &calls[1..], &after].concat();
+            let (mut vm, mut mem) = load(isa, &prog);
+            let (sp, lr) = (vm.sp, vm.lr);
+            let mut at = before.len();
+            for (addr, call) in [(RUNTIME_CALL_BASE, 0), (RUNTIME_CALL_BASE + 8, 1)] {
+                at += 1;
+                let ret_to = TEXT + size(isa, &prog[..at]);
+                let trap = vm.run(&mut mem, 1000);
+                assert_eq!(trap, Ok(Trap::RuntimeCall { addr, ret_to }), "{isa} call {call}");
+                assert_eq!((vm.pc, vm.sp, vm.lr), (ret_to, sp, lr), "{isa} call {call}");
+                assert_eq!(vm.instret, at as u64, "{isa} call {call}");
+                assert_eq!(vm.cycles, cost_of(isa, &prog[..at]), "{isa} call {call}");
+                assert_eq!(vm.elapsed_ns(), vm.cycles as f64 / isa.clock_ghz());
+                at += 1;
+            }
+            assert_eq!(vm.run(&mut mem, 1000), Ok(Trap::Hlt), "{isa}");
+            assert_eq!(vm.regs[0], 75, "{isa}");
+            assert_eq!((vm.instret, vm.cycles), (prog.len() as u64, cost_of(isa, &prog)), "{isa}");
+        }
+    }
+
+    #[test]
+    fn aliasing_blocks_that_evict_each_other_forever_stay_bounded_and_correct() {
+        // A guest loop whose two halves share a slot: every entry
+        // translates again, so the table starts over many times.
+        for isa in Isa::ALL {
+            let far = TEXT + BLOCK_SLOTS as u64;
+            let mut mem = Memory::new();
+            let near = [
+                MInstr::AluImm { op: AluOp::Add, dst: Reg(0), lhs: Reg(0), imm: 1 },
+                MInstr::Jmp { target: far },
+            ];
+            mem.load_image(TEXT, &assemble(isa, TEXT, &near).unwrap());
+            let back = [
+                MInstr::AluImm { op: AluOp::Sub, dst: Reg(1), lhs: Reg(1), imm: 1 },
+                MInstr::CmpImm { lhs: Reg(1), imm: 0 },
+                MInstr::JCond { cond: Cond::Gt, target: TEXT },
+                MInstr::Hlt,
+            ];
+            mem.load_image(far, &assemble(isa, far, &back).unwrap());
+            let rounds = 2 * OPS_LIMIT as i64 / 5;
+            let mut vm = Vm::new(isa);
+            (vm.pc, vm.regs[1]) = (TEXT, rounds);
+            assert_eq!(vm.run(&mut mem, 6 * rounds as u64), Ok(Trap::Hlt), "{isa}");
+            assert_eq!(vm.regs[..2], [rounds, 0], "{isa}");
+            assert_eq!(vm.instret, 5 * rounds as u64 + 1, "{isa}");
+            assert!(vm.blocks.ops.len() <= OPS_LIMIT, "{isa}: {}", vm.blocks.ops.len());
+        }
     }
 }

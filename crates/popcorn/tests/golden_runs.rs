@@ -9,12 +9,14 @@
 //! table and the `Memory` fast path replaced the hash-map fetch (print
 //! them again with `GOLDEN_PRINT=1 cargo test -p xar-popcorn --test
 //! golden_runs -- --nocapture`); a change that moves one has changed what
-//! the VMs compute, not how fast.
+//! the VMs compute, not how fast. FaceDet320 on a bare `Vm`, cloned half
+//! way with its block table and TLB warm, must also finish exactly as the
+//! executor's run does.
 
-use xar_isa::{Isa, Memory, PAGE_SIZE};
+use xar_isa::{Isa, Memory, Trap, Vm, PAGE_SIZE};
 use xar_popcorn::ir::Module;
 use xar_popcorn::rt::RtFunc;
-use xar_popcorn::{compile, Executor, MultiIsaBinary};
+use xar_popcorn::{compile, Executor, MultiIsaBinary, DATA_BASE, STACK_TOP, TEXT_BASE};
 use xar_workloads::{bfs, cg, digitrec, facedet, profiles};
 
 /// What one run is pinned to.
@@ -228,5 +230,59 @@ fn every_bundle_on_every_path_matches_the_pinned_run() {
     assert_eq!(got.len(), GOLDEN.len(), "a bundle or a mode was added without a pin");
     for (g, want) in got.iter().zip(GOLDEN.iter()) {
         assert_eq!(g, want, "{} {:?} moved", g.0, g.1);
+    }
+}
+
+/// Runs `vm` to `hlt` (FaceDet's `main` calls no run-time service) within
+/// far more fuel than FaceDet320 needs.
+fn run_to_hlt(vm: &mut Vm, mem: &mut Memory) {
+    assert_eq!(vm.run(mem, 1 << 24), Ok(Trap::Hlt));
+}
+
+#[test]
+fn facedet320_vm_cloned_mid_run_resumes_to_the_straight_line_run() {
+    // The executor's run is the reference. The same program on a bare
+    // `Vm`, set up as the executor sets it up, is stopped half way, when
+    // its block table and its memory's TLB are warm, and cloned; the
+    // original and the clone must each finish as the reference did.
+    let bin = compile(&profiles::facedet_bundle(320, 240).module).expect("facedet compiles");
+    let img = facedet::generate_image(320, 240, &[(30, 30), (150, 80)], 42);
+    let ii = facedet::integral_image(&img);
+    for isa in Isa::ALL {
+        let mut e = Executor::new(&bin, isa);
+        let args = [stage_u64s(&mut e, ii.iter().copied()), img.w as i64, img.h as i64];
+        let ret = e.run("main", &args).expect("facedet runs");
+        let want = (ret, e.stats().instret[isa], e.stats().cycles[isa], mem_digest(e.memory()));
+
+        let mut mem = Memory::new();
+        let mut vm = Vm::new(isa);
+        mem.load_image(
+            args[0] as u64,
+            &ii.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<_>>(),
+        );
+        let longest = Isa::ALL.iter().map(|&i| bin.text[i].len()).max().unwrap();
+        mem.load_image(TEXT_BASE, &bin.text[isa]);
+        mem.zero(TEXT_BASE + bin.text[isa].len() as u64, longest - bin.text[isa].len());
+        mem.load_image(DATA_BASE, &bin.data);
+        (vm.pc, vm.sp, vm.fp) = (bin.func_addr("main").unwrap(), STACK_TOP, 0);
+        let cc = isa.call_conv();
+        for (r, a) in cc.arg_regs.iter().zip(args) {
+            vm.regs[r.0 as usize] = a;
+        }
+        match isa {
+            Isa::Xar86 => {
+                vm.sp -= 8;
+                mem.write_u64(vm.sp, bin.meta.exit_stub);
+            }
+            Isa::Arm64e => vm.lr = bin.meta.exit_stub,
+        }
+        assert_eq!(vm.run(&mut mem, want.1 / 2), Ok(Trap::OutOfFuel), "{isa}");
+        let (mut clone, mut clone_mem) = (vm.clone(), mem.clone());
+        run_to_hlt(&mut vm, &mut mem);
+        run_to_hlt(&mut clone, &mut clone_mem);
+        for (what, vm, mem) in [("original", &vm, &mem), ("clone", &clone, &clone_mem)] {
+            let got = (vm.regs[cc.ret_reg.0 as usize], vm.instret, vm.cycles, mem_digest(mem));
+            assert_eq!(got, want, "{isa} {what}");
+        }
     }
 }
