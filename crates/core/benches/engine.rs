@@ -1,14 +1,7 @@
-//! Engine/daemon rows the gating benchmark (`xar_benchmark/`,
-//! `BENCHMARK.json`) does not measure, printed to stdout. Everything it
-//! does measure with an oracle — uncontended decide, flush-publish and
-//! ingest cost, daemon decide RTT, the `DecideBatch` sweep, tracing
-//! overhead, durable ingest throughput — lives there and only there.
+//! The two decide-p50 bars CI's `--quick` smoke run asserts; the
+//! gating benchmark (`xar_benchmark/`, `BENCHMARK.json`) measures
+//! everything else about the engine and the daemon.
 //!
-//! * **contended decides/sec at 1/4/8 threads on one hot shard** —
-//!   every thread hammers apps living in the same shard through its own
-//!   [`xar_sched::DecideHandle`] while a flusher keeps publishing
-//!   threshold updates (batch = 1 reports), so decides race in-place
-//!   cell stores, not an idle table.
 //! * **scrape cost** — decide p50 with a periodic `StatsV2` + `HistDump`
 //!   scraper (what `xar-obsd` is) attached vs detached. `--quick`
 //!   asserts the attached scraper perturbs decide p50 by ≤ 5%.
@@ -16,20 +9,18 @@
 //!   journaling with `fsync` off. Decides never touch the WAL; `--quick`
 //!   asserts the armed daemon stays within 5%.
 //!
-//! `--quick` (the CI smoke run) and `--test` (what `cargo test` passes)
-//! shrink every measurement.
+//! `--quick` (the CI smoke run) and `--test` shrink every measurement.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xar_core::server::{
-    sharded_engine, spawn_sharded, EngineConfig, ServerConfig, ShardedSchedulerServer, V2Client,
+    spawn_sharded, EngineConfig, ServerConfig, ShardedSchedulerServer, V2Client,
 };
 use xar_core::thresholds::{ScenarioTimes, ThresholdEntry, ThresholdTable};
 use xar_core::XarTrekPolicy;
-use xar_desim::DecideCtx;
-use xar_sched::{shard_of, DurabilityConfig, FsyncPolicy, ShardedEngine};
+use xar_sched::{shard_of, DurabilityConfig, FsyncPolicy};
 
 const APPS: usize = 10_000;
 const SHARDS: usize = 8;
@@ -37,30 +28,17 @@ const SHARDS: usize = 8;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "--test");
-    let (samples, window, rounds) = if quick {
-        (2_000, Duration::from_millis(40), 5)
-    } else {
-        (20_000, Duration::from_millis(500), 3)
-    };
+    let (samples, rounds) = if quick { (2_000, 5) } else { (20_000, 3) };
 
     let policy = big_policy(APPS);
     let hot = hot_shard_apps();
-
-    // Contended aggregate throughput on one hot shard, publishes live.
-    let engine = Arc::new(sharded_engine(&policy, EngineConfig { shards: SHARDS, batch: 1 }));
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("{:<34} {:>12}   ({cores} core(s))", "hot-shard decides/sec", "handles");
-    for threads in [1usize, 4, 8] {
-        let rate = contended_rate(&engine, &hot, threads, window);
-        println!("{:<34} {:>12}", format!("{threads} thread(s)"), rate);
-    }
 
     // Full mode runs the aggregator's nominal 1 Hz cadence; --quick
     // speeds the scraper up so scrapes still land inside the short
     // smoke window.
     let scrape_interval = if quick { Duration::from_millis(25) } else { Duration::from_secs(1) };
     let (detached, attached) = scrape_cost(&policy, &hot, samples, rounds, scrape_interval);
-    println!("\ndecide p50: scraper detached {}   attached {}", ns(detached), ns(attached));
+    println!("decide p50: scraper detached {}   attached {}", ns(detached), ns(attached));
     if quick {
         assert_within_5pct("attached scraper", detached, attached);
     }
@@ -100,8 +78,8 @@ fn big_policy(apps: usize) -> XarTrekPolicy {
     XarTrekPolicy::new(table, ref_times)
 }
 
-/// App names all living in shard 0 — the hot shard every contended
-/// thread hammers.
+/// App names all living in shard 0 — the hot shard both bars' decides
+/// hit.
 fn hot_shard_apps() -> Vec<String> {
     let mut hot = Vec::new();
     let mut i = 0usize;
@@ -113,64 +91,6 @@ fn hot_shard_apps() -> Vec<String> {
         i += 1;
     }
     hot
-}
-
-fn ctx<'a>(app: &'a str, load: usize) -> DecideCtx<'a> {
-    DecideCtx {
-        app,
-        kernel: "k",
-        x86_load: load,
-        arm_load: 0,
-        kernel_resident: true,
-        device_ready: true,
-        now_ns: 0.0,
-    }
-}
-
-/// Aggregate decides/sec with `threads` workers, one handle each, on
-/// the hot shard while a flusher publishes a threshold update every
-/// 200 µs.
-fn contended_rate(
-    engine: &Arc<ShardedEngine<XarTrekPolicy>>,
-    hot: &[String],
-    threads: usize,
-    window: Duration,
-) -> u64 {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flusher = {
-        let (engine, stop) = (engine.clone(), stop.clone());
-        let app = hot[0].clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                // batch = 1: applies one Algorithm 1 update and
-                // publishes the row immediately.
-                engine.ingest(&app, xar_desim::Target::Fpga, 1.0, 3);
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        })
-    };
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let (engine, stop) = (engine.clone(), stop.clone());
-            let hot = hot.to_vec();
-            std::thread::spawn(move || {
-                let mut handle = engine.handle();
-                let mut n = 0u64;
-                let mut i = t;
-                while !stop.load(Ordering::Relaxed) {
-                    std::hint::black_box(handle.decide(&ctx(&hot[i % hot.len()], i % 80)));
-                    n += 1;
-                    i += 1;
-                }
-                n
-            })
-        })
-        .collect();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    flusher.join().unwrap();
-    (total as f64 / window.as_secs_f64()) as u64
 }
 
 fn spawn_daemon(
@@ -246,7 +166,7 @@ fn wal_armed_decide(
     samples: usize,
     rounds: usize,
 ) -> (u64, u64) {
-    let dir = std::env::temp_dir().join(format!("xar-bench-dur-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("xar-engine-bench-dur-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let armed = DurabilityConfig { fsync: FsyncPolicy::Off, ..DurabilityConfig::at(&dir) };
     let [in_memory, wal_off] = [None, Some(armed)].map(|durability| {

@@ -6,10 +6,11 @@
 //!                  fig7|fig8|fig9|fig10|ablations|all] [--runs N]
 //! ```
 //!
-//! With no argument, runs `all`. Absolute numbers come from the
-//! simulated testbed (calibrated against the paper's Table 1); the
-//! claims to check are the *shapes* — who wins, by what factor, where
-//! the crossovers fall (`tests/experiment_shapes.rs` pins them).
+//! With no argument, runs `all`; `--runs` defaults to 5 and must be
+//! positive. Absolute numbers come from the simulated testbed
+//! (calibrated against the paper's Table 1); the claims to check are
+//! the *shapes* — who wins, by what factor, where the crossovers fall
+//! (`tests/experiment_shapes.rs` pins them).
 //!
 //! The tables go to stdout; each one's host wall-clock goes to stderr as
 //! a `# <name>: <seconds> s` line, so stdout stays comparable byte for
@@ -28,7 +29,8 @@ fn main() {
                 runs = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--runs needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--runs needs a positive number"));
             }
             other if !other.starts_with('-') => which = other.to_string(),
             other => usage(&format!("unknown flag {other}")),

@@ -1,5 +1,5 @@
 //! Experiment drivers: one function per table/figure of the paper's
-//! evaluation (§4). The `xar-experiments` binary in `xar-bench` prints
+//! evaluation (§4). The `xar_experiments` binary (`src/bin/`) prints
 //! their output.
 
 use crate::policy::XarTrekPolicy;

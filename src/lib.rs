@@ -23,7 +23,7 @@
 //!   cross-thread waker, coarse timer wheel.
 //!
 //! See `README.md` for a tour of the architecture; `xar_experiments`
-//! (in `crates/bench`) regenerates the paper's tables and figures.
+//! (a `xar-core` binary) regenerates the paper's tables and figures.
 //! Runnable walkthroughs live in `examples/`.
 
 pub use xar_core as core;
