@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
 use xar_sched::snapshot::ThrCell;
+use xar_sched::wire::MAX_NAME;
 
 /// The paper's heuristic policy with dynamic threshold refinement.
 ///
@@ -156,7 +157,13 @@ impl XarTrekPolicy {
     /// Algorithm 1: the scheduler client's threshold update after a
     /// call returns.
     pub fn algorithm1(&mut self, report: &CompletionReport<'_>) {
-        let Some(id) = self.table.row_id(report.app) else {
+        self.algorithm1_at(self.table.row_id(report.app), report);
+    }
+
+    /// [`XarTrekPolicy::algorithm1`] on the row `id` the caller found
+    /// for `report.app` (`None`: the app has no row, and nothing moves).
+    fn algorithm1_at(&mut self, id: Option<usize>, report: &CompletionReport<'_>) {
+        let Some(id) = id else {
             return;
         };
         let Some(times) = self.times.get_mut(id).and_then(Option::as_mut) else {
@@ -215,9 +222,14 @@ pub struct PolicySnapshot {
 
 impl PolicySnapshot {
     /// The thresholds `(fpga_thr, arm_thr)` currently published for
-    /// `app`, if the index holds it.
+    /// `app`, if the index holds it. Hashes `app`: the decide path,
+    /// which already holds the hash, probes with it instead.
     pub fn thresholds(&self, app: &str) -> Option<(u32, u32)> {
-        self.keys.find(app).map(|id| self.cells[id].load())
+        self.thresholds_at(app, xar_sched::name_hash(app))
+    }
+
+    fn thresholds_at(&self, app: &str, hash: u64) -> Option<(u32, u32)> {
+        self.keys.find_hashed(app, hash).map(|id| self.cells[id].load())
     }
 }
 
@@ -235,7 +247,7 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         PolicySnapshot { keys: self.table.keys().clone(), cells, early_config: self.early_config }
     }
 
-    fn republish(&self, snap: &PolicySnapshot, app: &str) -> bool {
+    fn republish(&self, snap: &PolicySnapshot, app: &str, hash: u64) -> bool {
         // Sharing the index means sharing the key set and the row ids;
         // a table whose index has moved on (it gained a row, or a state
         // restore replaced it) needs a rebuilt snapshot.
@@ -243,23 +255,26 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
             return false;
         }
         // A report for an app without a row changed nothing.
-        if let Some(id) = snap.keys.find(app) {
+        if let Some(id) = snap.keys.find_hashed(app, hash) {
             let (fpga_thr, arm_thr) = self.table.thresholds(id);
             snap.cells[id].store(fpga_thr, arm_thr);
         }
         true
     }
 
-    fn decide(snap: &PolicySnapshot, ctx: &DecideCtx<'_>) -> Decision {
-        Self::decide_against(snap.thresholds(ctx.app), ctx)
+    fn decide(snap: &PolicySnapshot, ctx: &DecideCtx<'_>, hash: u64) -> Decision {
+        Self::decide_against(snap.thresholds_at(ctx.app, hash), ctx)
     }
 
     fn early_config(snap: &PolicySnapshot, ctx: &DecideCtx<'_>) -> bool {
         Self::early_config_against(snap.early_config, ctx)
     }
 
-    fn apply(&mut self, report: &CompletionReport<'_>) {
-        Policy::on_complete(self, report);
+    fn apply(&mut self, report: &CompletionReport<'_>, hash: u64) {
+        // `Policy::on_complete`, probing with the engine's hash.
+        if self.dynamic_update {
+            self.algorithm1_at(self.table.keys().find_hashed(report.app, hash), report);
+        }
     }
 
     fn entries(&self) -> Vec<xar_sched::TableEntry> {
@@ -274,8 +289,8 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
             .collect()
     }
 
-    fn row(&self, app: &str) -> Option<xar_sched::RowRef<'_>> {
-        self.table.get(app)
+    fn row(&self, app: &str, hash: u64) -> Option<xar_sched::RowRef<'_>> {
+        self.table.keys().find_hashed(app, hash).map(|id| self.table.row(id))
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
@@ -363,7 +378,9 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
 const STATE_VERSION: u8 = 1;
 
 fn put_str(s: &str, out: &mut Vec<u8>) {
-    debug_assert!(s.len() <= u16::MAX as usize);
+    // A wrapped prefix would write a blob `load_state` cannot parse;
+    // the table refuses such names at insert.
+    assert!(s.len() <= MAX_NAME, "state name of {} bytes exceeds u16", s.len());
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -600,10 +617,13 @@ mod tests {
 
     #[test]
     fn a_row_gained_after_a_publish_forces_a_rebuild_that_sees_it() {
-        use xar_sched::PolicyCore;
+        use xar_sched::{name_hash, PolicyCore};
         let mut p = policy();
         let published = p.snapshot();
-        assert!(p.republish(&published, "CG-A"), "same key set: in-place publish");
+        assert!(
+            p.republish(&published, "CG-A", name_hash("CG-A")),
+            "same key set: in-place publish"
+        );
         p.table.insert(ThresholdEntry {
             app: "latecomer".into(),
             kernel: "KNL_LATE".into(),
@@ -619,11 +639,11 @@ mod tests {
         assert_eq!(published.thresholds("CG-A"), cg, "old rows still answer");
         // Every republish now asks for a rebuild, for old and new rows
         // alike, and the rebuilt snapshot sees the row.
-        assert!(!p.republish(&published, "latecomer"));
-        assert!(!p.republish(&published, "CG-A"));
+        assert!(!p.republish(&published, "latecomer", name_hash("latecomer")));
+        assert!(!p.republish(&published, "CG-A", name_hash("CG-A")));
         let rebuilt = p.snapshot();
         assert_eq!(rebuilt.thresholds("latecomer"), Some((3, 9)));
-        assert!(p.republish(&rebuilt, "latecomer"));
+        assert!(p.republish(&rebuilt, "latecomer", name_hash("latecomer")));
         // Replacing a row moves no key: the snapshot stays current.
         p.table.insert(ThresholdEntry {
             app: "latecomer".into(),
@@ -631,7 +651,7 @@ mod tests {
             fpga_thr: 4,
             arm_thr: 9,
         });
-        assert!(p.republish(&rebuilt, "latecomer"));
+        assert!(p.republish(&rebuilt, "latecomer", name_hash("latecomer")));
         assert_eq!(rebuilt.thresholds("latecomer"), Some((4, 9)));
     }
 
@@ -677,7 +697,7 @@ mod tests {
 
     #[test]
     fn state_blob_round_trips_bit_identically() {
-        use xar_sched::PolicyCore;
+        use xar_sched::{name_hash, PolicyCore};
         let mut p = policy();
         p.thr_step = 3;
         p.early_config = false;
@@ -724,7 +744,7 @@ mod tests {
         bad[0] = 99;
         assert!(q.load_state(&bad).is_err());
         // The borrowed row() lookup agrees with the entries() scan.
-        let row = p.row("Digit2000").unwrap();
+        let row = p.row("Digit2000", name_hash("Digit2000")).unwrap();
         let scan = p.entries().into_iter().find(|e| e.app == "Digit2000").unwrap();
         assert_eq!(
             (row.app, row.kernel, row.fpga_thr, row.arm_thr),

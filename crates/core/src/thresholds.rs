@@ -14,6 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 use xar_desim::{ClusterConfig, JobSpec};
+use xar_sched::wire::MAX_NAME;
 use xar_sched::{name_hash, shard_of_hash, RowRef};
 
 /// One row of the threshold table (Table 2), as built by the estimator,
@@ -128,12 +129,15 @@ impl Keys {
         self.hashes[id]
     }
 
-    /// `app`'s row id, if it has a row.
+    /// `app`'s row id, if it has a row — for a caller that starts from
+    /// a bare name (boot, the table's own lookups, tests).
     pub(crate) fn find(&self, app: &str) -> Option<usize> {
         self.find_hashed(app, name_hash(app))
     }
 
-    fn find_hashed(&self, app: &str, hash: u64) -> Option<usize> {
+    /// [`Keys::find`] under `app`'s already computed [`name_hash`]: the
+    /// probe of every engine path, which hashed the name to route it.
+    pub(crate) fn find_hashed(&self, app: &str, hash: u64) -> Option<usize> {
         let mask = self.slots.len().checked_sub(1)?;
         let tag = hash & TAG;
         let mut at = bucket(hash) as usize & mask;
@@ -236,6 +240,14 @@ impl ThresholdTable {
 
     /// Inserts or replaces an entry and hands back its row id.
     /// Replacing keeps the row's id.
+    ///
+    /// # Panics
+    ///
+    /// If either name is longer than [`MAX_NAME`] bytes: the wire and
+    /// the durability formats carry names behind a u16 length, so such
+    /// a row could be neither served nor snapshotted. Rows are inserted
+    /// at boot, never by a peer, so this fails a daemon before it
+    /// serves; [`ThresholdTable::from_text`] refuses such a line.
     pub fn insert(&mut self, e: ThresholdEntry) -> usize {
         self.insert_str(&e.app, &e.kernel, e.fpga_thr, e.arm_thr)
     }
@@ -249,6 +261,12 @@ impl ThresholdTable {
         fpga_thr: u32,
         arm_thr: u32,
     ) -> usize {
+        assert!(
+            app.len() <= MAX_NAME && kernel.len() <= MAX_NAME,
+            "a table name is at most {MAX_NAME} bytes (app {}, kernel {})",
+            app.len(),
+            kernel.len()
+        );
         let hash = name_hash(app);
         match self.keys.find_hashed(app, hash) {
             Some(id) => {
@@ -389,7 +407,9 @@ impl ThresholdTable {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed line.
+    /// Returns a message naming the malformed line — one with too few
+    /// or too many fields, a threshold that is not a `u32`, or a name
+    /// longer than [`MAX_NAME`] bytes.
     pub fn from_text(text: &str) -> Result<ThresholdTable, ParseError> {
         let mut table = ThresholdTable::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -403,7 +423,7 @@ impl ThresholdTable {
             let kernel = parts.next().ok_or_else(bad)?;
             let fpga_thr = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
             let arm_thr = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            if parts.next().is_some() {
+            if parts.next().is_some() || app.len() > MAX_NAME || kernel.len() > MAX_NAME {
                 return Err(bad());
             }
             table.insert_str(app, kernel, fpga_thr, arm_thr);
@@ -555,6 +575,40 @@ mod tests {
         // Comments and blanks are fine.
         let t = ThresholdTable::from_text("# hi\n\nx k 1 2\n").unwrap();
         assert_eq!(t.get("x").unwrap().fpga_thr, 1);
+    }
+
+    /// A name longer than a u16 length can carry is a malformed line: a
+    /// daemon booted from it would write state snapshots it could not
+    /// boot from again. At the limit, the table and its state blob
+    /// round-trip.
+    #[test]
+    fn from_text_rejects_a_name_over_u16() {
+        use crate::policy::XarTrekPolicy;
+        use xar_sched::PolicyCore;
+        let long = "A".repeat(70_000);
+        for line in [format!("{long} K 1 2"), format!("app {long} 1 2")] {
+            let text = format!("# app kernel fpga_thr arm_thr\nCG-A KNL 30 24\n{line}\n");
+            assert_eq!(ThresholdTable::from_text(&text), Err(ParseError { line: 3 }));
+        }
+        let edge = "A".repeat(MAX_NAME);
+        let table = ThresholdTable::from_text(&format!("{edge} {edge} 1 2\n")).unwrap();
+        assert_eq!(table.get(&edge).map(|r| (r.kernel.len(), r.fpga_thr)), Some((MAX_NAME, 1)));
+        let policy = XarTrekPolicy::new(table, Default::default());
+        let mut restored = XarTrekPolicy::new(ThresholdTable::new(), Default::default());
+        restored.load_state(&policy.save_state().unwrap()).unwrap();
+        assert_eq!(restored.table, policy.table);
+    }
+
+    #[test]
+    #[should_panic(expected = "a table name is at most 65535 bytes")]
+    fn a_table_refuses_a_name_over_u16_at_insert() {
+        let app = "A".repeat(MAX_NAME + 1);
+        ThresholdTable::new().insert(ThresholdEntry {
+            app,
+            kernel: "K".into(),
+            fpga_thr: 1,
+            arm_thr: 2,
+        });
     }
 
     #[test]

@@ -77,6 +77,20 @@ fn fit<T>(items: &[T], max: usize, len: impl Fn(&T) -> usize) -> usize {
     n
 }
 
+/// Refuses a name longer than [`wire::MAX_NAME`] before a byte is
+/// written: its u16 length prefix would wrap, the daemon would mis-frame
+/// the rest of the request and count a protocol error against this
+/// peer's address. Refused here, the connection stays in step.
+fn check_names<'a>(names: impl IntoIterator<Item = &'a str>) -> std::io::Result<()> {
+    match names.into_iter().find(|n| n.len() > wire::MAX_NAME) {
+        None => Ok(()),
+        Some(n) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a name of {} bytes exceeds the wire's {} byte limit", n.len(), wire::MAX_NAME),
+        )),
+    }
+}
+
 fn report_len(r: &ReportOwned) -> usize {
     wire::encoded_report_len(r.app.len())
 }
@@ -100,6 +114,11 @@ pub enum Served<T> {
 }
 
 /// A scheduler client speaking protocol v2.
+///
+/// Every door that sends a name (`decide*`, `report*`) refuses one
+/// longer than [`wire::MAX_NAME`] bytes with
+/// [`std::io::ErrorKind::InvalidInput`] before writing anything, so
+/// the connection stays usable.
 #[derive(Debug)]
 pub struct V2Client {
     stream: Stream,
@@ -266,6 +285,7 @@ impl V2Client {
         kernel_resident: bool,
         device_ready: bool,
     ) -> std::io::Result<Served<Decision>> {
+        check_names([app, kernel])?;
         let req =
             Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready };
         match self.call(&req)? {
@@ -313,6 +333,7 @@ impl V2Client {
         seq: u64,
         reports: &[WireReport<'_>],
     ) -> std::io::Result<Served<u32>> {
+        check_names(reports.iter().map(|r| r.app))?;
         match self.exchange(|out| wire::encode_batch_report_seq(session, seq, reports, out))? {
             Response::Ack(n) => Ok(Served::Done(n)),
             Response::Busy { retry_after_ms } => Ok(Served::Busy { retry_after_ms }),
@@ -334,6 +355,7 @@ impl V2Client {
     /// Socket/protocol errors, including a reply whose decision count
     /// disagrees with the chunk sent.
     pub fn decide_batch(&mut self, queries: &[WireQuery<'_>]) -> std::io::Result<Vec<Decision>> {
+        check_names(queries.iter().flat_map(|q| [q.app, q.kernel]))?;
         let mut out = Vec::with_capacity(queries.len());
         let mut rest = queries;
         while !rest.is_empty() {
@@ -372,6 +394,7 @@ impl V2Client {
         func_ms: f64,
         x86_load: u32,
     ) -> std::io::Result<()> {
+        check_names([app])?;
         let report = WireReport { app, target, func_ms, x86_load };
         match self.call(&Request::BatchReport(vec![report]))? {
             Response::Ack(1) => Ok(()),
@@ -387,6 +410,7 @@ impl V2Client {
     ///
     /// Socket/protocol errors.
     pub fn report_batch(&mut self, reports: &[ReportOwned]) -> std::io::Result<u32> {
+        check_names(reports.iter().map(|r| &*r.app))?;
         let mut accepted = 0u32;
         let mut rest = reports;
         while !rest.is_empty() {
@@ -526,6 +550,8 @@ impl Default for ResilientConfig {
 ///   [`crate::session`] high-water mark instead of double-counted.
 ///   `Ack(0)` for a nonempty batch is that dedup, tallied in
 ///   [`ResilientClient::deduped_batches`].
+/// * A name longer than [`wire::MAX_NAME`] bytes is refused with
+///   [`std::io::ErrorKind::InvalidInput`] up front, never retried.
 ///
 /// Construction is lazy — no I/O happens until the first operation, so
 /// a client may be built while its daemon is still coming up.
@@ -661,6 +687,8 @@ impl ResilientClient {
         kernel_resident: bool,
         device_ready: bool,
     ) -> std::io::Result<Decision> {
+        // Refused once, not retried: no reconnect makes the name fit.
+        check_names([app, kernel])?;
         self.with_retries(&mut |c| {
             c.decide_or_busy(app, kernel, x86_load, arm_load, kernel_resident, device_ready)
         })
@@ -683,6 +711,7 @@ impl ResilientClient {
         if session == 0 {
             return Err(proto_err("exactly-once reporting needs a nonzero config.session"));
         }
+        check_names(reports.iter().map(|r| &*r.app))?;
         // Stamps must be drawn *after* the session resync a connect
         // performs: a fresh client resuming a durable session learns
         // the daemon's high-water mark inside `ensure_connected`, and

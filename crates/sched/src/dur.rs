@@ -54,7 +54,7 @@
 
 use crate::engine::{BatchScratch, PolicyCore, RowRef, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
-use crate::wire::{target_from_byte, target_to_byte, WireReport};
+use crate::wire::{name_str, target_from_byte, target_to_byte, WireReport, MAX_NAME};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -388,7 +388,9 @@ fn invalid_data(msg: String) -> io::Error {
 
 fn put_str(s: &str, out: &mut Vec<u8>) {
     let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize);
+    // A wrapped prefix would journal a record recovery cannot parse.
+    // Names reach here from the wire or a table row, both u16-bounded.
+    assert!(bytes.len() <= MAX_NAME, "WAL name of {} bytes exceeds u16", bytes.len());
     out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
     out.extend_from_slice(bytes);
 }
@@ -469,7 +471,7 @@ impl<'a> Cur<'a> {
 
     fn str(&mut self) -> Result<&'a str, String> {
         let n = self.u16()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
+        name_str(self.take(n)?).map_err(|e| e.to_string())
     }
 
     /// Decodes a report list, borrowing the names from the payload.
@@ -621,11 +623,11 @@ mod tests {
 
         fn snapshot(&self) {}
 
-        fn decide(_: &(), _: &DecideCtx<'_>) -> Decision {
+        fn decide(_: &(), _: &DecideCtx<'_>, _: u64) -> Decision {
             Decision::to(Target::X86)
         }
 
-        fn apply(&mut self, report: &CompletionReport<'_>) {
+        fn apply(&mut self, report: &CompletionReport<'_>, _: u64) {
             *self.counts.entry(report.app.to_string()).or_insert(0) += 1;
         }
 
@@ -641,7 +643,7 @@ mod tests {
                 .collect()
         }
 
-        fn row(&self, app: &str) -> Option<RowRef<'_>> {
+        fn row(&self, app: &str, _: u64) -> Option<RowRef<'_>> {
             let (app, n) = self.counts.get_key_value(app)?;
             Some(RowRef { app, kernel: "", fpga_thr: *n, arm_thr: 0 })
         }
@@ -828,5 +830,64 @@ mod tests {
         let table = e.table();
         assert_eq!(table.iter().find(|t| t.app == "alpha").map(|t| t.fpga_thr), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The WAL's record decoder shares the wire's name decoder and its
+    /// verdicts: a report record whose names are random bytes of every
+    /// UTF-8 class decodes to exactly the names `std::str::from_utf8`
+    /// makes of them and replays, or — when any name is not UTF-8 — is
+    /// refused and skipped whole, its reports unapplied and its seq
+    /// not stamped.
+    #[test]
+    fn wal_name_fast_path_changes_no_replay_verdict() {
+        let mut rng = crate::wire::name_bytes::Rng(0x5EED_0DA1);
+        let e = ShardedEngine::from_shards(CountPolicy::shards(3), 1);
+        let sessions = SessionTable::new(8);
+        let mut scratch = BatchScratch::default();
+        let mut want = std::collections::BTreeMap::<String, u32>::new();
+        let (mut replayed, mut skipped, mut last_seq) = (0, 0, 0);
+        for case in 0..3000u64 {
+            let names: Vec<Vec<u8>> =
+                (0..1 + rng.below(4)).map(|_| crate::wire::name_bytes::name(&mut rng)).collect();
+            let seq = case + 1;
+            let mut payload = Vec::new();
+            if case % 2 == 0 {
+                payload.push(REC_REPORT_BATCH);
+            } else {
+                payload.push(REC_SEQ_BATCH);
+                payload.extend_from_slice(&7u64.to_le_bytes());
+                payload.extend_from_slice(&seq.to_le_bytes());
+            }
+            let reports_at = payload.len();
+            payload.extend_from_slice(&(names.len() as u32).to_le_bytes());
+            for name in &names {
+                payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                payload.extend_from_slice(name);
+                payload.push(target_to_byte(Target::Fpga));
+                payload.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+                payload.extend_from_slice(&7u32.to_le_bytes());
+            }
+            let reference: Result<Vec<&str>, _> =
+                names.iter().map(|n| std::str::from_utf8(n)).collect();
+            let decoded = Cur { b: &payload, at: reports_at }.reports();
+            match (&decoded, &reference) {
+                (Ok(got), Ok(names)) => {
+                    assert_eq!(got.iter().map(|r| r.app).collect::<Vec<_>>(), *names, "{case}");
+                    names.iter().for_each(|n| *want.entry(n.to_string()).or_default() += 1);
+                    if case % 2 == 1 {
+                        last_seq = seq;
+                    }
+                    replayed += 1;
+                }
+                (Err(_), Err(_)) => skipped += 1,
+                _ => panic!("case {case}: {names:?} decoded {decoded:?}, want {reference:?}"),
+            }
+            replay_record(&payload, &e, &sessions, &mut scratch);
+        }
+        assert!(replayed > 500 && skipped > 500, "{replayed} replayed, {skipped} skipped");
+        let got: std::collections::BTreeMap<String, u32> =
+            e.table().into_iter().map(|t| (t.app, t.fpga_thr)).collect();
+        assert_eq!(got, want, "replay applied exactly the records that decode");
+        assert_eq!(sessions.hello(7).unwrap().last_seq, last_seq, "a skipped seq is not stamped");
     }
 }

@@ -28,13 +28,21 @@
 //! hook answers `false`.
 //!
 //! **One hash.** An application name is hashed one way everywhere on
-//! this path: [`name_hash`] picks the shard ([`shard_of`]), and the same
-//! FNV-1a value, cached per row, is what `xar-core`'s name → row index
-//! tags and buckets a name by (finalised there so that names which
-//! agree modulo the shard count do not pile into the same slots). A
-//! report or a decide pays a few nanoseconds per probe instead of a
-//! SipHash pass, and a shard split or an index rebuild hashes no name
-//! again ([`shard_of_hash`]).
+//! this path, and once per query and once per report: its FNV-1a
+//! [`name_hash`] is computed where the request enters the engine, picks
+//! the shard ([`shard_of_hash`]), and is handed to every [`PolicyCore`]
+//! method that looks the name up — `decide`, `apply`, `republish`,
+//! `row`. A batch keeps its hashes in its scratch ([`DecideScratch`],
+//! [`BatchScratch`]), and a queued report carries its hash to the
+//! flush. The same value, cached per row, is what `xar-core`'s name →
+//! row index tags and buckets a name by (finalised there so that names
+//! which agree modulo the shard count do not pile into the same slots),
+//! so a shard split or an index rebuild hashes no name again.
+//! Hashing a bare name is left to callers that start from one:
+//! [`shard_of`] (the name → shard format, for
+//! [`DecideHandle::early_config`], [`ShardedEngine::snapshot_of`] and
+//! tests) and, in `xar-core`, boot (building a policy, restoring a
+//! state blob), the simulator's engine-less `Policy` impl, and tests.
 //!
 //! Because Algorithm 1 only ever touches the reporting application's
 //! table row, sharding by app preserves the single-policy semantics
@@ -113,14 +121,18 @@ pub trait PolicyCore: Send + 'static {
     /// `true` means `snap` now answers for `app` as a fresh
     /// [`PolicyCore::snapshot`] would; `false` (the default) makes the
     /// engine rebuild the whole snapshot. Called under the shard's
-    /// state lock, after [`PolicyCore::apply`].
-    fn republish(&self, snap: &Self::Snap, app: &str) -> bool {
-        let _ = (snap, app);
+    /// state lock, after [`PolicyCore::apply`]. `hash` is `app`'s
+    /// [`name_hash`], as in every method that takes one: the engine
+    /// hashed the name once, to route it, and hands that value down so
+    /// a lookup keyed by it need not hash the name again.
+    fn republish(&self, snap: &Self::Snap, app: &str, hash: u64) -> bool {
+        let _ = (snap, app, hash);
         false
     }
 
-    /// The pure placement decision against a snapshot (Algorithm 2).
-    fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision;
+    /// The pure placement decision against a snapshot (Algorithm 2);
+    /// `hash` is `ctx.app`'s [`name_hash`].
+    fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>, hash: u64) -> Decision;
 
     /// Whether an application launch should trigger an early FPGA
     /// configuration (paper §3.1). Default: never.
@@ -129,17 +141,18 @@ pub trait PolicyCore: Send + 'static {
         false
     }
 
-    /// Applies one completion report (Algorithm 1).
-    fn apply(&mut self, report: &CompletionReport<'_>);
+    /// Applies one completion report (Algorithm 1); `hash` is
+    /// `report.app`'s [`name_hash`].
+    fn apply(&mut self, report: &CompletionReport<'_>, hash: u64);
 
     /// The current threshold rows (for TABLE snapshots).
     fn entries(&self) -> Vec<TableEntry>;
 
     /// The current row for one app, borrowed — the flush sink's
-    /// per-batch delta lookup. Default: none, i.e. the policy emits no
-    /// flush deltas.
-    fn row(&self, app: &str) -> Option<RowRef<'_>> {
-        let _ = app;
+    /// per-batch delta lookup; `hash` is `app`'s [`name_hash`].
+    /// Default: none, i.e. the policy emits no flush deltas.
+    fn row(&self, app: &str, hash: u64) -> Option<RowRef<'_>> {
+        let _ = (app, hash);
         None
     }
 
@@ -214,10 +227,13 @@ pub fn shard_of_hash(hash: u64, shards: usize) -> usize {
 }
 
 /// A queued report: its app name's `(offset, len)` in the queue's name
-/// bytes, and what Algorithm 1 reads.
+/// bytes, the name's [`name_hash`] (computed once, to route the report;
+/// the flush hands it to every policy lookup), and what Algorithm 1
+/// reads.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     app: (u32, u32),
+    hash: u64,
     target: Target,
     func_ms: f64,
     x86_load: u32,
@@ -240,13 +256,14 @@ struct Queue {
 }
 
 impl Queue {
-    fn push(&mut self, r: &WireReport<'_>) {
+    fn push(&mut self, r: &WireReport<'_>, hash: u64) {
         let at = self.names.len();
         u32::try_from(at + r.app.len()).expect("a queue's names fit in 4 GiB");
         self.names.push_str(r.app);
         let app = (at as u32, r.app.len() as u32);
         self.reports.push(Queued {
             app,
+            hash,
             target: r.target,
             func_ms: r.func_ms,
             x86_load: r.x86_load,
@@ -284,16 +301,17 @@ struct Shard<P: PolicyCore> {
 }
 
 impl<P: PolicyCore> Shard<P> {
-    /// Queues `reports` in order under one hold of the pending lock;
-    /// returns whether the queue reached `batch`.
+    /// Queues `reports`, each beside its name's hash, in order under
+    /// one hold of the pending lock; returns whether the queue reached
+    /// `batch`.
     fn enqueue<'r, 'a: 'r>(
         &self,
-        reports: impl IntoIterator<Item = &'r WireReport<'a>>,
+        reports: impl IntoIterator<Item = (&'r WireReport<'a>, u64)>,
         batch: usize,
     ) -> bool {
         let mut pending = self.pending.lock();
-        for r in reports {
-            pending.push(r);
+        for (r, hash) in reports {
+            pending.push(r, hash);
         }
         self.dirty.store(true, Ordering::Release);
         pending.reports.len() >= batch
@@ -341,13 +359,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
         self.shards.len()
     }
 
-    fn shard_idx(&self, app: &str) -> usize {
-        shard_of(app, self.shards.len())
-    }
-
     /// The decision snapshot currently published for `app`'s shard.
     pub fn snapshot_of(&self, app: &str) -> Arc<P::Snap> {
-        self.shards[self.shard_idx(app)].snap.load()
+        self.shards[shard_of(app, self.shards.len())].snap.load()
     }
 
     /// A worker-owned decide handle over this engine (per-shard
@@ -372,9 +386,10 @@ impl<P: PolicyCore> ShardedEngine<P> {
     }
 
     fn ingest_obs(&self, r: &WireReport<'_>, obs: Option<&mut Tracer>) {
-        let idx = self.shard_idx(r.app);
+        let hash = name_hash(r.app);
+        let idx = shard_of_hash(hash, self.shards.len());
         let shard = &self.shards[idx];
-        if shard.enqueue([r], self.batch) {
+        if shard.enqueue([(r, hash)], self.batch) {
             self.flush_shard(idx, shard, obs);
         }
     }
@@ -407,15 +422,19 @@ impl<P: PolicyCore> ShardedEngine<P> {
             return 1;
         }
         let shards = self.shards.len();
-        scratch.groups.resize_with(shards, Vec::new);
-        for (i, r) in reports.iter().enumerate() {
-            scratch.groups[shard_of(r.app, shards)].push(i as u32);
+        let BatchScratch { groups, hashes } = scratch;
+        groups.resize_with(shards, Vec::new);
+        hashes.clear();
+        hashes.extend(reports.iter().map(|r| name_hash(r.app)));
+        for (i, &hash) in hashes.iter().enumerate() {
+            groups[shard_of_hash(hash, shards)].push(i as u32);
         }
-        for (idx, (shard, group)) in self.shards.iter().zip(&mut scratch.groups).enumerate() {
+        for (idx, (shard, group)) in self.shards.iter().zip(groups).enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let ready = shard.enqueue(group.iter().map(|&i| &reports[i as usize]), self.batch);
+            let queued = group.iter().map(|&i| (&reports[i as usize], hashes[i as usize]));
+            let ready = shard.enqueue(queued, self.batch);
             group.clear();
             if ready {
                 self.flush_shard(idx, shard, obs.as_deref_mut());
@@ -453,12 +472,13 @@ impl<P: PolicyCore> ShardedEngine<P> {
         let applied = reports.len();
         let apply_start = shard.metrics.record_batch(applied).then(Instant::now);
         for r in reports.iter() {
-            policy.apply(&CompletionReport {
+            let report = CompletionReport {
                 app: r.app(names),
                 target: r.target,
                 func_ms: r.func_ms,
                 x86_load: r.x86_load as usize,
-            });
+            };
+            policy.apply(&report, r.hash);
         }
         // One clock read ends the apply phase and starts the publish.
         let phases = apply_start.map(|apply_start| (apply_start, Instant::now()));
@@ -466,7 +486,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
         // snapshot for as long as we hold it. A row touched twice is
         // republished twice — the same value, cheaper than deduping.
         let snap = shard.snap.load();
-        if !reports.iter().all(|r| policy.republish(&snap, r.app(names))) {
+        if !reports.iter().all(|r| policy.republish(&snap, r.app(names), r.hash)) {
             shard.snap.store(policy.snapshot());
         }
         if let Some((apply_start, publish_start)) = phases {
@@ -482,7 +502,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
         if let Some(sink) = self.sink.get() {
             reports.sort_unstable_by(|a, b| a.app(names).cmp(b.app(names)));
             reports.dedup_by(|a, b| a.app(names) == b.app(names));
-            let mut rows = reports.iter().filter_map(|r| policy.row(r.app(names))).peekable();
+            let mut rows =
+                reports.iter().filter_map(|r| policy.row(r.app(names), r.hash)).peekable();
             if rows.peek().is_some() {
                 sink(idx as u32, &mut rows);
             }
@@ -585,21 +606,24 @@ impl<P: PolicyCore> ShardedEngine<P> {
 }
 
 /// Reusable grouping scratch for [`ShardedEngine::report_batch_wire`]:
-/// per-shard index lists that keep their capacity across calls, so a
+/// per-shard index lists and the batch's name hashes (one per report,
+/// in report order), all keeping their capacity across calls, so a
 /// steady stream of batch frames allocates nothing per frame.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     groups: Vec<Vec<u32>>,
+    hashes: Vec<u64>,
 }
 
 /// Reusable caller-scoped scratch for [`DecideHandle::decide_batch`],
-/// mirroring [`BatchScratch`]: per-shard query-index groups plus the
-/// decision buffer handed back in query order. Both keep their
-/// capacity across calls, so a steady stream of `DecideBatch` frames
-/// allocates nothing per frame.
+/// mirroring [`BatchScratch`]: per-shard query-index groups, the
+/// batch's name hashes in query order, and the decision buffer handed
+/// back in query order. All keep their capacity across calls, so a
+/// steady stream of `DecideBatch` frames allocates nothing per frame.
 #[derive(Debug, Default)]
 pub struct DecideScratch {
     groups: Vec<Vec<u32>>,
+    hashes: Vec<u64>,
     decisions: Vec<Decision>,
 }
 
@@ -640,12 +664,18 @@ impl<P: PolicyCore> DecideHandle<P> {
     /// Tracing observes, it never changes what is counted; unelected
     /// decides pay one branch on the `Option` and nothing else.
     pub fn decide_obs(&mut self, ctx: &DecideCtx<'_>, obs: Option<&mut Tracer>) -> Decision {
-        let idx = shard_of(ctx.app, self.engine.shards.len());
+        self.decide_at(ctx, name_hash(ctx.app), obs)
+    }
+
+    /// [`DecideHandle::decide_obs`] for a query whose name `hash` the
+    /// caller already holds.
+    fn decide_at(&mut self, ctx: &DecideCtx<'_>, hash: u64, obs: Option<&mut Tracer>) -> Decision {
+        let idx = shard_of_hash(hash, self.engine.shards.len());
         let shard = &self.engine.shards[idx];
         let sampled = shard.metrics.note_decide(self.stripe);
         let start = if sampled { Some(Instant::now()) } else { None };
         let snap = self.caches[idx].get(&shard.snap);
-        let d = P::decide(snap, ctx);
+        let d = P::decide(snap, ctx, hash);
         let nanos = start.map(|s| s.elapsed().as_nanos() as u64);
         shard.metrics.note_outcome(self.stripe, d.target, d.reconfigure, nanos);
         if let (Some(tr), Some(ns)) = (obs, nanos) {
@@ -696,26 +726,31 @@ impl<P: PolicyCore> DecideHandle<P> {
         scratch: &'s mut DecideScratch,
         mut obs: Option<&mut Tracer>,
     ) -> &'s [Decision] {
-        scratch.decisions.clear();
-        let Some(first) = queries.first() else {
-            return &scratch.decisions; // empty frame: nothing to count
-        };
+        let DecideScratch { groups, hashes, decisions } = scratch;
+        decisions.clear();
+        if queries.is_empty() {
+            return decisions; // empty frame: nothing to count
+        }
+        // Each name is hashed once: the value routes the query and is
+        // the key its row probe starts from.
+        hashes.clear();
+        hashes.extend(queries.iter().map(|q| name_hash(q.app)));
         let shards = self.engine.shards.len();
         // Frame-level counter, attributed to the first query's shard.
-        self.engine.shards[shard_of(first.app, shards)].metrics.record_decide_batch_frame();
+        self.engine.shards[shard_of_hash(hashes[0], shards)].metrics.record_decide_batch_frame();
         if let [q] = queries {
             // Single-query batches ride the exact single-decide path
             // (same metrics election included) — pinned by test.
-            let d = self.decide_obs(&q.ctx(), obs);
-            scratch.decisions.push(d);
-            return &scratch.decisions;
+            let d = self.decide_at(&q.ctx(), hashes[0], obs);
+            decisions.push(d);
+            return decisions;
         }
-        scratch.decisions.resize(queries.len(), Decision::to(Target::X86));
-        scratch.groups.resize_with(shards, Vec::new);
-        for (i, q) in queries.iter().enumerate() {
-            scratch.groups[shard_of(q.app, shards)].push(i as u32);
+        decisions.resize(queries.len(), Decision::to(Target::X86));
+        groups.resize_with(shards, Vec::new);
+        for (i, &hash) in hashes.iter().enumerate() {
+            groups[shard_of_hash(hash, shards)].push(i as u32);
         }
-        for (idx, group) in scratch.groups.iter_mut().enumerate() {
+        for (idx, group) in groups.iter_mut().enumerate() {
             if group.is_empty() {
                 continue;
             }
@@ -728,14 +763,14 @@ impl<P: PolicyCore> DecideHandle<P> {
             let snap = self.caches[idx].get(&shard.snap);
             let (mut to_arm, mut to_fpga, mut reconfigs) = (0u64, 0u64, 0u64);
             for &i in group.iter() {
-                let d = P::decide(snap, &queries[i as usize].ctx());
+                let d = P::decide(snap, &queries[i as usize].ctx(), hashes[i as usize]);
                 match d.target {
                     Target::X86 => {}
                     Target::Arm => to_arm += 1,
                     Target::Fpga => to_fpga += 1,
                 }
                 reconfigs += u64::from(d.reconfigure);
-                scratch.decisions[i as usize] = d;
+                decisions[i as usize] = d;
             }
             let sampled = start.map(|s| {
                 let group_ns = s.elapsed().as_nanos() as u64;
@@ -749,7 +784,7 @@ impl<P: PolicyCore> DecideHandle<P> {
             shard.metrics.note_outcomes(self.stripe, to_arm, to_fpga, reconfigs, sampled);
             group.clear();
         }
-        &scratch.decisions
+        decisions
     }
 }
 
@@ -773,12 +808,14 @@ mod tests {
             self.counts.clone()
         }
 
-        fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision {
+        fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>, hash: u64) -> Decision {
+            assert_eq!(hash, name_hash(ctx.app), "{}", ctx.app);
             let seen = snap.get(ctx.app).copied().unwrap_or(0);
             Decision::to(if seen >= 3 { Target::Fpga } else { Target::X86 })
         }
 
-        fn apply(&mut self, report: &CompletionReport<'_>) {
+        fn apply(&mut self, report: &CompletionReport<'_>, hash: u64) {
+            assert_eq!(hash, name_hash(report.app), "{}", report.app);
             *self.counts.entry(report.app.to_string()).or_default() += 1;
             self.limit = self.limit.max(1);
         }
@@ -795,7 +832,8 @@ mod tests {
                 .collect()
         }
 
-        fn row(&self, app: &str) -> Option<RowRef<'_>> {
+        fn row(&self, app: &str, hash: u64) -> Option<RowRef<'_>> {
+            assert_eq!(hash, name_hash(app), "{app}");
             let (app, n) = self.counts.get_key_value(app)?;
             Some(RowRef { app, kernel: "", fpga_thr: *n, arm_thr: 0 })
         }
@@ -1112,19 +1150,22 @@ mod tests {
             self.rows.iter().map(|(app, &n)| (app.clone(), ThrCell::new(n, 2 * n))).collect()
         }
 
-        fn republish(&self, snap: &Self::Snap, app: &str) -> bool {
+        fn republish(&self, snap: &Self::Snap, app: &str, hash: u64) -> bool {
+            assert_eq!(hash, name_hash(app), "{app}");
             let Some(cell) = snap.get(app) else { return false };
             let n = self.rows[app];
             cell.store(n, 2 * n);
             true
         }
 
-        fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision {
+        fn decide(snap: &Self::Snap, ctx: &DecideCtx<'_>, hash: u64) -> Decision {
+            assert_eq!(hash, name_hash(ctx.app), "{}", ctx.app);
             let seen = snap.get(ctx.app).map_or(0, |cell| cell.load().0);
             Decision::to(if seen >= 3 { Target::Fpga } else { Target::X86 })
         }
 
-        fn apply(&mut self, report: &CompletionReport<'_>) {
+        fn apply(&mut self, report: &CompletionReport<'_>, hash: u64) {
+            assert_eq!(hash, name_hash(report.app), "{}", report.app);
             *self.rows.entry(report.app.to_string()).or_default() += 1;
         }
 

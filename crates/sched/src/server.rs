@@ -1569,6 +1569,17 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
         }
         Request::Table => {
             let entries = ctx.engine.table();
+            // One frame carries at most MAX_BATCH rows and MAX_FRAME
+            // payload bytes (opcode, u16 count, rows); the encoder
+            // asserts both, which would take this worker down. A larger
+            // table is refused and the connection kept.
+            let rows: usize =
+                entries.iter().map(|e| wire::encoded_entry_len(e.app.len(), e.kernel.len())).sum();
+            if entries.len() > wire::MAX_BATCH || 1 + 2 + rows > wire::MAX_FRAME {
+                let msg = format!("table of {} rows exceeds one TABLE frame", entries.len());
+                wire::encode_response(&Response::Err(&msg), out);
+                return;
+            }
             let wire_entries: Vec<WireEntry<'_>> = entries
                 .iter()
                 .map(|e| WireEntry {

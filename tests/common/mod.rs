@@ -68,12 +68,23 @@ pub struct Reference(XarTrekPolicy);
 
 impl Reference {
     pub fn new() -> Reference {
-        Reference(paper_policy())
+        Reference::of(paper_policy())
+    }
+
+    /// The sequential scheduler over a seed policy other than the
+    /// paper's (a suite that needs rows of its own).
+    pub fn of(policy: XarTrekPolicy) -> Reference {
+        Reference(policy)
     }
 
     /// Algorithm 2 on the reference's current table.
     pub fn decide(&mut self, app: &str, load: usize, resident: bool) -> Decision {
         self.0.decide(&ctx(app, load, resident))
+    }
+
+    /// Whether a launch of `app` configures the FPGA early (§3.1).
+    pub fn early_config(&mut self, app: &str, resident: bool) -> bool {
+        self.0.on_launch(&ctx(app, 0, resident))
     }
 
     /// Algorithm 1, one completion.

@@ -885,7 +885,7 @@ fn decide_with_carries_device_context_end_to_end() {
     impl xar_trek::sched::PolicyCore for ReadyPolicy {
         type Snap = ();
         fn snapshot(&self) -> Self::Snap {}
-        fn decide(_snap: &Self::Snap, ctx: &DecideCtx<'_>) -> Decision {
+        fn decide(_snap: &Self::Snap, ctx: &DecideCtx<'_>, _hash: u64) -> Decision {
             if !ctx.device_ready {
                 return Decision::to(Target::X86);
             }
@@ -895,7 +895,7 @@ fn decide_with_carries_device_context_end_to_end() {
                 Decision::to(Target::Fpga)
             }
         }
-        fn apply(&mut self, _report: &CompletionReport<'_>) {}
+        fn apply(&mut self, _report: &CompletionReport<'_>, _hash: u64) {}
         fn entries(&self) -> Vec<xar_trek::sched::TableEntry> {
             Vec::new()
         }
@@ -1418,10 +1418,10 @@ fn squatted_local_name_fails_spawn_and_a_kill_frees_it_at_once() {
     impl xar_trek::sched::PolicyCore for Tracked {
         type Snap = ();
         fn snapshot(&self) -> Self::Snap {}
-        fn decide(_snap: &Self::Snap, _ctx: &DecideCtx<'_>) -> Decision {
+        fn decide(_snap: &Self::Snap, _ctx: &DecideCtx<'_>, _hash: u64) -> Decision {
             Decision::to(Target::X86)
         }
-        fn apply(&mut self, _report: &CompletionReport<'_>) {}
+        fn apply(&mut self, _report: &CompletionReport<'_>, _hash: u64) {}
         fn entries(&self) -> Vec<xar_trek::sched::TableEntry> {
             Vec::new()
         }
@@ -1472,4 +1472,79 @@ fn squatted_local_name_fails_spawn_and_a_kill_frees_it_at_once() {
     let mut cl = V2Client::connect(addr).unwrap();
     assert_eq!(stat(&mut cl, obs::tags::ACCEPTED_LOCAL_CONNS), 1, "reconnected over TCP");
     second.shutdown();
+}
+
+/// The one answer a too-long name gets from a client door.
+fn assert_invalid_input<T: std::fmt::Debug>(r: std::io::Result<T>, door: &str) {
+    let err = r.expect_err(door);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{door}: {err}");
+}
+
+/// A name the wire's u16 length prefix cannot carry is refused by
+/// every client door that sends one, before a byte is written. Sent,
+/// its length would wrap and the daemon would mis-frame the request:
+/// an `R_ERR`, a protocol error counted toward quarantining the peer's
+/// address (127.0.0.1 for every local client). Refused, the daemon sees
+/// nothing and the same connection keeps answering.
+#[test]
+fn a_name_over_u16_is_refused_before_a_byte_is_written() {
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
+    let long = "A".repeat(65_540);
+    let query = |app, kernel| wire::WireQuery {
+        app,
+        kernel,
+        x86_load: 3,
+        arm_load: 0,
+        kernel_resident: true,
+        device_ready: true,
+    };
+    let report = wire::WireReport { app: &long, target: Target::X86, func_ms: 1.0, x86_load: 1 };
+    let owned = [common::slow_fpga("Digit2000"), common::slow_fpga(&long)];
+
+    let mut c = V2Client::connect(daemon.addr()).unwrap();
+    let before = (stat(&mut c, obs::tags::PROTOCOL_ERRORS), stat(&mut c, obs::tags::DECIDES));
+    assert_invalid_input(c.decide(&long, "k", 1, true), "decide");
+    assert_invalid_input(c.decide_with("Digit2000", &long, 1, 0, true, true), "decide_with");
+    let batch = [query("Digit2000", "k"), query(&long, "k")];
+    assert_invalid_input(c.decide_batch(&batch), "decide_batch");
+    assert_invalid_input(c.report(&long, Target::X86, 1.0, 1), "report");
+    assert_invalid_input(c.report_batch(&owned), "report_batch");
+    assert_eq!(c.hello_session(5).unwrap(), 0);
+    assert_invalid_input(c.report_batch_seq(5, 1, &[report]), "report_batch_seq");
+    assert_eq!(c.ping(7).unwrap(), 7, "the connection is still in step");
+
+    let mut r = common::resilient(daemon.addr(), 9, 1);
+    assert_invalid_input(r.decide(&long, "k", 1, true), "resilient decide");
+    assert_invalid_input(r.report_batch(&owned), "resilient report_batch");
+    assert_eq!(r.ping(8).unwrap(), 8);
+
+    daemon.engine().flush();
+    let after = (stat(&mut c, obs::tags::PROTOCOL_ERRORS), stat(&mut c, obs::tags::DECIDES));
+    assert_eq!(after, before, "(protocol errors, decides): the daemon saw none of it");
+    Reference::new().assert_table_eq(daemon.engine().table(), "nothing was ingested");
+}
+
+/// TABLE on a table over one frame's u16 row count answers `R_ERR`:
+/// encoding it would trip the encoder's assert inside the worker, and
+/// with one worker nobody would serve again.
+#[test]
+fn a_table_over_one_frame_answers_err_and_the_worker_survives() {
+    use xar_trek::core::server::spawn_sharded;
+    use xar_trek::core::thresholds::{ThresholdEntry, ThresholdTable};
+    use xar_trek::core::XarTrekPolicy;
+    let mut table = ThresholdTable::new();
+    for i in 0..70_000 {
+        let app = format!("app-{i:06}");
+        table.insert(ThresholdEntry { app, kernel: "K".into(), fpga_thr: 1, arm_thr: 2 });
+    }
+    let policy = XarTrekPolicy::new(table, Default::default());
+    let one_worker = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let daemon = spawn_sharded(&policy, EngineConfig::default(), one_worker).unwrap();
+
+    let mut c = V2Client::connect(daemon.addr()).unwrap();
+    let err = c.fetch_table().unwrap_err().to_string();
+    assert!(err.contains("table of 70000 rows exceeds one TABLE frame"), "{err}");
+    assert_eq!(c.ping(1).unwrap(), 1, "the connection survives");
+    assert_eq!(V2Client::connect(daemon.addr()).unwrap().ping(2).unwrap(), 2, "so does the worker");
+    assert_eq!(stat(&mut c, obs::tags::PROTOCOL_ERRORS), 0, "a refusal, not a protocol error");
 }
