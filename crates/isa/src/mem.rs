@@ -28,8 +28,8 @@
 //! without allocating (and keeps going to the map), and the next write
 //! allocates it. Since ids never change meaning, an entry never goes
 //! stale — there is no invalidation, eviction is overwriting the slot —
-//! and a clone, which copies slab, map and TLB together, starts as warm
-//! as its original.
+//! and a clone, which copies the pages' bytes, the map and the TLB
+//! together, starts as warm as its original.
 //!
 //! Guest loads and stores land in [`Memory::read_uint`] /
 //! [`Memory::write_uint`]: an access inside one page is one TLB compare
@@ -37,18 +37,80 @@
 //! that crosses a page edge takes the [`Memory::read_bytes`] /
 //! [`Memory::write_bytes`] loop, which asks the TLB once per page.
 //!
+//! A page's bytes sit in an `UnsafeCell`, and every access path reaches
+//! them through a raw pointer taken from the cell for the length of one
+//! call: no reference to page bytes is ever made, so none outlives a
+//! call. That is what lets the VM hold a pointer into one page across
+//! many calls. On entering a translated block, [`crate::vm`] asks for its
+//! **stack window** — the bytes the block's fused spill forms address
+//! relative to the entry `sp` — and, when they lie in one resident page
+//! (`Memory::window`), reads and writes them through that pointer while
+//! heap loads and stores, `enter` and `leave` keep going through `Memory`
+//! to the same page. Otherwise the block runs instruction by instruction
+//! through the paths above.
+//! Boxed pages never move or free while the `Memory` lives, the VM holds
+//! the `Memory` by `&mut` for the whole block, and a `Memory` is never
+//! shared between threads, so the pointer stays good and no access races
+//! another.
+//!
 //! Addresses are modular: an access that runs past `u64::MAX` continues at
 //! address 0, on every path.
 
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ptr::NonNull;
 
 /// Page size in bytes. Matches the 4 KiB pages of the paper's Popcorn
 /// Linux kernel and is the granularity of the DSM model in `xar-popcorn`.
 pub const PAGE_SIZE: u64 = 4096;
 
-type Page = Box<[u8; PAGE_SIZE as usize]>;
+/// One page. Its bytes are only reached through raw pointers taken from
+/// the cell (see the module docs, "Access paths").
+#[derive(Debug)]
+struct PageCell(UnsafeCell<[u8; PAGE_SIZE as usize]>);
+
+type Page = Box<PageCell>;
+
+impl PageCell {
+    fn zeroed() -> Page {
+        Box::new(PageCell(UnsafeCell::new([0; PAGE_SIZE as usize])))
+    }
+
+    /// The page's first byte.
+    #[inline]
+    fn base(&self) -> *mut u8 {
+        self.0.get().cast()
+    }
+
+    /// Copies the page's bytes from offset `po` into `dst`.
+    #[inline]
+    fn read(&self, po: usize, dst: &mut [u8]) {
+        assert!(po + dst.len() <= PAGE_SIZE as usize);
+        // SAFETY: the range is inside the page (asserted). The pointer
+        // comes from the cell and lives for this call only; no reference
+        // to the bytes exists, and the owning `Memory` is not shared
+        // between threads, so nothing writes them during the copy.
+        unsafe { std::ptr::copy_nonoverlapping(self.base().add(po), dst.as_mut_ptr(), dst.len()) }
+    }
+
+    /// Copies `src` into the page's bytes from offset `po`.
+    #[inline]
+    fn write(&self, po: usize, src: &[u8]) {
+        assert!(po + src.len() <= PAGE_SIZE as usize);
+        // SAFETY: as in `read`: in bounds, and no reference to the bytes
+        // and no other thread can observe them during the copy.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.base().add(po), src.len()) }
+    }
+}
+
+impl Clone for PageCell {
+    fn clone(&self) -> Self {
+        let mut bytes = [0; PAGE_SIZE as usize];
+        self.read(0, &mut bytes);
+        PageCell(UnsafeCell::new(bytes))
+    }
+}
 
 /// One multiply by 2^64/φ: spreads consecutive page numbers over the high
 /// bits (the map's control bytes) and the low bits (its bucket index).
@@ -67,6 +129,48 @@ impl Hasher for PageHasher {
 
     fn write_u64(&mut self, pno: u64) {
         self.0 = (self.0 ^ pno).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// `len` bytes of one resident page, from [`Memory::window`]: the VM's
+/// stack window. Reads and writes go through the page's cell pointer,
+/// like every `Memory` access, so they interleave with the `Memory`'s
+/// own. A window is neither `Send` nor `Sync`: it is used on the thread
+/// that owns its `Memory`.
+pub(crate) struct Window {
+    start: NonNull<u8>,
+    len: usize,
+}
+
+impl Window {
+    /// The little-endian `i64` at offset `at`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller keeps `at + 8 <= len`, and keeps the `Memory`
+    /// the window came from alive.
+    #[inline(always)]
+    pub(crate) unsafe fn read_i64(&self, at: usize) -> i64 {
+        debug_assert!(at + 8 <= self.len);
+        // SAFETY: by the contract, `[at, at + 8)` lies in one page of a
+        // live `Memory`, whose boxed pages never move or free while it
+        // lives. The pointer comes from the page's cell, no reference to
+        // the page's bytes exists, and only this thread can reach them (a
+        // `Memory` is not `Sync`, a window neither `Send` nor `Sync`).
+        i64::from_le_bytes(unsafe { self.start.as_ptr().add(at).cast::<[u8; 8]>().read() })
+    }
+
+    /// Writes `val` little-endian at offset `at`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: as for [`Window::read_i64`].
+    #[inline(always)]
+    pub(crate) unsafe fn write_i64(&self, at: usize, val: i64) {
+        debug_assert!(at + 8 <= self.len);
+        // SAFETY: as in `read_i64`; the page is resident, so the write
+        // needs no allocation.
+        unsafe { self.start.as_ptr().add(at).cast::<[u8; 8]>().write(val.to_le_bytes()) }
     }
 }
 
@@ -112,7 +216,14 @@ impl Tlb {
 /// A `Memory` is `Send` and has one owner, the executor running the
 /// guest. It is deliberately not `Sync`: reads through `&self` update the
 /// software TLB (see the module docs), so a `&Memory` must not be shared
-/// between threads. Move it or clone it instead.
+/// between threads. Move it or clone it instead. Its pages are
+/// `UnsafeCell`s that [`crate::vm`] also writes through a raw pointer
+/// (see the module docs), which rests on the same rule:
+///
+/// ```compile_fail
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<xar_isa::Memory>();
+/// ```
 #[derive(Debug, Default, Clone)]
 pub struct Memory {
     /// Every page ever allocated, in allocation order.
@@ -157,15 +268,30 @@ impl Memory {
 
     /// The page numbered `pno`, if a write has created it.
     #[inline]
-    fn page(&self, pno: u64) -> Option<&Page> {
-        self.lookup(pno).map(|id| &self.slab[id])
+    fn page(&self, pno: u64) -> Option<&PageCell> {
+        self.lookup(pno).map(|id| &*self.slab[id])
     }
 
     /// The page numbered `pno`, created zero-filled if it does not exist.
+    /// Pages are written through `&PageCell`: a `&mut` to a page would
+    /// invalidate the VM's window into it.
     #[inline]
-    fn page_mut(&mut self, pno: u64) -> &mut Page {
+    fn page_mut(&mut self, pno: u64) -> &PageCell {
         let id = self.lookup(pno).unwrap_or_else(|| self.alloc(pno));
-        &mut self.slab[id]
+        &self.slab[id]
+    }
+
+    /// The bytes `[addr, addr + len)`, if they lie in one resident page
+    /// (and so do not wrap), as a [`Window`] that reads and writes them
+    /// directly, interleaved with this `Memory`'s own accesses.
+    #[inline]
+    pub(crate) fn window(&self, addr: u64, len: u64) -> Option<Window> {
+        let po = addr % PAGE_SIZE;
+        if po + len > PAGE_SIZE {
+            return None;
+        }
+        let start = self.page(addr / PAGE_SIZE)?.base().wrapping_add(po as usize);
+        Some(Window { start: NonNull::new(start)?, len: len as usize })
     }
 
     /// TLB miss: asks the map, and caches the page if there is one.
@@ -180,7 +306,7 @@ impl Memory {
     #[cold]
     fn alloc(&mut self, pno: u64) -> usize {
         let id = u32::try_from(self.slab.len()).expect("fewer than 2^32 resident pages");
-        self.slab.push(Box::new([0u8; PAGE_SIZE as usize]));
+        self.slab.push(PageCell::zeroed());
         self.index.insert(pno, id);
         self.tlb.slot(pno).set(TlbEntry { pno, id });
         id as usize
@@ -193,7 +319,7 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        self.page_mut(addr / PAGE_SIZE)[(addr % PAGE_SIZE) as usize] = val;
+        self.page_mut(addr / PAGE_SIZE).write((addr % PAGE_SIZE) as usize, &[val]);
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -205,7 +331,7 @@ impl Memory {
             let po = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - po).min(buf.len() - done);
             match self.page(pno) {
-                Some(p) => buf[done..done + n].copy_from_slice(&p[po..po + n]),
+                Some(p) => p.read(po, &mut buf[done..done + n]),
                 None => buf[done..done + n].fill(0),
             }
             done += n;
@@ -220,7 +346,7 @@ impl Memory {
             let pno = a / PAGE_SIZE;
             let po = (a % PAGE_SIZE) as usize;
             let n = ((PAGE_SIZE as usize) - po).min(data.len() - done);
-            self.page_mut(pno)[po..po + n].copy_from_slice(&data[done..done + n]);
+            self.page_mut(pno).write(po, &data[done..done + n]);
             done += n;
         }
     }
@@ -243,10 +369,9 @@ impl Memory {
         let mut buf = [0u8; 8];
         if po + n <= PAGE_SIZE as usize {
             if let Some(p) = self.page(addr / PAGE_SIZE) {
-                let src = &p[po..po + n];
-                match src.try_into() {
-                    Ok(word) => buf = word, // eight bytes: one load, no `memcpy`
-                    Err(_) => buf[..n].copy_from_slice(src),
+                match n {
+                    8 => p.read(po, &mut buf), // eight bytes: one load, no `memcpy`
+                    _ => p.read(po, &mut buf[..n]),
                 }
             }
         } else {
@@ -262,10 +387,10 @@ impl Memory {
         let (po, n) = ((addr % PAGE_SIZE) as usize, size as usize);
         let bytes = val.to_le_bytes();
         if po + n <= PAGE_SIZE as usize {
-            let dst = &mut self.page_mut(addr / PAGE_SIZE)[po..po + n];
-            match <&mut [u8; 8]>::try_from(&mut *dst) {
-                Ok(word) => *word = bytes, // eight bytes: one store, no `memcpy`
-                Err(_) => dst.copy_from_slice(&bytes[..n]),
+            let page = self.page_mut(addr / PAGE_SIZE);
+            match n {
+                8 => page.write(po, &bytes), // eight bytes: one store, no `memcpy`
+                _ => page.write(po, &bytes[..n]),
             }
         } else {
             self.write_bytes(addr, &bytes[..n]);
@@ -454,6 +579,18 @@ mod tests {
                 assert_eq!(m.resident_pages(), 2);
             }
         }
+    }
+
+    #[test]
+    fn memory_moves_between_threads() {
+        // What the VM's stack window relies on besides `&mut Memory`: a
+        // `Memory` is moved to a thread, never shared with one (`!Sync`
+        // is the `compile_fail` example on the type).
+        fn moves<T: Send>(_: &T) {}
+        let mut m = Memory::new();
+        m.write_u64(0x3000, 7);
+        moves(&m);
+        assert_eq!(std::thread::spawn(move || m.read_u64(0x3000)).join().unwrap(), 7);
     }
 
     #[test]

@@ -19,30 +19,60 @@
 //! tag equals the `pc` being entered, so pcs that share a slot evict
 //! each other and never run each other's block, and a jump into the
 //! middle of a block translates a block of its own. [`Vm::run`] pays one
-//! tag check per block, runs the block's instructions from a slice, and
-//! retires them together: `instret` by their number, `cycles` by the
-//! precomputed sum. A `hlt` or a runtime call ends its block, so its trap
-//! returns with the block retired (the executor reads
-//! [`Vm::elapsed_ns`] while servicing it). Only a block cut short — by
-//! the fuel or by a faulting division — retires its prefix instruction by
-//! instruction. The table is allocated by the first translation (an idle
-//! VM and its clones own no heap); an evicted block's instructions stay
-//! behind until the table holds `OPS_LIMIT` of them and starts over. It
-//! does not watch [`Memory`]: after rewriting code that may have
-//! executed, call [`Vm::invalidate_code`].
+//! tag check per block and retires the block's instructions together:
+//! `instret` by their number, `cycles` by the precomputed sum. A `hlt` or
+//! a runtime call ends its block, so its trap returns with the block
+//! retired (the executor reads [`Vm::elapsed_ns`] while servicing it).
+//! The table is allocated by the first translation (an idle VM and its
+//! clones own no heap); an evicted block's instructions stay behind
+//! until the table holds `OPS_LIMIT` of them and starts over. It does not
+//! watch [`Memory`]: after rewriting code that may have executed, call
+//! [`Vm::invalidate_code`].
+//!
+//! Each block has two forms. The **per-instruction** form runs its
+//! instructions one at a time through `Memory`; it is the exact path for
+//! a block the fuel cuts short, which retires its prefix. The **fused**
+//! form runs when the whole block retires. Translation rewrites every
+//! `sp`-relative `ld`/`st` as an offset from the `sp` the block is
+//! entered with, following the block's static `sp` moves (`enter`,
+//! `add sp`, `push`, `pop`; a `leave` takes `sp` from memory and ends
+//! this), and records the span of those offsets: the block's **stack
+//! window**. It then fuses the code generator's spill shapes:
+//! `ld [sp+a]; ld [sp+b]; op; st [sp+c]` quads (any `op` but `div`/`rem`,
+//! which can fault) first, then `mov #imm; st [sp+c]` pairs, then lone
+//! `ld`/`st`; every other instruction runs the same per-instruction body
+//! (`Vm::step`) as the other form, and one that faults retires exactly
+//! the prefix before its own index. On entry the window is resolved
+//! once: when it lies in one resident page, [`Memory`] hands out a
+//! pointer into that page (see [`crate::mem`], "Access paths") and the
+//! fused form's accesses index it. Otherwise — a frame straddling a page
+//! edge, a stack page not written yet — the block runs its
+//! per-instruction form, whose accesses take `Memory`'s TLB path and
+//! allocate on a first store as before. A block with no `sp`-relative
+//! access, or whose accesses span more than a page, has no fused form.
 //!
 //! # What a guest instruction is
 //!
 //! Mostly a memory access. The popcorn code generator keeps every value
-//! in a stack slot, so FaceDet320 (the `vm/facedet320-*` bench row;
-//! 696 624 instructions retired on either ISA) runs `LoadSp` 39.3 %,
-//! `StoreSp` 28.2 %, `Load` 2.5 % — 70 % loads and stores — then `Alu`
-//! 14.1 %, `MovImm` 6.7 %, compare/branch 6.6 %, call/ret/enter/leave
-//! 2.5 %. One run enters 42 326 blocks, ~16.5 instructions each, from 40
-//! translated blocks of 385 instructions. Per instruction what is left is
-//! [`Memory`]'s access path (see [`crate::mem`], "Access paths") and the
-//! dispatch `match`; the tag check, the `pc` update and the cycle and
-//! instruction counts are paid once per block.
+//! in a stack slot. One `facedet_pipeline` run retires 1 415 796
+//! instructions over both ISAs: `LoadSp` 39.3 %, `StoreSp` 28.3 %, `Alu`
+//! 14.2 %, `MovImm` 6.7 %, then `Load`, compare/branch and
+//! call/ret/enter/leave. By adjacent pair, `StoreSp→LoadSp` is 20.9 %,
+//! `LoadSp→LoadSp` 17.8 %, `LoadSp→Alu` 14.2 %, `Alu→StoreSp` 14.2 % and
+//! `MovImm→StoreSp` 6.2 %: nearly every `Alu` sits in a quad. The run
+//! enters 85 344 blocks, ~16.6 instructions each, and 752 935 dispatches
+//! retire them: 191 915 quads, 87 116 `mov; st` pairs, 293 977 lone
+//! `ld`/`st` and one per remaining instruction. 68 702 entries (80 %)
+//! run fused; the rest are blocks with no `sp`-relative access. Each
+//! form earns its keep. Against the interpreter before fusion (the same
+//! block table, one form), FaceDet320 runs 1.58× as fast with
+//! everything, and with one part left out at a time 1.46× without the
+//! pairs, 1.23× without the quads, 1.12× without the lone
+//! accesses, 0.93× without the window (per-instruction form only) and
+//! 0.60× with the window but no fused shapes (Xar86; Arm64e within
+//! 0.07; medians of 150 alternated runs in one process on a 2-vCPU
+//! VM). The gated measure is the benchmark's `migrate-exec` workload
+//! and its `isa.minstr_per_s_*` layers (`xar_benchmark/README.md`).
 //!
 //! # Traps
 //!
@@ -67,20 +97,21 @@
 
 use crate::cost;
 use crate::encode::{decode, DecodeError};
-use crate::instr::{CvtDir, MInstr};
+use crate::instr::{AluOp, CvtDir, MInstr};
 use crate::mem::Memory;
-use crate::{Isa, RUNTIME_CALL_BASE, RUNTIME_CALL_END};
+use crate::{Isa, Reg, PAGE_SIZE, RUNTIME_CALL_BASE, RUNTIME_CALL_END};
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Slots in a VM's block table (a power of two; 128 KiB when allocated).
+/// Slots in a VM's block table (a power of two; 192 KiB when allocated).
 const BLOCK_SLOTS: usize = 4096;
 
 /// The most instructions one block holds.
 const BLOCK_CAP: usize = 64;
 
 /// Translated instructions the table keeps before it starts over: an
-/// evicted block's instructions stay behind until then (512 KiB).
+/// evicted block's instructions stay behind until then (512 KiB, and at
+/// most 384 KiB of fused forms).
 const OPS_LIMIT: usize = 16 * 1024;
 
 /// One translated instruction, with its address and its cost.
@@ -91,25 +122,51 @@ struct Op {
     cost: u32,
 }
 
+/// One step of a block's fused form. A windowed access (`at`) addresses
+/// the block's stack window: the byte at `at` is `entry sp + lo + at`.
+#[derive(Debug, Clone, Copy)]
+enum Fused {
+    /// `ld ld[0], [at[0]]; ld ld[1], [at[1]]; dst = lhs op rhs;
+    /// st [at[2]], src`, with an `op` that cannot fault.
+    Quad { op: AluOp, ld: [Reg; 2], dst: Reg, lhs: Reg, rhs: Reg, src: Reg, at: [u16; 3] },
+    /// `mov dst, #imm; st [at], src`.
+    MovSt { dst: Reg, src: Reg, at: u16, imm: i64 },
+    /// `ld dst, [at]`.
+    Ld { dst: Reg, at: u16 },
+    /// `st [at], src`.
+    St { src: Reg, at: u16 },
+    /// The block's instruction `ins`, at index `i`, run by [`Vm::step`].
+    One { ins: MInstr, i: u16 },
+}
+
 /// A translated block: `n` instructions from `start` in the table's
-/// `ops`, tagged with the `pc` it was translated at; `n == 0` marks a
-/// slot never filled.
+/// `ops`, and its fused form, `nfused` steps from `fstart` in `fused`,
+/// tagged with the `pc` it was translated at; `n == 0` marks a slot
+/// never filled.
 #[derive(Debug, Clone, Copy, Default)]
 struct Block {
     pc: u64,
-    start: u32,
-    n: u32,
     /// The summed cost of the block's instructions.
     cycles: u64,
     /// The fall-through `pc`, just past the block's last instruction.
     next: u64,
+    /// Where the stack window starts, relative to the entry `sp`.
+    lo: i64,
+    start: u32,
+    n: u32,
+    fstart: u32,
+    nfused: u16,
+    /// Bytes the window spans; 0 when the block has no fused form.
+    span: u16,
 }
 
-/// The blocks a VM has translated, and their instructions.
+/// The blocks a VM has translated, their instructions and their fused
+/// forms.
 #[derive(Debug, Clone, Default)]
 struct BlockTable {
     slots: Vec<Block>,
     ops: Vec<Op>,
+    fused: Vec<Fused>,
 }
 
 impl BlockTable {
@@ -163,14 +220,103 @@ impl BlockTable {
             }
         }
         let n = (self.ops.len() - start) as u32;
-        self.slots[slot] = Block { pc, start: start as u32, n, cycles, next: at };
+        let fstart = self.fused.len();
+        let (lo, span) = fuse(isa, &self.ops[start..], &mut self.fused);
+        let nfused = (self.fused.len() - fstart) as u16;
+        self.slots[slot] = Block {
+            pc,
+            cycles,
+            next: at,
+            lo,
+            start: start as u32,
+            n,
+            fstart: fstart as u32,
+            nfused,
+            span,
+        };
         Ok(self.slots[slot])
     }
 
     fn clear(&mut self) {
         self.slots.clear();
         self.ops.clear();
+        self.fused.clear();
     }
+}
+
+/// Appends the fused form of the block `ops` to `out`, and returns where
+/// its stack window starts relative to the entry `sp` and how many bytes
+/// it spans.
+///
+/// Each `sp`-relative load and store is placed relative to the entry `sp`
+/// by following the block's static `sp` moves; after a `leave`, `sp`
+/// comes from memory and nothing more is windowed. Quads are matched
+/// first, then `mov; st` pairs, then lone windowed loads and stores;
+/// every other instruction is a [`Fused::One`]. A block with no such
+/// access, or whose accesses span more than a page, gets no fused form:
+/// `(0, 0)`, and nothing appended.
+fn fuse(isa: Isa, ops: &[Op], out: &mut Vec<Fused>) -> (i64, u16) {
+    // Offset from the entry `sp` of each access that can be windowed.
+    let mut woff = [None; BLOCK_CAP];
+    let mut sp = Some(0i64);
+    for (i, op) in ops.iter().enumerate() {
+        match op.ins {
+            MInstr::LoadSp { off, .. } | MInstr::StoreSp { off, .. } => {
+                woff[i] = sp.map(|sp| sp + i64::from(off));
+            }
+            MInstr::Enter { frame } => {
+                let record = match isa {
+                    Isa::Xar86 => 8,
+                    Isa::Arm64e => 16,
+                };
+                sp = sp.map(|sp| sp - record - i64::from(frame));
+            }
+            MInstr::AddSp { imm } => sp = sp.map(|sp| sp + i64::from(imm)),
+            MInstr::Push { .. } => sp = sp.map(|sp| sp - 8),
+            MInstr::Pop { .. } => sp = sp.map(|sp| sp + 8),
+            MInstr::Leave => sp = None,
+            _ => {}
+        }
+    }
+    let (lo, hi) =
+        woff.iter().flatten().fold((i64::MAX, i64::MIN), |(lo, hi), &w| (lo.min(w), hi.max(w + 8)));
+    if lo > hi || hi - lo > PAGE_SIZE as i64 {
+        return (0, 0);
+    }
+    // Each access's offset in the window, which `at + 8 <= span` bounds.
+    let at = woff.map(|w| w.map(|w| (w - lo) as u16));
+    let mut i = 0;
+    while i < ops.len() {
+        let w = |k: usize| ops.get(i + k).map(|op| (op.ins, at[i + k]));
+        let (step, len) = match (w(0), w(1), w(2), w(3)) {
+            (
+                Some((MInstr::LoadSp { dst: ld0, .. }, Some(a))),
+                Some((MInstr::LoadSp { dst: ld1, .. }, Some(b))),
+                Some((MInstr::Alu { op, dst, lhs, rhs }, _)),
+                Some((MInstr::StoreSp { src, .. }, Some(c))),
+            ) if !matches!(op, AluOp::Div | AluOp::Rem) => {
+                (Fused::Quad { op, ld: [ld0, ld1], dst, lhs, rhs, src, at: [a, b, c] }, 4)
+            }
+            (
+                Some((MInstr::MovImm { dst, imm }, _)),
+                Some((MInstr::StoreSp { src, .. }, Some(at))),
+                ..,
+            ) => (Fused::MovSt { dst, src, at, imm }, 2),
+            (Some((MInstr::LoadSp { dst, .. }, Some(at))), ..) => (Fused::Ld { dst, at }, 1),
+            (Some((MInstr::StoreSp { src, .. }, Some(at))), ..) => (Fused::St { src, at }, 1),
+            (Some((ins, _)), ..) => (Fused::One { ins, i: i as u16 }, 1),
+            (None, ..) => unreachable!("i < ops.len()"),
+        };
+        out.push(step);
+        i += len;
+    }
+    (lo, (hi - lo) as u16)
+}
+
+/// Why [`Vm::step`] did not run on to the next instruction.
+enum Stop {
+    Hlt,
+    DivFault,
 }
 
 /// Comparison flags, set by `cmp`/`fcmp` and consumed by `b.cond`.
@@ -318,170 +464,79 @@ impl Vm {
     /// `cycles`, `instret` and the registers are what it found, so `run`
     /// can be called again once the cause is repaired.
     pub fn run(&mut self, mem: &mut Memory, fuel: u64) -> Result<Trap, VmFault> {
+        // Out of `self` for the call, so that a block's ops stay borrowed
+        // while `step` borrows the rest of the VM.
+        let mut blocks = std::mem::take(&mut self.blocks);
+        let end = self.run_blocks(&mut blocks, mem, fuel);
+        self.blocks = blocks;
+        end
+    }
+
+    fn run_blocks(
+        &mut self,
+        blocks: &mut BlockTable,
+        mem: &mut Memory,
+        fuel: u64,
+    ) -> Result<Trap, VmFault> {
         let mut left = fuel;
         while left > 0 {
-            let b = self.blocks.get(self.isa, mem, self.pc)?;
-            let k = left.min(b.n as u64) as usize;
+            let b = blocks.get(self.isa, mem, self.pc)?;
+            let ops = &blocks.ops[b.start as usize..][..b.n as usize];
             // Set by the block's last instruction when it transfers control.
             let (mut next, mut link) = (b.next, false);
-            for (i, &Op { ins, .. }) in self.blocks.ops[b.start as usize..][..k].iter().enumerate()
-            {
-                match ins {
-                    MInstr::MovImm { dst, imm } => self.regs[dst.0 as usize] = imm,
-                    MInstr::MovReg { dst, src } => {
-                        self.regs[dst.0 as usize] = self.regs[src.0 as usize]
-                    }
-                    MInstr::Alu { op, dst, lhs, rhs } => {
-                        let l = self.regs[lhs.0 as usize];
-                        let r = self.regs[rhs.0 as usize];
-                        let Some(val) = op.eval(l, r) else {
-                            return Err(VmFault::DivFault { pc: self.retire_prefix(&b, i) });
-                        };
-                        self.regs[dst.0 as usize] = val;
-                    }
-                    MInstr::AluImm { op, dst, lhs, imm } => {
-                        let l = self.regs[lhs.0 as usize];
-                        let Some(val) = op.eval(l, imm as i64) else {
-                            return Err(VmFault::DivFault { pc: self.retire_prefix(&b, i) });
-                        };
-                        self.regs[dst.0 as usize] = val;
-                    }
-                    MInstr::FAlu { op, dst, lhs, rhs } => {
-                        let l = self.fregs[lhs.0 as usize];
-                        let r = self.fregs[rhs.0 as usize];
-                        self.fregs[dst.0 as usize] = op.eval(l, r);
-                    }
-                    MInstr::FMovImm { dst, imm } => self.fregs[dst.0 as usize] = imm,
-                    MInstr::FMovReg { dst, src } => {
-                        self.fregs[dst.0 as usize] = self.fregs[src.0 as usize]
-                    }
-                    MInstr::Cvt { dir: CvtDir::I2F, gp, fp } => {
-                        self.fregs[fp.0 as usize] = self.regs[gp.0 as usize] as f64
-                    }
-                    MInstr::Cvt { dir: CvtDir::F2I, gp, fp } => {
-                        self.regs[gp.0 as usize] = self.fregs[fp.0 as usize] as i64
-                    }
-                    MInstr::Load { dst, base, off, size } => {
-                        let addr =
-                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                        self.regs[dst.0 as usize] = mem.read_uint(addr, size.bytes()) as i64;
-                    }
-                    MInstr::Store { src, base, off, size } => {
-                        let addr =
-                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                        mem.write_uint(addr, self.regs[src.0 as usize] as u64, size.bytes());
-                    }
-                    MInstr::FLoad { dst, base, off } => {
-                        let addr =
-                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                        self.fregs[dst.0 as usize] = mem.read_f64(addr);
-                    }
-                    MInstr::FStore { src, base, off } => {
-                        let addr =
-                            (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
-                        mem.write_f64(addr, self.fregs[src.0 as usize]);
-                    }
-                    MInstr::LoadSp { dst, off } => {
-                        self.regs[dst.0 as usize] =
-                            mem.read_i64(self.sp.wrapping_add(off as i64 as u64));
-                    }
-                    MInstr::StoreSp { src, off } => {
-                        mem.write_i64(
-                            self.sp.wrapping_add(off as i64 as u64),
-                            self.regs[src.0 as usize],
-                        );
-                    }
-                    MInstr::FLoadSp { dst, off } => {
-                        self.fregs[dst.0 as usize] =
-                            mem.read_f64(self.sp.wrapping_add(off as i64 as u64));
-                    }
-                    MInstr::FStoreSp { src, off } => {
-                        mem.write_f64(
-                            self.sp.wrapping_add(off as i64 as u64),
-                            self.fregs[src.0 as usize],
-                        );
-                    }
-                    MInstr::MovFromFp { dst } => self.regs[dst.0 as usize] = self.fp as i64,
-                    MInstr::MovFromSp { dst } => self.regs[dst.0 as usize] = self.sp as i64,
-                    MInstr::AddSp { imm } => self.sp = self.sp.wrapping_add(imm as i64 as u64),
-                    MInstr::Enter { frame } => match self.isa {
-                        Isa::Xar86 => {
-                            // Return address was pushed by `call`; push caller fp.
-                            self.sp = self.sp.wrapping_sub(8);
-                            mem.write_u64(self.sp, self.fp);
-                            self.fp = self.sp;
-                            self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+            // The fused form runs when the whole block retires and its
+            // stack window is in one resident page.
+            let win = match left >= b.n as u64 && b.span != 0 {
+                true => mem.window(self.sp.wrapping_add(b.lo as u64), b.span.into()),
+                false => None,
+            };
+            if let Some(win) = win {
+                // SAFETY: called with the `at`s of this block's fused form
+                // only, each of which `fuse` keeps within `at + 8 <= span`,
+                // the window's length; and within this call, which holds
+                // `mem` (so it lives) throughout.
+                let load = |at: u16| unsafe { win.read_i64(at.into()) };
+                // SAFETY: as for `load`.
+                let store = |at: u16, val: i64| unsafe { win.write_i64(at.into(), val) };
+                for &f in &blocks.fused[b.fstart as usize..][..b.nfused as usize] {
+                    match f {
+                        Fused::Quad { op, ld, dst, lhs, rhs, src, at } => {
+                            self.regs[ld[0].0 as usize] = load(at[0]);
+                            self.regs[ld[1].0 as usize] = load(at[1]);
+                            let (l, r) = (self.regs[lhs.0 as usize], self.regs[rhs.0 as usize]);
+                            let Some(val) = op.eval(l, r) else {
+                                unreachable!("no quad divides");
+                            };
+                            self.regs[dst.0 as usize] = val;
+                            store(at[2], self.regs[src.0 as usize]);
                         }
-                        Isa::Arm64e => {
-                            // Spill the frame record (fp, lr) like AArch64's stp.
-                            self.sp = self.sp.wrapping_sub(16);
-                            mem.write_u64(self.sp, self.fp);
-                            mem.write_u64(self.sp.wrapping_add(8), self.lr);
-                            self.fp = self.sp;
-                            self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+                        Fused::MovSt { dst, src, at, imm } => {
+                            self.regs[dst.0 as usize] = imm;
+                            store(at, self.regs[src.0 as usize]);
                         }
-                    },
-                    MInstr::Leave => match self.isa {
-                        Isa::Xar86 => {
-                            self.sp = self.fp;
-                            self.fp = mem.read_u64(self.sp);
-                            self.sp = self.sp.wrapping_add(8);
-                            // Return address now at [sp]; `ret` pops it.
+                        Fused::Ld { dst, at } => self.regs[dst.0 as usize] = load(at),
+                        Fused::St { src, at } => store(at, self.regs[src.0 as usize]),
+                        Fused::One { ins, i } => {
+                            if let Err(stop) = self.step(mem, ins, &mut next, &mut link) {
+                                return self.stop(&b, ops, i.into(), stop);
+                            }
                         }
-                        Isa::Arm64e => {
-                            self.sp = self.fp;
-                            self.fp = mem.read_u64(self.sp);
-                            self.lr = mem.read_u64(self.sp.wrapping_add(8));
-                            self.sp = self.sp.wrapping_add(16);
-                        }
-                    },
-                    MInstr::Cmp { lhs, rhs } => {
-                        self.flags =
-                            Flags::Int(self.regs[lhs.0 as usize].cmp(&self.regs[rhs.0 as usize]));
-                    }
-                    MInstr::CmpImm { lhs, imm } => {
-                        self.flags = Flags::Int(self.regs[lhs.0 as usize].cmp(&(imm as i64)));
-                    }
-                    MInstr::FCmp { lhs, rhs } => {
-                        self.flags = Flags::Float(
-                            self.fregs[lhs.0 as usize].partial_cmp(&self.fregs[rhs.0 as usize]),
-                        );
-                    }
-                    MInstr::Jmp { target } => next = target,
-                    MInstr::JCond { cond, target } => {
-                        if self.flags.eval(cond) {
-                            next = target;
-                        }
-                    }
-                    MInstr::Call { target } => (next, link) = (target, true),
-                    MInstr::CallReg { target } => {
-                        (next, link) = (self.regs[target.0 as usize] as u64, true)
-                    }
-                    MInstr::Ret => match self.isa {
-                        Isa::Xar86 => {
-                            next = mem.read_u64(self.sp);
-                            self.sp = self.sp.wrapping_add(8);
-                        }
-                        Isa::Arm64e => next = self.lr,
-                    },
-                    MInstr::Push { src } => {
-                        self.sp = self.sp.wrapping_sub(8);
-                        mem.write_i64(self.sp, self.regs[src.0 as usize]);
-                    }
-                    MInstr::Pop { dst } => {
-                        self.regs[dst.0 as usize] = mem.read_i64(self.sp);
-                        self.sp = self.sp.wrapping_add(8);
-                    }
-                    MInstr::Nop => {}
-                    MInstr::Hlt => {
-                        self.retire(&b, b.next);
-                        return Ok(Trap::Hlt);
                     }
                 }
-            }
-            if k < b.n as usize {
-                self.retire_prefix(&b, k);
-                return Ok(Trap::OutOfFuel);
+            } else {
+                // Instruction by instruction, through `Memory`: a block
+                // the fuel cuts short, one with no fused form, or one
+                // whose window straddles a page edge or is not resident.
+                let k = left.min(b.n as u64) as usize;
+                for (i, op) in ops[..k].iter().enumerate() {
+                    if let Err(stop) = self.step(mem, op.ins, &mut next, &mut link) {
+                        return self.stop(&b, ops, i, stop);
+                    }
+                }
+                if k < ops.len() {
+                    self.retire_prefix(ops, k);
+                    return Ok(Trap::OutOfFuel);
+                }
             }
             left -= b.n as u64;
             if link {
@@ -503,6 +558,159 @@ impl Vm {
         Ok(Trap::OutOfFuel)
     }
 
+    /// Runs one instruction: the body a block's two forms share. A
+    /// control transfer sets `next` (and `link`, for a call); `hlt` and a
+    /// division that faults end the block (see `stop`), the latter
+    /// without writing its destination.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        mem: &mut Memory,
+        ins: MInstr,
+        next: &mut u64,
+        link: &mut bool,
+    ) -> Result<(), Stop> {
+        match ins {
+            MInstr::MovImm { dst, imm } => self.regs[dst.0 as usize] = imm,
+            MInstr::MovReg { dst, src } => self.regs[dst.0 as usize] = self.regs[src.0 as usize],
+            MInstr::Alu { op, dst, lhs, rhs } => {
+                let l = self.regs[lhs.0 as usize];
+                let r = self.regs[rhs.0 as usize];
+                self.regs[dst.0 as usize] = op.eval(l, r).ok_or(Stop::DivFault)?;
+            }
+            MInstr::AluImm { op, dst, lhs, imm } => {
+                let l = self.regs[lhs.0 as usize];
+                self.regs[dst.0 as usize] = op.eval(l, imm as i64).ok_or(Stop::DivFault)?;
+            }
+            MInstr::FAlu { op, dst, lhs, rhs } => {
+                let l = self.fregs[lhs.0 as usize];
+                let r = self.fregs[rhs.0 as usize];
+                self.fregs[dst.0 as usize] = op.eval(l, r);
+            }
+            MInstr::FMovImm { dst, imm } => self.fregs[dst.0 as usize] = imm,
+            MInstr::FMovReg { dst, src } => self.fregs[dst.0 as usize] = self.fregs[src.0 as usize],
+            MInstr::Cvt { dir: CvtDir::I2F, gp, fp } => {
+                self.fregs[fp.0 as usize] = self.regs[gp.0 as usize] as f64
+            }
+            MInstr::Cvt { dir: CvtDir::F2I, gp, fp } => {
+                self.regs[gp.0 as usize] = self.fregs[fp.0 as usize] as i64
+            }
+            MInstr::Load { dst, base, off, size } => {
+                let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                self.regs[dst.0 as usize] = mem.read_uint(addr, size.bytes()) as i64;
+            }
+            MInstr::Store { src, base, off, size } => {
+                let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                mem.write_uint(addr, self.regs[src.0 as usize] as u64, size.bytes());
+            }
+            MInstr::FLoad { dst, base, off } => {
+                let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                self.fregs[dst.0 as usize] = mem.read_f64(addr);
+            }
+            MInstr::FStore { src, base, off } => {
+                let addr = (self.regs[base.0 as usize] as u64).wrapping_add(off as i64 as u64);
+                mem.write_f64(addr, self.fregs[src.0 as usize]);
+            }
+            MInstr::LoadSp { dst, off } => {
+                self.regs[dst.0 as usize] = mem.read_i64(self.sp.wrapping_add(off as i64 as u64));
+            }
+            MInstr::StoreSp { src, off } => {
+                mem.write_i64(self.sp.wrapping_add(off as i64 as u64), self.regs[src.0 as usize]);
+            }
+            MInstr::FLoadSp { dst, off } => {
+                self.fregs[dst.0 as usize] = mem.read_f64(self.sp.wrapping_add(off as i64 as u64));
+            }
+            MInstr::FStoreSp { src, off } => {
+                mem.write_f64(self.sp.wrapping_add(off as i64 as u64), self.fregs[src.0 as usize]);
+            }
+            MInstr::MovFromFp { dst } => self.regs[dst.0 as usize] = self.fp as i64,
+            MInstr::MovFromSp { dst } => self.regs[dst.0 as usize] = self.sp as i64,
+            MInstr::AddSp { imm } => self.sp = self.sp.wrapping_add(imm as i64 as u64),
+            MInstr::Enter { frame } => match self.isa {
+                Isa::Xar86 => {
+                    // Return address was pushed by `call`; push caller fp.
+                    self.sp = self.sp.wrapping_sub(8);
+                    mem.write_u64(self.sp, self.fp);
+                    self.fp = self.sp;
+                    self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+                }
+                Isa::Arm64e => {
+                    // Spill the frame record (fp, lr) like AArch64's stp.
+                    self.sp = self.sp.wrapping_sub(16);
+                    mem.write_u64(self.sp, self.fp);
+                    mem.write_u64(self.sp.wrapping_add(8), self.lr);
+                    self.fp = self.sp;
+                    self.sp = self.sp.wrapping_sub(frame as i64 as u64);
+                }
+            },
+            MInstr::Leave => match self.isa {
+                Isa::Xar86 => {
+                    self.sp = self.fp;
+                    self.fp = mem.read_u64(self.sp);
+                    self.sp = self.sp.wrapping_add(8);
+                    // Return address now at [sp]; `ret` pops it.
+                }
+                Isa::Arm64e => {
+                    self.sp = self.fp;
+                    self.fp = mem.read_u64(self.sp);
+                    self.lr = mem.read_u64(self.sp.wrapping_add(8));
+                    self.sp = self.sp.wrapping_add(16);
+                }
+            },
+            MInstr::Cmp { lhs, rhs } => {
+                self.flags = Flags::Int(self.regs[lhs.0 as usize].cmp(&self.regs[rhs.0 as usize]));
+            }
+            MInstr::CmpImm { lhs, imm } => {
+                self.flags = Flags::Int(self.regs[lhs.0 as usize].cmp(&(imm as i64)));
+            }
+            MInstr::FCmp { lhs, rhs } => {
+                self.flags = Flags::Float(
+                    self.fregs[lhs.0 as usize].partial_cmp(&self.fregs[rhs.0 as usize]),
+                );
+            }
+            MInstr::Jmp { target } => *next = target,
+            MInstr::JCond { cond, target } => {
+                if self.flags.eval(cond) {
+                    *next = target;
+                }
+            }
+            MInstr::Call { target } => (*next, *link) = (target, true),
+            MInstr::CallReg { target } => {
+                (*next, *link) = (self.regs[target.0 as usize] as u64, true)
+            }
+            MInstr::Ret => match self.isa {
+                Isa::Xar86 => {
+                    *next = mem.read_u64(self.sp);
+                    self.sp = self.sp.wrapping_add(8);
+                }
+                Isa::Arm64e => *next = self.lr,
+            },
+            MInstr::Push { src } => {
+                self.sp = self.sp.wrapping_sub(8);
+                mem.write_i64(self.sp, self.regs[src.0 as usize]);
+            }
+            MInstr::Pop { dst } => {
+                self.regs[dst.0 as usize] = mem.read_i64(self.sp);
+                self.sp = self.sp.wrapping_add(8);
+            }
+            MInstr::Nop => {}
+            MInstr::Hlt => return Err(Stop::Hlt),
+        }
+        Ok(())
+    }
+
+    /// Ends the run at the block's `i`th instruction, which stopped it.
+    #[cold]
+    fn stop(&mut self, b: &Block, ops: &[Op], i: usize, stop: Stop) -> Result<Trap, VmFault> {
+        match stop {
+            Stop::Hlt => {
+                self.retire(b, b.next);
+                Ok(Trap::Hlt)
+            }
+            Stop::DivFault => Err(VmFault::DivFault { pc: self.retire_prefix(ops, i) }),
+        }
+    }
+
     /// Retires all of `b` and continues at `next`.
     #[inline]
     fn retire(&mut self, b: &Block, next: u64) {
@@ -511,18 +719,20 @@ impl Vm {
         self.pc = next;
     }
 
-    /// Retires the first `k` instructions of `b` only and stops at the
+    /// Retires the first `k` of a block's `ops` only and stops at the
     /// next one, which the fuel did not reach or which faulted; returns
     /// its `pc`.
     #[cold]
-    fn retire_prefix(&mut self, b: &Block, k: usize) -> u64 {
-        let ops = &self.blocks.ops[b.start as usize..][..=k];
+    fn retire_prefix(&mut self, ops: &[Op], k: usize) -> u64 {
         self.instret += k as u64;
         self.cycles += ops[..k].iter().map(|op| op.cost as u64).sum::<u64>();
         self.pc = ops[k].pc;
         self.pc
     }
 }
+
+#[cfg(test)]
+mod fusion_tests;
 
 #[cfg(test)]
 mod tests {
