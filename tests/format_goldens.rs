@@ -19,7 +19,11 @@
 //!   same segment bytes from the same trace (`fsync` off and always);
 //! * `fixtures/snapshot-boot/`: the same daemon shut down cleanly
 //!   (final snapshot), restarted, fed a second trace and killed —
-//!   snapshot + manifest + WAL suffix, recovered and rewritten alike.
+//!   snapshot + manifest + WAL suffix, recovered and rewritten alike;
+//! * one v2 frame per live request and reply op, as hex, encoded and
+//!   decoded both ways. These were recorded later, at the commit
+//!   before the wire's cursor pair became the one codec of the WAL,
+//!   the snapshot and the state blob.
 
 mod common;
 
@@ -32,9 +36,13 @@ use xar_trek::core::server::{
 };
 use xar_trek::core::thresholds::{ScenarioTimes, ThresholdEntry, ThresholdTable};
 use xar_trek::core::XarTrekPolicy;
+use xar_trek::desim::Decision;
 use xar_trek::desim::{CompletionReport, Target};
 use xar_trek::sched::client::Served;
-use xar_trek::sched::wire::WireReport;
+use xar_trek::sched::wire::{
+    decode_request, decode_response, encode_request, encode_response, frame_in, op, HistDump,
+    Request, Response, StatsV2, WireEntry, WireQuery, WireReport,
+};
 use xar_trek::sched::{
     shard_of, Durability, DurabilityConfig, FsyncPolicy, PolicyCore, SessionTable, TableEntry,
 };
@@ -374,4 +382,163 @@ fn fixed_traces_write_the_parent_s_bytes() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// (e) the v2 frames
+
+/// One frame per request op, header included, as hex: the length,
+/// the opcode, then the body field by field.
+fn request_goldens() -> Vec<(Request<'static>, &'static str)> {
+    let report = |app, target, func_ms, x86_load| WireReport { app, target, func_ms, x86_load };
+    vec![
+        (
+            Request::Decide {
+                app: "FaceDet320",
+                kernel: "KNL_HW_FD320",
+                x86_load: 42,
+                arm_load: 7,
+                kernel_resident: true,
+                device_ready: false,
+            },
+            "24000000 01 0a00 46616365446574333230 0c00 \
+            4b4e4c5f48575f4644333230 2a000000 07000000 01",
+        ),
+        (
+            Request::BatchReport(vec![
+                report("CG-A", Target::Arm, 1300.5, 9),
+                report("", Target::Fpga, -0.0, u32::MAX),
+            ]),
+            "25000000 03 0200 0400 43472d41 01 0000000000529440 09000000 0000 \
+            02 0000000000000080 ffffffff",
+        ),
+        (Request::Table, "01000000 04"),
+        (Request::Ping(0x0123_4567_89AB_CDEF), "09000000 05 efcdab8967452301"),
+        (
+            Request::DecideBatch(vec![
+                WireQuery {
+                    app: "Digit2000",
+                    kernel: "KNL_HW_DR200",
+                    x86_load: 1,
+                    arm_load: 0x0102_0304,
+                    kernel_resident: false,
+                    device_ready: true,
+                },
+                WireQuery {
+                    app: "é",
+                    kernel: "",
+                    x86_load: u32::MAX,
+                    arm_load: 0,
+                    kernel_resident: true,
+                    device_ready: true,
+                },
+            ]),
+            "34000000 07 0200 0900 446967697432303030 0c00 \
+            4b4e4c5f48575f4452323030 01000000 04030201 02 0200 c3a9 0000 \
+            ffffffff 00000000 03",
+        ),
+        (Request::StatsV2, "01000000 08"),
+        (Request::HistDump, "01000000 09"),
+        (Request::HelloSession { session: 0xFEED_F00D }, "09000000 0a 0df0edfe00000000"),
+        (
+            Request::BatchReportSeq {
+                session: 7,
+                seq: u64::MAX - 1,
+                reports: vec![report("Digit500", Target::X86, 0.25, 40)],
+            },
+            "2a000000 0b 0700000000000000 feffffffffffffff 0100 0800 \
+            4469676974353030 00 000000000000d03f 28000000",
+        ),
+    ]
+}
+
+/// One frame per reply op, header included, as hex.
+fn response_goldens() -> Vec<(Response<'static>, &'static str)> {
+    vec![
+        (Response::Decide { target: Target::Fpga, reconfigure: true }, "03000000 81 02 01"),
+        (Response::Ack(0x0A0B_0C0D), "05000000 82 0d0c0b0a"),
+        (
+            Response::Table(vec![
+                WireEntry { app: "CG-A", kernel: "KNL_HW_CG_A", fpga_thr: 4, arm_thr: 27 },
+                WireEntry { app: "x", kernel: "", fpga_thr: u32::MAX, arm_thr: 0 },
+            ]),
+            "2b000000 84 0200 0400 43472d41 0b00 4b4e4c5f48575f43475f41 \
+            04000000 1b000000 0100 78 0000 ffffffff 00000000",
+        ),
+        (Response::Pong(1), "09000000 85 0100000000000000"),
+        (
+            Response::DecideBatch(vec![
+                Decision { target: Target::Arm, reconfigure: false },
+                Decision { target: Target::X86, reconfigure: true },
+            ]),
+            "07000000 87 0200 01 00 00 01",
+        ),
+        (
+            Response::StatsV2(StatsV2 { pairs: vec![(1, 42), (0xBEEF, u64::MAX)] }),
+            "17000000 88 0200 0100 2a00000000000000 efbe ffffffffffffffff",
+        ),
+        (
+            Response::HistDump(HistDump { classes: vec![(1, vec![3, 0, 5]), (9, vec![])] }),
+            "23000000 89 0200 0100 0300 0300000000000000 0000000000000000 \
+            0500000000000000 0900 0000",
+        ),
+        (Response::Session { last_seq: 12 }, "09000000 8a 0c00000000000000"),
+        (Response::Busy { retry_after_ms: 250 }, "05000000 8b fa000000"),
+        (
+            Response::Err("unknown opcode 0x02"),
+            "16000000 ff 1300 756e6b6e6f776e206f70636f64652030783032",
+        ),
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The bytes a golden spells out; the spaces between its fields are
+/// for the reader.
+fn unhex(golden: &str) -> Vec<u8> {
+    let digits: String = golden.split_whitespace().collect();
+    (0..digits.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&digits[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The payload of `bytes`, which must hold exactly one frame.
+fn payload(bytes: &[u8]) -> &[u8] {
+    let (total, range) = frame_in(bytes).unwrap().expect("a whole frame");
+    assert_eq!(total, bytes.len(), "one frame, nothing after it");
+    &bytes[range]
+}
+
+/// Every v2 frame is pinned byte for byte, both ways: the running
+/// encoder writes the recorded bytes, and the running decoder reads
+/// the recorded bytes back to the value. A round-trip alone cannot see
+/// a layout change made in the encoder and the decoder together.
+#[test]
+fn v2_frames_are_byte_identical_to_the_parent() {
+    let mut ops = Vec::new();
+    for (req, want) in request_goldens() {
+        let mut got = Vec::new();
+        encode_request(&req, &mut got);
+        assert_eq!(hex(&got), hex(&unhex(want)), "{req:?} encodes to other bytes");
+        let bytes = unhex(want);
+        assert_eq!(decode_request(payload(&bytes)), Ok(req), "{want} decodes to another value");
+        ops.push(bytes[4]);
+    }
+    for (resp, want) in response_goldens() {
+        let mut got = Vec::new();
+        encode_response(&resp, &mut got);
+        assert_eq!(hex(&got), hex(&unhex(want)), "{resp:?} encodes to other bytes");
+        let bytes = unhex(want);
+        assert_eq!(decode_response(payload(&bytes)), Ok(resp), "{want} decodes to another value");
+        ops.push(bytes[4]);
+    }
+    // One frame per live op: the retired ids, and 0x83 that no op
+    // ever held, carry none.
+    let retired = [op::REPORT, op::STATS, op::R_STATS, 0x83];
+    let live: Vec<u8> =
+        (0x01..=0x0B).chain(0x81..=0x8B).chain([0xFF]).filter(|o| !retired.contains(o)).collect();
+    assert_eq!(ops, live);
 }
