@@ -1,7 +1,7 @@
 //! The `xar-lint` engine: token-scanning enforcement of workspace
 //! invariants that previously lived only in README prose.
 //!
-//! Four rules:
+//! Five rules:
 //!
 //! | rule             | invariant                                                        |
 //! |------------------|------------------------------------------------------------------|
@@ -9,6 +9,7 @@
 //! | `ops-registry`   | v2 wire op ids unique + append-only vs the committed `ops.lock`  |
 //! | `unsafe-safety`  | every `unsafe` is preceded by a `// SAFETY:` justification       |
 //! | `relaxed-publish`| no `Relaxed` store/RMW on publish/generation atomics off-list    |
+//! | `ci-filters`     | every `cargo test` filter in CI matches a test it runs           |
 //!
 //! All scanning happens on a *stripped* copy of each source file —
 //! comments and string/char literals blanked, line structure kept — so
@@ -19,7 +20,8 @@
 //! `ops.lock` at the repo root); `xar-lint --update` regenerates the
 //! baselines so an intentional append shows up as a reviewed diff.
 //! `relaxed.allow` lists audited `Relaxed` publish sites as
-//! `<path-suffix> <receiver>` pairs.
+//! `<path-suffix> <receiver>` pairs. `ci-filters` reads the CI workflow
+//! and a saved `cargo test --workspace -- --list` (`run_ci_filters`).
 
 use std::fmt;
 use std::fs;
@@ -629,6 +631,117 @@ fn relaxed_allow_parse(content: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+// ---------------------------------------------------------- ci-filters
+
+/// `(package, target, test)` for every test that `cargo test
+/// --workspace -- --list` lists on stdout and stderr together. The
+/// package is the crate name of its library, the target `lib`, `doc`,
+/// `test:<name>` or `bin:<name>`. Cargo runs a package's binaries
+/// together, its library's first, so a binary belongs to the library
+/// listed last before it.
+fn listed_tests(list: &str) -> Vec<(String, String, &str)> {
+    let (mut tests, mut pkg, mut target) = (Vec::new(), String::new(), String::new());
+    for line in list.lines().map(str::trim) {
+        if let Some(rest) = line.strip_prefix("Running ") {
+            // `Running <source> (target/<profile>/deps/<crate>-<hash>)`
+            let (source, binary) = rest.split_once(" (").unwrap_or((rest, ""));
+            let name =
+                binary.rsplit('/').next().and_then(|b| b.rsplit_once('-')).map_or("", |b| b.0);
+            target = match source {
+                s if s.starts_with("tests/") => format!("test:{name}"),
+                s if s.ends_with("src/lib.rs") => {
+                    pkg = name.to_string();
+                    "lib".into()
+                }
+                _ => format!("bin:{name}"),
+            };
+        } else if let Some(name) = line.strip_prefix("Doc-tests ") {
+            (pkg, target) = (name.to_string(), "doc".into());
+        } else if let Some(test) = line.strip_suffix(": test") {
+            tests.push((pkg.clone(), target.clone(), test));
+        }
+    }
+    tests
+}
+
+/// Every `cargo test` command of a CI workflow with its 1-based line:
+/// backslash continuations joined, comment lines skipped, the
+/// arguments cut at the shell's `;`, `&&`, `||`, `|` or a redirection.
+fn cargo_test_commands(ci: &str) -> Vec<(usize, Vec<String>)> {
+    let mut out = Vec::new();
+    for (at, _) in ci.match_indices("cargo ") {
+        let head = ci[..at].rsplit('\n').next().unwrap_or("");
+        if head.trim_start().starts_with('#') {
+            continue;
+        }
+        let rest = ci[at..].replace("\\\n", " ");
+        let command =
+            rest.lines().next().unwrap_or("").split([';', '|', '&', '<', '>']).next().unwrap_or("");
+        let mut words = command.split_whitespace().skip(1).skip_while(|w| w.starts_with('+'));
+        if words.next() == Some("test") {
+            out.push((ci[..at].matches('\n').count() + 1, words.map(String::from).collect()));
+        }
+    }
+    out
+}
+
+/// Every filter of every `cargo test` command in `ci` (a workflow file
+/// named `file`) must match at least one test that `list` (see
+/// [`listed_tests`]) holds for the command's packages and targets, by
+/// libtest's rule: a substring, or the whole name under `--exact`.
+/// Cargo passes a filter that matches nothing, so a renamed test would
+/// drop out of its gate unseen. A command without `-p` is matched
+/// against every package: its target options still narrow it.
+pub fn check_ci_filters(ci: &str, file: &str, list: &str) -> Vec<Finding> {
+    let tests = listed_tests(list);
+    let mut findings = Vec::new();
+    for (line, cmd) in cargo_test_commands(ci) {
+        // Another workspace's tests are not in the list.
+        if cmd.iter().any(|a| a == "--manifest-path") {
+            continue;
+        }
+        let (mut pkgs, mut targets, mut filters) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut exact, mut libtest) = (false, false);
+        let mut args = cmd.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().unwrap_or("").replace('-', "_");
+            match (libtest, arg) {
+                (false, "--") => libtest = true,
+                (false, "-p" | "--package") => pkgs.push(value()),
+                (false, "--lib" | "--doc") => targets.push(arg[2..].to_string()),
+                (false, "--test" | "--bin") => targets.push(format!("{}:{}", &arg[2..], value())),
+                (false, "--features" | "-F" | "--target" | "-j" | "--jobs" | "--profile")
+                | (true, "--test-threads" | "--skip" | "--format" | "--color") => drop(value()),
+                (true, "--exact") => exact = true,
+                (_, a) if a.starts_with('-') => {}
+                (_, filter) => filters.push(filter),
+            }
+        }
+        let runs = |(pkg, target, _): &&(String, String, &str)| {
+            (pkgs.is_empty() || pkgs.contains(pkg))
+                && (targets.is_empty() || targets.contains(target))
+        };
+        let run: Vec<&str> = tests.iter().filter(runs).map(|t| t.2).collect();
+        for filter in filters {
+            if !run.iter().any(|&t| if exact { t == filter } else { t.contains(filter) }) {
+                let message = format!(
+                    "filter `{filter}` matches no test `cargo test {}` runs",
+                    cmd.join(" ")
+                );
+                findings.push(Finding { rule: "ci-filters", file: file.into(), line, message });
+            }
+        }
+    }
+    findings
+}
+
+/// [`check_ci_filters`] on the workspace's CI workflow, against the
+/// saved output of `cargo test --workspace -- --list` at `list`.
+pub fn run_ci_filters(root: &Path, list: &Path) -> io::Result<Vec<Finding>> {
+    let ci = fs::read_to_string(root.join(CI_WORKFLOW))?;
+    Ok(check_ci_filters(&ci, CI_WORKFLOW, &fs::read_to_string(list)?))
+}
+
 // -------------------------------------------------------- workspace run
 
 const TAGS_SOURCE: &str = "crates/obs/src/tags.rs";
@@ -636,6 +749,7 @@ const WIRE_SOURCE: &str = "crates/sched/src/wire.rs";
 const TAGS_LOCK: &str = "tags.lock";
 const OPS_LOCK: &str = "ops.lock";
 const RELAXED_ALLOW: &str = "relaxed.allow";
+const CI_WORKFLOW: &str = ".github/workflows/ci.yml";
 
 fn rust_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
@@ -916,6 +1030,76 @@ pub mod op {
             format!("{:#04x}", o.value)
         });
         assert_eq!(f.len(), 1);
+    }
+
+    const LIST_FIXTURE: &str = "   Compiling xar-sched v0.1.0 (/src/crates/sched)
+     Running unittests src/lib.rs (target/debug/deps/xar_sched-0123abcd)
+dur::tests::a_truncated_record_changes_nothing: test
+wire::tests::v1_grammar_parses_and_rejects: test
+
+2 tests, 0 benchmarks
+     Running tests/model_session.rs (target/debug/deps/model_session-4567ef)
+session_marks_are_monotonic: test
+     Running unittests src/lib.rs (target/debug/deps/xar_trek-89ab)
+     Running tests/sched_concurrent.rs (target/debug/deps/sched_concurrent-cdef01)
+a_v1_line_over_the_cap_answers_err_and_the_worker_survives: test
+   Doc-tests xar_sched
+crates/sched/src/wire.rs - wire (line 8): test
+";
+
+    fn ci_findings(ci: &str) -> Vec<(usize, String)> {
+        check_ci_filters(ci, "ci.yml", LIST_FIXTURE)
+            .into_iter()
+            .map(|f| {
+                assert_eq!(f.rule, "ci-filters");
+                (f.line, f.message)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ci_filters_that_match_a_listed_test_pass() {
+        let ci = "      - name: gates
+        run: |
+          cargo test -q -p xar-sched --lib -- v1_grammar dur::tests::a_truncated_record_changes_nothing
+          cargo test -q -p xar-sched --lib -- --exact wire::tests::v1_grammar_parses_and_rejects
+          cargo test -q -p xar-sched --lib a_truncated
+          cargo test -q --test sched_concurrent -- \\
+            a_v1_line_over_the_cap
+          cargo test -q -p xar-sched -- session_marks wire
+          cargo test -q --workspace -- a_truncated a_v1_line
+          # cargo test -q -- not_a_command
+          cargo test -q --manifest-path other/Cargo.toml -- anything
+          cargo test --workspace -- --list > target/list.txt 2>&1
+          if ! X=1 cargo test -q --test sched_concurrent a_v1_line; then exit 1; fi
+";
+        assert_eq!(ci_findings(ci), []);
+    }
+
+    #[test]
+    fn a_ci_filter_that_matches_no_listed_test_fires() {
+        let ci = "run: |
+  cargo test -q -p xar-sched --lib -- --exact v1_grammar_parses_and_rejects
+  cargo test -q --test sched_concurrent -- \\
+    a_v1_line_over_the_cap v1_grammar
+  cargo test -q -p xar-sched --lib -- a_v1_line_over_the_cap
+  cargo test -q -p xar-sched --doc renamed_away
+";
+        let found = ci_findings(ci);
+        let dead: Vec<(usize, &str)> =
+            found.iter().map(|(line, m)| (*line, m.split('`').nth(1).unwrap())).collect();
+        // `--exact` wants the module path; a test of another binary
+        // or another package does not count.
+        assert_eq!(
+            dead,
+            [
+                (2, "v1_grammar_parses_and_rejects"),
+                (3, "v1_grammar"),
+                (5, "a_v1_line_over_the_cap"),
+                (6, "renamed_away"),
+            ]
+        );
+        assert!(found[1].1.contains("cargo test -q --test sched_concurrent --"), "{}", found[1].1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Policy, Target};
 use xar_sched::snapshot::ThrCell;
-use xar_sched::wire::MAX_NAME;
+use xar_sched::wire::{encoded_entry_len, Reader, Writer};
 
 /// The paper's heuristic policy with dynamic threshold refinement.
 ///
@@ -278,15 +278,7 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
     }
 
     fn entries(&self) -> Vec<xar_sched::TableEntry> {
-        self.table
-            .iter()
-            .map(|r| xar_sched::TableEntry {
-                app: r.app.to_string(),
-                kernel: r.kernel.to_string(),
-                fpga_thr: r.fpga_thr,
-                arm_thr: r.arm_thr,
-            })
-            .collect()
+        self.table.iter().map(xar_sched::TableEntry::from).collect()
     }
 
     fn row(&self, app: &str, hash: u64) -> Option<xar_sched::RowRef<'_>> {
@@ -302,32 +294,29 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         // compare these blobs across daemon generations).
         let ids = self.table.sorted_ids();
         let mut out = Vec::with_capacity(64 + ids.len() * 80);
-        out.push(STATE_VERSION);
-        out.push(self.early_config as u8);
-        out.push(self.dynamic_update as u8);
-        out.extend_from_slice(&self.thr_step.to_le_bytes());
-        out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        let mut w = Writer::new(&mut out);
+        w.u8(STATE_VERSION);
+        w.u8(self.early_config as u8);
+        w.u8(self.dynamic_update as u8);
+        w.u32(self.thr_step);
+        w.u32(ids.len() as u32);
         for &id in &ids {
-            let r = self.table.row(id);
-            put_str(r.app, &mut out);
-            put_str(r.kernel, &mut out);
-            out.extend_from_slice(&r.fpga_thr.to_le_bytes());
-            out.extend_from_slice(&r.arm_thr.to_le_bytes());
+            w.entry(&self.table.row(id));
         }
         let times: Vec<(usize, &ScenarioTimes)> =
             ids.iter().filter_map(|&id| Some((id, self.times.get(id)?.as_ref()?))).collect();
-        out.extend_from_slice(&(times.len() as u32).to_le_bytes());
+        w.u32(times.len() as u32);
         for (id, t) in times {
-            put_str(self.table.row(id).app, &mut out);
-            out.extend_from_slice(&t.x86_ms.to_bits().to_le_bytes());
-            out.extend_from_slice(&t.fpga_ms.to_bits().to_le_bytes());
-            out.extend_from_slice(&t.arm_ms.to_bits().to_le_bytes());
+            w.str(self.table.row(id).app);
+            w.f64(t.x86_ms);
+            w.f64(t.fpga_ms);
+            w.f64(t.arm_ms);
         }
         Some(out)
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut c = Reader { b: bytes, at: 0 };
+        let mut c = Reader::new(bytes);
         let version = c.u8()?;
         if version != STATE_VERSION {
             return Err(format!("unknown policy state version {version}"));
@@ -335,36 +324,27 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
         let early_config = c.u8()? != 0;
         let dynamic_update = c.u8()? != 0;
         let thr_step = c.u32()?;
-        let n_rows = c.u32()? as usize;
-        if n_rows > bytes.len() / 12 {
-            return Err("row count exceeds payload".into());
-        }
+        let n_rows = c.count(encoded_entry_len(0, 0))?;
         // One rebuild straight from the borrowed blob, built aside: a
         // blob that fails to parse leaves the policy as it was. A first
         // pass sums the row section's name bytes, so every buffer is
         // allocated once, at its final size.
         let (mut scan, mut name_bytes, mut kernel_bytes) = (c, 0, 0);
         for _ in 0..n_rows {
-            name_bytes += scan.str_bytes()?.len();
-            kernel_bytes += scan.str_bytes()?.len();
-            scan.take(8)?;
+            let row = scan.entry()?;
+            name_bytes += row.app.len();
+            kernel_bytes += row.kernel.len();
         }
         let mut table = ThresholdTable::with_capacity(n_rows, name_bytes, kernel_bytes);
         for _ in 0..n_rows {
-            let (app, kernel) = (c.str()?, c.str()?);
-            let (fpga_thr, arm_thr) = (c.u32()?, c.u32()?);
-            table.insert_str(app, kernel, fpga_thr, arm_thr);
+            let row = c.entry()?;
+            table.insert_str(row.app, row.kernel, row.fpga_thr, row.arm_thr);
         }
-        let n_times = c.u32()? as usize;
-        if n_times > bytes.len() / 26 {
-            return Err("ref-time count exceeds payload".into());
-        }
+        let n_times = c.count(TIMES_LEN)?;
         let mut times = vec![None; table.len()];
         for _ in 0..n_times {
             let app = c.str()?;
-            let x86_ms = f64::from_bits(c.u64()?);
-            let fpga_ms = f64::from_bits(c.u64()?);
-            let arm_ms = f64::from_bits(c.u64()?);
+            let (x86_ms, fpga_ms, arm_ms) = (c.f64()?, c.f64()?, c.f64()?);
             if let Some(id) = table.row_id(app) {
                 times[id] = Some(ScenarioTimes { x86_ms, fpga_ms, arm_ms });
             }
@@ -377,49 +357,8 @@ impl xar_sched::PolicyCore for XarTrekPolicy {
 /// Version byte of [`XarTrekPolicy`]'s durability-state blob.
 const STATE_VERSION: u8 = 1;
 
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    // A wrapped prefix would write a blob `load_state` cannot parse;
-    // the table refuses such names at insert.
-    assert!(s.len() <= MAX_NAME, "state name of {} bytes exceeds u16", s.len());
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian reader for [`XarTrekPolicy::load_state`].
-#[derive(Clone, Copy)]
-struct Reader<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let s = self.b.get(self.at..self.at + n).ok_or("policy state truncated")?;
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str_bytes(&mut self) -> Result<&'a [u8], String> {
-        let n = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        self.take(n)
-    }
-
-    fn str(&mut self) -> Result<&'a str, String> {
-        std::str::from_utf8(self.str_bytes()?).map_err(|e| e.to_string())
-    }
-}
+/// Least bytes of one reference-times row: an empty name, three `f64`s.
+const TIMES_LEN: usize = 2 + 3 * 8;
 
 impl Policy for XarTrekPolicy {
     fn on_launch(&mut self, ctx: &DecideCtx<'_>) -> bool {
@@ -738,8 +677,13 @@ mod tests {
         );
         // Deterministic serialization: equal states, equal bytes.
         assert_eq!(q.save_state().unwrap(), blob);
-        // Corruption and version skew are refused, not mangled.
-        assert!(q.load_state(&blob[..blob.len() - 3]).is_err());
+        // Corruption and version skew are refused, not mangled: every
+        // strict prefix of the blob is an error and leaves the policy
+        // as it was.
+        for cut in 0..blob.len() {
+            assert!(q.load_state(&blob[..cut]).is_err(), "a {cut}-byte prefix loaded");
+        }
+        assert_eq!(q.save_state().unwrap(), blob);
         let mut bad = blob.clone();
         bad[0] = 99;
         assert!(q.load_state(&bad).is_err());

@@ -105,8 +105,8 @@ impl SchedulerServer {
     /// Snapshot of the (dynamically updated) threshold table.
     pub fn table(&self) -> ThresholdTable {
         let mut table = ThresholdTable::new();
-        for TableEntry { app, kernel, fpga_thr, arm_thr } in self.0.engine().table() {
-            table.insert(ThresholdEntry { app, kernel, fpga_thr, arm_thr });
+        for row in self.0.engine().table() {
+            table.insert(row);
         }
         table
     }

@@ -18,19 +18,11 @@ use xar_sched::wire::MAX_NAME;
 use xar_sched::{name_hash, shard_of_hash, RowRef};
 
 /// One row of the threshold table (Table 2), as built by the estimator,
-/// a table file or a caller — what [`ThresholdTable::insert`] takes.
-/// The table hands rows back as borrowed [`RowRef`] views.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThresholdEntry {
-    /// Application name.
-    pub app: String,
-    /// Hardware kernel name.
-    pub kernel: String,
-    /// x86 CPU load (process count) above which FPGA migration wins.
-    pub fpga_thr: u32,
-    /// x86 CPU load above which ARM migration wins.
-    pub arm_thr: u32,
-}
+/// a table file or a caller — what [`ThresholdTable::insert`] takes:
+/// the daemon's owned row. `fpga_thr` / `arm_thr` are the x86 loads
+/// (process counts) above which FPGA / ARM migration wins. The table
+/// hands rows back as borrowed [`RowRef`] views.
+pub type ThresholdEntry = xar_sched::TableEntry;
 
 /// A string's `(offset, len)` in one of a table's byte buffers.
 type Span = (u32, u32);

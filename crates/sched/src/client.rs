@@ -431,15 +431,7 @@ impl V2Client {
     /// Socket/protocol errors.
     pub fn fetch_table(&mut self) -> std::io::Result<Vec<TableEntry>> {
         match self.call(&Request::Table)? {
-            Response::Table(entries) => Ok(entries
-                .into_iter()
-                .map(|e| TableEntry {
-                    app: e.app.to_string(),
-                    kernel: e.kernel.to_string(),
-                    fpga_thr: e.fpga_thr,
-                    arm_thr: e.arm_thr,
-                })
-                .collect()),
+            Response::Table(entries) => Ok(entries.into_iter().map(TableEntry::from).collect()),
             other => Err(refused(other)),
         }
     }

@@ -49,12 +49,17 @@
 //! validates the log and hands each record above the snapshot's
 //! watermark to [`replay_record`] as its checksum passes — no segment
 //! is read twice. Each report record re-enters the engine through
-//! [`ShardedEngine::report_batch_wire`], the door live traffic uses, as
-//! reports borrowed from the record payload.
+//! [`ShardedEngine::report_batch_wire`], which is the door live
+//! traffic uses ([`ShardedEngine::report_batch_wire_obs`]) without a
+//! tracer. The reports are borrowed from the record payload.
+//!
+//! Records and the snapshot payload are written and read through the
+//! wire's codec ([`Writer`], [`Reader`]): a report is the wire's report
+//! element, a `RowDeltas` row its table row, a count a `u32`.
 
 use crate::engine::{BatchScratch, PolicyCore, RowRef, ShardedEngine};
 use crate::session::{SeqOutcome, SessionTable};
-use crate::wire::{name_str, target_from_byte, target_to_byte, WireReport, MAX_NAME};
+use crate::wire::{encoded_report_len, Reader, WireError, WireReport, Writer};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -384,114 +389,55 @@ fn invalid_data(msg: String) -> io::Error {
 }
 
 // ---------------------------------------------------------------------------
-// Record payload encoding/decoding.
-
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    let bytes = s.as_bytes();
-    // A wrapped prefix would journal a record recovery cannot parse.
-    // Names reach here from the wire or a table row, both u16-bounded.
-    assert!(bytes.len() <= MAX_NAME, "WAL name of {} bytes exceeds u16", bytes.len());
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn put_reports(reports: &[WireReport<'_>], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(reports.len() as u32).to_le_bytes());
-    for r in reports {
-        put_str(r.app, out);
-        out.push(target_to_byte(r.target));
-        out.extend_from_slice(&r.func_ms.to_bits().to_le_bytes());
-        out.extend_from_slice(&r.x86_load.to_le_bytes());
-    }
-}
+// Record payloads, through the wire's codec.
 
 fn encode_report_batch(reports: &[WireReport<'_>], out: &mut Vec<u8>) {
-    out.push(REC_REPORT_BATCH);
-    put_reports(reports, out);
+    let mut w = Writer::new(out);
+    w.u8(REC_REPORT_BATCH);
+    w.u32(reports.len() as u32);
+    for r in reports {
+        w.report(r);
+    }
 }
 
 fn encode_seq_batch(session: u64, seq: u64, reports: &[WireReport<'_>], out: &mut Vec<u8>) {
-    out.push(REC_SEQ_BATCH);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    put_reports(reports, out);
+    let mut w = Writer::new(out);
+    w.u8(REC_SEQ_BATCH);
+    w.u64(session);
+    w.u64(seq);
+    w.u32(reports.len() as u32);
+    for r in reports {
+        w.report(r);
+    }
 }
 
 fn encode_replay_note(session: u64, seq: u64, out: &mut Vec<u8>) {
-    out.push(REC_REPLAY_NOTE);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
+    let mut w = Writer::new(out);
+    w.u8(REC_REPLAY_NOTE);
+    w.u64(session);
+    w.u64(seq);
 }
 
 fn encode_row_deltas(shard: u32, rows: &mut dyn Iterator<Item = RowRef<'_>>, out: &mut Vec<u8>) {
-    out.push(REC_ROW_DELTAS);
-    out.extend_from_slice(&shard.to_le_bytes());
+    let mut w = Writer::new(out);
+    w.u8(REC_ROW_DELTAS);
+    w.u32(shard);
     // The row count precedes the rows; patched in once they are counted.
-    let count_at = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
+    let count_at = w.pos();
+    w.u32(0);
     let mut count = 0u32;
     for row in rows {
-        put_str(row.app, out);
-        put_str(row.kernel, out);
-        out.extend_from_slice(&row.fpga_thr.to_le_bytes());
-        out.extend_from_slice(&row.arm_thr.to_le_bytes());
+        w.entry(&row);
         count += 1;
     }
-    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    w.patch_u32(count_at, count);
 }
 
-/// Bounds-checked little-endian reader over a record payload.
-struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let s = self.b.get(self.at..self.at + n).ok_or("record payload truncated")?;
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, String> {
-        let n = self.u16()? as usize;
-        name_str(self.take(n)?).map_err(|e| e.to_string())
-    }
-
-    /// Decodes a report list, borrowing the names from the payload.
-    fn reports(&mut self) -> Result<Vec<WireReport<'a>>, String> {
-        let n = self.u32()? as usize;
-        // A corrupt count cannot pre-allocate unbounded memory: the
-        // payload must actually hold that many minimum-size reports.
-        if n > self.b.len().saturating_sub(self.at) / 15 {
-            return Err("report count exceeds payload".into());
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let app = self.str()?;
-            let target = target_from_byte(self.u8()?).map_err(|e| e.to_string())?;
-            let func_ms = f64::from_bits(self.u64()?);
-            let x86_load = self.u32()?;
-            out.push(WireReport { app, target, func_ms, x86_load });
-        }
-        Ok(out)
-    }
+/// Decodes a record's `u32`-counted report list, borrowing the names
+/// from the payload.
+fn decode_reports<'a>(r: &mut Reader<'a>) -> Result<Vec<WireReport<'a>>, WireError> {
+    let n = r.count(encoded_report_len(0))?;
+    r.list(n, Reader::report)
 }
 
 /// Applies one replayed WAL record during recovery. Corrupt payloads
@@ -502,16 +448,16 @@ fn replay_record<P: PolicyCore>(
     sessions: &SessionTable,
     scratch: &mut BatchScratch,
 ) {
-    let mut c = Cur { b: payload, at: 0 };
+    let mut c = Reader::new(payload);
     let Ok(tag) = c.u8() else { return };
     match tag {
         REC_REPORT_BATCH => {
-            let Ok(reports) = c.reports() else { return };
+            let Ok(reports) = decode_reports(&mut c) else { return };
             engine.report_batch_wire(scratch, &reports);
         }
         REC_SEQ_BATCH => {
             let (Ok(session), Ok(seq)) = (c.u64(), c.u64()) else { return };
-            let Ok(reports) = c.reports() else { return };
+            let Ok(reports) = decode_reports(&mut c) else { return };
             // Re-stamp through the live dedup path: only a fresh seq
             // re-ingests, so replaying a WAL that overlaps the
             // snapshot (or replaying twice) cannot double-apply.
@@ -535,6 +481,10 @@ fn replay_record<P: PolicyCore>(
 // ---------------------------------------------------------------------------
 // Snapshot payload.
 
+/// One session-table row: id, high-water mark, replayed high-water
+/// mark.
+const SESSION_LEN: usize = 3 * 8;
+
 fn encode_snapshot(
     opened: u64,
     replayed: u64,
@@ -542,21 +492,22 @@ fn encode_snapshot(
     blobs: &[Vec<u8>],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        64 + sessions.len() * 24 + blobs.iter().map(|b| b.len() + 4).sum::<usize>(),
+        64 + sessions.len() * SESSION_LEN + blobs.iter().map(|b| b.len() + 4).sum::<usize>(),
     );
-    out.push(SNAPSHOT_VERSION);
-    out.extend_from_slice(&opened.to_le_bytes());
-    out.extend_from_slice(&replayed.to_le_bytes());
-    out.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
+    let mut w = Writer::new(&mut out);
+    w.u8(SNAPSHOT_VERSION);
+    w.u64(opened);
+    w.u64(replayed);
+    w.u32(sessions.len() as u32);
     for &(id, hwm, replayed_hwm) in sessions {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&hwm.to_le_bytes());
-        out.extend_from_slice(&replayed_hwm.to_le_bytes());
+        w.u64(id);
+        w.u64(hwm);
+        w.u64(replayed_hwm);
     }
-    out.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
+    w.u32(blobs.len() as u32);
     for blob in blobs {
-        out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        out.extend_from_slice(blob);
+        w.u32(blob.len() as u32);
+        w.bytes(blob);
     }
     out
 }
@@ -566,31 +517,22 @@ fn restore_snapshot<P: PolicyCore>(
     engine: &ShardedEngine<P>,
     sessions: &SessionTable,
 ) -> Result<(), String> {
-    let mut c = Cur { b: payload, at: 0 };
+    let mut c = Reader::new(payload);
     let version = c.u8()?;
     if version != SNAPSHOT_VERSION {
         return Err(format!("unknown snapshot version {version}"));
     }
     let opened = c.u64()?;
     let replayed = c.u64()?;
-    let n_sessions = c.u32()? as usize;
-    if n_sessions > payload.len() / 24 {
-        return Err("session count exceeds payload".into());
-    }
-    let mut sess = Vec::with_capacity(n_sessions);
-    for _ in 0..n_sessions {
-        sess.push((c.u64()?, c.u64()?, c.u64()?));
-    }
-    let n_blobs = c.u32()? as usize;
-    if n_blobs > payload.len() / 4 {
-        return Err("shard count exceeds payload".into());
-    }
-    // Borrowed from the payload: each shard parses its blob in place.
-    let mut blobs = Vec::with_capacity(n_blobs);
-    for _ in 0..n_blobs {
+    let n = c.count(SESSION_LEN)?;
+    let sess = c.list(n, |c| Ok((c.u64()?, c.u64()?, c.u64()?)))?;
+    // Each blob is at least its u32 length. Borrowed from the payload:
+    // each shard parses its blob in place.
+    let n = c.count(4)?;
+    let blobs = c.list(n, |c| {
         let len = c.u32()? as usize;
-        blobs.push(c.take(len)?);
-    }
+        c.take(len)
+    })?;
     engine.load_states(&blobs)?;
     sessions.restore_counters(opened, replayed);
     for (id, hwm, replayed_hwm) in sess {
@@ -650,16 +592,17 @@ mod tests {
 
         fn save_state(&self) -> Option<Vec<u8>> {
             let mut out = Vec::new();
-            out.extend_from_slice(&(self.counts.len() as u32).to_le_bytes());
+            let mut w = Writer::new(&mut out);
+            w.u32(self.counts.len() as u32);
             for (app, n) in &self.counts {
-                put_str(app, &mut out);
-                out.extend_from_slice(&n.to_le_bytes());
+                w.str(app);
+                w.u32(*n);
             }
             Some(out)
         }
 
         fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-            let mut c = Cur { b: bytes, at: 0 };
+            let mut c = Reader::new(bytes);
             let n = c.u32()? as usize;
             let mut counts = std::collections::BTreeMap::new();
             for _ in 0..n {
@@ -832,6 +775,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// What replay or a restore could change: the table, the reports
+    /// ingested, the session table and its counters.
+    type State = (Vec<TableEntry>, u64, Vec<(u64, u64, u64)>, u64, u64);
+
+    fn state(e: &ShardedEngine<CountPolicy>, sessions: &SessionTable) -> State {
+        e.flush();
+        let reports = e.metrics_total().reports;
+        (e.table(), reports, sessions.entries(), sessions.opened_total(), sessions.replayed_total())
+    }
+
+    /// Every strict prefix of every record kind is skipped whole, as
+    /// the module docs promise; the whole record then applies.
+    #[test]
+    fn a_truncated_record_changes_nothing() {
+        let e = engine();
+        let sessions = SessionTable::new(8);
+        let mut scratch = BatchScratch::default();
+        e.report_batch_wire(&mut scratch, &[wire("alpha")]);
+        assert_eq!(sessions.advance(3, 1), Some(SeqOutcome::Fresh));
+        let reports = [wire("alpha"), wire("beta")];
+        let row = RowRef { app: "alpha", kernel: "k", fpga_thr: 1, arm_thr: 2 };
+        let mut records = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+        encode_report_batch(&reports, &mut records[0]);
+        encode_seq_batch(3, 2, &reports, &mut records[1]);
+        encode_replay_note(3, 1, &mut records[2]);
+        encode_row_deltas(0, &mut [row, row].into_iter(), &mut records[3]);
+        for record in &records {
+            let before = state(&e, &sessions);
+            for cut in 0..record.len() {
+                replay_record(&record[..cut], &e, &sessions, &mut scratch);
+                assert_eq!(state(&e, &sessions), before, "tag {}: {cut}-byte prefix", record[0]);
+            }
+            replay_record(record, &e, &sessions, &mut scratch);
+            let applies = record[0] != REC_ROW_DELTAS;
+            assert_eq!(state(&e, &sessions) != before, applies, "tag {}: whole", record[0]);
+        }
+    }
+
+    /// Every strict prefix of a snapshot payload is refused before the
+    /// engine or the session table is touched; the whole one restores.
+    #[test]
+    fn a_truncated_snapshot_payload_is_refused_before_anything_is_restored() {
+        let (live, sessions) = (engine(), SessionTable::new(8));
+        live.report_batch_wire(&mut BatchScratch::default(), &["alpha", "beta", "gamma"].map(wire));
+        live.flush();
+        sessions.advance(4, 2);
+        sessions.advance(9, 1);
+        sessions.advance(9, 1);
+        let payload = encode_snapshot(
+            sessions.opened_total(),
+            sessions.replayed_total(),
+            &sessions.entries(),
+            &live.save_states().unwrap(),
+        );
+        let (e, restored) = (engine(), SessionTable::new(8));
+        let empty = state(&e, &restored);
+        for cut in 0..payload.len() {
+            assert!(restore_snapshot(&payload[..cut], &e, &restored).is_err(), "{cut} bytes");
+            assert_eq!(state(&e, &restored), empty, "{cut}-byte prefix");
+        }
+        restore_snapshot(&payload, &e, &restored).unwrap();
+        assert_eq!(e.table(), live.table());
+        assert_eq!(restored.entries(), sessions.entries());
+        assert_eq!(restored.replayed_total(), 1);
+    }
+
     /// The WAL's record decoder shares the wire's name decoder and its
     /// verdicts: a report record whose names are random bytes of every
     /// UTF-8 class decodes to exactly the names `std::str::from_utf8`
@@ -863,13 +872,13 @@ mod tests {
             for name in &names {
                 payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
                 payload.extend_from_slice(name);
-                payload.push(target_to_byte(Target::Fpga));
+                payload.push(crate::wire::target_to_byte(Target::Fpga));
                 payload.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
                 payload.extend_from_slice(&7u32.to_le_bytes());
             }
             let reference: Result<Vec<&str>, _> =
                 names.iter().map(|n| std::str::from_utf8(n)).collect();
-            let decoded = Cur { b: &payload, at: reports_at }.reports();
+            let decoded = decode_reports(&mut Reader::new(&payload[reports_at..]));
             match (&decoded, &reference) {
                 (Ok(got), Ok(names)) => {
                     assert_eq!(got.iter().map(|r| r.app).collect::<Vec<_>>(), *names, "{case}");

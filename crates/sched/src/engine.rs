@@ -66,7 +66,7 @@
 
 use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
-use crate::wire::{WireQuery, WireReport};
+use crate::wire::{WireEntry, WireQuery, WireReport};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -87,20 +87,32 @@ pub struct TableEntry {
     pub arm_thr: u32,
 }
 
+impl TableEntry {
+    /// This row, borrowed: how the wire and the WAL carry it.
+    pub fn row(&self) -> RowRef<'_> {
+        let (app, kernel) = (self.app.as_str(), self.kernel.as_str());
+        RowRef { app, kernel, fpga_thr: self.fpga_thr, arm_thr: self.arm_thr }
+    }
+}
+
+impl From<RowRef<'_>> for TableEntry {
+    fn from(r: RowRef<'_>) -> Self {
+        TableEntry {
+            app: r.app.to_string(),
+            kernel: r.kernel.to_string(),
+            fpga_thr: r.fpga_thr,
+            arm_thr: r.arm_thr,
+        }
+    }
+}
+
 /// A threshold row borrowed from the policy's table — the view
 /// `xar-core`'s `ThresholdTable` lookups hand out, and what the flush
 /// sink sees, so neither a lookup nor a journaled delta clones a string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowRef<'a> {
-    /// Application name.
-    pub app: &'a str,
-    /// Hardware kernel name.
-    pub kernel: &'a str,
-    /// FPGA migration threshold.
-    pub fpga_thr: u32,
-    /// ARM migration threshold.
-    pub arm_thr: u32,
-}
+/// It is the wire's table row, so it encodes as one ([`Writer::entry`]).
+///
+/// [`Writer::entry`]: crate::wire::Writer::entry
+pub type RowRef<'a> = WireEntry<'a>;
 
 /// The policy state a shard manages. `xar-core` implements this for
 /// `XarTrekPolicy`; the engine itself is policy-agnostic so it can be

@@ -31,10 +31,12 @@
 //! (see [`crate::wire`] for both).
 
 use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, RecoveryStats};
-use crate::engine::{BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine};
+use crate::engine::{
+    BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine, TableEntry,
+};
 use crate::session::{SeqOutcome, SessionTable};
 use crate::transport::{self, Stream};
-use crate::wire::{self, Request, Response, WireEntry};
+use crate::wire::{self, Request, Response};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
@@ -1514,20 +1516,11 @@ fn encode_ack(ingested: std::io::Result<usize>, out: &mut Vec<u8>) {
 
 fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut Vec<u8>) {
     match req {
-        Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready } => {
+        &Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready } => {
+            let q =
+                wire::WireQuery { app, kernel, x86_load, arm_load, kernel_resident, device_ready };
             // The worker's cached handle: wait-free against publishes.
-            let d = ctx.handle.decide_obs(
-                &DecideCtx {
-                    app,
-                    kernel,
-                    x86_load: *x86_load as usize,
-                    arm_load: *arm_load as usize,
-                    kernel_resident: *kernel_resident,
-                    device_ready: *device_ready,
-                    now_ns: 0.0,
-                },
-                Some(&mut ctx.tracer),
-            );
+            let d = ctx.handle.decide_obs(&q.ctx(), Some(&mut ctx.tracer));
             wire::encode_response(
                 &Response::Decide { target: d.target, reconfigure: d.reconfigure },
                 out,
@@ -1580,16 +1573,8 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
                 wire::encode_response(&Response::Err(&msg), out);
                 return;
             }
-            let wire_entries: Vec<WireEntry<'_>> = entries
-                .iter()
-                .map(|e| WireEntry {
-                    app: &e.app,
-                    kernel: &e.kernel,
-                    fpga_thr: e.fpga_thr,
-                    arm_thr: e.arm_thr,
-                })
-                .collect();
-            wire::encode_response(&Response::Table(wire_entries), out);
+            let rows = entries.iter().map(TableEntry::row).collect();
+            wire::encode_response(&Response::Table(rows), out);
         }
         Request::Ping(nonce) => {
             wire::encode_response(&Response::Pong(*nonce), out);
@@ -1707,10 +1692,14 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
     // Offset-tracked like process_v2: one drain at the end, no
     // per-line allocation or memmove.
     let mut at = 0;
-    let mut capped = false;
+    let (mut capped, mut overlong) = (false, false);
     while let Some(nl) = conn.inbuf[at..].iter().position(|&b| b == b'\n') {
         if conn.out_pending() > cap {
             capped = true;
+            break;
+        }
+        if nl > wire::MAX_V1_LINE {
+            overlong = true;
             break;
         }
         let line_bytes = &conn.inbuf[at..at + nl];
@@ -1751,13 +1740,7 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
             }
             wire::V1Request::Table => {
                 for e in ctx.engine.table() {
-                    wire::v1_table_row_into(
-                        &e.app,
-                        &e.kernel,
-                        e.fpga_thr,
-                        e.arm_thr,
-                        &mut conn.outbuf,
-                    );
+                    wire::v1_table_row_into(&e.row(), &mut conn.outbuf);
                 }
                 conn.outbuf.extend_from_slice(b"END\n");
             }
@@ -1902,10 +1885,12 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
         }
     }
     conn.inbuf.drain(..at);
-    // A v1 peer streaming bytes with no newline must not grow the
-    // buffer without bound. (Skipped while capped: the backlog is then
+    // A line over the cap is refused whether its newline came in the
+    // same read or has not come yet: a v1 peer streaming bytes with no
+    // newline must not grow the buffer without bound. (The unterminated
+    // case is skipped while capped: the backlog is then
     // complete-but-unprocessed lines, not one runaway line.)
-    if !capped && conn.inbuf.len() > wire::MAX_V1_LINE {
+    if overlong || (!capped && conn.inbuf.len() > wire::MAX_V1_LINE) {
         conn.outbuf.extend_from_slice(b"ERR\n");
         note_proto_error(conn, ctx, slot);
         conn.closed = true;

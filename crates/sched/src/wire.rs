@@ -34,16 +34,21 @@
 //! are IEEE-754 bit patterns. The decoder is zero-copy: decoded
 //! requests/responses borrow their strings from the receive buffer.
 //!
+//! [`Writer`] and [`Reader`] are the workspace's one byte codec: the
+//! WAL records and snapshot payload (`crate::dur`) and `XarTrekPolicy`'s
+//! state blob are written and read through them too, with `u32` counts
+//! ([`Reader::count`]) where a frame has `u16` ones.
+//!
 //! # Reading a name
 //!
-//! A name is read once. `name_str` — shared with the WAL's record
-//! decoder — checks a string field with one `is_ascii` scan and, when
-//! it passes, borrows it as `&str` without a second validation pass
-//! (sound: every ASCII byte string is UTF-8). A field holding any byte
-//! at or above `0x80` is validated by `std::str::from_utf8` as before,
-//! so [`WireError::BadUtf8`] fires on exactly the inputs it always did.
-//! An encoder never writes a string longer than [`MAX_NAME`]: its u16
-//! prefix would wrap and the peer would mis-frame the rest.
+//! A name is read once. `name_str` checks a string field with one
+//! `is_ascii` scan and, when it passes, borrows it as `&str` without a
+//! second validation pass (sound: every ASCII byte string is UTF-8). A
+//! field holding any byte at or above `0x80` is validated by
+//! `std::str::from_utf8` as before, so [`WireError::BadUtf8`] fires on
+//! exactly the inputs it always did. An encoder never writes a string
+//! longer than [`MAX_NAME`]: its u16 prefix would wrap and the peer
+//! would mis-frame the rest.
 
 use xar_desim::Target;
 
@@ -188,9 +193,9 @@ pub struct WireQuery<'a> {
 
 impl WireQuery<'_> {
     /// The engine-side decision context this query describes. `now_ns`
-    /// is not carried on the wire; the daemon decides at `now = 0`,
-    /// exactly like the standalone `Decide` handler — the two paths
-    /// must stay bit-identical.
+    /// is not carried on the wire; the daemon decides at `now = 0`. The
+    /// standalone `Decide` handler decides through this too, so it and
+    /// a batch stay bit-identical.
     pub fn ctx(&self) -> xar_desim::DecideCtx<'_> {
         xar_desim::DecideCtx {
             app: self.app,
@@ -384,7 +389,7 @@ pub enum Response<'a> {
 pub enum WireError {
     /// Handshake magic mismatch.
     BadMagic,
-    /// Frame shorter than its header claims.
+    /// Payload shorter than its fields (or its counts) claim.
     Truncated,
     /// Unknown opcode byte.
     BadOpcode(u8),
@@ -408,7 +413,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::BadMagic => write!(f, "bad handshake magic"),
-            WireError::Truncated => write!(f, "truncated frame"),
+            WireError::Truncated => write!(f, "truncated payload"),
             WireError::BadOpcode(o) => write!(f, "unknown opcode {o:#04x}"),
             WireError::BadTarget(t) => write!(f, "unknown target {t}"),
             WireError::BadUtf8 => write!(f, "string field is not UTF-8"),
@@ -422,6 +427,14 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// The persisted decoders (WAL records, the snapshot payload, the
+/// policy state blob) report a malformed payload as its message.
+impl From<WireError> for String {
+    fn from(e: WireError) -> Self {
+        e.to_string()
+    }
+}
 
 impl From<WireError> for std::io::Error {
     fn from(e: WireError) -> Self {
@@ -497,8 +510,9 @@ pub fn parse_target(s: &str) -> Option<Target> {
     }
 }
 
-/// Maximum accepted v1 text line length; a peer streaming bytes with
-/// no newline past this is a protocol error, not a buffering duty.
+/// Maximum accepted v1 text line length, newline excluded. A longer
+/// line is a protocol error, whether it arrived whole or is still
+/// streaming with no newline: never parsed, never a buffering duty.
 pub const MAX_V1_LINE: usize = 64 * 1024;
 
 /// A parsed v1 text-protocol request line. The grammar lives here —
@@ -562,9 +576,13 @@ pub enum V1Request<'a> {
 }
 
 /// Parses one v1 request line (without the trailing newline); `None`
-/// is the protocol's `ERR` case.
+/// is the protocol's `ERR` case. A field longer than [`MAX_NAME`] is
+/// refused: no name the daemon keeps, journals or sends can be longer.
 pub fn parse_v1_line(line: &str) -> Option<V1Request<'_>> {
     let parts: Vec<&str> = line.split_whitespace().collect();
+    if parts.iter().any(|p| p.len() > MAX_NAME) {
+        return None;
+    }
     match parts.as_slice() {
         ["DECIDE", app, kernel, load, resident] => {
             let (load, resident) = (load.parse().ok()?, resident.parse::<u8>().ok()?);
@@ -606,61 +624,104 @@ pub fn v1_decide_reply_into(d: &xar_desim::Decision, out: &mut Vec<u8>) {
 }
 
 /// Writes one v1 TABLE row directly into an output buffer.
-pub fn v1_table_row_into(app: &str, kernel: &str, fpga_thr: u32, arm_thr: u32, out: &mut Vec<u8>) {
+pub fn v1_table_row_into(e: &WireEntry<'_>, out: &mut Vec<u8>) {
     use std::io::Write as _;
-    let _ = writeln!(out, "{app} {kernel} {fpga_thr} {arm_thr}");
+    let _ = writeln!(out, "{} {} {} {}", e.app, e.kernel, e.fpga_thr, e.arm_thr);
 }
 
-// ---------------------------------------------------------------- encoding
+// ---------------------------------------------------------------- the codec
 
-struct FrameWriter<'a> {
+/// Little-endian writer appending to a byte buffer, one field per
+/// call: the integers, an `f64` as its bits, a name (`str`: a u16
+/// length, then the bytes) and the three element bodies. `report` and
+/// `query` are always inlined, here and in [`Reader`]: with more than
+/// one call site LLVM stopped inlining them into the batch loops, and
+/// a `DecideBatch` decoded ~1.5× slower.
+pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
-    len_at: usize,
+    /// Where this writer's first byte went.
+    start: usize,
 }
 
-impl<'a> FrameWriter<'a> {
-    fn begin(out: &'a mut Vec<u8>, opcode: u8) -> Self {
-        let len_at = out.len();
-        out.extend_from_slice(&[0, 0, 0, 0, opcode]);
-        FrameWriter { out, len_at }
+impl<'a> Writer<'a> {
+    #[inline]
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        let start = out.len();
+        Writer { out, start }
     }
 
-    fn u8(&mut self, v: u8) {
+    /// Opens a v2 frame: the header, with a placeholder length that
+    /// [`Writer::finish`] patches in.
+    fn frame(out: &'a mut Vec<u8>, opcode: u8) -> Self {
+        let mut w = Writer::new(out);
+        w.u32(0);
+        w.u8(opcode);
+        w
+    }
+
+    /// Seals the frame [`Writer::frame`] opened.
+    fn finish(mut self) {
+        let payload = self.out.len() - self.start - 4;
+        // Mirror the decoder's frame cap: emitting a frame the peer's
+        // frame_in would reject (or whose length wraps u32) is an
+        // encoder bug, not a recoverable condition.
+        assert!(payload <= MAX_FRAME, "encoded frame of {payload} bytes exceeds MAX_FRAME");
+        self.patch_u32(self.start, payload as u32);
+    }
+
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
 
-    fn u16(&mut self, v: u16) {
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn u32(&mut self, v: u32) {
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
-        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
     }
 
-    fn str(&mut self, s: &str) {
-        // A longer name would wrap its u16 prefix and desync the frame;
-        // the client's doors refuse one before encoding.
-        assert!(s.len() <= MAX_NAME, "wire string of {} bytes exceeds u16", s.len());
+    /// Raw bytes, with no length prefix.
+    #[inline]
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
+        self.out.extend_from_slice(b);
+    }
+
+    /// Panics past [`MAX_NAME`]: the prefix would wrap and the reader
+    /// would mis-frame the rest. Every door refuses such a name before
+    /// it reaches an encoder.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        assert!(s.len() <= MAX_NAME, "name of {} bytes exceeds u16", s.len());
         self.u16(s.len() as u16);
-        self.out.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
-    fn report(&mut self, r: &WireReport<'_>) {
+    /// [`encoded_report_len`] bytes.
+    #[inline(always)]
+    pub fn report(&mut self, r: &WireReport<'_>) {
         self.str(r.app);
         self.u8(target_to_byte(r.target));
         self.f64(r.func_ms);
         self.u32(r.x86_load);
     }
 
-    fn query(&mut self, q: &WireQuery<'_>) {
+    /// [`encoded_query_len`] bytes.
+    #[inline(always)]
+    pub fn query(&mut self, q: &WireQuery<'_>) {
         self.str(q.app);
         self.str(q.kernel);
         self.u32(q.x86_load);
@@ -668,48 +729,56 @@ impl<'a> FrameWriter<'a> {
         self.u8(u8::from(q.kernel_resident) | (u8::from(q.device_ready) << 1));
     }
 
-    fn finish(self) {
-        let payload = self.out.len() - self.len_at - 4;
-        // Mirror the decoder's frame cap: emitting a frame the peer's
-        // frame_in would reject (or whose length wraps u32) is an
-        // encoder bug, not a recoverable condition.
-        assert!(payload <= MAX_FRAME, "encoded frame of {payload} bytes exceeds MAX_FRAME");
-        self.out[self.len_at..self.len_at + 4].copy_from_slice(&(payload as u32).to_le_bytes());
+    /// [`encoded_entry_len`] bytes: a table reply row, a `RowDeltas`
+    /// row and a state-blob row alike.
+    #[inline]
+    pub fn entry(&mut self, e: &WireEntry<'_>) {
+        self.str(e.app);
+        self.str(e.kernel);
+        self.u32(e.fpga_thr);
+        self.u32(e.arm_thr);
+    }
+
+    /// The buffer's length: where the next field starts.
+    pub(crate) fn pos(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Overwrites the `u32` written at `at`: a count or a length known
+    /// only once what it counts has been written.
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
+        self.out[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 }
 
 /// Appends one encoded request frame to `out`.
 pub fn encode_request(req: &Request<'_>, out: &mut Vec<u8>) {
     match req {
-        Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready } => {
-            let mut w = FrameWriter::begin(out, op::DECIDE);
-            w.str(app);
-            w.str(kernel);
-            w.u32(*x86_load);
-            w.u32(*arm_load);
-            w.u8(u8::from(*kernel_resident) | (u8::from(*device_ready) << 1));
+        &Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready } => {
+            let mut w = Writer::frame(out, op::DECIDE);
+            w.query(&WireQuery { app, kernel, x86_load, arm_load, kernel_resident, device_ready });
             w.finish();
         }
         Request::BatchReport(rs) => {
             assert!(rs.len() <= MAX_BATCH, "BatchReport of {} exceeds u16 count", rs.len());
-            let mut w = FrameWriter::begin(out, op::BATCH_REPORT);
+            let mut w = Writer::frame(out, op::BATCH_REPORT);
             w.u16(rs.len() as u16);
             for r in rs {
                 w.report(r);
             }
             w.finish();
         }
-        Request::Table => FrameWriter::begin(out, op::TABLE).finish(),
+        Request::Table => Writer::frame(out, op::TABLE).finish(),
         Request::Ping(nonce) => {
-            let mut w = FrameWriter::begin(out, op::PING);
+            let mut w = Writer::frame(out, op::PING);
             w.u64(*nonce);
             w.finish();
         }
         Request::DecideBatch(qs) => encode_decide_batch(qs, out),
-        Request::StatsV2 => FrameWriter::begin(out, op::STATS_V2).finish(),
-        Request::HistDump => FrameWriter::begin(out, op::HIST_DUMP).finish(),
+        Request::StatsV2 => Writer::frame(out, op::STATS_V2).finish(),
+        Request::HistDump => Writer::frame(out, op::HIST_DUMP).finish(),
         Request::HelloSession { session } => {
-            let mut w = FrameWriter::begin(out, op::HELLO_SESSION);
+            let mut w = Writer::frame(out, op::HELLO_SESSION);
             w.u64(*session);
             w.finish();
         }
@@ -731,7 +800,7 @@ pub fn encode_batch_report_seq(
     out: &mut Vec<u8>,
 ) {
     assert!(reports.len() <= MAX_BATCH, "BatchReportSeq of {} exceeds u16 count", reports.len());
-    let mut w = FrameWriter::begin(out, op::BATCH_REPORT_SEQ);
+    let mut w = Writer::frame(out, op::BATCH_REPORT_SEQ);
     w.u64(session);
     w.u64(seq);
     w.u16(reports.len() as u16);
@@ -753,7 +822,7 @@ pub fn encode_decide_batch(queries: &[WireQuery<'_>], out: &mut Vec<u8>) {
         "DecideBatch of {} exceeds MAX_DECIDE_BATCH",
         queries.len()
     );
-    let mut w = FrameWriter::begin(out, op::DECIDE_BATCH);
+    let mut w = Writer::frame(out, op::DECIDE_BATCH);
     w.u16(queries.len() as u16);
     for q in queries {
         w.query(q);
@@ -768,7 +837,7 @@ pub fn encode_decide_batch(queries: &[WireQuery<'_>], out: &mut Vec<u8>) {
 /// [`encode_response`] routes `Response::DecideBatch` through this same
 /// writer, so the two encode paths cannot drift.
 pub struct DecideBatchReplyWriter<'a> {
-    w: FrameWriter<'a>,
+    w: Writer<'a>,
     expected: usize,
     pushed: usize,
 }
@@ -777,7 +846,7 @@ impl<'a> DecideBatchReplyWriter<'a> {
     /// Opens a reply frame announcing `count` decisions.
     pub fn begin(out: &'a mut Vec<u8>, count: usize) -> Self {
         assert!(count <= MAX_DECIDE_BATCH, "reply batch of {count} exceeds MAX_DECIDE_BATCH");
-        let mut w = FrameWriter::begin(out, op::R_DECIDE_BATCH);
+        let mut w = Writer::frame(out, op::R_DECIDE_BATCH);
         w.u16(count as u16);
         DecideBatchReplyWriter { w, expected: count, pushed: 0 }
     }
@@ -801,30 +870,27 @@ impl<'a> DecideBatchReplyWriter<'a> {
 pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
     match resp {
         Response::Decide { target, reconfigure } => {
-            let mut w = FrameWriter::begin(out, op::R_DECIDE);
+            let mut w = Writer::frame(out, op::R_DECIDE);
             w.u8(target_to_byte(*target));
             w.u8(u8::from(*reconfigure));
             w.finish();
         }
         Response::Ack(n) => {
-            let mut w = FrameWriter::begin(out, op::R_ACK);
+            let mut w = Writer::frame(out, op::R_ACK);
             w.u32(*n);
             w.finish();
         }
         Response::Table(entries) => {
             assert!(entries.len() <= MAX_BATCH, "table of {} exceeds u16 count", entries.len());
-            let mut w = FrameWriter::begin(out, op::R_TABLE);
+            let mut w = Writer::frame(out, op::R_TABLE);
             w.u16(entries.len() as u16);
             for e in entries {
-                w.str(e.app);
-                w.str(e.kernel);
-                w.u32(e.fpga_thr);
-                w.u32(e.arm_thr);
+                w.entry(e);
             }
             w.finish();
         }
         Response::Pong(nonce) => {
-            let mut w = FrameWriter::begin(out, op::R_PONG);
+            let mut w = Writer::frame(out, op::R_PONG);
             w.u64(*nonce);
             w.finish();
         }
@@ -837,7 +903,7 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
         }
         Response::StatsV2(s) => {
             assert!(s.pairs.len() <= MAX_BATCH, "stats of {} exceeds u16 count", s.pairs.len());
-            let mut w = FrameWriter::begin(out, op::R_STATS_V2);
+            let mut w = Writer::frame(out, op::R_STATS_V2);
             w.u16(s.pairs.len() as u16);
             for &(tag, value) in &s.pairs {
                 w.u16(tag);
@@ -847,7 +913,7 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
         }
         Response::HistDump(h) => {
             assert!(h.classes.len() <= MAX_BATCH, "{} classes exceed u16 count", h.classes.len());
-            let mut w = FrameWriter::begin(out, op::R_HIST_DUMP);
+            let mut w = Writer::frame(out, op::R_HIST_DUMP);
             w.u16(h.classes.len() as u16);
             for (class, buckets) in &h.classes {
                 assert!(buckets.len() <= MAX_BATCH, "{} buckets exceed u16 count", buckets.len());
@@ -860,17 +926,17 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
             w.finish();
         }
         Response::Session { last_seq } => {
-            let mut w = FrameWriter::begin(out, op::R_SESSION);
+            let mut w = Writer::frame(out, op::R_SESSION);
             w.u64(*last_seq);
             w.finish();
         }
         Response::Busy { retry_after_ms } => {
-            let mut w = FrameWriter::begin(out, op::R_BUSY);
+            let mut w = Writer::frame(out, op::R_BUSY);
             w.u32(*retry_after_ms);
             w.finish();
         }
         Response::Err(msg) => {
-            let mut w = FrameWriter::begin(out, op::R_ERR);
+            let mut w = Writer::frame(out, op::R_ERR);
             w.str(msg);
             w.finish();
         }
@@ -879,9 +945,10 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
 
 // ---------------------------------------------------------------- decoding
 
-/// The one string decoder of the wire and the WAL (`crate::dur`): a
-/// name field's bytes as `&str`, read in one pass when they are ASCII,
-/// as every name the daemon's tables hold is.
+/// The one string decoder ([`Reader::str`]) of the wire, the WAL and
+/// the snapshot (`crate::dur`) and the policy state blob: a name
+/// field's bytes as `&str`, read in one pass when they are ASCII, as
+/// every name the daemon's tables hold is.
 ///
 /// On the short names the daemon sees, `std::str::from_utf8` costs
 /// several times a word-at-a-time `is_ascii` scan: switching cut the
@@ -889,7 +956,7 @@ pub fn encode_response(resp: &Response<'_>, out: &mut Vec<u8>) {
 /// above `0x80` falls through to `from_utf8`, so a multi-byte name
 /// decodes as before and every malformed sequence it rejects is
 /// rejected here with the same error.
-pub(crate) fn name_str(bytes: &[u8]) -> Result<&str, std::str::Utf8Error> {
+fn name_str(bytes: &[u8]) -> Result<&str, std::str::Utf8Error> {
     if bytes.is_ascii() {
         // SAFETY: every byte is below 0x80, and a sequence of ASCII
         // bytes is valid UTF-8 (each byte is its own one-byte code
@@ -900,18 +967,24 @@ pub(crate) fn name_str(bytes: &[u8]) -> Result<&str, std::str::Utf8Error> {
     }
 }
 
-/// Zero-copy cursor over a frame payload.
-struct Reader<'a> {
+/// Zero-copy cursor reading what [`Writer`] writes, one field per
+/// call; names borrow from the buffer. A copy is a second cursor at
+/// the same place: a scan ahead.
+#[derive(Clone, Copy)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// The next `n` bytes, raw.
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
             return Err(WireError::Truncated);
         }
@@ -920,32 +993,40 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> Result<f64, WireError> {
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn str(&mut self) -> Result<&'a str, WireError> {
+    /// A name, validated by [`name_str`].
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
         let n = self.u16()? as usize;
         name_str(self.take(n)?).map_err(|_| WireError::BadUtf8)
     }
 
-    fn report(&mut self) -> Result<WireReport<'a>, WireError> {
+    #[inline(always)]
+    pub fn report(&mut self) -> Result<WireReport<'a>, WireError> {
         Ok(WireReport {
             app: self.str()?,
             target: target_from_byte(self.u8()?)?,
@@ -954,7 +1035,8 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn query(&mut self) -> Result<WireQuery<'a>, WireError> {
+    #[inline(always)]
+    pub fn query(&mut self) -> Result<WireQuery<'a>, WireError> {
         let app = self.str()?;
         let kernel = self.str()?;
         let x86_load = self.u32()?;
@@ -968,6 +1050,43 @@ impl<'a> Reader<'a> {
             kernel_resident: flags & 1 != 0,
             device_ready: flags & 2 != 0,
         })
+    }
+
+    #[inline]
+    pub fn entry(&mut self) -> Result<WireEntry<'a>, WireError> {
+        Ok(WireEntry {
+            app: self.str()?,
+            kernel: self.str()?,
+            fpga_thr: self.u32()?,
+            arm_thr: self.u32()?,
+        })
+    }
+
+    /// `n` elements, each read by `read`, into a `Vec` allocated once.
+    pub(crate) fn list<T>(
+        &mut self,
+        n: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
+    /// A `u32` element count, refused when the bytes left cannot hold
+    /// that many elements of at least `min_len` bytes each (an
+    /// `encoded_*_len` of empty names): a corrupt count must not
+    /// pre-allocate unbounded memory. A count refused here would have
+    /// failed on truncation anyway.
+    #[inline]
+    pub fn count(&mut self, min_len: usize) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_len {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
     }
 
     /// Guards against element counts that disagree with the payload
@@ -990,27 +1109,13 @@ pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
     let mut r = Reader::new(payload);
     let req = match r.u8()? {
         op::DECIDE => {
-            let app = r.str()?;
-            let kernel = r.str()?;
-            let x86_load = r.u32()?;
-            let arm_load = r.u32()?;
-            let flags = r.u8()?;
-            Ok(Request::Decide {
-                app,
-                kernel,
-                x86_load,
-                arm_load,
-                kernel_resident: flags & 1 != 0,
-                device_ready: flags & 2 != 0,
-            })
+            let WireQuery { app, kernel, x86_load, arm_load, kernel_resident, device_ready } =
+                r.query()?;
+            Ok(Request::Decide { app, kernel, x86_load, arm_load, kernel_resident, device_ready })
         }
         op::BATCH_REPORT => {
             let n = r.u16()? as usize;
-            let mut rs = Vec::with_capacity(n);
-            for _ in 0..n {
-                rs.push(r.report()?);
-            }
-            Ok(Request::BatchReport(rs))
+            Ok(Request::BatchReport(r.list(n, Reader::report)?))
         }
         op::TABLE => Ok(Request::Table),
         op::PING => Ok(Request::Ping(r.u64()?)),
@@ -1023,22 +1128,12 @@ pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
             if n > MAX_DECIDE_BATCH {
                 return Err(WireError::OversizedBatch(n));
             }
-            let mut qs = Vec::with_capacity(n);
-            for _ in 0..n {
-                qs.push(r.query()?);
-            }
-            Ok(Request::DecideBatch(qs))
+            Ok(Request::DecideBatch(r.list(n, Reader::query)?))
         }
         op::HELLO_SESSION => Ok(Request::HelloSession { session: r.u64()? }),
         op::BATCH_REPORT_SEQ => {
-            let session = r.u64()?;
-            let seq = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut reports = Vec::with_capacity(n);
-            for _ in 0..n {
-                reports.push(r.report()?);
-            }
-            Ok(Request::BatchReportSeq { session, seq, reports })
+            let (session, seq, n) = (r.u64()?, r.u64()?, r.u16()? as usize);
+            Ok(Request::BatchReportSeq { session, seq, reports: r.list(n, Reader::report)? })
         }
         other => Err(WireError::BadOpcode(other)),
     }?;
@@ -1060,16 +1155,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response<'_>, WireError> {
         op::R_ACK => Ok(Response::Ack(r.u32()?)),
         op::R_TABLE => {
             let n = r.u16()? as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(WireEntry {
-                    app: r.str()?,
-                    kernel: r.str()?,
-                    fpga_thr: r.u32()?,
-                    arm_thr: r.u32()?,
-                });
-            }
-            Ok(Response::Table(entries))
+            Ok(Response::Table(r.list(n, Reader::entry)?))
         }
         op::R_PONG => Ok(Response::Pong(r.u64()?)),
         op::R_DECIDE_BATCH => {
@@ -1077,26 +1163,18 @@ pub fn decode_response(payload: &[u8]) -> Result<Response<'_>, WireError> {
             if n > MAX_DECIDE_BATCH {
                 return Err(WireError::OversizedBatch(n));
             }
-            let mut ds = Vec::with_capacity(n);
-            for _ in 0..n {
-                ds.push(xar_desim::Decision {
+            Ok(Response::DecideBatch(r.list(n, |r| {
+                Ok(xar_desim::Decision {
                     target: target_from_byte(r.u8()?)?,
                     reconfigure: r.u8()? != 0,
-                });
-            }
-            Ok(Response::DecideBatch(ds))
+                })
+            })?))
         }
         op::R_STATS_V2 => {
             let n = r.u16()? as usize;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                // Tags are opaque here: ids this client predates decode
-                // like any other pair (forward compatibility).
-                let tag = r.u16()?;
-                let value = r.u64()?;
-                pairs.push((tag, value));
-            }
-            Ok(Response::StatsV2(StatsV2 { pairs }))
+            // Tags are opaque here: ids this client predates decode like
+            // any other pair (forward compatibility).
+            Ok(Response::StatsV2(StatsV2 { pairs: r.list(n, |r| Ok((r.u16()?, r.u64()?)))? }))
         }
         op::R_HIST_DUMP => {
             let n = r.u16()? as usize;
@@ -1107,11 +1185,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response<'_>, WireError> {
                 // structurally (forward compatibility, like StatsV2).
                 let class = r.u16()?;
                 let nb = r.u16()? as usize;
-                let mut buckets = Vec::with_capacity(nb);
-                for _ in 0..nb {
-                    buckets.push(r.u64()?);
-                }
-                classes.push((class, buckets));
+                classes.push((class, r.list(nb, Reader::u64)?));
             }
             Ok(Response::HistDump(HistDump { classes }))
         }
@@ -1413,12 +1487,17 @@ mod tests {
         ] {
             assert_eq!(parse_v1_line(bad), None, "{bad:?}");
         }
+        // A name is at most MAX_NAME bytes, as on the wire and in the WAL.
+        let name = "A".repeat(MAX_NAME);
+        assert!(parse_v1_line(&format!("REPORT {name} x86 1 1")).is_some());
+        assert_eq!(parse_v1_line(&format!("REPORT {name}A x86 1 1")), None);
+        assert_eq!(parse_v1_line(&format!("DECIDE a {name}A 1 1")), None);
         let d = xar_desim::Decision { target: Target::Arm, reconfigure: true };
         let mut out = b"prior ".to_vec();
         v1_decide_reply_into(&d, &mut out);
         assert_eq!(out, b"prior TARGET arm 1\n", "appends, never truncates");
         let mut out = Vec::new();
-        v1_table_row_into("a", "k", 3, 9, &mut out);
+        v1_table_row_into(&WireEntry { app: "a", kernel: "k", fpga_thr: 3, arm_thr: 9 }, &mut out);
         assert_eq!(out, b"a k 3 9\n");
     }
 

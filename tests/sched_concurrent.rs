@@ -1524,6 +1524,33 @@ fn a_name_over_u16_is_refused_before_a_byte_is_written() {
     Reference::new().assert_table_eq(daemon.engine().table(), "nothing was ingested");
 }
 
+/// A v1 line over `MAX_V1_LINE` gets `ERR`, a protocol error and a
+/// close even when its newline comes in the same write as the bytes
+/// over the cap. Parsed, this one's name (one byte over u16) would
+/// reach the WAL encoder's assert and take a durable daemon's only
+/// worker down.
+#[test]
+fn a_v1_line_over_the_cap_answers_err_and_the_worker_survives() {
+    use xar_trek::sched::FsyncPolicy;
+    let dir = common::scratch_dir("v1-cap");
+    let config = ServerConfig { workers: 1, ..common::durable(&dir, FsyncPolicy::Off, 0) };
+    let daemon = spawn(EngineConfig::default(), config);
+    let mut s = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let line = format!("REPORT {} x86 1 1\n", "A".repeat(wire::MAX_NAME + 1));
+    assert!(line.len() - 1 > wire::MAX_V1_LINE);
+    s.write_all(line.as_bytes()).unwrap();
+    let mut reply = Vec::new();
+    let _ = s.read_to_end(&mut reply); // EOF, or a reset: the rest went unread
+    assert_eq!(String::from_utf8_lossy(&reply), "ERR\n");
+    let mut c = V2Client::connect(daemon.addr()).unwrap();
+    assert_eq!(c.ping(1).unwrap(), 1, "a fresh connection is served");
+    assert_eq!(stat(&mut c, obs::tags::PROTOCOL_ERRORS), 1);
+    assert_eq!(stat(&mut c, obs::tags::REPORTS), 0, "the line was parsed");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// TABLE on a table over one frame's u16 row count answers `R_ERR`:
 /// encoding it would trip the encoder's assert inside the worker, and
 /// with one worker nobody would serve again.
