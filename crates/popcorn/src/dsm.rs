@@ -6,8 +6,9 @@
 //! address space directly, so what the system needs from DSM is its
 //! *behavioural* model: which accesses fault, how many messages and
 //! bytes cross the interconnect, and the single-writer/multiple-reader
-//! invariant. The DES uses these counts to charge migration and
-//! post-migration working-set-transfer costs.
+//! invariant. Nothing in the workspace charges these counts yet: the
+//! DES (`xar-desim`) prices migration without this module, and its one
+//! user is the coherence property test in `tests/substrate_properties.rs`.
 //!
 //! The protocol is a directory-based MSI: each page has at most one
 //! owner in Modified state, or any number of sharers in Shared state.

@@ -21,7 +21,8 @@
 //!   services runtime calls, and performs migrations; and
 //! * a page-granularity [DSM model](dsm) providing the
 //!   sequentially-consistent shared memory abstraction of the Popcorn
-//!   kernel.
+//!   kernel — a standalone model, checked by a property test and not
+//!   yet charged by the DES.
 //!
 //! [Popcorn Linux]: http://popcornlinux.org
 //!

@@ -29,10 +29,10 @@
 //! argument holds for every record that reached the disk; the unsynced
 //! tail is the documented loss window.)
 //!
-//! Lock order: `ingest` → engine shard `state` → `pending` → `deltas`
-//! → `wal`. The last two are leaves — the flush sink reaches them
-//! while a shard state lock is held, so they may never wrap an engine
-//! call.
+//! Lock order: `ingest` → engine shard `state` (a shard's one lock,
+//! guarding its policy and its report queue) → `deltas` → `wal`. The
+//! last two are leaves — the flush sink reaches them while a shard
+//! state lock is held, so they may never wrap an engine call.
 //!
 //! Only the records an ack depends on (`ReportBatch`, `SeqBatch`,
 //! `ReplayNote`) are synced before they are applied under

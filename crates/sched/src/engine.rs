@@ -7,13 +7,14 @@
 //! * **decide** (hot path) — evaluates the pure decision function
 //!   against the shard's published snapshot. No policy lock is taken,
 //!   so threshold lookups never contend with Algorithm 1 updates.
-//! * **report** (warm path) — appends to the shard's pending queue;
-//!   once `batch` reports accumulate (or on an explicit flush) they are
-//!   applied in arrival order under the shard's state lock and the rows
-//!   they touched are published. With `batch = 1` the engine is
+//! * **report** (warm path) — takes the shard's one lock, the state
+//!   lock, and appends to the queue it guards beside the policy; once
+//!   `batch` reports accumulate (or on an explicit flush) they are
+//!   applied in arrival order and the rows they touched are published,
+//!   all before the lock is released. With `batch = 1` the engine is
 //!   report-for-report identical to one sequential policy (the
-//!   paper's server); larger batches amortize the lock across many
-//!   clients.
+//!   paper's server); larger batches amortize the apply and the
+//!   publish across many clients.
 //!
 //! **What a publish is.** A flush asks the policy to refresh each
 //! touched row *inside* the already-published snapshot
@@ -58,11 +59,14 @@
 //! (`decide`, `decide_batch`, `ingest`, `report_batch_wire`) are one
 //! line each over those bodies with no tracer.
 //!
-//! Steady-state ingest allocates nothing: a shard's pending queue keeps
-//! each report's name as bytes in one buffer beside fixed-size records,
-//! and the queue and the flush's batch buffer swap places at each flush,
-//! both keeping their capacity. Ingest reads no snapshot and touches no
-//! refcount.
+//! Steady-state ingest allocates nothing: a shard's queue keeps each
+//! report's name as bytes in one buffer beside fixed-size records, and
+//! is cleared in place once applied, keeping its capacity. Ingest reads
+//! no snapshot and touches no refcount.
+//!
+//! **Lock order.** A shard has one lock. Ingest (under the durability
+//! layer's `ingest` lock when the WAL is armed) takes it, and the flush
+//! sink runs inside it: `ingest → state → deltas → wal`.
 
 use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
@@ -288,46 +292,23 @@ impl Queue {
     }
 }
 
-/// What a shard's state lock guards: the policy, and the buffer the
-/// flush drains the pending queue into (kept so steady-state flushes
-/// swap two buffers instead of allocating one).
+/// What a shard's lock guards: the policy, and the reports queued for
+/// it in arrival order, not yet applied.
 struct State<P> {
     policy: P,
-    batch: Queue,
+    queue: Queue,
 }
 
 struct Shard<P: PolicyCore> {
     state: Mutex<State<P>>,
     snap: ArcCell<P::Snap>,
-    /// Reports queued in arrival order, not yet applied.
-    pending: Mutex<Queue>,
-    /// Whether `pending` may hold unapplied reports — the maintenance
-    /// flush's cheap gate, so periodically sweeping an idle engine
-    /// costs one relaxed load per shard instead of two lock
-    /// acquisitions. Set (under the `pending` lock) by every enqueue,
-    /// cleared by `flush_shard` *before* it drains, so "pending
-    /// nonempty ⇒ dirty" always holds; a spurious `true` on an empty
-    /// queue merely costs one no-op flush.
+    /// Whether the queue holds unapplied reports: a hint written under
+    /// the state lock (it equals `!queue.is_empty()` whenever the lock
+    /// is free) and read without it, so sweeping an idle engine costs
+    /// one load per shard and never waits on a lock a durable flush
+    /// may hold across a WAL append.
     dirty: AtomicBool,
     metrics: ShardMetrics,
-}
-
-impl<P: PolicyCore> Shard<P> {
-    /// Queues `reports`, each beside its name's hash, in order under
-    /// one hold of the pending lock; returns whether the queue reached
-    /// `batch`.
-    fn enqueue<'r, 'a: 'r>(
-        &self,
-        reports: impl IntoIterator<Item = (&'r WireReport<'a>, u64)>,
-        batch: usize,
-    ) -> bool {
-        let mut pending = self.pending.lock();
-        for (r, hash) in reports {
-            pending.push(r, hash);
-        }
-        self.dirty.store(true, Ordering::Release);
-        pending.reports.len() >= batch
-    }
 }
 
 /// The sharded scheduler state behind the daemon (and the simulator
@@ -351,8 +332,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
             .into_iter()
             .map(|p| Shard {
                 snap: ArcCell::new(p.snapshot()),
-                state: Mutex::new(State { policy: p, batch: Queue::default() }),
-                pending: Mutex::new(Queue::default()),
+                state: Mutex::new(State { policy: p, queue: Queue::default() }),
                 dirty: AtomicBool::new(false),
                 metrics: ShardMetrics::default(),
             })
@@ -391,24 +371,20 @@ impl<P: PolicyCore> ShardedEngine<P> {
     }
 
     /// Queues one completion report from borrowed parts, its name
-    /// copied into the shard queue's bytes. Applies the shard's pending
-    /// batch if it reached the configured size.
+    /// copied into the shard queue's bytes. Applies the shard's queue
+    /// if it reached the configured size.
     pub fn ingest(&self, app: &str, target: Target, func_ms: f64, x86_load: u32) {
         self.ingest_obs(&WireReport { app, target, func_ms, x86_load }, None);
     }
 
     fn ingest_obs(&self, r: &WireReport<'_>, obs: Option<&mut Tracer>) {
         let hash = name_hash(r.app);
-        let idx = shard_of_hash(hash, self.shards.len());
-        let shard = &self.shards[idx];
-        if shard.enqueue([(r, hash)], self.batch) {
-            self.flush_shard(idx, shard, obs);
-        }
+        self.queue(shard_of_hash(hash, self.shards.len()), [(r, hash)], obs);
     }
 
     /// Batched ingest straight off the wire: groups borrowed reports by
     /// shard through a caller-scoped [`BatchScratch`] (no per-call
-    /// group allocation) and takes each shard's pending lock once. A
+    /// group allocation) and takes each touched shard's lock once. A
     /// 1-report batch takes the same single-shard path as
     /// [`ShardedEngine::ingest`].
     pub fn report_batch_wire(
@@ -441,37 +417,45 @@ impl<P: PolicyCore> ShardedEngine<P> {
         for (i, &hash) in hashes.iter().enumerate() {
             groups[shard_of_hash(hash, shards)].push(i as u32);
         }
-        for (idx, (shard, group)) in self.shards.iter().zip(groups).enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let queued = group.iter().map(|&i| (&reports[i as usize], hashes[i as usize]));
-            let ready = shard.enqueue(queued, self.batch);
-            group.clear();
-            if ready {
-                self.flush_shard(idx, shard, obs.as_deref_mut());
+        for (idx, group) in groups.iter_mut().enumerate() {
+            if !group.is_empty() {
+                let queued = group.iter().map(|&i| (&reports[i as usize], hashes[i as usize]));
+                self.queue(idx, queued, obs.as_deref_mut());
+                group.clear();
             }
         }
         reports.len()
     }
 
-    fn flush_shard(&self, idx: usize, shard: &Shard<P>, obs: Option<&mut Tracer>) {
-        // Acquire the state lock BEFORE draining the queue: two
-        // concurrent flushes that drained first could then race for
-        // the state lock and apply their batches out of arrival
-        // order. With state held, drain-then-apply is atomic with
-        // respect to other flushes, and producers only ever wait for
-        // the O(1) queue swap, not for Algorithm 1. Lock order is
-        // state → pending everywhere.
+    /// Queues `reports`, each beside its name's hash, in order under
+    /// one hold of shard `idx`'s lock, and applies the queue in that
+    /// same hold once it reaches `batch`.
+    fn queue<'r, 'a: 'r>(
+        &self,
+        idx: usize,
+        reports: impl IntoIterator<Item = (&'r WireReport<'a>, u64)>,
+        obs: Option<&mut Tracer>,
+    ) {
+        let shard = &self.shards[idx];
         let mut state = shard.state.lock();
-        let State { policy, batch } = &mut *state;
-        // Clear the hint BEFORE draining: an enqueue racing past the
-        // drain re-sets it (its report stays pending), while one the
-        // drain caught leaves at worst a spurious `true`.
-        shard.dirty.store(false, Ordering::Release);
-        // `batch` was left empty (capacity kept) by the previous flush.
-        std::mem::swap(&mut *shard.pending.lock(), batch);
-        let (names, reports) = (batch.names.as_str(), &mut batch.reports);
+        for (r, hash) in reports {
+            state.queue.push(r, hash);
+        }
+        if state.queue.reports.len() >= self.batch {
+            self.apply_queue(idx, &mut state, obs);
+        } else {
+            shard.dirty.store(true, Ordering::Release);
+        }
+    }
+
+    /// Applies shard `idx`'s queue in arrival order and publishes the
+    /// rows it touched — the body every flush shares, run under the
+    /// shard's lock (`state` is its guard), so batches apply whole and
+    /// in order and the snapshot loaded here is the live one.
+    fn apply_queue(&self, idx: usize, state: &mut State<P>, obs: Option<&mut Tracer>) {
+        let shard = &self.shards[idx];
+        let State { policy, queue } = state;
+        let (names, reports) = (queue.names.as_str(), &mut queue.reports);
         if reports.is_empty() {
             return;
         }
@@ -494,9 +478,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
         // One clock read ends the apply phase and starts the publish.
         let phases = apply_start.map(|apply_start| (apply_start, Instant::now()));
-        // Rebuilds run under the state lock too, so this is the live
-        // snapshot for as long as we hold it. A row touched twice is
-        // republished twice — the same value, cheaper than deduping.
+        // A row touched twice is republished twice — the same value,
+        // cheaper than deduping.
         let snap = shard.snap.load();
         if !reports.iter().all(|r| policy.republish(&snap, r.app(names), r.hash)) {
             shard.snap.store(policy.snapshot());
@@ -507,10 +490,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
             shard.metrics.record_flush_ns(apply_ns, publish_ns);
         }
         // Emit post-apply row deltas for the apps this batch touched,
-        // still under the state lock so one shard's deltas reach the
-        // sink in apply order. The batch is applied, so its order no
-        // longer matters: sort and dedup its records in place, no
-        // scratch list.
+        // still under the lock so one shard's deltas reach the sink in
+        // apply order. The batch is applied, so its order no longer
+        // matters: sort and dedup its records in place, no scratch list.
         if let Some(sink) = self.sink.get() {
             reports.sort_unstable_by(|a, b| a.app(names).cmp(b.app(names)));
             reports.dedup_by(|a, b| a.app(names) == b.app(names));
@@ -520,7 +502,8 @@ impl<P: PolicyCore> ShardedEngine<P> {
                 sink(idx as u32, &mut rows);
             }
         }
-        batch.clear();
+        queue.clear();
+        shard.dirty.store(false, Ordering::Release);
         if let Some(tr) = obs {
             tr.emit(Event::FlushPublish {
                 shard: idx as u32,
@@ -529,14 +512,14 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
     }
 
-    /// Applies every pending report on every shard.
+    /// Applies every queued report on every shard.
     pub fn flush(&self) {
         for (idx, shard) in self.shards.iter().enumerate() {
-            self.flush_shard(idx, shard, None);
+            self.apply_queue(idx, &mut shard.state.lock(), None);
         }
     }
 
-    /// Applies pending reports on the shards that have any — the
+    /// Applies queued reports on the shards that have any — the
     /// periodic-maintenance entry point: on an idle engine every shard
     /// is clean and the sweep costs one atomic load each, no locks.
     /// Each shard flushed emits a `FlushPublish` event carrying its
@@ -545,13 +528,13 @@ impl<P: PolicyCore> ShardedEngine<P> {
     pub fn flush_dirty(&self, mut obs: Option<&mut Tracer>) {
         for (idx, shard) in self.shards.iter().enumerate() {
             if shard.dirty.load(Ordering::Acquire) {
-                self.flush_shard(idx, shard, obs.as_deref_mut());
+                self.apply_queue(idx, &mut shard.state.lock(), obs.as_deref_mut());
             }
         }
     }
 
     /// Serializes every shard's policy state for a durability
-    /// snapshot, flushing pending reports first so the blobs reflect
+    /// snapshot, flushing queued reports first so the blobs reflect
     /// everything ingested. `None` if the policy does not implement
     /// [`PolicyCore::save_state`].
     pub fn save_states(&self) -> Option<Vec<Vec<u8>>> {
@@ -563,7 +546,7 @@ impl<P: PolicyCore> ShardedEngine<P> {
     /// [`ShardedEngine::save_states`] — the blobs may be borrowed, e.g.
     /// slices of a durability snapshot's payload — and publishes a
     /// fresh decision snapshot per shard (the generation moves).
-    /// Pending queues must be empty (recovery runs before traffic);
+    /// Queues must be empty (recovery runs before traffic);
     /// blob count must match the shard count — a snapshot taken under a
     /// different sharding cannot be loaded.
     pub fn load_states<B: AsRef<[u8]>>(&self, blobs: &[B]) -> Result<(), String> {
@@ -1299,16 +1282,18 @@ mod tests {
             q.reports.iter().map(to_wire).collect()
         }
         {
-            let pending = e.shards[0].pending.lock();
-            assert_eq!(pending.names, "knownknownstranger", "one copy of each report's name");
-            assert_eq!(queued(&pending), reports, "arrival order, every field");
+            let state = e.shards[0].state.lock();
+            assert_eq!(state.queue.names, "knownknownstranger", "one copy of each report's name");
+            assert_eq!(queued(&state.queue), reports, "arrival order, every field");
         }
-        // The flush drains the queue into the batch buffer, applies it,
-        // and leaves both empty with their capacity kept.
+        assert!(e.shards[0].dirty.load(Ordering::Acquire), "a queued report marks its shard");
+        // The flush applies the queue and leaves it empty with its
+        // capacity kept, and the shard clean.
         e.flush();
-        let (pending, state) = (e.shards[0].pending.lock(), e.shards[0].state.lock());
-        assert!(pending.reports.is_empty() && pending.names.is_empty());
-        assert!(state.batch.reports.is_empty() && state.batch.names.capacity() >= 18);
+        let state = e.shards[0].state.lock();
+        assert!(state.queue.reports.is_empty() && state.queue.names.is_empty());
+        assert!(state.queue.names.capacity() >= 18);
+        assert!(!e.shards[0].dirty.load(Ordering::Acquire), "an applied queue leaves it clean");
         assert_eq!(state.policy.rows.get("known"), Some(&2));
     }
 
@@ -1469,7 +1454,18 @@ mod tests {
 
     #[test]
     fn concurrent_reports_all_land() {
-        let e = engine(4, 8);
+        let e = engine(4, 4);
+        let done = Arc::new(AtomicBool::new(false));
+        // A maintenance sweep racing the producers' own batch flushes.
+        let sweeper = {
+            let (e, done) = (e.clone(), done.clone());
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Acquire) {
+                    e.flush_dirty(None);
+                    std::thread::yield_now();
+                }
+            })
+        };
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let e = e.clone();
@@ -1483,7 +1479,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        done.store(true, Ordering::Release);
+        sweeper.join().unwrap();
         e.flush();
+        assert_eq!(e.metrics_total().reports, 800, "every report counted exactly once");
         let total: u32 = e.table().iter().map(|en| en.fpga_thr).sum();
         assert_eq!(total, 800, "every report applied exactly once");
     }

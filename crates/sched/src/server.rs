@@ -136,12 +136,10 @@ pub struct ServerConfig {
     pub shed_retry_after_ms: u32,
     /// Quarantine threshold: a connection committing this many
     /// protocol errors is closed and its peer address refused at
-    /// accept for `quarantine_secs`. Protects the parse path from a
+    /// accept for [`QUARANTINE`]. Protects the parse path from a
     /// misbehaving (or malicious) peer reconnect-hammering malformed
     /// frames. 0 (the default) disables quarantining.
     pub quarantine_errors: u32,
-    /// How long a quarantined peer address stays banned.
-    pub quarantine_secs: u64,
     /// Durable state: `Some` arms the WAL + snapshot engine under the
     /// given directory. Startup then recovers the threshold table and
     /// session high-water marks before serving; every report ingest is
@@ -169,7 +167,6 @@ impl Default for ServerConfig {
             shed_outbuf_bytes: 0,
             shed_retry_after_ms: 50,
             quarantine_errors: 0,
-            quarantine_secs: 60,
             durability: None,
         }
     }
@@ -190,6 +187,9 @@ const MAX_WAIT: Duration = Duration::from_millis(250);
 
 /// The default maintenance-tick period.
 const MAINT_PERIOD: Duration = Duration::from_millis(100);
+
+/// How long a quarantined peer address stays banned.
+pub const QUARANTINE: Duration = Duration::from_secs(60);
 
 /// Period of a worker's maintenance tick; `None` when nothing rides it.
 /// `flush_interval` sets it. Zero takes only the dirty-shard sweep off
@@ -263,13 +263,17 @@ struct Quarantine {
 }
 
 impl Quarantine {
+    /// Bans `ip` for `dur`, pruning every expired ban first, so the map
+    /// never outgrows the set of recently-banned peers, even ones that
+    /// never come back.
     fn ban(&self, ip: IpAddr, dur: Duration) {
-        self.bans.lock().unwrap().insert(ip, Instant::now() + dur);
+        let (mut bans, now) = (self.bans.lock().unwrap(), Instant::now());
+        bans.retain(|_, until| now < *until);
+        bans.insert(ip, now + dur);
     }
 
-    /// Whether `ip` is currently banned; expired bans are pruned as
-    /// they are consulted, so the map never outgrows the set of
-    /// recently-banned peers.
+    /// Whether `ip` is currently banned; an expired ban is pruned as it
+    /// is consulted.
     fn is_banned(&self, ip: IpAddr) -> bool {
         let mut bans = self.bans.lock().unwrap();
         match bans.get(&ip) {
@@ -1422,7 +1426,7 @@ fn note_proto_error<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot
         return false;
     }
     if let Some(ip) = conn.peer {
-        ctx.quarantine.ban(ip, Duration::from_secs(ctx.config.quarantine_secs));
+        ctx.quarantine.ban(ip, QUARANTINE);
     }
     ctx.tracer.emit(TraceEvent::Quarantine { conn: slot as u64 });
     conn.closed = true;
@@ -1720,7 +1724,9 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
                     &DecideCtx {
                         app,
                         kernel,
-                        x86_load: x86_load as usize,
+                        // Clamped like REPORT's: Algorithm 2 casts the
+                        // load to u32, which would wrap 2^32 to 0.
+                        x86_load: x86_load.min(u32::MAX as u64) as usize,
                         arm_load: 0,
                         kernel_resident,
                         device_ready: true,
@@ -1925,6 +1931,19 @@ mod tests {
         assert_eq!(maint_period(&cfg(ms(40), dur(FsyncPolicy::IntervalMs(5)))), Some(ms(5)));
         assert_eq!(maint_period(&cfg(ms(0), dur(FsyncPolicy::IntervalMs(5)))), Some(ms(5)));
         assert_eq!(maint_period(&cfg(ms(40), dur(FsyncPolicy::IntervalMs(500)))), Some(ms(40)));
+    }
+
+    /// Bans from addresses that never come back expire from the list
+    /// the next time anyone is banned, not only when they reconnect.
+    #[test]
+    fn a_ban_prunes_the_expired_ones() {
+        let q = Quarantine::default();
+        for i in 0..1000u32 {
+            q.ban(IpAddr::from(i.to_be_bytes()), Duration::ZERO);
+        }
+        q.ban(IpAddr::from([10, 0, 0, 1]), QUARANTINE);
+        assert_eq!(q.bans.lock().unwrap().len(), 1, "expired bans outlived a new one");
+        assert!(q.is_banned(IpAddr::from([10, 0, 0, 1])));
     }
 
     /// A reader that serves its data in the largest chunks the caller's

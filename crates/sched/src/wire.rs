@@ -407,6 +407,9 @@ pub enum WireError {
     /// A decoded message did not consume its whole payload (element
     /// count and payload length disagree).
     TrailingBytes(usize),
+    /// A report's `func_ms` is NaN, infinite or negative: refused where
+    /// a request is decoded, never in WAL replay.
+    BadTime,
 }
 
 impl std::fmt::Display for WireError {
@@ -422,6 +425,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "decide batch of {n} queries exceeds MAX_DECIDE_BATCH")
             }
             WireError::TrailingBytes(n) => write!(f, "{n} undecoded bytes after message"),
+            WireError::BadTime => write!(f, "report time is not a finite, non-negative ms count"),
         }
     }
 }
@@ -591,7 +595,7 @@ pub fn parse_v1_line(line: &str) -> Option<V1Request<'_>> {
         ["REPORT", app, target, ms, load] => Some(V1Request::Report {
             app,
             target: parse_target(target)?,
-            func_ms: ms.parse().ok()?,
+            func_ms: ms.parse().ok().filter(|&ms| report_time_ok(ms))?,
             x86_load: load.parse().ok()?,
         }),
         ["TABLE"] => Some(V1Request::Table),
@@ -601,6 +605,29 @@ pub fn parse_v1_line(line: &str) -> Option<V1Request<'_>> {
         ["RATE", name] => Some(V1Request::Rate { name }),
         ["QUIT"] => Some(V1Request::Quit),
         _ => None,
+    }
+}
+
+/// Whether a report's `func_ms` is one the network edge takes: finite
+/// and non-negative. Algorithm 1 compares it with the app's reference
+/// times, and a NaN makes every comparison false: it becomes the app's
+/// x86 time, after which no ARM or FPGA report raises a threshold; a
+/// negative time makes every later one raise them. Checked where a
+/// request is decoded, not in [`Reader::report`]: WAL replay reads
+/// with that, and a log written before this check must still recover.
+fn report_time_ok(func_ms: f64) -> bool {
+    func_ms.is_finite() && func_ms >= 0.0
+}
+
+/// [`Reader::report`], refused with [`WireError::BadTime`] unless
+/// [`report_time_ok`].
+#[inline(always)]
+fn edge_report<'a>(r: &mut Reader<'a>) -> Result<WireReport<'a>, WireError> {
+    let report = r.report()?;
+    if report_time_ok(report.func_ms) {
+        Ok(report)
+    } else {
+        Err(WireError::BadTime)
     }
 }
 
@@ -1115,7 +1142,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
         }
         op::BATCH_REPORT => {
             let n = r.u16()? as usize;
-            Ok(Request::BatchReport(r.list(n, Reader::report)?))
+            Ok(Request::BatchReport(r.list(n, edge_report)?))
         }
         op::TABLE => Ok(Request::Table),
         op::PING => Ok(Request::Ping(r.u64()?)),
@@ -1133,7 +1160,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request<'_>, WireError> {
         op::HELLO_SESSION => Ok(Request::HelloSession { session: r.u64()? }),
         op::BATCH_REPORT_SEQ => {
             let (session, seq, n) = (r.u64()?, r.u64()?, r.u16()? as usize);
-            Ok(Request::BatchReportSeq { session, seq, reports: r.list(n, Reader::report)? })
+            Ok(Request::BatchReportSeq { session, seq, reports: r.list(n, edge_report)? })
         }
         other => Err(WireError::BadOpcode(other)),
     }?;
@@ -1476,6 +1503,9 @@ mod tests {
             "",
             "DECIDE a k x 1",
             "REPORT a moon 1.0 1",
+            "REPORT a x86 NaN 1",
+            "REPORT a arm inf 1",
+            "REPORT a fpga -0.5 1",
             "BOGUS",
             "DECIDE a k 1",
             "TRACE",

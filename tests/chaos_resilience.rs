@@ -152,7 +152,7 @@ fn shedding_turns_workload_away_but_never_the_control_plane() {
 fn repeat_protocol_offenders_are_quarantined() {
     let daemon = spawn(
         EngineConfig::default(),
-        ServerConfig { quarantine_errors: 2, quarantine_secs: 60, ..ServerConfig::default() },
+        ServerConfig { quarantine_errors: 2, ..ServerConfig::default() },
     );
     // Admitted before the offense: the quarantine gate is at accept,
     // so this connection must keep being served throughout.

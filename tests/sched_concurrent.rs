@@ -1374,7 +1374,7 @@ fn loopback_dial_falls_back_to_tcp_without_a_local_listener() {
 fn quarantine_earned_on_the_local_socket_refuses_both_transports() {
     let daemon = spawn(
         EngineConfig::default(),
-        ServerConfig { quarantine_errors: 2, quarantine_secs: 60, ..ServerConfig::default() },
+        ServerConfig { quarantine_errors: 2, ..ServerConfig::default() },
     );
     let addr = daemon.addr();
     let mut innocent = V2Client::connect(addr).unwrap();
@@ -1549,6 +1549,69 @@ fn a_v1_line_over_the_cap_answers_err_and_the_worker_survives() {
     assert_eq!(stat(&mut c, obs::tags::REPORTS), 0, "the line was parsed");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v1 peer's lines, pipelined on one raw TCP connection and closed
+/// by `QUIT`: everything the daemon answered.
+fn v1_session(addr: std::net::SocketAddr, lines: &str) -> String {
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    s.write_all(format!("{lines}QUIT\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+/// A report time Algorithm 1 cannot compare is refused where the
+/// request is decoded, on both protocols and both v2 report ops: a NaN
+/// would become the app's x86 time (after which no ARM or FPGA report
+/// raises its thresholds) and a negative one would make every later
+/// one raise them. The refusal applies nothing — table and state blob
+/// are as before — and keeps the connection.
+#[test]
+fn a_nan_infinite_or_negative_report_time_is_refused_at_the_edge() {
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
+    let (table, state) = (daemon.engine().table(), daemon.engine().save_states());
+    let mut c = V2Client::connect(daemon.addr()).unwrap();
+    assert_eq!(c.hello_session(7).unwrap(), 0);
+    let (app, mut seq, mut lines) = (APPS[0], 0, String::new());
+    for ms in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -f64::MIN_POSITIVE] {
+        for (target, name) in [(Target::X86, "x86"), (Target::Arm, "arm"), (Target::Fpga, "fpga")] {
+            let r = wire::WireReport { app, target, func_ms: ms, x86_load: 1 };
+            let owned = ReportOwned { app: app.into(), target, func_ms: ms, x86_load: 1 };
+            let err = c.report_batch(&[owned]).unwrap_err().to_string();
+            assert!(err.contains("not a finite, non-negative"), "{ms} {name}: {err}");
+            seq += 1;
+            assert!(c.report_batch_seq(7, seq, &[r]).is_err(), "{ms} {name}: seq batch");
+            lines += &format!("REPORT {app} {name} {ms} 1\n");
+        }
+    }
+    assert_eq!(v1_session(daemon.addr(), &lines), "ERR\n".repeat(15));
+    assert_eq!(daemon.engine().table(), table, "a refused report moved a threshold");
+    assert_eq!(daemon.engine().save_states(), state, "a refused report moved the state");
+    assert_eq!(stat(&mut c, obs::tags::PROTOCOL_ERRORS), 45);
+    assert_eq!(stat(&mut c, obs::tags::REPORTS), 0);
+    let fine = ReportOwned { app: app.into(), target: Target::X86, func_ms: 0.0, x86_load: 1 };
+    assert_eq!(c.report_batch(&[fine]).unwrap(), 1, "the connection survives");
+    daemon.shutdown();
+}
+
+/// v1 `DECIDE` clamps its load to `u32::MAX` as `REPORT` does: a load of
+/// 2^32 is a huge load, not load 0 wrapped. On a row whose FPGA
+/// threshold is the lower one with the kernel resident, that is FPGA.
+#[test]
+fn a_v1_decide_load_over_u32_clamps_instead_of_wrapping() {
+    use xar_trek::core::server::spawn_sharded;
+    use xar_trek::core::thresholds::{ThresholdEntry, ThresholdTable};
+    use xar_trek::core::XarTrekPolicy;
+    let mut table = ThresholdTable::new();
+    table.insert(ThresholdEntry { app: "A".into(), kernel: "K".into(), fpga_thr: 1, arm_thr: 2 });
+    let policy = XarTrekPolicy::new(table, Default::default());
+    let daemon = spawn_sharded(&policy, EngineConfig::default(), ServerConfig::default()).unwrap();
+    let lines = "DECIDE A K 0 1\nDECIDE A K 4294967296 1\nDECIDE A K 18446744073709551615 1\n";
+    let want = "TARGET x86 0\nTARGET fpga 0\nTARGET fpga 0\n";
+    assert_eq!(v1_session(daemon.addr(), lines), want);
+    daemon.shutdown();
 }
 
 /// TABLE on a table over one frame's u16 row count answers `R_ERR`:
