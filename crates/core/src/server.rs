@@ -33,8 +33,8 @@ use xar_desim::{Decision, Target};
 use xar_sched::wire::{parse_target, target_str};
 
 pub use xar_sched::{
-    BackendKind, EngineConfig, MetricsSnapshot, ObsSnapshot, ResilientClient, ResilientConfig,
-    ServerConfig, ShardedEngine, ShardedPolicy, StatsV2, TableEntry, V2Client,
+    BackendKind, EngineConfig, MetricsSnapshot, ResilientClient, ResilientConfig, ServerConfig,
+    ShardedEngine, ShardedPolicy, StatsV2, TableEntry, V2Client,
 };
 
 /// The production scheduler daemon serving a sharded [`XarTrekPolicy`].
@@ -424,7 +424,8 @@ mod tests {
         assert_eq!(m.decides, 10);
         assert_eq!(m.to_fpga, 10, "Digit2000 at load 1 offloads");
         assert_eq!(m.reports, 1);
-        assert!(m.p99_ns > 0);
+        let decide = m.hist(xar_sched::wire::hist_class::DECIDE);
+        assert!(decide.count() >= 1 && decide.percentile(0.99) > 0, "the first decide is timed");
         daemon.shutdown();
     }
 

@@ -542,8 +542,10 @@ impl Default for ResilientConfig {
 ///   [`crate::session`] high-water mark instead of double-counted.
 ///   `Ack(0)` for a nonempty batch is that dedup, tallied in
 ///   [`ResilientClient::deduped_batches`].
-/// * A name longer than [`wire::MAX_NAME`] bytes is refused with
-///   [`std::io::ErrorKind::InvalidInput`] up front, never retried.
+/// * A name longer than [`wire::MAX_NAME`] bytes, or a report time
+///   that is NaN, infinite or negative ([`wire::report_time_ok`]), is
+///   refused with [`std::io::ErrorKind::InvalidInput`] up front, never
+///   sent or retried: the daemon would refuse it on every attempt.
 ///
 /// Construction is lazy — no I/O happens until the first operation, so
 /// a client may be built while its daemon is still coming up.
@@ -704,6 +706,12 @@ impl ResilientClient {
             return Err(proto_err("exactly-once reporting needs a nonzero config.session"));
         }
         check_names(reports.iter().map(|r| &*r.app))?;
+        if let Some(r) = reports.iter().find(|r| !wire::report_time_ok(r.func_ms)) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("report time {} ms is not a finite, non-negative number", r.func_ms),
+            ));
+        }
         // Stamps must be drawn *after* the session resync a connect
         // performs: a fresh client resuming a durable session learns
         // the daemon's high-water mark inside `ensure_connected`, and

@@ -64,11 +64,17 @@
 //! is cleared in place once applied, keeping its capacity. Ingest reads
 //! no snapshot and touches no refcount.
 //!
+//! **Telemetry.** Each shard counts into its own lock-free
+//! [`ShardMetrics`]. [`ShardedEngine::metrics`] folds every shard once
+//! into one [`MetricsSnapshot`] (counters and each latency class), and
+//! [`ShardedEngine::metrics_total`] is their merge: a scrape renders
+//! everything it shows from one such fold.
+//!
 //! **Lock order.** A shard has one lock. Ingest (under the durability
 //! layer's `ingest` lock when the WAL is armed) takes it, and the flush
 //! sink runs inside it: `ingest → state → deltas → wal`.
 
-use crate::metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics};
+use crate::metrics::{MetricsSnapshot, ShardMetrics};
 use crate::snapshot::{ArcCell, CachedSnap};
 use crate::wire::{WireEntry, WireQuery, WireReport};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -574,29 +580,15 @@ impl<P: PolicyCore> ShardedEngine<P> {
         entries
     }
 
-    /// Per-shard metric snapshots.
+    /// One snapshot per shard (counters and every latency class),
+    /// each shard folded once.
     pub fn metrics(&self) -> Vec<MetricsSnapshot> {
         self.shards.iter().map(|s| s.metrics.snapshot()).collect()
     }
 
-    /// Whole-engine metric totals.
+    /// Whole-engine totals: the merge of [`ShardedEngine::metrics`].
     pub fn metrics_total(&self) -> MetricsSnapshot {
-        self.metrics().into_iter().fold(MetricsSnapshot::default(), MetricsSnapshot::merge)
-    }
-
-    /// Per-shard full latency distributions (one histogram snapshot per
-    /// op class).
-    pub fn obs(&self) -> Vec<ObsSnapshot> {
-        self.shards.iter().map(|s| s.metrics.obs_snapshot()).collect()
-    }
-
-    /// Whole-engine latency distributions — per-shard snapshots merged
-    /// bucket-exactly. This is what `StatsV2` quantiles and the `DUMP`
-    /// histogram buckets are computed from.
-    pub fn obs_total(&self) -> ObsSnapshot {
-        self.shards
-            .iter()
-            .fold(ObsSnapshot::default(), |acc, s| acc.merge(&s.metrics.obs_snapshot()))
+        self.metrics().iter().fold(MetricsSnapshot::default(), MetricsSnapshot::merge)
     }
 }
 
@@ -787,6 +779,7 @@ impl<P: PolicyCore> DecideHandle<P> {
 mod tests {
     use super::*;
     use crate::snapshot::ThrCell;
+    use crate::wire::hist_class::{DECIDE, DECIDE_BATCH, FLUSH_PUBLISH, REPORT_BATCH};
 
     /// Toy policy: per-app call counters; decides FPGA once an app has
     /// been reported `limit` times.
@@ -964,7 +957,7 @@ mod tests {
         let per_shard = e.metrics();
         let idx = shard_of("solo", 4);
         assert_eq!(per_shard[idx].decides, 5);
-        assert!(per_shard[idx].p50_ns > 0);
+        assert!(per_shard[idx].hist(DECIDE).percentile(0.50) > 0);
         let other: u64 =
             per_shard.iter().enumerate().filter(|(i, _)| *i != idx).map(|(_, m)| m.decides).sum();
         assert_eq!(other, 0);
@@ -980,8 +973,8 @@ mod tests {
         }
         let m = e.metrics_total();
         assert_eq!(m.decides, 2 * LATENCY_SAMPLE + 1, "decide count stays exact under sampling");
-        assert_eq!(m.lat_samples, 3, "decides 0, 64 and 128 were latency-sampled");
-        assert!(m.p50_ns > 0, "the sampled decides landed in the histogram");
+        assert_eq!(m.hist(DECIDE).count(), 3, "decides 0, 64 and 128 were latency-sampled");
+        assert!(m.hist(DECIDE).percentile(0.50) > 0, "the sampled decides landed");
     }
 
     #[test]
@@ -1109,7 +1102,7 @@ mod tests {
         let m = e.metrics_total();
         assert_eq!(m.decides, 1);
         assert_eq!(m.decide_batches, 1);
-        assert_eq!(m.lat_samples, 1, "the single-decide election fired");
+        assert_eq!(m.hist(DECIDE).count(), 1, "the single-decide election fired");
     }
 
     #[test]
@@ -1212,7 +1205,8 @@ mod tests {
         assert_eq!(e.handle().decide(&ctx("app")).target, Target::Fpga, "a fresh handle agrees");
         assert_eq!(h.decide(&ctx("other")).target, Target::X86, "untouched row moved");
         // Three flushes, of which the shard's first is timed.
-        assert_eq!(e.obs_total().flush_publish.count(), 1, "in-place publishes are still timed");
+        let publishes = e.metrics_total().hist(FLUSH_PUBLISH).count();
+        assert_eq!(publishes, 1, "in-place publishes are still timed");
     }
 
     #[test]
@@ -1343,9 +1337,9 @@ mod tests {
         assert_eq!(counters.flush_rows.load(Ordering::Relaxed), 6);
         // Each shard flushed once, and a shard's first flush is always
         // elected: both phases are in the op-class histograms.
-        let o = e.obs_total();
-        assert_eq!(o.report_batch.count(), publishes);
-        assert_eq!(o.flush_publish.count(), publishes);
+        let m = e.metrics_total();
+        assert_eq!(m.hist(REPORT_BATCH).count(), publishes);
+        assert_eq!(m.hist(FLUSH_PUBLISH).count(), publishes);
         // An untraced engine counts histograms but emits no events.
         e.flush_dirty(Some(&mut tr));
         assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), publishes, "clean: no-op");
@@ -1369,9 +1363,8 @@ mod tests {
         assert_eq!(events, n, "every flush emits its publish event");
         assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), n);
         assert_eq!(counters.flush_rows.load(Ordering::Relaxed), n);
-        let o = e.obs_total();
-        assert_eq!(o.report_batch.count(), 3, "flushes 0, 64 and 128 were timed");
-        assert_eq!(o.flush_publish.count(), 3, "flushes 0, 64 and 128 were timed");
+        assert_eq!(m.hist(REPORT_BATCH).count(), 3, "flushes 0, 64 and 128 were timed");
+        assert_eq!(m.hist(FLUSH_PUBLISH).count(), 3, "flushes 0, 64 and 128 were timed");
     }
 
     #[test]
@@ -1398,7 +1391,7 @@ mod tests {
         assert_eq!(qcounters.slow_decides.load(Ordering::Relaxed), 0);
         let m = e.metrics_total();
         assert_eq!(m.decides, 65, "tracing never changes what is counted");
-        assert_eq!(m.lat_samples, 2, "elections 0 and 64");
+        assert_eq!(m.hist(DECIDE).count(), 2, "elections 0 and 64");
     }
 
     #[test]
@@ -1416,7 +1409,7 @@ mod tests {
         }
         let (mt, mp) = (traced.metrics_total(), plain.metrics_total());
         assert_eq!(mt.decides, mp.decides);
-        assert_eq!(mt.lat_samples, mp.lat_samples, "same election cadence");
+        assert_eq!(mt.hist(DECIDE).count(), mp.hist(DECIDE).count(), "same election cadence");
         assert_eq!(mt.to_fpga, mp.to_fpga);
     }
 
@@ -1434,22 +1427,17 @@ mod tests {
         let want = hp.decide_batch(&queries, &mut pscratch).to_vec();
         let got = h.decide_batch_obs(&queries, &mut scratch, Some(&mut tr)).to_vec();
         assert_eq!(got, want, "traced batch decisions drifted from the plain path");
-        // Quantiles are wall-clock and may differ; every count must not.
-        let zero_lat = |mut m: MetricsSnapshot| {
-            m.p50_ns = 0;
-            m.p99_ns = 0;
-            m
+        // Latencies are wall-clock and land in different buckets; the
+        // counters and each class's sample count must not differ.
+        let counts = |m: MetricsSnapshot| {
+            let volume = [m.decides, m.reports, m.batches, m.decide_batches];
+            (volume, [m.to_arm, m.to_fpga, m.reconfigs], m.hists.map(|h| h.count()))
         };
-        assert_eq!(
-            zero_lat(e.metrics_total()),
-            zero_lat(plain.metrics_total()),
-            "identical counting"
-        );
+        let (m, p) = (e.metrics_total(), plain.metrics_total());
+        assert_eq!(counts(m), counts(p), "identical counting");
         // First-touch groups all elected: each group recorded one
         // whole-frame figure.
-        let o = e.obs_total();
-        assert!(o.decide_batch.count() >= 1, "elected groups record frame latency");
-        assert_eq!(plain.obs_total().decide_batch.count(), o.decide_batch.count());
+        assert!(m.hist(DECIDE_BATCH).count() >= 1, "elected groups record frame latency");
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use engine::{
     name_hash, shard_of, shard_of_hash, BatchScratch, DecideHandle, DecideScratch, EngineConfig,
     PolicyCore, RowRef, ShardedEngine, TableEntry,
 };
-pub use metrics::{MetricsSnapshot, ObsSnapshot, ShardMetrics, LATENCY_SAMPLE, STRIPES};
+pub use metrics::{MetricsSnapshot, ShardMetrics, LATENCY_SAMPLE, STRIPES};
 pub use obsd::{FleetSnapshot, Health, MemberView, Obsd, ObsdConfig};
 pub use server::{Server, ServerConfig};
 pub use session::{SeqOutcome, SessionInfo, SessionTable};

@@ -1,15 +1,16 @@
 //! Per-shard telemetry: decision counters, migration counters, and
-//! per-op-class latency histograms — a facade over the dependency-free
+//! per-class latency histograms — a facade over the dependency-free
 //! [`xar_obs`] primitives. All counters are relaxed atomics — the hot
 //! path adds a handful of uncontended `fetch_add`s.
 //!
-//! Latency distributions are [`xar_obs::Histogram`]s, one per op class
-//! (decide, decide-batch frame, report-batch apply, flush-publish):
-//! full mergeable log₂-bucketed distributions, not just a p50/p99 pair.
-//! The compact [`MetricsSnapshot`] view (engine totals plus a decide
-//! p50/p99 pair) is derived from the decide histogram; the full
-//! distributions surface through [`ObsSnapshot`] into `StatsV2` and
-//! the v1 `DUMP` exposition.
+//! A shard hands out one [`MetricsSnapshot`]: its exact counters plus
+//! one mergeable log₂-bucketed [`HistSnapshot`] per latency class, in
+//! the order of the class table [`hist_class::CLASSES`]. Every surface
+//! that lists classes (`StatsV2`, `HistDump`, `DUMP`, the `SERIES`
+//! rings) renders from one such snapshot, merged across shards, so a
+//! scrape folds each shard once and its counters cannot disagree with
+//! its distributions. A new class is one `CLASSES` row and one record
+//! call here.
 //!
 //! Decide latency is *sampled*: timing a decide costs two
 //! `clock_gettime` calls, which at millions of decides per second is a
@@ -22,6 +23,7 @@
 //! (always a shard's first) for the report-batch and flush-publish
 //! histograms, and the report and batch counters stay exact.
 
+use crate::wire::hist_class::{self, CLASSES};
 use xar_desim::Target;
 use xar_obs::sync_abstraction::{AtomicU64, Ordering};
 use xar_obs::{HistSnapshot, Histogram};
@@ -51,37 +53,16 @@ struct Stripe {
 }
 
 /// Live counters for one policy shard.
+#[derive(Default)]
 pub struct ShardMetrics {
     stripes: [Stripe; STRIPES],
     reports: AtomicU64,
     batches: AtomicU64,
     decide_batches: AtomicU64,
-    /// Sampled decide latency (1 in [`LATENCY_SAMPLE`]); the source of
-    /// the legacy p50/p99 pair and the `decide` distribution.
-    decide_hist: Histogram,
-    /// Whole-frame `DecideBatch` latency, recorded when a frame's
-    /// election count is nonzero (same sampling economy as decides).
-    decide_batch_hist: Histogram,
-    /// Report-batch apply-loop latency (sampled flushes, 1 in
-    /// [`LATENCY_SAMPLE`]).
-    report_batch_hist: Histogram,
-    /// Snapshot publication latency (the same sampled flushes).
-    flush_publish_hist: Histogram,
-}
-
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        ShardMetrics {
-            stripes: std::array::from_fn(|_| Stripe::default()),
-            reports: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            decide_batches: AtomicU64::new(0),
-            decide_hist: Histogram::new(),
-            decide_batch_hist: Histogram::new(),
-            report_batch_hist: Histogram::new(),
-            flush_publish_hist: Histogram::new(),
-        }
-    }
+    /// One latency histogram per class, in [`hist_class::CLASSES`]
+    /// order. Decides and flushes are sampled 1 in [`LATENCY_SAMPLE`];
+    /// a `DecideBatch` frame is timed when it elected a decide.
+    hists: [Histogram; CLASSES.len()],
 }
 
 impl ShardMetrics {
@@ -123,16 +104,8 @@ impl ShardMetrics {
         if let Some(nanos) = nanos {
             // Sampled 1-in-LATENCY_SAMPLE: the histogram lane keyed by
             // the caller's stripe keeps concurrent samplers apart.
-            self.decide_hist.record(stripe_idx, nanos);
+            self.hists[const { hist_class::index(hist_class::DECIDE) }].record(stripe_idx, nanos);
         }
-    }
-
-    /// Records one decide with its handling latency, unconditionally
-    /// sampled on stripe 0 — the convenience for tests and
-    /// single-threaded callers measuring every event.
-    pub fn record_decide(&self, target: Target, reconfigure: bool, nanos: u64) {
-        self.stripes[0].decides.fetch_add(1, Ordering::Relaxed);
-        self.note_outcome(0, target, reconfigure, Some(nanos));
     }
 
     /// Records `n` ingested completion reports forming one batch;
@@ -194,7 +167,8 @@ impl ShardMetrics {
         }
         if let Some((count, nanos)) = sampled {
             if count > 0 {
-                self.decide_hist.record_n(stripe_idx, nanos, count);
+                self.hists[const { hist_class::index(hist_class::DECIDE) }]
+                    .record_n(stripe_idx, nanos, count);
             }
         }
     }
@@ -204,7 +178,7 @@ impl ShardMetrics {
     /// same 1-in-[`LATENCY_SAMPLE`] economy as single decides, so the
     /// clock stays off most frames.
     pub fn record_decide_batch_ns(&self, stripe: usize, nanos: u64) {
-        self.decide_batch_hist.record(stripe, nanos);
+        self.hists[const { hist_class::index(hist_class::DECIDE_BATCH) }].record(stripe, nanos);
     }
 
     /// Records one elected shard flush (see
@@ -213,16 +187,15 @@ impl ShardMetrics {
     /// every report is a flush, and timing each would cost three clock
     /// reads per report, so only sampled flushes get here.
     pub fn record_flush_ns(&self, apply_ns: u64, publish_ns: u64) {
-        self.report_batch_hist.record(0, apply_ns);
-        self.flush_publish_hist.record(0, publish_ns);
+        self.hists[const { hist_class::index(hist_class::REPORT_BATCH) }].record(0, apply_ns);
+        self.hists[const { hist_class::index(hist_class::FLUSH_PUBLISH) }].record(0, publish_ns);
     }
 
-    /// A consistent-enough copy of the counters for reporting (stripes
-    /// summed). The histogram lanes are folded into a local snapshot
-    /// exactly once; both quantiles query that owned array — no
-    /// per-bucket atomic re-loads.
+    /// The shard's one snapshot: counters (stripes summed) and every
+    /// class's histogram, each lane folded exactly once, so every
+    /// quantile then reads the owned arrays — no per-bucket atomic
+    /// re-loads.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let lat = self.decide_hist.snapshot();
         let sum = |field: fn(&Stripe) -> &AtomicU64| {
             self.stripes.iter().map(|s| field(s).load(Ordering::Relaxed)).sum()
         };
@@ -234,51 +207,13 @@ impl ShardMetrics {
             to_arm: sum(|s| &s.to_arm),
             to_fpga: sum(|s| &s.to_fpga),
             reconfigs: sum(|s| &s.reconfigs),
-            lat_samples: lat.count(),
-            p50_ns: lat.percentile(0.50),
-            p99_ns: lat.percentile(0.99),
-        }
-    }
-
-    /// Full per-op-class latency distributions — the observability view
-    /// the legacy [`MetricsSnapshot`] p50/p99 pair cannot carry.
-    pub fn obs_snapshot(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            decide: self.decide_hist.snapshot(),
-            decide_batch: self.decide_batch_hist.snapshot(),
-            report_batch: self.report_batch_hist.snapshot(),
-            flush_publish: self.flush_publish_hist.snapshot(),
+            hists: self.hists.each_ref().map(Histogram::snapshot),
         }
     }
 }
 
-/// Full latency distributions for one shard (or, merged, the whole
-/// engine): one mergeable histogram snapshot per op class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ObsSnapshot {
-    /// Sampled single-decide handling latency.
-    pub decide: HistSnapshot,
-    /// Whole-frame `DecideBatch` handling latency (sampled frames).
-    pub decide_batch: HistSnapshot,
-    /// Report-batch apply-loop latency (sampled flushes).
-    pub report_batch: HistSnapshot,
-    /// Snapshot publication latency (sampled flushes).
-    pub flush_publish: HistSnapshot,
-}
-
-impl ObsSnapshot {
-    /// Bucket-exact element-wise merge (for whole-engine totals).
-    pub fn merge(self, other: &ObsSnapshot) -> ObsSnapshot {
-        ObsSnapshot {
-            decide: self.decide.merge(&other.decide),
-            decide_batch: self.decide_batch.merge(&other.decide_batch),
-            report_batch: self.report_batch.merge(&other.report_batch),
-            flush_publish: self.flush_publish.merge(&other.flush_publish),
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's counters.
+/// A point-in-time copy of one shard (or, merged, the whole engine):
+/// its exact counters and one latency distribution per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// DECIDE requests handled.
@@ -298,21 +233,23 @@ pub struct MetricsSnapshot {
     pub to_fpga: u64,
     /// Decisions that started a background reconfiguration.
     pub reconfigs: u64,
-    /// Latency samples in the histogram. With 1-in-[`LATENCY_SAMPLE`]
-    /// sampling this trails `decides` by that factor; the quantiles
-    /// below are computed over these samples.
-    pub lat_samples: u64,
-    /// Median decide latency upper bound (ns); [`u64::MAX`] means the
-    /// quantile fell in the histogram's open-ended last bucket.
-    pub p50_ns: u64,
-    /// 99th-percentile decide latency upper bound (ns); [`u64::MAX`]
-    /// means the quantile fell in the open-ended last bucket.
-    pub p99_ns: u64,
+    /// One latency distribution per class, in [`hist_class::CLASSES`]
+    /// order ([`MetricsSnapshot::hist`] looks one up by class id).
+    /// Sampled: the decide histogram's count trails `decides` by about
+    /// [`LATENCY_SAMPLE`].
+    pub hists: [HistSnapshot; CLASSES.len()],
 }
 
 impl MetricsSnapshot {
-    /// Element-wise sum (for whole-engine totals).
-    pub fn merge(self, other: MetricsSnapshot) -> MetricsSnapshot {
+    /// The distribution of a registered [`hist_class`] id.
+    pub fn hist(&self, class: u16) -> &HistSnapshot {
+        &self.hists[hist_class::index(class)]
+    }
+
+    /// Counters summed and distributions merged bucket-exactly, so the
+    /// merge of per-shard snapshots equals one shard that recorded
+    /// everything (whole-engine totals).
+    pub fn merge(self, other: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             decides: self.decides + other.decides,
             reports: self.reports + other.reports,
@@ -321,43 +258,29 @@ impl MetricsSnapshot {
             to_arm: self.to_arm + other.to_arm,
             to_fpga: self.to_fpga + other.to_fpga,
             reconfigs: self.reconfigs + other.reconfigs,
-            lat_samples: self.lat_samples + other.lat_samples,
-            p50_ns: self.p50_ns.max(other.p50_ns),
-            p99_ns: self.p99_ns.max(other.p99_ns),
+            hists: std::array::from_fn(|i| self.hists[i].merge(&other.hists[i])),
         }
-    }
-}
-
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "decides={} reports={} batches={} decide_batches={} to_arm={} to_fpga={} \
-             reconfigs={} lat_samples={} p50<{}ns p99<{}ns",
-            self.decides,
-            self.reports,
-            self.batches,
-            self.decide_batches,
-            self.to_arm,
-            self.to_fpga,
-            self.reconfigs,
-            self.lat_samples,
-            self.p50_ns,
-            self.p99_ns,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::hist_class::{DECIDE, DECIDE_BATCH, FLUSH_PUBLISH, REPORT_BATCH};
+
+    /// One decide on stripe 0 with its latency, timed whether or not
+    /// the stripe elected it: a test measuring every event.
+    fn decide(m: &ShardMetrics, target: Target, reconfigure: bool, nanos: u64) {
+        m.note_decide(0);
+        m.note_outcome(0, target, reconfigure, Some(nanos));
+    }
 
     #[test]
     fn counters_and_migrations() {
         let m = ShardMetrics::default();
-        m.record_decide(Target::X86, false, 100);
-        m.record_decide(Target::Arm, true, 100);
-        m.record_decide(Target::Fpga, false, 100);
+        decide(&m, Target::X86, false, 100);
+        decide(&m, Target::Arm, true, 100);
+        decide(&m, Target::Fpga, false, 100);
         m.record_batch(5);
         m.record_batch(3);
         let s = m.snapshot();
@@ -373,13 +296,14 @@ mod tests {
     fn percentiles_bound_the_samples() {
         let m = ShardMetrics::default();
         for _ in 0..99 {
-            m.record_decide(Target::X86, false, 1_000); // ~2^10
+            decide(&m, Target::X86, false, 1_000); // ~2^10
         }
-        m.record_decide(Target::X86, false, 1_000_000); // ~2^20
+        decide(&m, Target::X86, false, 1_000_000); // ~2^20
         let s = m.snapshot();
-        assert!(s.p50_ns >= 1_000 && s.p50_ns <= 2_048, "{}", s.p50_ns);
-        assert!(s.p99_ns <= 2_048, "99/100 samples are ~1us: {}", s.p99_ns);
-        assert!(s.p50_ns <= s.p99_ns);
+        let (p50, p99) = (s.hist(DECIDE).percentile(0.50), s.hist(DECIDE).percentile(0.99));
+        assert!((1_000..=2_048).contains(&p50), "{p50}");
+        assert!(p99 <= 2_048, "99/100 samples are ~1us: {p99}");
+        assert!(p50 <= p99);
     }
 
     #[test]
@@ -393,8 +317,8 @@ mod tests {
         assert_eq!(s.decides, 2 * LATENCY_SAMPLE + 1, "decide count is exact, not sampled");
         assert_eq!(s.to_fpga, 2 * LATENCY_SAMPLE + 1, "target counters are exact");
         assert_eq!(s.reconfigs, 2 * LATENCY_SAMPLE + 1);
-        assert_eq!(s.lat_samples, 3, "decides 0, 64 and 128 were elected");
-        assert!(s.p50_ns >= 100, "quantiles come from the elected samples");
+        assert_eq!(s.hist(DECIDE).count(), 3, "decides 0, 64 and 128 were elected");
+        assert!(s.hist(DECIDE).percentile(0.50) >= 100, "quantiles come from the elected samples");
     }
 
     #[test]
@@ -451,8 +375,8 @@ mod tests {
         assert_eq!(s.to_arm, 3);
         assert_eq!(s.to_fpga, 4);
         assert_eq!(s.reconfigs, 2);
-        assert_eq!(s.lat_samples, 1);
-        assert!(s.p50_ns >= 500, "amortized sample landed in the histogram");
+        assert_eq!(s.hist(DECIDE).count(), 1);
+        assert!(s.hist(DECIDE).percentile(0.50) >= 500, "amortized sample landed");
     }
 
     #[test]
@@ -468,26 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_maxes_percentiles() {
-        let a = MetricsSnapshot { decides: 2, p99_ns: 10, ..Default::default() };
-        let b = MetricsSnapshot { decides: 3, p99_ns: 20, ..Default::default() };
-        let m = a.merge(b);
-        assert_eq!(m.decides, 5);
-        assert_eq!(m.p99_ns, 20);
-    }
-
-    #[test]
     fn empty_histogram_reports_zero() {
-        assert_eq!(ShardMetrics::default().snapshot().p50_ns, 0);
+        let s = ShardMetrics::default().snapshot();
+        assert!(s.hists.iter().all(|h| h.count() == 0 && h.percentile(0.50) == 0));
     }
 
     #[test]
     fn single_sample_lands_in_its_bucket_bound() {
         let m = ShardMetrics::default();
-        m.record_decide(Target::X86, false, 1);
-        let s = m.snapshot();
-        assert_eq!(s.p50_ns, 2, "total = 1: both quantiles are the one sample's bucket");
-        assert_eq!(s.p99_ns, 2);
+        decide(&m, Target::X86, false, 1);
+        let d = *m.snapshot().hist(DECIDE);
+        assert_eq!(d.percentile(0.50), 2, "total = 1: both quantiles are the one sample's bucket");
+        assert_eq!(d.percentile(0.99), 2);
     }
 
     #[test]
@@ -496,54 +412,58 @@ mod tests {
         // no upper bound, so 2^40 ns would be a lie — the sentinel
         // says "off the scale".
         let m = ShardMetrics::default();
-        m.record_decide(Target::X86, false, u64::MAX);
-        let s = m.snapshot();
-        assert_eq!(s.p50_ns, u64::MAX);
-        assert_eq!(s.p99_ns, u64::MAX);
+        decide(&m, Target::X86, false, u64::MAX);
+        let d = *m.snapshot().hist(DECIDE);
+        assert_eq!(d.percentile(0.50), u64::MAX);
+        assert_eq!(d.percentile(0.99), u64::MAX);
         // Mixed mass: the median is still bounded, the tail saturates.
         for _ in 0..98 {
-            m.record_decide(Target::X86, false, 1_000);
+            decide(&m, Target::X86, false, 1_000);
         }
-        m.record_decide(Target::X86, false, u64::MAX);
-        let s = m.snapshot();
-        assert!(s.p50_ns <= 2_048, "{}", s.p50_ns);
-        assert_eq!(s.p99_ns, u64::MAX, "2/100 samples off the scale");
+        decide(&m, Target::X86, false, u64::MAX);
+        let d = *m.snapshot().hist(DECIDE);
+        assert!(d.percentile(0.50) <= 2_048, "{}", d.percentile(0.50));
+        assert_eq!(d.percentile(0.99), u64::MAX, "2/100 samples off the scale");
     }
 
     #[test]
-    fn obs_snapshot_carries_all_four_op_classes() {
+    fn each_record_call_lands_in_its_own_class() {
         let m = ShardMetrics::default();
-        m.record_decide(Target::X86, false, 100);
+        decide(&m, Target::X86, false, 100);
         m.record_decide_batch_ns(3, 5_000);
         m.record_flush_ns(700, 90);
-        let o = m.obs_snapshot();
-        assert_eq!(o.decide.count(), 1);
-        assert_eq!(o.decide_batch.count(), 1);
-        assert_eq!(o.report_batch.count(), 1);
-        assert_eq!(o.flush_publish.count(), 1);
-        assert!(o.decide_batch.percentile(0.5) >= 5_000);
-        assert!(o.flush_publish.percentile(0.5) <= 128);
+        m.record_flush_ns(700, 90);
+        let s = m.snapshot();
+        let counts: Vec<u64> = CLASSES.iter().map(|&(id, _)| s.hist(id).count()).collect();
+        assert_eq!(counts, [1, 1, 2, 2], "in CLASSES order");
+        assert!(s.hist(DECIDE_BATCH).percentile(0.5) >= 5_000);
+        assert!(s.hist(REPORT_BATCH).percentile(0.5) >= 700);
+        assert!(s.hist(FLUSH_PUBLISH).percentile(0.5) <= 128);
     }
 
-    /// Merging per-shard `ObsSnapshot`s must equal recording everything
-    /// into one shard — the cross-worker aggregation the `DUMP` /
-    /// `StatsV2` totals rely on.
+    /// Merging per-shard snapshots must equal recording everything
+    /// into one shard — the cross-worker aggregation every scrape
+    /// surface relies on: counters summed, histograms bucket-exact.
     #[test]
-    fn obs_snapshots_merge_exactly_across_shards() {
+    fn snapshots_merge_exactly_across_shards() {
         let shards: Vec<ShardMetrics> = (0..4).map(|_| ShardMetrics::default()).collect();
         let one = ShardMetrics::default();
         for i in 0..200u64 {
             let ns = 1u64 << (i % 45); // spills into the open last bucket
-            shards[(i % 4) as usize].record_decide(Target::Arm, false, ns);
-            one.record_decide(Target::Arm, false, ns);
-            shards[(i % 4) as usize].record_flush_ns(ns, ns / 2);
+            let shard = &shards[(i % 4) as usize];
+            decide(shard, Target::Arm, i % 3 == 0, ns);
+            decide(&one, Target::Arm, i % 3 == 0, ns);
+            shard.record_flush_ns(ns, ns / 2);
             one.record_flush_ns(ns, ns / 2);
+            shard.record_batch(2);
+            one.record_batch(2);
         }
         let merged = shards
             .iter()
-            .map(|s| s.obs_snapshot())
-            .fold(ObsSnapshot::default(), |acc, s| acc.merge(&s));
-        assert_eq!(merged, one.obs_snapshot());
-        assert_eq!(merged.decide.count(), 200);
+            .map(ShardMetrics::snapshot)
+            .fold(MetricsSnapshot::default(), |acc, s| acc.merge(&s));
+        assert_eq!(merged, one.snapshot());
+        assert_eq!((merged.decides, merged.reports), (200, 400));
+        assert_eq!(merged.hist(DECIDE).count(), 200);
     }
 }

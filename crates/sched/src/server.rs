@@ -34,8 +34,10 @@ use crate::dur::{Durability, DurabilityConfig, DurableSeqOutcome, FsyncPolicy, R
 use crate::engine::{
     BatchScratch, DecideHandle, DecideScratch, PolicyCore, ShardedEngine, TableEntry,
 };
+use crate::metrics::MetricsSnapshot;
 use crate::session::{SeqOutcome, SessionTable};
 use crate::transport::{self, Stream};
+use crate::wire::hist_class::{self, CLASSES};
 use crate::wire::{self, Request, Response};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -299,11 +301,6 @@ const SERIES_COUNTERS: &[&str] = &[
     "reaped_conns",
 ];
 
-/// Histogram op classes in the rings, in ring index order — the same
-/// classes (and order) `HistDump` ships. Queried as
-/// `SERIES <class>_p50_ns <secs>` / `SERIES <class>_p99_ns <secs>`.
-const SERIES_HISTS: &[&str] = &["decide", "decide_batch", "report_batch", "flush_publish"];
-
 /// Window of the `RATE <name>` command, in seconds.
 const RATE_WINDOW_SECS: u64 = 10;
 
@@ -328,8 +325,10 @@ const SESSION_CAPACITY: usize = 1024;
 const DUMP_WINDOW_SECS: u64 = 60;
 
 /// The daemon-wide time-series state every worker records into:
-/// cumulative samples of the fleet-relevant counters and op-class
-/// histograms, one per `series_tick`. Shared behind an `Arc` because
+/// cumulative samples of the fleet-relevant counters and of every
+/// latency class's histogram (ring index = [`CLASSES`] position, queried
+/// as `SERIES <class>_p50_ns <secs>` / `SERIES <class>_p99_ns <secs>`),
+/// one per `series_tick`. Shared behind an `Arc` because
 /// any worker's maintenance tick may be the one that lands on a slot
 /// boundary first; the `last` CAS gates so exactly one records it.
 struct SeriesState {
@@ -352,7 +351,7 @@ impl SeriesState {
             ring: Mutex::new(SeriesRing::new(
                 xar_obs::DEFAULT_SLOTS,
                 SERIES_COUNTERS.len(),
-                SERIES_HISTS.len(),
+                CLASSES.len(),
             )),
         }))
     }
@@ -462,8 +461,9 @@ impl<P: PolicyCore> WorkerCtx<P> {
     /// still answers them. CAS-gated: of the workers racing on a slot
     /// boundary exactly one records it; the rest see the bumped `last`
     /// and do nothing. Cheap when not due — a clock read and one
-    /// relaxed load.
-    fn advance_series(&self) {
+    /// relaxed load. A scrape passes the snapshot it already took, so
+    /// it folds no shard twice.
+    fn advance_series(&self, scraped: Option<&MetricsSnapshot>) {
         let Some(s) = &self.series else { return };
         let tick = (s.start.elapsed().as_nanos() / s.tick.as_nanos().max(1)) as u64;
         let last = s.last.load(Ordering::Relaxed);
@@ -472,11 +472,10 @@ impl<P: PolicyCore> WorkerCtx<P> {
         {
             return;
         }
-        let m = self.engine.metrics_total();
-        let o = self.engine.obs_total();
+        let m = scraped.copied().unwrap_or_else(|| self.engine.metrics_total());
         let ev = self.tracer.counters();
         let r = Ordering::Relaxed;
-        // Index order pins to SERIES_COUNTERS / SERIES_HISTS.
+        // Index order pins to SERIES_COUNTERS.
         let counters = [
             m.decides,
             m.reports,
@@ -485,8 +484,7 @@ impl<P: PolicyCore> WorkerCtx<P> {
             ev.emitted(),
             self.counters.reaped.load(r),
         ];
-        let hists = [o.decide, o.decide_batch, o.report_batch, o.flush_publish];
-        s.ring.lock().unwrap().record(tick, &counters, &hists);
+        s.ring.lock().unwrap().record(tick, &counters, &m.hists);
     }
 
     /// Records one reaped connection and, when an admission cap is
@@ -1076,7 +1074,7 @@ fn worker_loop<P: PolicyCore>(
                 ctx.drain_trace();
                 // Advance the per-tick time-series once the counters
                 // above are settled for this tick.
-                ctx.advance_series();
+                ctx.advance_series(None);
                 // Durability heartbeat: interval fsyncs and periodic
                 // snapshots ride the same tick (single-flight across
                 // workers).
@@ -1584,38 +1582,28 @@ fn handle_v2<P: PolicyCore>(req: &Request<'_>, ctx: &mut WorkerCtx<P>, out: &mut
             wire::encode_response(&Response::Pong(*nonce), out);
         }
         Request::StatsV2 => {
-            let pairs = collect_stats_v2(ctx);
+            let pairs = collect_stats_v2(ctx, &ctx.engine.metrics_total());
             wire::encode_response(&Response::StatsV2(wire::StatsV2 { pairs }), out);
         }
         Request::HistDump => {
             // Raw per-bucket counts of the merged cross-worker
-            // histograms — the same snapshots the StatsV2 quantiles
-            // are computed from, so the two scrape surfaces cannot
-            // disagree about the distributions they describe.
-            let o = ctx.engine.obs_total();
-            wire::encode_response(
-                &Response::HistDump(wire::HistDump {
-                    classes: vec![
-                        (wire::hist_class::DECIDE, o.decide.buckets.to_vec()),
-                        (wire::hist_class::DECIDE_BATCH, o.decide_batch.buckets.to_vec()),
-                        (wire::hist_class::REPORT_BATCH, o.report_batch.buckets.to_vec()),
-                        (wire::hist_class::FLUSH_PUBLISH, o.flush_publish.buckets.to_vec()),
-                    ],
-                }),
-                out,
-            );
+            // histograms, one row per class in CLASSES order — the
+            // same merge the StatsV2 quantiles are computed from.
+            let m = ctx.engine.metrics_total();
+            let rows = CLASSES.iter().zip(&m.hists).map(|(&(id, _), h)| (id, h.buckets.to_vec()));
+            let dump = wire::HistDump { classes: rows.collect() };
+            wire::encode_response(&Response::HistDump(dump), out);
         }
     }
 }
 
-/// Assembles the `(tag, value)` pairs for the `StatsV2` reply. The v1
-/// `DUMP` command renders its counter lines from this same list (via
-/// [`xar_obs::render_pairs`]), so the wire op and the text endpoint
-/// cannot drift apart: a tag added here shows up on both.
-fn collect_stats_v2<P: PolicyCore>(ctx: &WorkerCtx<P>) -> Vec<(u16, u64)> {
+/// Assembles the `(tag, value)` pairs for the `StatsV2` reply from
+/// the engine snapshot `m`. The v1 `DUMP` command renders its counter
+/// lines from this same list (via [`xar_obs::render_pairs`]), so the
+/// wire op and the text endpoint cannot drift apart: a tag added here
+/// shows up on both.
+fn collect_stats_v2<P: PolicyCore>(ctx: &WorkerCtx<P>, m: &MetricsSnapshot) -> Vec<(u16, u64)> {
     use xar_obs::tags;
-    let m = ctx.engine.metrics_total();
-    let o = ctx.engine.obs_total();
     let ev = ctx.tracer.counters();
     let r = Ordering::Relaxed;
     let mut pairs = vec![
@@ -1626,11 +1614,9 @@ fn collect_stats_v2<P: PolicyCore>(ctx: &WorkerCtx<P>) -> Vec<(u16, u64)> {
         (tags::TO_ARM, m.to_arm),
         (tags::TO_FPGA, m.to_fpga),
         (tags::RECONFIGS, m.reconfigs),
-        (tags::LAT_SAMPLES, m.lat_samples),
-        // Quantiles from the merged cross-worker histograms — exact
-        // merges, unlike the legacy per-shard max-of-quantiles.
-        (tags::DECIDE_P50_NS, o.decide.percentile(0.50)),
-        (tags::DECIDE_P99_NS, o.decide.percentile(0.99)),
+        (tags::LAT_SAMPLES, m.hist(hist_class::DECIDE).count()),
+        (tags::DECIDE_P50_NS, m.hist(hist_class::DECIDE).percentile(0.50)),
+        (tags::DECIDE_P99_NS, m.hist(hist_class::DECIDE).percentile(0.99)),
         (tags::LIVE_CONNS, ctx.counters.live()),
         (tags::ACCEPTED_CONNS, ctx.counters.accepted.load(r)),
         (tags::REAPED_CONNS, ctx.counters.reaped.load(r)),
@@ -1643,12 +1629,12 @@ fn collect_stats_v2<P: PolicyCore>(ctx: &WorkerCtx<P>) -> Vec<(u16, u64)> {
         (tags::BACKPRESSURE_PAUSES, ev.pauses.load(r)),
         (tags::BACKPRESSURE_RESUMES, ev.resumes.load(r)),
         (tags::PROTOCOL_ERRORS, ev.proto_errors.load(r)),
-        (tags::DECIDE_BATCH_P50_NS, o.decide_batch.percentile(0.50)),
-        (tags::DECIDE_BATCH_P99_NS, o.decide_batch.percentile(0.99)),
-        (tags::REPORT_BATCH_P50_NS, o.report_batch.percentile(0.50)),
-        (tags::REPORT_BATCH_P99_NS, o.report_batch.percentile(0.99)),
-        (tags::FLUSH_PUBLISH_P50_NS, o.flush_publish.percentile(0.50)),
-        (tags::FLUSH_PUBLISH_P99_NS, o.flush_publish.percentile(0.99)),
+        (tags::DECIDE_BATCH_P50_NS, m.hist(hist_class::DECIDE_BATCH).percentile(0.50)),
+        (tags::DECIDE_BATCH_P99_NS, m.hist(hist_class::DECIDE_BATCH).percentile(0.99)),
+        (tags::REPORT_BATCH_P50_NS, m.hist(hist_class::REPORT_BATCH).percentile(0.50)),
+        (tags::REPORT_BATCH_P99_NS, m.hist(hist_class::REPORT_BATCH).percentile(0.99)),
+        (tags::FLUSH_PUBLISH_P50_NS, m.hist(hist_class::FLUSH_PUBLISH).percentile(0.50)),
+        (tags::FLUSH_PUBLISH_P99_NS, m.hist(hist_class::FLUSH_PUBLISH).percentile(0.99)),
         (tags::FLUSH_PUBLISHES, ev.flush_publishes.load(r)),
         (tags::FLUSH_ROWS, ev.flush_rows.load(r)),
         (tags::DAEMON_ID, ctx.config.daemon_id as u64),
@@ -1684,7 +1670,7 @@ fn parse_quantile_series(name: &str) -> Option<(usize, f64)> {
         .strip_suffix("_p50_ns")
         .map(|b| (b, 0.50))
         .or_else(|| name.strip_suffix("_p99_ns").map(|b| (b, 0.99)))?;
-    SERIES_HISTS.iter().position(|&c| c == base).map(|i| (i, q))
+    CLASSES.iter().position(|&(_, c)| c == base).map(|i| (i, q))
 }
 
 /// Handles buffered complete lines of the legacy v1 text protocol
@@ -1757,36 +1743,27 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
                 // maintenance ticks).
                 ctx.drain_trace();
                 let mut text = String::new();
-                // Counter lines come from the same pairs StatsV2
-                // ships, so DUMP covers the wire op by construction.
-                xar_obs::render_pairs(&collect_stats_v2(ctx), &mut text);
-                let o = ctx.engine.obs_total();
-                xar_obs::render_histogram("xar_decide_latency_ns", &o.decide, &mut text);
-                xar_obs::render_histogram(
-                    "xar_decide_batch_latency_ns",
-                    &o.decide_batch,
-                    &mut text,
-                );
-                xar_obs::render_histogram(
-                    "xar_report_batch_latency_ns",
-                    &o.report_batch,
-                    &mut text,
-                );
-                xar_obs::render_histogram(
-                    "xar_flush_publish_latency_ns",
-                    &o.flush_publish,
-                    &mut text,
-                );
+                // One fold of every shard: the counter lines (the same
+                // pairs StatsV2 ships, so DUMP covers the wire op by
+                // construction), the histograms, the series sample and
+                // the shard gauges all render from it.
+                let shard_metrics = ctx.engine.metrics();
+                let m =
+                    shard_metrics.iter().fold(MetricsSnapshot::default(), MetricsSnapshot::merge);
+                xar_obs::render_pairs(&collect_stats_v2(ctx, &m), &mut text);
+                for (&(_, class), h) in CLASSES.iter().zip(&m.hists) {
+                    xar_obs::render_histogram(&format!("xar_{class}_latency_ns"), h, &mut text);
+                }
                 // Windowed section: sliding-window quantiles and
                 // per-second rates from the per-tick series. Absent
                 // until the series holds two samples (and entirely
                 // when the series layer is disabled) — cumulative
                 // lifetime values above are always present.
-                ctx.advance_series();
+                ctx.advance_series(Some(&m));
                 if let Some(state) = &ctx.series {
                     let ring = state.ring.lock().unwrap();
                     let w = state.ticks_for_secs(DUMP_WINDOW_SECS);
-                    for (i, class) in SERIES_HISTS.iter().enumerate() {
+                    for (i, &(_, class)) in CLASSES.iter().enumerate() {
                         if let Some(h) = ring.windowed_hist(i, w) {
                             for (q, qn) in [(0.50, "p50"), (0.99, "p99")] {
                                 let name = format!("xar_windowed_{class}_{qn}_ns");
@@ -1811,7 +1788,6 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
                         }
                     }
                 }
-                let shard_metrics = ctx.engine.metrics();
                 xar_obs::render_type("xar_shard_decides", "gauge", &mut text);
                 for (i, m) in shard_metrics.iter().enumerate() {
                     xar_obs::render_shard_gauge("shard_decides", i, m.decides, &mut text);
@@ -1835,7 +1811,7 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
                 conn.outbuf.extend_from_slice(b"END\n");
             }
             wire::V1Request::Series { name, secs } => {
-                ctx.advance_series();
+                ctx.advance_series(None);
                 let rows = ctx.series.as_ref().and_then(|state| {
                     let ring = state.ring.lock().unwrap();
                     let w = state.ticks_for_secs(secs);
@@ -1860,7 +1836,7 @@ fn process_v1<P: PolicyCore>(conn: &mut Conn, ctx: &mut WorkerCtx<P>, slot: usiz
                 }
             }
             wire::V1Request::Rate { name } => {
-                ctx.advance_series();
+                ctx.advance_series(None);
                 let rate = ctx.series.as_ref().and_then(|state| {
                     let i = SERIES_COUNTERS.iter().position(|&c| c == name)?;
                     let per_tick =

@@ -264,6 +264,20 @@ pub mod hist_class {
         (FLUSH_PUBLISH, "flush_publish"),
     ];
 
+    /// Position of a registered class in [`CLASSES`] — the slot of
+    /// every per-class array. Panics on an unregistered id, at compile
+    /// time when called in a constant.
+    pub const fn index(id: u16) -> usize {
+        let mut i = 0;
+        while i < CLASSES.len() {
+            if CLASSES[i].0 == id {
+                return i;
+            }
+            i += 1;
+        }
+        panic!("unregistered histogram class")
+    }
+
     /// Exposition name for a class id, or `None` for ids this build
     /// predates.
     pub fn class_name(id: u16) -> Option<&'static str> {
@@ -615,7 +629,9 @@ pub fn parse_v1_line(line: &str) -> Option<V1Request<'_>> {
 /// negative time makes every later one raise them. Checked where a
 /// request is decoded, not in [`Reader::report`]: WAL replay reads
 /// with that, and a log written before this check must still recover.
-fn report_time_ok(func_ms: f64) -> bool {
+/// [`crate::ResilientClient`] checks it before sending, since no retry
+/// makes a refused time acceptable.
+pub fn report_time_ok(func_ms: f64) -> bool {
     func_ms.is_finite() && func_ms >= 0.0
 }
 
@@ -1409,6 +1425,9 @@ mod tests {
         }
         assert_eq!(hist_class::class_name(hist_class::DECIDE), Some("decide"));
         assert_eq!(hist_class::class_name(hist_class::FLUSH_PUBLISH), Some("flush_publish"));
+        for (i, &(id, _)) in hist_class::CLASSES.iter().enumerate() {
+            assert_eq!(hist_class::index(id), i);
+        }
         assert_eq!(hist_class::class_name(0), None);
         assert_eq!(hist_class::class_name(u16::MAX), None);
     }

@@ -83,10 +83,16 @@ fn series_and_rate_answer_over_the_v1_port() {
         assert!(text.ends_with("END\n"));
         value > 0.0
     });
-    wait_until("windowed p99 series to appear", || {
-        let text = text_query(addr, "SERIES decide_p99_ns 60\n");
-        assert!(text.ends_with("END\n"));
-        text.lines().take_while(|&l| l != "END").count() >= 1
+    // Every latency class answers both quantile series with rows, not
+    // ERR: the rings hold one histogram per CLASSES row.
+    wait_until("every class's windowed quantile series to appear", || {
+        hist_class::CLASSES.iter().all(|(_, class)| {
+            ["p50", "p99"].iter().all(|q| {
+                let text = text_query(addr, &format!("SERIES {class}_{q}_ns 60\n"));
+                assert!(text.ends_with("END\n"), "{class}_{q}_ns: {text:?}");
+                text.lines().take_while(|&l| l != "END").count() >= 1
+            })
+        })
     });
     // Unknown names and malformed windows answer ERR, not a hang.
     assert_eq!(text_query(addr, "SERIES bogus 60\n"), "ERR\n");

@@ -1102,6 +1102,53 @@ fn dump_covers_every_stats_v2_counter_and_all_histogram_buckets() {
     daemon.shutdown();
 }
 
+/// One `DUMP` is one snapshot: its counter lines and its histograms
+/// come from the same fold of every shard, so under live traffic
+/// `xar_lat_samples` (the decide histogram's sample count, as StatsV2
+/// ships it) equals `xar_decide_latency_ns_count` in every scrape.
+#[test]
+fn dump_renders_counters_and_histograms_from_one_snapshot() {
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
+    let addr = daemon.addr();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Batches of 64 decides on one row: every frame elects one
+    // latency sample, so samples land between any two folds.
+    let decider = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut c = V2Client::connect(addr).unwrap();
+            let q = wire::WireQuery {
+                app: "Digit2000",
+                kernel: "k",
+                x86_load: 2,
+                arm_load: 0,
+                kernel_resident: true,
+                device_ready: true,
+            };
+            let batch = vec![q; 64];
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                c.decide_batch(&batch).unwrap();
+            }
+        })
+    };
+    let value = |dump: &str, name: &str| -> u64 {
+        let prefix = format!("{name} ");
+        let line = dump.lines().find(|l| l.starts_with(&prefix)).expect(name);
+        line[prefix.len()..].parse().unwrap()
+    };
+    let mut seen = Vec::new();
+    for i in 0..200 {
+        let dump = text_query(addr, "DUMP\n");
+        let samples = value(&dump, "xar_lat_samples");
+        assert_eq!(samples, value(&dump, "xar_decide_latency_ns_count"), "DUMP {i}");
+        seen.push(samples);
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    decider.join().unwrap();
+    assert!(seen[199] > seen[0], "decides ran throughout: {seen:?}");
+    daemon.shutdown();
+}
+
 /// The 32-client fleet leaves a coherent trace: `TRACE n` over the v1
 /// port returns accept, flush-publish and reap events; per-worker
 /// sequence numbers are strictly increasing in log order; and within
@@ -1593,6 +1640,31 @@ fn a_nan_infinite_or_negative_report_time_is_refused_at_the_edge() {
     assert_eq!(stat(&mut c, obs::tags::REPORTS), 0);
     let fine = ReportOwned { app: app.into(), target: Target::X86, func_ms: 0.0, x86_load: 1 };
     assert_eq!(c.report_batch(&[fine]).unwrap(), 1, "the connection survives");
+    daemon.shutdown();
+}
+
+/// `ResilientClient` refuses a report time the daemon would refuse
+/// before it sends anything: retrying a refusal that no reconnect can
+/// change would cost a reconnect and a protocol error per attempt
+/// (five here, 400 under the test fleets' budget) and fail anyway.
+#[test]
+fn a_resilient_client_refuses_a_bad_report_time_before_sending() {
+    use xar_trek::core::server::{ResilientClient, ResilientConfig};
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
+    let config = ResilientConfig { session: 11, max_retries: 5, ..ResilientConfig::default() };
+    let mut r = ResilientClient::new(daemon.addr(), config);
+    let at =
+        |func_ms| ReportOwned { app: APPS[0].into(), target: Target::X86, func_ms, x86_load: 1 };
+    assert_eq!(r.report_batch(&[at(1.0)]).unwrap(), 1);
+    for ms in [f64::NAN, f64::INFINITY, -1.0] {
+        assert_invalid_input(r.report_batch(&[at(2.0), at(ms)]), &format!("report time {ms}"));
+    }
+    assert_eq!(r.reconnects(), 0, "a refused time cost a reconnect");
+    let mut c = V2Client::connect(daemon.addr()).unwrap();
+    assert_eq!(stat(&mut c, obs::tags::PROTOCOL_ERRORS), 0, "the daemon saw a bad time");
+    assert_eq!(c.hello_session(11).unwrap(), 1, "the session mark moved");
+    assert_eq!(r.report_batch(&[at(3.0)]).unwrap(), 1, "a following valid batch is accepted");
+    assert_eq!(stat(&mut c, obs::tags::REPORTS), 2);
     daemon.shutdown();
 }
 
