@@ -32,6 +32,9 @@
 //!   each one reports to the policy and may re-enter the machine, so the
 //!   order is part of the simulated result, and it has to be a property
 //!   of the model rather than of a container's iteration order.
+//! * **Arrivals** are adopted, not copied: the first `run` keeps the
+//!   caller's vector as the simulator's own, and a later `run` appends
+//!   to it (a background job can outlive the run that launched it).
 //! * **Events** pop in `(time, sequence)` order out of four sources:
 //!   the arrivals, sorted once per `run`; one slot per machine holding
 //!   the latest completion event scheduled for it; and a heap of the
@@ -44,6 +47,15 @@
 //!   without a membership change, straight after the last `machine_add`).
 //!   Every reschedule still takes a sequence number, so every event that
 //!   remains keeps the one it would have had.
+//! * **The order is one integer.** An event's `(time, sequence)` pair
+//!   becomes a `u128` key once, when the event is made: the time's bits
+//!   mapped to a total order (`-0.0` folded into `+0.0`, as `==` has
+//!   it) above the sequence number. The arrival sort, the timer heap
+//!   and the compare of the four heads then compare integers, not
+//!   `f64::partial_cmp().unwrap()`, in exactly the old order; a NaN
+//!   time panics where its event is made. The time is read back from
+//!   the key when the event pops, so an entry the heap moves is 32
+//!   bytes: the key and the event.
 //!
 //! # The slack guard
 //!
@@ -186,14 +198,36 @@ enum Ev {
 }
 
 struct EvEntry {
-    t: f64,
-    seq: u64,
+    /// The event's time and sequence number: see [`event_key`].
+    key: u128,
     ev: Ev,
+}
+
+/// An event time and sequence number as one integer that orders as
+/// `t.partial_cmp(..)` then `seq` did: `t`'s bits mapped to a total
+/// order (negative times' bits reversed, positive ones' above them),
+/// with `-0.0` folded into `+0.0`, above `seq`. No key is `u128::MAX`:
+/// that would be a NaN's.
+///
+/// # Panics
+///
+/// Panics if `t` is NaN.
+fn event_key(t: f64, seq: u64) -> u128 {
+    assert!(!t.is_nan(), "event time is NaN");
+    let bits = if t == 0.0 { 0 } else { t.to_bits() };
+    let ordered = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    u128::from(ordered) << 64 | u128::from(seq)
+}
+
+/// The time [`event_key`] was given, `-0.0` returned as `+0.0`.
+fn event_time(key: u128) -> f64 {
+    let ordered = (key >> 64) as u64;
+    f64::from_bits(if ordered >> 63 == 1 { ordered & !(1 << 63) } else { !ordered })
 }
 
 impl PartialEq for EvEntry {
     fn eq(&self, o: &Self) -> bool {
-        self.t == o.t && self.seq == o.seq
+        self.key == o.key
     }
 }
 impl Eq for EvEntry {}
@@ -205,7 +239,7 @@ impl PartialOrd for EvEntry {
 impl Ord for EvEntry {
     fn cmp(&self, o: &Self) -> Ordering {
         // Reverse for min-heap.
-        o.t.partial_cmp(&self.t).unwrap().then_with(|| o.seq.cmp(&self.seq))
+        o.key.cmp(&self.key)
     }
 }
 
@@ -319,7 +353,7 @@ impl<P: Policy> ClusterSim<P> {
 
     fn entry(&mut self, t: f64, ev: Ev) -> EvEntry {
         self.seq += 1;
-        EvEntry { t, seq: self.seq, ev }
+        EvEntry { key: event_key(t, self.seq), ev }
     }
 
     fn push_timer(&mut self, t: f64, job: JobId, kind: TimerKind) {
@@ -332,11 +366,12 @@ impl<P: Policy> ClusterSim<P> {
     fn pop_event(&mut self) -> Option<EvEntry> {
         let [x86, arm] = &self.machine_ev;
         let heads = [self.pending.last(), x86.as_ref(), arm.as_ref(), self.timers.peek()];
-        // `EvEntry`'s order is reversed for the heap: the greatest is due
-        // first. Sequence numbers are unique, so there are no ties.
-        let (source, _) =
-            heads.into_iter().enumerate().filter_map(|(i, e)| Some((i, e?))).max_by_key(|h| h.1)?;
+        // An empty source reads as `u128::MAX`, which no event's key is.
+        // Sequence numbers are unique, so there are no ties.
+        let keys = heads.map(|e| e.map_or(u128::MAX, |e| e.key));
+        let source = (1..keys.len()).fold(0, |min, i| if keys[i] < keys[min] { i } else { min });
         match source {
+            _ if keys[source] == u128::MAX => None,
             0 => self.pending.pop(),
             1 => self.machine_ev[0].take(),
             2 => self.machine_ev[1].take(),
@@ -414,7 +449,11 @@ impl<P: Policy> ClusterSim<P> {
     /// completed (or no event is left). Returns all records.
     pub fn run(&mut self, arrivals: Vec<Arrival>) -> SimResult {
         let first = self.arrivals.len();
-        self.arrivals.extend(arrivals);
+        if first == 0 {
+            self.arrivals = arrivals;
+        } else {
+            self.arrivals.extend(arrivals);
+        }
         // The handlers read specs out of the arrivals while they mutate
         // the rest of `self`, so the vector steps outside for the run.
         let arrivals = std::mem::take(&mut self.arrivals);
@@ -427,8 +466,10 @@ impl<P: Policy> ClusterSim<P> {
             self.pending.push(e);
         }
         self.pending.sort_unstable();
-        while let Some(EvEntry { t, ev, .. }) = self.pop_event() {
-            self.now = self.now.max(t);
+        while let Some(EvEntry { key, ev }) = self.pop_event() {
+            // A time given as `-0.0` comes back `+0.0`, which `max`
+            // against `now` (never below `+0.0`) cannot tell apart.
+            self.now = self.now.max(event_time(key));
             match ev {
                 Ev::Arrival(i) => self.on_arrival(&arrivals, i),
                 Ev::MachineDone { m, gen } => self.on_machine_done(&arrivals, m, gen),
@@ -772,6 +813,69 @@ mod tests {
         // Still sharing the one core with "bg": ~2x the nominal 115.2 ms.
         let t = second.records[0].elapsed_ms();
         assert!((t - 230.4).abs() < 1.0, "got {t}");
+    }
+
+    /// The integer key orders every pair of events exactly as the
+    /// `(t.partial_cmp, seq)` compare it replaced: zeros of either sign,
+    /// subnormals, times past 2^44 ns (where the clock's ulp exceeds a
+    /// nanosecond), infinities, and equal times told apart by sequence.
+    #[test]
+    fn event_keys_order_as_time_then_sequence() {
+        let mut times = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 4.0,
+            f64::MIN_POSITIVE,
+            1e-9,
+            1.0,
+            -1.0,
+            30e9,
+            2f64.powi(44),
+            2f64.powi(44) + 2f64.powi(-8),
+            2e13,
+            1.8e19,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // And arbitrary bit patterns, NaNs skipped.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        while times.len() < 64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = f64::from_bits(x);
+            if !t.is_nan() {
+                times.push(t);
+            }
+        }
+        let seqs = [0, 1, 2, u64::MAX];
+        for (&ta, &tb) in times.iter().flat_map(|a| times.iter().map(move |b| (a, b))) {
+            for (sa, sb) in seqs.iter().flat_map(|a| seqs.iter().map(move |b| (*a, *b))) {
+                let want = ta.partial_cmp(&tb).unwrap().then(sa.cmp(&sb));
+                let got = event_key(ta, sa).cmp(&event_key(tb, sb));
+                assert_eq!(got, want, "({ta:e}, {sa}) vs ({tb:e}, {sb})");
+            }
+        }
+    }
+
+    /// A key gives back the time it was made from, bit for bit, but for
+    /// `-0.0`, which comes back `+0.0`.
+    #[test]
+    fn an_event_key_gives_back_its_time() {
+        for t in [0.0, 5e-324, -5e-324, 1.0, -1.0, 2e13, f64::MAX, f64::INFINITY, f64::NEG_INFINITY]
+        {
+            assert_eq!(event_time(event_key(t, 7)).to_bits(), t.to_bits(), "{t:e}");
+        }
+        assert_eq!(event_time(event_key(-0.0, 7)).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "event time is NaN")]
+    fn a_nan_event_time_panics_where_the_event_is_made() {
+        event_key(f64::NAN, 1);
     }
 
     #[test]

@@ -9,28 +9,48 @@
 //!
 //! # Representation and cost
 //!
-//! The runnable set is two parallel vectors ordered by remaining work,
-//! largest first: `ids` and the `work` of each. The next job to finish
-//! and the finished ones therefore sit at the tail.
+//! The runnable set is ordered by remaining work, largest first, so the
+//! next job to finish and the finished ones sit at the tail. It is two
+//! vectors: `ids`, one entry per job, ties in the order they were
+//! added; and their work, run-length encoded as `runs` of
+//! `(work, jobs)` — one run per stretch of `ids` whose work has the
+//! same bits. Jobs tie often: a bed of identical background jobs is one
+//! run, and so is every job the same advance clamps to zero. On the
+//! gating benchmark's wave shape (100 waves of 50 apps over 100
+//! background jobs) the ~14 000 advance passes of one simulation cover
+//! 0.90–0.99 M jobs but only 108–141 k runs (three draws).
 //!
 //! * [`PsMachine::advance`] — run on every event that touches the
-//!   machine — is one straight pass of `w = (w - p).max(0.0)` over
-//!   `work`. That map is monotone (IEEE subtraction rounds
-//!   monotonically, and so does `max`), so it never reorders the set; it
-//!   can only make neighbours equal.
-//! * [`PsMachine::next_completion`] reads the tail and scans only the
-//!   run of equal work there, for its lowest id. The run is one job wide
-//!   unless jobs tie exactly (a bed of identical background jobs does).
-//! * [`PsMachine::finished`] copies the tail run within [`DONE_EPS_MS`]
-//!   of zero into the caller's buffer and sorts it by id.
-//! * `add` is a binary search on work. Its duplicate-id check reads a
-//!   bitset of the ids present, one bit per id up to the largest added
-//!   (the simulator hands ids out 0, 1, 2, …), rather than a pass over
-//!   `ids`, which at a hundred-odd runnable jobs cost a tenth of a
-//!   simulation's host time.
+//!   machine — maps each run once with `w = (w - p).max(0.0)`, and
+//!   merges the runs it makes bit-equal into one. That map is monotone
+//!   (IEEE subtraction rounds monotonically, and so does `max`), so it
+//!   never reorders the set; it can only make neighbours equal. Every
+//!   job's work still goes through exactly the operations it would as a
+//!   flat entry of its own.
+//! * Runs merge only on identical bits, so `-0.0` and `+0.0` stay apart
+//!   (`add` can be handed either; `advance` only makes `+0.0`), and the
+//!   tail scans below still compare values with `==` and `<=`.
+//! * [`PsMachine::next_completion`] reads the last run, and the lowest
+//!   id of each tail run equal to it: a run keeps its lowest id, so a
+//!   bed of a hundred tied background jobs is not scanned for it. Only
+//!   removing a run's lowest id scans that run.
+//! * [`PsMachine::finished`] copies the ids of the tail runs within
+//!   [`DONE_EPS_MS`] of zero into the caller's buffer and sorts them by
+//!   id.
+//! * `add` is a binary search on the runs, a sum of the run lengths
+//!   after it (counted from the tail, where the small works are) for the
+//!   id's position, and joins the equal run or inserts a new one. Its
+//!   duplicate-id check reads a bitset of the ids present, one bit per
+//!   id up to the largest added (the simulator hands ids out 0, 1, 2,
+//!   …), rather than a pass over `ids`, which at a hundred-odd runnable
+//!   jobs cost a tenth of a simulation's host time.
 //! * `remove` and `remaining` search `ids` from the tail, where finished
-//!   jobs are, so removing one moves nothing; an absent id is answered
-//!   by the bitset.
+//!   jobs are, so removing one moves nothing, and find its run by
+//!   walking the runs from the tail; an absent id is answered by the
+//!   bitset.
+//! * The rate `min(1, cores / load)` is computed on every membership
+//!   change and cached, so neither `advance` nor `next_completion`
+//!   divides for it.
 //!
 //! Nothing allocates once the vectors (and the caller's buffer) have
 //! grown to the machine's peak load and the bitset to the largest id.
@@ -46,12 +66,13 @@
 //! `last + w / rate * 1e6`) is what the simulated results are made of:
 //! `tests/sim_golden.rs` pins digests of whole simulations, and
 //! `tests/ps_machine_model.rs` checks this type bit for bit against the
-//! `BTreeMap` implementation and the id-ordered vectors it replaced,
-//! including the id `next_completion` names (the lowest among the
-//! smallest work). `next_completion` divides once, on the smallest
-//! remaining work, rather than once per job: `w / rate * 1e6` then
-//! `last + _` are monotone in `w`, so the smallest work gives the
-//! smallest time and the same bits.
+//! `BTreeMap` implementation, the id-ordered vectors and the flat
+//! work-ordered vectors it replaced, including the id `next_completion`
+//! names (the lowest among the smallest work) and ties made on purpose.
+//! `next_completion` divides once, on the smallest remaining work,
+//! rather than once per job: `w / rate * 1e6` then `last + _` are
+//! monotone in `w`, so the smallest work gives the smallest time and
+//! the same bits.
 
 /// Identifies a job in the simulation. A machine keeps one bit per id
 /// up to the largest it has held, so ids are small integers.
@@ -63,6 +84,16 @@ pub struct JobId(pub u64);
 /// reach its completion event with a few ulps of work left.
 pub const DONE_EPS_MS: f64 = 1e-9;
 
+/// A run of jobs with the same remaining work (bit for bit), adjacent
+/// in `PsMachine::ids`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    work: f64,
+    jobs: usize,
+    /// The lowest id among the run's jobs.
+    least: JobId,
+}
+
 /// A processor-sharing multi-core machine.
 ///
 /// Work is measured in *milliseconds of dedicated-core time*; wall-clock
@@ -72,12 +103,18 @@ pub struct PsMachine {
     /// Human-readable name ("x86", "arm").
     pub name: &'static str,
     cores: f64,
-    /// Runnable jobs, in `work` order; ties in no particular order.
+    /// Runnable jobs, in work order, largest first; ties in the order
+    /// they were added.
     ids: Vec<JobId>,
-    /// `work[i]` is the remaining work of `ids[i]`; non-increasing.
-    work: Vec<f64>,
+    /// The remaining work of `ids`, run-length encoded: the first run's
+    /// `jobs` ids have its `work`, and so on. Non-increasing, and no
+    /// two neighbours hold the same bits.
+    runs: Vec<Run>,
     /// Bit `id % 64` of word `id / 64` is set while `id` is in `ids`.
     present: Vec<u64>,
+    /// `min(1, cores / load)`, or 0 when idle; set on every membership
+    /// change.
+    rate: f64,
     last_ns: f64,
     generation: u64,
 }
@@ -94,8 +131,9 @@ impl PsMachine {
             name,
             cores: cores as f64,
             ids: Vec::new(),
-            work: Vec::new(),
+            runs: Vec::new(),
             present: Vec::new(),
+            rate: 0.0,
             last_ns: 0.0,
             generation: 0,
         }
@@ -113,11 +151,7 @@ impl PsMachine {
 
     /// Current per-job progress rate (fraction of a dedicated core).
     pub fn rate(&self) -> f64 {
-        if self.ids.is_empty() {
-            0.0
-        } else {
-            (self.cores / self.ids.len() as f64).min(1.0)
-        }
+        self.rate
     }
 
     /// Monotone counter bumped on every membership change; used to
@@ -126,16 +160,36 @@ impl PsMachine {
         self.generation
     }
 
+    /// Records a membership change: a new generation and rate.
+    fn changed(&mut self) {
+        self.generation += 1;
+        self.rate =
+            if self.ids.is_empty() { 0.0 } else { (self.cores / self.ids.len() as f64).min(1.0) };
+    }
+
     /// Advances all jobs' remaining work to `now_ns`.
     pub fn advance(&mut self, now_ns: f64) {
         if now_ns <= self.last_ns {
             return;
         }
-        let progressed_ms = (now_ns - self.last_ns) / 1e6 * self.rate();
+        let progressed_ms = (now_ns - self.last_ns) / 1e6 * self.rate;
         if progressed_ms > 0.0 {
-            for w in &mut self.work {
-                *w = (*w - progressed_ms).max(0.0);
+            // The map is monotone, so the runs stay in order; runs it
+            // makes bit-equal merge into the first.
+            let mut kept = 0;
+            for i in 0..self.runs.len() {
+                let Run { work, jobs, least } = self.runs[i];
+                let work = (work - progressed_ms).max(0.0);
+                if kept > 0 && self.runs[kept - 1].work.to_bits() == work.to_bits() {
+                    let prev = &mut self.runs[kept - 1];
+                    prev.jobs += jobs;
+                    prev.least = prev.least.min(least);
+                } else {
+                    self.runs[kept] = Run { work, jobs, least };
+                    kept += 1;
+                }
             }
+            self.runs.truncate(kept);
         }
         self.last_ns = now_ns;
     }
@@ -154,44 +208,84 @@ impl PsMachine {
         assert!(self.present[word] & bit == 0, "job {id:?} already on {}", self.name);
         self.present[word] |= bit;
         let work = work_ms.max(0.0);
-        // After any equal work: a bed of ties is appended to, not shifted.
-        let at = self.work.partition_point(|&w| w >= work);
-        self.ids.insert(at, id);
-        self.work.insert(at, work);
-        self.generation += 1;
+        // After any equal work: a bed of ties is appended to, not
+        // shifted. The ids after it are counted from the tail, where
+        // the small works are.
+        let r = self.runs.partition_point(|run| run.work >= work);
+        let after: usize = self.runs[r..].iter().map(|run| run.jobs).sum();
+        self.ids.insert(self.ids.len() - after, id);
+        match r.checked_sub(1).map(|k| &mut self.runs[k]) {
+            Some(run) if run.work.to_bits() == work.to_bits() => {
+                run.jobs += 1;
+                run.least = run.least.min(id);
+            }
+            _ => self.runs.insert(r, Run { work, jobs: 1, least: id }),
+        }
+        self.changed();
     }
 
-    /// Position of `id`, searched from the tail, where the jobs about to
-    /// be removed are.
-    fn position(&self, id: JobId) -> Option<usize> {
+    /// Position of `id` in `ids`, the index of its run and where that
+    /// run starts in `ids`, all searched from the tail, where the jobs
+    /// about to be removed are.
+    fn position(&self, id: JobId) -> Option<(usize, usize, usize)> {
         let (word, bit) = bit_of(id);
         if self.present.get(word).is_none_or(|w| w & bit == 0) {
             return None;
         }
-        self.ids.iter().rposition(|&j| j == id)
+        let at = self.ids.iter().rposition(|&j| j == id)?;
+        let mut start = self.ids.len();
+        for (r, run) in self.runs.iter().enumerate().rev() {
+            start -= run.jobs;
+            if start <= at {
+                return Some((at, r, start));
+            }
+        }
+        unreachable!("the runs cover every id")
     }
 
     /// Removes `id` (e.g. on completion or blocking), returning its
     /// remaining work.
     pub fn remove(&mut self, id: JobId, now_ns: f64) -> Option<f64> {
         self.advance(now_ns);
-        let at = self.position(id)?;
+        let (at, r, start) = self.position(id)?;
         let (word, bit) = bit_of(id);
         self.present[word] &= !bit;
         self.ids.remove(at);
-        self.generation += 1;
-        Some(self.work.remove(at))
+        let run = &mut self.runs[r];
+        let work = run.work;
+        run.jobs -= 1;
+        if run.jobs == 0 {
+            self.runs.remove(r);
+            // Its neighbours can hold the same bits only if it was a
+            // zero of the other sign between them.
+            if r > 0
+                && r < self.runs.len()
+                && self.runs[r - 1].work.to_bits() == self.runs[r].work.to_bits()
+            {
+                let next = self.runs.remove(r);
+                let prev = &mut self.runs[r - 1];
+                prev.jobs += next.jobs;
+                prev.least = prev.least.min(next.least);
+            }
+        } else if run.least == id {
+            run.least = *self.ids[start..start + run.jobs].iter().min().expect("the run has jobs");
+        }
+        self.changed();
+        Some(work)
     }
 
     /// Remaining dedicated-core work of `id`, if present.
     pub fn remaining(&self, id: JobId) -> Option<f64> {
-        self.position(id).map(|at| self.work[at])
+        self.position(id).map(|(_, r, _)| self.runs[r].work)
     }
 
-    /// Where the tail run of work satisfying `pred` starts (a suffix, as
-    /// `work` is non-increasing and `pred` holds at and below some bound).
+    /// Where the tail of `ids` whose work satisfies `pred` starts (a
+    /// suffix, as the work is non-increasing and `pred` holds at and
+    /// below some bound).
     fn tail_start(&self, pred: impl Fn(f64) -> bool) -> usize {
-        self.work.len() - self.work.iter().rev().take_while(|&&w| pred(w)).count()
+        let tail: usize =
+            self.runs.iter().rev().take_while(|run| pred(run.work)).map(|run| run.jobs).sum();
+        self.ids.len() - tail
     }
 
     /// Replaces the contents of `done` with the jobs with at most
@@ -206,10 +300,10 @@ impl PsMachine {
     /// the current membership, or `None` if idle. Among jobs with equal
     /// remaining work the lowest id is named.
     pub fn next_completion(&self) -> Option<(JobId, f64)> {
-        let rate = self.rate();
-        let &least = self.work.last()?;
-        let id = self.ids[self.tail_start(|w| w == least)..].iter().min()?;
-        Some((*id, self.last_ns + least / rate * 1e6))
+        let least = self.runs.last()?.work;
+        let tail = self.runs.iter().rev().take_while(|run| run.work == least);
+        let id = tail.map(|run| run.least).min()?;
+        Some((id, self.last_ns + least / self.rate * 1e6))
     }
 }
 

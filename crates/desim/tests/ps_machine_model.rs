@@ -12,7 +12,16 @@
 //!   verbatim from the second `machine.rs` (renamed, doc comments and
 //!   the getters not compared dropped): the id `next_completion` names,
 //!   which `cluster`'s slack guard completes — the lowest id among the
-//!   *smallest work* — and `finished` in ascending id order.
+//!   *smallest work* — and `finished` in ascending id order;
+//! * the work-ordered dense machine (`WorkOrderedMachine`), method
+//!   bodies verbatim from the third `machine.rs` (renamed, doc comments
+//!   dropped): one flat `work` entry per job, largest first, ties
+//!   appended — every observable above, ids included.
+//!
+//! Two strategies drive them: ordinary draws with the odd bed of equal
+//! work, and draws made to tie — beds of a few round works, adds equal
+//! to a job's current work, advances that clamp several works to zero
+//! at once, and `-0.0` beside `+0.0`.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -178,11 +187,128 @@ impl IdOrderedMachine {
 }
 
 #[derive(Debug, Clone)]
+struct WorkOrderedMachine {
+    name: &'static str,
+    cores: f64,
+    ids: Vec<JobId>,
+    work: Vec<f64>,
+    present: Vec<u64>,
+    last_ns: f64,
+    generation: u64,
+}
+
+impl WorkOrderedMachine {
+    fn new(name: &'static str, cores: u32) -> WorkOrderedMachine {
+        assert!(cores > 0);
+        WorkOrderedMachine {
+            name,
+            cores: cores as f64,
+            ids: Vec::new(),
+            work: Vec::new(),
+            present: Vec::new(),
+            last_ns: 0.0,
+            generation: 0,
+        }
+    }
+
+    fn load(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn rate(&self) -> f64 {
+        if self.ids.is_empty() {
+            0.0
+        } else {
+            (self.cores / self.ids.len() as f64).min(1.0)
+        }
+    }
+
+    fn advance(&mut self, now_ns: f64) {
+        if now_ns <= self.last_ns {
+            return;
+        }
+        let progressed_ms = (now_ns - self.last_ns) / 1e6 * self.rate();
+        if progressed_ms > 0.0 {
+            for w in &mut self.work {
+                *w = (*w - progressed_ms).max(0.0);
+            }
+        }
+        self.last_ns = now_ns;
+    }
+
+    fn add(&mut self, id: JobId, work_ms: f64, now_ns: f64) {
+        self.advance(now_ns);
+        let (word, bit) = bit_of(id);
+        if word >= self.present.len() {
+            self.present.resize(word + 1, 0);
+        }
+        assert!(self.present[word] & bit == 0, "job {id:?} already on {}", self.name);
+        self.present[word] |= bit;
+        let work = work_ms.max(0.0);
+        // After any equal work: a bed of ties is appended to, not shifted.
+        let at = self.work.partition_point(|&w| w >= work);
+        self.ids.insert(at, id);
+        self.work.insert(at, work);
+        self.generation += 1;
+    }
+
+    fn position(&self, id: JobId) -> Option<usize> {
+        let (word, bit) = bit_of(id);
+        if self.present.get(word).is_none_or(|w| w & bit == 0) {
+            return None;
+        }
+        self.ids.iter().rposition(|&j| j == id)
+    }
+
+    fn remove(&mut self, id: JobId, now_ns: f64) -> Option<f64> {
+        self.advance(now_ns);
+        let at = self.position(id)?;
+        let (word, bit) = bit_of(id);
+        self.present[word] &= !bit;
+        self.ids.remove(at);
+        self.generation += 1;
+        Some(self.work.remove(at))
+    }
+
+    fn remaining(&self, id: JobId) -> Option<f64> {
+        self.position(id).map(|at| self.work[at])
+    }
+
+    fn tail_start(&self, pred: impl Fn(f64) -> bool) -> usize {
+        self.work.len() - self.work.iter().rev().take_while(|&&w| pred(w)).count()
+    }
+
+    fn finished(&self, done: &mut Vec<JobId>) {
+        done.clear();
+        done.extend_from_slice(&self.ids[self.tail_start(|w| w <= DONE_EPS_MS)..]);
+        done.sort_unstable();
+    }
+
+    fn next_completion(&self) -> Option<(JobId, f64)> {
+        let rate = self.rate();
+        let &least = self.work.last()?;
+        let id = self.ids[self.tail_start(|w| w == least)..].iter().min()?;
+        Some((*id, self.last_ns + least / rate * 1e6))
+    }
+}
+
+fn bit_of(id: JobId) -> (usize, u64) {
+    let word = usize::try_from(id.0 / 64).expect("job ids are small integers");
+    (word, 1 << (id.0 % 64))
+}
+
+#[derive(Debug, Clone)]
 enum Op {
     /// Add `id` unless it is present (a second add panics in both).
     Add {
         id: u64,
         work: f64,
+    },
+    /// Add `id` with the current work of the `pick`-th present job (in
+    /// id order), so it joins that job's run of equal work.
+    AddLike {
+        id: u64,
+        pick: usize,
     },
     Remove {
         id: u64,
@@ -223,13 +349,17 @@ fn arb_op(ids: u64) -> impl Strategy<Value = (Op, f64)> {
     (op, arb_dt())
 }
 
-/// The machine under test and both references, driven in lockstep.
+/// The machine under test and the three references, driven in
+/// lockstep.
 struct Machines {
     dense: PsMachine,
     reference: RefMachine,
     id_ordered: IdOrderedMachine,
+    work_ordered: WorkOrderedMachine,
     /// `dense.finished`'s buffer, reused like the simulator's.
     done: Vec<JobId>,
+    /// `work_ordered.finished`'s buffer.
+    work_ordered_done: Vec<JobId>,
 }
 
 impl Machines {
@@ -238,7 +368,9 @@ impl Machines {
             dense: PsMachine::new("dense", cores),
             reference: RefMachine::new("reference", cores),
             id_ordered: IdOrderedMachine::new("id-ordered", cores),
+            work_ordered: WorkOrderedMachine::new("work-ordered", cores),
             done: Vec::new(),
+            work_ordered_done: Vec::new(),
         }
     }
 
@@ -246,12 +378,14 @@ impl Machines {
         self.dense.add(id, work, now);
         self.reference.add(id, work, now);
         self.id_ordered.add(id, work, now);
+        self.work_ordered.add(id, work, now);
     }
 
     fn remove(&mut self, id: JobId, now: f64) -> Result<(), TestCaseError> {
         let got = self.dense.remove(id, now).map(f64::to_bits);
         prop_assert_eq!(got, self.reference.remove(id, now).map(f64::to_bits));
         prop_assert_eq!(got, self.id_ordered.remove(id, now).map(f64::to_bits));
+        prop_assert_eq!(got, self.work_ordered.remove(id, now).map(f64::to_bits));
         Ok(())
     }
 
@@ -259,6 +393,38 @@ impl Machines {
         self.dense.advance(now);
         self.reference.advance(now);
         self.id_ordered.advance(now);
+        self.work_ordered.advance(now);
+    }
+
+    /// Applies `op` at `now` and returns the time it left the machines
+    /// at (later than `now` only for `AdvanceToNext`).
+    fn apply(&mut self, op: Op, now: f64) -> Result<f64, TestCaseError> {
+        let mut now = now;
+        match op {
+            Op::Add { id, work } => {
+                if self.reference.remaining(JobId(id)).is_none() {
+                    self.add(JobId(id), work, now);
+                }
+            }
+            Op::AddLike { id, pick } => {
+                let load = self.reference.load();
+                if self.reference.remaining(JobId(id)).is_none() && load > 0 {
+                    // The work as it will be once `add` has advanced.
+                    self.advance(now);
+                    let work = *self.reference.jobs.values().nth(pick % load).unwrap();
+                    self.add(JobId(id), work, now);
+                }
+            }
+            Op::Remove { id } => self.remove(JobId(id), now)?,
+            Op::Advance => self.advance(now),
+            Op::AdvanceToNext => {
+                if let Some((_, t)) = self.reference.next_completion() {
+                    now = now.max(t);
+                }
+                self.advance(now);
+            }
+        }
+        Ok(now)
     }
 
     fn check_same(&mut self, ids: u64) -> Result<(), TestCaseError> {
@@ -288,6 +454,21 @@ impl Machines {
         let by_map: Vec<JobId> =
             reference.jobs.iter().filter(|(_, w)| **w <= DONE_EPS_MS).map(|(id, _)| *id).collect();
         prop_assert_eq!(&self.done, &by_map);
+        let flat = &self.work_ordered;
+        prop_assert_eq!(dense.load(), flat.load());
+        prop_assert_eq!(dense.rate().to_bits(), flat.rate().to_bits());
+        prop_assert_eq!(dense.generation(), flat.generation);
+        for id in (0..ids).map(JobId) {
+            prop_assert_eq!(
+                dense.remaining(id).map(f64::to_bits),
+                flat.remaining(id).map(f64::to_bits),
+                "remaining({:?}) against the flat machine",
+                id
+            );
+        }
+        prop_assert_eq!(next, flat.next_completion().map(|(id, t)| (id, t.to_bits())));
+        flat.finished(&mut self.work_ordered_done);
+        prop_assert_eq!(&self.done, &self.work_ordered_done);
         Ok(())
     }
 }
@@ -306,6 +487,38 @@ fn arb_initial() -> impl Strategy<Value = Vec<f64>> {
         )
             .prop_map(|(bed, works)| works.into_iter().map(|w| w.unwrap_or(bed)).collect()),
     ]
+}
+
+/// A handful of works, so independent draws tie: round values, the done
+/// threshold and both zeros (`-0.0` and `+0.0` compare equal but are
+/// different bits).
+fn arb_tied_work() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(1.0),
+        Just(2.0),
+        Just(3.0),
+        Just(10.0),
+        Just(DONE_EPS_MS),
+        Just(0.0),
+        Just(-0.0)
+    ]
+}
+
+/// Ops that make and break ties: adds of a tied work or of a present
+/// job's current work, removes, and steps from none to long enough
+/// (up to 30 ms of wall time) to clamp several works to zero at once.
+fn arb_tie_op(ids: u64) -> impl Strategy<Value = (Op, f64)> {
+    let op = prop_oneof![
+        (0..ids, arb_tied_work()).prop_map(|(id, work)| Op::Add { id, work }),
+        (0..ids, 0..usize::MAX).prop_map(|(id, pick)| Op::AddLike { id, pick }),
+        (0..ids, 0..usize::MAX).prop_map(|(id, pick)| Op::AddLike { id, pick }),
+        (0..ids).prop_map(|id| Op::Remove { id }),
+        (0..ids).prop_map(|id| Op::Remove { id }),
+        Just(Op::Advance),
+        Just(Op::AdvanceToNext),
+    ];
+    let dt = prop_oneof![Just(0.0), 0.0f64..1e-3, 0.0f64..2e6, 1e6f64..3e7];
+    (op, dt)
 }
 
 proptest! {
@@ -329,22 +542,27 @@ proptest! {
         m.check_same(ids)?;
         let mut now: f64 = start;
         for (op, dt) in ops {
-            now += dt;
-            match op {
-                Op::Add { id, work } => {
-                    if m.reference.remaining(JobId(id)).is_none() {
-                        m.add(JobId(id), work, now);
-                    }
-                }
-                Op::Remove { id } => m.remove(JobId(id), now)?,
-                Op::Advance => m.advance(now),
-                Op::AdvanceToNext => {
-                    if let Some((_, t)) = m.reference.next_completion() {
-                        now = now.max(t);
-                    }
-                    m.advance(now);
-                }
-            }
+            now = m.apply(op, now + dt)?;
+            m.check_same(ids)?;
+        }
+    }
+
+    #[test]
+    fn tied_work_matches_every_reference(
+        cores in 1u32..9,
+        start in prop_oneof![Just(0.0), Just(2e13)],
+        initial in proptest::collection::vec(arb_tied_work(), 1..120),
+        ops in proptest::collection::vec(arb_tie_op(140), 1..120),
+    ) {
+        let ids = 140;
+        let mut m = Machines::new(cores);
+        for (i, w) in initial.iter().enumerate() {
+            m.add(JobId(i as u64), *w, start);
+        }
+        m.check_same(ids)?;
+        let mut now: f64 = start;
+        for (op, dt) in ops {
+            now = m.apply(op, now + dt)?;
             m.check_same(ids)?;
         }
     }

@@ -185,7 +185,10 @@ impl TraceReader {
 
 /// Per-kind event totals, shared across all workers. These count every
 /// *emitted* event (tracing enabled), including ones later dropped by a
-/// full ring — `dropped` tracks those separately.
+/// full ring — `dropped` tracks those separately. Flushes are the
+/// exception: `flush_publishes` and `flush_rows` count every flush
+/// [`Tracer::flush_publish`] is told of, `flush_events` only the
+/// elected ones that pushed an event.
 #[derive(Default)]
 pub struct EventCounters {
     pub accepts: AtomicU64,
@@ -193,6 +196,7 @@ pub struct EventCounters {
     pub reaps: AtomicU64,
     pub flush_publishes: AtomicU64,
     pub flush_rows: AtomicU64,
+    pub flush_events: AtomicU64,
     pub pauses: AtomicU64,
     pub resumes: AtomicU64,
     pub proto_errors: AtomicU64,
@@ -205,13 +209,14 @@ pub struct EventCounters {
 
 impl EventCounters {
     /// Total events emitted across all kinds (excluding `flush_rows`,
-    /// which is a payload sum, and `dropped`, which is a subset).
+    /// which is a payload sum, `flush_publishes`, which also counts the
+    /// flushes that pushed no event, and `dropped`, which is a subset).
     pub fn emitted(&self) -> u64 {
         let r = Ordering::Relaxed;
         self.accepts.load(r)
             + self.rejects.load(r)
             + self.reaps.load(r)
-            + self.flush_publishes.load(r)
+            + self.flush_events.load(r)
             + self.pauses.load(r)
             + self.resumes.load(r)
             + self.proto_errors.load(r)
@@ -283,6 +288,29 @@ impl Tracer {
         }
     }
 
+    /// Count a flush of `rows` reports on `shard`, and push its
+    /// `FlushPublish` event only if the flush was `elected` (the
+    /// engine's 1-in-`LATENCY_SAMPLE` timing election): at one report
+    /// per flush an event each would fill the ring. Disabled: one
+    /// branch.
+    #[inline]
+    pub fn flush_publish(&mut self, shard: u32, rows: u32, elected: bool) {
+        if !self.enabled {
+            return;
+        }
+        if elected {
+            self.record(Event::FlushPublish { shard, rows });
+        } else {
+            self.count_flush(rows);
+        }
+    }
+
+    fn count_flush(&self, rows: u32) {
+        let r = Ordering::Relaxed;
+        self.counters.flush_rows.fetch_add(rows as u64, r);
+        self.counters.flush_publishes.fetch_add(1, r);
+    }
+
     fn record(&mut self, event: Event) {
         let r = Ordering::Relaxed;
         match event {
@@ -290,8 +318,8 @@ impl Tracer {
             Event::Reject => self.counters.rejects.fetch_add(1, r),
             Event::Reap { .. } => self.counters.reaps.fetch_add(1, r),
             Event::FlushPublish { rows, .. } => {
-                self.counters.flush_rows.fetch_add(rows as u64, r);
-                self.counters.flush_publishes.fetch_add(1, r)
+                self.count_flush(rows);
+                self.counters.flush_events.fetch_add(1, r)
             }
             Event::PauseWrites { .. } => self.counters.pauses.fetch_add(1, r),
             Event::ResumeReads { .. } => self.counters.resumes.fetch_add(1, r),
@@ -458,6 +486,26 @@ mod tests {
         assert_eq!(reader.pop().unwrap().seq, 0);
         assert_eq!(reader.pop().unwrap().seq, 1);
         assert!(reader.pop().is_none());
+    }
+
+    #[test]
+    fn unelected_flushes_are_counted_but_not_pushed() {
+        let (writer, mut reader) = ring(8);
+        let counters = Arc::new(EventCounters::default());
+        let mut t = Tracer::new(writer, 0, true, u64::MAX, Arc::clone(&counters));
+        t.flush_publish(3, 5, true);
+        t.flush_publish(3, 2, false);
+        t.flush_publish(3, 1, false);
+        let r = Ordering::Relaxed;
+        assert_eq!(counters.flush_publishes.load(r), 3);
+        assert_eq!(counters.flush_rows.load(r), 8);
+        assert_eq!(counters.flush_events.load(r), 1);
+        assert_eq!(counters.emitted(), 1, "emitted() counts what was pushed");
+        assert_eq!(reader.pop().unwrap().event, Event::FlushPublish { shard: 3, rows: 5 });
+        assert!(reader.pop().is_none());
+        let mut off = Tracer::new(ring(2).0, 0, false, u64::MAX, Arc::clone(&counters));
+        off.flush_publish(0, 9, false);
+        assert_eq!(counters.flush_publishes.load(r), 3, "a disabled tracer counts nothing");
     }
 
     #[test]

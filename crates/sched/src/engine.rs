@@ -82,7 +82,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use xar_desim::{CompletionReport, DecideCtx, Decision, Target};
 use xar_obs::sync_abstraction::Mutex;
-use xar_obs::{Event, Tracer};
+use xar_obs::Tracer;
 
 /// A threshold-table row as the engine and wire protocol see it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -401,8 +401,9 @@ impl<P: PolicyCore> ShardedEngine<P> {
         self.report_batch_wire_obs(scratch, reports, None)
     }
 
-    /// [`ShardedEngine::report_batch_wire`] with an optional tracer for
-    /// the `FlushPublish` events of any flushes the batch triggers —
+    /// [`ShardedEngine::report_batch_wire`] with an optional tracer that
+    /// counts any flushes the batch triggers (and traces the elected
+    /// ones' `FlushPublish` events) —
     /// the one ingest body: the daemon's workers thread their
     /// per-worker tracer here, WAL recovery replays through it.
     pub fn report_batch_wire_obs(
@@ -510,11 +511,10 @@ impl<P: PolicyCore> ShardedEngine<P> {
         }
         queue.clear();
         shard.dirty.store(false, Ordering::Release);
+        // Every flush is counted; only an elected one pushes its event.
         if let Some(tr) = obs {
-            tr.emit(Event::FlushPublish {
-                shard: idx as u32,
-                rows: applied.min(u32::MAX as usize) as u32,
-            });
+            let rows = applied.min(u32::MAX as usize) as u32;
+            tr.flush_publish(idx as u32, rows, apply_start.is_some());
         }
     }
 
@@ -528,9 +528,10 @@ impl<P: PolicyCore> ShardedEngine<P> {
     /// Applies queued reports on the shards that have any — the
     /// periodic-maintenance entry point: on an idle engine every shard
     /// is clean and the sweep costs one atomic load each, no locks.
-    /// Each shard flushed emits a `FlushPublish` event carrying its
-    /// applied row count to `obs`, if given (the daemon's maintenance
-    /// tick threads its per-worker tracer here).
+    /// Each shard flushed is counted, with its applied row count, by
+    /// `obs`, if given, and an elected flush pushes its `FlushPublish`
+    /// event (the daemon's maintenance tick threads its per-worker
+    /// tracer here).
     pub fn flush_dirty(&self, mut obs: Option<&mut Tracer>) {
         for (idx, shard) in self.shards.iter().enumerate() {
             if shard.dirty.load(Ordering::Acquire) {
@@ -780,6 +781,7 @@ mod tests {
     use super::*;
     use crate::snapshot::ThrCell;
     use crate::wire::hist_class::{DECIDE, DECIDE_BATCH, FLUSH_PUBLISH, REPORT_BATCH};
+    use xar_obs::Event;
 
     /// Toy policy: per-app call counters; decides FPGA once an app has
     /// been reported `limit` times.
@@ -1360,7 +1362,9 @@ mod tests {
         while let Some(ev) = reader.pop() {
             events += u64::from(matches!(ev.event, Event::FlushPublish { rows: 1, .. }));
         }
-        assert_eq!(events, n, "every flush emits its publish event");
+        assert_eq!(events, 3, "only the elected flushes 0, 64 and 128 push an event");
+        assert_eq!(counters.flush_events.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.emitted(), 3, "trace_events counts the events pushed");
         assert_eq!(counters.flush_publishes.load(Ordering::Relaxed), n);
         assert_eq!(counters.flush_rows.load(Ordering::Relaxed), n);
         assert_eq!(m.hist(REPORT_BATCH).count(), 3, "flushes 0, 64 and 128 were timed");

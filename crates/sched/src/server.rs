@@ -1064,9 +1064,9 @@ fn worker_loop<P: PolicyCore>(
             service(&mut slab, &mut reactor, &mut ctx, ev.token.0);
         }
         for t in &expired {
-            // Maintenance tick: sweep the engine's dirty shards (any
-            // publish emits a flush_publish trace event), then drain
-            // this worker's trace ring into the shared log.
+            // Maintenance tick: sweep the engine's dirty shards (an
+            // elected publish emits a flush_publish trace event), then
+            // drain this worker's trace ring into the shared log.
             if *t == MAINT_TOKEN {
                 if !ctx.config.flush_interval.is_zero() {
                     ctx.engine.flush_dirty(Some(&mut ctx.tracer));

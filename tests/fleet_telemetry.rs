@@ -1,19 +1,22 @@
 //! Fleet telemetry end-to-end: the in-daemon series surface
 //! (`SERIES`/`RATE` on the v1 port), `TRACE n` edge cases over a real
-//! socket, and the `xar-obsd` aggregator — three live daemons scraped
-//! over the v2 wire, the folded fleet histogram equal to the sum of
-//! per-daemon `HistDump`s bucket-for-bucket, and the fold surviving a
-//! member's death and restart without corruption.
+//! socket, a trace log that one-report batches do not flood, and the
+//! `xar-obsd` aggregator — three live daemons scraped over the v2 wire,
+//! the folded fleet histogram equal to the sum of per-daemon
+//! `HistDump`s bucket-for-bucket, and the fold surviving a member's
+//! death and restart without corruption.
 
 mod common;
 
-use common::{paper_policy, spawn, text_query, wait_until};
+use common::{paper_policy, spawn, stat, text_query, wait_until};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 use xar_trek::core::server::{spawn_sharded_at, EngineConfig, ServerConfig, V2Client};
 use xar_trek::desim::Target;
+use xar_trek::sched::obs::tags;
 use xar_trek::sched::obsd::{Obsd, ObsdConfig};
 use xar_trek::sched::wire::{hist_class, HistDump};
+use xar_trek::sched::{ReportOwned, LATENCY_SAMPLE};
 
 fn engine_config() -> EngineConfig {
     EngineConfig { shards: 4, batch: 4 }
@@ -127,6 +130,56 @@ fn trace_edge_cases_over_a_real_socket() {
     assert!(text.ends_with("END\n"), "oversized n clamps, got {text:?}");
     assert_eq!(text_query(addr, "TRACE x\n"), "ERR\n");
     assert_eq!(text_query(addr, "TRACE -1\n"), "ERR\n");
+}
+
+/// At the default `batch = 1` every report is a flush. Only the flushes
+/// elected for timing (1 in `LATENCY_SAMPLE`) push a `flush_publish`
+/// event, so a default daemon fed one-report batches keeps its ring
+/// from overflowing and its `TRACE` log from losing the connection's
+/// `accept`, while `flush_publishes` and `flush_rows` still count every
+/// flush.
+#[test]
+fn one_report_batches_do_not_flood_the_trace_log() {
+    const BATCHES: u64 = 30_000;
+    let daemon = spawn(EngineConfig::default(), ServerConfig::default());
+    let addr = daemon.addr();
+    let mut cl = V2Client::connect(addr).unwrap();
+    let report =
+        [ReportOwned { app: "Digit2000".into(), target: Target::Fpga, func_ms: 1.0, x86_load: 3 }];
+    for _ in 0..BATCHES {
+        assert_eq!(cl.report_batch(&report).unwrap(), 1);
+    }
+    assert_eq!(stat(&mut cl, tags::TRACE_DROPPED), 0, "no trace event was dropped");
+    assert_eq!(stat(&mut cl, tags::FLUSH_PUBLISHES), BATCHES, "every flush is counted");
+    assert_eq!(stat(&mut cl, tags::FLUSH_ROWS), BATCHES);
+    // The client's worker drains its ring on its 100 ms maintenance tick.
+    let elected = BATCHES.div_ceil(LATENCY_SAMPLE);
+    let mut lines = Vec::new();
+    let mut publishes = 0;
+    wait_until("the elected flushes to reach the trace log", || {
+        let text = text_query(addr, "TRACE 4096\n");
+        lines = text.lines().take_while(|&l| l != "END").map(str::to_owned).collect();
+        publishes = lines.iter().filter(|l| l.contains(" flush_publish ")).count() as u64;
+        publishes >= elected
+    });
+    // `<seq> daemon=<id> worker=<w> <event>`: the client's accept came
+    // first on the worker that applied its reports.
+    let fields = |l: &str| -> (u64, String) {
+        let mut parts = l.split_whitespace();
+        (parts.next().unwrap().parse().unwrap(), parts.nth(1).unwrap().to_string())
+    };
+    let flush = lines.iter().find(|l| l.contains(" flush_publish ")).unwrap();
+    let (first_flush, worker) = fields(flush);
+    assert!(
+        lines.iter().any(|l| {
+            let (seq, w) = fields(l);
+            l.contains(" accept ") && w == worker && seq < first_flush
+        }),
+        "the client's accept was pushed out of the trace log: {:?}",
+        &lines[..lines.len().min(4)]
+    );
+    assert_eq!(publishes, elected, "one event per elected flush");
+    daemon.shutdown();
 }
 
 /// The tentpole end-to-end: obsd scrapes three live daemons, its fold

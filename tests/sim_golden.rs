@@ -16,8 +16,10 @@
 //! Xar-Trek policy on two seeds; mass ARM migration with the Ethernet
 //! link shared and private; `AlwaysFpga` with per-kernel XCLBINs
 //! registered but not preloaded (reconfiguration) and one kernel left
-//! unregistered (the not-resident x86 fallback); and a throughput-mode job (1000 calls,
-//! per-call x86 work, a deadline) on a loaded host.
+//! unregistered (the not-resident x86 fallback); a throughput-mode job (1000 calls,
+//! per-call x86 work, a deadline) on a loaded host; and two `run`s on
+//! one simulator, the second's arrivals joining a background bed the
+//! first left running.
 
 use std::sync::Arc;
 use xar_trek::core::pipeline::build_all;
@@ -179,11 +181,30 @@ fn cases() -> Vec<(&'static str, SimResult)> {
     let calls = throughput.records[0].calls_completed;
     assert!(calls > 1 && calls < 1000, "the deadline, not the call count, ended the job: {calls}");
     out.push(("throughput-deadline", throughput));
+
+    // Two `run`s on one simulator: the first wave's background bed is
+    // still running when the first run ends, so the second batch of
+    // arrivals lands beside it and is appended to the first's.
+    let mut sim = ClusterSim::new(cfg.clone(), sharded(&cfg));
+    for x in &xclbins {
+        sim.preload_xclbin(x.clone());
+    }
+    let first = sim.run(wave_arrivals(3, 2, 20, 40));
+    let mut second = wave_arrivals(5, 2, 20, 0);
+    for a in &mut second {
+        a.at_ns += first.end_ns + 1e6;
+    }
+    let second = sim.run(second);
+    assert!(second.records.iter().all(|r| r.arrival_ns > first.end_ns));
+    out.push(("two-runs-first", first));
+    out.push(("two-runs-second", second));
     out
 }
 
-/// Generated at the parent commit; see the module docs.
-const GOLDEN: [(&str, u64); 8] = [
+/// Generated at the parent commit; see the module docs. The two-run
+/// pair was added later and generated before the simulator adopted its
+/// first run's arrivals instead of copying them.
+const GOLDEN: [(&str, u64); 10] = [
     ("waves-xartrek-seed1", 0xa83c0abbd8ee2a75),
     ("waves-sharded-seed1", 0xa83c0abbd8ee2a75),
     ("waves-xartrek-seed7", 0x72fcca3f5ca9ed0d),
@@ -192,6 +213,8 @@ const GOLDEN: [(&str, u64); 8] = [
     ("arm-private-ethernet", 0xdf0eeeb78f0f77a1),
     ("fpga-reconfigure-and-fallback", 0x5feec600df08c173),
     ("throughput-deadline", 0xbd10be307609bfc2),
+    ("two-runs-first", 0x9393a0f6e456afb3),
+    ("two-runs-second", 0xa51a7f903396a261),
 ];
 
 #[test]
