@@ -10,6 +10,7 @@
 //! [`xar_hls::FpgaDevice`] accounts time.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use xar_hls::{FpgaDevice, Xclbin};
 use xar_isa::Memory;
 use xar_popcorn::rt::RtFunc;
@@ -61,7 +62,8 @@ pub struct XarRtHandler {
     pub flags: HashMap<i64, i64>,
     /// The FPGA device model (time accounting).
     pub device: Option<FpgaDevice>,
-    xclbins: HashMap<i64, Xclbin>,
+    /// Shared with the device once loaded: a configure copies no name.
+    xclbins: HashMap<i64, Arc<Xclbin>>,
     kernels: HashMap<i64, (KernelInfo, KernelFn)>,
     /// Event log.
     pub events: Vec<RtEvent>,
@@ -92,7 +94,7 @@ impl XarRtHandler {
     /// Registers an application's XCLBIN (loaded on `FpgaConfigure`)
     /// and its functional kernel.
     pub fn register_kernel(&mut self, app: i64, xclbin: Xclbin, info: KernelInfo, func: KernelFn) {
-        self.xclbins.insert(app, xclbin);
+        self.xclbins.insert(app, Arc::new(xclbin));
         self.kernels.insert(app, (info, func));
     }
 }
@@ -112,7 +114,7 @@ impl RtHandler for XarRtHandler {
             RtFunc::FpgaConfigure => {
                 if let (Some(dev), Some(x)) = (self.device.as_mut(), self.xclbins.get(&args[0])) {
                     if !x.kernels.iter().all(|k| dev.kernel_resident(k)) {
-                        dev.reconfigure(x.clone(), clock_ns);
+                        dev.reconfigure(Arc::clone(x), clock_ns);
                         self.events.push(RtEvent::Configured(args[0], clock_ns));
                     }
                 }
@@ -127,7 +129,7 @@ impl RtHandler for XarRtHandler {
                 let ret = f(mem, spill);
                 if let Some(dev) = self.device.as_mut() {
                     if let Some(run) = dev.invoke(
-                        &info.kernel.clone(),
+                        &info.kernel,
                         clock_ns,
                         info.in_bytes,
                         info.out_bytes,

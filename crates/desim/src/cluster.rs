@@ -35,10 +35,11 @@
 //! * **Arrivals** are adopted, not copied: the first `run` keeps the
 //!   caller's vector as the simulator's own, and a later `run` appends
 //!   to it (a background job can outlive the run that launched it).
-//! * **Events** pop in `(time, sequence)` order out of four sources:
+//! * **Events** pop in `(time, sequence)` order out of five sources:
 //!   the arrivals, sorted once per `run`; one slot per machine holding
-//!   the latest completion event scheduled for it; and a heap of the
-//!   transfer and FPGA timers, the only events that need one. A machine's
+//!   the latest completion event scheduled for it; and one queue of
+//!   timers per serving resource, the Ethernet link (`ArmOutDone`,
+//!   `ArmBackDone`) and the FPGA (`FpgaDone`). A machine's
 //!   slot is overwritten on every reschedule, which drops nothing that
 //!   would have acted: the event it replaces is either stale (the
 //!   machine's generation has moved on, so it would have been ignored)
@@ -47,14 +48,29 @@
 //!   without a membership change, straight after the last `machine_add`).
 //!   Every reschedule still takes a sequence number, so every event that
 //!   remains keeps the one it would have had.
+//! * **A timer leaves in the order its server finishes it.** A timer
+//!   queue is a deque in key order, and a push is an append whenever its
+//!   key is above the back's — which is always, for both servers as the
+//!   paper has them: the FPGA is one serial device (a job starts no
+//!   earlier than the busy-until time the one before it set, and that
+//!   time only grows), and the shared 1 Gbps link serializes every
+//!   transfer the same way; equal times are ordered by the sequence
+//!   number, which only grows too. Only
+//!   the `serialize_ethernet: false` ablation, where each transfer has a
+//!   private link and a short one can finish before a long one, lands a
+//!   push below the back; it is inserted at its key's place, so the
+//!   queue is an exact priority queue for any push order.
+//! * **A configuration is shared, not copied.** Each registered XCLBIN
+//!   is one `Arc`, mapped from each of its kernels; a reconfiguration
+//!   hands the device a clone of that `Arc`, a reference-count bump.
 //! * **The order is one integer.** An event's `(time, sequence)` pair
 //!   becomes a `u128` key once, when the event is made: the time's bits
 //!   mapped to a total order (`-0.0` folded into `+0.0`, as `==` has
-//!   it) above the sequence number. The arrival sort, the timer heap
-//!   and the compare of the four heads then compare integers, not
+//!   it) above the sequence number. The arrival sort, the timer queues
+//!   and the compare of the five heads then compare integers, not
 //!   `f64::partial_cmp().unwrap()`, in exactly the old order; a NaN
 //!   time panics where its event is made. The time is read back from
-//!   the key when the event pops, so an entry the heap moves is 32
+//!   the key when the event pops, so an entry a queue moves is 32
 //!   bytes: the key and the event.
 //!
 //! # The slack guard
@@ -79,8 +95,9 @@
 use crate::machine::{JobId, PsMachine};
 use crate::policy::{CompletionReport, DecideCtx, Decision, Policy, Target};
 use crate::workload::{Arrival, JobSpec};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use xar_hls::{FpgaDevice, Xclbin};
 
 /// Cluster configuration (defaults to the paper's testbed).
@@ -190,6 +207,17 @@ enum TimerKind {
     FpgaDone,
 }
 
+impl TimerKind {
+    /// The index of the queue this timer waits in: its serving resource,
+    /// 0 for the Ethernet link, 1 for the FPGA.
+    fn server(self) -> usize {
+        match self {
+            TimerKind::ArmOutDone | TimerKind::ArmBackDone => 0,
+            TimerKind::FpgaDone => 1,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival(usize),
@@ -225,21 +253,15 @@ fn event_time(key: u128) -> f64 {
     f64::from_bits(if ordered >> 63 == 1 { ordered & !(1 << 63) } else { !ordered })
 }
 
-impl PartialEq for EvEntry {
-    fn eq(&self, o: &Self) -> bool {
-        self.key == o.key
-    }
-}
-impl Eq for EvEntry {}
-impl PartialOrd for EvEntry {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for EvEntry {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Reverse for min-heap.
-        o.key.cmp(&self.key)
+/// Puts `e` into `queue`, which is in ascending key order, at its
+/// key's place: an append when its key is above the back's (module
+/// docs, "A timer leaves in the order its server finishes it").
+fn push_in_key_order(queue: &mut VecDeque<EvEntry>, e: EvEntry) {
+    if queue.back().is_none_or(|b| b.key < e.key) {
+        queue.push_back(e);
+    } else {
+        let at = queue.partition_point(|x| x.key < e.key);
+        queue.insert(at, e);
     }
 }
 
@@ -271,7 +293,7 @@ pub struct ClusterSim<P: Policy> {
     cfg: ClusterConfig,
     policy: P,
     fpga: FpgaDevice,
-    xclbin_for_kernel: HashMap<String, Xclbin>,
+    xclbin_for_kernel: HashMap<String, Arc<Xclbin>>,
     x86: PsMachine,
     arm: PsMachine,
     /// Arrivals not yet due, latest first: the next one is `last()`.
@@ -279,8 +301,9 @@ pub struct ClusterSim<P: Policy> {
     /// The latest completion event scheduled for each machine, by
     /// `MKind`.
     machine_ev: [Option<EvEntry>; 2],
-    /// Ethernet-transfer and FPGA timers.
-    timers: BinaryHeap<EvEntry>,
+    /// Timers in key order, one queue per serving resource: see
+    /// [`TimerKind::server`].
+    timers: [VecDeque<EvEntry>; 2],
     seq: u64,
     /// Every arrival of every `run` so far: `Ev::Arrival` and
     /// `Job::arrival` index it, and a background job can outlive the
@@ -319,7 +342,7 @@ impl<P: Policy> ClusterSim<P> {
             arm,
             pending: Vec::new(),
             machine_ev: [None, None],
-            timers: BinaryHeap::new(),
+            timers: [VecDeque::new(), VecDeque::new()],
             seq: 0,
             arrivals: Vec::new(),
             jobs: Vec::new(),
@@ -333,17 +356,25 @@ impl<P: Policy> ClusterSim<P> {
 
     /// Registers an XCLBIN; all kernels it contains become loadable.
     pub fn register_xclbin(&mut self, xclbin: Xclbin) {
-        for k in &xclbin.kernels {
-            self.xclbin_for_kernel.insert(k.clone(), xclbin.clone());
-        }
+        self.register(xclbin);
     }
 
     /// Registers an XCLBIN and loads it before time zero, modelling the
     /// step-F download that precedes the experiments ("The XCLBIN(s)
     /// are then downloaded to the FPGA platform", §3.1).
     pub fn preload_xclbin(&mut self, xclbin: Xclbin) {
-        self.register_xclbin(xclbin.clone());
-        self.fpga.preload(xclbin);
+        let x = self.register(xclbin);
+        self.fpga.preload(x);
+    }
+
+    /// Maps each of `xclbin`'s kernels to one shared copy of it, and
+    /// returns that copy.
+    fn register(&mut self, xclbin: Xclbin) -> Arc<Xclbin> {
+        let x = Arc::new(xclbin);
+        for k in &x.kernels {
+            self.xclbin_for_kernel.insert(k.clone(), Arc::clone(&x));
+        }
+        x
     }
 
     /// The policy (e.g. to read its learned thresholds after a run).
@@ -358,14 +389,15 @@ impl<P: Policy> ClusterSim<P> {
 
     fn push_timer(&mut self, t: f64, job: JobId, kind: TimerKind) {
         let e = self.entry(t, Ev::Timer { job, kind });
-        self.timers.push(e);
+        push_in_key_order(&mut self.timers[kind.server()], e);
     }
 
-    /// Removes and returns the earliest event, by `(t, seq)`, of the four
+    /// Removes and returns the earliest event, by `(t, seq)`, of the five
     /// sources.
     fn pop_event(&mut self) -> Option<EvEntry> {
         let [x86, arm] = &self.machine_ev;
-        let heads = [self.pending.last(), x86.as_ref(), arm.as_ref(), self.timers.peek()];
+        let [link, fpga] = &self.timers;
+        let heads = [self.pending.last(), x86.as_ref(), arm.as_ref(), link.front(), fpga.front()];
         // An empty source reads as `u128::MAX`, which no event's key is.
         // Sequence numbers are unique, so there are no ties.
         let keys = heads.map(|e| e.map_or(u128::MAX, |e| e.key));
@@ -375,7 +407,7 @@ impl<P: Policy> ClusterSim<P> {
             0 => self.pending.pop(),
             1 => self.machine_ev[0].take(),
             2 => self.machine_ev[1].take(),
-            _ => self.timers.pop(),
+            timers => self.timers[timers - 3].pop_front(),
         }
     }
 
@@ -441,7 +473,7 @@ impl<P: Policy> ClusterSim<P> {
             return;
         }
         if let Some(x) = self.xclbin_for_kernel.get(kernel) {
-            self.fpga.reconfigure(x.clone(), self.now);
+            self.fpga.reconfigure(Arc::clone(x), self.now);
         }
     }
 
@@ -465,7 +497,7 @@ impl<P: Policy> ClusterSim<P> {
             let e = self.entry(a.at_ns, Ev::Arrival(i));
             self.pending.push(e);
         }
-        self.pending.sort_unstable();
+        self.pending.sort_unstable_by_key(|e| Reverse(e.key));
         while let Some(EvEntry { key, ev }) = self.pop_event() {
             // A time given as `-0.0` comes back `+0.0`, which `max`
             // against `now` (never below `+0.0`) cannot tell apart.
@@ -691,6 +723,7 @@ mod tests {
     use super::*;
     use crate::policy::{AlwaysArm, AlwaysFpga, AlwaysX86};
     use crate::workload::batch_arrivals;
+    use std::collections::BinaryHeap;
     use xar_hls::kernel::{compile_kernel, KOp, Kernel, KernelArg, LoopNest, TripCount};
     use xar_hls::partition_ffd;
     use xar_hls::Platform;
@@ -876,6 +909,51 @@ mod tests {
     #[should_panic(expected = "event time is NaN")]
     fn a_nan_event_time_panics_where_the_event_is_made() {
         event_key(f64::NAN, 1);
+    }
+
+    /// A timer queue pops exactly what a min-heap given the same pushes
+    /// pops: keys pushed ascending (the order a serial server finishes
+    /// its work), descending and shuffled, many of them tied in time,
+    /// with pops in between — some of them of an empty queue.
+    #[test]
+    fn a_timer_queue_pops_in_key_order_for_any_push_order() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for order in ["ascending", "descending", "shuffled"] {
+            let mut keys: Vec<u128> =
+                (0..600).map(|seq| event_key((next() % 64) as f64 * 0.5, seq)).collect();
+            match order {
+                "ascending" => keys.sort_unstable(),
+                "descending" => keys.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => {}
+            }
+            let mut queue = VecDeque::new();
+            let mut reference = BinaryHeap::new();
+            let pop = |queue: &mut VecDeque<EvEntry>,
+                       reference: &mut BinaryHeap<Reverse<(u128, usize)>>| {
+                let got = queue.pop_front().map(|e| match e.ev {
+                    Ev::Arrival(i) => (e.key, i),
+                    other => unreachable!("{other:?}"),
+                });
+                assert_eq!(got, reference.pop().map(|Reverse(want)| want), "{order}");
+                got.is_some()
+            };
+            let mut empty_pops = 0;
+            for (i, &key) in keys.iter().enumerate() {
+                push_in_key_order(&mut queue, EvEntry { key, ev: Ev::Arrival(i) });
+                reference.push(Reverse((key, i)));
+                for _ in 0..next() % 3 {
+                    empty_pops += usize::from(!pop(&mut queue, &mut reference));
+                }
+            }
+            while pop(&mut queue, &mut reference) {}
+            assert!(empty_pops > 0, "{order}: no pop found the queue empty");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::partition::Xclbin;
 use crate::Platform;
+use std::sync::Arc;
 
 /// A PCIe link model.
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +76,9 @@ pub struct DeviceStats {
 pub struct FpgaDevice {
     platform: Platform,
     pcie: PcieLink,
-    loaded: Option<Xclbin>,
+    /// Shared with whoever registered it: loading a configuration bumps
+    /// a reference count and copies no name.
+    loaded: Option<Arc<Xclbin>>,
     /// The device is unavailable until this time (reconfiguration or a
     /// running kernel).
     busy_until_ns: f64,
@@ -124,7 +127,7 @@ impl FpgaDevice {
 
     /// The currently loaded configuration, if any.
     pub fn loaded(&self) -> Option<&Xclbin> {
-        self.loaded.as_ref()
+        self.loaded.as_deref()
     }
 
     /// Whether `kernel` is resident *and* the device is not mid-
@@ -148,7 +151,14 @@ impl FpgaDevice {
     /// time. The previous configuration is unavailable immediately
     /// (paper: "until the reconfiguration is complete, the function
     /// remains on the x86 CPU or may migrate to the ARM CPU").
-    pub fn reconfigure(&mut self, xclbin: Xclbin, now_ns: f64) -> f64 {
+    ///
+    /// The download starts once in-flight work is done, so completion
+    /// times never run backwards: at non-decreasing submit times,
+    /// reconfigurations and [`invoke`](Self::invoke)s finish in the
+    /// order they were submitted. The device keeps `xclbin` itself, not
+    /// a copy: pass a clone of a shared `Arc` to load the same
+    /// configuration again.
+    pub fn reconfigure(&mut self, xclbin: Arc<Xclbin>, now_ns: f64) -> f64 {
         let start = now_ns.max(self.busy_until_ns);
         let dl = self.config_setup_ns + xclbin.size_bytes as f64 / self.config_bytes_per_ns;
         self.busy_until_ns = start + dl;
@@ -159,8 +169,9 @@ impl FpgaDevice {
 
     /// Installs `xclbin` instantly, without charging reconfiguration
     /// time — models a download that completed before the measurement
-    /// window (the paper's step F precedes all experiments).
-    pub fn preload(&mut self, xclbin: Xclbin) {
+    /// window (the paper's step F precedes all experiments). Like
+    /// [`reconfigure`](Self::reconfigure), it keeps `xclbin` itself.
+    pub fn preload(&mut self, xclbin: Arc<Xclbin>) {
         self.loaded = Some(xclbin);
         self.stats.reconfigurations += 1;
     }
@@ -207,7 +218,7 @@ mod tests {
     use crate::kernel::{compile_kernel, KOp, Kernel, KernelArg, LoopNest, TripCount};
     use crate::partition::partition_ffd;
 
-    fn one_xclbin() -> Xclbin {
+    fn one_xclbin() -> Arc<Xclbin> {
         let k = Kernel {
             name: "KNL_HW_TEST".into(),
             args: vec![KernelArg::Scalar { name: "n".into() }],
@@ -215,7 +226,7 @@ mod tests {
             local_buffer_bytes: 0,
         };
         let xo = compile_kernel(&k).unwrap();
-        partition_ffd(&[xo], &Platform::alveo_u50(), "t").unwrap().remove(0)
+        Arc::new(partition_ffd(&[xo], &Platform::alveo_u50(), "t").unwrap().remove(0))
     }
 
     #[test]
@@ -246,6 +257,50 @@ mod tests {
         assert!(dev.invoke("NOPE", 0.0, 0, 0, 1.0).is_none());
         dev.reconfigure(one_xclbin(), 0.0);
         assert!(dev.invoke("NOPE", 0.0, 0, 0, 1.0).is_none());
+    }
+
+    /// What the simulator's FPGA timer queue relies on: submitted at
+    /// non-decreasing times, any mix of invocations and reconfigurations
+    /// completes at non-decreasing times.
+    #[test]
+    fn completions_never_run_backwards_for_in_order_submits() {
+        let x = one_xclbin();
+        let mut dev = FpgaDevice::alveo_u50();
+        let (mut now, mut last_end) = (0.0f64, dev.reconfigure(Arc::clone(&x), 0.0));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Submit gaps from 0 (a tie) to ~0.5 s, sizes up to 16 MiB.
+            now += [0.0, 1.0, (state >> 40) as f64 * 30.0][(state % 3) as usize];
+            let end = if state.is_multiple_of(17) {
+                dev.reconfigure(Arc::clone(&x), now)
+            } else {
+                let bytes = state >> 40;
+                let compute_ns = (state >> 44) as f64;
+                dev.invoke("KNL_HW_TEST", now, bytes, bytes / 7, compute_ns).unwrap().end_ns
+            };
+            assert!(end >= last_end, "completion {end} before the previous {last_end}");
+            assert!(end >= now, "completion {end} before its submit {now}");
+            last_end = end;
+        }
+        assert!(dev.stats().invocations > 1_000);
+    }
+
+    /// A reconfiguration loads the caller's allocation, not a copy.
+    #[test]
+    fn a_configuration_is_shared_not_copied() {
+        let x = one_xclbin();
+        let mut dev = FpgaDevice::alveo_u50();
+        dev.reconfigure(Arc::clone(&x), 0.0);
+        assert!(std::ptr::eq(dev.loaded().unwrap(), &*x));
+        assert_eq!(Arc::strong_count(&x), 2);
+        let other = one_xclbin();
+        dev.preload(Arc::clone(&other));
+        assert!(std::ptr::eq(dev.loaded().unwrap(), &*other));
+        assert_eq!(Arc::strong_count(&x), 1, "the replaced configuration is released");
+        assert_eq!(Arc::strong_count(&other), 2);
     }
 
     #[test]
